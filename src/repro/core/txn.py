@@ -15,6 +15,7 @@ Per paper section 3.5 a transaction ``T`` carries:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..crdt.base import Operation
@@ -189,13 +190,17 @@ class Transaction:
     def keys(self) -> List[ObjectKey]:
         return [w.key for w in self.writes]
 
+    @cached_property
+    def key_set(self) -> FrozenSet[ObjectKey]:
+        """The written keys; ``writes`` is fixed once a txn is built."""
+        return frozenset(w.key for w in self.writes)
+
     def touches(self, key: ObjectKey) -> bool:
-        return any(w.key == key for w in self.writes)
+        return key in self.key_set
 
     def conflicts_with(self, other: "Transaction") -> bool:
         """Write-write interference, used by EPaxos and PSI commit."""
-        mine = {w.key for w in self.writes}
-        return any(w.key in mine for w in other.writes)
+        return not self.key_set.isdisjoint(other.key_set)
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -2008,13 +2008,17 @@ class DataCenter(Actor):
     def state_digest(self) -> Dict[ObjectKey, Any]:
         """Backend value of every stored key, for convergence checks.
 
-        Reads each shard journal with no visibility filter: at quiescence
-        this is the authoritative merged state every replica must agree
-        with.
+        Reads each key's journal at its **owning** shard with no
+        visibility filter: at quiescence this is the authoritative merged
+        state every replica must agree with.  A shard applies a
+        multi-shard transaction whole, so a shard that does not own a
+        key can hold a partial journal of it — never a read's answer.
         """
         digest: Dict[ObjectKey, Any] = {}
-        for shard in self.shards.values():
+        for shard_id, shard in self.shards.items():
             for key in shard.store.keys():
+                if self.ring.lookup(key) != shard_id:
+                    continue
                 journal = shard.store.journal(key)
                 if journal is not None:
                     digest[key] = journal.materialise(None).value()

@@ -612,8 +612,9 @@ class EdgeNode(Actor):
                      type_name: str) -> Optional[OpBasedCRDT]:
         """Materialise through the store's incremental cache.
 
-        The returned state is shared with the cache; the transaction
-        buffer copies-on-write before mutating it.
+        The returned state is the cache's own, valid until the next
+        read of ``key`` (see :mod:`repro.store.matcache`); the
+        transaction buffer never mutates it.
         """
         visible, token = self._snapshot_view(snapshot, key)
         return self.cache.read(key, visible, type_name, token=token)

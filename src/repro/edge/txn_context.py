@@ -13,8 +13,16 @@ peer or the connected DC:
     node.run_transaction(body, on_done=...)
 
 Reads come from the transaction's snapshot (plus its own writes); updates
-are prepared immediately against the private buffer and journalled at
-commit (paper section 4.1).
+are prepared immediately and journalled at commit (paper section 4.1).
+
+The snapshot states are the node's cached materialisations, shared and
+never mutated here.  A key's first update is prepared against the shared
+state and its tagged effect is only *buffered*; the private copy —
+snapshot state plus own effects — is built when the transaction comes
+back to that key (a read after the write, or a further update whose
+``prepare`` must observe the first).  A transaction that updates each
+key once, the common shape, therefore never copies an object, however
+large the shared document has grown.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from ..core.txn import ObjectKey, Snapshot, WriteOp
-from ..crdt.base import OpBasedCRDT
+from ..crdt.base import OpBasedCRDT, Operation
 
 
 class AbortTransaction(Exception):
@@ -57,12 +65,14 @@ class TransactionContext:
 
     def __init__(self, snapshot: Snapshot):
         self.snapshot = snapshot
-        # Private buffer: materialised snapshot states + own effects.
-        # States may be shared with the node's materialisation cache until
-        # first write (copy-on-write via _owned).
+        # Materialised snapshot states, shared with the node's
+        # materialisation cache except for the keys in ``_owned``, which
+        # are private copies carrying this transaction's effects.
         self.states: Dict[ObjectKey, OpBasedCRDT] = {}
         self.writes: List[WriteOp] = []
         self._owned: set = set()
+        # First effect on a still-shared key, applied once a copy exists.
+        self._deferred: Dict[ObjectKey, Operation] = {}
         self.started_at: float = 0.0
         # How the transaction's reads were served, worst case:
         # "client" < "peer" < "dc" (for the latency benchmarks).
@@ -77,23 +87,35 @@ class TransactionContext:
         return UpdateIntent(key, type_name, method, tuple(args))
 
     # -- engine side -------------------------------------------------------------
+    def _own_view(self, key: ObjectKey) -> OpBasedCRDT:
+        """The state of ``key`` including this transaction's effects."""
+        state = self.states[key]
+        effect = self._deferred.pop(key, None)
+        if effect is not None:
+            state = state.clone()
+            state.apply(effect)
+            self.states[key] = state
+            self._owned.add(key)
+        return state
+
     def resolve_read(self, key: ObjectKey) -> Any:
-        return self.states[key].value()
+        return self._own_view(key).value()
 
     def apply_update(self, intent: UpdateIntent, tag_index: int,
                      dot_hint) -> None:
-        """Prepare against the private state and buffer the write."""
-        state = self.states[intent.key]
-        if intent.key not in self._owned:
-            state = state.clone()
-            self.states[intent.key] = state
-            self._owned.add(intent.key)
+        """Prepare against the transaction's view and buffer the write."""
+        key = intent.key
+        state = self._own_view(key)
         op = state.prepare(intent.method, *intent.args)
-        # Apply to the buffer so later reads in this txn see the effect;
-        # the provisional tag is replaced at commit by Transaction.tag_for,
-        # which uses the same (dot, index) shape, so effects agree.
-        state.apply(op.with_tag((dot_hint[0], dot_hint[1], tag_index)))
-        self.writes.append(WriteOp(intent.key, op))
+        # Later reads in this txn must see the effect; the provisional
+        # tag is replaced at commit by Transaction.tag_for, which uses
+        # the same (dot, index) shape, so effects agree.
+        effect = op.with_tag((dot_hint[0], dot_hint[1], tag_index))
+        if key in self._owned:
+            state.apply(effect)
+        else:
+            self._deferred[key] = effect
+        self.writes.append(WriteOp(key, op))
 
     def note_serving(self, source: str) -> None:
         rank = {"client": 0, "peer": 1, "dc": 2}

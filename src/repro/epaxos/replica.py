@@ -50,6 +50,13 @@ class EPaxosReplica:
         self.send = send
         self._next_slot = 0
         self.instances: Dict[InstanceId, Instance] = {}
+        # The instances not executed yet, in creation order like
+        # ``instances``: what execution and the liveness scans walk, so
+        # their cost follows the work in flight, not the history.
+        self._unexecuted: Dict[InstanceId, Instance] = {}
+        #: Instances looked at by ``_try_execute`` so far (the tier-1
+        #: growth guard reads it).
+        self.execute_visits = 0
         # conflict key -> instance ids whose command touches it.
         self._key_index: Dict[Hashable, Set[InstanceId]] = {}
         self._executed_order: List[InstanceId] = []
@@ -83,6 +90,7 @@ class EPaxosReplica:
         if inst is None:
             inst = Instance(instance_id, initial_ballot(instance_id[0]))
             self.instances[instance_id] = inst
+            self._unexecuted[instance_id] = inst
         return inst
 
     def _index_command(self, instance_id: InstanceId, command: Any) -> None:
@@ -278,8 +286,8 @@ class EPaxosReplica:
         progress = True
         while progress:
             progress = False
-            for instance_id in list(self.instances):
-                inst = self.instances[instance_id]
+            for instance_id, inst in list(self._unexecuted.items()):
+                self.execute_visits += 1
                 if inst.status != COMMITTED:
                     continue
                 closure = self._committed_closure(instance_id)
@@ -293,18 +301,21 @@ class EPaxosReplica:
                              Tuple[int, FrozenSet[InstanceId]]]]:
         """Transitive non-executed dependencies; None if any not committed."""
         closure: Dict[InstanceId, Tuple[int, FrozenSet[InstanceId]]] = {}
+        known = self.instances.keys()
+        unexecuted = self._unexecuted
         stack = [root]
         while stack:
             node = stack.pop()
             if node in closure:
                 continue
-            inst = self.instances.get(node)
-            if inst is None or not inst.is_committed:
-                return None  # unknown or uncommitted dependency
-            if inst.is_executed:
-                continue
+            inst = unexecuted[node]
+            if inst.status != COMMITTED or not known >= inst.deps:
+                return None  # uncommitted or unknown dependency
             closure[node] = (inst.seq, inst.deps)
-            stack.extend(inst.deps)
+            # Executed dependencies need no visit; ``deps`` holds every
+            # interfering instance ever, so pick the rest out of the
+            # (small) unexecuted set rather than walk it.
+            stack.extend(unexecuted.keys() & inst.deps)
         return closure
 
     def _execute_closure(self, closure) -> None:
@@ -313,6 +324,7 @@ class EPaxosReplica:
             if inst.is_executed:
                 continue
             inst.promote(EXECUTED)
+            del self._unexecuted[instance_id]
             self._executed_order.append(instance_id)
             if inst.command is not NOOP:
                 self.on_execute(inst.command, instance_id)
@@ -324,13 +336,12 @@ class EPaxosReplica:
 
     def pending_instances(self) -> List[InstanceId]:
         """Committed-but-unexecuted or in-flight instances (for timers)."""
-        return [i for i, inst in self.instances.items()
-                if not inst.is_executed]
+        return list(self._unexecuted)
 
     def uncommitted_dependencies(self) -> Set[InstanceId]:
         """Dependencies blocking execution; candidates for recovery."""
         blocked: Set[InstanceId] = set()
-        for inst in self.instances.values():
+        for inst in self._unexecuted.values():
             if inst.status != COMMITTED:
                 continue
             for dep in inst.deps:
@@ -380,6 +391,7 @@ class EPaxosReplica:
         inst.status = EXECUTED if executed else COMMITTED
         self._index_command(instance_id, command)
         if executed:
+            del self._unexecuted[instance_id]
             self._executed_order.append(instance_id)
         else:
             self._try_execute()

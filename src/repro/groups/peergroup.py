@@ -49,6 +49,7 @@ from ..sim.clock import HlcTimestamp, HybridLogicalClock
 from ..sim.events import EventLoop
 from ..sim.network import Network
 from ..transport.base import Transport
+from .certification import LogWriters
 from .messages import (GroupCommitAck, GroupFetch, GroupFetchReply,
                        GroupMsg, GroupRelayPush, GroupSeed,
                        InterestAnnounce, JoinGroup, LeaveGroup,
@@ -99,6 +100,9 @@ class GroupMember(EdgeNode):
         self._exec_queue: Deque[Transaction] = deque()
         self._exec_seen: Set[Dot] = set()
         self.visibility_log: List[Transaction] = []
+        # PSI certification index over the log (psi variant only).
+        self._log_writers: Optional[LogWriters] = \
+            LogWriters() if commit_variant == "psi" else None
         self._aborted_dots: Set[Dot] = set()
         # Critical-path transactions (psi and tiga variants) awaiting
         # their visibility slot / fast-path verdict.
@@ -434,29 +438,17 @@ class GroupMember(EdgeNode):
         self._exec_queue.append(txn)
         self._drain_exec_queue()
 
-    def _psi_conflicts(self, txn: Transaction) -> bool:
-        """Deterministic PSI check: a conflicting txn sits between this
-        transaction's snapshot and its visibility slot."""
-        for prior in reversed(self.visibility_log):
-            if not prior.conflicts_with(txn):
-                continue
-            if prior.dot in txn.snapshot.local_deps:
-                continue
-            if not prior.commit.is_symbolic \
-                    and prior.commit.included_in(txn.snapshot.vector):
-                continue
-            return True
-        return False
-
     def _drain_exec_queue(self) -> None:
         while self._exec_queue:
             txn = self._exec_queue[0]
-            if self.commit_variant == "psi" \
-                    and txn.dot not in self._aborted_dots:
-                if self._psi_conflicts(txn):
-                    self._exec_queue.popleft()
-                    self._abort_psi(txn)
-                    continue
+            if self._log_writers is not None \
+                    and txn.dot not in self._aborted_dots \
+                    and self._log_writers.conflicts(txn):
+                # PSI: a conflicting txn sits between this one's
+                # snapshot and its visibility slot.
+                self._exec_queue.popleft()
+                self._abort_psi(txn)
+                continue
             if txn.dot in self._psi_pending:
                 self._exec_queue.popleft()
                 self._log_visible(txn)
@@ -481,6 +473,8 @@ class GroupMember(EdgeNode):
     def _log_visible(self, txn: Transaction) -> None:
         """Append to the group visibility order (the agreed outcome)."""
         self.visibility_log.append(txn)
+        if self._log_writers is not None:
+            self._log_writers.add(txn)
         # Consumed whether or not tracing is on, so the recorder stays a
         # pure observer (identical protocol state either way).
         fast = self._tiga_release_meta.pop(txn.dot, None)

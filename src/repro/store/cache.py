@@ -9,8 +9,8 @@ unsubscribed to save resources (section 5.1.2).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import (Callable, FrozenSet, Hashable, List, Optional,
-                    Tuple)
+from typing import (AbstractSet, Callable, FrozenSet, Hashable, List,
+                    Optional, Tuple)
 
 from ..core.dot import Dot
 from ..core.journal import EntryFilter
@@ -144,7 +144,8 @@ class InterestCache:
         """Materialise from cache; None (a miss) when not cached.
 
         ``token``/``cache_key`` pass through to the materialisation
-        cache; the returned state may be shared — do not mutate it.
+        cache; the returned state is shared with it — do not mutate it,
+        and use it before the next read of the same ``cache_key``.
         """
         if key not in self._interest:
             self.stats.misses += 1
@@ -158,7 +159,7 @@ class InterestCache:
                        visible: Optional[EntryFilter], type_name: str,
                        token: Optional[Hashable] = None,
                        cache_key: Optional[Hashable] = None) \
-            -> Optional[Tuple[OpBasedCRDT, FrozenSet[Dot]]]:
+            -> Optional[Tuple[OpBasedCRDT, AbstractSet[Dot]]]:
         """Like :meth:`read`, also returning the visible dot set."""
         if key not in self._interest:
             self.stats.misses += 1

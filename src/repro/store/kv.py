@@ -7,7 +7,7 @@ readers materialise versions through a visibility filter.
 
 from __future__ import annotations
 
-from typing import (Dict, FrozenSet, Hashable, List, Optional, Set,
+from typing import (AbstractSet, Dict, Hashable, List, Optional, Set,
                     Tuple, TYPE_CHECKING)
 
 from ..core.dot import Dot
@@ -78,9 +78,10 @@ class VersionedStore:
         ``type_name`` is given (objects start in a known initial state,
         paper section 3.1), else raises ``KeyError``.
 
-        With an attached materialisation cache the result may be a
-        *shared* cached state — callers must not mutate it.  ``token``
-        is the reader's frontier descriptor (see
+        With an attached materialisation cache the result is the
+        *shared* cached state — callers must not mutate it, and it is
+        valid only until the next read under the same ``cache_key``.
+        ``token`` is the reader's frontier descriptor (see
         :meth:`MaterialisedCache.materialise`); ``cache_key`` scopes the
         cached view (defaults to ``key``).
         """
@@ -92,7 +93,7 @@ class VersionedStore:
                        type_name: Optional[str] = None,
                        token: Optional[Hashable] = None,
                        cache_key: Optional[Hashable] = None) \
-            -> Tuple[OpBasedCRDT, FrozenSet[Dot]]:
+            -> Tuple[OpBasedCRDT, AbstractSet[Dot]]:
         """Like :meth:`read`, also returning the visible dot set."""
         journal = self._journals.get(key)
         if journal is None:
@@ -102,8 +103,7 @@ class VersionedStore:
         if self.mat_cache is not None:
             return self.mat_cache.materialise(journal, visible,
                                               token=token, key=cache_key)
-        return (journal.materialise(visible),
-                frozenset(journal.visible_dots(visible)))
+        return journal.materialise(visible), journal.visible_dots(visible)
 
     def keys(self) -> Set[ObjectKey]:
         return set(self._journals)

@@ -14,8 +14,8 @@ then falls into one of three paths:
   unchanged journal version: the cached state is returned as-is, with no
   clone, no replay and no callback evaluation;
 * **incremental** — the journal gained entries and/or the reader's
-  frontier advanced: the cached state is cloned and only the new or
-  newly-visible entries are applied on top (legal because visibility
+  frontier advanced: only the new or newly-visible entries are applied,
+  **in place**, on top of the cached state (legal because visibility
   grows along causal order, so anything newly visible is concurrent
   with or causally after what the cached state already reflects — and
   CRDT effects of concurrent operations commute);
@@ -39,14 +39,22 @@ object (a node's own snapshot reads vs. the pure-vector seeds it cuts
 for children, or ACL-masked vs. raw security reads) should pass a
 distinct ``key`` per family so the families do not evict each other.
 
-Returned states are shared with the cache: **callers must not mutate
-them** (transaction buffers already copy-on-write before applying ops).
+**Validity contract.**  The returned state and dot set *are* the cached
+ones: callers must not mutate them, and they are valid only until the
+next ``materialise`` under the same cache key, which may advance them
+in place (a rebuild leaves the old objects alone, but do not count on
+it).  A caller that keeps a state across such a call clones it.  Every
+reader in the system uses the result synchronously — it serialises it,
+takes its ``value()`` (a copy), or prepares an update against it — and
+a transaction suspended on a fetch restarts with a fresh buffer, so
+nothing pays for a copy per read of a large object.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Optional, Tuple
+from typing import AbstractSet, Dict, Hashable, Optional, Set, Tuple
 
+from ..core.dot import Dot
 from ..core.journal import EntryFilter, ObjectJournal
 from ..crdt.base import OpBasedCRDT
 from .cache import CacheStats
@@ -59,7 +67,7 @@ class _CachedVersion:
                  "state")
 
     def __init__(self, uid: int, version: int, base_version: int,
-                 token: Optional[Hashable], dots: FrozenSet,
+                 token: Optional[Hashable], dots: Set[Dot],
                  state: OpBasedCRDT):
         self.uid = uid
         self.version = version
@@ -90,12 +98,13 @@ class MaterialisedCache:
                     visible: Optional[EntryFilter] = None,
                     token: Optional[Hashable] = None,
                     key: Optional[Hashable] = None) \
-            -> Tuple[OpBasedCRDT, FrozenSet]:
+            -> Tuple[OpBasedCRDT, AbstractSet[Dot]]:
         """Materialise ``journal`` under ``visible``; returns (state, dots).
 
-        ``dots`` is the full visible dot set (base + applied entries),
-        equal to ``journal.visible_dots(visible)``.  ``token`` is any
-        hashable descriptor of the reader's frontier: presenting an
+        Both are live views of the cache (see the module's validity
+        contract).  ``dots`` is the full visible dot set (base + applied
+        entries), equal to ``journal.visible_dots(visible)``.  ``token``
+        is any hashable descriptor of the reader's frontier: presenting an
         equal token twice MUST denote an identical visible set (e.g. a
         ``VisibleState.read_token()``, or the tuple of everything a
         filter closure captures).  ``None`` disables the token fast
@@ -127,14 +136,11 @@ class MaterialisedCache:
             cached.token = token
             self.stats.mat_hits += 1
             return cached.state, cached.dots
-        state = cached.state.clone()
-        dots = set(applied)
+        state = cached.state
         for entry in to_apply:
             for op in entry.ops:
                 state.apply(op)
-            dots.add(entry.dot)
-        cached.state = state
-        cached.dots = frozenset(dots)
+            applied.add(entry.dot)
         cached.version = journal.version
         cached.base_version = journal.base_version
         cached.token = token
@@ -154,9 +160,9 @@ class MaterialisedCache:
     def _rebuild(self, cache_key: Hashable, journal: ObjectJournal,
                  visible: Optional[EntryFilter],
                  token: Optional[Hashable]) \
-            -> Tuple[OpBasedCRDT, FrozenSet]:
+            -> Tuple[OpBasedCRDT, AbstractSet[Dot]]:
         state = journal.materialise(visible)
-        dots = frozenset(journal.visible_dots(visible))
+        dots = journal.visible_dots(visible)
         self._versions[cache_key] = _CachedVersion(
             journal.uid, journal.version, journal.base_version, token,
             dots, state)

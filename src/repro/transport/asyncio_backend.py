@@ -89,6 +89,10 @@ class _PeerLink:
     async def _run(self) -> None:
         attempt = 0
         writer: Optional[asyncio.StreamWriter] = None
+        # A frame whose write failed: it goes out first on the next
+        # connection, ahead of everything queued behind it — stream
+        # apply and chain-delta decoding above assume per-link FIFO.
+        held: Optional[bytes] = None
         try:
             while not self.transport.closing:
                 if writer is None:
@@ -103,15 +107,18 @@ class _PeerLink:
                                     RECONNECT_MAX_MS)
                         await asyncio.sleep(delay / 1000.0)
                         continue
-                frame = await self.queue.get()
+                frame = held if held is not None \
+                    else await self.queue.get()
                 try:
                     writer.write(frame)
                     await writer.drain()
+                    held = None
                 except (ConnectionError, OSError):
-                    # Connection died mid-write: requeue and reconnect.
-                    # The frame may arrive twice; protocol dedup (dots,
-                    # request ids, idempotent session msgs) absorbs it.
-                    self.queue.put_nowait(frame)
+                    # Connection died mid-write: keep the frame and
+                    # reconnect.  It may arrive twice; protocol dedup
+                    # (dots, request ids, idempotent session msgs)
+                    # absorbs it.
+                    held = frame
                     writer.close()
                     writer = None
         finally:

@@ -229,3 +229,35 @@ class TestTransactionSemantics:
         edge.run_transaction(body)
         sim.run_for(500)
         assert dcs[0].committed_count == 0
+
+
+class TestStateDigest:
+    def test_multi_shard_txn_digested_at_owning_shards(self):
+        """A shard applies a multi-shard transaction whole, so the shard
+        that does not own a key holds a partial journal of it; the digest
+        must be what a read returns (the owner's journal)."""
+        sim, dcs = world(n_dcs=2, k=2)
+        dc = dcs[0]
+        shard_a, shard_b = dc.shard_ids
+        key_a = next(ObjectKey("b", f"a{i}") for i in range(64)
+                     if dc.ring.lookup(ObjectKey("b", f"a{i}")) == shard_a)
+        key_b = next(ObjectKey("b", f"b{i}") for i in range(64)
+                     if dc.ring.lookup(ObjectKey("b", f"b{i}")) == shard_b)
+        edge = build_edge(sim, "e1", interest=((key_a, "counter"),
+                                               (key_b, "counter")))
+        sim.run_for(100)
+        run_update(edge, key_a, "counter", "increment", 1)
+        run_update(edge, key_b, "counter", "increment", 10)
+        edge.execute(updates=[(key_a, "counter", "increment", (100,)),
+                              (key_b, "counter", "increment", (1000,))])
+        sim.run_for(1000)
+        # Each shard holds the other's key with the cross-shard txn only.
+        assert dc.shards[shard_b].store.journal(key_a) \
+            .materialise(None).value() == 100
+        assert dc.shards[shard_a].store.journal(key_b) \
+            .materialise(None).value() == 1000
+        expect = {key_a: edge.read_value(key_a, "counter"),
+                  key_b: edge.read_value(key_b, "counter")}
+        assert expect == {key_a: 101, key_b: 1010}
+        for replica in dcs:
+            assert replica.state_digest() == expect

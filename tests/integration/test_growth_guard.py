@@ -1,0 +1,107 @@
+"""Growth guard: the cost of a transaction does not grow with the run.
+
+Count-based, no timers.  A five-member ``psi`` group runs N and then 2N
+writes per member, every member on its own growing ``orset`` document
+(so PSI never aborts), and the work done per unit is compared:
+
+* log entries examined per PSI certification,
+* instances looked at per ``EPaxosReplica._try_execute``,
+* ``ORSet.clone`` calls per edge transaction (zero, however large the
+  document has become).
+
+Before certification and execution were indexed the first two doubled
+with N, and every write cloned its document twice.
+"""
+
+from unittest import mock
+
+from repro.core import ObjectKey
+from repro.crdt import ORSet
+from repro.epaxos import EPaxosReplica
+from repro.groups import GroupMember, form_group
+from repro.groups.certification import LogWriters
+from repro.sim import LAN, LatencyModel, Simulation
+
+from ..conftest import build_cluster
+
+N_MEMBERS = 5
+WRITE_GAP_MS = 20.0
+
+
+def counting(cls, name, calls):
+    """Patch ``cls.name`` with a wrapper appending to ``calls``."""
+    original = getattr(cls, name)
+
+    def wrapper(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    return mock.patch.object(cls, name, wrapper)
+
+
+def run_group(writes_per_member):
+    """Per-unit work counts of one run: (examined per certification,
+    visits per ``_try_execute``, clones, aborted)."""
+    sim = Simulation(seed=11, default_latency=LatencyModel(10.0))
+    build_cluster(sim, n_dcs=1, k_target=1)
+    members = [sim.spawn(GroupMember, f"m{i}", dc_id="dc0", group_id="g",
+                         parent_id="m0", commit_variant="psi")
+               for i in range(N_MEMBERS)]
+    docs = [ObjectKey("b", f"doc{i}") for i in range(N_MEMBERS)]
+    for a in members:
+        for b in members:
+            if a.node_id < b.node_id:
+                sim.network.set_link(a.node_id, b.node_id, LAN)
+    for member, doc in zip(members, docs):
+        member.declare_interest(doc, "orset")
+    form_group(members)
+    sim.run_for(300)
+
+    def write(member, doc, element):
+        def body(tx):
+            yield tx.update(doc, "orset", "add", element)
+        member.run_transaction(body)
+
+    # A member's first write fetches its document through the parent and
+    # builds the cached states from their bases: not the steady state.
+    for member, doc in zip(members, docs):
+        write(member, doc, "first")
+    sim.run_for(1000)
+
+    def work():
+        return (sum(m._log_writers.examined for m in members),
+                sum(m.replica.execute_visits for m in members))
+
+    examined_before, visits_before = work()
+    certifications, executes, clones = [], [], []
+    with counting(LogWriters, "conflicts", certifications), \
+            counting(EPaxosReplica, "_try_execute", executes), \
+            counting(ORSet, "clone", clones):
+        for round_ in range(writes_per_member):
+            for index, (member, doc) in enumerate(zip(members, docs)):
+                sim.loop.schedule(
+                    WRITE_GAP_MS * round_ + index,
+                    lambda m=member, d=doc, e=round_: write(m, d, e))
+        sim.run_for(WRITE_GAP_MS * writes_per_member + 3000)
+    for member, doc in zip(members, docs):
+        assert len(member.visibility_log) \
+            == N_MEMBERS * (writes_per_member + 1)
+        assert member.read_value(doc, "orset") \
+            == {"first", *range(writes_per_member)}
+    examined, visits = work()
+    aborted = sum(len(m._aborted_dots) for m in members)
+    return ((examined - examined_before) / len(certifications),
+            (visits - visits_before) / len(executes),
+            len(clones), aborted)
+
+
+def test_per_transaction_work_does_not_grow_with_history():
+    examined_n, visits_n, clones_n, aborted_n = run_group(15)
+    examined_2n, visits_2n, clones_2n, aborted_2n = run_group(30)
+    assert aborted_n == aborted_2n == 0
+    # Flat, not merely sub-linear: a tenth of slack, where walking the
+    # history would double both.
+    assert examined_2n <= examined_n * 1.1
+    assert visits_2n <= visits_n * 1.1
+    assert clones_n == clones_2n == 0
+

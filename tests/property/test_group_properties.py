@@ -184,3 +184,78 @@ def test_psi_group_agrees_on_aborts(writers, seed):
     commits = outcomes.count("commit")
     values = {m.read_value(KEYS[0], "counter") for m in members}
     assert values == {commits}
+
+
+# ----------------------------------------------------------------------
+# indexed PSI certification == the full reverse scan it replaced
+# ----------------------------------------------------------------------
+CERT_KEYS = [ObjectKey("b", f"k{i}") for i in range(3)]
+CERT_DCS = ["dc0", "dc1"]
+
+
+def full_scan_conflicts(visibility_log, txn):
+    """The oracle: ``GroupMember._psi_conflicts`` as it was, a scan of
+    the whole log, before certification was indexed (kept verbatim)."""
+    for prior in reversed(visibility_log):
+        if not prior.conflicts_with(txn):
+            continue
+        if prior.dot in txn.snapshot.local_deps:
+            continue
+        if not prior.commit.is_symbolic \
+                and prior.commit.included_in(txn.snapshot.vector):
+            continue
+        return True
+    return False
+
+
+stamp_st = st.dictionaries(st.sampled_from(CERT_DCS), st.integers(1, 12),
+                           max_size=2)
+keys_st = st.lists(st.sampled_from(CERT_KEYS), min_size=1, max_size=3)
+cert_step_st = st.one_of(
+    # Append a writer of `keys` to the log, its stamp as given.
+    st.tuples(st.just("log"), keys_st, stamp_st),
+    # A DC acknowledgement reaches an entry already in the log.
+    st.tuples(st.just("ack"), st.integers(0, 40),
+              st.sampled_from(CERT_DCS), st.integers(1, 12)),
+    # Certify a candidate: keys, snapshot vector, which log entries
+    # (by position modulo the log length) it names as local deps.
+    st.tuples(st.just("certify"), keys_st, stamp_st,
+              st.lists(st.integers(0, 40), max_size=4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(cert_step_st, min_size=1, max_size=40))
+def test_indexed_certification_equals_full_log_scan(steps):
+    """Arbitrary logs, snapshots and commit-stamp states — including
+    stamps that resolve late, never, or at different DCs, between two
+    certifications that share the index's cached per-key floors."""
+    from repro.core import (CommitStamp, Dot, Snapshot, Transaction,
+                            VectorClock, WriteOp)
+    from repro.crdt import Counter
+    from repro.groups.certification import LogWriters
+
+    def txn(counter, keys, stamp, vector=None, deps=()):
+        op = Counter().prepare("increment", 1)
+        return Transaction(
+            dot=Dot(counter, "m"), origin="m",
+            snapshot=Snapshot(VectorClock(vector or {}), deps),
+            commit=CommitStamp(stamp),
+            writes=[WriteOp(key, op) for key in keys])
+
+    log, index = [], LogWriters()
+    for number, step in enumerate(steps, start=1):
+        if step[0] == "log":
+            entry = txn(number, step[1], step[2])
+            log.append(entry)
+            index.add(entry)
+        elif step[0] == "ack":
+            if log:
+                stamp = log[step[1] % len(log)].commit
+                if step[2] not in stamp.entries:
+                    stamp.add_entry(step[2], step[3])
+        else:
+            deps = [log[i % len(log)].dot for i in step[3]] if log else []
+            candidate = txn(number, step[1], {}, vector=step[2],
+                            deps=deps)
+            assert index.conflicts(candidate) \
+                == full_scan_conflicts(log, candidate)

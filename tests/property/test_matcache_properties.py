@@ -5,7 +5,12 @@ Random interleavings of ``append`` / ``admit`` / ``advance_vector`` /
 the incremental materialisation cache diverge from a from-scratch
 ``ObjectJournal.materialise`` — same CRDT value and same visible dots —
 no matter which path (pure hit, incremental replay, rebuild) served it.
+The incremental path advances the cached state **in place**: it must
+land on the very state a fresh materialisation builds (internal tags
+included), hand back the same object, and never clone.
 """
+
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -61,11 +66,22 @@ command_st = st.one_of(
 )
 
 
+def _internal(crdt):
+    """Full internal state, order-free (an orset's live tags included)."""
+    data = crdt.to_dict()
+    if "instances" in data:
+        return {value: sorted(map(tuple, tags))
+                for value, tags in data["instances"]}
+    return data
+
+
 def _run_interleaving(commands, txns, type_name):
     cache = MaterialisedCache()
     store = VersionedStore(mat_cache=cache)
     store.ensure_object(KEY, type_name)
     state = VisibleState()
+    stats = cache.stats
+    previous = None
     for command, arg in commands:
         if command == "append":
             store.apply_transaction(txns[arg])
@@ -80,12 +96,17 @@ def _run_interleaving(commands, txns, type_name):
             store.drop(KEY)
             store.ensure_object(KEY, type_name)
         flt = state.entry_filter()
+        incremental_before = stats.mat_incremental
         cached, dots = store.read_with_dots(
             KEY, flt, type_name=type_name, token=state.read_token())
         journal = store.journal(KEY)
         fresh = journal.materialise(flt)
         assert cached.value() == fresh.value()
-        assert dots == frozenset(journal.visible_dots(flt))
+        assert _internal(cached) == _internal(fresh)
+        assert dots == journal.visible_dots(flt)
+        if stats.mat_incremental > incremental_before:
+            assert cached is previous  # advanced in place, not copied
+        previous = cached
     return cache
 
 
@@ -99,6 +120,22 @@ class TestCachedReadsMatchFreshMaterialisation:
     @given(commands=st.lists(command_st, min_size=1, max_size=40))
     def test_orset_interleaving(self, commands):
         _run_interleaving(commands, _orset_txns(), "orset")
+
+    @settings(max_examples=60, deadline=None)
+    @given(commands=st.lists(command_st, min_size=5, max_size=40))
+    def test_only_rebuilds_clone(self, commands):
+        calls = []
+        clone = ORSet.clone
+
+        def counting(crdt):
+            calls.append(crdt)
+            return clone(crdt)
+
+        with mock.patch.object(ORSet, "clone", counting):
+            cache = _run_interleaving(commands, _orset_txns(), "orset")
+        # ``journal.materialise`` clones the base once per call: one per
+        # cache miss plus the property's own fresh read per command.
+        assert len(calls) == cache.stats.mat_misses + len(commands)
 
     @settings(max_examples=60, deadline=None)
     @given(commands=st.lists(command_st, min_size=5, max_size=40))

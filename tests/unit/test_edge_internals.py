@@ -87,6 +87,77 @@ class TestMaterialisationCache:
         assert observed[1] == 0
 
 
+class TestTransactionBuffer:
+    """Own effects are buffered; a private copy exists only once the
+    transaction comes back to a key it has written."""
+
+    DOC = ObjectKey("b", "doc")
+
+    def doc_world(self):
+        sim, dcs, node = world()
+        node.declare_interest(self.DOC, "orset")
+        sim.run_for(200)
+        for element in ("a", "b"):
+            run_update(node, self.DOC, "orset", "add", element)
+        return sim, node
+
+    def test_read_after_write_sees_own_effect(self):
+        sim, node = self.doc_world()
+        seen = []
+
+        def body(tx):
+            seen.append((yield tx.read(self.DOC, "orset")))
+            yield tx.update(self.DOC, "orset", "add", "c")
+            seen.append((yield tx.read(self.DOC, "orset")))
+            seen.append(node.read_value(self.DOC, "orset"))  # the cache
+
+        node.run_transaction(body)
+        assert seen == [{"a", "b"}, {"a", "b", "c"}, {"a", "b"}]
+        assert node.read_value(self.DOC, "orset") == {"a", "b", "c"}
+
+    def test_update_after_update_prepares_against_the_first(self):
+        # The remove must observe the tag of the add buffered before it,
+        # or the element survives the transaction.
+        sim, node = self.doc_world()
+
+        def body(tx):
+            yield tx.update(self.DOC, "orset", "add", "c")
+            yield tx.update(self.DOC, "orset", "remove", "c")
+            return (yield tx.read(self.DOC, "orset"))
+
+        results = []
+        node.run_transaction(body, on_done=lambda r, s: results.append(r))
+        assert results == [{"a", "b"}]
+        assert node.read_value(self.DOC, "orset") == {"a", "b"}
+        sim.run_for(2000)
+        other = build_edge(sim, "o", interest=((self.DOC, "orset"),))
+        sim.run_for(500)
+        assert other.read_value(self.DOC, "orset") == {"a", "b"}
+
+    def test_one_update_per_key_never_clones(self, monkeypatch):
+        from repro.crdt import Counter, ORSet
+        sim, node = self.doc_world()
+        node.read_value(KEY, "counter")  # first reads build from the base
+        clones = []
+        for cls in (ORSet, Counter):
+            monkeypatch.setattr(
+                cls, "clone",
+                lambda self, _clone=cls.clone: (clones.append(self),
+                                                _clone(self))[1])
+
+        def body(tx):
+            before = yield tx.read(self.DOC, "orset")
+            yield tx.update(self.DOC, "orset", "add", "c")
+            yield tx.update(KEY, "counter", "increment", 1)
+            return before
+
+        for _ in range(5):
+            node.run_transaction(body)
+        assert node.read_value(self.DOC, "orset") == {"a", "b", "c"}
+        assert node.read_value(KEY, "counter") == 5
+        assert clones == []
+
+
 class TestSnapshotAndCuts:
     def test_snapshot_includes_uncovered_own_txns(self):
         sim, dcs, node = world()

@@ -97,17 +97,30 @@ class TestBasics:
         assert state.value() == fresh.value()
         assert dots == j.visible_dots(vector_filter(vec2))
 
-    def test_cached_state_not_mutated_by_incremental(self):
+    def test_returned_state_valid_until_next_materialise_of_its_key(self):
+        """The validity contract: an incremental read advances the cached
+        state in place, so a state kept across it must have been cloned;
+        reads under another cache key leave it alone."""
         cache = MaterialisedCache()
         j = ObjectJournal(KEY, "counter")
         j.append(counter_txn(1, amount=2, entries={"dc0": 1}))
         vec1 = VectorClock({"dc0": 1})
-        old, _ = cache.materialise(j, vector_filter(vec1),
-                                   token=("t", vec1))
+        old, old_dots = cache.materialise(j, vector_filter(vec1),
+                                          token=("t", vec1))
+        kept = old.clone()
         j.append(counter_txn(2, amount=3, entries={"dc0": 2}))
         vec2 = VectorClock({"dc0": 2})
-        cache.materialise(j, vector_filter(vec2), token=("t", vec2))
-        assert old.value() == 2  # the older state was cloned, not reused
+        other, _ = cache.materialise(j, vector_filter(vec2),
+                                     token=("t", vec2), key=(KEY, "seed"))
+        assert other.value() == 5
+        assert old.value() == 2  # a different cache key: untouched
+        new, new_dots = cache.materialise(j, vector_filter(vec2),
+                                          token=("t", vec2))
+        assert new is old and new_dots is old_dots  # advanced in place
+        assert new.value() == 5
+        assert new_dots == {Dot(1, "e"), Dot(2, "e")}
+        assert kept.value() == 2  # the caller's own copy
+        assert cache.stats.mat_incremental == 1
 
     def test_visibility_regression_forces_rebuild(self):
         cache = MaterialisedCache()

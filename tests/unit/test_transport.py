@@ -173,3 +173,51 @@ class TestAsyncioBackend:
             await t2.stop()
 
         asyncio.run(scenario())
+
+    def test_failed_write_keeps_link_fifo_across_reconnect(self, monkeypatch):
+        """The peer closes mid-stream: the frame whose write failed goes
+        out first on the new connection, not behind the queued ones, so
+        the receiver sees sequence numbers in order (the failed frame
+        may have got through, hence once more)."""
+        from repro.transport import asyncio_backend
+
+        received = []
+
+        class Writer:
+            def __init__(self, fail_at=None):
+                self.fail_at = fail_at
+                self.last = None
+
+            def write(self, frame):
+                self.last = int(frame)
+                received.append(self.last)
+
+            async def drain(self):
+                if self.last == self.fail_at:
+                    raise ConnectionResetError("peer closed")
+
+            def close(self):
+                pass
+
+        writers = [Writer(fail_at=3), Writer()]
+
+        async def open_connection(host, port):
+            return None, writers.pop(0)
+
+        monkeypatch.setattr(asyncio_backend.asyncio, "open_connection",
+                            open_connection)
+
+        async def scenario():
+            transport = AsyncioTransport("s1")
+            link = asyncio_backend._PeerLink(transport, "s2", "h", 1)
+            for seq in range(8):
+                assert link.enqueue(b"%d" % seq)
+            for _ in range(100):
+                if len(received) >= 9:
+                    break
+                await asyncio.sleep(0.01)
+            link.close()
+            await transport.stop()
+
+        asyncio.run(scenario())
+        assert received == [0, 1, 2, 3, 3, 4, 5, 6, 7]
