@@ -3,24 +3,29 @@
 Sweeps the seeded scale scenario across three decades of node count
 (10^3 and 10^4 by default; 10^5 with ``--paper-scale``) and writes
 ``BENCH_scale.json`` at the repo root.  The 10^4 point is the gated
-one: its events/s is compared against the committed pre-rewrite
-baseline in ``benchmarks/baselines/scale_10k_pre.json``, which was
-measured on the same scenario code immediately before the sim-core
-rewrite landed.
+one, on two things:
 
-Events are *logical* events — what a one-event-per-message loop (the
-pre-rewrite implementation, hence the baseline's counter) would have
-processed — so the rate is comparable across the rewrite even though
-same-tick batch delivery retires several messages per loop event.
-With ``PYTHONHASHSEED=0`` (the chaos CLI's canonical mode, exported by
-the CI job) the logical event count must match the baseline's count
-*exactly*: the workload is deterministic, the rewrite only reorders
-Python work, and any drift means behaviour changed.
+* **determinism** — with ``PYTHONHASHSEED=0`` (the chaos CLI's
+  canonical mode, exported by the CI job) behaviour is a pure function
+  of the seed, so a second run of the gated configuration must process
+  exactly the same number of logical events;
+* **the rate a user of the simulator feels** — simulated milliseconds
+  per wall-clock second at 10^4 nodes, against an absolute floor.
 
-The wall-clock gate is deliberately conservative: the committed
-``BENCH_scale.json`` records the full measured speedup (>= 5x on the
-reference machine), while the in-test assertion only requires
-``GATE_MIN_SPEEDUP`` so slower CI runners do not flap the build.
+Events are *logical* events — what a one-event-per-message loop would
+have processed — so counts stay comparable across loop rewrites even
+though same-tick batch delivery retires several messages per loop
+event.  They are no longer comparable across *protocol* changes, and
+are not meant to be: ``benchmarks/baselines/scale_10k_pre.json`` (the
+pre-rewrite loop, 7 071 754 events and 4.7 simulated ms per wall second
+at this point) is kept in the report as history, not as a gate —
+interest-scoped push fan-out removed 98.8 % of those events on purpose.
+
+The floor is deliberately conservative: the committed
+``BENCH_scale.json`` records the rate measured on the reference machine
+(several times the floor), while the in-test assertion only requires
+``GATE_MIN_SIM_MS_PER_WALL_S`` so slower CI runners do not flap the
+build.
 """
 
 import json
@@ -35,10 +40,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 REPORT_PATH = REPO_ROOT / "BENCH_scale.json"
 BASELINE_PATH = Path(__file__).parent / "baselines" / "scale_10k_pre.json"
 
-#: Regression floor for CI: the reference machine records >= 5x in the
-#: committed report; anything below this on any hardware is a real
-#: regression, not runner noise.
-GATE_MIN_SPEEDUP = 2.0
+#: Regression floor for CI, in simulated ms per wall-clock second at the
+#: gated point.  The reference machine records several times this;
+#: the every-session broadcast this replaced ran at 43 there, so a
+#: return to per-session work per round fails on any hardware.
+GATE_MIN_SIM_MS_PER_WALL_S = 250.0
 
 #: The gated point: 10^4 nodes, the paper-scale "city" population.
 GATED_NODES = 10_000
@@ -60,14 +66,17 @@ def test_scale_sweep_and_gate(paper_scale, baseline):
     rows = [run_scale(config) for config in configs]
 
     gated = next(r for r in rows if r["n_nodes"] == GATED_NODES)
-    speedup = gated["events_per_sec"] / baseline["events_per_sec"]
+    replay = run_scale(next(c for c in configs
+                            if c.n_nodes == GATED_NODES))
 
     report = {
         "benchmark": "sim_core_scale",
         "sweep": rows,
-        "baseline_10k": baseline,
-        "speedup_10k": round(speedup, 2),
-        "gate_min_speedup": GATE_MIN_SPEEDUP,
+        "sim_ms_per_wall_s_10k": gated["sim_ms_per_wall_s"],
+        "gate_min_sim_ms_per_wall_s": GATE_MIN_SIM_MS_PER_WALL_S,
+        "events_10k": gated["events"],
+        "replay_events_10k": replay["events"],
+        "history_pre_rewrite_10k": baseline,
         "hash_seed_pinned": _hash_seed_pinned(),
     }
     REPORT_PATH.write_text(
@@ -82,17 +91,15 @@ def test_scale_sweep_and_gate(paper_scale, baseline):
         assert row["events"] > 0
 
     if _hash_seed_pinned():
-        # Logical-event parity with the pre-rewrite loop: behaviour is
-        # a pure function of the seed, so the count must be exact.
-        assert gated["events"] == baseline["events"], (
-            "logical event count diverged from the pre-rewrite baseline:"
-            f" {gated['events']} != {baseline['events']}")
+        assert replay["events"] == gated["events"], (
+            "the gated configuration is not deterministic: two runs"
+            f" processed {gated['events']} and {replay['events']}"
+            " logical events")
 
-    assert speedup >= GATE_MIN_SPEEDUP, (
-        f"scale throughput regressed: {gated['events_per_sec']:.0f} ev/s"
-        f" is only {speedup:.2f}x the committed baseline"
-        f" {baseline['events_per_sec']:.0f} ev/s"
-        f" (floor {GATE_MIN_SPEEDUP}x)")
+    assert gated["sim_ms_per_wall_s"] >= GATE_MIN_SIM_MS_PER_WALL_S, (
+        f"scale throughput regressed: {gated['sim_ms_per_wall_s']:.0f}"
+        " simulated ms per wall second at 10^4 nodes, floor"
+        f" {GATE_MIN_SIM_MS_PER_WALL_S:.0f}")
 
 
 def test_sweep_covers_three_decades():

@@ -4,6 +4,7 @@ Examples::
 
     python -m repro.chaos --seeds 10                 # seeds 0-9, all topologies
     python -m repro.chaos --topology tree --seed 7   # replay one scenario
+    python -m repro.chaos --interest partial         # narrow interest sets
     python -m repro.chaos --self-check               # planted-bug detection
     python -m repro.chaos --replay failing.json      # re-run a saved schedule
 """
@@ -53,6 +54,11 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
                         choices=("clock-skew",), metavar="KIND",
                         help="enable an opt-in fault family "
                              "(currently: clock-skew)")
+    parser.add_argument("--interest", default="full",
+                        choices=("full", "partial"),
+                        help="'partial' adds a bystander session and "
+                             "narrows one PoP child / group member to a "
+                             "strict subset of the keys (default full)")
     parser.add_argument("--report", default=None, metavar="PATH",
                         help="write the JSON report here")
     parser.add_argument("--no-shrink", action="store_true",
@@ -100,7 +106,8 @@ def _traced_scenario(args: argparse.Namespace) -> int:
                             max_faults=args.max_faults,
                             replication_mode=args.replication_mode,
                             commit_variant=args.commit_variant,
-                            clock_skew=_clock_skew(args))
+                            clock_skew=_clock_skew(args),
+                            partial_interest=args.interest == "partial")
     recorder = TraceRecorder()
     result = run_scenario(config, recorder=recorder)
     with open(args.trace, "w") as handle:
@@ -125,7 +132,8 @@ def _replay(args: argparse.Namespace) -> int:
         topology=saved["topology"], seed=saved["seed"],
         n_txns=args.txns, window_ms=args.window,
         commit_variant=saved.get("commit_variant", "async"),
-        clock_skew=saved.get("clock_skew", False))
+        clock_skew=saved.get("clock_skew", False),
+        partial_interest=saved.get("partial_interest", False))
     schedule = [FaultEvent.from_dict(e) for e in saved["schedule"]]
     result = run_scenario(config, schedule=schedule)
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
@@ -163,7 +171,8 @@ def main(argv: List[str] = None) -> int:
                        "max_faults": args.max_faults,
                        "replication_mode": args.replication_mode,
                        "commit_variant": args.commit_variant,
-                       "clock_skew": _clock_skew(args)},
+                       "clock_skew": _clock_skew(args),
+                       "partial_interest": args.interest == "partial"},
         shrink=not args.no_shrink, log=print)
     totals = report["totals"]
     print(f"chaos: {totals['passed']}/{totals['scenarios']} scenarios "

@@ -16,6 +16,11 @@ Checked properties, mapped to the paper's claims:
 * **K-stability gating** — no edge-tier replica exposes a transaction
   held by fewer than K DCs (section 3.6): losing K-1 DCs can then never
   roll back an observed update.
+* **Vector coverage** — a replica's vector never covers a K-stable
+  transaction on a key it holds warm without the key's journal holding
+  it: the vector is a promise about content, and interest-scoped pushes
+  (a session hears of most rounds only through a heartbeat) must keep
+  it (sections 3.8, 4.2).
 * **Session guarantees** — read-my-writes and monotonic reads per
   session, replayed from the traced transaction log (section 3.8).
 * **Strong convergence** — at quiescence, every replica's materialised
@@ -156,6 +161,24 @@ class InvariantChecker:
                         self._now()))
         return violations
 
+    def check_vector_coverage(self) -> List[InvariantViolation]:
+        """No vector covers a stable txn its warm journal lacks."""
+        stable = {}
+        for dc in self.dcs:
+            for txn in dc.stable_transactions():
+                stable.setdefault(txn.dot, txn)
+        violations = []
+        ordered = sorted(stable)
+        for replica in self.replicas:
+            for dot in ordered:
+                for key in replica.covered_but_missing(stable[dot]):
+                    violations.append(InvariantViolation(
+                        "vector-coverage", replica.node_id,
+                        f"vector {replica.vector} covers {dot} on warm "
+                        f"{key}, whose journal does not hold it",
+                        self._now()))
+        return violations
+
     def check_stream_contiguity(self) -> List[InvariantViolation]:
         """Applied commit streams have no holes below the frontier.
 
@@ -242,6 +265,7 @@ class InvariantChecker:
         violations = self.check_dot_uniqueness()
         violations += self.check_vector_monotonicity()
         violations += self.check_kstability_gate()
+        violations += self.check_vector_coverage()
         violations += self.check_stream_contiguity()
         violations += self.check_shard_contiguity()
         violations += self.check_sessions()

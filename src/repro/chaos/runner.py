@@ -12,6 +12,12 @@ Three standard topologies mirror the paper's deployment tiers:
            on dc1
 ``tree``   the full Figure 1 tree: DC mesh <- PoP <- {peer group, far}
 
+With ``partial_interest`` (CLI ``--interest partial``) each topology
+also gets ``by``, a bystander edge on dc0 that holds only the first of
+the three keys, and its last PoP child / group member (``e1`` / ``m2``)
+holds only the other two — so some session is outside the audience of
+every stability round, at the DC and below a relay.
+
 On an invariant violation the runner shrinks the fault schedule with a
 greedy delta-debugging pass (drop one event at a time, keep the drop if
 the violation survives) and reports the minimal failing schedule.
@@ -50,7 +56,8 @@ class ScenarioConfig:
                  fifo_mode: str = "seq",
                  replication_mode: str = "batched",
                  commit_variant: str = "async",
-                 clock_skew: bool = False):
+                 clock_skew: bool = False,
+                 partial_interest: bool = False):
         if topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {topology!r}")
         if commit_variant not in COMMIT_VARIANTS:
@@ -77,6 +84,10 @@ class ScenarioConfig:
         # Opt-in clock-skew faults: static per-member clock offsets at
         # build time plus scheduled step/drift events on group members.
         self.clock_skew = clock_skew
+        # Opt-in narrow interest sets: a bystander session and one PoP
+        # child / group member hold a strict subset of the keys, so
+        # interest-scoped push fan-out has somebody to leave out.
+        self.partial_interest = partial_interest
 
 
 class World:
@@ -86,7 +97,9 @@ class World:
                  replicas: List[EdgeNode], clients: List[EdgeNode],
                  remote_clients: List[EdgeNode],
                  keys: List[Tuple[ObjectKey, str]], spec: FaultSpec,
-                 k_target: int):
+                 k_target: int,
+                 narrow: Optional[Dict[str, List[Tuple[ObjectKey,
+                                                       str]]]] = None):
         self.sim = sim
         self.dcs = dcs
         self.replicas = replicas          # every edge-tier node
@@ -95,6 +108,9 @@ class World:
         self.keys = keys
         self.spec = spec
         self.k_target = k_target
+        # Node id -> the keys it holds, for the nodes that do not hold
+        # them all (``partial_interest``); the workload keeps to them.
+        self.narrow = narrow or {}
 
     @property
     def actors(self) -> Dict[str, Any]:
@@ -108,6 +124,9 @@ class World:
 KEYS = [(ObjectKey("chaos", "c0"), "counter"),
         (ObjectKey("chaos", "c1"), "counter"),
         (ObjectKey("chaos", "s0"), "orset")]
+#: ``partial_interest``: what the bystander and the narrow child hold.
+BYSTANDER_KEYS = KEYS[:1]
+NARROW_KEYS = KEYS[1:]
 
 
 def _build_dcs(sim: Simulation, n_dcs: int = 2, k_target: int = 2,
@@ -146,7 +165,8 @@ def build_world(topology: str, seed: int,
                 fifo_mode: str = "seq",
                 replication_mode: str = "batched",
                 commit_variant: str = "async",
-                clock_skew: bool = False) -> World:
+                clock_skew: bool = False,
+                partial_interest: bool = False) -> World:
     """Build one of the standard topologies, warmed up and converged.
 
     ``edge_cls`` swaps the implementation of the solo far edge — the
@@ -160,10 +180,21 @@ def build_world(topology: str, seed: int,
     far = sim.spawn(edge_cls, "far", dc_id="dc1")
     sim.network.set_link("far", "dc1", CELLULAR)
     _declare(far, KEYS)
+    narrow: Dict[str, List[Tuple[ObjectKey, str]]] = {}
+    narrow_keys = NARROW_KEYS if partial_interest else KEYS
+    bystander = None
+    if partial_interest:
+        bystander = sim.spawn(EdgeNode, "by", dc_id="dc0")
+        sim.network.set_link("by", "dc0", CELLULAR)
+        _declare(bystander, BYSTANDER_KEYS)
+        bystander.connect()
+        narrow["by"] = BYSTANDER_KEYS
+        narrow["e1" if topology == "pop" else "m2"] = NARROW_KEYS
 
     if topology == "group":
         members = _spawn_group(sim, connect_via="dc0",
-                               commit_variant=commit_variant)
+                               commit_variant=commit_variant,
+                               last_member_keys=narrow_keys)
         sim.network.set_link("m0", "dc0", ETHERNET)
         far.connect()
         sim.run_for(300)
@@ -188,7 +219,7 @@ def build_world(topology: str, seed: int,
         for i in range(2):
             node = sim.spawn(EdgeNode, f"e{i}", dc_id="pop0")
             sim.network.set_link(f"e{i}", "pop0", LatencyModel(10.0, 2.0))
-            _declare(node, KEYS)
+            _declare(node, narrow_keys if i == 1 else KEYS)
             edges.append(node)
         pop.connect()
         far.connect()
@@ -211,7 +242,8 @@ def build_world(topology: str, seed: int,
         pop = sim.spawn(PoPNode, "pop0", dc_id="dc0")
         sim.network.set_link("pop0", "dc0", ETHERNET)
         members = _spawn_group(sim, connect_via="pop0",
-                               commit_variant=commit_variant)
+                               commit_variant=commit_variant,
+                               last_member_keys=narrow_keys)
         sim.network.set_link("m0", "pop0", ETHERNET)
         pop.connect()
         far.connect()
@@ -233,6 +265,16 @@ def build_world(topology: str, seed: int,
             dcs=["dc0", "dc1"],
             skew_nodes=["m0", "m1", "m2"] if clock_skew else [])
 
+    if bystander is not None:
+        # The bystander is a replica and a client like the far edge, and
+        # as exposed to faults: its link, its radio, its DC.
+        replicas = replicas + [bystander]
+        clients = clients + [bystander]
+        spec.access_links.append(("by", "dc0"))
+        spec.blackout_nodes.append("by")
+        spec.offline_nodes.append("by")
+        spec.migrations["by"] = ["dc1"]
+
     # Static per-member clock error (NTP sync is never perfect at the
     # edge): each skewed node starts up to 25ms off true time.  Drawn
     # from its own RNG stream so schedules stay stable across modes.
@@ -245,17 +287,19 @@ def build_world(topology: str, seed: int,
     # Let the initial seeds and session handshakes fully settle.
     sim.run_for(400)
     return World(sim, dcs, replicas, clients, [far], list(KEYS), spec,
-                 k_target)
+                 k_target, narrow)
 
 
 def _spawn_group(sim: Simulation, connect_via: str,
-                 commit_variant: str = "async") -> List[GroupMember]:
+                 commit_variant: str = "async",
+                 last_member_keys: Sequence[Tuple[ObjectKey, str]] = KEYS) \
+        -> List[GroupMember]:
     members = []
     for i in range(3):
         node = sim.spawn(GroupMember, f"m{i}", dc_id=connect_via,
                          group_id="g", parent_id="m0",
                          commit_variant=commit_variant)
-        _declare(node, KEYS)
+        _declare(node, last_member_keys if i == 2 else KEYS)
         members.append(node)
     for a in members:
         for b in members:
@@ -289,7 +333,8 @@ class _Workload:
         for i in range(n_txns):
             at = start + rng.uniform(50.0, span)
             client = rng.choice(world.clients)
-            key, type_name = rng.choice(world.keys)
+            key, type_name = rng.choice(
+                world.narrow.get(client.node_id, world.keys))
             roll = rng.random()
             if roll < 0.15:
                 self._schedule_read(at, client, key, type_name)
@@ -414,6 +459,8 @@ class ScenarioResult:
             "replication_mode": self.config.replication_mode,
             "commit_variant": self.config.commit_variant,
             "clock_skew": self.config.clock_skew,
+            **({"partial_interest": True}
+               if self.config.partial_interest else {}),
             "ok": self.ok,
             "violations": [v.to_dict() for v in self.violations],
             "converged": self.converged,
@@ -449,7 +496,8 @@ def run_scenario(config: ScenarioConfig,
                         fifo_mode=config.fifo_mode,
                         replication_mode=config.replication_mode,
                         commit_variant=config.commit_variant,
-                        clock_skew=config.clock_skew)
+                        clock_skew=config.clock_skew,
+                        partial_interest=config.partial_interest)
     sim = world.sim
     if recorder is not None:
         sim.network.obs = recorder

@@ -69,6 +69,13 @@ class VectorClock(Mapping[Any, int]):
                 merged[key] = val
         return VectorClock._wrap(merged)
 
+    def meet(self, other: "VectorClock") -> "VectorClock":
+        """Greatest lower bound: component-wise minimum."""
+        theirs = other._entries
+        return VectorClock._wrap({
+            key: min(val, theirs[key])
+            for key, val in self._entries.items() if key in theirs})
+
     def advance(self, key: Any, value: Optional[int] = None) -> "VectorClock":
         """Copy with ``key`` advanced to ``value`` (default: +1)."""
         new_value = self[key] + 1 if value is None else int(value)
@@ -81,32 +88,6 @@ class VectorClock(Mapping[Any, int]):
             entries[key] = new_value
         return VectorClock._wrap(entries)
 
-    # Memo tables for the wire-vector fast paths below.  A stability
-    # push fans the *same* raw dict out to every session of a DC, so a
-    # handful of raw dicts (one per in-flight round per DC) account for
-    # nearly every call.  Keyed by ``id(raw)``: the stored strong
-    # reference to ``raw`` keeps the id stable, and the ``is`` check
-    # re-verifies it.  Capped tiny; cleared wholesale when full.
-    #
-    # The crucial case is *stragglers*: per-link jitter spreads one
-    # round's deliveries across many round intervals, so the receiving
-    # edges sit at many different (older) frontiers of the same DC's
-    # stable history.  Every such frontier is dominated by the incoming
-    # round's vector, so the merge result is the same *canonical* clock
-    # of ``raw`` for all of them — one dominance scan serves any
-    # straggler, and edges converge onto the canonical instance, which
-    # turns the scan into an identity hit.  Value-equal inputs give
-    # value-equal outputs, so serving a shared result is safe: clocks
-    # are immutable and already shared freely.
-    _merge_memo: Dict[int, tuple] = {}
-    #   id(raw) -> (raw, canon, last_mine, last_result)
-    _dominates_memo: Dict[int, tuple] = {}  # id(raw) -> (raw, mine, bool)
-    #: Link jitter keeps every round currently in flight live in the
-    #: memo at once (tens of rounds per DC); the cap only bounds memory
-    #: for degenerate workloads, so it must comfortably exceed that
-    #: in-flight population or eviction thrashes the tables.
-    _MEMO_CAP = 512
-
     def merge_dict(self, raw: Mapping[Any, int]) -> "VectorClock":
         """Merge with a raw wire mapping, without wrapping it first.
 
@@ -114,48 +95,16 @@ class VectorClock(Mapping[Any, int]):
         intermediate clock, and returns ``self`` itself when nothing
         advances — clocks are immutable, so sharing is safe (the same
         contract ``from_delta`` relies on).  This is the edge's
-        per-push hot path: most stability pushes advance nothing or a
-        single component.
+        per-push path: most pushes advance a single component.
         """
         mine = self._entries
-        memo = VectorClock._merge_memo
-        entry = memo.get(id(raw))
-        if entry is not None and entry[0] is raw:
-            canon = entry[1]
-            ce = canon._entries
-            if mine is ce:
-                return canon        # already at this round's frontier
-            covered = True
-            for key, val in mine.items():
-                if val > ce.get(key, 0):
-                    covered = False
-                    break
-            if covered:
-                # ``raw`` dominates us (a straggler catching up): the
-                # merge *is* the canonical clock of ``raw``.
-                return canon
-            seen = entry[2]
-            if seen is mine or seen == mine:
-                return entry[3]
-        updates: Optional[Dict[Any, int]] = None
+        merged: Optional[Dict[Any, int]] = None
         for key, val in raw.items():
             if val > mine.get(key, 0):
-                if updates is None:
-                    updates = {}
-                updates[key] = int(val)
-        if updates is None:
-            result = self
-        else:
-            merged = dict(mine)
-            merged.update(updates)
-            result = VectorClock._wrap(merged)
-        if entry is not None and entry[0] is raw:
-            memo[id(raw)] = (raw, entry[1], mine, result)
-        else:
-            if len(memo) >= VectorClock._MEMO_CAP:
-                memo.clear()
-            memo[id(raw)] = (raw, VectorClock(raw), mine, result)
-        return result
+                if merged is None:
+                    merged = dict(mine)
+                merged[key] = int(val)
+        return self if merged is None else VectorClock._wrap(merged)
 
     def dominates_dict(self, raw: Mapping[Any, int]) -> bool:
         """True when a raw wire mapping is <= this clock component-wise.
@@ -164,21 +113,10 @@ class VectorClock(Mapping[Any, int]):
         the temporary clock (zero entries in ``raw`` never dominate).
         """
         mine = self._entries
-        memo = VectorClock._dominates_memo
-        entry = memo.get(id(raw))
-        if entry is not None and entry[0] is raw:
-            seen = entry[1]
-            if seen is mine or seen == mine:
-                return entry[2]
-        result = True
         for key, val in raw.items():
             if val > mine.get(key, 0):
-                result = False
-                break
-        if len(memo) >= VectorClock._MEMO_CAP:
-            memo.clear()
-        memo[id(raw)] = (raw, mine, result)
-        return result
+                return False
+        return True
 
     def leq(self, other: "VectorClock") -> bool:
         """True when this clock is <= other component-wise."""

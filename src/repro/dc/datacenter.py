@@ -36,6 +36,7 @@ from ..sim.actor import Actor
 from ..sim.events import EventLoop
 from ..sim.network import Network
 from ..transport.base import Transport
+from .fanout import SessionFanout
 from .interest import ShardMap, shards_of_mask
 from .messages import (HEADER_BYTES, SKIP_MARKER_BYTES, CommitAck,
                        CommitReject, DCSyncPing, EdgeCommit,
@@ -52,16 +53,6 @@ from .replog import (ReplLink, SkipRun, decode_stream_entry,
                      encode_stream_entry)
 from .server import ShardServer
 from ..store.ring import HashRing
-
-
-class _EdgeSession:
-    """Per-connected-edge bookkeeping."""
-
-    __slots__ = ("edge_id", "interest")
-
-    def __init__(self, edge_id: str):
-        self.edge_id = edge_id
-        self.interest: Dict[ObjectKey, str] = {}
 
 
 class _ReplQueue:
@@ -166,7 +157,8 @@ class DataCenter(Actor):
     #: fold frontier lags the stable vector (in-flight reads at older
     #: snapshots must still materialise).
     COMPACT_PERIOD_MS = 500.0
-    #: Period of empty keepalive pushes (gap detection after partitions).
+    #: Period of the heartbeat push: the only message a session outside
+    #: every audience gets, and the gap detector after a lost push.
     KEEPALIVE_MS = 1000.0
     #: Anti-entropy between DCs: ping period and max resends per ping.
     SYNC_PERIOD_MS = 500.0
@@ -295,12 +287,10 @@ class DataCenter(Actor):
         self._deferred_gathers: List[Tuple[int, Callable[[], None]]] = []
 
         # -- sessions / pending work -----------------------------------------------
-        self.sessions: Dict[str, _EdgeSession] = {}
-        # Inverted interest index: key -> edge ids whose session declared
-        # it.  Lets the stability push fan-out find the audience of a
-        # transaction in O(keys) instead of scanning every session's
-        # interest set per push.
-        self._sessions_by_key: Dict[ObjectKey, Set[str]] = {}
+        # Edge sessions, their interest index and per-session push
+        # cursors (see repro.dc.fanout).
+        self._fanout = SessionFanout()
+        self.sessions = self._fanout.sessions
         self._next_request = 0
         self._read_gathers: Dict[int, Tuple[Set[int], Dict[int, dict],
                                             Callable[[List[dict]], None],
@@ -308,7 +298,8 @@ class DataCenter(Actor):
         self._pending_2pc: Dict[int, _Pending2PC] = {}
         self._next_txid = 0
         self._remote_request_dots: Dict[Tuple[str, int], Dot] = {}
-        # Txns committed here but not yet K-stable, per edge push cursor:
+        # Collection cursor: the stable cut up to which transactions
+        # have been handed to the fan-out (per-session cursors live there).
         self._pushed_stable = VectorClock.zero()
 
         # ``replicated_in`` counts remote transactions actually applied
@@ -321,7 +312,8 @@ class DataCenter(Actor):
                       "repl_acks_in": 0, "repl_dup_in": 0,
                       "repl_pruned_txns": 0, "repl_pruned_bytes": 0,
                       "repl_backfills_out": 0, "repl_backfills_in": 0,
-                      "repl_adverts_in": 0}
+                      "repl_adverts_in": 0,
+                      "pushes_out": 0, "heartbeats_out": 0}
 
     # ------------------------------------------------------------------
     # message dispatch
@@ -405,20 +397,15 @@ class DataCenter(Actor):
                                          reason="causally-incompatible"))
             self.stats["rejected"] += 1
             return
-        session = _EdgeSession(msg.edge_id)
-        for key_dict, type_name in msg.interest:
-            session.interest[ObjectKey.from_dict(key_dict)] = type_name
-        previous = self.sessions.get(msg.edge_id)
-        if previous is not None:
-            self._unindex_interest(previous)
-        self.sessions[msg.edge_id] = session
-        for key in session.interest:
-            self._sessions_by_key.setdefault(key, set()).add(msg.edge_id)
-        self._shard_refs_add(session.interest)
+        interest = {ObjectKey.from_dict(key_dict): type_name
+                    for key_dict, type_name in msg.interest}
+        self._shard_refs_drop(self._fanout.open(msg.edge_id, interest))
+        self._shard_refs_add(interest)
 
-        keys = list(session.interest.items())
+        keys = list(interest.items())
         if not keys:
             seed_vector = self.stable_vector.merge(edge_vector)
+            self._fanout.restart(msg.edge_id, seed_vector.to_dict())
             self.send(sender, SessionAck(self.node_id, (),
                                          seed_vector.to_dict()))
             return
@@ -429,8 +416,12 @@ class DataCenter(Actor):
             # migration the edge may be ahead of our *stable* vector
             # (though within our state vector, as checked above).  The
             # cut is taken at fire time so a seed deferred on shard
-            # backfill covers the freshly backfilled entries too.
+            # backfill covers the freshly backfilled entries too — and
+            # it is where the session's push chain restarts: what is
+            # stable by now is in the seed, what becomes stable later
+            # is pushed.
             seed_vector = self.stable_vector.merge(edge_vector)
+            self._fanout.restart(msg.edge_id, seed_vector.to_dict())
 
             def done(states: List[dict]) -> None:
                 self.send(sender, SessionAck(self.node_id, tuple(states),
@@ -441,18 +432,7 @@ class DataCenter(Actor):
         self._require_shards(self._keys_mask(k for k, _t in keys), fire)
 
     def close_session(self, edge_id: str) -> None:
-        session = self.sessions.pop(edge_id, None)
-        if session is not None:
-            self._unindex_interest(session)
-
-    def _unindex_interest(self, session: _EdgeSession) -> None:
-        for key in session.interest:
-            ids = self._sessions_by_key.get(key)
-            if ids is not None:
-                ids.discard(session.edge_id)
-                if not ids:
-                    del self._sessions_by_key[key]
-        self._shard_refs_drop(session.interest)
+        self._shard_refs_drop(self._fanout.close(edge_id))
 
     # -- session-driven shard interest (partial mode) -------------------
     def _keys_mask(self, keys: Any) -> int:
@@ -542,24 +522,14 @@ class DataCenter(Actor):
             self._maybe_unsubscribe(shard)
 
     def _on_interest_change(self, msg: InterestChange, sender: str) -> None:
-        session = self.sessions.get(msg.edge_id)
-        if session is None:
+        if msg.edge_id not in self.sessions:
             return
-        dropped = []
-        for key_dict in msg.remove:
-            key = ObjectKey.from_dict(key_dict)
-            if session.interest.pop(key, None) is not None:
-                dropped.append(key)
-                ids = self._sessions_by_key.get(key)
-                if ids is not None:
-                    ids.discard(msg.edge_id)
-                    if not ids:
-                        del self._sessions_by_key[key]
+        dropped = [key for key in map(ObjectKey.from_dict, msg.remove)
+                   if self._fanout.drop_interest(msg.edge_id, key)]
         self._shard_refs_drop(dropped)
         added = [(ObjectKey.from_dict(k), t) for k, t in msg.add]
         for key, type_name in added:
-            session.interest[key] = type_name
-            self._sessions_by_key.setdefault(key, set()).add(msg.edge_id)
+            self._fanout.add_interest(msg.edge_id, key, type_name)
         self._shard_refs_add(k for k, _t in added)
         if added:
             edge_vector = VectorClock(msg.state_vector)
@@ -1863,7 +1833,12 @@ class DataCenter(Actor):
     # pushing K-stable updates to edge sessions (sections 3.8, 4.2)
     # ------------------------------------------------------------------
     def _push_updates(self) -> None:
-        """Send newly K-stable transactions to interested edge sessions."""
+        """Send newly K-stable transactions to the sessions they concern.
+
+        Only a round's audience is sent to, each session chained from
+        its own cursor; everybody else learns the new stable cut from
+        the next :meth:`_keepalive`.
+        """
         if not self.sessions:
             # Nobody to push to: just move the cursor, skip collection.
             self._pushed_stable = self.stable_vector
@@ -1879,10 +1854,7 @@ class DataCenter(Actor):
                 txn = self._txn_by_dot.get(dot)
                 if txn is not None:
                     new_txns.append(txn)
-        prev = self._pushed_stable.to_dict()
         self._pushed_stable = self.stable_vector
-        if not new_txns and not self.sessions:
-            return
         # Dot order linearly extends causality: safe delivery order.
         new_txns.sort(key=lambda t: t.dot.as_tuple())
         seen: Set[Dot] = set()
@@ -1892,51 +1864,34 @@ class DataCenter(Actor):
                 seen.add(txn.dot)
                 unique.append(txn)
         stable = self.stable_vector.to_dict()
-        # Serialise each txn once and share the dicts across sessions:
+        # Serialise each txn once and share the dict across its audience:
         # receivers rebuild Transaction objects and never mutate these.
-        shared = [(t.to_dict(), t.keys, t.byte_size()) for t in unique]
-        # Route each txn to its audience through the inverted interest
-        # index; sessions outside every audience share one empty push
-        # (receivers never mutate pushes — same contract as keepalives).
-        audiences: Dict[str, List[Tuple[dict, int]]] = {}
-        by_key = self._sessions_by_key
-        for payload, keys, size in shared:
-            targets: Set[str] = set()
-            for key in keys:
-                ids = by_key.get(key)
-                if ids:
-                    targets.update(ids)
-            for edge_id in targets:
-                audiences.setdefault(edge_id, []).append((payload, size))
-        empty_push = UpdatePush((), stable, prev)
+        sends = self._fanout.route(
+            ((t.keys, (t.to_dict(), t.byte_size())) for t in unique),
+            stable)
         if self.crashed:
+            # The audience's cursors moved and nothing was sent: to them
+            # this round is a lost push, caught at their next message.
             return
-        # Bypass Actor.send: the crash flag cannot flip mid-loop in a
-        # single-threaded simulation, and this fan-out runs once per
-        # session per stability round — the hottest send site at scale.
-        network_send = self.network.send
-        me = self.node_id
-        get_audience = audiences.get
-        for session in self.sessions.values():
-            relevant = get_audience(session.edge_id)
-            if relevant:
-                push = UpdatePush(tuple(p for p, _ in relevant),
-                                  stable, prev)
-                size = sum(s for _, s in relevant) + 16 + 8 * len(stable)
-                network_send(me, session.edge_id, push, size)
-            else:
-                network_send(me, session.edge_id, empty_push, 16)
+        overhead = 16 + 8 * len(stable)
+        for session, relevant, prev in sends:
+            push = UpdatePush(tuple(p for p, _ in relevant), stable, prev)
+            self.send(session.session_id, push,
+                      size_bytes=sum(s for _, s in relevant) + overhead)
+        self.stats["pushes_out"] += len(sends)
 
     def _keepalive(self) -> None:
-        """Empty push so edges can detect missed deltas after a heal."""
-        if not self.sessions:
-            return
-        prev = self._pushed_stable.to_dict()
+        """Heartbeat: carry every session from its cursor to the stable
+        cut.  A session whose last push was lost does not cover the
+        ``prev`` this names and re-seeds; one outside every audience
+        since the last tick catches up."""
         stable = self.stable_vector.to_dict()
-        push = UpdatePush((), stable, prev)
-        size = push.wire_size()
-        for session in self.sessions.values():
-            self.send(session.edge_id, push, size_bytes=size)
+        for prev, sessions in self._fanout.heartbeat(stable):
+            push = UpdatePush((), stable, prev)
+            size = push.wire_size()
+            for session in sessions:
+                self.send(session.session_id, push, size_bytes=size)
+            self.stats["heartbeats_out"] += len(sessions)
 
     # ------------------------------------------------------------------
     # introspection for tests and benchmarks
@@ -1947,6 +1902,11 @@ class DataCenter(Actor):
     def holds(self, dot: Dot) -> bool:
         """Has this DC received (applied) the transaction?"""
         return self.dots.seen(dot)
+
+    def stable_transactions(self) -> List[Transaction]:
+        """Every transaction inside this DC's stable cut."""
+        return [self._txn_by_dot[dot] for dot in self._stable_dots
+                if dot in self._txn_by_dot]
 
     def stream_gaps(self) -> Dict[str, List[int]]:
         """Missing stream positions below each applied frontier.

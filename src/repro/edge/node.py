@@ -341,7 +341,7 @@ class EdgeNode(Actor):
                 continue
             self._install_seed(state, seed_vector)
             seeded.append(key)
-        self._advance_vector(msg.stable_vector)
+        self._advance_to_seed(seed_vector)
         if not self.session_open:
             self.session_open = True
             # Interest declared while the SessionOpen round-trip was in
@@ -388,8 +388,8 @@ class EdgeNode(Actor):
         if key not in self._interest_types:
             self._declare_interest_local(key, journal.type_name)
         # Staleness is judged against the *key's* seed cut, not the node
-        # vector: the vector advances on no-audience stability pushes
-        # that carry no data for this key (e.g. while its interest was
+        # vector: the vector advances on heartbeats and on pushes that
+        # carry no data for this key (e.g. while its interest was
         # retracted), so vector coverage does not imply the journal
         # holds the seeded state.  Entries appended since the last seed
         # survive an install either way — they are replayed on top.
@@ -420,41 +420,8 @@ class EdgeNode(Actor):
                 journal.append(txn)
         self._notify_subscribers([key])
 
-    #: ``id(msg) -> (msg, old_vector, new_vector)`` — one stability push
-    #: fans out to every session of its DC, and the receiving edges'
-    #: vectors converge onto shared clock instances, so after the first
-    #: edge processes a push the rest reuse its result with two identity
-    #: checks (same message, same starting vector) instead of re-running
-    #: the dominance check and merge.  Entries are only stored after the
-    #: dominance check passed, so a hit implies the check would pass
-    #: again.  Keyed by id because several DCs' rounds are in flight at
-    #: once; the stored message reference keeps the id stable.
-    _push_memo: Dict[int, tuple] = {}
-    #: Must exceed the number of pushes in flight across all DCs (link
-    #: jitter keeps tens of rounds live at once); see the clock memos.
-    _PUSH_MEMO_CAP = 512
-
     def _on_update_push(self, msg: UpdatePush, sender: str) -> None:
-        if not msg.txns:
-            # Keepalive / no-audience push: nothing to apply, nothing
-            # to notify — the stable vector still advances.  This is
-            # the overwhelmingly common case at scale.
-            memo = EdgeNode._push_memo
-            entry = memo.get(id(msg))
-            if entry is not None and entry[0] is msg \
-                    and entry[1] is self.vector:
-                self.vector = entry[2]
-                self._after_vector_advance()
-                return
-            old = self.vector
-            if not old.dominates_dict(msg.prev_vector):
-                self._handle_push_gap(sender)
-                return
-            self._advance_vector(msg.stable_vector)
-            if len(memo) >= EdgeNode._PUSH_MEMO_CAP:
-                memo.clear()
-            memo[id(msg)] = (msg, old, self.vector)
-            return
+        """Apply a push — or a heartbeat, which is a push of nothing."""
         if not self.vector.dominates_dict(msg.prev_vector):
             # We missed an earlier delta (e.g. across a partition):
             # re-open the session to get a full re-seed rather than
@@ -485,8 +452,66 @@ class EdgeNode(Actor):
         self.vector = self.vector.merge_dict(vector)
         self._after_vector_advance()
 
+    def _key_frontier(self, key: ObjectKey) -> VectorClock:
+        """The cut up to which our copy of a warm ``key`` is complete:
+        the node vector, or the key's own seed cut where that is ahead."""
+        cut = self._key_cut.get(key)
+        if cut is None or cut.leq(self.vector):
+            return self.vector
+        return self.vector.merge(cut)
+
+    def _cut_seed(self, key: ObjectKey) -> Tuple[dict, VectorClock]:
+        """A seed of our warm copy of ``key`` for somebody downstream (a
+        PoP's child, a sync point's member), and the cut it is taken at:
+        the key's frontier, so the seed never holds more than it says."""
+        vector = self._key_frontier(key)
+
+        def visible(entry) -> bool:
+            return entry.txn.commit.included_in(vector)
+
+        # Seeds cut a pure-vector view (no local deps, no masking), so
+        # they use their own cached-view scope: everybody seeded at the
+        # same cut reuses one materialisation.
+        type_name = self._interest_types[key]
+        state, dots = self.cache.store.read_with_dots(
+            key, visible, type_name=type_name,
+            token=("seed", vector), cache_key=(key, "seed"))
+        return {
+            "key": key.to_dict(),
+            "type": type_name,
+            "base": state.to_dict(),
+            "base_dots": [d.to_dict() for d in sorted(dots)],
+        }, vector
+
+    def _advance_to_seed(self, seed_vector: VectorClock) -> None:
+        """Adopt as much of a seed's cut as the whole warm set has earned.
+
+        The vector promises that every warm journal holds what it
+        covers, and only the push chain or a seed of the *whole* warm
+        set keeps that promise: the ack of a (re)open does, the one-key
+        seed answering an interest add or a fetch does not — its cut is
+        bounded here by the frontier of every other warm key.  Merging
+        a partial seed's cut would also hide a lost push for good: the
+        vector would dominate the next ``prev`` and no heartbeat could
+        expose the gap.  A partial seed still serves its key: reads go
+        through ``merge(vector, _key_cut[key])``.
+        """
+        floor = seed_vector
+        if not floor.leq(self.vector):
+            for key in self._warm:
+                cut = self._key_cut.get(key)
+                if cut is not None and floor.leq(cut):
+                    continue
+                floor = floor.meet(self._key_frontier(key))
+                if floor.leq(self.vector):
+                    break
+            else:
+                self.vector = self.vector.merge(floor)
+        # A seed changes what the node holds even when the vector stays.
+        self._after_vector_advance()
+
     def _after_vector_advance(self) -> None:
-        """Housekeeping run after every vector advance (any path)."""
+        """Housekeeping run after every push and every seed."""
         # Drop uncovered entries that the vector now covers.
         if self._uncovered:
             covered = [dot for dot, txn in self._uncovered.items()
@@ -521,10 +546,19 @@ class EdgeNode(Actor):
         txn = self._txn_by_dot.get(dot)
         if txn is None:
             return
-        for dc, ts in msg.entries.items():
+        self._resolve_commit(txn, msg.entries)
+
+    def _resolve_commit(self, txn: Transaction,
+                        entries: Mapping[str, int]) -> None:
+        """A symbolic commit became concrete (the DC's ack reached us)."""
+        for dc, ts in entries.items():
             if dc not in txn.commit.entries:
                 txn.commit.add_entry(dc, ts)
-        self.unacked.pop(dot, None)
+        self.unacked.pop(txn.dot, None)
+        # The covering push may have come first; no later vector advance
+        # is owed to us, so settle the read-my-writes entry now.
+        if txn.commit.included_in(self.vector):
+            self._uncovered.pop(txn.dot, None)
 
     def _retry_unacked(self) -> None:
         if self.offline:
@@ -650,6 +684,16 @@ class EdgeNode(Actor):
                 if dot.origin != self.node_id
                 and dot not in self._uncovered}
 
+    def covered_but_missing(self, txn: Transaction) -> List[ObjectKey]:
+        """Warm keys on which our vector covers ``txn`` while the key's
+        journal does not hold it; empty unless the vector ran ahead of
+        the push chain (an invariant probe)."""
+        if not txn.commit.included_in(self.vector):
+            return []
+        journal = self.cache.store.journal
+        return [key for key in dict.fromkeys(txn.keys)
+                if key in self._warm and not journal(key).has(txn.dot)]
+
     def own_transaction(self, dot: Dot) -> Optional[Transaction]:
         return self._txn_by_dot.get(dot)
 
@@ -749,9 +793,9 @@ class EdgeNode(Actor):
         # proceed (availability limit, section 4.2) until reconnection.
 
     def _on_object_response(self, msg: ObjectResponse, sender: str) -> None:
-        self._install_seed(msg.object_state,
-                           VectorClock(msg.stable_vector))
-        self._advance_vector(msg.stable_vector)
+        seed_vector = VectorClock(msg.stable_vector)
+        self._install_seed(msg.object_state, seed_vector)
+        self._advance_to_seed(seed_vector)
         key = ObjectKey.from_dict(msg.object_state["key"])
         self._resume_fetches(key)
 

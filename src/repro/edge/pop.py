@@ -18,12 +18,13 @@ serves unrelated clients, so it offers plain TCC+, not an SI zone.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Set, Union
+from typing import Any, Dict, Iterable, List, Optional, Set, Union
 
 from ..core.clock import VectorClock
 from ..core.dot import Dot
 from ..core.txn import ObjectKey
 from ..security.enforcement import ACL_OBJECT, RI_OBJECTS, RI_USERS
+from ..dc.fanout import SessionFanout
 from ..dc.messages import (CommitAck, CommitReject, EdgeCommit,
                            InterestChange, ObjectRequest, ObjectResponse,
                            SessionAck, SessionOpen, UpdatePush)
@@ -42,8 +43,11 @@ class PoPNode(EdgeNode):
                  rng: Optional[random.Random] = None):
         super().__init__(node_id, loop, network, dc_id,
                          cache_capacity=cache_capacity, rng=rng)
-        # Child sessions: edge id -> its interest set (key -> type).
-        self._children: Dict[str, Dict[ObjectKey, str]] = {}
+        # Child sessions: interest sets and push cursors, as at a DC.
+        self._fanout = SessionFanout()
+        # ``stable`` of the last push our connected DC sent us: where
+        # the upstream chain stands (the next ``prev``, if unbroken).
+        self._upstream: Optional[Dict[str, int]] = None
         # Commits relayed upstream, for ack routing: dot -> child id.
         self._relayed: Dict[Dot, str] = {}
         # Fetches awaiting an upstream response: key -> child ids.
@@ -81,8 +85,7 @@ class PoPNode(EdgeNode):
                                          reason="causally-incompatible"))
             return
         interest = {ObjectKey.from_dict(k): t for k, t in msg.interest}
-        previous = self._children.get(msg.edge_id, {})
-        self._children[msg.edge_id] = interest
+        previous = self._fanout.open(msg.edge_id, interest)
         # Adopt the union interest upstream.
         missing = [(key, t) for key, t in interest.items()
                    if key not in self._interest_types]
@@ -93,34 +96,40 @@ class PoPNode(EdgeNode):
             if key not in interest:
                 self._maybe_retract_upstream(key)
         # Seed the child from our cache for whatever is warm; the rest is
-        # delivered as soon as our own upstream seed lands.
-        objects = tuple(self._seed_state(key)
-                        for key in interest if key in self._warm)
-        for key in interest:
-            if key not in self._warm:
-                self._child_unseeded.setdefault(key, set()).add(
-                    msg.edge_id)
-        self.send(sender, SessionAck(self.node_id, objects,
-                                     self.vector.to_dict()))
+        # delivered as soon as our own upstream seed lands.  Its push
+        # chain restarts at the vector these seeds are cut at — and no
+        # earlier than where the upstream chain stands: while we are
+        # behind that ourselves (a gap we are re-seeding across), what
+        # lies between will never be relayed, and the child must find
+        # out at its next message.
+        chain = self.vector.merge_dict(self._upstream or {})
+        self._fanout.restart(msg.edge_id, chain.to_dict())
+        if not self._seed_child(msg.edge_id, interest):
+            self.send(sender, SessionAck(self.node_id, (),
+                                         self.vector.to_dict()))
 
-    def _seed_state(self, key: ObjectKey) -> dict:
-        vector = self.vector
+    def _seed_child(self, child: str, keys: Iterable[ObjectKey]) -> bool:
+        """Seed ``child`` with our warm copies of ``keys``; the others
+        follow when our own seed lands.  False when nothing was sent.
 
-        def visible(entry) -> bool:
-            return entry.txn.commit.included_in(vector)
+        One ack per distinct seed cut — a single one, at our vector,
+        unless a key was itself seeded ahead of it (an interest add or a
+        fetch answered by the DC since our last push)."""
+        by_cut: Dict[VectorClock, List[dict]] = {}
+        for key in keys:
+            if key in self._warm:
+                state, cut = self._cut_seed(key)
+                by_cut.setdefault(cut, []).append(state)
+            else:
+                self._child_unseeded.setdefault(key, set()).add(child)
+        for cut, states in by_cut.items():
+            self.send(child, SessionAck(self.node_id, tuple(states),
+                                        cut.to_dict()))
+        return bool(by_cut)
 
-        # Seeds cut a pure-vector view (no local deps, no masking), so
-        # they use their own cached-view scope: every child seeded at
-        # the same stable cut reuses one materialisation.
-        state, dots = self.cache.store.read_with_dots(
-            key, visible, type_name=self._interest_types[key],
-            token=("seed", vector), cache_key=(key, "seed"))
-        return {
-            "key": key.to_dict(),
-            "type": self._interest_types[key],
-            "base": state.to_dict(),
-            "base_dots": [d.to_dict() for d in sorted(dots)],
-        }
+    def _respond_object(self, child: str, key: ObjectKey) -> None:
+        state, cut = self._cut_seed(key)
+        self.send(child, ObjectResponse(state, cut.to_dict()))
 
     def _child_commit(self, msg: EdgeCommit, sender: str) -> None:
         dot = Dot.from_dict(msg.txn["dot"])
@@ -140,7 +149,7 @@ class PoPNode(EdgeNode):
         from its replication streams in partial mode.  Keys the node
         holds for its own protocol (the security objects) stay.
         """
-        if any(key in interest for interest in self._children.values()):
+        if self._fanout.has_audience(key):
             return
         if key in self._child_fetches or key in self._child_unseeded:
             return
@@ -150,38 +159,24 @@ class PoPNode(EdgeNode):
         self.retract_interest(key)
 
     def _child_interest(self, msg: InterestChange, sender: str) -> None:
-        table = self._children.get(msg.edge_id)
-        if table is None:
+        if msg.edge_id not in self._fanout.sessions:
             return
-        removed = []
-        for key_dict in msg.remove:
-            key = ObjectKey.from_dict(key_dict)
-            if table.pop(key, None) is not None:
-                removed.append(key)
-        for key in removed:
-            self._maybe_retract_upstream(key)
+        for key in map(ObjectKey.from_dict, msg.remove):
+            if self._fanout.drop_interest(msg.edge_id, key):
+                self._maybe_retract_upstream(key)
         added = []
         for key_dict, type_name in msg.add:
             key = ObjectKey.from_dict(key_dict)
-            table[key] = type_name
+            self._fanout.add_interest(msg.edge_id, key, type_name)
             if key not in self._interest_types:
                 self.declare_interest(key, type_name)
             added.append(key)
-        seeded = tuple(self._seed_state(key) for key in added
-                       if key in self._warm)
-        for key in added:
-            if key not in self._warm:
-                self._child_unseeded.setdefault(key, set()).add(
-                    msg.edge_id)
-        if seeded:
-            self.send(msg.edge_id, SessionAck(self.node_id, seeded,
-                                              self.vector.to_dict()))
+        self._seed_child(msg.edge_id, added)
 
     def _child_fetch(self, msg: ObjectRequest, sender: str) -> None:
         key = ObjectKey.from_dict(msg.key)
         if key in self._warm:
-            self.send(msg.edge_id, ObjectResponse(
-                self._seed_state(key), self.vector.to_dict()))
+            self._respond_object(msg.edge_id, key)
             return
         waiting = self._child_fetches.setdefault(key, [])
         if msg.edge_id not in waiting:  # retried fetches register once
@@ -200,10 +195,11 @@ class PoPNode(EdgeNode):
         key = ObjectKey.from_dict(state["key"])
         waiting = self._child_unseeded.pop(key, None)
         if waiting and key in self._warm:
-            seeded = (self._seed_state(key),)
+            seeded, cut = self._cut_seed(key)
             for child in waiting:
-                self.send(child, SessionAck(self.node_id, seeded,
-                                            self.vector.to_dict()))
+                self.send(child, SessionAck(self.node_id, (seeded,),
+                                            cut.to_dict()))
+
     def _on_commit_ack(self, msg: CommitAck, sender: str) -> None:
         super()._on_commit_ack(msg, sender)
         child = self._relayed.pop(Dot.from_dict(msg.dot), None)
@@ -222,23 +218,39 @@ class PoPNode(EdgeNode):
     def _on_update_push(self, msg: UpdatePush, sender: str) -> None:
         super()._on_update_push(msg, sender)
         if sender != self.connected_dc:
+            # The DC we migrated away from still holds a session for us:
+            # good data, but not the chain our children follow.
             return
-        # Relay to each child, filtered by its interest set.
-        for child, interest in self._children.items():
-            relevant = tuple(
-                txn for txn in msg.txns
-                if any(ObjectKey.from_dict(w["key"]) in interest
-                       for w in txn["writes"]))
-            self.send(child, UpdatePush(relevant, dict(msg.stable_vector),
-                                        dict(msg.prev_vector)))
+        # Down the tree as at the DC: transactions to the children they
+        # concern, a heartbeat to everybody.  A child's cursor is a
+        # position on the *upstream* chain, so it is only good while
+        # that chain is unbroken.  Where it (re)starts — we re-opened,
+        # migrated, or missed a push — what lies before ``prev`` reached
+        # us, if at all, by a seed we never relayed, and every child's
+        # chain restarts at ``prev`` with ours: a child that does not
+        # cover it sees the gap and re-seeds from us.
+        if msg.prev_vector != self._upstream:
+            self._fanout.restart_all(dict(msg.prev_vector))
+        stable = self._upstream = dict(msg.stable_vector)
+        if msg.txns:
+            routed = self._fanout.route(
+                (([ObjectKey.from_dict(w["key"]) for w in txn["writes"]],
+                  txn) for txn in msg.txns), stable)
+            for child, txns, prev in routed:
+                self.send(child.session_id,
+                          UpdatePush(tuple(txns), stable, prev))
+        else:
+            for prev, children in self._fanout.heartbeat(stable):
+                push = UpdatePush((), stable, prev)
+                for child in children:
+                    self.send(child.session_id, push)
 
     def _on_object_response(self, msg: ObjectResponse, sender: str) -> None:
         super()._on_object_response(msg, sender)
         key = ObjectKey.from_dict(msg.object_state["key"])
         for child in self._child_fetches.pop(key, []):
             if key in self._warm:
-                self.send(child, ObjectResponse(self._seed_state(key),
-                                                self.vector.to_dict()))
+                self._respond_object(child, key)
 
     def _on_session_ack(self, msg: SessionAck, sender: str) -> None:
         super()._on_session_ack(msg, sender)
@@ -246,8 +258,7 @@ class PoPNode(EdgeNode):
         for key in list(self._child_fetches):
             if key in self._warm:
                 for child in self._child_fetches.pop(key):
-                    self.send(child, ObjectResponse(
-                        self._seed_state(key), self.vector.to_dict()))
+                    self._respond_object(child, key)
 
     @property
     def pipeline_idle(self) -> bool:

@@ -554,25 +554,9 @@ class GroupMember(EdgeNode):
 
     def _on_group_fetch(self, msg: GroupFetch, sender: str) -> None:
         key = ObjectKey.from_dict(msg.key)
-        journal = self.cache.store.journal(key)
         # Serve only warm (seeded, hole-free) objects from the cache.
-        if journal is not None and key in self._warm:
-            vector = self.vector
-
-            def visible(entry) -> bool:
-                return entry.txn.commit.included_in(vector)
-
-            # Same pure-vector view the PoP cuts for its children, kept
-            # in its own cached-view scope.
-            crdt, dots = self.cache.store.read_with_dots(
-                key, visible, type_name=msg.type_name,
-                token=("seed", vector), cache_key=(key, "seed"))
-            state = {
-                "key": key.to_dict(),
-                "type": msg.type_name,
-                "base": crdt.to_dict(),
-                "base_dots": [d.to_dict() for d in sorted(dots)],
-            }
+        if key in self._warm:
+            state, vector = self._cut_seed(key)
             self.send(msg.requester, GroupFetchReply(
                 dict(msg.key), state, vector.to_dict(), True))
             return
@@ -632,14 +616,14 @@ class GroupMember(EdgeNode):
                     self._pending_vector.merge(reply_vector)
             if not self._resync_expect \
                     and not self._pending_vector.leq(self.vector):
-                self._advance_vector(self._pending_vector)
+                self._advance_to_seed(self._pending_vector)
             return
         if reply_vector.leq(self.vector):
             return
         self._pending_vector = self._pending_vector.merge(reply_vector)
         expect = (set(self._warm) | set(self._pending_fetches)) - {key}
         if not expect:
-            self._advance_vector(self._pending_vector)
+            self._advance_to_seed(self._pending_vector)
             return
         self._resync_expect = expect
         self._resync_started = self.now
@@ -655,6 +639,7 @@ class GroupMember(EdgeNode):
     def _on_update_push(self, msg: UpdatePush, sender: str) -> None:
         super()._on_update_push(msg, sender)
         if self.is_parent and self.in_group and not self.group_offline:
+            # Verbatim, gap or not: members share the sync point's chain.
             relay = GroupRelayPush(msg.txns, dict(msg.stable_vector),
                                    dict(msg.prev_vector))
             for member in self.members:
@@ -707,12 +692,8 @@ class GroupMember(EdgeNode):
     def _on_group_commit_ack(self, msg: GroupCommitAck,
                              sender: str) -> None:
         txn = self._txn_by_dot.get(Dot.from_dict(msg.dot))
-        if txn is None:
-            return
-        for dc, ts in msg.entries.items():
-            if dc not in txn.commit.entries:
-                txn.commit.add_entry(dc, ts)
-        self.unacked.pop(txn.dot, None)
+        if txn is not None:
+            self._resolve_commit(txn, msg.entries)
 
     # ------------------------------------------------------------------
     # transaction pulls

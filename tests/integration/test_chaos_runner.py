@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.chaos.runner import (TOPOLOGIES, ScenarioConfig, run_scenario,
-                                run_suite)
+from repro.chaos.runner import (KEYS, TOPOLOGIES, ScenarioConfig,
+                                build_world, run_scenario, run_suite)
 from repro.chaos.schedule import FaultEvent
 
 
@@ -15,6 +15,41 @@ def test_seeded_scenario_passes(topology):
     assert result.ok, [str(v) for v in result.violations]
     assert result.converged
     assert result.faults_injected > 0
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_partial_interest_scenario_passes(topology):
+    """``--interest partial``: sessions outside a round's audience, at
+    the DC and below a relay, under faults."""
+    config = ScenarioConfig(topology=topology, seed=0, n_txns=12,
+                            window_ms=3000.0, max_faults=4,
+                            partial_interest=True)
+    result = run_scenario(config)
+    assert result.ok, [str(v) for v in result.violations]
+    assert result.converged
+    assert result.to_dict()["partial_interest"] is True
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_partial_interest_world_has_narrow_sessions(topology):
+    world = build_world(topology, 0, partial_interest=True)
+    held = {r.node_id: set(r._interest_types) for r in world.replicas}
+    everything = {key for key, _type in KEYS}
+    narrow = "e1" if topology == "pop" else "m2"
+    assert set(world.narrow) == {"by", narrow}
+    assert held["by"] < everything and held[narrow] < everything
+    assert held["by"] | held[narrow] == everything
+    assert held["by"].isdisjoint(held[narrow])
+    assert "by" in world.dcs[0].sessions        # DC-facing
+    assert all(held[node] == everything
+               for node in held if node not in world.narrow)
+    # Without the flag nothing changes: no bystander, nobody narrow.
+    plain = build_world(topology, 0)
+    assert plain.narrow == {}
+    assert "by" not in plain.actors
+    assert "partial_interest" not in run_scenario(
+        ScenarioConfig(topology=topology, seed=0, n_txns=2,
+                       window_ms=600.0), schedule=[]).to_dict()
 
 
 def test_same_seed_replays_identically():

@@ -1,7 +1,12 @@
 """The invariant checker: violation plumbing and planted-bug detection."""
 
-from repro.chaos.invariants import InvariantViolation
+from repro.chaos.invariants import InvariantChecker, InvariantViolation
 from repro.chaos.runner import ScenarioConfig, run_scenario, self_check
+from repro.core import ObjectKey
+from repro.edge import EdgeNode
+from repro.sim import LatencyModel, Simulation
+
+from ..conftest import build_cluster, build_edge, run_update
 
 
 class TestInvariantViolation:
@@ -48,3 +53,42 @@ class TestPlantedBug:
                          if v.invariant == "dot-uniqueness")
         assert violation.node == "far"
         assert result.config.seed == 0
+
+
+class EagerSeedEdge(EdgeNode):
+    """Test double with the planted bug the vector-coverage invariant
+    exists for: any seed, even of one key, moves the node vector."""
+
+    def _advance_to_seed(self, seed_vector):
+        self._advance_vector(seed_vector)
+
+
+class TestVectorCoverage:
+    J = ObjectKey("b", "J")
+    K = ObjectKey("b", "K")
+
+    def lose_a_push_then_seed_another_key(self, edge_cls):
+        sim = Simulation(seed=7, default_latency=LatencyModel(5.0))
+        dcs = build_cluster(sim)
+        writer = build_edge(sim, "w", interest=[(self.J, "counter")])
+        reader = sim.spawn(edge_cls, "r", dc_id="dc0")
+        reader.declare_interest(self.J, "counter")
+        reader.connect()
+        sim.run_for(200)
+        sim.network.partition("dc0", "r")
+        run_update(writer, self.J, "counter", "increment", 1)
+        sim.run_for(200)
+        sim.network.heal("dc0", "r")
+        reader.declare_interest(self.K, "counter")
+        sim.run_for(100)
+        return InvariantChecker(dcs, [reader], 1).check_vector_coverage()
+
+    def test_partial_seed_past_a_lost_push_is_caught(self):
+        violations = self.lose_a_push_then_seed_another_key(EagerSeedEdge)
+        assert [(v.invariant, v.node) for v in violations] == [
+            ("vector-coverage", "r")]
+        assert "w@1" in violations[0].detail
+        assert "b/J" in violations[0].detail
+
+    def test_the_edge_keeps_its_vector_behind_the_gap(self):
+        assert self.lose_a_push_then_seed_another_key(EdgeNode) == []

@@ -92,6 +92,34 @@ class TestVectorClockLattice:
         m = v.merge(w)
         assert v.leq(m) and w.leq(m)
 
+    def test_meet_is_componentwise_min(self):
+        v = VectorClock({"a": 3, "b": 1})
+        w = VectorClock({"b": 5, "c": 2})
+        assert v.meet(w).to_dict() == {"b": 1}
+        assert v.meet(w) == w.meet(v)
+        assert v.meet(v) == v
+        assert v.meet(w).leq(v) and v.meet(w).leq(w)
+        assert v.meet(VectorClock.zero()) == VectorClock.zero()
+
+    def test_merge_dict_matches_merge(self):
+        v = VectorClock({"a": 3, "b": 1})
+        raw = {"b": 5, "c": 2, "d": 0}
+        assert v.merge_dict(raw) == v.merge(VectorClock(raw))
+        assert "d" not in v.merge_dict(raw)
+        # Nothing to learn: the clock itself comes back, not a copy.
+        assert v.merge_dict({"a": 3, "b": 0}) is v
+        assert v.merge_dict(raw).merge_dict(raw) == v.merge_dict(raw)
+
+    def test_dominates_dict_matches_leq(self):
+        v = VectorClock({"a": 3, "b": 1})
+        for raw in ({}, {"a": 3}, {"a": 4}, {"c": 1}, {"c": 0, "b": 1}):
+            assert v.dominates_dict(raw) == VectorClock(raw).leq(v)
+        # One raw dict asked by clocks at different frontiers (a shared
+        # heartbeat) must be answered per clock.
+        raw = {"a": 2}
+        assert VectorClock({"a": 2}).dominates_dict(raw)
+        assert not VectorClock({"a": 1}).dominates_dict(raw)
+
     def test_lub_of_many(self):
         clocks = [VectorClock({"a": i}) for i in range(5)]
         assert lub(clocks)["a"] == 4

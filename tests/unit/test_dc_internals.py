@@ -141,3 +141,29 @@ class TestStabilityBookkeeping:
         run_update(edge, KEY, "counter", "increment", 1)
         sim.run_for(200)
         assert dcs[0]._pushed_stable == dcs[0].stable_vector
+
+    def test_session_cursor_moves_with_its_own_pushes_only(self):
+        sim, dcs, probe = world()
+        edge = build_edge(sim, "e", dc_id="dc0", interest=INTEREST)
+        other = build_edge(sim, "o", dc_id="dc0",
+                           interest=((ObjectKey("b", "y"), "counter"),))
+        sim.run_for(200)
+        seeded_at = dcs[0].sessions["o"].cursor
+        run_update(edge, KEY, "counter", "increment", 1)
+        sim.run_for(200)
+        stable = dcs[0].stable_vector.to_dict()
+        assert dcs[0].sessions["e"].cursor == stable
+        assert dcs[0].sessions["o"].cursor is seeded_at != stable
+        assert dcs[0].stats["pushes_out"] == 1
+
+    def test_session_chain_restarts_at_the_seed_cut(self):
+        # ... not at the vector the edge declared in its SessionOpen.
+        sim, dcs, probe = world()
+        writer = build_edge(sim, "w", dc_id="dc0", interest=INTEREST)
+        sim.run_for(200)
+        run_update(writer, KEY, "counter", "increment", 1)
+        sim.run_for(200)
+        late = build_edge(sim, "late", dc_id="dc0", interest=INTEREST)
+        sim.run_for(200)
+        assert late.vector == dcs[0].stable_vector
+        assert dcs[0].sessions["late"].cursor == late.vector.to_dict()

@@ -1,6 +1,7 @@
 """EdgeNode internals: warm cache, materialisation cache, key cuts."""
 
 from repro.core import ObjectKey, VectorClock
+from repro.dc.messages import CommitAck, UpdatePush
 from repro.sim import LatencyModel, Simulation
 
 from ..conftest import build_cluster, build_edge, run_update
@@ -173,6 +174,31 @@ class TestSnapshotAndCuts:
         snapshot = node.current_snapshot()
         assert not snapshot.local_deps
         assert snapshot.vector["dc0"] == 1
+
+    def test_ack_after_the_covering_push_settles_uncovered(self):
+        # The stamp resolving is the event that covers the commit; no
+        # further push is owed to a session outside later audiences.
+        sim, dcs, node = world()
+        sim.network.partition("dc0", "e")      # the test plays the DC
+        run_update(node, KEY, "counter", "increment", 1)
+        (dot, txn), = node._uncovered.items()
+        stamped = dict(txn.to_dict(), commit={"entries": {"dc0": 1}})
+        node.on_message(UpdatePush((stamped,), {"dc0": 1}, {}), "dc0")
+        assert node.vector["dc0"] == 1
+        assert dot in node._uncovered           # still symbolic here
+        node.on_message(CommitAck(dot.to_dict(), {"dc0": 1}), "dc0")
+        assert not node._uncovered and not node.unacked
+        assert not node.current_snapshot().local_deps
+        assert node.read_value(KEY, "counter") == 1
+
+    def test_ack_before_the_push_keeps_read_my_writes(self):
+        sim, dcs, node = world()
+        sim.network.partition("dc0", "e")
+        run_update(node, KEY, "counter", "increment", 1)
+        (dot, _txn), = node._uncovered.items()
+        node.on_message(CommitAck(dot.to_dict(), {"dc0": 1}), "dc0")
+        assert dot in node._uncovered and not node.unacked
+        assert node.read_value(KEY, "counter") == 1
 
     def test_key_cut_recorded_on_seed(self):
         sim, dcs, node = world()
