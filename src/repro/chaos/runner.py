@@ -509,7 +509,8 @@ def run_scenario(config: ScenarioConfig,
                                      max_faults=config.max_faults)
     schedule = list(schedule)
     result = ScenarioResult(config, schedule)
-    checker = InvariantChecker(world.dcs, world.replicas, world.k_target)
+    checker = InvariantChecker(world.dcs, world.replicas, world.k_target,
+                               vector_coverage=config.partial_interest)
     injector = FaultInjector(sim, world.actors, world.peer_dcs)
     injector.install(schedule)
     workload = _Workload(world, config.seed, start, config.window_ms,

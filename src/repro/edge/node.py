@@ -452,61 +452,26 @@ class EdgeNode(Actor):
         self.vector = self.vector.merge_dict(vector)
         self._after_vector_advance()
 
-    def _key_frontier(self, key: ObjectKey) -> VectorClock:
-        """The cut up to which our copy of a warm ``key`` is complete:
-        the node vector, or the key's own seed cut where that is ahead."""
-        cut = self._key_cut.get(key)
-        if cut is None or cut.leq(self.vector):
-            return self.vector
-        return self.vector.merge(cut)
-
-    def _cut_seed(self, key: ObjectKey) -> Tuple[dict, VectorClock]:
-        """A seed of our warm copy of ``key`` for somebody downstream (a
-        PoP's child, a sync point's member), and the cut it is taken at:
-        the key's frontier, so the seed never holds more than it says."""
-        vector = self._key_frontier(key)
-
-        def visible(entry) -> bool:
-            return entry.txn.commit.included_in(vector)
-
-        # Seeds cut a pure-vector view (no local deps, no masking), so
-        # they use their own cached-view scope: everybody seeded at the
-        # same cut reuses one materialisation.
-        type_name = self._interest_types[key]
-        state, dots = self.cache.store.read_with_dots(
-            key, visible, type_name=type_name,
-            token=("seed", vector), cache_key=(key, "seed"))
-        return {
-            "key": key.to_dict(),
-            "type": type_name,
-            "base": state.to_dict(),
-            "base_dots": [d.to_dict() for d in sorted(dots)],
-        }, vector
-
     def _advance_to_seed(self, seed_vector: VectorClock) -> None:
         """Adopt as much of a seed's cut as the whole warm set has earned.
 
         The vector promises that every warm journal holds what it
         covers, and only the push chain or a seed of the *whole* warm
         set keeps that promise: the ack of a (re)open does, the one-key
-        seed answering an interest add or a fetch does not — its cut is
-        bounded here by the frontier of every other warm key.  Merging
-        a partial seed's cut would also hide a lost push for good: the
+        seed answering an interest add or a fetch does not, and neither
+        does a member's resync whose replies were cut at different
+        vectors.  So the seed's cut is bounded by what each warm key is
+        complete up to, ``merge(vector, _key_cut[key])``.  Merging a
+        partial seed's cut would also hide a lost push for good: the
         vector would dominate the next ``prev`` and no heartbeat could
         expose the gap.  A partial seed still serves its key: reads go
         through ``merge(vector, _key_cut[key])``.
         """
         floor = seed_vector
-        if not floor.leq(self.vector):
-            for key in self._warm:
-                cut = self._key_cut.get(key)
-                if cut is not None and floor.leq(cut):
-                    continue
-                floor = floor.meet(self._key_frontier(key))
-                if floor.leq(self.vector):
-                    break
-            else:
-                self.vector = self.vector.merge(floor)
+        for key in self._warm:
+            cut = self._key_cut.get(key, VectorClock.zero())
+            floor = floor.meet(self.vector.merge(cut))
+        self.vector = self.vector.merge(floor)
         # A seed changes what the node holds even when the vector stays.
         self._after_vector_advance()
 

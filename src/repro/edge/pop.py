@@ -18,7 +18,7 @@ serves unrelated clients, so it offers plain TCC+, not an SI zone.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Iterable, List, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Set, Union
 
 from ..core.clock import VectorClock
 from ..core.dot import Dot
@@ -104,32 +104,33 @@ class PoPNode(EdgeNode):
         # out at its next message.
         chain = self.vector.merge_dict(self._upstream or {})
         self._fanout.restart(msg.edge_id, chain.to_dict())
-        if not self._seed_child(msg.edge_id, interest):
-            self.send(sender, SessionAck(self.node_id, (),
-                                         self.vector.to_dict()))
+        objects = tuple(self._seed_state(key)
+                        for key in interest if key in self._warm)
+        for key in interest:
+            if key not in self._warm:
+                self._child_unseeded.setdefault(key, set()).add(
+                    msg.edge_id)
+        self.send(sender, SessionAck(self.node_id, objects,
+                                     self.vector.to_dict()))
 
-    def _seed_child(self, child: str, keys: Iterable[ObjectKey]) -> bool:
-        """Seed ``child`` with our warm copies of ``keys``; the others
-        follow when our own seed lands.  False when nothing was sent.
+    def _seed_state(self, key: ObjectKey) -> dict:
+        vector = self.vector
 
-        One ack per distinct seed cut — a single one, at our vector,
-        unless a key was itself seeded ahead of it (an interest add or a
-        fetch answered by the DC since our last push)."""
-        by_cut: Dict[VectorClock, List[dict]] = {}
-        for key in keys:
-            if key in self._warm:
-                state, cut = self._cut_seed(key)
-                by_cut.setdefault(cut, []).append(state)
-            else:
-                self._child_unseeded.setdefault(key, set()).add(child)
-        for cut, states in by_cut.items():
-            self.send(child, SessionAck(self.node_id, tuple(states),
-                                        cut.to_dict()))
-        return bool(by_cut)
+        def visible(entry) -> bool:
+            return entry.txn.commit.included_in(vector)
 
-    def _respond_object(self, child: str, key: ObjectKey) -> None:
-        state, cut = self._cut_seed(key)
-        self.send(child, ObjectResponse(state, cut.to_dict()))
+        # Seeds cut a pure-vector view (no local deps, no masking), so
+        # they use their own cached-view scope: every child seeded at
+        # the same stable cut reuses one materialisation.
+        state, dots = self.cache.store.read_with_dots(
+            key, visible, type_name=self._interest_types[key],
+            token=("seed", vector), cache_key=(key, "seed"))
+        return {
+            "key": key.to_dict(),
+            "type": self._interest_types[key],
+            "base": state.to_dict(),
+            "base_dots": [d.to_dict() for d in sorted(dots)],
+        }
 
     def _child_commit(self, msg: EdgeCommit, sender: str) -> None:
         dot = Dot.from_dict(msg.txn["dot"])
@@ -171,12 +172,21 @@ class PoPNode(EdgeNode):
             if key not in self._interest_types:
                 self.declare_interest(key, type_name)
             added.append(key)
-        self._seed_child(msg.edge_id, added)
+        seeded = tuple(self._seed_state(key) for key in added
+                       if key in self._warm)
+        for key in added:
+            if key not in self._warm:
+                self._child_unseeded.setdefault(key, set()).add(
+                    msg.edge_id)
+        if seeded:
+            self.send(msg.edge_id, SessionAck(self.node_id, seeded,
+                                              self.vector.to_dict()))
 
     def _child_fetch(self, msg: ObjectRequest, sender: str) -> None:
         key = ObjectKey.from_dict(msg.key)
         if key in self._warm:
-            self._respond_object(msg.edge_id, key)
+            self.send(msg.edge_id, ObjectResponse(
+                self._seed_state(key), self.vector.to_dict()))
             return
         waiting = self._child_fetches.setdefault(key, [])
         if msg.edge_id not in waiting:  # retried fetches register once
@@ -195,11 +205,10 @@ class PoPNode(EdgeNode):
         key = ObjectKey.from_dict(state["key"])
         waiting = self._child_unseeded.pop(key, None)
         if waiting and key in self._warm:
-            seeded, cut = self._cut_seed(key)
+            seeded = (self._seed_state(key),)
             for child in waiting:
-                self.send(child, SessionAck(self.node_id, (seeded,),
-                                            cut.to_dict()))
-
+                self.send(child, SessionAck(self.node_id, seeded,
+                                            self.vector.to_dict()))
     def _on_commit_ack(self, msg: CommitAck, sender: str) -> None:
         super()._on_commit_ack(msg, sender)
         child = self._relayed.pop(Dot.from_dict(msg.dot), None)
@@ -250,7 +259,8 @@ class PoPNode(EdgeNode):
         key = ObjectKey.from_dict(msg.object_state["key"])
         for child in self._child_fetches.pop(key, []):
             if key in self._warm:
-                self._respond_object(child, key)
+                self.send(child, ObjectResponse(self._seed_state(key),
+                                                self.vector.to_dict()))
 
     def _on_session_ack(self, msg: SessionAck, sender: str) -> None:
         super()._on_session_ack(msg, sender)
@@ -258,7 +268,8 @@ class PoPNode(EdgeNode):
         for key in list(self._child_fetches):
             if key in self._warm:
                 for child in self._child_fetches.pop(key):
-                    self._respond_object(child, key)
+                    self.send(child, ObjectResponse(
+                        self._seed_state(key), self.vector.to_dict()))
 
     @property
     def pipeline_idle(self) -> bool:

@@ -554,9 +554,25 @@ class GroupMember(EdgeNode):
 
     def _on_group_fetch(self, msg: GroupFetch, sender: str) -> None:
         key = ObjectKey.from_dict(msg.key)
+        journal = self.cache.store.journal(key)
         # Serve only warm (seeded, hole-free) objects from the cache.
-        if key in self._warm:
-            state, vector = self._cut_seed(key)
+        if journal is not None and key in self._warm:
+            vector = self.vector
+
+            def visible(entry) -> bool:
+                return entry.txn.commit.included_in(vector)
+
+            # Same pure-vector view the PoP cuts for its children, kept
+            # in its own cached-view scope.
+            crdt, dots = self.cache.store.read_with_dots(
+                key, visible, type_name=msg.type_name,
+                token=("seed", vector), cache_key=(key, "seed"))
+            state = {
+                "key": key.to_dict(),
+                "type": msg.type_name,
+                "base": crdt.to_dict(),
+                "base_dots": [d.to_dict() for d in sorted(dots)],
+            }
             self.send(msg.requester, GroupFetchReply(
                 dict(msg.key), state, vector.to_dict(), True))
             return

@@ -52,6 +52,33 @@ def test_partial_interest_world_has_narrow_sessions(topology):
                        window_ms=600.0), schedule=[]).to_dict()
 
 
+def test_member_resync_across_cuts_keeps_vector_coverage():
+    """Regression (``--topology tree --seed 139 --interest partial``): a
+    member's warm-set resync is answered key by key, and over a lossy
+    link the replies are cut at different vectors with the relays in
+    between refused.  Advancing to the merge of the replies' cuts — the
+    rule before ``EdgeNode._advance_to_seed`` — made m2's vector cover
+    transactions its earlier-cut key never received."""
+    result = run_scenario(ScenarioConfig(topology="tree", seed=139,
+                                         partial_interest=True))
+    assert result.ok, [str(v) for v in result.violations]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known failing, DESIGN section 9: a sync point cuts the seeds it "
+    "serves by commit stamp, and a transaction it first received through "
+    "the group keeps its symbolic stamp until the CommitAck although the "
+    "covering push already moved the vector, so a member resyncing in "
+    "between is seeded without it.  Fix (its own PR, it moves message "
+    "counts): adopt the pushed stamp for a dot already held in "
+    "EdgeNode._on_update_push — then drop this marker and run "
+    "vector-coverage at full interest too."))
+def test_sync_point_seeds_group_txns_awaiting_their_stamp():
+    result = run_scenario(ScenarioConfig(topology="group", seed=495,
+                                         partial_interest=True))
+    assert result.ok, [str(v) for v in result.violations]
+
+
 def test_same_seed_replays_identically():
     """The acceptance property: (seed, schedule) -> identical outcome."""
     config = ScenarioConfig(topology="group", seed=3, n_txns=10,

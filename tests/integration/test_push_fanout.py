@@ -151,6 +151,10 @@ class TestPartialSeed:
         assert reader.vector == dc.stable_vector
 
     def test_seed_of_the_whole_warm_set_advances_the_vector(self):
+        """An open ack landing on an already-open session (a retried
+        ``SessionOpen``): the DC's cursor restarts at that seed's cut, so
+        the edge adopts it too — left behind, it would refuse the next
+        heartbeat and pay for one more re-open."""
         sim, dc, writer, _, bystander = world()
         run_update(writer, J, "counter", "increment", 1)
         sim.run_for(100)
@@ -158,6 +162,8 @@ class TestPartialSeed:
         bystander.connect()                     # re-open: a full seed
         sim.run_for(100)
         assert bystander.vector == dc.stable_vector
+        sim.run_for(TICK)
+        assert bystander.pushes and bystander._gaps == 0
 
 
 class TestPoPRelay:

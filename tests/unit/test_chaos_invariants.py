@@ -81,14 +81,20 @@ class TestVectorCoverage:
         sim.network.heal("dc0", "r")
         reader.declare_interest(self.K, "counter")
         sim.run_for(100)
-        return InvariantChecker(dcs, [reader], 1).check_vector_coverage()
+        return InvariantChecker(dcs, [reader], 1, vector_coverage=True)
 
     def test_partial_seed_past_a_lost_push_is_caught(self):
-        violations = self.lose_a_push_then_seed_another_key(EagerSeedEdge)
+        checker = self.lose_a_push_then_seed_another_key(EagerSeedEdge)
+        violations = checker.checkpoint()
         assert [(v.invariant, v.node) for v in violations] == [
             ("vector-coverage", "r")]
         assert "w@1" in violations[0].detail
         assert "b/J" in violations[0].detail
+        # Opt-in (the --interest partial dimension), until DESIGN
+        # section 9's known failure at full interest is fixed.
+        checker.vector_coverage = False
+        assert checker.checkpoint() == []
 
     def test_the_edge_keeps_its_vector_behind_the_gap(self):
-        assert self.lose_a_push_then_seed_another_key(EdgeNode) == []
+        checker = self.lose_a_push_then_seed_another_key(EdgeNode)
+        assert checker.checkpoint() == []
