@@ -1,14 +1,15 @@
 """Partial-replication benchmark: replica-factor sweep at 10 DCs.
 
 Drives a writes-heavy 10-DC mesh (k=3) from injector actors, once per
-replication configuration on the *same* workload and seed:
+interest configuration on the *same* workload and seed:
 
-* ``full`` — the equivalence baseline: every DC ships its whole commit
-  stream to every peer (identical to ``batched``);
-* ``partial`` with an all-interested shard map (replica factor 10) —
-  must produce byte-identical frames and digests to ``full``;
-* ``partial`` at replica factors 3 and 1 — the interest graph prunes
-  the mesh, and DC-link bytes/txn must drop accordingly.
+* ``full`` — no shard map: every DC ships its whole commit stream to
+  every peer;
+* an explicit all-interested shard map (replica factor 10) — the same
+  configuration spelled differently, so it must produce byte-identical
+  frames and digests to ``full``;
+* replica factors 3 and 1 — the interest graph prunes the mesh, and
+  DC-link bytes/txn must drop accordingly.
 
 For each run the benchmark records DC-link bytes and messages per
 committed transaction (honest ``wire_size`` accounting, warm-up traffic
@@ -73,10 +74,9 @@ def _edit_key(index: int, counter: int) -> ObjectKey:
 class Injector(Actor):
     """Commits pre-built transactions at its DC at a fixed rate.
 
-    Writes-heavy on purpose: the partial pipeline prunes *payload*
-    entries per shard, so unlike the replication-pipeline bench every
-    transaction carries a document edit — an RGA append of a text
-    chunk.  Root-anchored inserts commute (arbitrated by op tag), so
+    Writes-heavy on purpose: links prune *payload* entries per shard,
+    so every transaction carries a document edit — an RGA append of a
+    text chunk.  Root-anchored inserts commute (arbitrated by op tag), so
     payloads can be pre-built and replicas still converge.  The edit
     schedule is a deterministic function of (injector index, txn
     counter) so expected per-document edit counts can be recomputed
@@ -122,17 +122,17 @@ def expected_edit_counts(total=TXNS_PER_INJECTOR):
     return totals
 
 
-def _build_mesh(sim: Simulation, mode: str, replica_factor):
+def _build_mesh(sim: Simulation, replica_factor):
+    """``replica_factor=None``: no shard map (full replication)."""
     shard_map = None
-    if mode == "partial":
+    if replica_factor is not None:
         shard_map = ShardMap(N_SHARDS, DC_IDS,
                              replica_factor=replica_factor)
     dcs = []
     for dc_id in DC_IDS:
         dc = sim.spawn(DataCenter, dc_id,
                        peer_dcs=[d for d in DC_IDS if d != dc_id],
-                       n_shards=2, k_target=K_TARGET,
-                       replication_mode=mode, shard_map=shard_map)
+                       n_shards=2, k_target=K_TARGET, shard_map=shard_map)
         dcs.append(dc)
     for a, b in DC_LINKS:
         if a < b:
@@ -140,13 +140,13 @@ def _build_mesh(sim: Simulation, mode: str, replica_factor):
     return dcs
 
 
-def run_mode(mode: str, replica_factor=None,
+def run_mode(replica_factor=None,
              txns_per_injector: int = TXNS_PER_INJECTOR,
              horizon_ms: float = HORIZON_MS):
     sim = Simulation(seed=42, default_latency=LatencyModel(1.0))
-    dcs = _build_mesh(sim, mode, replica_factor)
-    # Warm-up: sync pings and (in partial mode) interest adverts settle
-    # before the workload; snapshot so only workload traffic counts.
+    dcs = _build_mesh(sim, replica_factor)
+    # Warm-up: sync pings settle before the workload; snapshot so only
+    # workload traffic counts.
     sim.run_for(WARMUP_MS)
     baseline = sim.network.stats.snapshot()
     for i, dc_id in enumerate(DC_IDS):
@@ -160,7 +160,7 @@ def run_mode(mode: str, replica_factor=None,
     dc_bytes = sum(phase.bytes_on(a, b) for a, b in DC_LINKS)
     dc_msgs = sum(phase.messages_on(a, b) for a, b in DC_LINKS)
     return {
-        "mode": mode,
+        "mode": "full" if replica_factor is None else "partial",
         "replica_factor": replica_factor,
         "wall_seconds": wall_s,
         "committed": committed,
@@ -183,7 +183,7 @@ def run_mode(mode: str, replica_factor=None,
     }
 
 
-def run_traced_stability(mode: str, replica_factor=None,
+def run_traced_stability(replica_factor=None,
                          txns_per_injector: int = 60,
                          horizon_ms: float = 2500.0):
     """Commit -> K-stable latency at the origin DC, traced run.
@@ -195,7 +195,7 @@ def run_traced_stability(mode: str, replica_factor=None,
     sim = Simulation(seed=42, default_latency=LatencyModel(1.0))
     recorder = TraceRecorder()
     sim.network.obs = recorder
-    _build_mesh(sim, mode, replica_factor)
+    _build_mesh(sim, replica_factor)
     sim.run_for(WARMUP_MS)
     for i, dc_id in enumerate(DC_IDS):
         sim.spawn(Injector, f"inj{i}", dc_id=dc_id, index=i,
@@ -259,10 +259,10 @@ def check_interested_convergence(result):
 
 @pytest.mark.benchmark(group="partial-replication")
 def test_replica_factor_sweep_recorded(benchmark):
-    full = run_mode("full")
-    all_int = run_mode("partial", replica_factor=len(DC_IDS))
-    rf3 = run_mode("partial", replica_factor=3)
-    rf1 = run_mode("partial", replica_factor=1)
+    full = run_mode()
+    all_int = run_mode(replica_factor=len(DC_IDS))
+    rf3 = run_mode(replica_factor=3)
+    rf1 = run_mode(replica_factor=1)
 
     expected = len(DC_IDS) * TXNS_PER_INJECTOR
     for result in (full, all_int, rf3, rf1):
@@ -270,14 +270,15 @@ def test_replica_factor_sweep_recorded(benchmark):
             f"{result['mode']} rf={result['replica_factor']} committed " \
             f"{result['committed']} != {expected}"
 
-    # Equivalence: all-interested partial must match full exactly —
-    # digests, frontiers, and the per-link frame counters byte for byte.
+    # Equivalence: the explicit all-interested map must match no map
+    # exactly — digests, frontiers, and the per-link frame counters
+    # byte for byte.
     digest_parity = (full["digests"] == all_int["digests"]
                      and full["state_vectors"] == all_int["state_vectors"])
     frame_parity = full["link_counters"] == all_int["link_counters"]
-    assert digest_parity, "all-interested partial diverged from full"
+    assert digest_parity, "all-interested map diverged from no map"
     assert frame_parity, \
-        "all-interested partial frames not byte-identical to full"
+        "all-interested map frames not byte-identical to no map"
 
     # Partial configurations: every interested DC converges to the
     # independently computed per-key totals, with no stream holes.
@@ -312,9 +313,8 @@ def test_replica_factor_sweep_recorded(benchmark):
         "byte_reduction_rf3": reduction(rf3),
         "byte_reduction_rf1": reduction(rf1),
         "stability_latency_ms": {
-            "full": run_traced_stability("full"),
-            "partial_rf3": run_traced_stability("partial",
-                                                replica_factor=3),
+            "full": run_traced_stability(),
+            "partial_rf3": run_traced_stability(replica_factor=3),
         },
     }
     out = Path(__file__).resolve().parents[1] / "BENCH_partial.json"

@@ -37,7 +37,6 @@ FAMILIES = {
     "H": "handler-coverage",
     "V": "vector-discipline",
     "A": "aliasing",
-    "R": "replication-pipeline",
 }
 
 _SUPPRESS_RE = re.compile(

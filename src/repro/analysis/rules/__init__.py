@@ -13,7 +13,6 @@ from .aliasing import AliasingRule
 from .determinism import DeterminismRule
 from .handlers import HandlerCoverageRule
 from .hygiene import MessageHygieneRule
-from .replication import ReplicationPipelineRule
 from .vectors import VectorDisciplineRule
 
 ALL_RULES: List[Rule] = [
@@ -22,9 +21,8 @@ ALL_RULES: List[Rule] = [
     HandlerCoverageRule(),
     VectorDisciplineRule(),
     AliasingRule(),
-    ReplicationPipelineRule(),
 ]
 
 __all__ = ["ALL_RULES", "AliasingRule", "DeterminismRule",
            "HandlerCoverageRule", "MessageHygieneRule",
-           "ReplicationPipelineRule", "VectorDisciplineRule"]
+           "VectorDisciplineRule"]

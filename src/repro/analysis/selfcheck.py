@@ -39,16 +39,6 @@ class BadRecord:            # M201: not frozen
 @dataclass(frozen=True)
 class Orphan:               # H301: nobody handles this
     token: str
-
-
-@dataclass(frozen=True)
-class Replicate:            # legacy per-txn frame (R601 when built)
-    txn: Dict[str, int]
-
-
-@dataclass(frozen=True)
-class StabilityAck:         # legacy per-txn ack (R602 when built)
-    dot: Dict[str, int]
 '''
 
 PLANTED_PROTO = '''\
@@ -84,8 +74,8 @@ def bucket(key):
 '''
 
 PLANTED_HANDLERS = '''\
-"""Planted handlers.py: H/V/A/M203/R violations in one actor."""
-from planted.messages import BadRecord, Replicate, Seed, StabilityAck
+"""Planted handlers.py: H/V/A/M203 violations in one actor."""
+from planted.messages import BadRecord, Seed
 
 
 class Actor:
@@ -109,11 +99,6 @@ class Actor:
         _ = self.state_vector._entries      # V402
         _ = msg.nope                        # H303
         return Seed(self.shared_map)        # M203
-
-    def rebroadcast(self):
-        frame = Replicate({})               # R601: bypasses the batcher
-        ack = StabilityAck({})              # R602: bypasses vector acks
-        return frame, ack
 '''
 
 

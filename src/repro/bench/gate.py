@@ -16,11 +16,11 @@ table if its writer predates the ``benchmark`` field.
 
 Check grammar (one ``[[<name>.check]]`` per assertion)::
 
-    [[replication_pipeline.check]]
-    metric = "bytes_per_txn_reduction"   # dotted path; ints index lists
+    [[partial_replication.check]]
+    metric = "byte_reduction_rf3"        # dotted path; ints index lists
     op = "ge"                            # ge|gt|le|lt|eq|ne|truthy|
                                          #   spans_complete
-    value = 0.40                         # literal threshold, or:
+    value = 0.50                         # literal threshold, or:
     # ref = "gate_min_speedup"           # threshold read from the report
 
 ``ref`` thresholds compare one report field against another — used by

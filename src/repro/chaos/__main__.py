@@ -42,10 +42,6 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
                         help="fault/workload window in sim ms")
     parser.add_argument("--max-faults", type=int, default=8,
                         help="max fault events per schedule")
-    parser.add_argument("--replication-mode", default="batched",
-                        choices=("batched", "partial"),
-                        help="DC geo-replication mode under test "
-                             "(default batched)")
     parser.add_argument("--commit-variant", default="async",
                         choices=COMMIT_VARIANTS,
                         help="group commit variant under test "
@@ -104,7 +100,6 @@ def _traced_scenario(args: argparse.Namespace) -> int:
     config = ScenarioConfig(topology=args.topology, seed=args.seed,
                             n_txns=args.txns, window_ms=args.window,
                             max_faults=args.max_faults,
-                            replication_mode=args.replication_mode,
                             commit_variant=args.commit_variant,
                             clock_skew=_clock_skew(args),
                             partial_interest=args.interest == "partial")
@@ -169,7 +164,6 @@ def main(argv: List[str] = None) -> int:
         seeds, topologies,
         config_kwargs={"n_txns": args.txns, "window_ms": args.window,
                        "max_faults": args.max_faults,
-                       "replication_mode": args.replication_mode,
                        "commit_variant": args.commit_variant,
                        "clock_skew": _clock_skew(args),
                        "partial_interest": args.interest == "partial"},

@@ -142,8 +142,9 @@ class InvariantChecker:
         Partial replication counts only *interested* replicas, so each
         DC computes a per-entry threshold; the gate uses the weakest
         (smallest) one any DC would apply — an edge exposing below even
-        that is certainly wrong.  Outside partial mode every DC answers
-        the global ``k_target`` and this reduces to the classic rule.
+        that is certainly wrong.  Where nothing is pruned every DC
+        answers the global ``k_target`` and this reduces to the classic
+        rule.
         """
         if not self.dcs:
             return self.k_target
@@ -186,7 +187,7 @@ class InvariantChecker:
         """Applied commit streams have no holes below the frontier.
 
         A DC's state-vector entry for an origin asserts it applied that
-        stream contiguously up to the frontier; batched shipping must
+        stream contiguously up to the frontier; log shipping must
         never let an ack or frontier advance past a missing position.
         """
         violations = []
@@ -200,13 +201,12 @@ class InvariantChecker:
         return violations
 
     def check_shard_contiguity(self) -> List[InvariantViolation]:
-        """Per-shard streams have no unhealed holes (partial mode).
+        """Per-shard streams have no unhealed holes.
 
         A skip-covered position whose shard mask intersects a DC's
         interest set must be filled by backfill; positions missing with
         no backfill in flight mean the interest-change protocol lost
-        data.  A no-op outside partial mode (``shard_stream_gaps``
-        returns ``{}``).
+        data.  Vacuous where nothing is pruned (no skip runs).
         """
         violations = []
         for dc in self.dcs:

@@ -32,7 +32,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..core.journal import JournalEntry
 from ..core.txn import ObjectKey, Transaction
 from ..dc.datacenter import DataCenter
-from ..dc.interest import ShardMap
 from ..edge.node import EdgeNode
 from ..edge.pop import PoPNode
 from ..groups.peergroup import COMMIT_VARIANTS, GroupMember, form_group
@@ -53,8 +52,6 @@ class ScenarioConfig:
                  max_faults: int = 8, checkpoint_ms: float = 250.0,
                  settle_step_ms: float = 500.0,
                  settle_max_ms: float = 40000.0,
-                 fifo_mode: str = "seq",
-                 replication_mode: str = "batched",
                  commit_variant: str = "async",
                  clock_skew: bool = False,
                  partial_interest: bool = False):
@@ -70,15 +67,6 @@ class ScenarioConfig:
         self.checkpoint_ms = checkpoint_ms
         self.settle_step_ms = settle_step_ms
         self.settle_max_ms = settle_max_ms
-        # Network ordering implementation ("seq" or "bump"); both give
-        # per-link FIFO, and the parity property tests run scenarios
-        # under each to prove the reports are byte-identical.
-        self.fifo_mode = fifo_mode
-        # DC geo-replication wire format.  "partial" exercises the
-        # interest-driven pipeline (adverts, skip runs, per-shard
-        # invariants) in its all-interested configuration, which must
-        # behave exactly like "batched".
-        self.replication_mode = replication_mode
         # Group commit variant under test ("async", "psi" or "tiga").
         self.commit_variant = commit_variant
         # Opt-in clock-skew faults: static per-member clock offsets at
@@ -129,21 +117,14 @@ BYSTANDER_KEYS = KEYS[:1]
 NARROW_KEYS = KEYS[1:]
 
 
-def _build_dcs(sim: Simulation, n_dcs: int = 2, k_target: int = 2,
-               replication_mode: str = "batched") -> List[DataCenter]:
+def _build_dcs(sim: Simulation, n_dcs: int = 2,
+               k_target: int = 2) -> List[DataCenter]:
     dc_ids = [f"dc{i}" for i in range(n_dcs)]
-    shard_map = None
-    if replication_mode == "partial":
-        # All-interested map: every DC serves every shard, so nothing
-        # is ever pruned and the partial pipeline must match batched.
-        shard_map = ShardMap(8, dc_ids)
     dcs = []
     for dc_id in dc_ids:
         dc = sim.spawn(DataCenter, dc_id,
                        peer_dcs=[d for d in dc_ids if d != dc_id],
-                       n_shards=2, k_target=k_target,
-                       replication_mode=replication_mode,
-                       shard_map=shard_map)
+                       n_shards=2, k_target=k_target)
         dcs.append(dc)
         for shard in dc.shard_ids:
             sim.network.set_link(dc_id, shard, LAN)
@@ -162,8 +143,6 @@ def _declare(node: EdgeNode,
 
 def build_world(topology: str, seed: int,
                 edge_cls: type = EdgeNode,
-                fifo_mode: str = "seq",
-                replication_mode: str = "batched",
                 commit_variant: str = "async",
                 clock_skew: bool = False,
                 partial_interest: bool = False) -> World:
@@ -172,10 +151,8 @@ def build_world(topology: str, seed: int,
     ``edge_cls`` swaps the implementation of the solo far edge — the
     hook the self-check uses to plant a buggy test double.
     """
-    sim = Simulation(seed=seed, default_latency=CELLULAR,
-                     fifo_mode=fifo_mode)
-    dcs = _build_dcs(sim, n_dcs=2, k_target=2,
-                     replication_mode=replication_mode)
+    sim = Simulation(seed=seed, default_latency=CELLULAR)
+    dcs = _build_dcs(sim, n_dcs=2, k_target=2)
     k_target = 2
     far = sim.spawn(edge_cls, "far", dc_id="dc1")
     sim.network.set_link("far", "dc1", CELLULAR)
@@ -456,7 +433,6 @@ class ScenarioResult:
         data = {
             "topology": self.config.topology,
             "seed": self.config.seed,
-            "replication_mode": self.config.replication_mode,
             "commit_variant": self.config.commit_variant,
             "clock_skew": self.config.clock_skew,
             **({"partial_interest": True}
@@ -493,8 +469,6 @@ def run_scenario(config: ScenarioConfig,
     tracing on or off; the trace itself is a separate artifact.
     """
     world = build_world(config.topology, config.seed, edge_cls=edge_cls,
-                        fifo_mode=config.fifo_mode,
-                        replication_mode=config.replication_mode,
                         commit_variant=config.commit_variant,
                         clock_skew=config.clock_skew,
                         partial_interest=config.partial_interest)

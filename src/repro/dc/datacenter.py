@@ -37,20 +37,19 @@ from ..sim.events import EventLoop
 from ..sim.network import Network
 from ..transport.base import Transport
 from .fanout import SessionFanout
-from .interest import ShardMap, shards_of_mask
+from .interest import InterestGraph, Outcome, ShardMap, shards_of_mask
 from .messages import (HEADER_BYTES, SKIP_MARKER_BYTES, CommitAck,
                        CommitReject, DCSyncPing, EdgeCommit,
                        EdgeCommitBatch, InterestAdvert, InterestChange,
                        ObjectRequest, ObjectResponse, RemoteTxnReply,
-                       RemoteTxnRequest, Replicate, ReplicateBatch,
-                       ReplicateBatchAck, ReplicatePartialBatch,
-                       SessionAck, SessionOpen, ShardApply,
-                       ShardApplyBatch, ShardBackfill, ShardCommit,
-                       ShardCompactMsg, ShardPrepare, ShardRead,
-                       ShardReadReply, ShardVote, StabilityAck, UpdatePush,
+                       RemoteTxnRequest, ReplicateBatch,
+                       ReplicateBatchAck, SessionAck, SessionOpen,
+                       ShardApply, ShardApplyBatch, ShardBackfill,
+                       ShardCommit, ShardCompactMsg, ShardPrepare,
+                       ShardRead, ShardReadReply, ShardVote, UpdatePush,
                        vector_wire_size)
 from .replog import (ReplLink, SkipRun, decode_stream_entry,
-                     encode_stream_entry)
+                     encode_stream_entry, well_formed_entries)
 from .server import ShardServer
 from ..store.ring import HashRing
 
@@ -72,10 +71,10 @@ class _ReplQueue:
     __slots__ = ("_entries", "_keys", "_dots", "_runs", "_head")
 
     def __init__(self) -> None:
-        # Transactions and (partial mode) SkipRun markers, stream-ordered.
+        # Transactions and SkipRun markers, stream-ordered.
         self._entries: List[Any] = []
-        # Origin timestamps parallel to _entries; unknown ts sorts last.
-        self._keys: List[float] = []
+        # Origin timestamps parallel to _entries.
+        self._keys: List[int] = []
         self._dots: Set[Dot] = set()
         self._runs: Set[Tuple[int, int, int]] = set()
         self._head = 0
@@ -99,14 +98,13 @@ class _ReplQueue:
             self._head = 0
         return item
 
-    def insert(self, ts: Optional[int], txn: Transaction) -> bool:
+    def insert(self, ts: int, txn: Transaction) -> bool:
         """Queue in stream order; False when the dot is already queued."""
         if txn.dot in self._dots:
             return False  # a resend already queued; keep the first copy
-        key = float("inf") if ts is None else float(ts)
-        index = bisect.bisect_right(self._keys, key, lo=self._head)
+        index = bisect.bisect_right(self._keys, ts, lo=self._head)
         self._entries.insert(index, txn)
-        self._keys.insert(index, key)
+        self._keys.insert(index, ts)
         self._dots.add(txn.dot)
         return True
 
@@ -115,10 +113,10 @@ class _ReplQueue:
         ident = (run.start_ts, run.count, run.mask)
         if ident in self._runs:
             return False
-        key = float(run.start_ts)
-        index = bisect.bisect_right(self._keys, key, lo=self._head)
+        index = bisect.bisect_right(self._keys, run.start_ts,
+                                    lo=self._head)
         self._entries.insert(index, run)
-        self._keys.insert(index, key)
+        self._keys.insert(index, run.start_ts)
         self._runs.add(ident)
         return True
 
@@ -163,7 +161,7 @@ class DataCenter(Actor):
     #: Anti-entropy between DCs: ping period and max resends per ping.
     SYNC_PERIOD_MS = 500.0
     SYNC_BATCH = 64
-    #: Batched log shipping: Nagle-style flush window and frame cap.
+    #: Log shipping: Nagle-style flush window and frame cap.
     REPL_FLUSH_MS = 1.0
     REPL_BATCH_MAX = 256
 
@@ -174,29 +172,14 @@ class DataCenter(Actor):
                  security: Optional[SecurityEnforcer] = None,
                  service_time_ms: Optional[float] = None,
                  rng: Optional[random.Random] = None,
-                 replication_mode: str = "batched",
-                 repl_flush_ms: Optional[float] = None,
-                 repl_batch_max: Optional[int] = None,
-                 shard_map: Optional[ShardMap] = None,
-                 k_floor: int = 1):
+                 shard_map: Optional[ShardMap] = None):
         super().__init__(node_id, loop, network, rng)
         self.peer_dcs: List[str] = list(peer_dcs or [])
         self.k_target = k_target
         self.security = security
-        if replication_mode not in ("batched", "full", "unbatched",
-                                    "partial"):
-            raise ValueError(
-                f"unknown replication mode {replication_mode!r}")
-        self.replication_mode = replication_mode
-        # "full" is the equivalence alias of "batched": every DC
-        # interested in every shard, identical frames on the wire.
-        self._batched = replication_mode != "unbatched"
-        self._partial = replication_mode == "partial"
-        self.repl_flush_ms = (self.REPL_FLUSH_MS if repl_flush_ms is None
-                              else repl_flush_ms)
-        self.repl_batch_max = (self.REPL_BATCH_MAX
-                               if repl_batch_max is None
-                               else repl_batch_max)
+        # Who wants which shard.  Without a map every DC is interested
+        # in everything and no link ever prunes: full replication.
+        self.interest = InterestGraph(node_id, self.peer_dcs, shard_map)
         self.service_time_ms = (self.SERVICE_TIME_MS
                                 if service_time_ms is None
                                 else service_time_ms)
@@ -235,56 +218,22 @@ class DataCenter(Actor):
         # Replication receive queues, one per sibling DC stream, kept
         # in origin-timestamp order.
         self._repl_queues: Dict[str, _ReplQueue] = {}
-        # Batched log shipping: per-directed-link send state, the best
-        # known applied vector of each peer (coalesced stability), a
+        # Log shipping: per-directed-link send state, the best known
+        # applied vector of each peer (coalesced stability), a
         # pending-flush guard and the per-drain shard apply buffer.
         self._repl_links: Dict[str, ReplLink] = {}
         self._peer_applied: Dict[str, VectorClock] = {}
         self._repl_flush_scheduled = False
         self._shard_apply_buf: Dict[str, List[dict]] = {}
-        # Chain-encoded own-stream entries, shared across every link.
-        self._entry_cache: Dict[int, Tuple[dict, int]] = {}
-        # Per-link chain encodings for partial mode: pruning makes the
-        # previous *shipped* entry link-dependent, so entries are keyed
-        # by (previous full entry ts, ts); links with equal interest
-        # still share encodings.
-        self._partial_entry_cache: Dict[Tuple[int, int],
-                                        Tuple[dict, int]] = {}
-
-        # -- partial replication: interest graph --------------------------
-        if self._partial and shard_map is None:
-            # Default to the all-interested configuration: the partial
-            # machinery runs (adverts, per-shard invariants) but never
-            # prunes, which is the digest-equivalence baseline.
-            shard_map = ShardMap(8, [node_id, *self.peer_dcs])
-        self.shard_map = shard_map
-        self.k_floor = k_floor
-        # Interest = shards we serve (from the shared map) union shards
-        # any attached edge session subscribes to (refcounted below).
-        self._interest_mask = (shard_map.served(node_id)
-                               if self._partial and shard_map else 0)
-        self._interest_seq = 0
-        self._peer_interest: Dict[str, int] = {}
-        self._peer_interest_seq: Dict[str, int] = {}
-        if self._partial and shard_map is not None:
-            for peer in self.peer_dcs:
-                self._peer_interest[peer] = shard_map.served(peer)
-                self._peer_interest_seq[peer] = 0
-        # Shard mask of each own-stream position (at sequencing time).
-        self._stream_masks: Dict[int, int] = {}
-        # (shard mask, stream origin) of every entry we hold, for the
-        # interested-replica K-stability rule.
-        self._entry_meta: Dict[Dot, Tuple[int, str]] = {}
+        # Chain-encoded own-stream entries keyed by (previous *shipped*
+        # entry ts, ts).  Pruning makes the predecessor link-dependent;
+        # links that shipped the same predecessor — all of them on an
+        # unbroken chain — share one encoding.
+        self._entry_cache: Dict[Tuple[int, int], Tuple[dict, int]] = {}
         # Applied skip runs per origin, sorted by start (the flat
         # frontier covers them without a stored entry).
         self._skip_runs: Dict[str, List[SkipRun]] = {}
         self._skip_starts: Dict[str, List[int]] = {}
-        # Shard -> peers still owing a ShardBackfill response.
-        self._pending_backfill: Dict[int, Set[str]] = {}
-        # Session-driven interest refcounts per shard.
-        self._shard_refs: Dict[int, int] = {}
-        # Read gathers blocked on backfill: (needed mask, fire).
-        self._deferred_gathers: List[Tuple[int, Callable[[], None]]] = []
 
         # -- sessions / pending work -----------------------------------------------
         # Edge sessions, their interest index and per-session push
@@ -310,6 +259,7 @@ class DataCenter(Actor):
                       "rejected": 0, "repl_batches_out": 0,
                       "repl_batches_in": 0, "repl_acks_out": 0,
                       "repl_acks_in": 0, "repl_dup_in": 0,
+                      "repl_malformed_in": 0,
                       "repl_pruned_txns": 0, "repl_pruned_bytes": 0,
                       "repl_backfills_out": 0, "repl_backfills_in": 0,
                       "repl_adverts_in": 0,
@@ -356,20 +306,14 @@ class DataCenter(Actor):
                 self._on_edge_commit(EdgeCommit(txn_dict), sender)
         elif isinstance(message, RemoteTxnRequest):
             self._on_remote_txn(message, sender)
-        elif isinstance(message, Replicate):
-            self._on_replicate(message, sender)
         elif isinstance(message, ReplicateBatch):
             self._on_replicate_batch(message, sender)
-        elif isinstance(message, ReplicatePartialBatch):
-            self._on_replicate_partial(message, sender)
         elif isinstance(message, InterestAdvert):
             self._on_interest_advert(message, sender)
         elif isinstance(message, ShardBackfill):
             self._on_shard_backfill(message, sender)
         elif isinstance(message, ReplicateBatchAck):
             self._on_replicate_batch_ack(message, sender)
-        elif isinstance(message, StabilityAck):
-            self._on_stability_ack(message, sender)
         elif isinstance(message, DCSyncPing):
             self._on_sync_ping(message, sender)
         elif isinstance(message, ShardReadReply):
@@ -399,8 +343,9 @@ class DataCenter(Actor):
             return
         interest = {ObjectKey.from_dict(key_dict): type_name
                     for key_dict, type_name in msg.interest}
-        self._shard_refs_drop(self._fanout.open(msg.edge_id, interest))
-        self._shard_refs_add(interest)
+        self._carry_out(self.interest.release(
+            self._fanout.open(msg.edge_id, interest)))
+        self.interest.retain(interest)
 
         keys = list(interest.items())
         if not keys:
@@ -429,108 +374,32 @@ class DataCenter(Actor):
 
             self._gather_reads(keys, seed_vector, local_deps, done)
 
-        self._require_shards(self._keys_mask(k for k, _t in keys), fire)
+        self._carry_out(self.interest.subscribe(
+            (k for k, _t in keys), fire))
 
     def close_session(self, edge_id: str) -> None:
-        self._shard_refs_drop(self._fanout.close(edge_id))
+        self._carry_out(self.interest.release(self._fanout.close(edge_id)))
 
-    # -- session-driven shard interest (partial mode) -------------------
-    def _keys_mask(self, keys: Any) -> int:
-        if not self._partial:
-            return 0
-        shard_of = self.shard_map.shard_of
-        mask = 0
-        for key in keys:
-            mask |= 1 << shard_of(key)
-        return mask
-
-    def _shard_refs_add(self, keys: Any) -> None:
-        if not self._partial:
-            return
-        refs = self._shard_refs
-        for key in keys:
-            shard = self.shard_map.shard_of(key)
-            refs[shard] = refs.get(shard, 0) + 1
-
-    def _shard_refs_drop(self, keys: Any) -> None:
-        if not self._partial:
-            return
-        refs = self._shard_refs
-        released = set()
-        for key in keys:
-            shard = self.shard_map.shard_of(key)
-            left = refs.get(shard, 0) - 1
-            if left <= 0:
-                refs.pop(shard, None)
-                released.add(shard)
-            else:
-                refs[shard] = left
-        for shard in sorted(released):
-            self._maybe_unsubscribe(shard)
-
-    def _require_shards(self, needed_mask: int,
-                        fire: Callable[[], None]) -> None:
-        """Run ``fire`` once every shard in ``needed_mask`` is caught up.
-
-        Outside partial mode (or when all shards are already interested
-        and backfilled) this fires synchronously.  Otherwise the missing
-        shards are subscribed and the job waits for their backfill, so
-        reads never see a journal with pruned holes.
-        """
-        if not self._partial:
+    def _carry_out(self, outcome: Outcome) -> None:
+        """Do what an interest decision asks: run the reads it found
+        ready, then advertise to every peer."""
+        fires, adverts = outcome
+        for fire in fires:
             fire()
-            return
-        missing = needed_mask & ~self._interest_mask
-        if missing:
-            self._subscribe_shards(missing)
-        if needed_mask & self._pending_backfill_mask():
-            self._deferred_gathers.append((needed_mask, fire))
-        else:
-            fire()
-
-    def _pending_backfill_mask(self) -> int:
-        mask = 0
-        for shard in self._pending_backfill:
-            mask |= 1 << shard
-        return mask
-
-    def _gather_needed_mask(self) -> int:
-        mask = 0
-        for needed_mask, _fire in self._deferred_gathers:
-            mask |= needed_mask
-        return mask
-
-    def _run_ready_gathers(self) -> None:
-        if not self._deferred_gathers:
-            return
-        pending = self._pending_backfill_mask()
-        still_blocked = []
-        ready = []
-        fired_mask = 0
-        for needed_mask, fire in self._deferred_gathers:
-            if needed_mask & pending:
-                still_blocked.append((needed_mask, fire))
-            else:
-                ready.append(fire)
-                fired_mask |= needed_mask
-        self._deferred_gathers = still_blocked
-        for fire in ready:
-            fire()
-        # Shards kept subscribed only for these reads can be let go now
-        # that the reads have run against fully backfilled state.
-        for shard in shards_of_mask(fired_mask):
-            self._maybe_unsubscribe(shard)
+        for advert in adverts:
+            for peer in self.interest.peers:
+                self.send(peer, advert)
 
     def _on_interest_change(self, msg: InterestChange, sender: str) -> None:
         if msg.edge_id not in self.sessions:
             return
         dropped = [key for key in map(ObjectKey.from_dict, msg.remove)
                    if self._fanout.drop_interest(msg.edge_id, key)]
-        self._shard_refs_drop(dropped)
+        self._carry_out(self.interest.release(dropped))
         added = [(ObjectKey.from_dict(k), t) for k, t in msg.add]
         for key, type_name in added:
             self._fanout.add_interest(msg.edge_id, key, type_name)
-        self._shard_refs_add(k for k, _t in added)
+        self.interest.retain(k for k, _t in added)
         if added:
             edge_vector = VectorClock(msg.state_vector)
 
@@ -543,8 +412,8 @@ class DataCenter(Actor):
                         seed_vector.to_dict()))
                 self._gather_reads(added, seed_vector, (), done)
 
-            self._require_shards(self._keys_mask(k for k, _t in added),
-                                 fire)
+            self._carry_out(self.interest.subscribe(
+                (k for k, _t in added), fire))
 
     def _on_object_request(self, msg: ObjectRequest, sender: str) -> None:
         key = ObjectKey.from_dict(msg.key)
@@ -560,7 +429,7 @@ class DataCenter(Actor):
             self._gather_reads([(key, msg.type_name)], seed_vector, (),
                                done)
 
-        self._require_shards(self._keys_mask([key]), fire)
+        self._carry_out(self.interest.subscribe([key], fire))
 
     # ------------------------------------------------------------------
     # shard read gathering
@@ -626,10 +495,7 @@ class DataCenter(Actor):
         ts = self._sequencer
         txn.commit.add_entry(self.node_id, ts)
         self._stream_dots.setdefault(self.node_id, {})[ts] = txn.dot
-        if self._partial:
-            mask = self.shard_map.mask_of_keys(txn.keys)
-            self._stream_masks[ts] = mask
-            self._entry_meta[txn.dot] = (mask, self.node_id)
+        self.interest.note_entry(txn.dot, self.node_id, txn.keys, own_ts=ts)
         self.lamport.observe(txn.dot.counter)
         self.dots.observe(txn.dot)
         self._txn_by_dot[txn.dot] = txn
@@ -642,33 +508,18 @@ class DataCenter(Actor):
             # Already committed elsewhere (edge txn); store, no 2PC.
             for shard, _keys in self.ring.partition(txn.keys).items():
                 self.send(shard, ShardApply(txn.to_dict()))
-        # K-stability bookkeeping and geo-replication.  Batched mode
-        # treats the commit stream itself as the send buffer: commits in
-        # the same flush window ship together as ReplicateBatch frames.
+        # K-stability bookkeeping and geo-replication.  The commit
+        # stream itself is the send buffer: commits in the same flush
+        # window ship together as ReplicateBatch frames.
         self.kstab.record(txn.dot, {self.node_id})
-        if self._batched:
-            self._schedule_repl_flush()
-        else:
-            self._replicate_unbatched(txn)
-        if self.k_target <= 1 or (self._partial
-                                  and self.required_k(txn.dot) <= 1):
+        self._schedule_repl_flush()
+        if self.required_k(txn.dot) <= 1:
             # With K > 1 a fresh local commit has a single holder, so it
             # cannot move the stable cut (nor unblock releases waiting on
-            # our stream: those need this very dot stable first).  In
-            # partial mode a singly-interested entry is stable at birth
-            # even when the global K target is higher.
+            # our stream: those need this very dot stable first) — unless
+            # we are the only replica interested in it, which makes it
+            # stable at birth whatever the global K target.
             self._advance_stability()
-
-    def _replicate_unbatched(self, txn: Transaction) -> None:
-        """Legacy pre-batching wire format: one frame per txn per peer."""
-        payload = txn.to_dict()
-        holders = frozenset({self.node_id})
-        for dc in self.peer_dcs:
-            self.send(dc, Replicate(payload, holders),
-                      size_bytes=txn.byte_size())
-            if self.obs.enabled:
-                self.obs.record(REPLICATION, txn.dot, self.node_id,
-                                self.now, phase="ship", peer=dc)
 
     # ------------------------------------------------------------------
     # remote (in-DC) transactions: baseline clients & migration (3.6/3.9)
@@ -717,7 +568,8 @@ class DataCenter(Actor):
             self._gather_reads(keys, snapshot.vector,
                                tuple(msg.local_deps), done)
 
-        self._require_shards(self._keys_mask(k for k, _t in keys), fire)
+        self._carry_out(self.interest.subscribe(
+            (k for k, _t in keys), fire))
 
     def _execute_remote_txn(self, pending: _PendingRemoteTxn) -> None:
         msg = pending.request
@@ -807,31 +659,7 @@ class DataCenter(Actor):
     # ------------------------------------------------------------------
     # geo-replication (sections 3.4, 3.6) and K-stability (3.8)
     # ------------------------------------------------------------------
-    def _on_replicate(self, msg: Replicate, sender: str) -> None:
-        """Legacy per-transaction replication (and hand-injected frames)."""
-        txn = Transaction.from_dict(msg.txn)
-        if self.dots.seen(txn.dot):
-            self.stats["repl_dup_in"] += 1
-        self.kstab.record(txn.dot, set(msg.holders) | {self.node_id})
-        queue = self._repl_queues.setdefault(sender, _ReplQueue())
-        queue.insert(txn.commit.entries.get(sender), txn)
-        self._process_repl_queues(moved=sender)
-        if self._batched:
-            # Coalesced stability: a cumulative vector ack replaces the
-            # per-transaction gossip broadcast.
-            self._send_batch_ack(sender)
-        else:
-            self._ack_unbatched(txn)
-        self._advance_stability()
-
-    def _ack_unbatched(self, txn: Transaction) -> None:
-        """Legacy stability gossip: per-txn broadcast to every peer DC."""
-        holders = frozenset(self.kstab.holders(txn.dot))
-        ack = StabilityAck(txn.dot.to_dict(), holders)
-        for dc in self.peer_dcs:
-            self.send(dc, ack)
-
-    # -- batched log shipping (send side) -------------------------------
+    # -- log shipping (send side) ---------------------------------------
     def _link(self, peer: str) -> ReplLink:
         link = self._repl_links.get(peer)
         if link is None:
@@ -843,7 +671,7 @@ class DataCenter(Actor):
         if self._repl_flush_scheduled or not self.peer_dcs:
             return
         self._repl_flush_scheduled = True
-        self.set_timer(self.repl_flush_ms, self._flush_repl_links)
+        self.set_timer(self.REPL_FLUSH_MS, self._flush_repl_links)
 
     def _flush_repl_links(self) -> None:
         self._repl_flush_scheduled = False
@@ -854,126 +682,69 @@ class DataCenter(Actor):
                     limit: Optional[int] = None) -> None:
         """Ship the unsent suffix of our stream as contiguous frames.
 
-        Entries are chain-encoded: each snapshot vector is a delta
-        against the *previous* stream entry's vector, and the frame
+        Each position of the window travels either as a full entry or,
+        when its write-shard mask misses the peer's interest, inside a
+        mask-homogeneous ``(count, mask)`` skip run.  Entries nobody
+        can prune (mask 0: metadata-only, or full replication) always
+        ship — they carry causal structure every replica needs.
+
+        Full entries are chain-encoded: each snapshot vector is a delta
+        against the previous entry *shipped on this link*, and the frame
         carries the vector just before its first entry as the base, so
-        decoding is self-contained even across lost acks.  Because the
-        chain base does not depend on the receiving link, every entry
-        is serialised exactly once and shared by all sibling links.
+        decoding is self-contained even across lost acks.  On an
+        unbroken chain the predecessor is ``ts - 1`` for every link, so
+        each entry is serialised exactly once and shared by all of them.
         """
-        if self._partial:
-            self._flush_link_partial(link, limit)
-            return
-        if not self._stream_dots.get(self.node_id):
-            return
         top = self._sequencer
         if limit is not None:
             top = min(top, link.sent_ts + limit)
         sender_vector = self.state_vector.to_dict()
+        peer = link.peer
+        wants = self.interest.wants
+        stream_mask = self.interest.stream_mask
         while link.sent_ts < top:
             lo = link.sent_ts + 1
-            hi = min(top, link.sent_ts + self.repl_batch_max)
-            base = self._chain_base(lo)
-            entries = []
-            size = (HEADER_BYTES + len(self.node_id) + 8
-                    + 8 * len(base) + 8 * len(sender_vector))
-            for ts in range(lo, hi + 1):
-                encoded, entry_size = self._encode_entry(ts)
-                entries.append(encoded)
-                size += entry_size
-            frame = ReplicateBatch(self.node_id, lo, base.to_dict(),
-                                   tuple(entries), sender_vector)
-            self.send(link.peer, frame, size_bytes=size)
-            if self.obs.enabled:
-                stream = self._stream_dots[self.node_id]
-                for ts in range(lo, hi + 1):
-                    self.obs.record(REPLICATION, stream[ts],
-                                    self.node_id, self.now,
-                                    phase="ship", peer=link.peer, ts=ts)
-            link.sent_ts = hi
-            link.batches_sent += 1
-            link.txns_sent += len(entries)
-            link.bytes_sent += size
-            self.stats["repl_batches_out"] += 1
-
-    def _flush_link_partial(self, link: ReplLink,
-                            limit: Optional[int] = None) -> None:
-        """Interest-pruned flush: full entries or skip runs per position.
-
-        Walks the same contiguous stream window as the batched flush,
-        but entries whose write-shard mask misses the peer's interest
-        are elided into mask-homogeneous ``(count, mask)`` skip runs.
-        Metadata-only entries (mask 0) always ship — they carry causal
-        structure every replica needs.  A window with no skips on an
-        unbroken chain degenerates to a plain :class:`ReplicateBatch`,
-        byte-identical to the batched pipeline, which is what makes the
-        all-interested configuration an equivalence baseline.
-        """
-        if not self._stream_dots.get(self.node_id):
-            return
-        top = self._sequencer
-        if limit is not None:
-            top = min(top, link.sent_ts + limit)
-        sender_vector = self.state_vector.to_dict()
-        peer_mask = self._peer_interest.get(link.peer, 0)
-        masks = self._stream_masks
-        while link.sent_ts < top:
-            lo = link.sent_ts + 1
-            hi = min(top, link.sent_ts + self.repl_batch_max)
-            base = self._link_chain_base(link)
+            hi = min(top, link.sent_ts + self.REPL_BATCH_MAX)
+            base = self._chain_base(link.chain_ts)
             elements: List[Any] = []
-            full_ts: List[int] = []
             pruned = 0
             pruned_bytes = 0
             size = (HEADER_BYTES + len(self.node_id) + 8
                     + 8 * len(base) + 8 * len(sender_vector))
             chain_ts = link.chain_ts
-            run: Optional[List[int]] = None  # mutable [count, mask]
             for ts in range(lo, hi + 1):
-                mask = masks.get(ts, 0)
-                if mask == 0 or mask & peer_mask:
-                    encoded, entry_size = self._encode_entry_partial(
-                        chain_ts, ts)
+                if wants(peer, ts):
+                    encoded, entry_size = self._encode_entry(chain_ts, ts)
                     elements.append(encoded)
-                    full_ts.append(ts)
                     size += entry_size
                     chain_ts = ts
-                    run = None
+                    continue
+                mask = stream_mask(ts)
+                last = elements[-1] if elements else None
+                if type(last) is tuple and last[1] == mask:
+                    elements[-1] = (last[0] + 1, mask)   # the run goes on
                 else:
-                    if run is not None and run[1] == mask:
-                        run[0] += 1
-                    else:
-                        run = [1, mask]
-                        elements.append(run)
-                        size += SKIP_MARKER_BYTES
-                    pruned += 1
-                    # What the entry would have cost on the canonical
-                    # chain — the honest measure of bytes saved.
-                    pruned_bytes += self._encode_entry(ts)[1]
-            if pruned == 0 and link.chain_ts == lo - 1:
-                # Nothing elided, chain unbroken: the frame is exactly
-                # what the batched pipeline would have shipped.
-                frame: Any = ReplicateBatch(
-                    self.node_id, lo, base.to_dict(),
-                    tuple(elements), sender_vector)
-            else:
-                frame = ReplicatePartialBatch(
-                    self.node_id, lo, base.to_dict(),
-                    tuple(tuple(e) if isinstance(e, list) else e
-                          for e in elements),
-                    sender_vector)
-            self.send(link.peer, frame, size_bytes=size)
+                    elements.append((1, mask))
+                    size += SKIP_MARKER_BYTES
+                pruned += 1
+                # What the entry would have cost on the unbroken
+                # chain — the honest measure of bytes saved.
+                pruned_bytes += self._encode_entry(ts - 1, ts)[1]
+            frame = ReplicateBatch(self.node_id, lo, base.to_dict(),
+                                   tuple(elements), sender_vector)
+            self.send(peer, frame, size_bytes=size)
             if self.obs.enabled:
                 stream = self._stream_dots[self.node_id]
-                for ts in full_ts:
-                    self.obs.record(REPLICATION, stream[ts],
-                                    self.node_id, self.now,
-                                    phase="ship", peer=link.peer, ts=ts,
-                                    shards=masks.get(ts, 0))
+                for ts in range(lo, hi + 1):
+                    if wants(peer, ts):
+                        self.obs.record(REPLICATION, stream[ts],
+                                        self.node_id, self.now,
+                                        phase="ship", peer=peer, ts=ts)
+            shipped = hi - lo + 1 - pruned
             link.sent_ts = hi
             link.chain_ts = chain_ts
             link.batches_sent += 1
-            link.txns_sent += len(full_ts)
+            link.txns_sent += shipped
             link.bytes_sent += size
             link.txns_pruned += pruned
             link.pruned_bytes += pruned_bytes
@@ -981,62 +752,47 @@ class DataCenter(Actor):
             self.stats["repl_pruned_txns"] += pruned
             self.stats["repl_pruned_bytes"] += pruned_bytes
 
-    def _link_chain_base(self, link: ReplLink) -> VectorClock:
-        """Vector anchoring the link's delta chain (zero before entry 1)."""
-        if link.chain_ts <= 0:
+    def _chain_base(self, prev_ts: int) -> VectorClock:
+        """Snapshot vector of own stream entry ``prev_ts`` — what the
+        entry shipped after it is encoded against (zero before 1)."""
+        if prev_ts <= 0:
             return VectorClock.zero()
-        prev = self._txn_by_dot[
-            self._stream_dots[self.node_id][link.chain_ts]]
+        prev = self._txn_by_dot[self._stream_dots[self.node_id][prev_ts]]
         return prev.snapshot.vector
 
-    def _encode_entry_partial(self, prev_ts: int,
-                              ts: int) -> Tuple[dict, int]:
-        """Chain-encode entry ``ts`` against the last entry *shipped*.
-
-        Pruning makes the previous full entry link-dependent; the
-        unbroken case delegates to the canonical per-entry cache so
-        all-interested links share the batched pipeline's encodings
-        byte for byte, and broken-chain encodings are memoised by
-        ``(prev_ts, ts)`` so links with equal interest still share.
-        """
-        if prev_ts == ts - 1:
-            return self._encode_entry(ts)
-        key = (prev_ts, ts)
-        cached = self._partial_entry_cache.get(key)
-        if cached is None:
-            stream = self._stream_dots[self.node_id]
-            txn = self._txn_by_dot[stream[ts]]
-            if prev_ts <= 0:
-                base = VectorClock.zero()
-            else:
-                base = self._txn_by_dot[stream[prev_ts]].snapshot.vector
-            cached = self._partial_entry_cache[key] = encode_stream_entry(
-                txn, self.node_id, ts, base)
-        return cached
-
-    def _chain_base(self, ts: int) -> VectorClock:
-        """Snapshot vector of own stream entry ``ts - 1`` (zero at 1)."""
-        if ts <= 1:
-            return VectorClock.zero()
-        prev = self._txn_by_dot[self._stream_dots[self.node_id][ts - 1]]
-        return prev.snapshot.vector
-
-    def _encode_entry(self, ts: int) -> Tuple[dict, int]:
-        """Chain-encode own stream entry ``ts``, memoised per entry.
+    def _encode_entry(self, prev_ts: int, ts: int) -> Tuple[dict, int]:
+        """Chain-encode own stream entry ``ts`` against ``prev_ts``,
+        the last entry shipped before it; memoised per pair.
 
         Stream entries are immutable once sequenced, except that a
         migration duplicate may graft extra equivalent commit entries
         later — ``_adopt_commit_entries`` invalidates the cache then.
         """
-        cached = self._entry_cache.get(ts)
+        key = (prev_ts, ts)
+        cached = self._entry_cache.get(key)
         if cached is None:
             txn = self._txn_by_dot[self._stream_dots[self.node_id][ts]]
-            cached = self._entry_cache[ts] = encode_stream_entry(
-                txn, self.node_id, ts, self._chain_base(ts))
+            cached = self._entry_cache[key] = encode_stream_entry(
+                txn, self.node_id, ts, self._chain_base(prev_ts))
         return cached
 
-    # -- batched log shipping (receive side) ----------------------------
+    # -- log shipping (receive side) ------------------------------------
     def _on_replicate_batch(self, msg: ReplicateBatch, sender: str) -> None:
+        """Receive a frame: full entries and skip runs, in stream order.
+
+        The flat stream cursor advances over both element kinds, so the
+        state vector keeps meaning "every position up to here is
+        *resolved*" — applied or deliberately pruned.  Skip runs whose
+        mask intersects our interest reveal a stale sender view; they
+        still advance the cursor (the stream must not stall) and the
+        missing shards are healed through the backfill protocol.
+
+        A malformed frame is dropped whole before it touches any state,
+        and not acked: an honest sender's sync-ping rewind re-ships it.
+        """
+        if not well_formed_entries(msg.entries, self.interest.shard_space):
+            self.stats["repl_malformed_in"] += 1
+            return
         self.stats["repl_batches_in"] += 1
         # The sender applied everything its vector covers: that is the
         # coalesced stability gossip, and it must be noted *before* the
@@ -1046,81 +802,46 @@ class DataCenter(Actor):
         origin_dc = msg.origin_dc
         queue = self._repl_queues.setdefault(origin_dc, _ReplQueue())
         applied = False
-        for i, entry in enumerate(msg.entries):
-            ts = msg.start_ts + i
-            txn = decode_stream_entry(entry, origin_dc, ts, base)
-            if self.dots.seen(txn.dot):
-                # Stale resend or migration duplicate: account it as a
-                # duplicate, never as fresh replication traffic.
-                self.stats["repl_dup_in"] += 1
-            # The chain continues from the entry just decoded.
-            base = txn.snapshot.vector
-            # Fast path: with nothing queued ahead of it, an in-order
-            # head that extends our frontier with a satisfied snapshot
-            # applies without a queue round-trip.  Anything else (hole,
-            # stale resend, migration duplicate) takes the queue and the
-            # generic drain sorts it out.
-            if (not len(queue)
-                    and ts == self.state_vector[origin_dc] + 1
-                    and not self.dots.seen(txn.dot)
-                    and self._snapshot_ready(origin_dc, txn)):
-                self._apply_remote_txn(origin_dc, ts, txn)
-                applied = True
-            else:
-                queue.insert(ts, txn)
-        if applied or len(queue):
-            # Fast-path applies moved our frontier, so other streams may
-            # have unblocked: rescan them all.  _process_repl_queues ends
-            # with shard-apply flush and an _advance_stability pass.
-            self._process_repl_queues(moved=None if applied else origin_dc)
-        self._send_batch_ack(sender)
-
-    def _on_replicate_partial(self, msg: ReplicatePartialBatch,
-                              sender: str) -> None:
-        """Receive an interest-pruned frame: full entries and skip runs.
-
-        The flat stream cursor advances over both element kinds, so the
-        state vector keeps meaning "every position up to here is
-        *resolved*" — applied or deliberately pruned.  Skip runs whose
-        mask intersects our interest reveal a stale sender view; they
-        still advance the cursor (the stream must not stall) and the
-        missing shards are healed through the backfill protocol.
-        """
-        self.stats["repl_batches_in"] += 1
-        self._note_peer_applied(sender, VectorClock(msg.sender_vector))
-        base = VectorClock(msg.base_vector)
-        origin_dc = msg.origin_dc
-        queue = self._repl_queues.setdefault(origin_dc, _ReplQueue())
-        applied = False
         ts = msg.start_ts
         for element in msg.entries:
-            if isinstance(element, dict):
-                txn = decode_stream_entry(element, origin_dc, ts, base)
-                if self.dots.seen(txn.dot):
-                    self.stats["repl_dup_in"] += 1
-                base = txn.snapshot.vector
-                if (not len(queue)
-                        and ts == self.state_vector[origin_dc] + 1
-                        and not self.dots.seen(txn.dot)
-                        and self._snapshot_ready(origin_dc, txn)):
-                    self._apply_remote_txn(origin_dc, ts, txn)
-                    applied = True
-                else:
-                    queue.insert(ts, txn)
-                ts += 1
-            else:
+            # Fast path: with nothing queued ahead of it, an in-order
+            # head that extends our frontier (an entry with a satisfied
+            # snapshot, or a skip run) applies without a queue
+            # round-trip.  Anything else (hole, stale resend, migration
+            # duplicate) takes the queue and the generic drain sorts it
+            # out.
+            in_order = (not len(queue)
+                        and ts == self.state_vector[origin_dc] + 1)
+            if not isinstance(element, dict):
                 count, mask = element
                 run = SkipRun(ts, count, mask)
-                if (not len(queue)
-                        and ts == self.state_vector[origin_dc] + 1):
+                if in_order:
                     self._apply_skip_run(origin_dc, run)
                     applied = True
                 else:
                     queue.insert_run(run)
                 ts += count
+                continue
+            txn = decode_stream_entry(element, origin_dc, ts, base)
+            seen = self.dots.seen(txn.dot)
+            if seen:
+                # Stale resend or migration duplicate: account it as a
+                # duplicate, never as fresh replication traffic.
+                self.stats["repl_dup_in"] += 1
+            # The chain continues from the entry just decoded.
+            base = txn.snapshot.vector
+            if (in_order and not seen
+                    and self._snapshot_ready(origin_dc, txn)):
+                self._apply_remote_txn(origin_dc, ts, txn)
+                applied = True
+            else:
+                queue.insert(ts, txn)
+            ts += 1
         if applied or len(queue):
-            self._process_repl_queues(
-                moved=None if applied else origin_dc)
+            # Fast-path applies moved our frontier, so other streams may
+            # have unblocked: rescan them all.  _process_repl_queues ends
+            # with shard-apply flush and an _advance_stability pass.
+            self._process_repl_queues(moved=None if applied else origin_dc)
         self._send_batch_ack(sender)
 
     def _apply_skip_run(self, origin_dc: str, run: SkipRun) -> None:
@@ -1137,18 +858,9 @@ class DataCenter(Actor):
         start = max(run.start_ts, frontier + 1)
         if start > run.end_ts:
             return  # fully stale resend
-        wrong = run.mask & self._interest_mask
+        wrong = self.interest.audit_skip(origin_dc, run.mask)
         if wrong:
-            shards = [s for s in shards_of_mask(wrong)
-                      if origin_dc not in self._pending_backfill.get(
-                          s, set())]
-            for shard in shards:
-                self._pending_backfill.setdefault(shard, set()).add(
-                    origin_dc)
-            if shards:
-                self.send(origin_dc, InterestAdvert(
-                    self._interest_mask, self._interest_seq,
-                    tuple(shards)))
+            self.send(origin_dc, self.interest.advert(wrong))
         self.state_vector = self.state_vector.advance(
             origin_dc, run.end_ts)
         # Materialise the stream dict even when every entry is pruned:
@@ -1183,40 +895,22 @@ class DataCenter(Actor):
         unseen dep on a stream that recorded skip runs was therefore
         deliberately pruned — treating it as satisfied is what keeps a
         partially-replicated stream from stalling on data it opted out
-        of.  Streams without skip runs (the all-interested baseline)
-        keep the strict check: there an unseen dep is merely late.
+        of.  Streams without skip runs (every stream, under full
+        replication) keep the strict check: there an unseen dep is
+        merely late.
         """
-        if not self._partial:
-            return txn.snapshot.satisfied_by(self.state_vector, self.dots)
-        if not txn.snapshot.vector.leq(self.state_vector):
-            return False
-        pruning = self._skip_runs.get(origin_dc)
-        for dep in txn.snapshot.local_deps:
-            if self.dots.seen(dep):
-                continue
-            if pruning:
-                continue
-            return False
-        return True
+        snapshot = txn.snapshot
+        if snapshot.satisfied_by(self.state_vector, self.dots):
+            return True
+        return (origin_dc in self._skip_runs
+                and snapshot.vector.leq(self.state_vector))
 
-    # -- interest adverts and shard backfill (partial mode) -------------
-    def _fold_peer_interest(self, peer: str, mask: int,
-                            seq: int) -> bool:
-        """Adopt a peer's advertised interest; False on a stale advert."""
-        if seq < self._peer_interest_seq.get(peer, 0):
-            return False
-        changed = self._peer_interest.get(peer) != mask
-        self._peer_interest[peer] = mask
-        self._peer_interest_seq[peer] = seq
-        return changed
-
+    # -- interest adverts and shard backfill ----------------------------
     def _on_interest_advert(self, msg: InterestAdvert,
                             sender: str) -> None:
         self.stats["repl_adverts_in"] += 1
-        if not self._partial:
-            return
-        changed = self._fold_peer_interest(sender, msg.shards_mask,
-                                           msg.seq)
+        changed = self.interest.fold_advert(sender, msg.shards_mask,
+                                            msg.seq)
         for shard in msg.backfill:
             self._send_backfill(sender, shard)
         if changed:
@@ -1235,10 +929,11 @@ class DataCenter(Actor):
         """
         bit = 1 << shard
         stream = self._stream_dots.get(self.node_id, {})
+        stream_mask = self.interest.stream_mask
         entries = []
         size = HEADER_BYTES + 12
         for ts in range(1, self._sequencer + 1):
-            if self._stream_masks.get(ts, 0) & bit:
+            if stream_mask(ts) & bit:
                 txn = self._txn_by_dot[stream[ts]]
                 entries.append((ts, txn.to_dict()))
                 size += 8 + txn.byte_size()
@@ -1272,15 +967,10 @@ class DataCenter(Actor):
                 continue
             self._apply_offstream_entry(sender, ts, txn)
             applied = True
-        owers = self._pending_backfill.get(msg.shard)
-        if owers is not None:
-            owers.discard(sender)
-            if not owers:
-                del self._pending_backfill[msg.shard]
         if applied:
             self._flush_shard_applies()
             self._advance_stability()
-        self._run_ready_gathers()
+        self._carry_out(self.interest.backfilled(msg.shard, sender))
 
     def _apply_offstream_entry(self, origin_dc: str, ts: int,
                                txn: Transaction) -> None:
@@ -1295,8 +985,7 @@ class DataCenter(Actor):
         if self.obs.enabled:
             self.obs.record(REPLICATION, txn.dot, self.node_id,
                             self.now, phase="apply", origin=origin_dc,
-                            ts=ts, backfill=True,
-                            shards=self.shard_map.mask_of_keys(txn.keys))
+                            ts=ts, backfill=True)
         self.lamport.observe(txn.dot.counter)
         self.dots.observe(txn.dot)
         self._txn_by_dot[txn.dot] = txn
@@ -1307,73 +996,12 @@ class DataCenter(Actor):
             # cut, and later entries naming it as a local dependency
             # must see it as released.
             self._stable_dots.add(txn.dot)
-        self._entry_meta[txn.dot] = (
-            self.shard_map.mask_of_keys(txn.keys), origin_dc)
+        self.interest.note_entry(txn.dot, origin_dc, txn.keys)
         self.kstab.record(txn.dot,
                           self._known_holders(origin_dc, ts, txn.dot))
         payload = txn.to_dict()
         for shard in self.ring.partition(txn.keys):
             self._shard_apply_buf.setdefault(shard, []).append(payload)
-
-    def _subscribe_shards(self, mask: int) -> None:
-        """Grow our interest set; request backfill from every peer.
-
-        Each peer answers from its *own* stream only — every origin is
-        the authoritative holder of its own log, so the union of
-        responses is a complete catch-up.
-        """
-        self._interest_mask |= mask
-        self._interest_seq += 1
-        shards = shards_of_mask(mask)
-        if not self.peer_dcs:
-            return
-        for shard in shards:
-            self._pending_backfill.setdefault(shard, set()).update(
-                self.peer_dcs)
-        advert = InterestAdvert(self._interest_mask,
-                                self._interest_seq, shards)
-        for peer in sorted(self.peer_dcs):
-            self.send(peer, advert)
-
-    def _maybe_unsubscribe(self, shard: int) -> None:
-        """Retract interest in a shard no session references any more.
-
-        Served (home) shards are permanent interest; already-held data
-        is kept either way — unsubscribing only stops *future* frames
-        from carrying the shard.
-        """
-        if not self._partial:
-            return
-        bit = 1 << shard
-        if not self._interest_mask & bit:
-            return
-        if self.shard_map.served(self.node_id) & bit:
-            return
-        if self._shard_refs.get(shard):
-            return
-        if self._gather_needed_mask() & bit:
-            # A deferred read still needs this shard's backfill: keep
-            # the subscription until it fires.  Dropping now would run
-            # the read against a store missing skip-pruned entries the
-            # stable vector already covers — an inconsistent seed that
-            # poisons the edge's per-key cut.
-            return
-        self._interest_mask &= ~bit
-        self._interest_seq += 1
-        self._pending_backfill.pop(shard, None)
-        advert = InterestAdvert(self._interest_mask, self._interest_seq)
-        for peer in sorted(self.peer_dcs):
-            self.send(peer, advert)
-        self._run_ready_gathers()
-
-    def _retry_backfills(self, peer: str) -> None:
-        """Re-request backfills a peer still owes (lost responses)."""
-        owed = tuple(sorted(
-            shard for shard, owers in self._pending_backfill.items()
-            if peer in owers))
-        if owed:
-            self.send(peer, InterestAdvert(self._interest_mask,
-                                           self._interest_seq, owed))
 
     def _send_batch_ack(self, peer: str) -> None:
         self.stats["repl_acks_out"] += 1
@@ -1406,6 +1034,7 @@ class DataCenter(Actor):
             return False
         merged = known.merge(vector)
         self._peer_applied[peer] = merged
+        holds = self.interest.peer_holds
         for origin in merged:
             new = merged[origin]
             old = known[origin]
@@ -1420,66 +1049,27 @@ class DataCenter(Actor):
                 dot = stream.get(ts)
                 # Holder sets only gate stability; once a dot is inside
                 # the stable cut, further holders are of no consequence.
-                # In partial mode a covered position only proves the
-                # peer *resolved* it — holder credit additionally needs
-                # the peer's interest to intersect the entry's shards.
-                if dot is not None and dot not in self._stable_dots:
-                    if self._partial and not self._peer_holds(peer, dot):
-                        continue
+                # A covered position only proves the peer *resolved*
+                # it — holder credit additionally needs the peer's
+                # interest to intersect the entry's shards.
+                if (dot is not None and dot not in self._stable_dots
+                        and holds(peer, dot)):
                     self.kstab.record(dot, (peer,))
         return True
-
-    def _peer_holds(self, peer: str, dot: Dot) -> bool:
-        """Would the peer have stored (not skip-covered) this entry?"""
-        meta = self._entry_meta.get(dot)
-        if meta is None:
-            return True
-        mask, origin = meta
-        if mask == 0 or origin == peer:
-            return True
-        return bool(mask & self._peer_interest.get(peer, 0))
 
     def _known_holders(self, origin_dc: str, ts: int,
                        dot: Optional[Dot] = None) -> Set[str]:
         """Us plus every peer whose applied vector covers (origin, ts)."""
         holders = {self.node_id}
         for peer, vec in self._peer_applied.items():
-            if vec[origin_dc] >= ts:
-                if (self._partial and dot is not None
-                        and not self._peer_holds(peer, dot)):
-                    continue
+            if vec[origin_dc] >= ts and (
+                    dot is None or self.interest.peer_holds(peer, dot)):
                 holders.add(peer)
         return holders
 
     def required_k(self, dot: Dot) -> int:
-        """Interested-replica stability threshold for ``dot``.
-
-        Partial mode counts only replicas whose interest intersects the
-        entry's shard mask (metadata-only entries concern everyone),
-        always including the stream origin, clamped below by
-        ``k_floor`` so operators can demand extra durability copies
-        even for singly-interested shards.  Other modes use the global
-        ``k_target`` unchanged.
-        """
-        if not self._partial:
-            return self.k_target
-        meta = self._entry_meta.get(dot)
-        if meta is None:
-            return self.k_target
-        mask, origin = meta
-        n_dcs = 1 + len(self.peer_dcs)
-        if mask == 0:
-            interested = n_dcs
-        else:
-            interested = 0
-            if mask & self._interest_mask or origin == self.node_id:
-                interested += 1
-            for peer in self.peer_dcs:
-                if mask & self._peer_interest.get(peer, 0) \
-                        or peer == origin:
-                    interested += 1
-        return max(min(self.k_target, interested),
-                   min(self.k_floor, n_dcs))
+        """Interested-replica stability threshold for ``dot``."""
+        return self.interest.required_k(dot, self.k_target)
 
     def _process_repl_queues(self, moved: Optional[str] = None) -> None:
         """Apply queued remote transactions whose dependencies are met.
@@ -1531,13 +1121,10 @@ class DataCenter(Actor):
                 progress = True
                 continue
             txn = head
-            ts = txn.commit.entries.get(origin_dc)
-            if ts is None:  # pragma: no cover - malformed stream
-                queue.popleft()
-                continue
+            ts = txn.commit.entries[origin_dc]
             frontier = self.state_vector[origin_dc]
             if ts <= frontier:
-                if self._partial and not self.dots.seen(txn.dot):
+                if not self.dots.seen(txn.dot):
                     # The position was skip-covered and the full entry
                     # arrived afterwards (our interest raced the
                     # sender's view): late-fill the data off-stream.
@@ -1589,12 +1176,9 @@ class DataCenter(Actor):
             # encoding of our own stream position for this txn.
             own_ts = known.commit.entries.get(self.node_id)
             if own_ts is not None:
-                self._entry_cache.pop(own_ts, None)
-                if self._partial_entry_cache:
-                    self._partial_entry_cache = {
-                        key: value for key, value
-                        in self._partial_entry_cache.items()
-                        if key[1] != own_ts}
+                for key in [key for key in self._entry_cache
+                            if key[1] == own_ts]:
+                    del self._entry_cache[key]
 
     def _apply_remote_txn(self, origin_dc: str, ts: int,
                           txn: Transaction) -> None:
@@ -1603,23 +1187,14 @@ class DataCenter(Actor):
         # transaction), immune to anti-entropy resend inflation.
         self.stats["replicated_in"] += 1
         if self.obs.enabled:
-            if self._partial:
-                self.obs.record(REPLICATION, txn.dot, self.node_id,
-                                self.now, phase="apply",
-                                origin=origin_dc, ts=ts,
-                                shards=self.shard_map.mask_of_keys(
-                                    txn.keys))
-            else:
-                self.obs.record(REPLICATION, txn.dot, self.node_id,
-                                self.now, phase="apply",
-                                origin=origin_dc, ts=ts)
+            self.obs.record(REPLICATION, txn.dot, self.node_id,
+                            self.now, phase="apply", origin=origin_dc,
+                            ts=ts)
         self.lamport.observe(txn.dot.counter)
         self.dots.observe(txn.dot)
         self._txn_by_dot[txn.dot] = txn
         self._stream_dots.setdefault(origin_dc, {})[ts] = txn.dot
-        if self._partial:
-            self._entry_meta[txn.dot] = (
-                self.shard_map.mask_of_keys(txn.keys), origin_dc)
+        self.interest.note_entry(txn.dot, origin_dc, txn.keys)
         # Advance only the stream we received on: other equivalent commit
         # entries (section 3.8) belong to streams that ship separately, and
         # merging them here would claim transactions we have not applied.
@@ -1635,12 +1210,8 @@ class DataCenter(Actor):
         if not shards:
             return  # metadata-only txn: nothing for the stores
         payload = txn.to_dict()
-        if self._batched:
-            for shard in shards:
-                self._shard_apply_buf.setdefault(shard, []).append(payload)
-        else:
-            for shard in shards:
-                self.send(shard, ShardApply(payload))
+        for shard in shards:
+            self._shard_apply_buf.setdefault(shard, []).append(payload)
 
     def _flush_shard_applies(self) -> None:
         """Ship buffered remote applies, one frame per shard."""
@@ -1654,35 +1225,23 @@ class DataCenter(Actor):
             else:
                 self.send(shard, ShardApplyBatch(tuple(payloads)))
 
-    def _on_stability_ack(self, msg: StabilityAck, sender: str) -> None:
-        dot = Dot.from_dict(msg.dot)
-        self.kstab.record(dot, set(msg.holders))
-        self._advance_stability()
-
     # -- anti-entropy: repair replication across partitions -----------------
     def _sync_peers(self) -> None:
         if not self.peer_dcs:
             return
-        if self._partial:
-            # Piggyback our interest on the ping so lost adverts heal
-            # within one sync period.
-            ping = DCSyncPing(self.state_vector.to_dict(),
-                              self.stable_vector.to_dict(),
-                              interest_mask=self._interest_mask,
-                              interest_seq=self._interest_seq)
-        else:
-            ping = DCSyncPing(self.state_vector.to_dict(),
-                              self.stable_vector.to_dict())
+        ping = DCSyncPing(self.state_vector.to_dict(),
+                          self.stable_vector.to_dict(),
+                          *self.interest.advertised())
         for dc in self.peer_dcs:
             self.send(dc, ping)
 
     def _on_sync_ping(self, msg: DCSyncPing, sender: str) -> None:
         """Repair the peer's view of our stream and of stability.
 
-        Batched mode piggybacks stability on the ping's state vector
-        and rewinds the link's shipped frontier to the peer's advertised
+        The ping's state vector is stability gossip like any ack, and
+        it rewinds the link's shipped frontier to the peer's advertised
         one, so lost frames are re-shipped as ordinary batches (capped
-        at ``SYNC_BATCH`` entries per ping, like the legacy resend).
+        at ``SYNC_BATCH`` entries per ping).
 
         A ping's advertised frontier is one RTT stale: frames shipped
         inside that window are still in flight, not lost.  Rewinding on
@@ -1692,77 +1251,31 @@ class DataCenter(Actor):
         The rewind now waits for evidence of loss: the peer advertising
         the *same* stalled frontier twice in a row.
         """
-        if self._batched:
-            self._note_peer_applied(sender, VectorClock(msg.state_vector))
-            if self._partial:
-                if msg.interest_mask is not None:
-                    self._fold_peer_interest(sender, msg.interest_mask,
-                                             msg.interest_seq)
-                self._retry_backfills(sender)
-            link = self._link(sender)
-            peer_has = msg.state_vector.get(self.node_id, 0)
-            if peer_has > link.sent_ts:
-                # The peer holds entries we never shipped on this link
-                # (received via a third DC after a migration): skip them.
-                link.sent_ts = peer_has
-                link.chain_ts = peer_has
-            elif peer_has < link.sent_ts \
-                    and peer_has <= link.last_advert:
-                # Stalled across a full sync period: the in-flight
-                # window has drained, so the gap is genuine loss.
-                link.sent_ts = peer_has
-                link.chain_ts = peer_has
-                link.rewinds += 1
-            link.last_advert = peer_has
-            self._flush_link(link, limit=self.SYNC_BATCH)
-            self._advance_stability()
-            return
-        self._resend_unbatched(msg, sender)
-        self._reack_held(msg, sender)
-
-    def _resend_unbatched(self, msg: DCSyncPing, sender: str) -> None:
-        """Legacy resend: our stream's suffix, one frame per txn."""
+        self._note_peer_applied(sender, VectorClock(msg.state_vector))
+        if msg.interest_mask is not None:
+            self.interest.fold_advert(sender, msg.interest_mask,
+                                      msg.interest_seq)
+        owed = self.interest.owed(sender)
+        if owed:
+            # A backfill response was lost: ask again.
+            self.send(sender, self.interest.advert(owed))
+        link = self._link(sender)
         peer_has = msg.state_vector.get(self.node_id, 0)
-        stream = self._stream_dots.get(self.node_id, {})
-        resent = 0
-        ts = peer_has + 1
-        while ts <= self._sequencer and resent < self.SYNC_BATCH:
-            dot = stream.get(ts)
-            if dot is not None:
-                txn = self._txn_by_dot.get(dot)
-                if txn is not None:
-                    holders = frozenset(self.kstab.holders(dot)
-                                        | {self.node_id})
-                    self.send(sender, Replicate(txn.to_dict(), holders),
-                              size_bytes=txn.byte_size())
-                    resent += 1
-            ts += 1
-
-    def _reack_held(self, msg: DCSyncPing, sender: str) -> None:
-        """Stability anti-entropy: re-ack held dots the peer still
-        tracks as unstable.
-
-        StabilityAck gossip is fire-and-forget; if the ack carrying
-        "we hold X" is lost, the peer's K-stability frontier for X
-        stalls *forever* — both DCs store the transaction, so the
-        transaction-resend path above never fires, and no stable push
-        ever reaches the peer's edges.  The sender's stable vector on
-        the ping tells us exactly which prefix still lacks acks.
-        """
-        peer_stable = msg.stable_vector or {}
-        reacked = 0
-        for origin_dc, stream in self._stream_dots.items():
-            ts = peer_stable.get(origin_dc, 0) + 1
-            top = self.state_vector[origin_dc]
-            while ts <= top and reacked < self.SYNC_BATCH:
-                dot = stream.get(ts)
-                ts += 1
-                if dot is None or not self.dots.seen(dot):
-                    continue
-                holders = frozenset(self.kstab.holders(dot)
-                                    | {self.node_id})
-                self.send(sender, StabilityAck(dot.to_dict(), holders))
-                reacked += 1
+        if peer_has > link.sent_ts:
+            # The peer holds entries we never shipped on this link
+            # (received via a third DC after a migration): skip them.
+            link.sent_ts = peer_has
+            link.chain_ts = peer_has
+        elif peer_has < link.sent_ts \
+                and peer_has <= link.last_advert:
+            # Stalled across a full sync period: the in-flight
+            # window has drained, so the gap is genuine loss.
+            link.sent_ts = peer_has
+            link.chain_ts = peer_has
+            link.rewinds += 1
+        link.last_advert = peer_has
+        self._flush_link(link, limit=self.SYNC_BATCH)
+        self._advance_stability()
 
     def _advance_stability(self) -> None:
         """Move per-stream stable frontiers; push newly stable updates.
@@ -1778,6 +1291,8 @@ class DataCenter(Actor):
         # Work on a plain dict: releasing a long run would otherwise
         # rebuild an immutable clock per released transaction.
         stable = self.stable_vector.to_dict()
+        required_k = self.interest.required_k
+        k_target = self.k_target
         progress = True
         while progress:
             progress = False
@@ -1786,24 +1301,18 @@ class DataCenter(Actor):
                 while True:
                     dot = stream.get(frontier + 1)
                     if dot is None:
-                        # Partial mode: a position covered by a skip
-                        # run holds nothing to release — the stable
-                        # frontier hops over it.
-                        if (not self._partial
-                                or frontier + 1
-                                > self.state_vector[origin_dc]
-                                or self._skip_covered(
-                                    origin_dc, frontier + 1) is None):
+                        # A position covered by a skip run (applied, so
+                        # within our frontier) holds nothing to release:
+                        # the stable frontier hops over it.
+                        if self._skip_covered(origin_dc,
+                                              frontier + 1) is None:
                             break
                         frontier += 1
                         stable[origin_dc] = frontier
                         progress = True
                         advanced = True
                         continue
-                    if self._partial:
-                        if self.kstab.count(dot) < self.required_k(dot):
-                            break
-                    elif not self.kstab.is_stable(dot):
+                    if self.kstab.count(dot) < required_k(dot, k_target):
                         break
                     txn = self._txn_by_dot.get(dot)
                     if txn is None:  # pragma: no cover - defensive
@@ -1811,9 +1320,10 @@ class DataCenter(Actor):
                     if any(v > stable.get(k, 0) for k, v
                            in txn.snapshot.vector.items()):
                         break  # blocked on another stream's frontier
+                    # A dependency never seen was pruned from the
+                    # stream that carried it: nothing to wait for.
                     if not all(d in self._stable_dots
-                               or (self._partial
-                                   and not self.dots.seen(d))
+                               or not self.dots.seen(d)
                                for d in txn.snapshot.local_deps):
                         break
                     frontier += 1
@@ -1923,8 +1433,7 @@ class DataCenter(Actor):
             missing = [ts
                        for ts in range(1, self.state_vector[origin] + 1)
                        if ts not in stream
-                       and not (self._partial
-                                and self._skip_covered(origin, ts))]
+                       and not self._skip_covered(origin, ts)]
             if missing:
                 gaps[origin] = missing
         return gaps
@@ -1938,15 +1447,13 @@ class DataCenter(Actor):
         excluded.  The chaos checker requires this empty — it is the
         per-shard analogue of :meth:`stream_gaps`.
         """
-        if not self._partial:
-            return {}
-        pending = self._pending_backfill_mask()
+        expected = self.interest.mask & ~self.interest.pending_mask()
         gaps: Dict[str, List[int]] = {}
         for origin, runs in self._skip_runs.items():
             stream = self._stream_dots.get(origin, {})
             missing = []
             for run in runs:
-                need = run.mask & self._interest_mask & ~pending
+                need = run.mask & expected
                 if not need:
                     continue
                 for ts in range(run.start_ts, run.end_ts + 1):
@@ -1958,7 +1465,7 @@ class DataCenter(Actor):
 
     def interest_shards(self) -> Tuple[int, ...]:
         """Sorted shard ids in this DC's current interest set."""
-        return shards_of_mask(self._interest_mask)
+        return shards_of_mask(self.interest.mask)
 
     def repl_link_counters(self) -> Dict[str, Dict[str, int]]:
         """Per-peer batch/byte counters of the outbound repl links."""

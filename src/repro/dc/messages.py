@@ -19,7 +19,7 @@ real wire-cost metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 #: Fixed per-message framing overhead (type tag, lengths, checksums).
 HEADER_BYTES = 16
@@ -283,14 +283,13 @@ class DCSyncPing:
     """Anti-entropy heartbeat: the sender's applied and stable vectors.
 
     A receiver that is *ahead* on its own stream resends the missing
-    suffix, repairing replication after partitions.  A receiver that
-    holds transactions past the sender's *stable* frontier re-acks
-    them, repairing K-stability after lost StabilityAck gossip.
+    suffix, repairing replication after partitions; the applied vector
+    doubles as stability gossip, like a :class:`ReplicateBatchAck`.
 
-    In partial mode the ping also carries the sender's interest mask
-    and advert sequence number, so a lost :class:`InterestAdvert` heals
-    within one sync period (``interest_mask is None`` outside partial
-    mode keeps the legacy wire size untouched).
+    Where links can prune, the ping also carries the sender's interest
+    mask and advert sequence number, so a lost :class:`InterestAdvert`
+    heals within one sync period; ``interest_mask is None`` (nothing
+    can be pruned) costs no bytes.
     """
 
     state_vector: Dict[str, int]
@@ -304,88 +303,35 @@ class DCSyncPing:
                 + (16 if self.interest_mask is not None else 0))
 
 
-@dataclass(frozen=True, slots=True)
-class Replicate:
-    """Geo-replication: one committed transaction, shipped in order.
-
-    Legacy (unbatched) wire format: live traffic travels in
-    :class:`ReplicateBatch` frames; this survives for the unbatched
-    comparison mode and for compatibility with hand-injected frames.
-    """
-
-    txn: dict
-    holders: FrozenSet[str]
-
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + txn_wire_size(self.txn)
-                + 8 * len(self.holders))
-
-
-@dataclass(frozen=True, slots=True)
-class StabilityAck:
-    """Gossip: the sender now also stores the transaction.
-
-    Legacy (unbatched) per-transaction gossip; batched replication
-    coalesces this into the applied vectors on :class:`ReplicateBatchAck`
-    and :class:`DCSyncPing`.
-    """
-
-    dot: dict
-    holders: FrozenSet[str]
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + DOT_BYTES + 8 * len(self.holders)
-
-
-@dataclass(frozen=True, slots=True)
-class ReplicateBatch:
-    """Batched log shipping: a contiguous run of one origin's stream.
-
-    ``entries[i]`` is the delta-encoded transaction committed at origin
-    timestamp ``start_ts + i``: its snapshot vector is a sparse delta
-    against the previous entry's vector — ``base_vector`` seeds the
-    chain and is carried on the frame so decoding is self-contained —
-    and the origin's own commit entry is implicit in the frame
-    position.  The sender
-    piggybacks its applied ``sender_vector``, which doubles as coalesced
-    stability gossip: every transaction it covers is held by the sender.
-    """
-
-    origin_dc: str
-    start_ts: int
-    base_vector: Dict[str, int]
-    entries: Tuple[dict, ...]
-    sender_vector: Dict[str, int]
-
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + len(self.origin_dc) + 8
-                + vector_wire_size(self.base_vector)
-                + vector_wire_size(self.sender_vector)
-                + sum(stream_entry_wire_size(e) for e in self.entries))
-
-
 #: Wire cost of one skip marker: a 4-byte run length + 8-byte mask.
 SKIP_MARKER_BYTES = 12
 
 
 @dataclass(frozen=True, slots=True)
-class ReplicatePartialBatch:
-    """Interest-pruned log shipping: one origin stream, holes elided.
+class ReplicateBatch:
+    """Log shipping: a contiguous run of one origin's commit stream.
 
-    Same frame layout as :class:`ReplicateBatch`, but ``entries`` mixes
-    two element kinds: a dict is a full chain-encoded stream entry, and
-    a ``(count, shard_mask)`` pair is a *skip run* — ``count``
-    consecutive positions whose (identical) write-shard mask misses the
-    receiver's interest set, elided from the wire.  The flat stream
-    cursor advances over both, so the receiver's state vector keeps its
-    contiguity semantics: "applied **or deliberately pruned** every
-    position up to here".  The mask lets the receiver audit runs
-    against its own interest and request backfill for wrongly pruned
-    shards (a stale sender view heals instead of losing data).
+    ``entries`` mixes two element kinds.  A dict is a full delta-encoded
+    transaction: its snapshot vector is a sparse delta against the
+    previous *full* entry's vector — ``base_vector`` seeds the chain
+    (the vector of the last entry shipped on this link before the
+    frame) and is carried on the frame so decoding is self-contained —
+    and the origin's own commit entry is implicit in the frame
+    position.  A ``(count, shard_mask)`` pair is a *skip run*:
+    ``count`` consecutive positions whose (identical) write-shard mask
+    misses the receiver's interest set, elided from the wire.
 
-    Because only shipped entries carry snapshot vectors, the delta
-    chain runs across *full* entries only; ``base_vector`` is the
-    vector of the last entry shipped on this link before the frame.
+    The position cursor starts at ``start_ts`` and advances over both
+    kinds, so the receiver's state vector keeps its contiguity
+    semantics: "applied **or deliberately pruned** every position up to
+    here".  The mask lets the receiver audit runs against its own
+    interest and request backfill for wrongly pruned shards (a stale
+    sender view heals instead of losing data).  Under full replication
+    no frame carries a run.
+
+    The sender piggybacks its applied ``sender_vector``, which doubles
+    as coalesced stability gossip: every transaction it covers is held
+    by the sender.
     """
 
     origin_dc: str
@@ -451,12 +397,11 @@ class ShardBackfill:
 
 @dataclass(frozen=True, slots=True)
 class ReplicateBatchAck:
-    """Cumulative acknowledgement of batched replication.
+    """Cumulative acknowledgement of log shipping.
 
-    Carries the receiver's full applied state vector: it advances the
-    sender's delta base for the link *and* stands in for per-transaction
-    ``StabilityAck`` gossip (the receiver holds everything the vector
-    covers).
+    Carries the receiver's full applied state vector, which is the
+    stability gossip: the receiver holds every entry the vector covers
+    that its interest did not prune.
     """
 
     applied_vector: Dict[str, int]

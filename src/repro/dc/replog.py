@@ -1,19 +1,21 @@
-"""Batched log-shipping support: stream-entry codec and link state.
+"""Log-shipping support: stream-entry codec, skip runs and link state.
 
 Geo-replication ships each DC's commit stream as contiguous
 :class:`~repro.dc.messages.ReplicateBatch` frames.  This module holds
 the per-entry codec — snapshot vectors delta-encoded against a caller
 supplied base, the origin's commit entry implicit in the frame
-position — and the per-directed-link bookkeeping (shipped frontier,
-counters) the DC keeps for each sibling.
+position — the skip runs standing in for positions a link pruned, the
+input check on received frames, and the per-directed-link bookkeeping
+(shipped frontier, counters) the DC keeps for each sibling.
 
-The DC *chains* the bases: entry ``ts`` is encoded against entry
-``ts - 1``'s snapshot vector and the frame's ``base_vector`` carries
-the vector just before its first entry.  Consecutive snapshot vectors
-differ by a handful of components, so the deltas stay tiny, and the
-chain base is link-independent, so one encoding serves every sibling
-link.  The codec itself is base-agnostic: any ``base`` round-trips,
-only the wire size changes.
+The DC *chains* the bases: an entry is encoded against the snapshot
+vector of the previous entry shipped on the link (``ts - 1`` unless
+pruning broke the chain) and the frame's ``base_vector`` carries the
+vector just before its first entry.  Consecutive snapshot vectors
+differ by a handful of components, so the deltas stay tiny, and links
+that shipped the same predecessor share one encoding.  The codec
+itself is base-agnostic: any ``base`` round-trips, only the wire size
+changes.
 
 The encoded entry is a plain dict so frames stay serialisable values:
 
@@ -85,8 +87,30 @@ def decode_stream_entry(entry: Dict[str, Any], stream_dc: str, ts: int,
     )
 
 
+def well_formed_entries(entries: Any, shard_space: int) -> bool:
+    """Is every element of a frame's ``entries`` a stream entry (a
+    dict) or a legitimate ``(count, mask)`` skip run?
+
+    A run elides at least one position, and its mask names at least one
+    shard (entries with mask 0 always ship) and none outside
+    ``shard_space`` — so a DC that prunes nothing accepts no run at all.
+    Checked before a frame touches any state: a run that failed this
+    would walk the stream cursor backwards or jump it.
+    """
+    for element in entries:
+        if isinstance(element, dict):
+            continue
+        if not (isinstance(element, (tuple, list)) and len(element) == 2):
+            return False
+        count, mask = element
+        if not (type(count) is int and type(mask) is int
+                and count >= 1 and mask > 0 and not mask & ~shard_space):
+            return False
+    return True
+
+
 class SkipRun:
-    """A run of stream positions pruned from a partial-replication link.
+    """A run of stream positions pruned from a replication link.
 
     ``count`` consecutive positions starting at ``start_ts``, all of
     whose entries touch exactly the shards in ``mask`` — runs break on
@@ -129,11 +153,11 @@ class ReplLink:
     receiver double-count) entries that were never lost.
     The counters feed the replication benchmarks.
 
-    Partial mode adds ``chain_ts`` — the position of the last *full*
-    entry shipped on this link, which anchors the per-link delta chain
-    (pruned entries never ship a vector, so the chain must hop over
-    them) — plus prune accounting: ``txns_pruned`` positions elided as
-    skip runs and ``pruned_bytes`` the wire bytes that would have cost.
+    ``chain_ts`` is the position of the last *full* entry shipped on
+    this link, which anchors the per-link delta chain (pruned entries
+    never ship a vector, so the chain must hop over them); prune
+    accounting is ``txns_pruned`` positions elided as skip runs and
+    ``pruned_bytes`` the wire bytes that would have cost.
     """
 
     __slots__ = ("peer", "sent_ts", "last_advert", "batches_sent",

@@ -12,8 +12,7 @@ is enforced by clamping a delivery time to the link's previous one and
 letting the event loop's sequence number break the tie — the schedule
 order *is* the send order — rather than by inflating timestamps
 (``+ 1e-6``), which distorted latency and accrued float error under
-bursts.  The pre-sequencing behaviour survives as ``fifo_mode="bump"``
-so the equivalence property tests can run both orderings side by side.
+bursts.
 
 The send/delivery path is allocation-free: no per-message closure or
 handle is created (messages ride ``EventLoop.schedule_fast`` entries),
@@ -83,8 +82,8 @@ class NetworkStats:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
-        # Loop events spent delivering: one per delivery batch (or per
-        # message on the legacy path).  ``messages_delivered`` minus
+        # Loop events spent delivering: one per delivery batch.
+        # ``messages_delivered`` minus
         # this is the number of heap operations batching saved; the
         # scale bench uses it to report logical (per-message) events.
         self.delivery_events = 0
@@ -218,7 +217,7 @@ class Network:
 
     def __init__(self, loop: EventLoop, rng: random.Random,
                  default_latency: Optional[LatencyModel] = None,
-                 fifo_mode: str = "seq", seed: int = 0):
+                 seed: int = 0):
         self._loop = loop
         self._rng = rng
         #: Determinism root actors derive default RNGs from (see
@@ -244,13 +243,6 @@ class Network:
         #: ``type -> bool`` memo of which message classes define
         #: ``wire_size`` (saves a getattr per send on the hot path).
         self._wire_sized: Dict[type, bool] = {}
-        if fifo_mode not in ("seq", "bump"):
-            raise ValueError(f"unknown fifo_mode {fifo_mode!r}")
-        #: "seq" (default) orders same-link deliveries by schedule
-        #: sequence; "bump" reproduces the historical
-        #: ``_last_delivery + 1e-6`` timestamp inflation for
-        #: equivalence testing against the old ordering.
-        self.fifo_mode = fifo_mode
         self.stats = NetworkStats()
         # Lifecycle trace recorder; actors reach it via ``Actor.obs``.
         # The null default keeps tracing a pure observer: assigning a
@@ -377,16 +369,6 @@ class Network:
         jitter = model.jitter_ms
         latency = model.base_ms + jitter * rng.random() if jitter \
             else model.base_ms
-        if self.fifo_mode == "bump":
-            # Historical ordering: force strictly increasing per-link
-            # delivery times.  Kept only for equivalence testing.
-            last = state[2]
-            deliver_at = max(now + latency,
-                             (last if last is not None else 0.0) + 1e-6)
-            state[2] = deliver_at
-            loop.schedule_fast(deliver_at - now, self._deliver,
-                               (src, dst, message))
-            return True
         deliver_at = now + latency
         last = state[2]
         if last is not None and deliver_at < last:
@@ -425,16 +407,3 @@ class Network:
             delivered += 1
             handler(message, src)
         stats.messages_delivered += delivered
-
-    def _deliver(self, src: str, dst: str, message: Any) -> None:
-        """Single-message delivery (legacy "bump" ordering path)."""
-        self.stats.delivery_events += 1
-        if not self.is_reachable(src, dst):
-            self.stats.record_drop(src, dst)
-            return
-        handler = self._handlers.get(dst)
-        if handler is None:
-            self.stats.record_drop(src, dst)
-            return
-        self.stats.messages_delivered += 1
-        handler(message, src)

@@ -23,13 +23,12 @@ class Simulation:
     """
 
     def __init__(self, seed: int = 0,
-                 default_latency: Optional[LatencyModel] = None,
-                 fifo_mode: str = "seq"):
+                 default_latency: Optional[LatencyModel] = None):
         self.seed = seed
         self.rng = random.Random(seed)
         self.loop = EventLoop()
         self.network = Network(self.loop, self.rng, default_latency,
-                               fifo_mode=fifo_mode, seed=seed)
+                               seed=seed)
         self.actors: Dict[str, Actor] = {}
 
     @property

@@ -120,23 +120,12 @@ _SAMPLES: Dict[Type, List[Any]] = {
         dc.DCSyncPing(dict(VECTOR), dict(VECTOR), 0b1011, 4),
         dc.DCSyncPing({}, {}),
     ],
-    # Codec samples, not protocol sends — the legacy-pipeline rule
-    # does not apply here.
-    dc.Replicate: [
-        dc.Replicate(TXN, frozenset({"dc0", "dc1"})),  # colony-lint: disable=R601
-    ],
-    dc.StabilityAck: [
-        dc.StabilityAck(DOT_A, frozenset({"dc2"})),  # colony-lint: disable=R602
-    ],
     dc.ReplicateBatch: [
         dc.ReplicateBatch("dc0", 5, {"dc0": 4},
                           (STREAM_ENTRY, STREAM_ENTRY), dict(VECTOR)),
+        dc.ReplicateBatch("dc0", 5, {"dc0": 4},
+                          (STREAM_ENTRY, (3, 0b101)), dict(VECTOR)),
         dc.ReplicateBatch("dc1", 0, {}, (), {}),
-    ],
-    dc.ReplicatePartialBatch: [
-        dc.ReplicatePartialBatch("dc0", 5, {"dc0": 4},
-                                 (STREAM_ENTRY, (3, 0b101)),
-                                 dict(VECTOR)),
     ],
     dc.InterestAdvert: [dc.InterestAdvert(0b1111, 2, (1, 3))],
     dc.ShardBackfill: [

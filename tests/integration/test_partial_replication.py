@@ -26,17 +26,19 @@ def _key_on_home(home_index):
     raise AssertionError("no suitable key found")
 
 
-def build_partial_cluster(seed=0, replica_factor=1, k_target=2,
-                          mode="partial"):
+def build_partial_cluster(seed=0, replica_factor=1, k_target=2):
+    """``replica_factor=None``: no shard map at all (full replication)."""
     sim = Simulation(seed=seed, default_latency=LatencyModel(5.0))
-    shard_map = ShardMap(N_SHARDS, DC_IDS, replica_factor=replica_factor)
+    shard_map = None
+    if replica_factor is not None:
+        shard_map = ShardMap(N_SHARDS, DC_IDS,
+                             replica_factor=replica_factor)
     dcs = []
     for dc_id in DC_IDS:
         dcs.append(sim.spawn(
             DataCenter, dc_id,
             peer_dcs=[d for d in DC_IDS if d != dc_id],
-            n_shards=2, k_target=k_target, replication_mode=mode,
-            shard_map=shard_map))
+            n_shards=2, k_target=k_target, shard_map=shard_map))
     for a in DC_IDS:
         for b in DC_IDS:
             if a < b:
@@ -76,10 +78,9 @@ def test_rf1_prunes_uninterested_streams_end_to_end():
 
 def test_all_interested_partial_matches_batched_exactly():
     results = {}
-    for mode in ("batched", "partial"):
+    for replica_factor in (None, len(DC_IDS)):
         key = _key_on_home(1)
-        sim, dcs = build_partial_cluster(
-            replica_factor=len(DC_IDS), mode=mode)
+        sim, dcs = build_partial_cluster(replica_factor=replica_factor)
         writer = build_edge(sim, "writer", dc_id="dc1",
                             interest=((key, "counter"),))
         sim.run_for(200)
@@ -87,17 +88,16 @@ def test_all_interested_partial_matches_batched_exactly():
             run_update(writer, key, "counter", "increment", 1)
             sim.run_for(40)
         sim.run_for(3000)
-        results[mode] = (
+        results[replica_factor] = (
             [dc.state_digest() for dc in dcs],
             [{peer: link.counters()
               for peer, link in sorted(dc._repl_links.items())}
              for dc in dcs])
-    # Digests AND per-link wire counters are identical: with everyone
-    # interested the partial pipeline emits byte-identical frames.
-    assert results["partial"][0] == results["batched"][0]
-    assert results["partial"][1] == results["batched"][1]
-    assert all(d.get(_key_on_home(1)) == 4
-               for d in results["partial"][0])
+    # Digests AND per-link wire counters are identical: an explicit
+    # map under which everyone is interested in everything is the same
+    # configuration as no map at all.
+    assert results[len(DC_IDS)] == results[None]
+    assert all(d.get(_key_on_home(1)) == 4 for d in results[None][0])
 
 
 def test_late_subscriber_catches_up_via_backfill():

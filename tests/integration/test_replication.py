@@ -1,6 +1,8 @@
 """Geo-replication and K-stability integration tests (§3.4, 3.6, 3.8)."""
 
-from repro.core import ObjectKey
+from repro.core import ObjectKey, VectorClock
+from repro.dc.messages import ReplicateBatch
+from repro.dc.replog import encode_stream_entry
 from repro.sim import LatencyModel, Simulation
 
 from ..conftest import build_cluster, build_edge, run_update
@@ -47,10 +49,12 @@ class TestGeoReplication:
         sim.run_for(500)
         # Force a duplicate commit attempt by re-sending the same txn.
         txn = dcs[0].transaction(next(iter(dcs[0]._txn_by_dot)))
-        from repro.dc.messages import Replicate
-        dcs[0].send("dc1", Replicate(txn.to_dict(),
-                                     frozenset({"dc0"})))
+        entry, _size = encode_stream_entry(txn, "dc0", 1,
+                                           VectorClock.zero())
+        dcs[0].send("dc1", ReplicateBatch("dc0", 1, {}, (entry,),
+                                          {"dc0": 1}))
         sim.run_for(500)
+        assert dcs[1].stats["repl_dup_in"] == 1
         reader = build_edge(sim, "e2", dc_id="dc1", interest=INTEREST)
         sim.run_for(1000)
         assert reader.read_value(KEY, "counter") == 1

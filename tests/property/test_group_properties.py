@@ -1,6 +1,6 @@
 """Property tests for peer groups: convergence and SI under randomness."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import ObjectKey
 from repro.groups import GroupMember, form_group
@@ -43,6 +43,10 @@ def variant_world(seed, commit_variant, keys):
                                    st.integers(0, 400)),
                          min_size=1, max_size=10),
        seed=st.integers(0, 5000))
+# As absolute times these two put two steps of m0 on one instant
+# (25 + 0 == 0 + 25), which psi rightly aborts.
+@example(schedule=[(0, 25), (0, 0)], seed=0)
+@example(schedule=[(0, 354)] + [(0, 0)] * 6 + [(0, 179)], seed=0)
 def test_tiga_zero_skew_matches_epaxos_path(schedule, seed):
     """With synchronized clocks and no conflicts, the deadline fast
     path is pure mechanism: the converged state must be identical to
@@ -52,12 +56,15 @@ def test_tiga_zero_skew_matches_epaxos_path(schedule, seed):
     for variant in ("tiga", "psi"):
         sim, members = variant_world(seed, variant, OWN_KEYS)
         # Conflict-free by construction: each member only ever updates
-        # its own key, and the per-step stagger keeps a member's own
-        # updates from being concurrent with themselves — so psi never
-        # aborts and the digest comparison is exact.
-        for step, (member_index, at_ms) in enumerate(schedule):
+        # its own key, and steps are scheduled a drawn *gap* plus 25 ms
+        # after one another, which keeps a member's own updates from
+        # being concurrent with themselves — so psi never aborts and
+        # the digest comparison is exact.
+        at_ms = 0.0
+        for step, (member_index, gap_ms) in enumerate(schedule):
+            at_ms += gap_ms
             sim.loop.schedule(
-                float(at_ms) + 25.0 * step,
+                at_ms + 25.0 * step,
                 (lambda m=members[member_index],
                         k=OWN_KEYS[member_index]:
                  run_update(m, k, "counter", "increment", 1)))

@@ -45,8 +45,7 @@ def build_world(seed):
         dcs.append(sim.spawn(
             DataCenter, dc_id,
             peer_dcs=[d for d in DC_IDS if d != dc_id],
-            n_shards=2, k_target=2, replication_mode="partial",
-            shard_map=shard_map))
+            n_shards=2, k_target=2, shard_map=shard_map))
     for a in DC_IDS:
         for b in DC_IDS:
             if a < b:

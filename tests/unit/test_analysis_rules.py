@@ -291,72 +291,6 @@ def test_copied_payload_store_passes():
 
 
 # ---------------------------------------------------------------------------
-# replication pipeline (R6xx)
-# ---------------------------------------------------------------------------
-
-REPL_MESSAGES = '''\
-from dataclasses import dataclass
-from typing import Dict, FrozenSet
-
-
-@dataclass(frozen=True, slots=True)
-class Replicate:
-    txn: Dict[str, int]
-    holders: FrozenSet[str]
-
-
-@dataclass(frozen=True, slots=True)
-class StabilityAck:
-    dot: Dict[str, int]
-    holders: FrozenSet[str]
-'''
-
-
-def repl_codes(handler):
-    return codes({"pkg/messages.py": REPL_MESSAGES,
-                  "pkg/mod.py": handler})
-
-
-def test_replicate_outside_legacy_helpers_flagged():
-    src = ('from pkg.messages import Replicate\n'
-           'class DC:\n'
-           '    def _broadcast(self, payload):\n'
-           '        return Replicate(dict(payload), frozenset())\n')
-    assert "R601" in repl_codes(src)
-
-
-def test_stability_ack_outside_legacy_helpers_flagged():
-    src = ('from pkg.messages import StabilityAck\n'
-           'class DC:\n'
-           '    def _gossip(self, dot):\n'
-           '        return StabilityAck(dict(dot), frozenset())\n')
-    assert "R602" in repl_codes(src)
-
-
-def test_legacy_helpers_may_build_per_txn_frames():
-    src = ('from pkg.messages import Replicate, StabilityAck\n'
-           'class DC:\n'
-           '    def _replicate_unbatched(self, payload):\n'
-           '        return Replicate(dict(payload), frozenset())\n'
-           '    def _resend_unbatched(self, payload):\n'
-           '        return Replicate(dict(payload), frozenset())\n'
-           '    def _ack_unbatched(self, dot):\n'
-           '        return StabilityAck(dict(dot), frozenset())\n'
-           '    def _reack_held(self, dot):\n'
-           '        return StabilityAck(dict(dot), frozenset())\n')
-    assert not repl_codes(src) & {"R601", "R602"}
-
-
-def test_unrelated_call_names_pass():
-    src = ('def Replicate(x):\n'
-           '    return x\n'
-           'def f(y):\n'
-           '    return Replicate(y)\n')
-    # No message class in scope: the local function is not a frame.
-    assert not codes({"pkg/mod.py": src}) & {"R601", "R602"}
-
-
-# ---------------------------------------------------------------------------
 # suppressions and baseline
 # ---------------------------------------------------------------------------
 

@@ -139,9 +139,8 @@ def _write(tmp_path, name, payload):
 
 def test_committed_gates_toml_parses():
     gates = load_gates(GATES_TOML)
-    for name in ("read_path_materialisation", "replication_pipeline",
-                 "sim_core_scale", "partial_replication",
-                 "chaos_harness", "obs_trace"):
+    for name in ("read_path_materialisation", "sim_core_scale",
+                 "partial_replication", "chaos_harness", "obs_trace"):
         assert gates[name]["check"], name
 
 

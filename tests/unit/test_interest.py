@@ -1,21 +1,19 @@
-"""Unit tests for the shard-interest layer behind partial replication.
+"""Unit tests for the shard-interest layer behind geo-replication.
 
 Covers the pure primitives (``repro.dc.interest``), the skip-run /
-backfill wire encodings (``repro.dc.messages``), and the
-interested-replica K-stability rule on a live DC.
+backfill wire encodings (``repro.dc.messages``), and
+:class:`InterestGraph` — sans-io, so no simulator anywhere.
 """
 
 import pytest
 
 from repro.core import Dot, ObjectKey
-from repro.dc import DataCenter
-from repro.dc.interest import (MAX_SHARDS, ShardMap, mask_of, shard_of,
-                               shards_of_mask)
+from repro.dc.interest import (MAX_SHARDS, InterestGraph, ShardMap, mask_of,
+                               shard_of, shards_of_mask)
 from repro.dc.messages import (SKIP_MARKER_BYTES, InterestAdvert,
                                InterestChange, ReplicateBatch,
-                               ReplicatePartialBatch, ShardBackfill)
+                               ShardBackfill)
 from repro.dc.replog import SkipRun
-from repro.sim import LatencyModel, Simulation
 
 
 # ----------------------------------------------------------------------
@@ -112,23 +110,17 @@ def test_skip_run_covers_its_range():
 
 def test_partial_batch_prices_skip_markers():
     entry = {"dot": ("e", 1), "writes": (), "delta": {}}
-    full = ReplicateBatch(origin_dc="dc0", start_ts=1,
-                          base_vector={}, entries=(entry,),
-                          sender_vector={"dc0": 1})
-    pruned = ReplicatePartialBatch(origin_dc="dc0", start_ts=1,
-                                   base_vector={}, entries=((2, 0b1),),
-                                   sender_vector={"dc0": 1})
-    mixed = ReplicatePartialBatch(origin_dc="dc0", start_ts=1,
-                                  base_vector={},
-                                  entries=(entry, (2, 0b1)),
-                                  sender_vector={"dc0": 1})
+
+    def frame(*entries):
+        return ReplicateBatch(origin_dc="dc0", start_ts=1, base_vector={},
+                              entries=entries, sender_vector={"dc0": 1})
+
     # A skip run costs a flat marker, independent of the entries it
-    # elides; a full entry costs the same in both frame kinds.
-    assert mixed.wire_size() == full.wire_size() + SKIP_MARKER_BYTES
-    base = ReplicatePartialBatch(origin_dc="dc0", start_ts=1,
-                                 base_vector={}, entries=(),
-                                 sender_vector={"dc0": 1})
-    assert pruned.wire_size() - base.wire_size() == SKIP_MARKER_BYTES
+    # elides; a full entry costs the same next to one.
+    assert frame(entry, (2, 0b1)).wire_size() \
+        == frame(entry).wire_size() + SKIP_MARKER_BYTES
+    assert frame((2, 0b1)).wire_size() - frame().wire_size() \
+        == SKIP_MARKER_BYTES
 
 
 def test_interest_messages_have_wire_sizes():
@@ -143,58 +135,180 @@ def test_interest_messages_have_wire_sizes():
 
 
 # ----------------------------------------------------------------------
-# interested-replica K-stability rule
+# InterestGraph: the interested-replica K-stability rule
 # ----------------------------------------------------------------------
-def _partial_dc(k_target=3, k_floor=1, rf=1):
-    sim = Simulation(seed=0, default_latency=LatencyModel(5.0))
-    dc_ids = ["dc0", "dc1", "dc2"]
-    smap = ShardMap(4, dc_ids, replica_factor=rf)
-    dc = sim.spawn(DataCenter, "dc0", peer_dcs=["dc1", "dc2"],
-                   n_shards=2, k_target=k_target, k_floor=k_floor,
-                   replication_mode="partial", shard_map=smap)
-    return dc
+DC_IDS = ["dc0", "dc1", "dc2"]
+
+
+def _graph():
+    """dc0's graph over 4 shards at rf=1: shard ``s`` is homed on
+    ``dc{s % 3}``, so dc0 serves shards 0 and 3."""
+    return InterestGraph("dc0", ["dc1", "dc2"],
+                         ShardMap(4, DC_IDS, replica_factor=1))
+
+
+def _key_on_shard(shard, nth=0):
+    """The ``nth`` key hashing to ``shard`` of the 4-shard space."""
+    keys = (ObjectKey("docs", f"doc{i}") for i in range(1000))
+    return [key for key in keys if shard_of(key, 4) == shard][nth]
 
 
 def test_required_k_counts_only_interested_replicas():
-    dc = _partial_dc(k_target=3)
+    graph = _graph()
     dot = Dot(1, "edge1")
-    # Shard 0 homed at dc0 only (rf=1): one interested replica.
-    dc._entry_meta[dot] = (0b1, "dc0")
-    assert dc.required_k(dot) == 1
+    # Shard 0 homed at dc0 only (rf=1): one interested replica, nothing
+    # ships to or is held by the others.
+    graph.note_entry(dot, "dc0", [_key_on_shard(0)], own_ts=7)
+    assert graph.stream_mask(7) == 0b0001
+    assert graph.required_k(dot, 3) == 1
+    assert not graph.wants("dc1", 7) and not graph.peer_holds("dc1", dot)
     # A peer subscribing to shard 0 raises the threshold.
-    dc._peer_interest["dc1"] = 0b1
-    assert dc.required_k(dot) == 2
-    dc._peer_interest["dc2"] = 0b1
-    assert dc.required_k(dot) == 3
+    graph.fold_advert("dc1", 0b0011, 1)
+    assert graph.required_k(dot, 3) == 2
+    assert graph.required_k(dot, 1) == 1
+    assert graph.wants("dc1", 7) and graph.peer_holds("dc1", dot)
+    assert not graph.wants("dc2", 7)
 
 
 def test_required_k_always_counts_the_origin():
-    dc = _partial_dc(k_target=3)
+    graph = _graph()
     dot = Dot(2, "edge1")
     # Entry originated at dc1 touching a shard dc1 is not interested
     # in: the origin still holds its own log entry.
-    dc._entry_meta[dot] = (0b1, "dc1")
-    assert dc.required_k(dot) == 2
+    graph.note_entry(dot, "dc1", [_key_on_shard(0)])
+    assert graph.required_k(dot, 3) == 2
+    assert graph.peer_holds("dc1", dot) and not graph.peer_holds("dc2", dot)
 
 
-def test_required_k_floor_demands_extra_copies():
-    dc = _partial_dc(k_target=3, k_floor=2)
+def test_required_k_everyone_interested_is_k_target():
+    """The clamp applies only where pruning shrank the interested set:
+    an entry every replica wants needs ``k_target`` as given, even one
+    above the cluster size (it never stabilises, as under full
+    replication)."""
+    graph = _graph()
     dot = Dot(3, "edge1")
-    dc._entry_meta[dot] = (0b1, "dc0")
-    # One interested replica, but the floor insists on two.
-    assert dc.required_k(dot) == 2
-    # The floor is clamped to the cluster size.
-    dc.k_floor = 99
-    assert dc.required_k(dot) == 3
+    graph.note_entry(dot, "dc0", [_key_on_shard(0)], own_ts=1)
+    graph.fold_advert("dc1", 0b0011, 1)
+    graph.fold_advert("dc2", 0b0101, 1)
+    assert graph.required_k(dot, 3) == 3
+    assert graph.required_k(dot, 5) == 5
+    # One replica fewer and the clamp is back.
+    graph.fold_advert("dc2", 0b0100, 2)
+    assert graph.required_k(dot, 5) == 2
 
 
 def test_required_k_metadata_entries_concern_everyone():
-    dc = _partial_dc(k_target=2)
+    graph = _graph()
     dot = Dot(4, "edge1")
-    dc._entry_meta[dot] = (0, "dc0")
-    assert dc.required_k(dot) == 2
+    graph.note_entry(dot, "dc0", [], own_ts=1)
+    assert graph.required_k(dot, 2) == 2
+    assert graph.wants("dc1", 1) and graph.peer_holds("dc2", dot)
 
 
 def test_required_k_unknown_dot_falls_back_to_k_target():
-    dc = _partial_dc(k_target=3)
-    assert dc.required_k(Dot(99, "edgex")) == 3
+    assert _graph().required_k(Dot(99, "edgex"), 3) == 3
+
+
+# ----------------------------------------------------------------------
+# InterestGraph: full replication is the configuration nobody prunes in
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("shard_map", [None, ShardMap(4, DC_IDS)])
+def test_nothing_prunes_without_a_pruning_map(shard_map):
+    graph = InterestGraph("dc0", ["dc1", "dc2"], shard_map)
+    key, dot = _key_on_shard(1), Dot(1, "edge1")
+    assert not graph.prunes
+    graph.note_entry(dot, "dc0", [key], own_ts=1)
+    assert graph.stream_mask(1) == 0
+    assert graph.wants("dc1", 1) and graph.peer_holds("dc1", dot)
+    assert graph.required_k(dot, 3) == 3
+    assert graph.advertised() == (None, 0)
+    graph.retain([key])
+    fires, adverts = graph.subscribe([key], lambda: None)
+    assert len(fires) == 1 and not adverts
+    assert graph.release([key]) == ((), ())
+    # An unsolicited backfill answer finds nothing waiting.
+    assert graph.backfilled(1, "dc1") == ([], [])
+
+
+# ----------------------------------------------------------------------
+# InterestGraph: adverts and subscriptions
+# ----------------------------------------------------------------------
+def test_stale_advert_is_ignored():
+    graph = _graph()
+    assert graph.fold_advert("dc1", 0b0111, 5)
+    assert not graph.fold_advert("dc1", 0b0010, 4)     # reordered: older
+    graph.note_entry(Dot(1, "e"), "dc0", [_key_on_shard(0)], own_ts=1)
+    assert graph.wants("dc1", 1)
+    assert not graph.fold_advert("dc1", 0b0111, 5)     # same seq: no change
+    assert graph.fold_advert("dc1", 0b0010, 6)
+    assert not graph.wants("dc1", 1)
+
+
+def test_subscribe_owes_backfill_from_every_peer_until_answered():
+    graph = _graph()
+    key = _key_on_shard(1)              # homed on dc1: dc0 is not interested
+    fired = []
+    graph.retain([key])
+    fires, adverts = graph.subscribe([key], lambda: fired.append("read"))
+    assert not fires
+    assert adverts == [InterestAdvert(0b1011, 1, (1,))]
+    assert graph.advertised() == (0b1011, 1)
+    # Every peer owes its own stream's share; that is the retry list.
+    assert graph.owed("dc1") == graph.owed("dc2") == (1,)
+    assert graph.pending_mask() == 0b0010
+    assert graph.backfilled(1, "dc1") == ([], [])
+    assert graph.owed("dc1") == () and graph.owed("dc2") == (1,)
+    fires, adverts = graph.backfilled(1, "dc2")
+    assert len(fires) == 1 and not adverts      # a session still refs it
+    assert graph.owed("dc2") == () and graph.pending_mask() == 0
+    # Caught up: the next read of the shard fires at once, no advert.
+    fires, adverts = graph.subscribe([key], lambda: None)
+    assert len(fires) == 1 and not adverts
+
+
+def test_deferred_read_holds_its_shard_subscribed_until_it_fires():
+    """The PR 7 churn bug: the last session lets go while a read still
+    waits for the shard's backfill."""
+    graph = _graph()
+    key = _key_on_shard(1)
+    graph.retain([key])
+    graph.subscribe([key], lambda: None)
+    # The session retracts before any backfill landed: the shard must
+    # stay subscribed (no advert), or the read would run on a store
+    # with pruned holes.
+    assert graph.release([key]) == ((), [])
+    assert graph.mask & 0b0010
+    graph.backfilled(1, "dc1")
+    fires, adverts = graph.backfilled(1, "dc2")
+    # Now it fires — and only then is the shard let go.
+    assert len(fires) == 1
+    assert adverts == [InterestAdvert(0b1001, 2)]
+    assert not graph.mask & 0b0010
+
+
+def test_refcounted_release_advertises_exactly_once():
+    graph = _graph()
+    key, other = _key_on_shard(1), _key_on_shard(1, nth=1)
+    graph.retain([key])
+    graph.retain([other])
+    graph.subscribe([key], lambda: None)
+    graph.backfilled(1, "dc1")
+    graph.backfilled(1, "dc2")
+    assert graph.release([key]) == ((), [])             # one ref left
+    assert graph.release([other]) == ((), [InterestAdvert(0b1001, 2)])
+    assert graph.release([other]) == ((), [])           # already gone
+    # Served shards are permanent interest.
+    home = _key_on_shard(0)
+    graph.retain([home])
+    assert graph.release([home]) == ((), [])
+    assert graph.mask == 0b1001
+
+
+def test_audit_skip_asks_the_origin_once():
+    graph = _graph()
+    # A run eliding shards 0 (ours) and 1 (not ours) from dc1's stream:
+    # only shard 0 was wrongly pruned.
+    assert graph.audit_skip("dc1", 0b0011) == (0,)
+    assert graph.owed("dc1") == (0,)
+    assert graph.audit_skip("dc1", 0b0011) == ()        # already asked
+    assert graph.audit_skip("dc2", 0b0010) == ()        # not interested

@@ -1,10 +1,10 @@
-"""Batched log-shipping unit tests: codec, queue, links, parity.
+"""Log-shipping unit tests: codec, queue, links, frame input check.
 
 The integration suite exercises the pipeline end to end; these tests
 pin the pieces — the delta codec round-trips exactly, the per-stream
-queue deduplicates and orders, the link counters add up, and a batched
-cluster converges to the same state digest as the legacy unbatched
-wire format.
+queue deduplicates and orders, the link counters add up, a small
+cluster ships its streams whole in few frames, and a malformed frame
+changes nothing.
 """
 
 import pytest
@@ -16,7 +16,10 @@ from repro.core.txn import CommitStamp, Snapshot, Transaction, WriteOp
 from repro.crdt.base import Operation
 from repro.dc import DataCenter
 from repro.dc.datacenter import _ReplQueue
-from repro.dc.replog import ReplLink, decode_stream_entry, encode_stream_entry
+from repro.dc.interest import ShardMap
+from repro.dc.messages import ReplicateBatch
+from repro.dc.replog import (ReplLink, decode_stream_entry,
+                             encode_stream_entry, well_formed_entries)
 from repro.sim import LatencyModel, Simulation
 
 from ..conftest import build_edge, run_update
@@ -159,16 +162,16 @@ class TestReplQueue:
 
 
 # ---------------------------------------------------------------------------
-# links and cluster parity
+# links and a small cluster
 # ---------------------------------------------------------------------------
 
-def spawn_cluster(sim, n_dcs, k, mode):
+def spawn_cluster(sim, n_dcs, k):
     dc_ids = [f"dc{i}" for i in range(n_dcs)]
     dcs = []
     for dc_id in dc_ids:
         dc = sim.spawn(DataCenter, dc_id,
                        peer_dcs=[d for d in dc_ids if d != dc_id],
-                       n_shards=2, k_target=k, replication_mode=mode)
+                       n_shards=2, k_target=k)
         dcs.append(dc)
     for a in dc_ids:
         for b in dc_ids:
@@ -177,9 +180,9 @@ def spawn_cluster(sim, n_dcs, k, mode):
     return dcs
 
 
-def drive(mode, seed=11, writes=6):
+def drive(seed=11, writes=6):
     sim = Simulation(seed=seed, default_latency=LatencyModel(10.0))
-    dcs = spawn_cluster(sim, n_dcs=3, k=2, mode=mode)
+    dcs = spawn_cluster(sim, n_dcs=3, k=2)
     e0 = build_edge(sim, "e0", dc_id="dc0", interest=INTEREST)
     e1 = build_edge(sim, "e1", dc_id="dc1", interest=INTEREST)
     sim.run_for(200)
@@ -192,50 +195,86 @@ def drive(mode, seed=11, writes=6):
 
 
 class TestBatchedPipeline:
-    def test_batched_matches_unbatched_digest(self):
-        _sim_b, dcs_b, edges_b = drive("batched")
-        _sim_u, dcs_u, edges_u = drive("unbatched")
-        for db, du in zip(dcs_b, dcs_u):
-            assert db.state_digest() == du.state_digest()
-            assert db.state_vector == du.state_vector
-            assert db.stable_vector == du.stable_vector
-        for eb, eu in zip(edges_b, edges_u):
-            assert eb.read_value(KEY, "counter") \
-                == eu.read_value(KEY, "counter")
-
     def test_batched_mode_uses_batch_frames(self):
-        _sim, dcs, _edges = drive("batched")
+        _sim, dcs, edges = drive()
         assert sum(dc.stats["repl_batches_out"] for dc in dcs) > 0
         assert sum(dc.stats["repl_acks_in"] for dc in dcs) > 0
         # Writers shipped their whole stream on every link.
         for dc in dcs:
             for peer, counters in dc.repl_link_counters().items():
                 assert counters["txns_sent"] >= dc._sequencer
-
-    def test_unbatched_mode_sends_no_batch_frames(self):
-        _sim, dcs, _edges = drive("unbatched")
-        assert sum(dc.stats["repl_batches_out"] for dc in dcs) == 0
-        assert sum(dc.stats["repl_batches_in"] for dc in dcs) == 0
+        # Closed form: six unit increments, everywhere.
+        for dc in dcs:
+            assert dc.state_digest() == {KEY: 6}
+            assert dc.state_vector == dcs[0].state_vector
+            assert dc.stable_vector == dc.state_vector
+        assert [e.read_value(KEY, "counter") for e in edges] == [6, 6]
 
     def test_no_stream_gaps_after_quiescence(self):
-        _sim, dcs, _edges = drive("batched")
+        _sim, dcs, _edges = drive()
         for dc in dcs:
             assert dc.stream_gaps() == {}
 
-    def test_batching_reduces_dc_link_messages(self):
-        sim_b, dcs_b, _ = drive("batched", writes=10)
-        sim_u, dcs_u, _ = drive("unbatched", writes=10)
-        links = [("dc0", "dc1"), ("dc0", "dc2"), ("dc1", "dc0"),
-                 ("dc1", "dc2"), ("dc2", "dc0"), ("dc2", "dc1")]
-        batched = sum(sim_b.network.stats.messages_on(*l) for l in links)
-        unbatched = sum(sim_u.network.stats.messages_on(*l) for l in links)
-        assert batched < unbatched
 
-    def test_invalid_mode_rejected(self):
+# ---------------------------------------------------------------------------
+# input check on received frames
+# ---------------------------------------------------------------------------
+
+MALFORMED_ELEMENTS = [
+    (0, 0b1),           # a run of nothing
+    (-3, 0b1),          # would walk the cursor backwards
+    (2, 0),             # mask-0 entries always ship: never a legitimate run
+    (2, 0b1_0000),      # bit outside the 4-shard space
+    (2, -1),
+    (2.0, 0b1), (True, 0b1), ("2", 0b1),
+    (2, 0b1, 0), (2,), 7, None, "xy",
+]
+
+
+class TestFrameInputCheck:
+    def test_well_formed_entries(self):
+        entry = encode_stream_entry(make_txn(1), "dc0", 1,
+                                    VectorClock.zero())[0]
+        assert well_formed_entries((), 0)
+        assert well_formed_entries((entry, (3, 0b1010), [1, 0b1]), 0b1111)
+        # A DC that prunes nothing has an empty shard space: no run at
+        # all is legitimate there.
+        assert not well_formed_entries((entry, (3, 0b1010)), 0)
+        for element in MALFORMED_ELEMENTS:
+            assert not well_formed_entries((entry, element), 0b1111), element
+
+    @pytest.mark.parametrize("element", MALFORMED_ELEMENTS,
+                             ids=[repr(e) for e in MALFORMED_ELEMENTS])
+    def test_malformed_frame_is_dropped_whole(self, element):
         sim = Simulation(seed=1)
-        with pytest.raises(ValueError):
-            sim.spawn(DataCenter, "dc0", peer_dcs=[], n_shards=1,
-                      k_target=1, replication_mode="turbo")
+        dc = sim.spawn(DataCenter, "dcR", peer_dcs=["dc0"], n_shards=2,
+                       k_target=1,
+                       shard_map=ShardMap(4, ["dc0", "dcR"],
+                                          replica_factor=1))
+        first = encode_stream_entry(make_txn(1), "dc0", 1,
+                                    VectorClock.zero())[0]
+        dc.on_message(ReplicateBatch("dc0", 1, {}, (first,), {"dc0": 1}),
+                      "dc0")
+        sim.run_for(50)
+        assert dc.state_vector == VectorClock({"dc0": 1})
+        before = dict(dc.stats)
+
+        # A good entry ahead of the bad element: nothing of the frame
+        # may land, not even the part before the defect.
+        second = encode_stream_entry(make_txn(2), "dc0", 2,
+                                     VectorClock({"dc0": 1}))[0]
+        dc.on_message(ReplicateBatch("dc0", 2, {"dc0": 1},
+                                     (second, element), {"dc0": 9}),
+                      "dc0")
+        sim.run_for(50)
+
+        assert dc.state_vector == VectorClock({"dc0": 1})
+        assert dc.stream_gaps() == {}
+        assert all(len(queue) == 0 for queue in dc._repl_queues.values())
+        assert not dc.holds(Dot(2, "dc0"))
+        assert dc._peer_applied["dc0"] == VectorClock({"dc0": 1})
+        # Counted, and nothing else moved: not applied, not acked.
+        assert dc.stats == {**before, "repl_malformed_in": 1}
 
 
 class TestReplLink:

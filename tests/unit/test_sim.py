@@ -1,6 +1,7 @@
 """Simulation substrate tests: event loop, network, actors."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import (Actor, EventLoop, LatencyModel, Network,
                        Simulation)
@@ -100,6 +101,41 @@ class TestNetwork:
             a.send("b", i)
         sim.run()
         assert [m for m, _s, _t in b.received] == list(range(20))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 1_000),
+           base=st.floats(0.1, 20.0),
+           jitter=st.floats(0.0, 15.0),
+           sends=st.lists(st.tuples(st.sampled_from("abc"),
+                                    st.sampled_from("abc")),
+                          min_size=1, max_size=40))
+    def test_every_link_is_fifo_and_never_early(self, seed, base, jitter,
+                                                sends):
+        """Each directed link delivers in send order, and no message
+        arrives before ``send + base latency`` or before the one sent
+        ahead of it — whatever the seed, jitter and traffic."""
+        sim = Simulation(seed=seed,
+                         default_latency=LatencyModel(base, jitter))
+        nodes = {name: sim.spawn(_Echo, name) for name in "abc"}
+        sent_at = {}
+        sends = [(src, dst) for src, dst in sends if src != dst]
+
+        def send(index, src, dst):
+            sent_at[index] = sim.now
+            nodes[src].send(dst, index)
+
+        for index, (src, dst) in enumerate(sends):
+            sim.loop.schedule_fast(0.25 * index, send, (index, src, dst))
+        sim.run()
+        for dst, node in nodes.items():
+            assert sorted(m for m, _s, _t in node.received) \
+                == [i for i, (_src, d) in enumerate(sends) if d == dst]
+            for src in nodes:
+                link = [(m, t) for m, s, t in node.received if s == src]
+                assert [m for m, _t in link] == sorted(m for m, _t in link)
+                assert all(t >= sent_at[m] + base for m, t in link)
+                times = [t for _m, t in link]
+                assert times == sorted(times)
 
     def test_partition_drops(self):
         sim, a, b = self._world()
