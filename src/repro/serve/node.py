@@ -115,6 +115,7 @@ async def run_node(topo: Topology, site_name: str,
                "ops_aborted": progress["aborted"],
                "clean": clean,
                "unroutable": transport.unroutable,
+               "malformed": transport.malformed,
                "messages_sent": transport.stats.messages_sent}
     log.write("shutdown", **summary)
     return summary

@@ -21,6 +21,12 @@ exactly like TCP in the paper's testbed, loss on a broken connection is
 the protocols' problem, and the stack already handles it (session
 retry, anti-entropy, EPaxos resends).
 
+Inbound bytes are not trusted.  A connection whose length prefix is 0
+or above ``MAX_FRAME_BYTES``, or whose frame body ``decode_frame``
+refuses with ``CodecError`` (the only exception it raises on bytes), is
+counted in ``malformed`` and closed; every other connection and the
+listener keep running.
+
 The shared services keep their simulator implementations:
 ``ClockService`` only needs ``.now`` (duck-typed on the transport) and
 ``NetworkStats``/``NULL_RECORDER`` are backend-agnostic.
@@ -161,6 +167,8 @@ class AsyncioTransport(Transport):
         self.clocks = ClockService(self)
         #: Frames whose destination is neither local nor homed anywhere.
         self.unroutable = 0
+        #: Inbound connections closed on bytes that are not a frame.
+        self.malformed = 0
 
     # -- Transport facets --------------------------------------------------
     @property
@@ -282,6 +290,7 @@ class AsyncioTransport(Transport):
                     return
                 length = int.from_bytes(prefix, "big")
                 if not 0 < length <= MAX_FRAME_BYTES:
+                    self.malformed += 1
                     return
                 try:
                     body = await reader.readexactly(length)
@@ -291,6 +300,10 @@ class AsyncioTransport(Transport):
                 try:
                     src, dst, message = decode_frame(body)
                 except CodecError:
+                    # The stream cannot be trusted past this point:
+                    # close this connection only.  A live peer reconnects
+                    # and the protocols above resend.
+                    self.malformed += 1
                     return
                 self._deliver_local(dst, message, src)
         except asyncio.CancelledError:

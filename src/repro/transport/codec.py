@@ -22,6 +22,19 @@ encoding with two layers:
 A frame on the socket is a 4-byte big-endian length followed by the
 value encoding of ``(src, dst, type_key, fields)``.
 
+The bytes are defined by the recursive implementation kept as the
+oracle in ``tests/property/test_codec_oracle.py``; the encoder and the
+decoder here produce and accept exactly those, in one pass each.  The
+encoder appends every value once to one buffer and orders a
+``str``-keyed dict by its keys' encodings alone (they are unique, so
+the order never depends on a value); the decoder reads the values of a
+container in one call, scalars in the loop.  Each direction keeps a
+bounded table of short strings, which nothing but the clock can see.
+
+Bytes from the network are not trusted: the three ``decode_*`` entry
+points raise ``CodecError`` on anything that is not an encoding, and
+nothing else.
+
 ``wire_size_drift`` compares a message's declared ``wire_size()`` (the
 analytical estimate the simulator charges for bandwidth accounting)
 against the real encoded length — colony-lint rule M205 fails messages
@@ -53,10 +66,33 @@ _T_SET = 0x0A        # varint count + elements, canonical order
 _T_FROZENSET = 0x0B
 _T_MSG = 0x0C        # nested registered message: type key + field tuple
 
+_SINGLETONS = (None, False, True)    # by tag
 _DOUBLE = struct.Struct(">d")
 
 #: Frames larger than this are treated as corruption, not data.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
+
+#: Deepest nesting of containers either direction accepts; top-level
+#: values are at depth 0 and the deepest sample message reaches 8.  It
+#: keeps hostile bytes from overflowing the interpreter stack.
+MAX_DEPTH = 64
+
+#: Longest UTF-8 form, in bytes, that either string table stores.
+TABLE_STR_MAX_BYTES = 64
+#: Entries in the encoder's ``str -> tag, length, UTF-8`` table, which
+#: is emptied when full.  Benchmark lines that justify it:
+#: ``transport.encode_mb_per_s``; ``live_saturate`` ``cpu_ms_per_txn``.
+ENCODE_TABLE_MAX = 4096
+#: Entries in the decoder's ``UTF-8 -> str`` table, emptied when full.
+#: Benchmark lines that justify it: ``transport.decode_mb_per_s``;
+#: ``live_saturate`` ``cpu_ms_per_txn`` and ``peak_rss_mb`` (decoded
+#: field names and node ids are shared, not one copy per dict).
+DECODE_TABLE_MAX = 4096
+
+_TOO_DEEP = f"value nests deeper than MAX_DEPTH={MAX_DEPTH}"
+
+_ENC_STRS: Dict[str, bytes] = {}
+_DEC_STRS: Dict[bytes, str] = {}
 
 
 class CodecError(ValueError):
@@ -64,6 +100,9 @@ class CodecError(ValueError):
 
 
 def _write_varint(out: bytearray, n: int) -> None:
+    if n < 0x80:                # most lengths and counts: no loop
+        out.append(n)
+        return
     while True:
         b = n & 0x7F
         n >>= 7
@@ -75,11 +114,11 @@ def _write_varint(out: bytearray, n: int) -> None:
 
 
 def _read_varint(buf: bytes, pos: int) -> Tuple[int, int]:
+    # Runs inside ``_read_values``: running off the end is an
+    # ``IndexError`` there, reported as a truncated value.
     result = 0
     shift = 0
     while True:
-        if pos >= len(buf):
-            raise CodecError("truncated varint")
         b = buf[pos]
         pos += 1
         result |= (b & 0x7F) << shift
@@ -90,127 +129,219 @@ def _read_varint(buf: bytes, pos: int) -> Tuple[int, int]:
             raise CodecError("varint too long")
 
 
-def _write_value(out: bytearray, value: Any) -> None:
-    if value is None:
+def _encode_str(value: str) -> bytes:
+    """Tag, length and UTF-8 of one string; short ones enter the table."""
+    utf8 = value.encode("utf-8")
+    out = bytearray((_T_STR,))
+    _write_varint(out, len(utf8))
+    out += utf8
+    raw = bytes(out)
+    if len(utf8) <= TABLE_STR_MAX_BYTES:
+        if len(_ENC_STRS) >= ENCODE_TABLE_MAX:
+            _ENC_STRS.clear()
+        _ENC_STRS[value] = raw
+    return raw
+
+
+def _decode_str(utf8: bytes) -> str:
+    try:
+        value = utf8.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"string is not UTF-8: {exc}") from None
+    if len(utf8) <= TABLE_STR_MAX_BYTES:
+        if len(_DEC_STRS) >= DECODE_TABLE_MAX:
+            _DEC_STRS.clear()
+        _DEC_STRS[utf8] = value
+    return value
+
+
+def _write_value(out: bytearray, value: Any, depth: int) -> None:
+    """Append the encoding of ``value``, which sits ``depth`` containers
+    deep, to ``out``.  Branches are in the order of the measured mix on
+    ``live_saturate``: 63 % strings, 21 % dicts, 12 % ints."""
+    t = type(value)
+    if t is str:
+        raw = _ENC_STRS.get(value)
+        out += raw if raw is not None else _encode_str(value)
+    elif t is dict:
+        if depth >= MAX_DEPTH:
+            raise CodecError(_TOO_DEEP)
+        depth += 1
+        out.append(_T_DICT)
+        _write_varint(out, len(value))
+        strs = _ENC_STRS
+        keyed = []
+        for k, v in value.items():
+            if type(k) is not str:
+                break
+            raw = strs.get(k)
+            keyed.append((raw if raw is not None else _encode_str(k), v))
+        else:
+            # Keys are unique and so are their encodings: the sort never
+            # gets as far as comparing two values, and the order is the
+            # one the pairwise sort below would give.
+            keyed.sort()
+            for raw, v in keyed:
+                out += raw
+                _write_value(out, v, depth)
+            return
+        for kraw, vraw in sorted((_encoded(k, depth), _encoded(v, depth))
+                                 for k, v in value.items()):
+            out += kraw
+            out += vraw
+    elif t is int:
+        out.append(_T_INT)
+        if 0 <= value < 0x40:
+            out.append(value << 1)
+        else:
+            # zigzag so negatives stay compact (arbitrary precision)
+            _write_varint(out, value << 1 if value >= 0
+                          else ((-value) << 1) - 1)
+    elif t is list or t is tuple:
+        if depth >= MAX_DEPTH:
+            raise CodecError(_TOO_DEEP)
+        depth += 1
+        out.append(_T_LIST if t is list else _T_TUPLE)
+        _write_varint(out, len(value))
+        for item in value:
+            _write_value(out, item, depth)
+    elif value is None:
         out.append(_T_NONE)
     elif value is True:
         out.append(_T_TRUE)
     elif value is False:
         out.append(_T_FALSE)
-    elif type(value) is int:
-        out.append(_T_INT)
-        # zigzag so negatives stay compact (arbitrary precision)
-        _write_varint(out, value << 1 if value >= 0 else ((-value) << 1) - 1)
-    elif type(value) is float:
+    elif t is float:
         out.append(_T_FLOAT)
         out += _DOUBLE.pack(value)
-    elif type(value) is str:
-        raw = value.encode("utf-8")
-        out.append(_T_STR)
-        _write_varint(out, len(raw))
-        out += raw
-    elif type(value) is bytes:
+    elif t is bytes:
         out.append(_T_BYTES)
         _write_varint(out, len(value))
         out += value
-    elif type(value) is list or type(value) is tuple:
-        out.append(_T_LIST if type(value) is list else _T_TUPLE)
+    elif depth >= MAX_DEPTH:
+        raise CodecError(_TOO_DEEP)
+    elif t is set or t is frozenset:
+        out.append(_T_SET if t is set else _T_FROZENSET)
         _write_varint(out, len(value))
-        for item in value:
-            _write_value(out, item)
-    elif type(value) is dict:
-        out.append(_T_DICT)
-        _write_varint(out, len(value))
-        for kraw, vraw in sorted(
-                (encode_value(k), encode_value(v)) for k, v in value.items()):
-            out += kraw
-            out += vraw
-    elif type(value) is set or type(value) is frozenset:
-        out.append(_T_SET if type(value) is set else _T_FROZENSET)
-        _write_varint(out, len(value))
-        for raw in sorted(encode_value(item) for item in value):
+        for raw in sorted(_encoded(item, depth + 1) for item in value):
             out += raw
     else:
         # Envelope messages (GroupMsg, relays) carry other protocol
         # messages as payloads; registered dataclasses nest natively.
-        key = _BY_CLASS.get(type(value))
-        if key is None:
-            raise CodecError(f"unencodable value of type "
-                             f"{type(value).__name__}: {value!r}")
         out.append(_T_MSG)
-        _write_value(out, key)
-        _write_value(out, tuple(getattr(value, name)
-                                for name in _FIELDS[type(value)]))
+        _write_message(out, value, depth + 1)
 
 
-def encode_value(value: Any) -> bytes:
+def _encoded(value: Any, depth: int) -> bytes:
     out = bytearray()
-    _write_value(out, value)
+    _write_value(out, value, depth)
     return bytes(out)
 
 
-def _read_value(buf: bytes, pos: int) -> Tuple[Any, int]:
-    if pos >= len(buf):
+def encode_value(value: Any) -> bytes:
+    return _encoded(value, 0)
+
+
+def _read_values(buf: bytes, pos: int, n: int,
+                 depth: int) -> Tuple[List[Any], int]:
+    """Decode the ``n`` consecutive values that start at ``buf[pos]``
+    and sit ``depth`` containers deep; the list and the offset after it.
+
+    One call per container, not per value: scalars are decoded in the
+    loop, tags tested in the order of the measured mix.  A string or
+    bytes slice that runs off the end comes back short and leaves the
+    offset past the buffer; the next read raises ``IndexError`` or the
+    caller's final length check fails.
+    """
+    if depth > MAX_DEPTH:
+        raise CodecError(_TOO_DEEP)
+    items: List[Any] = []
+    append = items.append
+    strs = _DEC_STRS
+    try:
+        for _ in range(n):
+            tag = buf[pos]
+            if tag == _T_STR:
+                size = buf[pos + 1]
+                if size <= TABLE_STR_MAX_BYTES:
+                    start = pos + 2
+                    pos = start + size
+                    utf8 = buf[start:pos]
+                    value = strs.get(utf8)
+                    append(value if value is not None
+                           else _decode_str(utf8))
+                else:
+                    size, start = _read_varint(buf, pos + 1)
+                    pos = start + size
+                    append(_decode_str(buf[start:pos]))
+            elif _T_LIST <= tag <= _T_FROZENSET:
+                count = buf[pos + 1]
+                if count < 0x80:
+                    pos += 2
+                else:
+                    count, pos = _read_varint(buf, pos + 1)
+                if tag == _T_DICT:
+                    count *= 2          # keys and values, alternating
+                elems, pos = _read_values(buf, pos, count, depth + 1)
+                try:
+                    if tag == _T_DICT:
+                        flat = iter(elems)
+                        append(dict(zip(flat, flat)))
+                    elif tag == _T_LIST:
+                        append(elems)
+                    elif tag == _T_TUPLE:
+                        append(tuple(elems))
+                    elif tag == _T_SET:
+                        append(set(elems))
+                    else:
+                        append(frozenset(elems))
+                except TypeError:
+                    raise CodecError("unhashable dict key or set "
+                                     "element") from None
+            elif tag == _T_INT:
+                z = buf[pos + 1]
+                if z < 0x80:
+                    pos += 2
+                else:
+                    z, pos = _read_varint(buf, pos + 1)
+                append((z >> 1) ^ -(z & 1))
+            elif tag <= _T_TRUE:
+                pos += 1
+                append(_SINGLETONS[tag])
+            elif tag == _T_FLOAT:
+                if pos + 9 > len(buf):
+                    raise CodecError("truncated float")
+                append(_DOUBLE.unpack_from(buf, pos + 1)[0])
+                pos += 9
+            elif tag == _T_BYTES:
+                size, start = _read_varint(buf, pos + 1)
+                pos = start + size
+                append(buf[start:pos])
+            elif tag == _T_MSG:
+                (key, fields), pos = _read_values(buf, pos + 1, 2,
+                                                  depth + 1)
+                append(_build_message(key, fields))
+            else:
+                raise CodecError(f"unknown tag 0x{tag:02x} at offset {pos}")
+    except IndexError:
+        raise CodecError("truncated value") from None
+    return items, pos
+
+
+def _decode(buf: bytes, n: int) -> List[Any]:
+    """The ``n`` top-level values that ``buf`` consists of."""
+    if type(buf) is not bytes:
+        buf = bytes(buf)
+    values, pos = _read_values(buf, 0, n, 0)
+    if pos > len(buf):
         raise CodecError("truncated value")
-    tag = buf[pos]
-    pos += 1
-    if tag == _T_NONE:
-        return None, pos
-    if tag == _T_TRUE:
-        return True, pos
-    if tag == _T_FALSE:
-        return False, pos
-    if tag == _T_INT:
-        z, pos = _read_varint(buf, pos)
-        return (z >> 1) ^ -(z & 1), pos
-    if tag == _T_FLOAT:
-        if pos + 8 > len(buf):
-            raise CodecError("truncated float")
-        return _DOUBLE.unpack_from(buf, pos)[0], pos + 8
-    if tag == _T_STR or tag == _T_BYTES:
-        n, pos = _read_varint(buf, pos)
-        if pos + n > len(buf):
-            raise CodecError("truncated string")
-        raw = buf[pos:pos + n]
-        pos += n
-        return (raw.decode("utf-8") if tag == _T_STR else bytes(raw)), pos
-    if tag == _T_LIST or tag == _T_TUPLE:
-        n, pos = _read_varint(buf, pos)
-        items: List[Any] = []
-        for _ in range(n):
-            item, pos = _read_value(buf, pos)
-            items.append(item)
-        return (items if tag == _T_LIST else tuple(items)), pos
-    if tag == _T_DICT:
-        n, pos = _read_varint(buf, pos)
-        d: Dict[Any, Any] = {}
-        for _ in range(n):
-            k, pos = _read_value(buf, pos)
-            v, pos = _read_value(buf, pos)
-            d[k] = v
-        return d, pos
-    if tag == _T_SET or tag == _T_FROZENSET:
-        n, pos = _read_varint(buf, pos)
-        elems: List[Any] = []
-        for _ in range(n):
-            item, pos = _read_value(buf, pos)
-            elems.append(item)
-        return (set(elems) if tag == _T_SET else frozenset(elems)), pos
-    if tag == _T_MSG:
-        key, pos = _read_value(buf, pos)
-        fields, pos = _read_value(buf, pos)
-        cls = _BY_KEY.get(key)
-        if cls is None:
-            raise CodecError(f"unknown nested message type {key!r}")
-        return cls(*fields), pos
-    raise CodecError(f"unknown tag 0x{tag:02x} at offset {pos - 1}")
+    if pos < len(buf):
+        raise CodecError(f"{len(buf) - pos} trailing bytes")
+    return values
 
 
 def decode_value(buf: bytes) -> Any:
-    value, pos = _read_value(buf, 0)
-    if pos != len(buf):
-        raise CodecError(f"{len(buf) - pos} trailing bytes after value")
-    return value
+    return _decode(buf, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -295,31 +426,41 @@ def message_classes() -> Dict[str, Type]:
 # Message + frame codec
 # ---------------------------------------------------------------------------
 
-def encode_message(message: Any) -> bytes:
-    """Encode one message object to ``(type_key, fields)`` bytes."""
-    _ensure_registry()
+def _write_message(out: bytearray, message: Any, depth: int) -> None:
+    """Type key and field tuple of a registered message, ``depth`` deep."""
     cls = type(message)
     key = _BY_CLASS.get(cls)
     if key is None:
-        raise CodecError(f"unregistered message class {cls.__module__}."
-                         f"{cls.__name__}")
-    fields = tuple(getattr(message, name) for name in _FIELDS[cls])
+        raise CodecError(f"unencodable value of type {cls.__module__}."
+                         f"{cls.__name__} (not a registered message "
+                         f"class): {message!r}")
+    _write_value(out, key, depth)
+    _write_value(out, tuple(getattr(message, name)
+                            for name in _FIELDS[cls]), depth)
+
+
+def _build_message(key: Any, fields: Any) -> Any:
+    cls = _BY_KEY.get(key) if type(key) is str else None
+    if cls is None:
+        raise CodecError(f"unknown message type key {key!r}")
+    if type(fields) is not tuple or len(fields) != len(_FIELDS[cls]):
+        raise CodecError(f"{key} takes {len(_FIELDS[cls])} fields in a "
+                         f"tuple, got {fields!r}")
+    return cls(*fields)
+
+
+def encode_message(message: Any) -> bytes:
+    """Encode one message object to ``(type_key, fields)`` bytes."""
+    _ensure_registry()
     out = bytearray()
-    _write_value(out, key)
-    _write_value(out, fields)
+    _write_message(out, message, 0)
     return bytes(out)
 
 
 def decode_message(buf: bytes) -> Any:
     _ensure_registry()
-    key, pos = _read_value(buf, 0)
-    fields, pos = _read_value(buf, pos)
-    if pos != len(buf):
-        raise CodecError(f"{len(buf) - pos} trailing bytes after message")
-    cls = _BY_KEY.get(key)
-    if cls is None:
-        raise CodecError(f"unknown message type key {key!r}")
-    return cls(*fields)
+    key, fields = _decode(buf, 2)
+    return _build_message(key, fields)
 
 
 def encoded_size(message: Any) -> int:
@@ -329,31 +470,26 @@ def encoded_size(message: Any) -> int:
 
 def encode_frame(src: str, dst: str, message: Any) -> bytes:
     """One socket frame: 4-byte big-endian length + addressed body."""
-    body = bytearray()
-    _write_value(body, src)
-    _write_value(body, dst)
-    body += encode_message(message)
-    if len(body) > MAX_FRAME_BYTES:
-        raise CodecError(f"frame of {len(body)} bytes exceeds "
+    _ensure_registry()
+    out = bytearray(4)
+    _write_value(out, src, 0)
+    _write_value(out, dst, 0)
+    _write_message(out, message, 0)
+    size = len(out) - 4
+    if size > MAX_FRAME_BYTES:
+        raise CodecError(f"frame of {size} bytes exceeds "
                          f"MAX_FRAME_BYTES={MAX_FRAME_BYTES}")
-    return len(body).to_bytes(4, "big") + bytes(body)
+    out[:4] = size.to_bytes(4, "big")
+    return bytes(out)
 
 
 def decode_frame(body: bytes) -> Tuple[str, str, Any]:
     """Decode a frame *body* (length prefix already stripped)."""
     _ensure_registry()
-    src, pos = _read_value(body, 0)
-    dst, pos = _read_value(body, pos)
-    key, pos = _read_value(body, pos)
-    fields, pos = _read_value(body, pos)
-    if pos != len(body):
-        raise CodecError(f"{len(body) - pos} trailing bytes after frame")
-    if not isinstance(src, str) or not isinstance(dst, str):
+    src, dst, key, fields = _decode(body, 4)
+    if type(src) is not str or type(dst) is not str:
         raise CodecError("frame src/dst must be strings")
-    cls = _BY_KEY.get(key)
-    if cls is None:
-        raise CodecError(f"unknown message type key {key!r}")
-    return src, dst, cls(*fields)
+    return src, dst, _build_message(key, fields)
 
 
 # ---------------------------------------------------------------------------

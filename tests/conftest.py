@@ -3,11 +3,16 @@
 import itertools
 
 import pytest
+from hypothesis import settings
 
 from repro.core import ObjectKey
 from repro.dc import DataCenter
 from repro.edge import EdgeNode
 from repro.sim import LAN, LatencyModel, Simulation
+
+# ``--hypothesis-profile soak``: what the nightly job runs the codec
+# fuzz and oracle files under.  Tests that pin ``max_examples`` keep it.
+settings.register_profile("soak", max_examples=2_000, deadline=None)
 
 _TAGS = itertools.count(1)
 

@@ -1,0 +1,186 @@
+"""Hostile bytes: the decoder answers with a message or ``CodecError``.
+
+``AsyncioTransport._on_connection`` catches ``CodecError`` and nothing
+else, so any other exception out of ``decode_frame`` kills the reader
+task of that connection with an unretrieved exception.  The corpus is
+the frame of every sample message; the mutations are the ones a broken
+or malicious peer produces: a flipped, dropped or extra byte, and a
+stream cut at any offset.
+"""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.transport import samples
+from repro.transport.codec import (MAX_DEPTH, CodecError, decode_frame,
+                                   decode_message, decode_value,
+                                   encode_frame, encode_message,
+                                   encode_value, message_classes)
+
+BODIES = [encode_frame("dc0", "édge-1", message)[4:]
+          for message in samples.all_samples()]
+REGISTERED = tuple(message_classes().values())
+
+
+def decodes_or_refuses(body):
+    """``decode_frame`` on arbitrary bytes: an addressed registered
+    message, or ``CodecError`` (any other exception fails the test)."""
+    try:
+        src, dst, message = decode_frame(body)
+    except CodecError:
+        return None
+    assert type(src) is str and type(dst) is str
+    assert isinstance(message, REGISTERED)
+    return message
+
+
+_edit = st.tuples(st.sampled_from(("flip", "delete", "insert")),
+                  st.integers(min_value=0), st.integers(0, 255))
+
+
+def mutate(body, edits):
+    raw = bytearray(body)
+    for how, where, byte in edits:
+        if how == "insert":
+            raw.insert(where % (len(raw) + 1), byte)
+        elif raw:
+            at = where % len(raw)
+            if how == "flip":
+                raw[at] = byte
+            else:
+                del raw[at]
+    return bytes(raw)
+
+
+@given(st.sampled_from(BODIES), st.lists(_edit, min_size=1, max_size=3))
+def test_mutated_frames_decode_or_raise_codec_error(body, edits):
+    decodes_or_refuses(mutate(body, edits))
+
+
+@given(st.sampled_from(BODIES), st.lists(_edit, min_size=1, max_size=3))
+def test_mutated_messages_and_values_raise_only_codec_error(body, edits):
+    # The body of a frame is four values; read it as one and as a
+    # message to reach the other two entry points.
+    raw = mutate(body, edits)
+    for decode in (decode_value, decode_message):
+        try:
+            decode(raw)
+        except CodecError:
+            pass
+
+
+@given(st.binary(max_size=64))
+def test_arbitrary_bytes_decode_or_raise_codec_error(raw):
+    decodes_or_refuses(raw)
+
+
+def test_every_strict_prefix_of_every_frame_is_refused():
+    for body in BODIES:
+        for cut in range(len(body)):
+            with pytest.raises(CodecError):
+                decode_frame(body[:cut])
+
+
+def test_every_single_byte_flip_decodes_or_is_refused():
+    # Exhaustive where hypothesis samples: every offset of every frame,
+    # low bit, high bit and all bits.
+    for body in BODIES:
+        raw = bytearray(body)
+        for at in range(len(raw)):
+            keep = raw[at]
+            for mask in (0x01, 0x80, 0xFF):
+                raw[at] = keep ^ mask
+                decodes_or_refuses(bytes(raw))
+            raw[at] = keep
+
+
+def frame_of(*values):
+    return b"".join(encode_value(value) for value in values)
+
+
+KEY = "dc.CommitAck"
+FIELDS = ({"origin": "m0", "counter": 3}, {"dc0": 7})
+
+HOSTILE = {
+    "empty": b"",
+    "invalid utf-8": b"\x05\x02\xc3\x28",
+    "lone continuation byte in a key": b"\x09\x01\x05\x01\x80\x00",
+    "list as dict key": b"\x09\x01\x07\x00\x00",
+    "dict in a set": b"\x0a\x01\x09\x00",
+    "list in a frozenset": b"\x0b\x01\x07\x00",
+    "unknown tag": b"\x0d",
+    "truncated float": b"\x04\x00\x00",
+    "string longer than the buffer": b"\x05\x7fab",
+    "count longer than the buffer": b"\x07\xff\xff\xff\xff\x0f\x00",
+    "endless varint": b"\x03" + b"\xff" * 200,
+    "string length past 2**63": b"\x05" + b"\xff" * 9 + b"\x01abc",
+    "dict count past 2**63": b"\x09" + b"\xff" * 20 + b"\x01\x00",
+    "trailing byte": b"\x00\x00",
+    "nested list bomb": bytes([0x07, 1]) * 5000,
+    "nested dict bomb": bytes([0x09, 1, 0x00]) * 5000,
+    "nested message bomb": b"\x0c" * 5000,
+}
+
+
+@pytest.mark.parametrize("raw", HOSTILE.values(), ids=HOSTILE.keys())
+def test_hostile_values_raise_codec_error(raw):
+    with pytest.raises(CodecError):
+        decode_value(raw)
+
+
+BAD_MESSAGES = {
+    "type key is a list": frame_of([KEY], FIELDS),
+    "type key is a dict": frame_of({}, FIELDS),
+    "type key is an int": frame_of(7, FIELDS),
+    "type key is unknown": frame_of("dc.NoSuchMessage", FIELDS),
+    "fields is a list": frame_of(KEY, list(FIELDS)),
+    "fields is a string": frame_of(KEY, "ab"),
+    "fields is an int": frame_of(KEY, 5),
+    "one field short": frame_of(KEY, FIELDS[:1]),
+    "one field over": frame_of(KEY, FIELDS + (None,)),
+}
+
+
+@pytest.mark.parametrize("raw", BAD_MESSAGES.values(), ids=BAD_MESSAGES.keys())
+def test_bad_type_key_fields_or_arity_raise_codec_error(raw):
+    assert decode_message(frame_of(KEY, FIELDS)).dot == FIELDS[0]
+    with pytest.raises(CodecError):
+        decode_message(raw)
+    with pytest.raises(CodecError):
+        decode_frame(frame_of("a", "b") + raw)
+    with pytest.raises(CodecError):       # the same, as a nested payload
+        decode_value(b"\x0c" + raw)
+
+
+def test_frame_addresses_must_be_strings():
+    with pytest.raises(CodecError):
+        decode_frame(frame_of(1, "b", KEY, FIELDS))
+    with pytest.raises(CodecError):
+        decode_frame(frame_of("a", None, KEY, FIELDS))
+
+
+def nested(levels):
+    value = None
+    for _ in range(levels):
+        value = (value,)
+    return value
+
+
+def test_nesting_is_bounded_the_same_in_both_directions():
+    deepest = nested(MAX_DEPTH)
+    assert decode_value(encode_value(deepest)) == deepest
+    with pytest.raises(CodecError):
+        encode_value(nested(MAX_DEPTH + 1))
+    with pytest.raises(CodecError):
+        decode_value(bytes([0x08, 1]) * (MAX_DEPTH + 1) + b"\x00")
+    for wrap in (lambda v: {"k": v}, lambda v: {1: v}, lambda v: [v],
+                 lambda v: frozenset([v])):
+        with pytest.raises(CodecError):
+            encode_value(wrap(nested(MAX_DEPTH)))
+
+
+def test_a_sample_survives_every_entry_point_untouched():
+    # The fuzz above proves nothing if the corpus itself is refused.
+    for body, message in zip(BODIES, samples.all_samples()):
+        assert decodes_or_refuses(body) == message
+        assert decode_message(encode_message(message)) == message

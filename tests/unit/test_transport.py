@@ -2,6 +2,7 @@
 seeded rng derivation, crash/recover timer lifecycle, asyncio backend."""
 
 import asyncio
+import gc
 import random
 
 import pytest
@@ -171,6 +172,61 @@ class TestAsyncioBackend:
             assert inbox == [(message, "a")]
             await t1.stop()
             await t2.stop()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("garbage", [
+        b"\x00\x00\x00\x04\x05\x02\xc3\x28",        # invalid UTF-8
+        b"\x00\x00\x00\x06\x09\x01\x07\x00\x00\x00",  # list as dict key
+        b"\x00\x00\x27\x10" + bytes([0x07, 1]) * 5000,  # nesting bomb
+        b"\xff\xff\xff\xff",                          # absurd length
+    ], ids=["utf8", "unhashable", "nesting", "length"])
+    def test_garbage_closes_one_connection_and_nothing_else(self, garbage):
+        """Bytes that are not a frame: that connection is closed and
+        counted, no task dies with an exception, and a well-behaved
+        peer's frame still arrives."""
+        from repro.dc.messages import CommitAck
+
+        async def scenario():
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context))
+            homes = {"a": "s1", "b": "s2"}
+            t1 = AsyncioTransport("s1", homes=homes,
+                                  listen=("127.0.0.1", 0))
+            t2 = AsyncioTransport("s2", homes=homes,
+                                  listen=("127.0.0.1", 0))
+            await t1.start()
+            await t2.start()
+            t1.peer_addrs["s2"] = t2.listen_addr
+            got = asyncio.Event()
+            inbox = []
+
+            def on_message(message, sender):
+                inbox.append((message, sender))
+                got.set()
+
+            t2.attach("b", on_message)
+
+            reader, writer = await asyncio.open_connection(*t2.listen_addr)
+            writer.write(garbage)
+            await writer.drain()
+            # The transport hangs up on us; nothing comes back.
+            assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+            writer.close()
+            assert t2.malformed == 1
+
+            message = CommitAck({"origin": "a", "counter": 1}, {"dc": 2})
+            t1.send("a", "b", message)
+            await asyncio.wait_for(got.wait(), timeout=5.0)
+            assert inbox == [(message, "a")]
+            assert t2.malformed == 1 and t1.malformed == 0
+            await t1.stop()
+            await t2.stop()
+            # Let a task that died get collected and reported.
+            gc.collect()
+            await asyncio.sleep(0)
+            assert loop_errors == []
 
         asyncio.run(scenario())
 

@@ -5,8 +5,10 @@ import pytest
 from repro.dc.messages import CommitAck, EdgeCommit
 from repro.epaxos.messages import Commit, PreAccept
 from repro.groups.messages import GroupMsg
-from repro.transport import samples
-from repro.transport.codec import (CodecError, MAX_FRAME_BYTES, decode_frame,
+from repro.transport import codec, samples
+from repro.transport.codec import (CodecError, DECODE_TABLE_MAX,
+                                   ENCODE_TABLE_MAX, MAX_FRAME_BYTES,
+                                   TABLE_STR_MAX_BYTES, decode_frame,
                                    decode_message, decode_value, encode_frame,
                                    encode_message, encode_value, encoded_size,
                                    message_classes, wire_size_drift)
@@ -118,3 +120,68 @@ class TestWireSizeHonesty:
             if not low <= declared <= high:
                 offenders.append((type(sample).__name__, declared, actual))
         assert offenders == []
+
+
+class TestStringTables:
+    """The encoder's and the decoder's string tables are bounded, and
+    only the clock can tell whether a string was in one.  Count-based,
+    no timers."""
+
+    def test_distinct_strings_never_grow_a_table_past_its_bound(self):
+        peak_enc = peak_dec = 0
+        for i in range(100_000):
+            text = f"node-{i}"
+            assert decode_value(encode_value(text)) == text
+            peak_enc = max(peak_enc, len(codec._ENC_STRS))
+            peak_dec = max(peak_dec, len(codec._DEC_STRS))
+        # Both filled up (so the bound is what held them) and emptied.
+        assert peak_enc == ENCODE_TABLE_MAX
+        assert peak_dec == DECODE_TABLE_MAX
+        assert len(codec._ENC_STRS) < ENCODE_TABLE_MAX
+
+    def test_strings_over_the_cut_off_are_never_stored(self):
+        edge = "x" * TABLE_STR_MAX_BYTES
+        # One byte over, and under in characters but over in bytes.
+        for text in (edge + "x", "é" * (TABLE_STR_MAX_BYTES // 2 + 1),
+                     "y" * 10_000):
+            raw = encode_value({text: [text]})
+            assert decode_value(raw) == {text: [text]}
+            assert text not in codec._ENC_STRS
+            assert text.encode() not in codec._DEC_STRS
+        assert decode_value(encode_value(edge)) == edge
+        assert edge in codec._ENC_STRS
+        assert edge.encode() in codec._DEC_STRS
+
+    def test_bytes_do_not_depend_on_what_the_tables_hold(self):
+        corpus = samples.all_samples()
+
+        def frames():
+            out = [encode_frame("dc0", "édge-1", m) for m in corpus]
+            assert [decode_frame(f[4:])[2] for f in out] == corpus
+            return out
+
+        def clear():
+            codec._ENC_STRS.clear()
+            codec._DEC_STRS.clear()
+
+        def fill_up():
+            # Both directions see the same strings: they fill together.
+            for i in range(ENCODE_TABLE_MAX - len(codec._ENC_STRS)):
+                assert decode_value(encode_value(f"filler-{i}")) \
+                    == f"filler-{i}"
+            assert len(codec._ENC_STRS) == ENCODE_TABLE_MAX
+            assert len(codec._DEC_STRS) == DECODE_TABLE_MAX
+
+        clear()
+        empty = frames()
+        assert frames() == empty        # warm: every string a hit
+        fill_up()
+        assert frames() == empty        # full, the corpus among it
+        assert len(codec._ENC_STRS) == ENCODE_TABLE_MAX
+        clear()
+        fill_up()
+        assert frames() == empty        # full of others: emptied midway
+        assert len(codec._ENC_STRS) < ENCODE_TABLE_MAX
+        assert len(codec._DEC_STRS) < DECODE_TABLE_MAX
+        clear()
+        assert frames() == empty        # just cleared
