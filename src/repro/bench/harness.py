@@ -25,6 +25,8 @@ from ..dc.datacenter import DataCenter
 from ..edge.cloud_client import CloudClient
 from ..edge.node import EdgeNode, TxnStats
 from ..groups.peergroup import GroupMember, form_group
+from ..serve.builder import build_sim_world
+from ..serve.topology import Site, Topology
 from ..sim.network import CELLULAR, ETHERNET, LAN, LatencyModel
 from ..sim.runtime import Simulation
 from ..workload.trace import MattermostTrace
@@ -74,19 +76,18 @@ class Deployment:
     def _build(self) -> None:
         cfg = self.config
         dc_ids = [f"dc{i}" for i in range(cfg.n_dcs)]
-        for dc_id in dc_ids:
-            dc = self.sim.spawn(
-                DataCenter, dc_id,
-                peer_dcs=[d for d in dc_ids if d != dc_id],
-                n_shards=cfg.n_shards, k_target=cfg.resolved_k(),
-                service_time_ms=cfg.service_time_ms)
-            self.dcs.append(dc)
-        for a in dc_ids:
-            for b in dc_ids:
-                if a < b:
-                    self.sim.network.set_link(a, b, cfg.dc_latency)
-            for shard in self.dcs[dc_ids.index(a)].shard_ids:
-                self.sim.network.set_link(a, shard, LAN)
+        # The core cloud is a topology of DCs only; the client side
+        # below declares its interest through ChatApp, from the trace.
+        mesh = Topology(
+            "deployment", cfg.seed,
+            [Site(d, "dc", n_shards=cfg.n_shards,
+                  k_target=cfg.resolved_k()) for d in dc_ids], [],
+            links={(a, b): cfg.dc_latency for a in dc_ids
+                   for b in dc_ids if a < b})
+        self.dcs = build_sim_world(mesh, self.sim).dcs
+        if cfg.service_time_ms is not None:
+            for dc in self.dcs:
+                dc.service_time_ms = cfg.service_time_ms
 
         users = self.trace.users[:cfg.n_clients]
         if cfg.mode == "antidote":
@@ -137,16 +138,34 @@ class Deployment:
                             dc_ids: List[str]) -> None:
         rng = random.Random(self.config.seed * 31 + 1)
         for index, user in enumerate(users):
-            dc_id = dc_ids[index % len(dc_ids)]
-            node_id = f"edge/{user}"
-            node = self.sim.spawn(EdgeNode, node_id, dc_id=dc_id,
-                                  user=user)
-            self.sim.network.set_link(node_id, dc_id,
-                                      self.config.client_latency)
-            app = ChatApp(Connection(node), user)
-            self._client_interest(app, user, rng, node=node)
-            node.connect()
-            self.clients.append((user, node, app))
+            self.clients.append(self.spawn_edge_client(
+                f"edge/{user}", user, dc_ids[index % len(dc_ids)], rng))
+
+    def spawn_edge_client(self, node_id: str, user: str, dc_id: str,
+                          rng: random.Random, bound: bool = True) \
+            -> Tuple[str, EdgeNode, ChatApp]:
+        """A connected solo edge client with a warmed interest set."""
+        node = self.sim.spawn(EdgeNode, node_id, dc_id=dc_id, user=user)
+        self.sim.network.set_link(node_id, dc_id,
+                                  self.config.client_latency)
+        app = ChatApp(Connection(node), user)
+        self._client_interest(app, user, rng, node=node, bound=bound)
+        node.connect()
+        return user, node, app
+
+    def spawn_member(self, node_id: str, user: str,
+                     peers: List[GroupMember], dc_id: str,
+                     group_id: str, parent_id: str) \
+            -> Tuple[GroupMember, ChatApp]:
+        """A group member on fast links to ``peers``, interest unset."""
+        node = self.sim.spawn(
+            GroupMember, node_id, dc_id=dc_id, group_id=group_id,
+            parent_id=parent_id,
+            commit_variant=self.config.commit_variant, user=user)
+        for peer in peers:
+            self.sim.network.set_link(node_id, peer.node_id,
+                                      self.config.group_latency)
+        return node, ChatApp(Connection(node), user)
 
     def _build_groups(self, users: List[str], dc_ids: List[str]) -> None:
         cfg = self.config
@@ -158,23 +177,15 @@ class Deployment:
             members: List[GroupMember] = []
             parent_id = f"peer/{chunk[0]}"
             for user in chunk:
-                node_id = f"peer/{user}"
-                node = self.sim.spawn(
-                    GroupMember, node_id, dc_id=dc_id, group_id=group_id,
-                    parent_id=parent_id,
-                    commit_variant=cfg.commit_variant, user=user)
-                app = ChatApp(Connection(node), user)
+                node, app = self.spawn_member(
+                    f"peer/{user}", user, members, dc_id, group_id,
+                    parent_id)
                 # Parents act as the group's PoP-class cache: unbounded.
                 self._client_interest(app, user, rng, node=node,
                                       bound=(node.node_id != parent_id))
                 members.append(node)
                 self.clients.append((user, node, app))
-            # Fast links inside the group; cellular from parent to DC.
-            for a in members:
-                for b in members:
-                    if a.node_id < b.node_id:
-                        self.sim.network.set_link(a.node_id, b.node_id,
-                                                  cfg.group_latency)
+            # Cellular from the parent to its DC.
             self.sim.network.set_link(parent_id, dc_id,
                                       self.config.client_latency)
             form_group(members)
@@ -193,9 +204,3 @@ class Deployment:
 
     def apps_by_user(self) -> Dict[str, ChatApp]:
         return {user: app for user, _node, app in self.clients}
-
-    def node_of(self, user: str):
-        for u, node, _app in self.clients:
-            if u == user:
-                return node
-        raise KeyError(user)

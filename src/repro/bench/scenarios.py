@@ -13,11 +13,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..api.client import Connection
 from ..chat.app import ChatApp
 from ..edge.node import EdgeNode
-from ..groups.peergroup import GroupMember
-from ..sim.network import CELLULAR, LAN
+from ..sim.network import LAN
 from ..workload.driver import ClosedLoopDriver
 from ..workload.trace import MattermostTrace, TraceConfig
 from .harness import Deployment, DeploymentConfig
@@ -109,17 +107,8 @@ class _Fig567World:
         rng = random.Random(seed * 131)
         self.solo: List[Tuple[str, EdgeNode, ChatApp]] = []
         for user in self.trace.users[n_group:n_group + n_solo]:
-            node_id = f"solo/{user}"
-            node = self.sim.spawn(EdgeNode, node_id, dc_id="dc0",
-                                  user=user)
-            self.sim.network.set_link(node_id, "dc0", CELLULAR)
-            app = ChatApp(Connection(node), user)
-            for workspace in self.trace.user_workspaces[user]:
-                keep = [c for c in self.trace.channels[workspace]
-                        if rng.random() < cache_coverage]
-                app.open_workspace(workspace, keep)
-            node.connect()
-            self.solo.append((user, node, app))
+            self.solo.append(self.deployment.spawn_edge_client(
+                f"solo/{user}", user, "dc0", rng, bound=False))
 
     def all_apps(self) -> List[Tuple[str, ChatApp]]:
         return ([(u, a) for u, _n, a in self.deployment.clients]
@@ -213,12 +202,9 @@ def fig7_migration(duration_ms: float = 70_000.0,
     parent = group[0]
     # The migrating client: same workspace, completely cold cache.
     user = world.trace.users[-1]
-    node = sim.spawn(GroupMember, f"mobile/{user}", dc_id="dc0",
-                     group_id=parent.group_id, parent_id=parent.node_id,
-                     user=user)
-    app = ChatApp(Connection(node), user)
-    for member in group:
-        sim.network.set_link(node.node_id, member.node_id, LAN)
+    node, app = world.deployment.spawn_member(
+        f"mobile/{user}", user, group, "dc0", parent.group_id,
+        parent.node_id)
     sim.loop.schedule(join_at, node.join_group)
 
     driver = ClosedLoopDriver(sim, world.trace, world.all_apps(),
@@ -262,28 +248,29 @@ def ablation_kstability(k: int, n_dcs: int = 3, updates: int = 30,
     K = N gates visibility on the slowest DC.
     """
     from ..core.txn import ObjectKey
-    from ..dc.datacenter import DataCenter
+    from ..serve.builder import build_sim_world
+    from ..serve.topology import Site, Topology
     from ..sim.network import ETHERNET, LatencyModel
     from ..sim.runtime import Simulation
 
     far = LatencyModel(60.0, 2.0)
-    sim = Simulation(seed=seed, default_latency=LAN)
     dc_ids = [f"dc{i}" for i in range(n_dcs)]
-    dcs = [sim.spawn(DataCenter, d,
-                     peer_dcs=[x for x in dc_ids if x != d],
-                     n_shards=1, k_target=k) for d in dc_ids]
-    for a_i, a in enumerate(dc_ids):
-        for b_i, b in enumerate(dc_ids):
-            if a < b:
-                slow = a_i >= 2 or b_i >= 2
-                sim.network.set_link(a, b, far if slow else ETHERNET)
     key = ObjectKey("bench", "counter")
-    writer = sim.spawn(EdgeNode, "writer", dc_id="dc0")
-    reader = sim.spawn(EdgeNode, "reader", dc_id="dc0")
-    for node in (writer, reader):
-        node.declare_interest(key, "counter")
-        node.connect()
-    sim.run_for(1000.0)
+    links = {(a, b): far if b_i >= 2 else ETHERNET
+             for b_i, b in enumerate(dc_ids) for a in dc_ids[:b_i]}
+    links.update({(name, "dc0"): LAN for name in ("writer", "reader")})
+    topo = Topology(
+        "kstability", seed,
+        [Site(d, "dc", n_shards=1, k_target=k) for d in dc_ids]
+        + [Site(name, "edge", dc="dc0") for name in ("writer", "reader")],
+        [(key, "counter")], links=links)
+    # Every pair the description does not link (the writer's migration
+    # targets) is on LAN too.
+    sim = Simulation(seed=seed, default_latency=LAN)
+    world = build_sim_world(topo, sim)
+    dcs = world.dcs
+    writer, reader = world.actors["writer"], world.actors["reader"]
+    sim.run_for(1000.0 - sim.now)   # one second of settling in all
 
     lags: List[float] = []
     expected = 0

@@ -1,11 +1,12 @@
 """Shared benchmark topologies: the DC-backed peer group.
 
 Every commit ablation drives the same world — one DC, an n-member peer
-group interested in a hot key plus one private key per member — and
-used to rebuild it inline.  This module is the single builder; the
-``sites`` knob stretches the group across locations (same-site pairs on
-LAN, cross-site pairs on ``site_latency``), which is the geo-distributed
-shape the deadline fast path is measured on.
+group interested in a hot key plus one private key per member.  This
+module describes it as a :class:`~repro.serve.topology.Topology` and
+has ``build_sim_world`` build it; the ``sites`` knob stretches the group
+across locations (same-site pairs on LAN, cross-site pairs 15 ms apart),
+which is the geo-distributed shape the deadline fast path is measured
+on.
 """
 
 from __future__ import annotations
@@ -15,9 +16,14 @@ from typing import List, Optional, Sequence
 
 from ..core.txn import ObjectKey
 from ..dc.datacenter import DataCenter
-from ..groups.peergroup import GroupMember, form_group
-from ..sim.network import CELLULAR, LAN, LatencyModel
+from ..groups.peergroup import GroupMember
+from ..serve.builder import build_sim_world
+from ..serve.topology import Site, Topology
+from ..sim.network import CELLULAR, LatencyModel
 from ..sim.runtime import Simulation
+
+#: Metro-to-metro latency between two locations of a stretched group.
+CROSS_SITE = LatencyModel(15.0, 2.0)
 
 
 @dataclass
@@ -37,40 +43,31 @@ class GroupBench:
 
 def build_group_bench(variant: str = "async", n_members: int = 5,
                       seed: int = 23, *,
-                      sites: Optional[Sequence[int]] = None,
-                      site_latency: Optional[LatencyModel] = None,
-                      settle_ms: float = 1000.0,
-                      warm_ms: float = 2000.0) -> GroupBench:
+                      sites: Optional[Sequence[int]] = None) -> GroupBench:
     """One DC plus an ``n_members`` peer group, formed, warmed, cleared.
 
     ``sites[i]`` assigns member ``i`` to a location: same-site pairs get
-    a LAN link, cross-site pairs get ``site_latency`` (default 15 ms,
-    metro-to-metro).  Without ``sites`` every pair is on LAN.
+    a LAN link, cross-site pairs get ``CROSS_SITE``.  Without ``sites``
+    every pair is on LAN.  The group's uplink is cellular.
     """
-    sim = Simulation(seed=seed, default_latency=CELLULAR)
-    dc = sim.spawn(DataCenter, "dc0", peer_dcs=[], n_shards=1,
-                   k_target=1)
     hot = ObjectKey("bench", "hot")
     cold_keys = [ObjectKey("bench", f"cold{i}")
                  for i in range(n_members)]
-    cross = site_latency or LatencyModel(15.0, 2.0)
-    members: List[GroupMember] = []
-    for i in range(n_members):
-        node = sim.spawn(GroupMember, f"m{i}", dc_id="dc0",
-                         group_id="g", parent_id="m0",
-                         commit_variant=variant)
-        node.declare_interest(hot, "counter")
-        for key in cold_keys:
-            node.declare_interest(key, "counter")
-        members.append(node)
-    for a_i, a in enumerate(members):
-        for b_i, b in enumerate(members):
-            if a.node_id < b.node_id:
-                same = sites is None or sites[a_i] == sites[b_i]
-                sim.network.set_link(a.node_id, b.node_id,
-                                     LAN if same else cross)
-    form_group(members)
-    sim.run_for(settle_ms)
+    links = {("m0", "dc0"): CELLULAR}
+    if sites is not None:
+        links.update({(f"m{a}", f"m{b}"): CROSS_SITE
+                      for a in range(n_members) for b in range(a)
+                      if sites[a] != sites[b]})
+    topo = Topology(
+        "group-bench", seed,
+        [Site("dc0", "dc", n_shards=1)]
+        + [Site(f"m{i}", "member", dc="dc0", group="g", parent="m0",
+                commit_variant=variant) for i in range(n_members)],
+        [(key, "counter") for key in [hot] + cold_keys], links=links)
+    world = build_sim_world(topo)
+    sim = world.sim
+    members = [world.actors[f"m{i}"] for i in range(n_members)]
+    sim.run_for(1000.0 - sim.now)   # one second of settling in all
     # Warm every cache (one touch per key per member), then discard the
     # warm-up statistics: the ablations measure steady-state commits.
     for member in members:
@@ -79,7 +76,7 @@ def build_group_bench(variant: str = "async", n_members: int = 5,
                 value = yield tx.read(k, "counter")
                 return value
             member.run_transaction(warm_body)
-    sim.run_for(warm_ms)
-    bench = GroupBench(sim, dc, members, hot, cold_keys)
+    sim.run_for(2000.0)
+    bench = GroupBench(sim, world.actors["dc0"], members, hot, cold_keys)
     bench.clear_stats()
     return bench

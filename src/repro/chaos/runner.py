@@ -4,7 +4,8 @@ One scenario = one seed on one topology.  The seed determines the
 simulator's RNG, the fault schedule and the workload, so a failing
 scenario replays bit-for-bit with ``--topology T --seed N``.
 
-Three standard topologies mirror the paper's deployment tiers:
+Three standard topologies mirror the paper's deployment tiers, each a
+``repro.serve.topology.Topology`` built by ``build_sim_world``:
 
 ``group``  2-DC mesh (K=2), a 3-member peer group on dc0, a solo far
            edge on dc1
@@ -33,9 +34,10 @@ from ..core.journal import JournalEntry
 from ..core.txn import ObjectKey, Transaction
 from ..dc.datacenter import DataCenter
 from ..edge.node import EdgeNode
-from ..edge.pop import PoPNode
-from ..groups.peergroup import COMMIT_VARIANTS, GroupMember, form_group
-from ..sim.network import CELLULAR, ETHERNET, LAN, LatencyModel
+from ..groups.peergroup import COMMIT_VARIANTS
+from ..serve.builder import SimWorld, build_sim_world
+from ..serve.topology import Site, Topology
+from ..sim.network import LatencyModel
 from ..sim.runtime import Simulation
 from .invariants import InvariantChecker, InvariantViolation
 from .schedule import FaultEvent, FaultInjector, FaultSpec, \
@@ -81,24 +83,24 @@ class ScenarioConfig:
 class World:
     """A built topology, ready for workload and fault injection."""
 
-    def __init__(self, sim: Simulation, dcs: List[DataCenter],
-                 replicas: List[EdgeNode], clients: List[EdgeNode],
-                 remote_clients: List[EdgeNode],
-                 keys: List[Tuple[ObjectKey, str]], spec: FaultSpec,
-                 k_target: int,
-                 narrow: Optional[Dict[str, List[Tuple[ObjectKey,
-                                                       str]]]] = None):
-        self.sim = sim
-        self.dcs = dcs
-        self.replicas = replicas          # every edge-tier node
-        self.clients = clients            # replicas that issue txns
-        self.remote_clients = remote_clients
-        self.keys = keys
+    def __init__(self, built: SimWorld, replicas: Sequence[str],
+                 spec: FaultSpec):
+        topo = built.topo
+        self.sim: Simulation = built.sim
+        self.dcs: List[DataCenter] = built.dcs
+        # Every edge-tier node; all but the PoP issue transactions.
+        self.replicas: List[EdgeNode] = [built.actors[name]
+                                         for name in replicas]
+        self.clients = [built.actors[name] for name in replicas
+                        if topo.by_name[name].role != "pop"]
+        self.remote_clients = [built.actors["far"]]
+        self.keys = topo.keys
         self.spec = spec
-        self.k_target = k_target
+        self.k_target = topo.dcs[0].k_target
         # Node id -> the keys it holds, for the nodes that do not hold
         # them all (``partial_interest``); the workload keeps to them.
-        self.narrow = narrow or {}
+        self.narrow = {site.name: site.keys for site in topo.sites
+                       if site.keys is not None}
 
     @property
     def actors(self) -> Dict[str, Any]:
@@ -116,29 +118,80 @@ KEYS = [(ObjectKey("chaos", "c0"), "counter"),
 BYSTANDER_KEYS = KEYS[:1]
 NARROW_KEYS = KEYS[1:]
 
-
-def _build_dcs(sim: Simulation, n_dcs: int = 2,
-               k_target: int = 2) -> List[DataCenter]:
-    dc_ids = [f"dc{i}" for i in range(n_dcs)]
-    dcs = []
-    for dc_id in dc_ids:
-        dc = sim.spawn(DataCenter, dc_id,
-                       peer_dcs=[d for d in dc_ids if d != dc_id],
-                       n_shards=2, k_target=k_target)
-        dcs.append(dc)
-        for shard in dc.shard_ids:
-            sim.network.set_link(dc_id, shard, LAN)
-    for a in dc_ids:
-        for b in dc_ids:
-            if a < b:
-                sim.network.set_link(a, b, LatencyModel(5.0, 1.0))
-    return dcs
+#: A PoP's children sit one short hop below it, not on cellular.
+POP_CHILD_LINK = LatencyModel(10.0, 2.0)
 
 
-def _declare(node: EdgeNode,
-             keys: Sequence[Tuple[ObjectKey, str]]) -> None:
-    for key, type_name in keys:
-        node.declare_interest(key, type_name)
+def chaos_topology(name: str, seed: int, commit_variant: str = "async",
+                   partial_interest: bool = False) -> Topology:
+    """The standard topology ``name`` as a deployable description.
+
+    Listing order is connect order within a settle phase.
+    """
+    narrow = NARROW_KEYS if partial_interest else None
+    sites = [Site(f"dc{i}", "dc", k_target=2) for i in range(2)]
+    if partial_interest:
+        sites.append(Site("by", "edge", dc="dc0", keys=BYSTANDER_KEYS))
+    if name != "group":
+        sites.append(Site("pop0", "pop", dc="dc0"))
+    sites.append(Site("far", "edge", dc="dc1"))
+    links = {}
+    if name == "pop":
+        sites += [Site("e0", "edge", dc="pop0"),
+                  Site("e1", "edge", dc="pop0", keys=narrow)]
+        links = {("e0", "pop0"): POP_CHILD_LINK,
+                 ("e1", "pop0"): POP_CHILD_LINK}
+    else:
+        sites += [Site(f"m{i}", "member",
+                       dc="dc0" if name == "group" else "pop0",
+                       group="g", parent="m0",
+                       commit_variant=commit_variant,
+                       keys=narrow if i == 2 else None)
+                  for i in range(3)]
+    return Topology(f"chaos-{name}", seed, sites, list(KEYS),
+                    links=links)
+
+
+#: Per topology: the edge tier in report order (``by`` goes last) and
+#: what the fault schedule may hit.
+_MEMBERS = ["m0", "m1", "m2"]
+_GROUP_LINKS = [("m0", "m1"), ("m0", "m2"), ("m1", "m2")]
+_REPLICAS = {"group": _MEMBERS + ["far"],
+             "pop": ["pop0", "e0", "e1", "far"],
+             "tree": ["pop0"] + _MEMBERS + ["far"]}
+
+
+def _fault_spec(name: str, clock_skew: bool) -> FaultSpec:
+    skew_nodes = list(_MEMBERS) if clock_skew else []
+    if name == "group":
+        return FaultSpec(
+            wan_links=[("dc0", "dc1")],
+            access_links=[("m0", "dc0"), ("far", "dc1")],
+            group_links=list(_GROUP_LINKS),
+            blackout_nodes=["m0", "m1", "m2", "far"],
+            offline_nodes=["m0", "far"],
+            churn_nodes=["m1", "m2"],
+            migrations={"far": ["dc0"], "m0": ["dc1"]},
+            dcs=["dc0", "dc1"], skew_nodes=skew_nodes)
+    if name == "pop":
+        return FaultSpec(
+            wan_links=[("dc0", "dc1")],
+            access_links=[("pop0", "dc0"), ("e0", "pop0"),
+                          ("e1", "pop0"), ("far", "dc1")],
+            blackout_nodes=["pop0", "e0", "e1", "far"],
+            offline_nodes=["pop0", "e0", "e1", "far"],
+            migrations={"far": ["dc0"], "pop0": ["dc1"],
+                        "e0": ["dc0"]},
+            dcs=["dc0", "dc1"])
+    return FaultSpec(  # tree — the full Figure 1 composition
+        wan_links=[("dc0", "dc1")],
+        access_links=[("pop0", "dc0"), ("m0", "pop0"), ("far", "dc1")],
+        group_links=list(_GROUP_LINKS),
+        blackout_nodes=["pop0", "m1", "m2", "far"],
+        offline_nodes=["far"],
+        churn_nodes=["m1", "m2"],
+        migrations={"far": ["dc0"], "m0": ["dc0"], "pop0": ["dc1"]},
+        dcs=["dc0", "dc1"], skew_nodes=skew_nodes)
 
 
 def build_world(topology: str, seed: int,
@@ -151,102 +204,15 @@ def build_world(topology: str, seed: int,
     ``edge_cls`` swaps the implementation of the solo far edge — the
     hook the self-check uses to plant a buggy test double.
     """
-    sim = Simulation(seed=seed, default_latency=CELLULAR)
-    dcs = _build_dcs(sim, n_dcs=2, k_target=2)
-    k_target = 2
-    far = sim.spawn(edge_cls, "far", dc_id="dc1")
-    sim.network.set_link("far", "dc1", CELLULAR)
-    _declare(far, KEYS)
-    narrow: Dict[str, List[Tuple[ObjectKey, str]]] = {}
-    narrow_keys = NARROW_KEYS if partial_interest else KEYS
-    bystander = None
+    topo = chaos_topology(topology, seed, commit_variant,
+                          partial_interest)
+    built = build_sim_world(topo, actor_cls={"far": edge_cls})
+    names = list(_REPLICAS[topology])
+    spec = _fault_spec(topology, clock_skew)
     if partial_interest:
-        bystander = sim.spawn(EdgeNode, "by", dc_id="dc0")
-        sim.network.set_link("by", "dc0", CELLULAR)
-        _declare(bystander, BYSTANDER_KEYS)
-        bystander.connect()
-        narrow["by"] = BYSTANDER_KEYS
-        narrow["e1" if topology == "pop" else "m2"] = NARROW_KEYS
-
-    if topology == "group":
-        members = _spawn_group(sim, connect_via="dc0",
-                               commit_variant=commit_variant,
-                               last_member_keys=narrow_keys)
-        sim.network.set_link("m0", "dc0", ETHERNET)
-        far.connect()
-        sim.run_for(300)
-        form_group(members)
-        sim.run_for(500)
-        replicas = members + [far]
-        clients = replicas
-        spec = FaultSpec(
-            wan_links=[("dc0", "dc1")],
-            access_links=[("m0", "dc0"), ("far", "dc1")],
-            group_links=[("m0", "m1"), ("m0", "m2"), ("m1", "m2")],
-            blackout_nodes=["m0", "m1", "m2", "far"],
-            offline_nodes=["m0", "far"],
-            churn_nodes=["m1", "m2"],
-            migrations={"far": ["dc0"], "m0": ["dc1"]},
-            dcs=["dc0", "dc1"],
-            skew_nodes=["m0", "m1", "m2"] if clock_skew else [])
-    elif topology == "pop":
-        pop = sim.spawn(PoPNode, "pop0", dc_id="dc0")
-        sim.network.set_link("pop0", "dc0", ETHERNET)
-        edges = []
-        for i in range(2):
-            node = sim.spawn(EdgeNode, f"e{i}", dc_id="pop0")
-            sim.network.set_link(f"e{i}", "pop0", LatencyModel(10.0, 2.0))
-            _declare(node, narrow_keys if i == 1 else KEYS)
-            edges.append(node)
-        pop.connect()
-        far.connect()
-        sim.run_for(300)
-        for node in edges:
-            node.connect()
-        sim.run_for(500)
-        replicas = [pop] + edges + [far]
-        clients = edges + [far]
-        spec = FaultSpec(
-            wan_links=[("dc0", "dc1")],
-            access_links=[("pop0", "dc0"), ("e0", "pop0"),
-                          ("e1", "pop0"), ("far", "dc1")],
-            blackout_nodes=["pop0", "e0", "e1", "far"],
-            offline_nodes=["pop0", "e0", "e1", "far"],
-            migrations={"far": ["dc0"], "pop0": ["dc1"],
-                        "e0": ["dc0"]},
-            dcs=["dc0", "dc1"])
-    else:  # tree — the full Figure 1 composition
-        pop = sim.spawn(PoPNode, "pop0", dc_id="dc0")
-        sim.network.set_link("pop0", "dc0", ETHERNET)
-        members = _spawn_group(sim, connect_via="pop0",
-                               commit_variant=commit_variant,
-                               last_member_keys=narrow_keys)
-        sim.network.set_link("m0", "pop0", ETHERNET)
-        pop.connect()
-        far.connect()
-        sim.run_for(300)
-        form_group(members)
-        sim.run_for(500)
-        replicas = [pop] + members + [far]
-        clients = members + [far]
-        spec = FaultSpec(
-            wan_links=[("dc0", "dc1")],
-            access_links=[("pop0", "dc0"), ("m0", "pop0"),
-                          ("far", "dc1")],
-            group_links=[("m0", "m1"), ("m0", "m2"), ("m1", "m2")],
-            blackout_nodes=["pop0", "m1", "m2", "far"],
-            offline_nodes=["far"],
-            churn_nodes=["m1", "m2"],
-            migrations={"far": ["dc0"], "m0": ["dc0"],
-                        "pop0": ["dc1"]},
-            dcs=["dc0", "dc1"],
-            skew_nodes=["m0", "m1", "m2"] if clock_skew else [])
-
-    if bystander is not None:
         # The bystander is a replica and a client like the far edge, and
         # as exposed to faults: its link, its radio, its DC.
-        replicas = replicas + [bystander]
-        clients = clients + [bystander]
+        names.append("by")
         spec.access_links.append(("by", "dc0"))
         spec.blackout_nodes.append("by")
         spec.offline_nodes.append("by")
@@ -258,31 +224,12 @@ def build_world(topology: str, seed: int,
     if spec.skew_nodes:
         skew_rng = random.Random(f"chaos-skew/{seed}")
         for node_id in sorted(spec.skew_nodes):
-            sim.network.clocks.set_offset(node_id,
-                                          skew_rng.uniform(-25.0, 25.0))
+            built.sim.network.clocks.set_offset(
+                node_id, skew_rng.uniform(-25.0, 25.0))
 
     # Let the initial seeds and session handshakes fully settle.
-    sim.run_for(400)
-    return World(sim, dcs, replicas, clients, [far], list(KEYS), spec,
-                 k_target, narrow)
-
-
-def _spawn_group(sim: Simulation, connect_via: str,
-                 commit_variant: str = "async",
-                 last_member_keys: Sequence[Tuple[ObjectKey, str]] = KEYS) \
-        -> List[GroupMember]:
-    members = []
-    for i in range(3):
-        node = sim.spawn(GroupMember, f"m{i}", dc_id=connect_via,
-                         group_id="g", parent_id="m0",
-                         commit_variant=commit_variant)
-        _declare(node, last_member_keys if i == 2 else KEYS)
-        members.append(node)
-    for a in members:
-        for b in members:
-            if a.node_id < b.node_id:
-                sim.network.set_link(a.node_id, b.node_id, LAN)
-    return members
+    built.sim.run_for(400)
+    return World(built, names, spec)
 
 
 # ----------------------------------------------------------------------

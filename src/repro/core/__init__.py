@@ -6,13 +6,10 @@
   symbolic, possibly multi-equivalent) commit stamps;
 * :mod:`repro.core.journal` — base version + update journal per object;
 * :mod:`repro.core.kstable` — K-stability gate for edge visibility;
-* :mod:`repro.core.visibility` — the monotonic visibility frontier;
-* :mod:`repro.core.compat` — causal-compatibility checks for migration.
+* :mod:`repro.core.visibility` — the monotonic visibility frontier.
 """
 
 from .clock import LamportClock, VectorClock, lub
-from .compat import (causally_compatible, missing_dependencies,
-                     snapshot_compatible)
 from .dot import Dot, DotTracker
 from .journal import JournalEntry, ObjectJournal
 from .kstable import KStabilityTracker
@@ -27,5 +24,4 @@ __all__ = [
     "JournalEntry", "ObjectJournal",
     "KStabilityTracker",
     "CausalityViolation", "VisibleState", "admissible", "admit_ready",
-    "causally_compatible", "snapshot_compatible", "missing_dependencies",
 ]

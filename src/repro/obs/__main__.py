@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from typing import List, Optional
 
@@ -70,59 +69,24 @@ def _run_three_dc_workload(seed: int, n_txns: int, window_ms: float,
                            settle_ms: float) -> TraceRecorder:
     """A 3-DC mesh with one edge client per DC, fully traced."""
     from ..core.txn import ObjectKey
-    from ..dc.datacenter import DataCenter
-    from ..edge.node import EdgeNode
-    from ..sim.network import CELLULAR, LAN, LatencyModel
-    from ..sim.runtime import Simulation
+    from ..serve.builder import build_sim_world, schedule_ops
+    from ..serve.topology import Site, Topology
+    from ..sim.network import LatencyModel
 
-    sim = Simulation(seed=seed, default_latency=CELLULAR)
-    recorder = TraceRecorder()
-    sim.network.obs = recorder
-
-    dc_ids = ["dc0", "dc1", "dc2"]
-    for dc_id in dc_ids:
-        dc = sim.spawn(DataCenter, dc_id,
-                       peer_dcs=[d for d in dc_ids if d != dc_id],
-                       n_shards=2, k_target=2)
-        for shard in dc.shard_ids:
-            sim.network.set_link(dc_id, shard, LAN)
-    # Asymmetric WAN so the breakdown shows real replication spread.
-    sim.network.set_link("dc0", "dc1", LatencyModel(20.0, 2.0))
-    sim.network.set_link("dc0", "dc2", LatencyModel(60.0, 5.0))
-    sim.network.set_link("dc1", "dc2", LatencyModel(45.0, 4.0))
-
+    sites = [Site(f"dc{i}", "dc", k_target=2) for i in range(3)]
+    sites += [Site(f"e{i}", "edge", dc=f"dc{i}") for i in range(3)]
     keys = [(ObjectKey("obs", "counter0"), "counter"),
             (ObjectKey("obs", "set0"), "orset")]
-    edges = []
-    for i, dc_id in enumerate(dc_ids):
-        node = sim.spawn(EdgeNode, f"e{i}", dc_id=dc_id)
-        sim.network.set_link(node.node_id, dc_id, CELLULAR)
-        for key, type_name in keys:
-            node.declare_interest(key, type_name)
-        edges.append(node)
-    for node in edges:
-        node.connect()
-    sim.run_for(500)  # sessions + initial seeds
-
-    rng = random.Random(f"obs-workload/{seed}")
-    start = sim.now
-    for i in range(n_txns):
-        at = start + rng.uniform(50.0, max(window_ms - 500.0, 100.0))
-        client = rng.choice(edges)
-        key, type_name = rng.choice(keys)
-        if type_name == "counter":
-            method, args = "increment", (rng.randint(1, 5),)
-        else:
-            method, args = "add", (f"{client.node_id}:{i}",)
-
-        def fire(client=client, key=key, type_name=type_name,
-                 method=method, args=args) -> None:
-            def body(tx):
-                yield tx.update(key, type_name, method, *args)
-            client.run_transaction(body)
-
-        sim.loop.schedule_at(at, fire)
-    sim.run_for(window_ms + settle_ms)
+    # Asymmetric WAN so the breakdown shows real replication spread.
+    topo = Topology("obs-3dc", seed, sites, keys, n_txns, window_ms,
+                    links={("dc0", "dc1"): LatencyModel(20.0, 2.0),
+                           ("dc0", "dc2"): LatencyModel(60.0, 5.0),
+                           ("dc1", "dc2"): LatencyModel(45.0, 4.0)})
+    world = build_sim_world(topo)
+    recorder = TraceRecorder()
+    world.sim.network.obs = recorder
+    schedule_ops(world, topo.workload())
+    world.sim.run_for(window_ms + settle_ms)
     return recorder
 
 

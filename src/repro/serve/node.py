@@ -27,7 +27,7 @@ from ..transport.asyncio_backend import AsyncioTransport
 from .builder import bootstrap_group, build_site
 from .control import ControlAgent
 from .topology import Topology
-from .workload import Op, canonical_digest, generate_ops
+from .workload import Op, canonical_digest
 
 #: A site that never hears from the supervisor gives up eventually, so
 #: an orphaned process (supervisor crash) cannot linger forever.
@@ -67,10 +67,8 @@ async def run_node(topo: Topology, site_name: str,
     elif site.role == "member":
         bootstrap_group(topo, actor)
 
-    all_ops = generate_ops(topo.seed,
-                           [s.name for s in topo.clients],
-                           topo.keys, topo.n_txns, topo.window_ms)
-    my_ops: List[Op] = [op for op in all_ops if op.client == site.name]
+    my_ops: List[Op] = [op for op in topo.workload()
+                        if op.client == site.name]
     progress = {"done": 0, "aborted": 0}
 
     def fire_op(op: Op) -> None:

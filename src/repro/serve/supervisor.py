@@ -35,7 +35,6 @@ from .builder import run_reference
 from .control import (CtrlBye, CtrlDigestReply, CtrlDigestRequest,
                       CtrlShutdown, CtrlStart)
 from .topology import Topology
-from .workload import generate_ops
 
 POLL_INTERVAL_S = 0.25
 #: Consecutive identical converged probes before declaring the live
@@ -142,8 +141,7 @@ def run_deployment(topo: Topology,
                    log_dir: Optional[str] = None,
                    log=print) -> Dict[str, Any]:
     """Full smoke deployment + parity check; returns the report."""
-    ops = generate_ops(topo.seed, [s.name for s in topo.clients],
-                       topo.keys, topo.n_txns, topo.window_ms)
+    ops = topo.workload()
 
     log(f"[serve] spawning {len(topo.sites)} site processes")
     procs = {site.name: spawn_site(topo, site.name, log_dir=log_dir)
@@ -188,7 +186,8 @@ def run_deployment(topo: Topology,
         "live": live,
         "exit_codes": exit_codes,
         "clean_shutdown": clean_shutdown,
-        "ok": parity and clean_shutdown,
+        "ok": (parity and clean_shutdown and reference["converged"]
+               and live["converged"]),
     }
     return report
 

@@ -45,8 +45,18 @@ deployment is driven with.  Example::
 Every ``dc`` site automatically peers with every other ``dc`` site (the
 paper's core-cloud mesh).  ``member`` sites sharing a ``group`` form one
 peer group; the ``parent`` member opens the group's DC session.  Edge
-and member sites declare interest in every listed key and issue the
-workload's transactions unless ``client = false``.
+and member sites declare interest in every listed key — or only in
+their own ``keys = ["app/c0"]`` subset — and issue the workload's
+transactions unless ``client = false``.
+
+Simulated links take their latency from the roles at their ends (see
+``repro.serve.builder``); a ``[[links]]`` entry (``a``, ``b``,
+``base_ms``, ``jitter_ms``) overrides one pair.
+
+The same value describes every simulated world in ``src/`` — the chaos
+topologies, the obs and bench worlds build a :class:`Topology` directly
+— so a description that names a site that does not exist is rejected
+here, for all of them, rather than dropping messages at run time.
 """
 
 from __future__ import annotations
@@ -57,16 +67,20 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.txn import ObjectKey
 from ..groups.peergroup import COMMIT_VARIANTS
+from ..sim.network import LatencyModel
+from .workload import Op, generate_ops
 
 ROLES = ("dc", "pop", "edge", "member")
+
+Key = Tuple[ObjectKey, str]
 
 
 @dataclass
 class Site:
     name: str
     role: str
-    host: str
-    port: int
+    host: str = "127.0.0.1"
+    port: int = 0
     dc: Optional[str] = None          # upstream (edge/member/pop roles)
     group: Optional[str] = None       # member role
     parent: Optional[str] = None      # member role
@@ -74,6 +88,7 @@ class Site:
     n_shards: int = 2
     k_target: int = 1
     client: bool = True               # issues workload transactions
+    keys: Optional[List[Key]] = None  # subset of the topology's; None = all
 
     @property
     def addr(self) -> Tuple[str, int]:
@@ -85,16 +100,59 @@ class Topology:
     name: str
     seed: int
     sites: List[Site]
-    keys: List[Tuple[ObjectKey, str]]
-    n_txns: int
-    window_ms: float
-    settle_max_ms: float
-    supervisor_addr: Tuple[str, int]
+    keys: List[Key]
+    n_txns: int = 18
+    window_ms: float = 2000.0
+    settle_max_ms: float = 30000.0
+    supervisor_addr: Tuple[str, int] = ("127.0.0.1", 0)
     path: Optional[str] = None
+    #: Simulated link latencies that differ from the role default.
+    links: Dict[Tuple[str, str], LatencyModel] = \
+        field(default_factory=dict)
     by_name: Dict[str, Site] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.by_name = {site.name: site for site in self.sites}
+        if len(self.by_name) != len(self.sites):
+            raise ValueError("duplicate site names")
+        for site in self.sites:
+            self._check(site)
+        for pair in self.links:
+            for end in pair:
+                if end not in self.by_name:
+                    raise ValueError(f"link {pair!r}: {end!r} is not "
+                                     "a site")
+
+    def _check(self, site: Site) -> None:
+        """Every site a site names must exist and play the right role."""
+        who = f"site {site.name!r}"
+        for key in site.keys or ():
+            if key not in self.keys:
+                raise ValueError(f"{who}: key {key[0]} is not in the "
+                                 "topology's keys")
+        if site.role == "dc":
+            return
+        if site.dc is None:
+            raise ValueError(f"{who}: role {site.role!r} needs dc = ...")
+        upstream = self.by_name.get(site.dc)
+        if upstream is None or upstream.role not in ("dc", "pop"):
+            raise ValueError(f"{who}: upstream {site.dc!r} is not a "
+                             "dc or pop site")
+        if site.role != "member":
+            return
+        if site.group is None or site.parent is None:
+            raise ValueError(f"{who}: member needs group and parent")
+        members = self.members_of(site.group)
+        if site.parent not in [m.name for m in members]:
+            raise ValueError(f"{who}: parent {site.parent!r} is not a "
+                             f"member of group {site.group!r}")
+        if site.parent != members[0].parent:
+            raise ValueError(f"{who}: group {site.group!r} disagrees "
+                             f"on its parent ({site.parent!r} vs "
+                             f"{members[0].parent!r})")
+
+    def keys_of(self, site: Site) -> List[Key]:
+        return self.keys if site.keys is None else site.keys
 
     @property
     def dcs(self) -> List[Site]:
@@ -109,13 +167,10 @@ class Topology:
         return [s for s in self.sites
                 if s.role == "member" and s.group == group]
 
-    @property
-    def groups(self) -> List[str]:
-        seen: List[str] = []
-        for site in self.sites:
-            if site.role == "member" and site.group not in seen:
-                seen.append(site.group)  # type: ignore[arg-type]
-        return seen
+    def workload(self) -> List[Op]:
+        """The seeded op list: a pure function of the description."""
+        return generate_ops(self.seed, [s.name for s in self.clients],
+                            self.keys, self.n_txns, self.window_ms)
 
     def homes(self) -> Dict[str, str]:
         """Protocol node id -> site name, for transport routing.
@@ -149,12 +204,14 @@ def parse_topology(data: dict, path: Optional[str] = None) -> Topology:
     deployment = data.get("deployment", {})
     workload = data.get("workload", {})
 
-    keys: List[Tuple[ObjectKey, str]] = []
+    keys: List[Key] = []
     for entry in data.get("keys", []):
         keys.append((ObjectKey(entry["bucket"], entry["key"]),
                      entry.get("type", "counter")))
     if not keys:
         raise ValueError("topology declares no [[keys]]")
+    key_named = {f"{key.bucket}/{key.key}": (key, type_name)
+                 for key, type_name in keys}
 
     sites: List[Site] = []
     for entry in data.get("sites", []):
@@ -168,28 +225,25 @@ def parse_topology(data: dict, path: Optional[str] = None) -> Topology:
         if variant not in COMMIT_VARIANTS:
             raise ValueError(f"site {entry['name']!r}: unknown "
                              f"commit_variant {variant!r}")
+        unknown = [k for k in entry.get("keys", []) if k not in key_named]
+        if unknown:
+            raise ValueError(f"site {entry['name']!r}: keys {unknown!r} "
+                             "are not in [[keys]]")
         sites.append(Site(
             name=entry["name"], role=role, host=host, port=port,
             dc=entry.get("dc"), group=entry.get("group"),
             parent=entry.get("parent"), commit_variant=variant,
             n_shards=int(entry.get("n_shards", 2)),
             k_target=int(entry.get("k_target", 1)),
-            client=bool(entry.get("client", True))))
+            client=bool(entry.get("client", True)),
+            keys=([key_named[k] for k in entry["keys"]]
+                  if "keys" in entry else None)))
     if not sites:
         raise ValueError("topology declares no [[sites]]")
-    names = [s.name for s in sites]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate site names")
-
-    for site in sites:
-        if site.role in ("edge", "member", "pop"):
-            if site.dc is None:
-                raise ValueError(f"site {site.name!r}: role "
-                                 f"{site.role!r} needs dc = ...")
-        if site.role == "member":
-            if site.group is None or site.parent is None:
-                raise ValueError(f"site {site.name!r}: member needs "
-                                 "group and parent")
+    links = {(entry["a"], entry["b"]):
+             LatencyModel(float(entry["base_ms"]),
+                          float(entry.get("jitter_ms", 0.0)))
+             for entry in data.get("links", [])}
 
     sup = data.get("supervisor", {})
     sup_addr = _parse_addr(sup.get("listen", "127.0.0.1:0"),
@@ -202,7 +256,7 @@ def parse_topology(data: dict, path: Optional[str] = None) -> Topology:
         n_txns=int(workload.get("n_txns", 18)),
         window_ms=float(workload.get("window_ms", 2000.0)),
         settle_max_ms=float(workload.get("settle_max_ms", 30000.0)),
-        supervisor_addr=sup_addr, path=path)
+        supervisor_addr=sup_addr, path=path, links=links)
 
 
 def load_topology(path: str) -> Topology:

@@ -12,9 +12,12 @@ import json
 import socket
 from pathlib import Path
 
-from repro.serve.builder import run_reference
+import pytest
+
+from repro.serve.builder import (build_sim_world, run_reference,
+                                 settle_order)
 from repro.serve.supervisor import run_deployment
-from repro.serve.topology import load_topology
+from repro.serve.topology import load_topology, parse_topology
 from repro.serve.workload import generate_ops
 
 
@@ -140,3 +143,50 @@ def test_example_topology_parses():
     assert [s.name for s in topo.members_of("g")] == ["m0", "m1", "m2"]
     assert topo.homes()["supervisor.ctl"] == "supervisor"
     assert topo.homes()["m1.ctl"] == "m1"
+
+
+def _document(*sites, **extra):
+    def site(name, role, **fields):
+        return {"name": name, "role": role, "listen": "127.0.0.1:0",
+                **fields}
+    return {"keys": [{"bucket": "app", "key": "c0"}],
+            "sites": [site("dc0", "dc"), site("pop0", "pop", dc="dc0")]
+            + [site(*args, **fields) for args, fields in sites],
+            **extra}
+
+
+def _member(name, parent, **fields):
+    return ((name, "member"),
+            {"dc": "dc0", "group": "g", "parent": parent, **fields})
+
+
+@pytest.mark.parametrize("document, named", [
+    (_document((("far", "edge"), {"dc": "nope"})), "'far'"),
+    (_document((("far", "edge"), {"dc": "far"})), "'far'"),
+    (_document(_member("m0", "ghost")), "'m0'"),
+    (_document(_member("m0", "m0"), _member("m1", "m1")), "'m1'"),
+    (_document((("far", "edge"), {"dc": "dc0", "keys": ["app/zz"]})),
+     "'far'"),
+    (_document(links=[{"a": "dc0", "b": "ghost", "base_ms": 1.0}]),
+     "'ghost'"),
+], ids=["upstream-missing", "upstream-not-a-relay", "parent-not-a-member",
+        "parents-disagree", "key-not-declared", "link-end-not-a-site"])
+def test_parse_topology_rejects_dangling_names(document, named):
+    with pytest.raises(ValueError, match=named):
+        parse_topology(document)
+
+
+def test_pop_children_connect_after_their_pop():
+    # The child is listed first: the order comes from the tree.
+    topo = parse_topology(_document(
+        (("child", "edge"), {"dc": "pop0", "keys": ["app/c0"]}),
+        (("far", "edge"), {"dc": "dc0"}),
+        links=[{"a": "child", "b": "pop0", "base_ms": 10.0,
+                "jitter_ms": 2.0}]))
+    topo.sites.sort(key=lambda s: s.name != "child")
+    direct, below = settle_order(topo)
+    assert [s.name for s in direct] == ["pop0", "far"]
+    assert [s.name for s in below] == ["child"]
+    world = build_sim_world(topo)
+    assert world.actors["child"].session_open
+    assert world.sim.network.stats.messages_dropped == 0
