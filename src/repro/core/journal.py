@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
+from operator import attrgetter
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List,
-                    Optional, Set)
+                    Optional, Set, Tuple)
 
 from ..crdt.base import OpBasedCRDT, Operation, new_crdt, state_from_dict
 from .dot import Dot
@@ -28,18 +29,18 @@ from .txn import ObjectKey, Transaction
 class JournalEntry:
     """One transaction's updates to one object."""
 
-    __slots__ = ("dot", "txn", "ops")
+    __slots__ = ("dot", "txn", "ops", "order")
 
     def __init__(self, txn: Transaction, ops: List[Operation]):
-        self.dot = txn.dot
+        dot = self.dot = txn.dot
         self.txn = txn
         self.ops = ops  # already tagged
-
-    def sort_key(self):
-        return self.dot.as_tuple()
+        #: Journal position: the dot as a plain tuple, built once so
+        #: ordering an entry never calls back into Python.
+        self.order = (dot.counter, dot.origin)
 
     def __lt__(self, other: "JournalEntry") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self.order < other.order
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"JournalEntry({self.dot}, {len(self.ops)} ops)"
@@ -47,6 +48,8 @@ class JournalEntry:
 
 # A predicate deciding whether a journal entry is visible to a reader.
 EntryFilter = Callable[[JournalEntry], bool]
+
+_ORDER = attrgetter("order")
 
 _JOURNAL_UIDS = itertools.count()
 
@@ -61,7 +64,9 @@ class ObjectJournal:
         self._base_dots: Set[Dot] = set()
         self._base_dots_view: Optional[FrozenSet[Dot]] = None
         self._entries: List[JournalEntry] = []  # kept sorted by dot
-        self._index: Dict[Dot, JournalEntry] = {}
+        # ``order`` of every journalled entry: tuples hash in C, a Dot
+        # through a Python ``__hash__``.
+        self._index: Set[Tuple[int, str]] = set()
         #: Bumped on every append/compaction; readers use it to cache
         #: materialised versions.  ``uid`` distinguishes journal
         #: incarnations after a drop/reinstall.
@@ -79,19 +84,32 @@ class ObjectJournal:
         Returns False when the transaction was already journalled (or
         folded into the base), making delivery idempotent.
         """
-        if txn.dot in self._index or txn.dot in self._base_dots:
+        dot = txn.dot
+        order = (dot.counter, dot.origin)
+        if order in self._index or (self._base_dots
+                                    and dot in self._base_dots):
             return False
-        ops = [w.op for w in txn.tagged_writes() if w.key == self.key]
+        key = self.key
+        # Only this object's writes, tagged as tagged_writes() would.
+        ops = [w.op.with_tag((*order, i))
+               for i, w in enumerate(txn.writes) if w.key == key]
         if not ops:
             return False
         entry = JournalEntry(txn, ops)
-        insort(self._entries, entry)
-        self._index[txn.dot] = entry
+        entries = self._entries
+        # A stream delivers in dot order, so the new entry nearly always
+        # belongs after the tail; anything else (a concurrent origin, a
+        # resend) is placed by a bisect over the precomputed tuples.
+        if not entries or order > entries[-1].order:
+            entries.append(entry)
+        else:
+            insort(entries, entry, key=_ORDER)
+        self._index.add(order)
         self.version += 1
         return True
 
     def has(self, dot: Dot) -> bool:
-        return dot in self._index or dot in self._base_dots
+        return dot.as_tuple() in self._index or dot in self._base_dots
 
     # -- reads ------------------------------------------------------------------
     def materialise(self, visible: Optional[EntryFilter] = None) \
@@ -132,7 +150,7 @@ class ObjectJournal:
         if not folded:
             return 0
         for entry in entries[:folded]:
-            del self._index[entry.dot]
+            self._index.remove(entry.order)
             for op in entry.ops:
                 self._base.apply(op)
             self._base_dots.add(entry.dot)

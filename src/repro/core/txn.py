@@ -41,6 +41,9 @@ class ObjectKey:
         return f"{self.bucket}/{self.key}"
 
 
+_NO_DEPS: FrozenSet[Dot] = frozenset()
+
+
 class Snapshot:
     """A causally closed read point: DC vector + unacknowledged local dots.
 
@@ -54,7 +57,11 @@ class Snapshot:
     def __init__(self, vector: VectorClock,
                  local_deps: Iterable[Dot] = ()):
         self.vector = vector
-        self.local_deps: FrozenSet[Dot] = frozenset(local_deps)
+        # Most snapshots have no symbolic deps; a fresh empty frozenset
+        # apiece was the largest single line of a replication window's
+        # heap growth.
+        self.local_deps: FrozenSet[Dot] = \
+            frozenset(local_deps) if local_deps else _NO_DEPS
 
     def satisfied_by(self, state_vector: VectorClock,
                      known_dots) -> bool:

@@ -27,7 +27,6 @@ from typing import (Any, Callable, Dict, List, Optional, Set, Tuple,
 
 from ..core.clock import LamportClock, VectorClock
 from ..core.dot import Dot, DotTracker
-from ..core.kstable import KStabilityTracker
 from ..core.txn import CommitStamp, ObjectKey, Snapshot, Transaction, WriteOp
 from ..crdt.base import state_from_dict
 from ..obs.trace import DC_COMMIT, K_STABLE, REPLICATION
@@ -51,6 +50,7 @@ from .messages import (HEADER_BYTES, SKIP_MARKER_BYTES, CommitAck,
 from .replog import (ReplLink, SkipRun, decode_stream_entry,
                      encode_stream_entry, well_formed_entries)
 from .server import ShardServer
+from .stability import Release, StabilityFrontier, delivery_order
 from ..store.ring import HashRing
 
 
@@ -212,17 +212,17 @@ class DataCenter(Actor):
         self._txn_by_dot: Dict[Dot, Transaction] = {}
         # Per-origin-DC commit streams: ts -> dot, for stability frontiers.
         self._stream_dots: Dict[str, Dict[int, Dot]] = {node_id: {}}
-        self.kstab = KStabilityTracker(k_target)
-        self.stable_vector = VectorClock.zero()
-        self._stable_dots: Set[Dot] = set()
+        # Holder knowledge and the stable cut (see repro.dc.stability).
+        self.stability = StabilityFrontier(
+            node_id, k_target, self.interest, self._stream_dots,
+            self._txn_by_dot, self.dots.seen, self._skip_covered)
+        self.kstab = self.stability.kstab
         # Replication receive queues, one per sibling DC stream, kept
         # in origin-timestamp order.
         self._repl_queues: Dict[str, _ReplQueue] = {}
-        # Log shipping: per-directed-link send state, the best known
-        # applied vector of each peer (coalesced stability), a
-        # pending-flush guard and the per-drain shard apply buffer.
+        # Log shipping: per-directed-link send state, a pending-flush
+        # guard and the per-drain shard apply buffer.
         self._repl_links: Dict[str, ReplLink] = {}
-        self._peer_applied: Dict[str, VectorClock] = {}
         self._repl_flush_scheduled = False
         self._shard_apply_buf: Dict[str, List[dict]] = {}
         # Chain-encoded own-stream entries keyed by (previous *shipped*
@@ -247,9 +247,6 @@ class DataCenter(Actor):
         self._pending_2pc: Dict[int, _Pending2PC] = {}
         self._next_txid = 0
         self._remote_request_dots: Dict[Tuple[str, int], Dot] = {}
-        # Collection cursor: the stable cut up to which transactions
-        # have been handed to the fan-out (per-session cursors live there).
-        self._pushed_stable = VectorClock.zero()
 
         # ``replicated_in`` counts remote transactions actually applied
         # (once each); duplicate or stale stream entries — anti-entropy
@@ -494,8 +491,9 @@ class DataCenter(Actor):
         self._sequencer += 1
         ts = self._sequencer
         txn.commit.add_entry(self.node_id, ts)
+        keys = txn.keys
         self._stream_dots.setdefault(self.node_id, {})[ts] = txn.dot
-        self.interest.note_entry(txn.dot, self.node_id, txn.keys, own_ts=ts)
+        self.interest.note_entry(txn.dot, self.node_id, keys, own_ts=ts)
         self.lamport.observe(txn.dot.counter)
         self.dots.observe(txn.dot)
         self._txn_by_dot[txn.dot] = txn
@@ -506,12 +504,12 @@ class DataCenter(Actor):
                             ts=ts)
         if notify_shards:
             # Already committed elsewhere (edge txn); store, no 2PC.
-            for shard, _keys in self.ring.partition(txn.keys).items():
+            for shard in self.ring.partition(keys):
                 self.send(shard, ShardApply(txn.to_dict()))
         # K-stability bookkeeping and geo-replication.  The commit
         # stream itself is the send buffer: commits in the same flush
         # window ship together as ReplicateBatch frames.
-        self.kstab.record(txn.dot, {self.node_id})
+        self.stability.record(txn.dot, {self.node_id})
         self._schedule_repl_flush()
         if self.required_k(txn.dot) <= 1:
             # With K > 1 a fresh local commit has a single holder, so it
@@ -519,7 +517,7 @@ class DataCenter(Actor):
             # our stream: those need this very dot stable first) — unless
             # we are the only replica interested in it, which makes it
             # stable at birth whatever the global K target.
-            self._advance_stability()
+            self._release_stable()
 
     # ------------------------------------------------------------------
     # remote (in-DC) transactions: baseline clients & migration (3.6/3.9)
@@ -620,7 +618,7 @@ class DataCenter(Actor):
             return
         # Apply each prepared op to the snapshot buffer so that several
         # updates to one object within the transaction compose.
-        for index, write in enumerate(txn.tagged_writes()):
+        for write in txn.tagged_writes():
             pending.states[write.key].apply(write.op)
         # Two-phase commit across the touched shards (ClockSI style).
         shards = sorted(self.ring.partition(txn.keys))
@@ -797,7 +795,8 @@ class DataCenter(Actor):
         # The sender applied everything its vector covers: that is the
         # coalesced stability gossip, and it must be noted *before* the
         # drain so apply-time holder counts see it.
-        self._note_peer_applied(sender, VectorClock(msg.sender_vector))
+        self.stability.note_peer_applied(
+            sender, VectorClock(msg.sender_vector), self.state_vector)
         base = VectorClock(msg.base_vector)
         origin_dc = msg.origin_dc
         queue = self._repl_queues.setdefault(origin_dc, _ReplQueue())
@@ -840,7 +839,7 @@ class DataCenter(Actor):
         if applied or len(queue):
             # Fast-path applies moved our frontier, so other streams may
             # have unblocked: rescan them all.  _process_repl_queues ends
-            # with shard-apply flush and an _advance_stability pass.
+            # with shard-apply flush and a stability sweep.
             self._process_repl_queues(moved=None if applied else origin_dc)
         self._send_batch_ack(sender)
 
@@ -915,7 +914,7 @@ class DataCenter(Actor):
             self._send_backfill(sender, shard)
         if changed:
             # A shrunk peer interest can lower required_k thresholds.
-            self._advance_stability()
+            self._release_stable()
 
     def _send_backfill(self, peer: str, shard: int) -> None:
         """Answer a catch-up request from our own commit stream.
@@ -941,14 +940,10 @@ class DataCenter(Actor):
                                       self._sequencer),
                   size_bytes=size)
         self.stats["repl_backfills_out"] += 1
-        credited = False
-        for ts, _payload in entries:
-            dot = stream[ts]
-            if dot not in self._stable_dots:
-                self.kstab.record(dot, (peer,))
-                credited = True
-        if credited:
-            self._advance_stability()
+        credited = [self.stability.credit(stream[ts], peer)
+                    for ts, _payload in entries]
+        if any(credited):
+            self._release_stable()
 
     def _on_shard_backfill(self, msg: ShardBackfill,
                            sender: str) -> None:
@@ -962,14 +957,13 @@ class DataCenter(Actor):
                 self._adopt_commit_entries(txn)
                 if ts not in stream:
                     stream[ts] = txn.dot
-                    if ts <= self.stable_vector[sender]:
-                        self._stable_dots.add(txn.dot)
+                    self.stability.fill(sender, ts, txn.dot)
                 continue
             self._apply_offstream_entry(sender, ts, txn)
             applied = True
         if applied:
             self._flush_shard_applies()
-            self._advance_stability()
+            self._release_stable()
         self._carry_out(self.interest.backfilled(msg.shard, sender))
 
     def _apply_offstream_entry(self, origin_dc: str, ts: int,
@@ -990,18 +984,8 @@ class DataCenter(Actor):
         self.dots.observe(txn.dot)
         self._txn_by_dot[txn.dot] = txn
         self._stream_dots.setdefault(origin_dc, {})[ts] = txn.dot
-        if ts <= self.stable_vector[origin_dc]:
-            # The stable frontier already hopped this position while it
-            # was skip-covered: the backfilled dot is part of the stable
-            # cut, and later entries naming it as a local dependency
-            # must see it as released.
-            self._stable_dots.add(txn.dot)
-        self.interest.note_entry(txn.dot, origin_dc, txn.keys)
-        self.kstab.record(txn.dot,
-                          self._known_holders(origin_dc, ts, txn.dot))
-        payload = txn.to_dict()
-        for shard in self.ring.partition(txn.keys):
-            self._shard_apply_buf.setdefault(shard, []).append(payload)
+        self.stability.fill(origin_dc, ts, txn.dot)
+        self._store_remote(origin_dc, ts, txn)
 
     def _send_batch_ack(self, peer: str) -> None:
         self.stats["repl_acks_out"] += 1
@@ -1014,58 +998,9 @@ class DataCenter(Actor):
                                 sender: str) -> None:
         self._link(sender).acks_in += 1
         self.stats["repl_acks_in"] += 1
-        if self._note_peer_applied(sender, VectorClock(msg.applied_vector)):
-            self._advance_stability()
-
-    # -- coalesced K-stability ------------------------------------------
-    def _note_peer_applied(self, peer: str,
-                           vector: VectorClock) -> bool:
-        """Fold a peer's applied vector into holder knowledge.
-
-        A peer holds every transaction its applied vector covers, so
-        each newly covered (origin, ts) we know the dot of is recorded
-        with the K-stability tracker.  Entries past our own applied
-        frontier are picked up at apply time via ``_known_holders``.
-        Returns True when the peer's known frontier advanced (holder
-        counts may have changed), False on a stale vector.
-        """
-        known = self._peer_applied.get(peer, VectorClock.zero())
-        if vector.leq(known):
-            return False
-        merged = known.merge(vector)
-        self._peer_applied[peer] = merged
-        holds = self.interest.peer_holds
-        for origin in merged:
-            new = merged[origin]
-            old = known[origin]
-            if new <= old:
-                continue
-            stream = self._stream_dots.get(origin)
-            if not stream:
-                continue
-            cap = (self._sequencer if origin == self.node_id
-                   else self.state_vector[origin])
-            for ts in range(old + 1, min(new, cap) + 1):
-                dot = stream.get(ts)
-                # Holder sets only gate stability; once a dot is inside
-                # the stable cut, further holders are of no consequence.
-                # A covered position only proves the peer *resolved*
-                # it — holder credit additionally needs the peer's
-                # interest to intersect the entry's shards.
-                if (dot is not None and dot not in self._stable_dots
-                        and holds(peer, dot)):
-                    self.kstab.record(dot, (peer,))
-        return True
-
-    def _known_holders(self, origin_dc: str, ts: int,
-                       dot: Optional[Dot] = None) -> Set[str]:
-        """Us plus every peer whose applied vector covers (origin, ts)."""
-        holders = {self.node_id}
-        for peer, vec in self._peer_applied.items():
-            if vec[origin_dc] >= ts and (
-                    dot is None or self.interest.peer_holds(peer, dot)):
-                holders.add(peer)
-        return holders
+        if self.stability.note_peer_applied(
+                sender, VectorClock(msg.applied_vector), self.state_vector):
+            self._release_stable()
 
     def required_k(self, dot: Dot) -> int:
         """Interested-replica stability threshold for ``dot``."""
@@ -1084,7 +1019,7 @@ class DataCenter(Actor):
             queue = self._repl_queues.get(moved)
             if queue is None or not self._drain_queue(moved, queue):
                 self._flush_shard_applies()
-                self._advance_stability()
+                self._release_stable()
                 return
         progress = True
         while progress:
@@ -1093,7 +1028,7 @@ class DataCenter(Actor):
                 if self._drain_queue(origin_dc, queue):
                     progress = True
         self._flush_shard_applies()
-        self._advance_stability()
+        self._release_stable()
 
     def _drain_queue(self, origin_dc: str, queue: _ReplQueue) -> bool:
         """Drain one stream's queue; returns True if anything applied.
@@ -1149,8 +1084,8 @@ class DataCenter(Actor):
                     origin_dc, {})[ts] = txn.dot
                 # The stream coordinate is new even if the dot is not:
                 # peers whose vectors already cover it hold the txn.
-                self.kstab.record(txn.dot,
-                                  self._known_holders(origin_dc, ts))
+                self.stability.record(
+                    txn.dot, self.stability.known_holders(origin_dc, ts))
                 queue.popleft()
                 progress = True
                 continue
@@ -1194,19 +1129,26 @@ class DataCenter(Actor):
         self.dots.observe(txn.dot)
         self._txn_by_dot[txn.dot] = txn
         self._stream_dots.setdefault(origin_dc, {})[ts] = txn.dot
-        self.interest.note_entry(txn.dot, origin_dc, txn.keys)
         # Advance only the stream we received on: other equivalent commit
         # entries (section 3.8) belong to streams that ship separately, and
         # merging them here would claim transactions we have not applied.
         # Contiguity makes ts == frontier + 1, so a single-component
         # advance is the merge.
         self.state_vector = self.state_vector.advance(origin_dc, ts)
+        self._store_remote(origin_dc, ts, txn)
+
+    def _store_remote(self, origin_dc: str, ts: int,
+                      txn: Transaction) -> None:
+        """What a stream apply and an off-stream fill share: note the
+        entry's shards, its holders, and buffer it for the stores."""
+        keys = txn.keys
+        self.interest.note_entry(txn.dot, origin_dc, keys)
         # Every peer whose applied vector already covers this coordinate
         # holds the transaction — that knowledge arrived coalesced on
         # batch acks rather than per-txn gossip.
-        self.kstab.record(txn.dot,
-                          self._known_holders(origin_dc, ts, txn.dot))
-        shards = self.ring.partition(txn.keys)
+        self.stability.record(
+            txn.dot, self.stability.known_holders(origin_dc, ts, txn.dot))
+        shards = self.ring.partition(keys)
         if not shards:
             return  # metadata-only txn: nothing for the stores
         payload = txn.to_dict()
@@ -1251,7 +1193,8 @@ class DataCenter(Actor):
         The rewind now waits for evidence of loss: the peer advertising
         the *same* stalled frontier twice in a row.
         """
-        self._note_peer_applied(sender, VectorClock(msg.state_vector))
+        self.stability.note_peer_applied(
+            sender, VectorClock(msg.state_vector), self.state_vector)
         if msg.interest_mask is not None:
             self.interest.fold_advert(sender, msg.interest_mask,
                                       msg.interest_seq)
@@ -1275,104 +1218,33 @@ class DataCenter(Actor):
             link.rewinds += 1
         link.last_advert = peer_has
         self._flush_link(link, limit=self.SYNC_BATCH)
-        self._advance_stability()
+        self._release_stable()
 
-    def _advance_stability(self) -> None:
-        """Move per-stream stable frontiers; push newly stable updates.
-
-        The stable vector must stay a *causally closed* cut: a transaction
-        is released only when it is K-stable AND all its dependencies are
-        already inside the cut (its snapshot vector is covered and its
-        symbolic dependencies were released).  Without this, an edge could
-        receive a transaction before its causal ancestors — exactly the
-        incompatibility K-stability exists to prevent (section 3.8).
-        """
-        advanced = False
-        # Work on a plain dict: releasing a long run would otherwise
-        # rebuild an immutable clock per released transaction.
-        stable = self.stable_vector.to_dict()
-        required_k = self.interest.required_k
-        k_target = self.k_target
-        progress = True
-        while progress:
-            progress = False
-            for origin_dc, stream in self._stream_dots.items():
-                frontier = stable.get(origin_dc, 0)
-                while True:
-                    dot = stream.get(frontier + 1)
-                    if dot is None:
-                        # A position covered by a skip run (applied, so
-                        # within our frontier) holds nothing to release:
-                        # the stable frontier hops over it.
-                        if self._skip_covered(origin_dc,
-                                              frontier + 1) is None:
-                            break
-                        frontier += 1
-                        stable[origin_dc] = frontier
-                        progress = True
-                        advanced = True
-                        continue
-                    if self.kstab.count(dot) < required_k(dot, k_target):
-                        break
-                    txn = self._txn_by_dot.get(dot)
-                    if txn is None:  # pragma: no cover - defensive
-                        break
-                    if any(v > stable.get(k, 0) for k, v
-                           in txn.snapshot.vector.items()):
-                        break  # blocked on another stream's frontier
-                    # A dependency never seen was pruned from the
-                    # stream that carried it: nothing to wait for.
-                    if not all(d in self._stable_dots
-                               or not self.dots.seen(d)
-                               for d in txn.snapshot.local_deps):
-                        break
-                    frontier += 1
-                    stable[origin_dc] = frontier
-                    self._stable_dots.add(dot)
-                    if self.obs.enabled:
-                        self.obs.record(K_STABLE, dot, self.node_id,
-                                        self.now, origin=origin_dc,
-                                        ts=frontier)
-                    progress = True
-                    advanced = True
-        if advanced:
-            self.stable_vector = VectorClock(stable)
-            self._push_updates()
+    def _release_stable(self) -> None:
+        """Sweep the stable frontier (section 3.8) and carry out what
+        it released: lifecycle spans, then the push round."""
+        run = self.stability.advance()
+        if run is None:
+            return
+        if self.obs.enabled:
+            for origin_dc, ts, dot in run:
+                self.obs.record(K_STABLE, dot, self.node_id, self.now,
+                                origin=origin_dc, ts=ts)
+        self._push_updates(run)
 
     # ------------------------------------------------------------------
     # pushing K-stable updates to edge sessions (sections 3.8, 4.2)
     # ------------------------------------------------------------------
-    def _push_updates(self) -> None:
-        """Send newly K-stable transactions to the sessions they concern.
+    def _push_updates(self, run: List[Release]) -> None:
+        """Send the newly K-stable ``run`` to the sessions it concerns.
 
         Only a round's audience is sent to, each session chained from
         its own cursor; everybody else learns the new stable cut from
         the next :meth:`_keepalive`.
         """
         if not self.sessions:
-            # Nobody to push to: just move the cursor, skip collection.
-            self._pushed_stable = self.stable_vector
-            return
-        new_txns: List[Transaction] = []
-        for origin_dc, stream in self._stream_dots.items():
-            start = self._pushed_stable[origin_dc]
-            end = self.stable_vector[origin_dc]
-            for ts in range(start + 1, end + 1):
-                dot = stream.get(ts)
-                if dot is None:
-                    continue
-                txn = self._txn_by_dot.get(dot)
-                if txn is not None:
-                    new_txns.append(txn)
-        self._pushed_stable = self.stable_vector
-        # Dot order linearly extends causality: safe delivery order.
-        new_txns.sort(key=lambda t: t.dot.as_tuple())
-        seen: Set[Dot] = set()
-        unique = []
-        for txn in new_txns:
-            if txn.dot not in seen:
-                seen.add(txn.dot)
-                unique.append(txn)
+            return  # nobody to push to
+        unique = [self._txn_by_dot[dot] for dot in delivery_order(run)]
         stable = self.stable_vector.to_dict()
         # Serialise each txn once and share the dict across its audience:
         # receivers rebuild Transaction objects and never mutate these.
@@ -1415,7 +1287,7 @@ class DataCenter(Actor):
 
     def stable_transactions(self) -> List[Transaction]:
         """Every transaction inside this DC's stable cut."""
-        return [self._txn_by_dot[dot] for dot in self._stable_dots
+        return [self._txn_by_dot[dot] for dot in self.stability.stable_dots
                 if dot in self._txn_by_dot]
 
     def stream_gaps(self) -> Dict[str, List[int]]:
@@ -1490,6 +1362,10 @@ class DataCenter(Actor):
                 if journal is not None:
                     digest[key] = journal.materialise(None).value()
         return digest
+
+    @property
+    def stable_vector(self) -> VectorClock:
+        return self.stability.stable_vector
 
     @property
     def committed_count(self) -> int:

@@ -203,11 +203,7 @@ class InterestGraph:
 
     def peer_holds(self, peer: str, dot: Dot) -> bool:
         """Would the peer have stored (not skip-covered) this entry?"""
-        # Emptiness first: hashing a Dot is a Python-level call, and
-        # under full replication nothing is ever recorded.  Here and
-        # in required_k it saves 17 such calls per transaction on
-        # des_geo_write (cpu_ms_per_txn, about 1 % by cProfile).
-        meta = self._entries.get(dot) if self._entries else None
+        meta = self._entries.get(dot)
         if meta is None:
             return True
         mask, origin = meta
@@ -222,7 +218,7 @@ class InterestGraph:
         interested in needs ``k_target`` as given, so a target above
         the cluster size never stabilises.
         """
-        meta = self._entries.get(dot) if self._entries else None
+        meta = self._entries.get(dot)
         if meta is None:
             return k_target
         mask, origin = meta

@@ -53,10 +53,18 @@ class ShardServer(Actor):
         elif isinstance(message, ShardRead):
             self._on_read(message, sender)
         elif isinstance(message, ShardCompactMsg):
-            frontier = VectorClock(message.frontier)
-            self.store.compact(
-                lambda e: (not e.txn.commit.is_symbolic
-                           and e.txn.commit.included_in(frontier)))
+            covered = message.frontier.get
+
+            def stable(entry) -> bool:
+                # Any equivalent commit entry inside the frontier (a
+                # symbolic stamp has none); once per journalled entry
+                # per round, so no generator and no clock object.
+                for dc, ts in entry.txn.commit.entries.items():
+                    if covered(dc, 0) >= ts:
+                        return True
+                return False
+
+            self.store.compact(stable)
         else:
             raise TypeError(f"shard {self.node_id}: unexpected"
                             f" message {message!r}")

@@ -132,15 +132,7 @@ class TestStabilityBookkeeping:
         run_update(edge, KEY, "counter", "increment", 1)
         dot = next(iter(edge.unacked))
         sim.run_for(200)
-        assert dot in dcs[0]._stable_dots
-
-    def test_pushed_cursor_tracks_stable(self):
-        sim, dcs, probe = world()
-        edge = build_edge(sim, "e", dc_id="dc0", interest=INTEREST)
-        sim.run_for(200)
-        run_update(edge, KEY, "counter", "increment", 1)
-        sim.run_for(200)
-        assert dcs[0]._pushed_stable == dcs[0].stable_vector
+        assert dot in dcs[0].stability.stable_dots
 
     def test_session_cursor_moves_with_its_own_pushes_only(self):
         sim, dcs, probe = world()

@@ -272,7 +272,7 @@ class TestFrameInputCheck:
         assert dc.stream_gaps() == {}
         assert all(len(queue) == 0 for queue in dc._repl_queues.values())
         assert not dc.holds(Dot(2, "dc0"))
-        assert dc._peer_applied["dc0"] == VectorClock({"dc0": 1})
+        assert dc.stability._peer_applied["dc0"] == VectorClock({"dc0": 1})
         # Counted, and nothing else moved: not applied, not acked.
         assert dc.stats == {**before, "repl_malformed_in": 1}
 

@@ -1,0 +1,154 @@
+"""StabilityFrontier, driven directly: no simulator, no DataCenter."""
+
+from repro.core import (CommitStamp, Dot, Snapshot, Transaction,
+                        VectorClock)
+from repro.core.dot import DotTracker
+from repro.dc.interest import InterestGraph
+from repro.dc.stability import StabilityFrontier, delivery_order
+
+NODE = "dc0"
+PEERS = ["dc1", "dc2"]
+
+
+class Bench:
+    """A frontier over hand-written streams (``dc0`` is us)."""
+
+    def __init__(self, k_target):
+        self.streams = {NODE: {}}
+        self.txns = {}
+        self.dots = DotTracker()
+        self.skips = set()              # (origin, ts) covered by a run
+        self.applied = VectorClock.zero()
+        self.frontier = StabilityFrontier(
+            NODE, k_target, InterestGraph(NODE, PEERS), self.streams,
+            self.txns, self.dots.seen,
+            lambda origin, ts: (origin, ts) in self.skips or None)
+
+    def put(self, origin, ts, counter, vector=None, deps=()):
+        """Store a transaction at ``(origin, ts)``; we now hold it."""
+        dot = Dot(counter, f"e-{origin}")
+        self.txns[dot] = Transaction(
+            dot, dot.origin, Snapshot(VectorClock(vector), deps),
+            CommitStamp({origin: ts}))
+        self.dots.observe(dot)
+        self.streams.setdefault(origin, {})[ts] = dot
+        self.applied = self.applied.advance(origin, ts)
+        self.frontier.record(
+            dot, self.frontier.known_holders(origin, ts, dot))
+        return dot
+
+    def heard(self, peer, vector):
+        return self.frontier.note_peer_applied(
+            peer, VectorClock(vector), self.applied)
+
+
+def test_k1_is_stable_at_birth():
+    bench = Bench(k_target=1)
+    dot = bench.put(NODE, 1, 1)
+    assert bench.frontier.advance() == [(NODE, 1, dot)]
+    assert bench.frontier.stable_vector == VectorClock({NODE: 1})
+    assert dot in bench.frontier.stable_dots
+    assert bench.frontier.advance() is None     # nothing left to move
+
+
+def test_k_above_cluster_size_never_stabilises():
+    bench = Bench(k_target=4)                   # three DCs exist
+    dot = bench.put(NODE, 1, 1)
+    assert bench.heard("dc1", {NODE: 1})
+    assert bench.heard("dc2", {NODE: 1})
+    assert bench.frontier.kstab.holders(dot) == {NODE, "dc1", "dc2"}
+    assert bench.frontier.advance() is None
+    assert bench.frontier.stable_vector == VectorClock.zero()
+
+
+def test_peer_vector_credits_and_releases_in_stream_order():
+    bench = Bench(k_target=2)
+    first, second = bench.put(NODE, 1, 1), bench.put(NODE, 2, 2)
+    assert bench.frontier.advance() is None     # one holder each
+    assert bench.heard("dc1", {NODE: 2})
+    assert bench.frontier.advance() == [(NODE, 1, first), (NODE, 2, second)]
+
+
+def test_delivery_is_in_dot_order_and_once_per_dot():
+    a, b, c = Dot(1, "x"), Dot(2, "w"), Dot(2, "x")
+    # Release order is by stream; b was released on two streams.
+    run = [("dc0", 1, c), ("dc0", 2, b), ("dc1", 1, a), ("dc1", 2, b)]
+    assert delivery_order(run) == [a, b, c]
+    assert delivery_order([]) == []
+
+
+def test_stale_vector_changes_nothing():
+    bench = Bench(k_target=2)
+    dot = bench.put(NODE, 1, 1)
+    assert bench.heard("dc1", {NODE: 1})
+    before = bench.frontier.kstab.holders(dot)
+    assert not bench.heard("dc1", {NODE: 1})    # same again
+    assert not bench.heard("dc1", {})           # older
+    assert bench.frontier.kstab.holders(dot) == before
+
+
+def test_vector_past_our_frontier_is_credited_at_apply_time():
+    bench = Bench(k_target=2)
+    assert bench.heard("dc1", {"dc1": 3})       # we applied none of it
+    dot = bench.put("dc1", 1, 1)
+    assert bench.frontier.kstab.holders(dot) == {NODE, "dc1"}
+    assert bench.frontier.advance() == [("dc1", 1, dot)]
+
+
+def test_release_blocked_on_another_streams_frontier():
+    bench = Bench(k_target=2)
+    bench.heard("dc1", {NODE: 1, "dc1": 1})
+    ours = bench.put(NODE, 1, 1, vector={"dc1": 1})   # read dc1's first
+    assert bench.frontier.advance() is None     # dc1:1 is not stable yet
+    theirs = bench.put("dc1", 1, 2)
+    # dc1's stream comes second in the sweep, and unblocks ours: the
+    # sweep goes round again.
+    assert bench.frontier.advance() == [("dc1", 1, theirs), (NODE, 1, ours)]
+
+
+def test_release_blocked_on_an_unreleased_local_dep():
+    bench = Bench(k_target=2)
+    dep = bench.put("dc1", 1, 1)                # held by us alone
+    bench.heard("dc2", {"dc2": 1})
+    dependent = bench.put("dc2", 1, 2, deps=[dep])
+    assert bench.frontier.advance() is None
+    assert bench.heard("dc1", {"dc1": 1})       # now dep has two holders
+    assert bench.frontier.advance() == [("dc1", 1, dep),
+                                        ("dc2", 1, dependent)]
+
+
+def test_a_dep_never_applied_here_blocks_nothing():
+    bench = Bench(k_target=1)
+    dot = bench.put(NODE, 1, 1, deps=[Dot(7, "pruned")])
+    assert bench.frontier.advance() == [(NODE, 1, dot)]
+
+
+def test_frontier_hops_a_skip_covered_position():
+    bench = Bench(k_target=1)
+    bench.skips.add(("dc1", 1))
+    bench.streams["dc1"] = {}
+    assert bench.frontier.advance() == []       # moved, released nothing
+    assert bench.frontier.stable_vector == VectorClock({"dc1": 1})
+    dot = bench.put("dc1", 2, 1)
+    assert bench.frontier.advance() == [("dc1", 2, dot)]
+
+
+def test_late_fill_below_the_frontier_joins_the_cut():
+    bench = Bench(k_target=1)
+    bench.skips.add(("dc1", 1))
+    bench.streams["dc1"] = {}
+    bench.frontier.advance()                    # hopped dc1:1
+    filled = Dot(5, "e-dc1")
+    bench.frontier.fill("dc1", 1, filled)
+    assert filled in bench.frontier.stable_dots
+    bench.frontier.fill("dc1", 2, Dot(6, "e-dc1"))    # above the frontier
+    assert Dot(6, "e-dc1") not in bench.frontier.stable_dots
+
+
+def test_credit_stops_once_the_dot_is_stable():
+    bench = Bench(k_target=1)
+    dot = bench.put(NODE, 1, 1)
+    assert bench.frontier.credit(dot, "dc1")
+    bench.frontier.advance()
+    assert not bench.frontier.credit(dot, "dc2")
+    assert bench.frontier.kstab.holders(dot) == {NODE, "dc1"}

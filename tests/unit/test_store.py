@@ -134,6 +134,42 @@ class TestHashRing:
         with pytest.raises(ValueError):
             ring.add_server("s0")
 
+    @staticmethod
+    def fresh(servers):
+        ring = HashRing()
+        for server in servers:
+            ring.add_server(server)
+        return ring
+
+    def test_owner_memo_dropped_when_a_server_joins(self):
+        keys = [ObjectKey("b", f"k{i}") for i in range(300)]
+        ring = self.fresh(["s0", "s1"])
+        before = {key: ring.lookup(key) for key in keys}   # memo warm
+        ring.add_server("s2")
+        grown = self.fresh(["s0", "s1", "s2"])
+        assert any(grown.lookup(key) != before[key] for key in keys)
+        assert all(ring.lookup(key) == grown.lookup(key) for key in keys)
+        assert ring.partition(keys) == grown.partition(keys)
+
+    def test_owner_memo_dropped_when_a_server_leaves(self):
+        keys = [ObjectKey("b", f"k{i}") for i in range(300)]
+        ring = self.fresh(["s0", "s1", "s2"])
+        assert ring.partition(keys)["s1"]                   # memo warm
+        ring.remove_server("s1")
+        shrunk = self.fresh(["s0", "s2"])
+        assert ring.partition(keys) == shrunk.partition(keys)
+        assert all(ring.lookup(key) == shrunk.lookup(key) for key in keys)
+
+    def test_emptied_ring_lookup_fails_despite_earlier_lookups(self):
+        ring = self.fresh(["s0"])
+        key = ObjectKey("b", "k")
+        assert ring.lookup(key) == "s0"
+        ring.remove_server("s0")
+        with pytest.raises(LookupError):
+            ring.lookup(key)
+        with pytest.raises(LookupError):
+            ring.partition([key])
+
 
 class TestInterestCache:
     def test_declare_and_read(self):
