@@ -56,7 +56,7 @@ def test_measured_transaction_metadata(benchmark):
         deployment.sim.run_for(2000.0)
         sizes = []
         for dc in deployment.dcs:
-            for txn in dc._txn_by_dot.values():
+            for txn in dc.log.txns.values():
                 sizes.append(8 * len(txn.snapshot.vector)
                              + 16 * len(txn.snapshot.local_deps)
                              + 8 * max(1, len(txn.commit.entries)))

@@ -16,132 +16,50 @@ The DC also:
 * executes migrated transactions on behalf of resource-poor edge nodes
   (section 3.9) and serves the AntidoteDB-style baseline clients that have
   no cache at all (section 7.3).
+
+This class is the wiring.  What the DC has sequenced and applied is one
+value, the :class:`~repro.dc.commitlog.CommitLog`; the machines that
+append to it, ship it, apply it and read it are sans-io values sharing
+that log — :class:`~repro.dc.twopc.RemoteTxns`,
+:class:`~repro.dc.replog.ReplSender`,
+:class:`~repro.dc.replog.ReplReceiver` and
+:class:`~repro.dc.stability.StabilityFrontier`, beside
+:class:`~repro.dc.interest.InterestGraph` and
+:class:`~repro.dc.fanout.SessionFanout`.  Their methods return what to
+send and what happened; the methods here send it, arm the timers,
+record the lifecycle spans and keep ``stats``.
 """
 
 from __future__ import annotations
 
-import bisect
 import random
-from typing import (Any, Callable, Dict, List, Optional, Set, Tuple,
-                    Union)
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..core.clock import LamportClock, VectorClock
-from ..core.dot import Dot, DotTracker
-from ..core.txn import CommitStamp, ObjectKey, Snapshot, Transaction, WriteOp
-from ..crdt.base import state_from_dict
+from ..core.clock import VectorClock
+from ..core.dot import Dot
+from ..core.txn import ObjectKey, Transaction
 from ..obs.trace import DC_COMMIT, K_STABLE, REPLICATION
 from ..security.enforcement import SecurityEnforcer
 from ..sim.actor import Actor
 from ..sim.events import EventLoop
 from ..sim.network import Network
 from ..transport.base import Transport
+from .commitlog import CommitLog
 from .fanout import SessionFanout
 from .interest import InterestGraph, Outcome, ShardMap, shards_of_mask
-from .messages import (HEADER_BYTES, SKIP_MARKER_BYTES, CommitAck,
-                       CommitReject, DCSyncPing, EdgeCommit,
-                       EdgeCommitBatch, InterestAdvert, InterestChange,
-                       ObjectRequest, ObjectResponse, RemoteTxnReply,
-                       RemoteTxnRequest, ReplicateBatch,
+from .messages import (HEADER_BYTES, CommitAck, CommitReject, DCSyncPing,
+                       EdgeCommit, EdgeCommitBatch, InterestAdvert,
+                       InterestChange, ObjectRequest, ObjectResponse,
+                       RemoteTxnReply, RemoteTxnRequest, ReplicateBatch,
                        ReplicateBatchAck, SessionAck, SessionOpen,
                        ShardApply, ShardApplyBatch, ShardBackfill,
-                       ShardCommit, ShardCompactMsg, ShardPrepare,
-                       ShardRead, ShardReadReply, ShardVote, UpdatePush,
-                       vector_wire_size)
-from .replog import (ReplLink, SkipRun, decode_stream_entry,
-                     encode_stream_entry, well_formed_entries)
+                       ShardCompactMsg, ShardReadReply, ShardVote,
+                       UpdatePush, vector_wire_size)
+from .replog import Received, ReplLink, ReplReceiver, ReplSender
 from .server import ShardServer
 from .stability import Release, StabilityFrontier, delivery_order
+from .twopc import RemoteTxns, Sends
 from ..store.ring import HashRing
-
-
-class _ReplQueue:
-    """One origin stream's receive queue, ordered by origin timestamp.
-
-    Anti-entropy resends interleave with live replication, so one
-    origin's transactions can arrive out of stream order.  The queue is
-    processed strictly from the head (a blocked head must stall its
-    stream); appending blindly would let an out-of-order later
-    transaction block the very predecessor that unblocks it.
-
-    Duplicates are filtered by a dot set (kept in sync on ``popleft``)
-    and the insert position found by bisect on the origin timestamp, so
-    both operations stay O(log n) instead of the naive O(n) scans.
-    """
-
-    __slots__ = ("_entries", "_keys", "_dots", "_runs", "_head")
-
-    def __init__(self) -> None:
-        # Transactions and SkipRun markers, stream-ordered.
-        self._entries: List[Any] = []
-        # Origin timestamps parallel to _entries.
-        self._keys: List[int] = []
-        self._dots: Set[Dot] = set()
-        self._runs: Set[Tuple[int, int, int]] = set()
-        self._head = 0
-
-    def __len__(self) -> int:
-        return len(self._entries) - self._head
-
-    def head(self) -> Any:
-        return self._entries[self._head]
-
-    def popleft(self) -> Any:
-        item = self._entries[self._head]
-        self._head += 1
-        if isinstance(item, SkipRun):
-            self._runs.discard((item.start_ts, item.count, item.mask))
-        else:
-            self._dots.discard(item.dot)
-        if self._head >= 32 and self._head * 2 >= len(self._entries):
-            del self._entries[:self._head]
-            del self._keys[:self._head]
-            self._head = 0
-        return item
-
-    def insert(self, ts: int, txn: Transaction) -> bool:
-        """Queue in stream order; False when the dot is already queued."""
-        if txn.dot in self._dots:
-            return False  # a resend already queued; keep the first copy
-        index = bisect.bisect_right(self._keys, ts, lo=self._head)
-        self._entries.insert(index, txn)
-        self._keys.insert(index, ts)
-        self._dots.add(txn.dot)
-        return True
-
-    def insert_run(self, run: SkipRun) -> bool:
-        """Queue a skip run by start position; dedup exact resends."""
-        ident = (run.start_ts, run.count, run.mask)
-        if ident in self._runs:
-            return False
-        index = bisect.bisect_right(self._keys, run.start_ts,
-                                    lo=self._head)
-        self._entries.insert(index, run)
-        self._keys.insert(index, run.start_ts)
-        self._runs.add(ident)
-        return True
-
-
-class _PendingRemoteTxn:
-    """A remote transaction waiting for its shard reads."""
-
-    def __init__(self, request: RemoteTxnRequest, client: str,
-                 snapshot: Snapshot):
-        self.request = request
-        self.client = client
-        self.snapshot = snapshot
-        self.states: Dict[ObjectKey, Any] = {}
-        self.waiting_reads: Set[int] = set()
-
-
-class _Pending2PC:
-    """A transaction in its prepare phase across shards."""
-
-    def __init__(self, txn: Transaction, shards: List[str],
-                 on_done: Callable[[bool], None]):
-        self.txn = txn
-        self.shards = shards
-        self.votes: Set[str] = set()
-        self.on_done = on_done
 
 
 class DataCenter(Actor):
@@ -201,52 +119,26 @@ class DataCenter(Actor):
             self.ring.add_server(shard_id)
             self.shard_ids.append(shard_id)
 
-        # -- commit state -----------------------------------------------------
-        self._sequencer = 0
-        # Dots for transactions executed *in* this DC (section 3.6/3.9)
-        # come from a Lamport clock that observes every applied dot, so
-        # dot order keeps extending happened-before.
-        self.lamport = LamportClock()
-        self.state_vector = VectorClock.zero()
-        self.dots = DotTracker()
-        self._txn_by_dot: Dict[Dot, Transaction] = {}
-        # Per-origin-DC commit streams: ts -> dot, for stability frontiers.
-        self._stream_dots: Dict[str, Dict[int, Dot]] = {node_id: {}}
+        # -- the commit log and the machines around it --------------------
+        self.log = CommitLog(node_id)
         # Holder knowledge and the stable cut (see repro.dc.stability).
-        self.stability = StabilityFrontier(
-            node_id, k_target, self.interest, self._stream_dots,
-            self._txn_by_dot, self.dots.seen, self._skip_covered)
+        self.stability = StabilityFrontier(node_id, k_target,
+                                           self.interest, self.log)
         self.kstab = self.stability.kstab
-        # Replication receive queues, one per sibling DC stream, kept
-        # in origin-timestamp order.
-        self._repl_queues: Dict[str, _ReplQueue] = {}
-        # Log shipping: per-directed-link send state, a pending-flush
-        # guard and the per-drain shard apply buffer.
-        self._repl_links: Dict[str, ReplLink] = {}
+        # Log shipping (see repro.dc.replog).  The commit stream itself
+        # is the send buffer; the DC adds the pending-flush guard and
+        # the per-drain shard apply buffer.
+        self.sender = ReplSender(self.log, self.interest)
+        self.receiver = ReplReceiver(self.log, self.interest,
+                                     self.stability)
         self._repl_flush_scheduled = False
         self._shard_apply_buf: Dict[str, List[dict]] = {}
-        # Chain-encoded own-stream entries keyed by (previous *shipped*
-        # entry ts, ts).  Pruning makes the predecessor link-dependent;
-        # links that shipped the same predecessor — all of them on an
-        # unbroken chain — share one encoding.
-        self._entry_cache: Dict[Tuple[int, int], Tuple[dict, int]] = {}
-        # Applied skip runs per origin, sorted by start (the flat
-        # frontier covers them without a stored entry).
-        self._skip_runs: Dict[str, List[SkipRun]] = {}
-        self._skip_starts: Dict[str, List[int]] = {}
-
-        # -- sessions / pending work -----------------------------------------------
+        # Shard reads and in-DC transactions (see repro.dc.twopc).
+        self.remote = RemoteTxns(self.log, self.ring)
         # Edge sessions, their interest index and per-session push
         # cursors (see repro.dc.fanout).
         self._fanout = SessionFanout()
         self.sessions = self._fanout.sessions
-        self._next_request = 0
-        self._read_gathers: Dict[int, Tuple[Set[int], Dict[int, dict],
-                                            Callable[[List[dict]], None],
-                                            List[int]]] = {}
-        self._pending_2pc: Dict[int, _Pending2PC] = {}
-        self._next_txid = 0
-        self._remote_request_dots: Dict[Tuple[str, int], Dot] = {}
 
         # ``replicated_in`` counts remote transactions actually applied
         # (once each); duplicate or stale stream entries — anti-entropy
@@ -297,26 +189,29 @@ class DataCenter(Actor):
         elif isinstance(message, ObjectRequest):
             self._on_object_request(message, sender)
         elif isinstance(message, EdgeCommit):
-            self._on_edge_commit(message, sender)
+            self._on_edge_commit(message.txn, sender)
         elif isinstance(message, EdgeCommitBatch):
             for txn_dict in message.txns:
-                self._on_edge_commit(EdgeCommit(txn_dict), sender)
+                self._on_edge_commit(txn_dict, sender)
         elif isinstance(message, RemoteTxnRequest):
             self._on_remote_txn(message, sender)
         elif isinstance(message, ReplicateBatch):
-            self._on_replicate_batch(message, sender)
+            self._on_repl_frame(message, sender)
         elif isinstance(message, InterestAdvert):
             self._on_interest_advert(message, sender)
         elif isinstance(message, ShardBackfill):
             self._on_shard_backfill(message, sender)
         elif isinstance(message, ReplicateBatchAck):
-            self._on_replicate_batch_ack(message, sender)
+            self._on_repl_ack(message, sender)
         elif isinstance(message, DCSyncPing):
             self._on_sync_ping(message, sender)
         elif isinstance(message, ShardReadReply):
-            self._on_shard_read_reply(message, sender)
+            gathered = self.remote.on_read_reply(message)
+            if gathered is not None:
+                done, states = gathered
+                done(states)
         elif isinstance(message, ShardVote):
-            self._on_shard_vote(message, sender)
+            self._carry_txn(*self.remote.on_vote(message, sender))
         else:
             raise TypeError(f"DC {self.node_id}: unexpected message"
                             f" {message!r}")
@@ -330,8 +225,9 @@ class DataCenter(Actor):
         # here and the session is refused until the gap closes.
         edge_vector = VectorClock(msg.state_vector)
         deps = [Dot.from_dict(d) for d in msg.local_deps]
-        compatible = edge_vector.leq(self.state_vector) and all(
-            self.dots.seen(d) or d.origin == msg.edge_id for d in deps)
+        seen = self.log.dots.seen
+        compatible = edge_vector.leq(self.log.state_vector) and all(
+            seen(d) or d.origin == msg.edge_id for d in deps)
         if not compatible:
             self.send(sender, SessionAck(self.node_id, (), {},
                                          accepted=False,
@@ -428,76 +324,47 @@ class DataCenter(Actor):
 
         self._carry_out(self.interest.subscribe([key], fire))
 
-    # ------------------------------------------------------------------
-    # shard read gathering
-    # ------------------------------------------------------------------
     def _gather_reads(self, keys: List[Tuple[ObjectKey, str]],
                       vector: VectorClock, extra_dots: Tuple[dict, ...],
                       done: Callable[[List[dict]], None]) -> None:
         """Fetch object states (at ``vector``) from their owning shards."""
-        request_ids: List[int] = []
-        for key, type_name in keys:
-            request_id = self._next_request
-            self._next_request += 1
-            request_ids.append(request_id)
-            shard = self.ring.lookup(key)
-            self.send(shard, ShardRead(request_id, key.to_dict(),
-                                       type_name, vector.to_dict(),
-                                       tuple(extra_dots)))
-        waiting = set(request_ids)
-        results: Dict[int, dict] = {}
-        for request_id in request_ids:
-            self._read_gathers[request_id] = (waiting, results, done,
-                                              request_ids)
-
-    def _on_shard_read_reply(self, msg: ShardReadReply, sender: str) -> None:
-        gather = self._read_gathers.pop(msg.request_id, None)
-        if gather is None:
-            return
-        waiting, results, done, order = gather
-        waiting.discard(msg.request_id)
-        results[msg.request_id] = msg.object_state
-        if not waiting:
-            done([results[r] for r in order])
+        for shard, read in self.remote.gather(keys, vector, extra_dots,
+                                              done):
+            self.send(shard, read)
 
     # ------------------------------------------------------------------
     # edge transaction commitment (section 3.7)
     # ------------------------------------------------------------------
-    def _on_edge_commit(self, msg: EdgeCommit, sender: str) -> None:
-        txn = Transaction.from_dict(msg.txn)
+    def _on_edge_commit(self, payload: dict, sender: str) -> None:
+        txn = Transaction.from_dict(payload)
+        log = self.log
         self.stats["edge_commits"] += 1
-        if self.dots.seen(txn.dot):
+        if log.dots.seen(txn.dot):
             # Duplicate (e.g. resent after migration, section 3.8): reply
             # with the already assigned equivalent commit stamp.
-            known = self._txn_by_dot.get(txn.dot)
+            known = log.txns.get(txn.dot)
             if known is not None:
                 self.send(sender, CommitAck(txn.dot.to_dict(),
                                             dict(known.commit.entries)))
             return
-        if not txn.snapshot.satisfied_by(self.state_vector, self.dots):
+        if not txn.snapshot.satisfied_by(log.state_vector, log.dots):
             # The edge depends on transactions we have not yet received
             # (possible after migration); it must retry later.
             self.send(sender, CommitReject(txn.dot.to_dict(),
                                            "missing-dependencies"))
             self.stats["rejected"] += 1
             return
-        self._commit_local(txn)
+        log.sequence(txn)
+        self._committed(txn)
         self.send(sender, CommitAck(txn.dot.to_dict(),
                                     dict(txn.commit.entries)))
 
-    def _commit_local(self, txn: Transaction,
-                      notify_shards: bool = True) -> None:
-        """Sequence a transaction into this DC's commit stream."""
-        self._sequencer += 1
-        ts = self._sequencer
-        txn.commit.add_entry(self.node_id, ts)
+    def _committed(self, txn: Transaction,
+                   notify_shards: bool = True) -> None:
+        """Announce a transaction just sequenced into our stream."""
+        ts = txn.commit.entries[self.node_id]
         keys = txn.keys
-        self._stream_dots.setdefault(self.node_id, {})[ts] = txn.dot
         self.interest.note_entry(txn.dot, self.node_id, keys, own_ts=ts)
-        self.lamport.observe(txn.dot.counter)
-        self.dots.observe(txn.dot)
-        self._txn_by_dot[txn.dot] = txn
-        self.state_vector = self.state_vector.advance(self.node_id, ts)
         self.stats["committed"] += 1
         if self.obs.enabled:
             self.obs.record(DC_COMMIT, txn.dot, self.node_id, self.now,
@@ -510,7 +377,10 @@ class DataCenter(Actor):
         # stream itself is the send buffer: commits in the same flush
         # window ship together as ReplicateBatch frames.
         self.stability.record(txn.dot, {self.node_id})
-        self._schedule_repl_flush()
+        if not self._repl_flush_scheduled and self.peer_dcs:
+            # Arm the Nagle-style flush timer once per window.
+            self._repl_flush_scheduled = True
+            self.set_timer(self.REPL_FLUSH_MS, self._flush_repl_links)
         if self.required_k(txn.dot) <= 1:
             # With K > 1 a fresh local commit has a single holder, so it
             # cannot move the stable cut (nor unblock releases waiting on
@@ -524,636 +394,96 @@ class DataCenter(Actor):
     # ------------------------------------------------------------------
     def _on_remote_txn(self, msg: RemoteTxnRequest, sender: str) -> None:
         self.stats["remote_txns"] += 1
-        if msg.snapshot is not None:
-            # Migration primes the snapshot with the client's own state
-            # (section 3.9); we raise it to at least our stable vector —
-            # still a superset of the client's dependencies, and it keeps
-            # shard reads above the compaction frontier.
-            client_vector = VectorClock(msg.snapshot)
-            snapshot = Snapshot(client_vector.merge(self.stable_vector),
-                                [Dot.from_dict(d) for d in msg.local_deps])
-            if not snapshot.satisfied_by(self.state_vector, self.dots):
-                self.send(sender, RemoteTxnReply(
-                    msg.request_id, (), False,
-                    reason="missing-dependencies"))
+        pending = self.remote.open(msg, sender, self.stable_vector)
+        if isinstance(pending, RemoteTxnReply):
+            if not pending.committed:
                 self.stats["rejected"] += 1
-                return
-        else:
-            snapshot = Snapshot(self.state_vector)
-        pending = _PendingRemoteTxn(msg, sender, snapshot)
-        keys: List[Tuple[ObjectKey, str]] = []
-        seen: Set[ObjectKey] = set()
-        for key_dict, type_name in msg.reads:
-            key = ObjectKey.from_dict(key_dict)
-            if key not in seen:
-                keys.append((key, type_name))
-                seen.add(key)
-        for key_dict, type_name, _method, _args in msg.updates:
-            key = ObjectKey.from_dict(key_dict)
-            if key not in seen:
-                keys.append((key, type_name))
-                seen.add(key)
-        if not keys:
-            self.send(sender, RemoteTxnReply(msg.request_id, (), True))
+            self.send(sender, pending)
             return
 
         def done(states: List[dict]) -> None:
-            for (key, _t), state in zip(keys, states):
-                pending.states[key] = state_from_dict(state["base"])
-            self._execute_remote_txn(pending)
+            self._carry_txn(None, self.remote.execute(pending, states))
 
         def fire() -> None:
-            self._gather_reads(keys, snapshot.vector,
+            self._gather_reads(pending.keys, pending.snapshot.vector,
                                tuple(msg.local_deps), done)
 
         self._carry_out(self.interest.subscribe(
-            (k for k, _t in keys), fire))
+            (k for k, _t in pending.keys), fire))
 
-    def _execute_remote_txn(self, pending: _PendingRemoteTxn) -> None:
-        msg = pending.request
-        # Reads are taken from the materialised snapshot states.
-        values = tuple(pending.states[ObjectKey.from_dict(k)].value()
-                       for k, _t in msg.reads)
-        if not msg.updates:
-            self.send(pending.client,
-                      RemoteTxnReply(msg.request_id, values, True))
-            return
-        # Prepare the updates against the snapshot (reading own writes).
-        writes: List[WriteOp] = []
-        for key_dict, type_name, method, args in msg.updates:
-            key = ObjectKey.from_dict(key_dict)
-            state = pending.states[key]
-            op = state.prepare(method, *args)
-            writes.append(WriteOp(key, op))
-        # Idempotent retries: a repeated (client, request) pair re-uses the
-        # dot assigned the first time and just reports its commit stamp.
-        request_key = (msg.client_id, msg.request_id)
-        known_dot = self._remote_request_dots.get(request_key)
-        if known_dot is not None and self.dots.seen(known_dot):
-            known = self._txn_by_dot.get(known_dot)
-            entries = dict(known.commit.entries) if known else {}
-            self.send(pending.client, RemoteTxnReply(
-                msg.request_id, values, True, entries))
-            return
-        if msg.dot is not None:
-            dot = Dot.from_dict(msg.dot)
-        elif known_dot is not None:
-            # A duplicate that raced the first copy's commit: re-use the
-            # dot assigned the first time, so both copies collapse onto
-            # one transaction (journal appends dedupe by dot).
-            dot = known_dot
-        else:
-            # Server-assigned Lamport dot: orders after everything this DC
-            # has applied, in a DC-scoped origin namespace.
-            dot = Dot(self.lamport.tick(), f"{self.node_id}/srv")
-        self._remote_request_dots[request_key] = dot
-        txn = Transaction(dot=dot, origin=msg.client_id,
-                          snapshot=pending.snapshot, commit=CommitStamp(),
-                          writes=writes, issuer=msg.issuer)
-        if self.dots.seen(dot):
-            known = self._txn_by_dot.get(dot)
-            entries = dict(known.commit.entries) if known else {}
-            self.send(pending.client, RemoteTxnReply(
-                msg.request_id, values, True, entries))
-            return
-        # Apply each prepared op to the snapshot buffer so that several
-        # updates to one object within the transaction compose.
-        for write in txn.tagged_writes():
-            pending.states[write.key].apply(write.op)
-        # Two-phase commit across the touched shards (ClockSI style).
-        shards = sorted(self.ring.partition(txn.keys))
-        txid = self._next_txid
-        self._next_txid += 1
-
-        def on_done(ok: bool) -> None:
-            if ok:
-                self._commit_local(txn, notify_shards=False)
-                for shard in shards:
-                    self.send(shard, ShardCommit(txid, txn.to_dict()))
-                self.send(pending.client, RemoteTxnReply(
-                    msg.request_id, values, True,
-                    dict(txn.commit.entries)))
-            else:  # pragma: no cover - shards never refuse in simulation
-                self.send(pending.client, RemoteTxnReply(
-                    msg.request_id, values, False, reason="aborted"))
-
-        self._pending_2pc[txid] = _Pending2PC(txn, shards, on_done)
-        for shard in shards:
-            self.send(shard, ShardPrepare(txid, txn.to_dict()))
-
-    def _on_shard_vote(self, msg: ShardVote, sender: str) -> None:
-        pending = self._pending_2pc.get(msg.txid)
-        if pending is None:
-            return
-        if not msg.ok:  # pragma: no cover - shards never refuse here
-            del self._pending_2pc[msg.txid]
-            pending.on_done(False)
-            return
-        pending.votes.add(sender)
-        if pending.votes >= set(pending.shards):
-            del self._pending_2pc[msg.txid]
-            pending.on_done(True)
+    def _carry_txn(self, committed: Optional[Transaction],
+                   sends: Sends) -> None:
+        """Do what the coordinator decided: announce the commit (no
+        shard applies: the commit round below stores it), then send."""
+        if committed is not None:
+            self._committed(committed, notify_shards=False)
+        for destination, message in sends:
+            self.send(destination, message)
 
     # ------------------------------------------------------------------
     # geo-replication (sections 3.4, 3.6) and K-stability (3.8)
     # ------------------------------------------------------------------
-    # -- log shipping (send side) ---------------------------------------
-    def _link(self, peer: str) -> ReplLink:
-        link = self._repl_links.get(peer)
-        if link is None:
-            link = self._repl_links[peer] = ReplLink(peer)
-        return link
-
-    def _schedule_repl_flush(self) -> None:
-        """Arm the Nagle-style flush timer once per window."""
-        if self._repl_flush_scheduled or not self.peer_dcs:
-            return
-        self._repl_flush_scheduled = True
-        self.set_timer(self.REPL_FLUSH_MS, self._flush_repl_links)
-
     def _flush_repl_links(self) -> None:
         self._repl_flush_scheduled = False
         for dc in self.peer_dcs:
-            self._flush_link(self._link(dc))
+            self._ship(self.sender.link(dc))
 
-    def _flush_link(self, link: ReplLink,
-                    limit: Optional[int] = None) -> None:
-        """Ship the unsent suffix of our stream as contiguous frames.
-
-        Each position of the window travels either as a full entry or,
-        when its write-shard mask misses the peer's interest, inside a
-        mask-homogeneous ``(count, mask)`` skip run.  Entries nobody
-        can prune (mask 0: metadata-only, or full replication) always
-        ship — they carry causal structure every replica needs.
-
-        Full entries are chain-encoded: each snapshot vector is a delta
-        against the previous entry *shipped on this link*, and the frame
-        carries the vector just before its first entry as the base, so
-        decoding is self-contained even across lost acks.  On an
-        unbroken chain the predecessor is ``ts - 1`` for every link, so
-        each entry is serialised exactly once and shared by all of them.
-        """
-        top = self._sequencer
-        if limit is not None:
-            top = min(top, link.sent_ts + limit)
-        sender_vector = self.state_vector.to_dict()
+    def _ship(self, link: ReplLink, limit: Optional[int] = None) -> None:
+        """Send the unsent suffix of our stream on ``link``."""
         peer = link.peer
-        wants = self.interest.wants
-        stream_mask = self.interest.stream_mask
-        while link.sent_ts < top:
-            lo = link.sent_ts + 1
-            hi = min(top, link.sent_ts + self.REPL_BATCH_MAX)
-            base = self._chain_base(link.chain_ts)
-            elements: List[Any] = []
-            pruned = 0
-            pruned_bytes = 0
-            size = (HEADER_BYTES + len(self.node_id) + 8
-                    + 8 * len(base) + 8 * len(sender_vector))
-            chain_ts = link.chain_ts
-            for ts in range(lo, hi + 1):
-                if wants(peer, ts):
-                    encoded, entry_size = self._encode_entry(chain_ts, ts)
-                    elements.append(encoded)
-                    size += entry_size
-                    chain_ts = ts
-                    continue
-                mask = stream_mask(ts)
-                last = elements[-1] if elements else None
-                if type(last) is tuple and last[1] == mask:
-                    elements[-1] = (last[0] + 1, mask)   # the run goes on
-                else:
-                    elements.append((1, mask))
-                    size += SKIP_MARKER_BYTES
-                pruned += 1
-                # What the entry would have cost on the unbroken
-                # chain — the honest measure of bytes saved.
-                pruned_bytes += self._encode_entry(ts - 1, ts)[1]
-            frame = ReplicateBatch(self.node_id, lo, base.to_dict(),
-                                   tuple(elements), sender_vector)
+        stats = self.stats
+        for frame, size, lo, hi, pruned, pruned_bytes in self.sender.flush(
+                link, self.REPL_BATCH_MAX, limit):
             self.send(peer, frame, size_bytes=size)
             if self.obs.enabled:
-                stream = self._stream_dots[self.node_id]
+                stream = self.log.streams[self.node_id]
                 for ts in range(lo, hi + 1):
-                    if wants(peer, ts):
+                    if self.interest.wants(peer, ts):
                         self.obs.record(REPLICATION, stream[ts],
                                         self.node_id, self.now,
                                         phase="ship", peer=peer, ts=ts)
-            shipped = hi - lo + 1 - pruned
-            link.sent_ts = hi
-            link.chain_ts = chain_ts
-            link.batches_sent += 1
-            link.txns_sent += shipped
-            link.bytes_sent += size
-            link.txns_pruned += pruned
-            link.pruned_bytes += pruned_bytes
-            self.stats["repl_batches_out"] += 1
-            self.stats["repl_pruned_txns"] += pruned
-            self.stats["repl_pruned_bytes"] += pruned_bytes
+            stats["repl_batches_out"] += 1
+            stats["repl_pruned_txns"] += pruned
+            stats["repl_pruned_bytes"] += pruned_bytes
 
-    def _chain_base(self, prev_ts: int) -> VectorClock:
-        """Snapshot vector of own stream entry ``prev_ts`` — what the
-        entry shipped after it is encoded against (zero before 1)."""
-        if prev_ts <= 0:
-            return VectorClock.zero()
-        prev = self._txn_by_dot[self._stream_dots[self.node_id][prev_ts]]
-        return prev.snapshot.vector
-
-    def _encode_entry(self, prev_ts: int, ts: int) -> Tuple[dict, int]:
-        """Chain-encode own stream entry ``ts`` against ``prev_ts``,
-        the last entry shipped before it; memoised per pair.
-
-        Stream entries are immutable once sequenced, except that a
-        migration duplicate may graft extra equivalent commit entries
-        later — ``_adopt_commit_entries`` invalidates the cache then.
-        """
-        key = (prev_ts, ts)
-        cached = self._entry_cache.get(key)
-        if cached is None:
-            txn = self._txn_by_dot[self._stream_dots[self.node_id][ts]]
-            cached = self._entry_cache[key] = encode_stream_entry(
-                txn, self.node_id, ts, self._chain_base(prev_ts))
-        return cached
-
-    # -- log shipping (receive side) ------------------------------------
-    def _on_replicate_batch(self, msg: ReplicateBatch, sender: str) -> None:
-        """Receive a frame: full entries and skip runs, in stream order.
-
-        The flat stream cursor advances over both element kinds, so the
-        state vector keeps meaning "every position up to here is
-        *resolved*" — applied or deliberately pruned.  Skip runs whose
-        mask intersects our interest reveal a stale sender view; they
-        still advance the cursor (the stream must not stall) and the
-        missing shards are healed through the backfill protocol.
-
-        A malformed frame is dropped whole before it touches any state,
-        and not acked: an honest sender's sync-ping rewind re-ships it.
-        """
-        if not well_formed_entries(msg.entries, self.interest.shard_space):
+    def _on_repl_frame(self, msg: ReplicateBatch, sender: str) -> None:
+        got = self.receiver.receive(msg, sender)
+        if got is None:
             self.stats["repl_malformed_in"] += 1
             return
         self.stats["repl_batches_in"] += 1
-        # The sender applied everything its vector covers: that is the
-        # coalesced stability gossip, and it must be noted *before* the
-        # drain so apply-time holder counts see it.
-        self.stability.note_peer_applied(
-            sender, VectorClock(msg.sender_vector), self.state_vector)
-        base = VectorClock(msg.base_vector)
-        origin_dc = msg.origin_dc
-        queue = self._repl_queues.setdefault(origin_dc, _ReplQueue())
-        applied = False
-        ts = msg.start_ts
-        for element in msg.entries:
-            # Fast path: with nothing queued ahead of it, an in-order
-            # head that extends our frontier (an entry with a satisfied
-            # snapshot, or a skip run) applies without a queue
-            # round-trip.  Anything else (hole, stale resend, migration
-            # duplicate) takes the queue and the generic drain sorts it
-            # out.
-            in_order = (not len(queue)
-                        and ts == self.state_vector[origin_dc] + 1)
-            if not isinstance(element, dict):
-                count, mask = element
-                run = SkipRun(ts, count, mask)
-                if in_order:
-                    self._apply_skip_run(origin_dc, run)
-                    applied = True
-                else:
-                    queue.insert_run(run)
-                ts += count
-                continue
-            txn = decode_stream_entry(element, origin_dc, ts, base)
-            seen = self.dots.seen(txn.dot)
-            if seen:
-                # Stale resend or migration duplicate: account it as a
-                # duplicate, never as fresh replication traffic.
-                self.stats["repl_dup_in"] += 1
-            # The chain continues from the entry just decoded.
-            base = txn.snapshot.vector
-            if (in_order and not seen
-                    and self._snapshot_ready(origin_dc, txn)):
-                self._apply_remote_txn(origin_dc, ts, txn)
-                applied = True
-            else:
-                queue.insert(ts, txn)
-            ts += 1
-        if applied or len(queue):
-            # Fast-path applies moved our frontier, so other streams may
-            # have unblocked: rescan them all.  _process_repl_queues ends
-            # with shard-apply flush and a stability sweep.
-            self._process_repl_queues(moved=None if applied else origin_dc)
-        self._send_batch_ack(sender)
-
-    def _apply_skip_run(self, origin_dc: str, run: SkipRun) -> None:
-        """Advance a stream frontier over positions the sender pruned.
-
-        Safe because this DC never serves or pushes entries it does not
-        hold: the flat frontier only asserts the stream is *resolved* up
-        to here, and per-shard reads gate on interest plus backfill
-        completion.  A mask that intersects our interest means the
-        sender pruned on a stale view — request a backfill of those
-        shards from the stream origin instead of losing data.
-        """
-        frontier = self.state_vector[origin_dc]
-        start = max(run.start_ts, frontier + 1)
-        if start > run.end_ts:
-            return  # fully stale resend
-        wrong = self.interest.audit_skip(origin_dc, run.mask)
-        if wrong:
-            self.send(origin_dc, self.interest.advert(wrong))
-        self.state_vector = self.state_vector.advance(
-            origin_dc, run.end_ts)
-        # Materialise the stream dict even when every entry is pruned:
-        # the stability sweep iterates it to hop the stable frontier
-        # over skip-covered positions.
-        self._stream_dots.setdefault(origin_dc, {})
-        recorded = SkipRun(start, run.end_ts - start + 1, run.mask)
-        runs = self._skip_runs.setdefault(origin_dc, [])
-        starts = self._skip_starts.setdefault(origin_dc, [])
-        index = bisect.bisect_right(starts, recorded.start_ts)
-        runs.insert(index, recorded)
-        starts.insert(index, recorded.start_ts)
-
-    def _skip_covered(self, origin_dc: str, ts: int) -> Optional[SkipRun]:
-        """The applied skip run covering ``(origin, ts)``, if any."""
-        starts = self._skip_starts.get(origin_dc)
-        if not starts:
-            return None
-        index = bisect.bisect_right(starts, ts) - 1
-        if index < 0:
-            return None
-        run = self._skip_runs[origin_dc][index]
-        return run if run.covers(ts) else None
-
-    def _snapshot_ready(self, origin_dc: str, txn: Transaction) -> bool:
-        """Snapshot check, exempting deps pruned from ``origin_dc``.
-
-        Local deps of an edge transaction are sequenced earlier in the
-        *same* origin stream (session pipelines are FIFO, and migration
-        resubmits pending deps before dependents), so when the head sits
-        at ``frontier + 1`` every dep position below is resolved.  An
-        unseen dep on a stream that recorded skip runs was therefore
-        deliberately pruned — treating it as satisfied is what keeps a
-        partially-replicated stream from stalling on data it opted out
-        of.  Streams without skip runs (every stream, under full
-        replication) keep the strict check: there an unseen dep is
-        merely late.
-        """
-        snapshot = txn.snapshot
-        if snapshot.satisfied_by(self.state_vector, self.dots):
-            return True
-        return (origin_dc in self._skip_runs
-                and snapshot.vector.leq(self.state_vector))
-
-    # -- interest adverts and shard backfill ----------------------------
-    def _on_interest_advert(self, msg: InterestAdvert,
-                            sender: str) -> None:
-        self.stats["repl_adverts_in"] += 1
-        changed = self.interest.fold_advert(sender, msg.shards_mask,
-                                            msg.seq)
-        for shard in msg.backfill:
-            self._send_backfill(sender, shard)
-        if changed:
-            # A shrunk peer interest can lower required_k thresholds.
-            self._release_stable()
-
-    def _send_backfill(self, peer: str, shard: int) -> None:
-        """Answer a catch-up request from our own commit stream.
-
-        FIFO links make subscribe + backfill gap-free: ``upto`` is our
-        sequencer at response time, and every later entry ships as a
-        live frame that the peer's (already folded) interest keeps
-        un-pruned.  The holder credit is optimistic — the requester's
-        retry-on-ping loop re-requests a lost backfill, so the credit
-        converges with reality.
-        """
-        bit = 1 << shard
-        stream = self._stream_dots.get(self.node_id, {})
-        stream_mask = self.interest.stream_mask
-        entries = []
-        size = HEADER_BYTES + 12
-        for ts in range(1, self._sequencer + 1):
-            if stream_mask(ts) & bit:
-                txn = self._txn_by_dot[stream[ts]]
-                entries.append((ts, txn.to_dict()))
-                size += 8 + txn.byte_size()
-        self.send(peer, ShardBackfill(shard, tuple(entries),
-                                      self._sequencer),
-                  size_bytes=size)
-        self.stats["repl_backfills_out"] += 1
-        credited = [self.stability.credit(stream[ts], peer)
-                    for ts, _payload in entries]
-        if any(credited):
-            self._release_stable()
-
-    def _on_shard_backfill(self, msg: ShardBackfill,
-                           sender: str) -> None:
-        self.stats["repl_backfills_in"] += 1
-        stream = self._stream_dots.setdefault(sender, {})
-        applied = False
-        for ts, payload in msg.entries:
-            txn = Transaction.from_dict(payload)
-            if self.dots.seen(txn.dot):
-                self.stats["repl_dup_in"] += 1
-                self._adopt_commit_entries(txn)
-                if ts not in stream:
-                    stream[ts] = txn.dot
-                    self.stability.fill(sender, ts, txn.dot)
-                continue
-            self._apply_offstream_entry(sender, ts, txn)
-            applied = True
-        if applied:
-            self._flush_shard_applies()
-            self._release_stable()
-        self._carry_out(self.interest.backfilled(msg.shard, sender))
-
-    def _apply_offstream_entry(self, origin_dc: str, ts: int,
-                               txn: Transaction) -> None:
-        """Store a full entry at a position the flat cursor already
-        resolved (backfill, or a full resend racing a skip run).
-
-        Everything ``_apply_remote_txn`` does except advancing the
-        state vector — the position is covered, only the data was
-        missing.
-        """
-        self.stats["replicated_in"] += 1
-        if self.obs.enabled:
-            self.obs.record(REPLICATION, txn.dot, self.node_id,
-                            self.now, phase="apply", origin=origin_dc,
-                            ts=ts, backfill=True)
-        self.lamport.observe(txn.dot.counter)
-        self.dots.observe(txn.dot)
-        self._txn_by_dot[txn.dot] = txn
-        self._stream_dots.setdefault(origin_dc, {})[ts] = txn.dot
-        self.stability.fill(origin_dc, ts, txn.dot)
-        self._store_remote(origin_dc, ts, txn)
-
-    def _send_batch_ack(self, peer: str) -> None:
-        self.stats["repl_acks_out"] += 1
-        ack = ReplicateBatchAck(self.state_vector.to_dict())
-        self.send(peer, ack,
-                  size_bytes=HEADER_BYTES
-                  + vector_wire_size(self.state_vector))
-
-    def _on_replicate_batch_ack(self, msg: ReplicateBatchAck,
-                                sender: str) -> None:
-        self._link(sender).acks_in += 1
-        self.stats["repl_acks_in"] += 1
-        if self.stability.note_peer_applied(
-                sender, VectorClock(msg.applied_vector), self.state_vector):
-            self._release_stable()
-
-    def required_k(self, dot: Dot) -> int:
-        """Interested-replica stability threshold for ``dot``."""
-        return self.interest.required_k(dot, self.k_target)
-
-    def _process_repl_queues(self, moved: Optional[str] = None) -> None:
-        """Apply queued remote transactions whose dependencies are met.
-
-        When ``moved`` names the only queue whose frontier could have
-        changed (a frame just landed on it), drain it first; if it made
-        no progress, nothing changed globally and the full rescan is
-        skipped.  If it did progress, other queues may have unblocked
-        (cross-stream snapshot dependencies), so loop until quiescent.
-        """
-        if moved is not None:
-            queue = self._repl_queues.get(moved)
-            if queue is None or not self._drain_queue(moved, queue):
-                self._flush_shard_applies()
-                self._release_stable()
-                return
-        progress = True
-        while progress:
-            progress = False
-            for origin_dc, queue in self._repl_queues.items():
-                if self._drain_queue(origin_dc, queue):
-                    progress = True
+        self._take_in(got)
         self._flush_shard_applies()
         self._release_stable()
+        self.stats["repl_acks_out"] += 1
+        applied = self.log.state_vector
+        self.send(sender, ReplicateBatchAck(applied.to_dict()),
+                  size_bytes=HEADER_BYTES + vector_wire_size(applied))
 
-    def _drain_queue(self, origin_dc: str, queue: _ReplQueue) -> bool:
-        """Drain one stream's queue; returns True if anything applied.
-
-        Each stream is applied *contiguously*: the vector component for
-        ``origin_dc`` asserts "we applied its stream up to here", so a
-        head past ``frontier + 1`` must wait for the gap below it to be
-        filled (anti-entropy resends it, because our advertised frontier
-        still points at the hole).  Skipping ahead would advertise
-        transactions we never received and stall replication forever.
-        """
-        progress = False
-        while len(queue):
-            head = queue.head()
-            if isinstance(head, SkipRun):
-                frontier = self.state_vector[origin_dc]
-                if head.end_ts <= frontier:
-                    queue.popleft()  # fully stale resend
-                    progress = True
-                    continue
-                if head.start_ts > frontier + 1:
-                    break  # hole below the run: wait for the resend
-                queue.popleft()
-                self._apply_skip_run(origin_dc, head)
-                progress = True
-                continue
-            txn = head
-            ts = txn.commit.entries[origin_dc]
-            frontier = self.state_vector[origin_dc]
-            if ts <= frontier:
-                if not self.dots.seen(txn.dot):
-                    # The position was skip-covered and the full entry
-                    # arrived afterwards (our interest raced the
-                    # sender's view): late-fill the data off-stream.
-                    self._apply_offstream_entry(origin_dc, ts, txn)
-                else:
-                    # Stale resend of an entry we already cover.
-                    self._adopt_commit_entries(txn)
-                queue.popleft()
-                progress = True
-                continue
-            if ts > frontier + 1:
-                break  # hole below the head: wait for the resend
-            if self.dots.seen(txn.dot):
-                # Duplicate via another DC (migration); adopt the
-                # extra equivalent commit entry (section 3.8).  The
-                # head is exactly frontier + 1 here, so advancing the
-                # single component is the merge.
-                self._adopt_commit_entries(txn)
-                self.state_vector = self.state_vector.advance(
-                    origin_dc, ts)
-                self._stream_dots.setdefault(
-                    origin_dc, {})[ts] = txn.dot
-                # The stream coordinate is new even if the dot is not:
-                # peers whose vectors already cover it hold the txn.
-                self.stability.record(
-                    txn.dot, self.stability.known_holders(origin_dc, ts))
-                queue.popleft()
-                progress = True
-                continue
-            if not self._snapshot_ready(origin_dc, txn):
-                break  # blocked on a third DC's stream
-            queue.popleft()
-            self._apply_remote_txn(origin_dc, ts, txn)
-            progress = True
-        return progress
-
-    def _adopt_commit_entries(self, txn: Transaction) -> None:
-        """Merge equivalent commit stamps from a duplicate copy."""
-        known = self._txn_by_dot.get(txn.dot)
-        if known is None:
-            return
-        changed = False
-        for dc, entry_ts in txn.commit.entries.items():
-            if dc not in known.commit.entries:
-                known.commit.add_entry(dc, entry_ts)
-                changed = True
-        if changed:
-            # A grafted equivalent entry invalidates the cached wire
-            # encoding of our own stream position for this txn.
-            own_ts = known.commit.entries.get(self.node_id)
-            if own_ts is not None:
-                for key in [key for key in self._entry_cache
-                            if key[1] == own_ts]:
-                    del self._entry_cache[key]
-
-    def _apply_remote_txn(self, origin_dc: str, ts: int,
-                          txn: Transaction) -> None:
-        # The *only* place a remote transaction enters this DC's state:
-        # counting here makes ``replicated_in`` exact (one per unique
-        # transaction), immune to anti-entropy resend inflation.
-        self.stats["replicated_in"] += 1
-        if self.obs.enabled:
-            self.obs.record(REPLICATION, txn.dot, self.node_id,
-                            self.now, phase="apply", origin=origin_dc,
-                            ts=ts)
-        self.lamport.observe(txn.dot.counter)
-        self.dots.observe(txn.dot)
-        self._txn_by_dot[txn.dot] = txn
-        self._stream_dots.setdefault(origin_dc, {})[ts] = txn.dot
-        # Advance only the stream we received on: other equivalent commit
-        # entries (section 3.8) belong to streams that ship separately, and
-        # merging them here would claim transactions we have not applied.
-        # Contiguity makes ts == frontier + 1, so a single-component
-        # advance is the merge.
-        self.state_vector = self.state_vector.advance(origin_dc, ts)
-        self._store_remote(origin_dc, ts, txn)
-
-    def _store_remote(self, origin_dc: str, ts: int,
-                      txn: Transaction) -> None:
-        """What a stream apply and an off-stream fill share: note the
-        entry's shards, its holders, and buffer it for the stores."""
-        keys = txn.keys
-        self.interest.note_entry(txn.dot, origin_dc, keys)
-        # Every peer whose applied vector already covers this coordinate
-        # holds the transaction — that knowledge arrived coalesced on
-        # batch acks rather than per-txn gossip.
-        self.stability.record(
-            txn.dot, self.stability.known_holders(origin_dc, ts, txn.dot))
-        shards = self.ring.partition(keys)
-        if not shards:
-            return  # metadata-only txn: nothing for the stores
-        payload = txn.to_dict()
-        for shard in shards:
-            self._shard_apply_buf.setdefault(shard, []).append(payload)
+    def _take_in(self, got: Received) -> None:
+        """Carry out what the receiver did to the log: ask for the
+        shards a skip run wrongly pruned, count, trace, and buffer the
+        new transactions for the stores."""
+        for peer, advert in got.adverts:
+            self.send(peer, advert)
+        stats = self.stats
+        stats["repl_dup_in"] += got.dups
+        for own_ts in got.grafted:
+            self.sender.forget(own_ts)
+        stats["replicated_in"] += len(got.applied)
+        tracing = self.obs.enabled
+        buffer = self._shard_apply_buf
+        for origin, ts, txn, offstream in got.applied:
+            if tracing:
+                extra = {"backfill": True} if offstream else {}
+                self.obs.record(REPLICATION, txn.dot, self.node_id,
+                                self.now, phase="apply", origin=origin,
+                                ts=ts, **extra)
+            shards = self.ring.partition(txn.keys)
+            if shards:      # else metadata-only: nothing for the stores
+                payload = txn.to_dict()
+                for shard in shards:
+                    buffer.setdefault(shard, []).append(payload)
 
     def _flush_shard_applies(self) -> None:
         """Ship buffered remote applies, one frame per shard."""
@@ -1167,11 +497,54 @@ class DataCenter(Actor):
             else:
                 self.send(shard, ShardApplyBatch(tuple(payloads)))
 
+    def _on_repl_ack(self, msg: ReplicateBatchAck,
+                                sender: str) -> None:
+        self.sender.link(sender).acks_in += 1
+        self.stats["repl_acks_in"] += 1
+        if self.stability.note_peer_applied(
+                sender, VectorClock(msg.applied_vector),
+                self.log.state_vector):
+            self._release_stable()
+
+    # -- interest adverts and shard backfill ----------------------------
+    def _on_interest_advert(self, msg: InterestAdvert,
+                            sender: str) -> None:
+        self.stats["repl_adverts_in"] += 1
+        changed = self.interest.fold_advert(sender, msg.shards_mask,
+                                            msg.seq)
+        for shard in msg.backfill:
+            # The holder credit is optimistic — the requester's
+            # retry-on-ping loop re-requests a lost backfill, so the
+            # credit converges with reality.
+            message, size, dots = self.sender.backfill(shard)
+            self.send(sender, message, size_bytes=size)
+            self.stats["repl_backfills_out"] += 1
+            credited = [self.stability.credit(dot, sender) for dot in dots]
+            if any(credited):
+                self._release_stable()
+        if changed:
+            # A shrunk peer interest can lower required_k thresholds.
+            self._release_stable()
+
+    def _on_shard_backfill(self, msg: ShardBackfill,
+                           sender: str) -> None:
+        self.stats["repl_backfills_in"] += 1
+        got = self.receiver.backfill(msg, sender)
+        self._take_in(got)
+        if got.applied:
+            self._flush_shard_applies()
+            self._release_stable()
+        self._carry_out(self.interest.backfilled(msg.shard, sender))
+
+    def required_k(self, dot: Dot) -> int:
+        """Interested-replica stability threshold for ``dot``."""
+        return self.interest.required_k(dot, self.k_target)
+
     # -- anti-entropy: repair replication across partitions -----------------
     def _sync_peers(self) -> None:
         if not self.peer_dcs:
             return
-        ping = DCSyncPing(self.state_vector.to_dict(),
+        ping = DCSyncPing(self.log.state_vector.to_dict(),
                           self.stable_vector.to_dict(),
                           *self.interest.advertised())
         for dc in self.peer_dcs:
@@ -1181,20 +554,13 @@ class DataCenter(Actor):
         """Repair the peer's view of our stream and of stability.
 
         The ping's state vector is stability gossip like any ack, and
-        it rewinds the link's shipped frontier to the peer's advertised
-        one, so lost frames are re-shipped as ordinary batches (capped
-        at ``SYNC_BATCH`` entries per ping).
-
-        A ping's advertised frontier is one RTT stale: frames shipped
-        inside that window are still in flight, not lost.  Rewinding on
-        every ping therefore resent the in-flight suffix each period —
-        pure duplicate traffic that the receive queue's dedup set no
-        longer filters once the entries have been applied and popped.
-        The rewind now waits for evidence of loss: the peer advertising
-        the *same* stalled frontier twice in a row.
+        the sender rewinds the link's shipped frontier to the advertised
+        one when it stalled (see ``ReplSender.heard``), so lost frames
+        are re-shipped as ordinary batches, capped at ``SYNC_BATCH``
+        entries per ping.
         """
         self.stability.note_peer_applied(
-            sender, VectorClock(msg.state_vector), self.state_vector)
+            sender, VectorClock(msg.state_vector), self.log.state_vector)
         if msg.interest_mask is not None:
             self.interest.fold_advert(sender, msg.interest_mask,
                                       msg.interest_seq)
@@ -1202,22 +568,9 @@ class DataCenter(Actor):
         if owed:
             # A backfill response was lost: ask again.
             self.send(sender, self.interest.advert(owed))
-        link = self._link(sender)
-        peer_has = msg.state_vector.get(self.node_id, 0)
-        if peer_has > link.sent_ts:
-            # The peer holds entries we never shipped on this link
-            # (received via a third DC after a migration): skip them.
-            link.sent_ts = peer_has
-            link.chain_ts = peer_has
-        elif peer_has < link.sent_ts \
-                and peer_has <= link.last_advert:
-            # Stalled across a full sync period: the in-flight
-            # window has drained, so the gap is genuine loss.
-            link.sent_ts = peer_has
-            link.chain_ts = peer_has
-            link.rewinds += 1
-        link.last_advert = peer_has
-        self._flush_link(link, limit=self.SYNC_BATCH)
+        link = self.sender.heard(sender,
+                                 msg.state_vector.get(self.node_id, 0))
+        self._ship(link, limit=self.SYNC_BATCH)
         self._release_stable()
 
     def _release_stable(self) -> None:
@@ -1244,7 +597,8 @@ class DataCenter(Actor):
         """
         if not self.sessions:
             return  # nobody to push to
-        unique = [self._txn_by_dot[dot] for dot in delivery_order(run)]
+        txns = self.log.txns
+        unique = [txns[dot] for dot in delivery_order(run)]
         stable = self.stable_vector.to_dict()
         # Serialise each txn once and share the dict across its audience:
         # receivers rebuild Transaction objects and never mutate these.
@@ -1279,36 +633,23 @@ class DataCenter(Actor):
     # introspection for tests and benchmarks
     # ------------------------------------------------------------------
     def transaction(self, dot: Dot) -> Optional[Transaction]:
-        return self._txn_by_dot.get(dot)
+        return self.log.txns.get(dot)
 
     def holds(self, dot: Dot) -> bool:
         """Has this DC received (applied) the transaction?"""
-        return self.dots.seen(dot)
+        return self.log.dots.seen(dot)
 
     def stable_transactions(self) -> List[Transaction]:
         """Every transaction inside this DC's stable cut."""
-        return [self._txn_by_dot[dot] for dot in self.stability.stable_dots
-                if dot in self._txn_by_dot]
+        txns = self.log.txns
+        return [txns[dot] for dot in self.stability.stable_dots
+                if dot in txns]
 
     def stream_gaps(self) -> Dict[str, List[int]]:
-        """Missing stream positions below each applied frontier.
-
-        Contiguous application is a protocol invariant: every position
-        ``1 .. state_vector[origin]`` must have a recorded dot.  A gap
-        means the DC advertised transactions it never stored — exactly
-        the failure batching must not introduce.  The chaos harness
-        checkpoints this; an empty dict is healthy.
-        """
-        gaps: Dict[str, List[int]] = {}
-        for origin in self.state_vector:
-            stream = self._stream_dots.get(origin, {})
-            missing = [ts
-                       for ts in range(1, self.state_vector[origin] + 1)
-                       if ts not in stream
-                       and not self._skip_covered(origin, ts)]
-            if missing:
-                gaps[origin] = missing
-        return gaps
+        """Missing stream positions below each applied frontier (see
+        ``CommitLog.gaps``).  The chaos harness checkpoints this; an
+        empty dict is healthy."""
+        return self.log.gaps()
 
     def shard_stream_gaps(self) -> Dict[str, List[int]]:
         """Skip-covered positions our interest set says we should hold.
@@ -1319,21 +660,8 @@ class DataCenter(Actor):
         excluded.  The chaos checker requires this empty — it is the
         per-shard analogue of :meth:`stream_gaps`.
         """
-        expected = self.interest.mask & ~self.interest.pending_mask()
-        gaps: Dict[str, List[int]] = {}
-        for origin, runs in self._skip_runs.items():
-            stream = self._stream_dots.get(origin, {})
-            missing = []
-            for run in runs:
-                need = run.mask & expected
-                if not need:
-                    continue
-                for ts in range(run.start_ts, run.end_ts + 1):
-                    if ts not in stream:
-                        missing.append(ts)
-            if missing:
-                gaps[origin] = missing
-        return gaps
+        return self.log.shard_gaps(
+            self.interest.mask & ~self.interest.pending_mask())
 
     def interest_shards(self) -> Tuple[int, ...]:
         """Sorted shard ids in this DC's current interest set."""
@@ -1342,7 +670,7 @@ class DataCenter(Actor):
     def repl_link_counters(self) -> Dict[str, Dict[str, int]]:
         """Per-peer batch/byte counters of the outbound repl links."""
         return {peer: link.counters()
-                for peer, link in self._repl_links.items()}
+                for peer, link in self.sender.links.items()}
 
     def state_digest(self) -> Dict[ObjectKey, Any]:
         """Backend value of every stored key, for convergence checks.
@@ -1362,6 +690,10 @@ class DataCenter(Actor):
                 if journal is not None:
                     digest[key] = journal.materialise(None).value()
         return digest
+
+    @property
+    def state_vector(self) -> VectorClock:
+        return self.log.state_vector
 
     @property
     def stable_vector(self) -> VectorClock:

@@ -6,19 +6,20 @@ vector stays a causally closed cut.  :class:`StabilityFrontier` owns
 what that takes — the applied vector last heard from each peer, the
 holder set of every dot (the :class:`KStabilityTracker`'s map, written
 in place), the released dots and the stable vector — and reads the DC's
-commit streams and transactions, which the sequencer and the replication
-receiver write.  It sends nothing and records no span: :meth:`advance`
-returns the run it released, which is also what the DC has to push.
+:class:`~repro.dc.commitlog.CommitLog`, which the sequencer and the
+replication receiver write.  It sends nothing and records no span:
+:meth:`advance` returns the run it released, which is also what the DC
+has to push.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.clock import VectorClock
 from ..core.dot import Dot
 from ..core.kstable import KStabilityTracker
-from ..core.txn import Transaction
+from .commitlog import CommitLog
 from .interest import InterestGraph
 
 _ZERO = VectorClock.zero()
@@ -39,11 +40,7 @@ class StabilityFrontier:
     """Who holds what, and how far each stream is stable."""
 
     def __init__(self, node_id: str, k_target: int,
-                 interest: InterestGraph,
-                 streams: Dict[str, Dict[int, Dot]],
-                 txns: Dict[Dot, Transaction],
-                 seen: Callable[[Dot], bool],
-                 skip_covered: Callable[[str, int], object]):
+                 interest: InterestGraph, log: CommitLog):
         self.node_id = node_id
         self.k_target = k_target
         self.interest = interest
@@ -51,10 +48,10 @@ class StabilityFrontier:
         # Readers go through the tracker; the folds below write the
         # sets without a call per holder.
         self._holders: Dict[Dot, Set[str]] = self.kstab._holders
-        self._streams = streams         # origin -> ts -> dot
-        self._txns = txns
-        self._seen = seen               # was this dot ever applied here?
-        self._skip_covered = skip_covered
+        self._streams = log.streams     # origin -> ts -> dot
+        self._txns = log.txns
+        self._seen = log.dots.seen      # was this dot ever applied here?
+        self._skip_covered = log.covered
         self._peer_applied: Dict[str, VectorClock] = {}
         #: Every dot inside the stable cut.
         self.stable_dots: Set[Dot] = set()

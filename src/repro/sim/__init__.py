@@ -9,14 +9,14 @@ reproducible from the seed.
 from .actor import Actor
 from .clock import (ClockService, HlcTimestamp, HybridLogicalClock,
                     SkewedClock, hlc_wire_size)
-from .events import Event, EventLoop
+from .events import EventLoop
 from .network import (CELLULAR, CELLULAR_LATENCY_MS, ETHERNET,
                       ETHERNET_LATENCY_MS, LAN, LAN_LATENCY_MS,
                       LatencyModel, Network, NetworkStats)
 from .runtime import Simulation
 
 __all__ = [
-    "Actor", "Event", "EventLoop",
+    "Actor", "EventLoop",
     "LatencyModel", "Network", "NetworkStats",
     "LAN", "ETHERNET", "CELLULAR",
     "LAN_LATENCY_MS", "ETHERNET_LATENCY_MS", "CELLULAR_LATENCY_MS",

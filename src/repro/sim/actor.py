@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, List, Optional, Tuple
 
-from .events import Event, EventLoop
+from .events import EventLoop
 from .network import Network
 
 
@@ -84,13 +84,13 @@ class Actor:
         raise NotImplementedError
 
     # -- timers --------------------------------------------------------------
-    def set_timer(self, delay: float, callback: Callable[[], None]) -> Event:
+    def set_timer(self, delay: float, callback: Callable[[], None]) -> None:
         """Arm a timer; dead if the actor crashes (even after recovery)."""
         epoch = self._timer_epoch
         def guarded() -> None:
             if not self.crashed and self._timer_epoch == epoch:
                 callback()
-        return self.loop.schedule(delay, guarded)
+        self.loop.schedule(delay, guarded)
 
     def every(self, period: float, callback: Callable[[], None],
               jitter: float = 0.0) -> None:
@@ -105,8 +105,8 @@ class Actor:
     def _arm_periodic(self, period: float, callback: Callable[[], None],
                       jitter: float) -> None:
         # Rescheduled via the allocation-free path: periodic protocol
-        # timers dominate the event population at scale and never need
-        # a cancellation handle (crash/epoch is checked in the tick).
+        # timers dominate the event population at scale (crash/epoch is
+        # checked in the tick).
         epoch = self._timer_epoch
         def tick() -> None:
             if self.crashed or self._timer_epoch != epoch:
@@ -163,4 +163,4 @@ class Actor:
 
 # Re-exported for subclass modules that type-hint against the simulator
 # pair; new code should hint Any/Transport instead.
-__all__ = ["Actor", "Event", "EventLoop", "Network"]
+__all__ = ["Actor", "EventLoop", "Network"]

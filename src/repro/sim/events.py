@@ -10,7 +10,7 @@ Fast-path design (the sim core is the throughput bottleneck at
 
 * The priority queue holds plain ``(time, seq, callback, args)`` tuples,
   so heap sift compares resolve with C tuple comparison on ``(time,
-  seq)`` instead of a Python-level ``Event.__lt__`` call per step.
+  seq)`` instead of a Python-level ``__lt__`` call per step.
   ``seq`` is unique, so slots 2-3 are never compared and may hold
   arbitrary (even mutually incomparable) values.
 * A **timer wheel** absorbs the dominant near-future event population
@@ -21,15 +21,12 @@ Fast-path design (the sim core is the throughput bottleneck at
   once and drained directly (merged entry-by-entry against the heap
   head), so a wheel entry never pays a heap push/pop; the exact global
   ``(time, seq)`` order is preserved because ``seq`` is unique.
-* Cancellable events (``schedule``) carry an :class:`Event` handle in
-  the callback slot; the hot paths (message delivery, periodic ticks)
-  use ``schedule_fast`` and allocate nothing beyond the entry tuple.
-* ``pending()`` is O(1): a live counter is maintained on schedule,
-  cancel and pop instead of scanning the heap.
-* Cancelled entries are dropped lazily when popped or when their wheel
-  slot flushes; if cancellations ever outnumber half the queued entries
-  the structures are compacted eagerly so a cancel-heavy workload
-  cannot grow the queue without bound.
+* Nothing is ever cancelled: an :class:`~repro.sim.actor.Actor` timer
+  that must not fire is dead by epoch (the guard is in the callback),
+  so scheduling returns no handle and allocates nothing beyond the
+  entry tuple.
+* ``pending()`` is O(1): a live counter is maintained on schedule and
+  pop instead of scanning the heap.
 
 Budget semantics of :meth:`EventLoop.run`: ``max_events`` bounds how
 many events one call processes.  When the budget runs out, the clock
@@ -44,33 +41,6 @@ from __future__ import annotations
 import heapq
 from typing import Callable, List, Optional, Tuple
 
-_PENDING, _FIRED, _CANCELLED = 0, 1, 2
-
-
-class Event:
-    """Handle for a cancellable scheduled callback."""
-
-    __slots__ = ("time", "seq", "callback", "_state", "_loop")
-
-    def __init__(self, time: float, seq: int,
-                 callback: Callable[[], None], loop: "EventLoop"):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self._state = _PENDING
-        self._loop = loop
-
-    @property
-    def cancelled(self) -> bool:
-        return self._state == _CANCELLED
-
-    def cancel(self) -> None:
-        """Cancel if still pending; cancelling a fired event is a no-op."""
-        if self._state == _PENDING:
-            self._state = _CANCELLED
-            self._loop._note_cancel()
-
-
 class EventLoop:
     """Timer-wheel + priority-queue event loop with a virtual clock."""
 
@@ -81,17 +51,12 @@ class EventLoop:
     WHEEL_SLOT_MS = 4.0
     WHEEL_SLOTS = 512
 
-    #: Compact when more than half the queued entries are cancelled
-    #: (and there is enough garbage for the rebuild to pay off).
-    COMPACT_MIN_CANCELLED = 64
-
     def __init__(self) -> None:
         self._heap: List[Tuple] = []
         self._seq = 0
         self._now = 0.0
         self._processed = 0
-        self._live = 0          # non-cancelled entries still queued
-        self._cancelled = 0     # cancelled entries not yet dropped
+        self._live = 0          # entries still queued
         self._wheel: List[List[Tuple]] = \
             [[] for _ in range(self.WHEEL_SLOTS)]
         self._wheel_count = 0   # entries currently in wheel slots
@@ -114,41 +79,20 @@ class EventLoop:
         return self._processed
 
     # -- scheduling -------------------------------------------------------
-    def _insert(self, entry: Tuple) -> None:
-        """Route an entry to its wheel slot or to the heap."""
-        slot = int(entry[0] * self._slot_inv)
-        cursor = self._cursor
-        if cursor <= slot < cursor + self.WHEEL_SLOTS:
-            self._wheel[slot % self.WHEEL_SLOTS].append(entry)
-            self._wheel_count += 1
-        else:
-            heapq.heappush(self._heap, entry)
-        self._live += 1
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
-        """Run ``callback`` at ``now + delay`` (delay >= 0); cancellable."""
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
+        """Run ``callback`` at ``now + delay`` (delay >= 0)."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(self._now + delay, seq, callback, self)
-        # ``args is None`` marks a handle-carrying entry; the handle is
-        # never compared because seq is unique.
-        self._insert((event.time, seq, event, None))
-        return event
+        self.schedule_fast(delay, callback)
 
     def schedule_fast(self, delay: float, callback: Callable[..., None],
                       args: Tuple = ()) -> None:
-        """Allocation-free scheduling for events that are never cancelled.
-
-        No :class:`Event` handle (and no closure) is created: the
-        callback is invoked as ``callback(*args)``.  This is the hot
-        path for message delivery and periodic ticks.
-        """
+        """Run ``callback(*args)`` at ``now + delay`` with no closure and
+        no check on ``delay``: the hot path for message delivery and
+        periodic ticks.  The entry goes to its wheel slot or, beyond the
+        horizon, to the heap."""
         seq = self._seq
         self._seq = seq + 1
-        # _insert, inlined: this and schedule_fast_at are the two
-        # hottest functions in a large simulation.
         time = self._now + delay
         slot = int(time * self._slot_inv)
         cursor = self._cursor
@@ -184,51 +128,21 @@ class EventLoop:
         self._live += 1
 
     def schedule_at(self, time: float,
-                    callback: Callable[[], None]) -> Event:
+                    callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute ``time`` (>= now)."""
-        return self.schedule(max(0.0, time - self._now), callback)
-
-    def _note_cancel(self) -> None:
-        self._live -= 1
-        self._cancelled += 1
-        if (self._cancelled > self.COMPACT_MIN_CANCELLED
-                and self._cancelled * 2
-                > len(self._heap) + self._wheel_count):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every cancelled entry and re-heapify (rare, amortised).
-
-        Mutates the containers in place: ``run``/``step`` hold local
-        aliases to the heap and ready buffer across callbacks, and a
-        cancellation inside a callback may land here.
-        """
-        self._heap[:] = [e for e in self._heap
-                         if e[3] is not None or e[2]._state != _CANCELLED]
-        heapq.heapify(self._heap)
-        if self._ready:
-            self._ready[:] = [e for e in self._ready
-                              if e[3] is not None
-                              or e[2]._state != _CANCELLED]
-        for i, slot in enumerate(self._wheel):
-            if slot:
-                kept = [e for e in slot
-                        if e[3] is not None or e[2]._state != _CANCELLED]
-                self._wheel_count -= len(slot) - len(kept)
-                self._wheel[i] = kept
-        self._cancelled = 0
+        self.schedule(max(0.0, time - self._now), callback)
 
     # -- wheel flushing ----------------------------------------------------
     def _refill_ready(self) -> bool:
         """Advance the cursor to the next non-empty slot; fill ``_ready``.
 
-        The slot's surviving entries are sorted next-event-**last** so
-        the execution loops drain them with ``list.pop()``, merging
+        The slot's entries are sorted next-event-**last** so
+        the execution loop drains them with ``list.pop()``, merging
         against the heap head entry by entry — no per-entry heap trip.
         Returns False when the wheel and the heap are both exhausted
         (the ready buffer is empty whenever this is called).
 
-        Empty slots just advance the cursor; the execution loops pop
+        Empty slots just advance the cursor; the execution loop pops
         the heap directly once its head falls below the cursor edge, so
         skipping ahead here never overtakes an earlier heap entry.
         """
@@ -240,54 +154,13 @@ class EventLoop:
             if not slot:
                 continue
             self._wheel_count -= len(slot)
-            kept = [e for e in slot
-                    if e[3] is not None or e[2]._state != _CANCELLED]
-            self._cancelled -= len(slot) - len(kept)
+            slot.sort(reverse=True)
+            self._ready.extend(slot)
             del slot[:]
-            if not kept:
-                continue
-            kept.sort(reverse=True)
-            self._ready.extend(kept)
             return True
         return bool(self._heap)
 
     # -- execution --------------------------------------------------------
-    def step(self) -> bool:
-        """Process the next event; False when nothing is queued."""
-        heap = self._heap
-        ready = self._ready
-        slot_ms = self.WHEEL_SLOT_MS
-        while True:
-            if ready:
-                entry = ready[-1]
-                if heap and heap[0] < entry:
-                    entry = heapq.heappop(heap)
-                else:
-                    ready.pop()
-            elif heap and (not self._wheel_count
-                           or heap[0][0] < self._cursor * slot_ms):
-                entry = heapq.heappop(heap)
-            elif self._refill_ready():
-                continue
-            else:
-                return False
-            time_, _seq, cb, args = entry
-            if args is None:                    # handle-carrying entry
-                if cb._state == _CANCELLED:
-                    self._cancelled -= 1
-                    continue
-                cb._state = _FIRED
-                self._now = time_
-                self._processed += 1
-                self._live -= 1
-                cb.callback()
-            else:
-                self._now = time_
-                self._processed += 1
-                self._live -= 1
-                cb(*args)
-            return True
-
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
         """Drain events, optionally stopping at a time or event budget.
@@ -335,27 +208,15 @@ class EventLoop:
                 return
             time_, _seq, cb, args = ready.pop() if from_ready \
                 else pop(heap)
-            if args is None:
-                if cb._state == _CANCELLED:
-                    self._cancelled -= 1
-                    continue
-                cb._state = _FIRED
-                self._now = time_
-                self._processed += 1
-                self._live -= 1
-                if budget is not None:
-                    budget -= 1
-                cb.callback()
-            else:
-                self._now = time_
-                self._processed += 1
-                self._live -= 1
-                if budget is not None:
-                    budget -= 1
-                cb(*args)
+            self._now = time_
+            self._processed += 1
+            self._live -= 1
+            if budget is not None:
+                budget -= 1
+            cb(*args)
         if until is not None and until > self._now:
             self._now = until
 
     def pending(self) -> int:
-        """Live (non-cancelled) queued events — O(1), counter-backed."""
+        """Queued events — O(1), counter-backed."""
         return self._live

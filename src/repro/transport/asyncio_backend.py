@@ -7,8 +7,7 @@ node or group member).  It implements both facets of
 
 * **timers** — ``now`` is the process monotonic clock in milliseconds
   (zeroed at construction); ``schedule``/``schedule_fast`` map onto
-  ``loop.call_later`` with a cancellable handle mirroring the
-  simulator's :class:`~repro.sim.events.Event` surface.
+  ``loop.call_later``.
 * **network** — ``send`` routes by destination node id: ids attached in
   this process are delivered locally through ``call_soon`` (preserving
   the simulator's FIFO, non-reentrant delivery semantics); ids homed on
@@ -50,24 +49,6 @@ RECONNECT_MAX_MS = 1000.0
 
 #: Frames queued towards an unreachable peer before the oldest drop.
 MAX_OUTBOUND_QUEUE = 10_000
-
-
-class _TimerHandle:
-    """Cancellable timer, mirroring ``repro.sim.events.Event``."""
-
-    __slots__ = ("_handle", "_fired")
-
-    def __init__(self) -> None:
-        self._handle: Optional[asyncio.TimerHandle] = None
-        self._fired = False
-
-    def cancelled(self) -> bool:
-        return self._handle is None and not self._fired
-
-    def cancel(self) -> None:
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
 
 
 class _PeerLink:
@@ -185,22 +166,12 @@ class AsyncioTransport(Transport):
         """Milliseconds since transport construction (monotonic)."""
         return (self._loop.time() - self._t0) * 1000.0
 
-    def schedule(self, delay: float,
-                 callback: Callable[[], None]) -> _TimerHandle:
-        handle = _TimerHandle()
-
-        def fire() -> None:
-            handle._handle = None
-            handle._fired = True
-            callback()
-
-        handle._handle = self._loop.call_later(max(delay, 0.0) / 1000.0,
-                                               fire)
-        return handle
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
+        self._loop.call_later(max(delay, 0.0) / 1000.0, callback)
 
     def schedule_at(self, time: float,
-                    callback: Callable[[], None]) -> _TimerHandle:
-        return self.schedule(time - self.now, callback)
+                    callback: Callable[[], None]) -> None:
+        self.schedule(time - self.now, callback)
 
     def schedule_fast(self, delay: float, callback: Callable[..., None],
                       args: Tuple = ()) -> None:

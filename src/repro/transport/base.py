@@ -4,9 +4,9 @@ An :class:`~repro.sim.actor.Actor` never talks to the event loop or the
 socket layer directly; it goes through two *facets* of its transport:
 
 * the **timer facet** (``transport.timers``): ``now`` (milliseconds),
-  ``schedule(delay, cb)`` returning a cancellable handle,
-  ``schedule_fast(delay, cb, args)`` for never-cancelled hot-path
-  events, plus the absolute-time variants;
+  ``schedule(delay, cb)``, ``schedule_fast(delay, cb, args)`` for
+  hot-path events (no closure), plus the absolute-time variants —
+  nothing is ever cancelled, so none returns a handle;
 * the **network facet** (``transport.net``): ``attach``/``detach`` a
   node's message handler, ``send(src, dst, message, size_bytes)``,
   and the shared services ``clocks`` (per-node physical clocks),
@@ -43,10 +43,10 @@ class TimerFacet(Protocol):
     def now(self) -> float: ...
 
     def schedule(self, delay: float,
-                 callback: Callable[[], None]) -> Any: ...
+                 callback: Callable[[], None]) -> None: ...
 
     def schedule_at(self, time: float,
-                    callback: Callable[[], None]) -> Any: ...
+                    callback: Callable[[], None]) -> None: ...
 
     def schedule_fast(self, delay: float, callback: Callable[..., None],
                       args: Tuple = ()) -> None: ...

@@ -70,10 +70,10 @@ def test_rf1_prunes_uninterested_streams_end_to_end():
         assert dc.shard_stream_gaps() == {}
         assert dc.state_vector["dc0"] == 5
     pruned = sum(link.txns_pruned
-                 for link in dcs[0]._repl_links.values())
+                 for link in dcs[0].sender.links.values())
     assert pruned > 0
     assert sum(link.pruned_bytes
-               for link in dcs[0]._repl_links.values()) > 0
+               for link in dcs[0].sender.links.values()) > 0
 
 
 def test_all_interested_partial_matches_batched_exactly():
@@ -91,7 +91,7 @@ def test_all_interested_partial_matches_batched_exactly():
         results[replica_factor] = (
             [dc.state_digest() for dc in dcs],
             [{peer: link.counters()
-              for peer, link in sorted(dc._repl_links.items())}
+              for peer, link in sorted(dc.sender.links.items())}
              for dc in dcs])
     # Digests AND per-link wire counters are identical: an explicit
     # map under which everyone is interested in everything is the same

@@ -48,7 +48,7 @@ class TestGeoReplication:
         run_update(edge, KEY, "counter", "increment", 1)
         sim.run_for(500)
         # Force a duplicate commit attempt by re-sending the same txn.
-        txn = dcs[0].transaction(next(iter(dcs[0]._txn_by_dot)))
+        txn = dcs[0].transaction(next(iter(dcs[0].log.txns)))
         entry, _size = encode_stream_entry(txn, "dc0", 1,
                                            VectorClock.zero())
         dcs[0].send("dc1", ReplicateBatch("dc0", 1, {}, (entry,),

@@ -4,9 +4,10 @@ The parent commit's ``DataCenter._note_peer_applied``, ``_known_holders``,
 ``_advance_stability`` and the collection half of ``_push_updates`` are
 kept here **verbatim** as the oracle (``HeadDC``; ``_push_updates`` is
 cut where it starts to talk to the fan-out).  The oracle and the
-frontier read the same commit streams, transactions, dot tracker, skip
-ledger and ``InterestGraph`` — the driver writes those the way the
-sequencer and the replication receiver do — and each keeps its own
+frontier read the same ``CommitLog`` (streams, transactions, dot
+tracker, skip ledger) and ``InterestGraph`` — the driver writes the log
+through the ways in the sequencer and the replication receiver use —
+and each keeps its own
 holder sets, peer vectors, stable dots and stable vector.  The oracle
 also keeps the collection cursor; the frontier returns the released run
 instead, and what the DC pushes from it (``delivery_order``) must be
@@ -28,10 +29,11 @@ from hypothesis import given, strategies as st
 
 from repro.core import (CommitStamp, Dot, ObjectKey, Snapshot, Transaction,
                         VectorClock, WriteOp)
-from repro.core.dot import DotTracker
 from repro.core.kstable import KStabilityTracker
 from repro.crdt import Counter
+from repro.dc.commitlog import CommitLog
 from repro.dc.interest import InterestGraph, ShardMap
+from repro.dc.replog import SkipRun
 from repro.dc.stability import StabilityFrontier, delivery_order
 from repro.obs.trace import K_STABLE
 
@@ -50,34 +52,37 @@ SHARD_MAPS = {
 
 
 class World:
-    """What the sequencer and the replication receiver own and the
-    stability code only reads."""
+    """The commit log: what the sequencer and the replication receiver
+    write and the stability code only reads."""
 
     def __init__(self, shard_map):
         self.interest = InterestGraph(NODE, PEERS, shard_map)
-        self.streams = {NODE: {}}
-        self.txns = {}
-        self.dots = DotTracker()
-        self.state_vector = VectorClock.zero()
+        self.log = CommitLog(NODE)
+        self.streams = self.log.streams
+        self.txns = self.log.txns
+        self.dots = self.log.dots
+        self.skip_covered = self.log.covered
         self.skips = {}             # origin -> [(first, last)]
         self.minted = 0
 
-    def skip_covered(self, origin, ts):
-        for run in self.skips.get(origin, ()):
-            if run[0] <= ts <= run[1]:
-                return run
-        return None
+    @property
+    def state_vector(self):
+        return self.log.state_vector
 
     def mint(self, origin, keys, snapshot, stamp):
         self.minted += 1
         dot = Dot(self.minted, f"e-{origin}")
-        txn = Transaction(
+        return Transaction(
             dot, dot.origin, snapshot, CommitStamp(stamp),
             [WriteOp(key, Counter().prepare("increment", 1))
              for key in keys])
-        self.dots.observe(dot)
-        self.txns[dot] = txn
-        return txn
+
+    def copy_at(self, dot, origin, ts):
+        """Another copy of a held transaction, committed at
+        ``(origin, ts)``: what a migration duplicate looks like."""
+        held = self.txns[dot]
+        return Transaction(dot, held.origin, held.snapshot,
+                           CommitStamp({origin: ts}), held.writes)
 
 
 class Spans:
@@ -277,8 +282,7 @@ class Pair:
         self.world = World(shard_map)
         self.head = HeadDC(self.world, k_target)
         self.new = StabilityFrontier(
-            NODE, k_target, self.world.interest, self.world.streams,
-            self.world.txns, self.world.dots.seen, self.world.skip_covered)
+            NODE, k_target, self.world.interest, self.world.log)
         self.released = []
         self.pushes = []
 
@@ -348,12 +352,9 @@ def run_step(pair: Pair, step, seq: int) -> None:
     kind = step[0]
     if kind == "commit":
         _, keys, parts, dep = step
-        ts = world.state_vector[NODE] + 1
-        txn = world.mint(NODE, keys, snapshot_for(world, parts, dep),
-                         {NODE: ts})
-        world.streams[NODE][ts] = txn.dot
+        txn = world.mint(NODE, keys, snapshot_for(world, parts, dep), {})
+        ts = world.log.sequence(txn).commit.entries[NODE]
         world.interest.note_entry(txn.dot, NODE, txn.keys, own_ts=ts)
-        world.state_vector = world.state_vector.advance(NODE, ts)
         pair.record(txn.dot, {NODE})
         if world.interest.required_k(txn.dot, pair.head.k_target) <= 1:
             pair.sweep()
@@ -363,9 +364,8 @@ def run_step(pair: Pair, step, seq: int) -> None:
         ts = world.state_vector[origin] + 1
         txn = world.mint(origin, keys, snapshot_for(world, parts, dep),
                          {origin: ts})
-        world.streams.setdefault(origin, {})[ts] = txn.dot
+        world.log.admit(origin, ts, txn)
         world.interest.note_entry(txn.dot, origin, txn.keys)
-        world.state_vector = world.state_vector.advance(origin, ts)
         pair.record(txn.dot, at=(origin, ts))
         pair.sweep()
     elif kind == "vector":
@@ -398,8 +398,7 @@ def run_step(pair: Pair, step, seq: int) -> None:
         origin = PEERS[peer % len(PEERS)]
         first = world.state_vector[origin] + 1
         last = first + count - 1
-        world.state_vector = world.state_vector.advance(origin, last)
-        world.streams.setdefault(origin, {})
+        world.log.skip(origin, SkipRun(first, count, 0b1))
         world.skips.setdefault(origin, []).append((first, last))
         pair.sweep()
     elif kind == "fill":
@@ -415,12 +414,13 @@ def run_step(pair: Pair, step, seq: int) -> None:
             # A backfill of a dot we hold through another stream.
             dots = sorted(world.txns)
             dot = dots[pick % len(dots)]
-            stream[ts] = dot
+            world.log.admit(origin, ts, world.copy_at(dot, origin, ts),
+                            advance=False)
             pair.fill(origin, ts, dot)
             return
         txn = world.mint(origin, [KEYS[pick % len(KEYS)]],
                          Snapshot(VectorClock.zero()), {origin: ts})
-        stream[ts] = txn.dot
+        world.log.admit(origin, ts, txn, advance=False)
         pair.fill(origin, ts, txn.dot)
         world.interest.note_entry(txn.dot, origin, txn.keys)
         pair.record(txn.dot, at=(origin, ts))
@@ -433,8 +433,7 @@ def run_step(pair: Pair, step, seq: int) -> None:
         dots = sorted(world.txns)
         dot = dots[pick % len(dots)]
         ts = world.state_vector[origin] + 1
-        world.streams.setdefault(origin, {})[ts] = dot
-        world.state_vector = world.state_vector.advance(origin, ts)
+        world.log.admit(origin, ts, world.copy_at(dot, origin, ts))
         pair.record(dot, at=(origin, ts), checked=False)
         pair.sweep()
     elif kind == "advert":

@@ -1,0 +1,133 @@
+"""CommitLog, driven directly: no simulator, no DataCenter."""
+
+import pytest
+
+from repro.core import (CommitStamp, Dot, Snapshot, Transaction,
+                        VectorClock)
+from repro.dc.commitlog import CommitLog
+from repro.dc.replog import SkipRun
+
+NODE = "dc0"
+
+
+def txn(counter, origin="e", stamp=None):
+    return Transaction(Dot(counter, origin), origin,
+                       Snapshot(VectorClock.zero()), CommitStamp(stamp))
+
+
+def test_sequence_assigns_consecutive_positions_and_stamps_them():
+    log = CommitLog(NODE)
+    first, second = txn(1), txn(2)
+    assert log.sequence(first) is first
+    assert log.sequence(second) is second
+    assert first.commit.entries == {NODE: 1}
+    assert second.commit.entries == {NODE: 2}
+    assert log.sequencer == 2
+    assert log.state_vector == VectorClock({NODE: 2})
+    assert log.streams[NODE] == {1: first.dot, 2: second.dot}
+    assert log.txns[first.dot] is first
+    assert log.dots.seen(second.dot)
+    assert log.lamport.time == 2            # observed every dot
+
+
+def test_admit_advances_only_the_stream_it_arrived_on():
+    log = CommitLog(NODE)
+    both = txn(1, stamp={"dc1": 1, "dc2": 4})   # committed at two DCs
+    assert log.admit("dc1", 1, both)
+    assert log.state_vector == VectorClock({"dc1": 1})
+    assert log.streams["dc1"] == {1: both.dot}
+    assert "dc2" not in log.streams
+
+
+def test_admit_without_advance_leaves_the_vector():
+    log = CommitLog(NODE)
+    log.skip("dc1", SkipRun(1, 3, 0b1))
+    before = log.state_vector
+    late = txn(2, stamp={"dc1": 2})
+    assert log.admit("dc1", 2, late, advance=False)
+    assert log.state_vector == before == VectorClock({"dc1": 3})
+    assert log.streams["dc1"] == {2: late.dot}
+    assert log.txns[late.dot] is late
+
+
+def test_a_stream_coordinate_for_a_held_dot_records_the_coordinate_only():
+    log = CommitLog(NODE)
+    held = txn(1, stamp={"dc1": 1})
+    log.admit("dc1", 1, held)
+    clock = log.lamport.time
+    copy = txn(1, stamp={"dc2": 1})             # same dot via dc2
+    assert not log.admit("dc2", 1, copy)
+    assert log.streams["dc2"] == {1: held.dot}
+    assert log.state_vector == VectorClock({"dc1": 1, "dc2": 1})
+    assert log.txns[held.dot] is held           # the first copy stays
+    assert log.lamport.time == clock
+    # The equivalent commit entry is grafted by adopt, not by admit.
+    assert held.commit.entries == {"dc1": 1}
+
+
+def test_admit_keeps_streams_contiguous_and_positions_honest():
+    log = CommitLog(NODE)
+    with pytest.raises(ValueError, match="does not extend"):
+        log.admit("dc1", 2, txn(1, stamp={"dc1": 2}))
+    with pytest.raises(ValueError, match="contradicts"):
+        log.admit("dc1", 1, txn(1, stamp={"dc1": 5}))
+    with pytest.raises(ValueError, match="hole"):
+        log.skip("dc1", SkipRun(2, 2, 0b1))
+    assert log.state_vector == VectorClock.zero()
+    assert not log.txns and log.streams == {NODE: {}}
+
+
+def test_adopt_grafts_new_entries_and_names_our_own_position():
+    log = CommitLog(NODE)
+    ours = txn(1)
+    log.sequence(ours)
+    assert log.adopt(txn(1, stamp={NODE: 1})) is None       # nothing new
+    assert log.adopt(txn(1, stamp={NODE: 1, "dc1": 9})) == 1
+    assert ours.commit.entries == {NODE: 1, "dc1": 9}
+    assert log.adopt(txn(1, stamp={"dc1": 9})) is None      # again: known
+    # A dot we hold only through a sibling's stream has no position of
+    # ours, and one we do not hold is not adopted at all.
+    theirs = txn(2, stamp={"dc1": 1})
+    log.admit("dc1", 1, theirs)
+    assert log.adopt(txn(2, stamp={"dc2": 3})) is None
+    assert theirs.commit.entries == {"dc1": 1, "dc2": 3}
+    assert log.adopt(txn(3, stamp={"dc2": 4})) is None
+
+
+def test_skip_records_only_the_part_above_the_frontier():
+    log = CommitLog(NODE)
+    log.admit("dc1", 1, txn(1, stamp={"dc1": 1}))
+    recorded = log.skip("dc1", SkipRun(1, 3, 0b10))     # 1 is applied
+    assert (recorded.start_ts, recorded.end_ts, recorded.mask) \
+        == (2, 3, 0b10)
+    assert log.state_vector == VectorClock({"dc1": 3})
+    assert log.skip("dc1", SkipRun(2, 2, 0b10)) is None     # stale resend
+    assert log.covered("dc1", 1) is None
+    assert log.covered("dc1", 2) is recorded
+    assert log.covered("dc1", 3) is recorded
+    assert log.covered("dc1", 4) is None
+    assert log.covered("dc2", 1) is None
+    assert log.pruned("dc1") and not log.pruned("dc2")
+
+
+def test_gaps_and_shard_gaps_with_skip_runs_and_a_late_fill():
+    log = CommitLog(NODE)
+    log.sequence(txn(1))
+    log.admit("dc1", 1, txn(2, stamp={"dc1": 1}))
+    log.skip("dc1", SkipRun(2, 2, 0b01))                # dc1:2-3, shard 0
+    log.admit("dc1", 4, txn(3, stamp={"dc1": 4}))
+    log.skip("dc1", SkipRun(5, 1, 0b10))                # dc1:5, shard 1
+    assert log.gaps() == {}
+    # Every skipped position is empty; which ones are *owed* depends on
+    # the shards we say we should hold.
+    assert log.shard_gaps(0b00) == {}
+    assert log.shard_gaps(0b01) == {"dc1": [2, 3]}
+    assert log.shard_gaps(0b10) == {"dc1": [5]}
+    assert log.shard_gaps(0b11) == {"dc1": [2, 3, 5]}
+    log.admit("dc1", 3, txn(4, stamp={"dc1": 3}), advance=False)
+    assert log.shard_gaps(0b01) == {"dc1": [2]}
+    assert log.gaps() == {}
+    # A frontier that claims a position nobody stored or skipped.
+    log.state_vector = log.state_vector.advance("dc2", 2)
+    log.streams["dc2"] = {2: Dot(9, "x")}
+    assert log.gaps() == {"dc2": [1]}

@@ -15,10 +15,9 @@ from repro.core.dot import Dot
 from repro.core.txn import CommitStamp, Snapshot, Transaction, WriteOp
 from repro.crdt.base import Operation
 from repro.dc import DataCenter
-from repro.dc.datacenter import _ReplQueue
 from repro.dc.interest import ShardMap
 from repro.dc.messages import ReplicateBatch
-from repro.dc.replog import (ReplLink, decode_stream_entry,
+from repro.dc.replog import (ReplLink, _ReplQueue, decode_stream_entry,
                              encode_stream_entry, well_formed_entries)
 from repro.sim import LatencyModel, Simulation
 
@@ -202,7 +201,7 @@ class TestBatchedPipeline:
         # Writers shipped their whole stream on every link.
         for dc in dcs:
             for peer, counters in dc.repl_link_counters().items():
-                assert counters["txns_sent"] >= dc._sequencer
+                assert counters["txns_sent"] >= dc.log.sequencer
         # Closed form: six unit increments, everywhere.
         for dc in dcs:
             assert dc.state_digest() == {KEY: 6}
@@ -270,7 +269,7 @@ class TestFrameInputCheck:
 
         assert dc.state_vector == VectorClock({"dc0": 1})
         assert dc.stream_gaps() == {}
-        assert all(len(queue) == 0 for queue in dc._repl_queues.values())
+        assert all(len(queue) == 0 for queue in dc.receiver.queues.values())
         assert not dc.holds(Dot(2, "dc0"))
         assert dc.stability._peer_applied["dc0"] == VectorClock({"dc0": 1})
         # Counted, and nothing else moved: not applied, not acked.

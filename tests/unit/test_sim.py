@@ -38,14 +38,6 @@ class TestEventLoop:
         assert loop.now == 50.0
         assert loop.pending() == 1
 
-    def test_cancel(self):
-        loop = EventLoop()
-        fired = []
-        event = loop.schedule(1.0, lambda: fired.append(1))
-        event.cancel()
-        loop.run()
-        assert fired == []
-
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             EventLoop().schedule(-1.0, lambda: None)

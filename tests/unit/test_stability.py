@@ -2,8 +2,9 @@
 
 from repro.core import (CommitStamp, Dot, Snapshot, Transaction,
                         VectorClock)
-from repro.core.dot import DotTracker
+from repro.dc.commitlog import CommitLog
 from repro.dc.interest import InterestGraph
+from repro.dc.replog import SkipRun
 from repro.dc.stability import StabilityFrontier, delivery_order
 
 NODE = "dc0"
@@ -11,35 +12,35 @@ PEERS = ["dc1", "dc2"]
 
 
 class Bench:
-    """A frontier over hand-written streams (``dc0`` is us)."""
+    """A frontier over a hand-written commit log (``dc0`` is us)."""
 
     def __init__(self, k_target):
-        self.streams = {NODE: {}}
-        self.txns = {}
-        self.dots = DotTracker()
-        self.skips = set()              # (origin, ts) covered by a run
-        self.applied = VectorClock.zero()
+        self.log = CommitLog(NODE)
         self.frontier = StabilityFrontier(
-            NODE, k_target, InterestGraph(NODE, PEERS), self.streams,
-            self.txns, self.dots.seen,
-            lambda origin, ts: (origin, ts) in self.skips or None)
+            NODE, k_target, InterestGraph(NODE, PEERS), self.log)
 
     def put(self, origin, ts, counter, vector=None, deps=()):
         """Store a transaction at ``(origin, ts)``; we now hold it."""
         dot = Dot(counter, f"e-{origin}")
-        self.txns[dot] = Transaction(
+        txn = Transaction(
             dot, dot.origin, Snapshot(VectorClock(vector), deps),
             CommitStamp({origin: ts}))
-        self.dots.observe(dot)
-        self.streams.setdefault(origin, {})[ts] = dot
-        self.applied = self.applied.advance(origin, ts)
+        if origin == NODE:
+            self.log.sequence(txn)
+            assert txn.commit.entries == {NODE: ts}
+        else:
+            self.log.admit(origin, ts, txn)
         self.frontier.record(
             dot, self.frontier.known_holders(origin, ts, dot))
         return dot
 
+    def skip(self, origin, ts):
+        """``(origin, ts)`` reached us inside a skip run."""
+        self.log.skip(origin, SkipRun(ts, 1, 0b1))
+
     def heard(self, peer, vector):
         return self.frontier.note_peer_applied(
-            peer, VectorClock(vector), self.applied)
+            peer, VectorClock(vector), self.log.state_vector)
 
 
 def test_k1_is_stable_at_birth():
@@ -125,8 +126,7 @@ def test_a_dep_never_applied_here_blocks_nothing():
 
 def test_frontier_hops_a_skip_covered_position():
     bench = Bench(k_target=1)
-    bench.skips.add(("dc1", 1))
-    bench.streams["dc1"] = {}
+    bench.skip("dc1", 1)
     assert bench.frontier.advance() == []       # moved, released nothing
     assert bench.frontier.stable_vector == VectorClock({"dc1": 1})
     dot = bench.put("dc1", 2, 1)
@@ -135,8 +135,7 @@ def test_frontier_hops_a_skip_covered_position():
 
 def test_late_fill_below_the_frontier_joins_the_cut():
     bench = Bench(k_target=1)
-    bench.skips.add(("dc1", 1))
-    bench.streams["dc1"] = {}
+    bench.skip("dc1", 1)
     bench.frontier.advance()                    # hopped dc1:1
     filled = Dot(5, "e-dc1")
     bench.frontier.fill("dc1", 1, filled)

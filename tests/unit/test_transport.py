@@ -121,15 +121,11 @@ class TestAsyncioBackend:
             transport.attach("b", lambda m, s: got.append(("b", m, s)))
             fired = []
             transport.schedule(5.0, lambda: fired.append(transport.now))
-            cancelled = transport.schedule(5.0,
-                                           lambda: fired.append("no"))
-            cancelled.cancel()
-            assert cancelled.cancelled
             transport.send("a", "b", "ping")
             assert got == []            # local sends are not reentrant
             await asyncio.sleep(0.05)
             assert ("b", "ping", "a") in got
-            assert fired and fired != ["no"]
+            assert fired
             await transport.stop()
 
         asyncio.run(scenario())
