@@ -16,9 +16,10 @@ Transaction``, ``origin -> ts -> dot`` and the ledger of applied skip
 runs.  There is one way in per kind of entry, and each keeps the
 invariants the rest of the DC relies on:
 
-* **own-stream positions are assigned here and nowhere else**
-  (:meth:`sequence` stamps the commit entry with the position it just
-  took, so position == commit entry by construction);
+* **own-stream positions are assigned here and nowhere else, one per
+  dot** (:meth:`sequence` stamps the commit entry with the position it
+  just took, so position == commit entry by construction, and refuses a
+  dot the log already holds);
 * **streams are applied contiguously** (:meth:`admit` with ``advance``
   and :meth:`skip` only ever extend a frontier by the next position);
 * **a stream position names the transaction whose commit entry says
@@ -61,7 +62,12 @@ class CommitLog:
     def sequence(self, txn: Transaction) -> Transaction:
         """Commit ``txn`` at the next position of our own stream and
         stamp it with that position.  Returns the transaction the log
-        holds under its dot."""
+        holds under its dot: ``txn`` — or, for a dot the log already
+        holds, the known transaction, and nothing is sequenced (a dot
+        takes a position of our stream at most once)."""
+        known = self.txns.get(txn.dot)
+        if known is not None:
+            return known
         ts = self.sequencer = self.sequencer + 1
         txn.commit.add_entry(self.node_id, ts)
         self.admit(self.node_id, ts, txn)

@@ -26,8 +26,9 @@ from ..core.txn import CommitStamp, ObjectKey, Snapshot, Transaction, WriteOp
 from ..crdt.base import state_from_dict
 from ..store.ring import HashRing
 from .commitlog import CommitLog
-from .messages import (RemoteTxnReply, RemoteTxnRequest, ShardCommit,
-                       ShardPrepare, ShardRead, ShardReadReply, ShardVote)
+from .messages import (RemoteTxnReply, RemoteTxnRequest, ShardAbort,
+                       ShardCommit, ShardPrepare, ShardRead, ShardReadReply,
+                       ShardVote)
 
 #: Messages for the DC to send, in order: ``(destination, message)``.
 Sends = List[Tuple[str, Any]]
@@ -197,7 +198,8 @@ class RemoteTxns:
             -> Tuple[Optional[Transaction], Sends]:
         """Count a prepare vote.  Once every shard voted the transaction
         is sequenced into the log: returns it, for the DC to announce
-        *before* it sends the commit round and the client's reply."""
+        *before* it sends the commit round and the client's reply —
+        unless the log already holds its dot, which is sequenced once."""
         pending = self._prepared.get(msg.txid)
         if pending is None:
             return None, []
@@ -211,10 +213,15 @@ class RemoteTxns:
             return None, []
         del self._prepared[msg.txid]
         txn = pending.txn
-        self.log.sequence(txn)
-        commit = ShardCommit(msg.txid, txn.to_dict())
-        sends: Sends = [(shard_id, commit) for shard_id in pending.shards]
+        held = self.log.sequence(txn)
+        committed = held is txn
+        # Refused: a duplicate request raced this copy's prepare round
+        # and committed first.  Release the prepared copy and answer
+        # with the stamp the transaction already has.
+        decision = ShardCommit(msg.txid, txn.to_dict()) if committed \
+            else ShardAbort(msg.txid)
+        sends: Sends = [(shard_id, decision) for shard_id in pending.shards]
         sends.append((pending.client, RemoteTxnReply(
             pending.request_id, pending.values, True,
-            dict(txn.commit.entries))))
-        return txn, sends
+            dict(held.commit.entries))))
+        return (txn if committed else None), sends

@@ -64,6 +64,28 @@ def test_member_resync_across_cuts_keeps_vector_coverage():
     assert result.ok, [str(v) for v in result.violations]
 
 
+def test_duplicate_remote_request_is_sequenced_once():
+    """Regression (``--topology pop --seed 74``, shrunk; also ``tree``
+    197 and ``--interest partial`` ``pop`` 85): ``far`` retries a remote
+    transaction across a DC isolation, the duplicate ``RemoteTxnRequest``
+    runs its 2PC beside the first copy's, and both completions reached
+    the sequencer — one dot at positions 13 *and* 14 of dc0's stream,
+    and the next flush died in ``encode_stream_entry`` (``ValueError:
+    stream position ... contradicts commit entry``).  ``CommitLog.
+    sequence`` now refuses a dot the log holds."""
+    schedule = [
+        FaultEvent(2099.0, "dc_isolate", ("dc1",), duration=1465.0),
+        FaultEvent(4429.0, "partition", ("dc0", "dc1"), duration=1022.0),
+        FaultEvent(5527.0, "blackout", ("e0",), duration=1231.0),
+        FaultEvent(6035.0, "dc_isolate", ("dc1",), duration=1613.0),
+        FaultEvent(6344.0, "migrate", ("far", "dc0")),
+    ]
+    result = run_scenario(ScenarioConfig(topology="pop", seed=74),
+                          schedule=schedule)
+    assert result.ok, [str(v) for v in result.violations]
+    assert result.converged
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "known failing, DESIGN section 9: a sync point cuts the seeds it "
     "serves by commit stamp, and a transaction it first received through "

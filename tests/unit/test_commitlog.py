@@ -30,6 +30,24 @@ def test_sequence_assigns_consecutive_positions_and_stamps_them():
     assert log.lamport.time == 2            # observed every dot
 
 
+def test_own_sequence_refuses_a_held_dot():
+    log = CommitLog(NODE)
+    first = txn(1)
+    log.sequence(first)
+    # A second copy of the same transaction (a duplicate request that
+    # raced the first copy's 2PC): the log hands back what it holds and
+    # takes no position.
+    assert log.sequence(txn(1)) is first
+    assert log.sequencer == 1
+    assert log.streams[NODE] == {1: first.dot}
+    assert log.state_vector == VectorClock({NODE: 1})
+    # ... also when it is held through a sibling's stream only.
+    remote = txn(7, stamp={"dc1": 1})
+    log.admit("dc1", 1, remote)
+    assert log.sequence(txn(7)) is remote
+    assert log.sequencer == 1
+
+
 def test_admit_advances_only_the_stream_it_arrived_on():
     log = CommitLog(NODE)
     both = txn(1, stamp={"dc1": 1, "dc2": 4})   # committed at two DCs

@@ -4,9 +4,9 @@ the test plays the shards' side of the conversation."""
 from repro.core import Dot, ObjectKey, VectorClock
 from repro.crdt import Counter
 from repro.dc.commitlog import CommitLog
-from repro.dc.messages import (RemoteTxnReply, RemoteTxnRequest, ShardCommit,
-                               ShardPrepare, ShardRead, ShardReadReply,
-                               ShardVote)
+from repro.dc.messages import (RemoteTxnReply, RemoteTxnRequest, ShardAbort,
+                               ShardCommit, ShardPrepare, ShardRead,
+                               ShardReadReply, ShardVote)
 from repro.dc.twopc import RemoteTxns
 from repro.store.ring import HashRing
 
@@ -133,3 +133,37 @@ def test_retry_after_the_commit_reports_the_same_stamp():
     assert coord.execute(coord.open(again)) \
         == [(CLIENT, RemoteTxnReply(2, (), True, {NODE: 1}))]
     assert coord.log.sequencer == 1
+
+
+def test_duplicate_request_before_during_and_after_2pc_sequences_once():
+    coord = Coordinator()
+    calls = []
+    sequence = coord.log.sequence
+    coord.log.sequence = lambda txn: calls.append(txn) or sequence(txn)
+    msg = coord.request(1, updates=[(X, 1)])
+    # Before: the retry is opened while the first copy still waits for
+    # its reads.  During: it runs its own prepare round beside the first
+    # copy's — same dot, another txid.
+    first, retry = coord.open(msg), coord.open(msg)
+    prepares = coord.execute(first)
+    duplicate = coord.execute(retry)
+    assert {m.txid for _s, m in prepares}.isdisjoint(
+        m.txid for _s, m in duplicate)
+    assert {m.txn["dot"]["counter"] for _s, m in prepares + duplicate} == {1}
+    txn, sends = coord.vote_all(prepares)
+    assert txn is not None and txn.commit.entries == {NODE: 1}
+    # The second completion finds the dot sequenced: nothing to
+    # announce, the prepared copy is released, same stamp reported.
+    txn, sends = coord.vote_all(duplicate)
+    assert txn is None
+    *aborts, (client, reply) = sends
+    assert [type(m) for _s, m in aborts] == [ShardAbort] * len(duplicate)
+    assert {m.txid for _s, m in aborts} == {m.txid for _s, m in duplicate}
+    assert (client, reply) \
+        == (CLIENT, RemoteTxnReply(1, (), True, {NODE: 1}))
+    # After: answered from the log, no prepare round at all.
+    assert coord.execute(coord.open(msg)) \
+        == [(CLIENT, RemoteTxnReply(1, (), True, {NODE: 1}))]
+    assert coord.log.sequencer == 1
+    assert coord.log.streams[NODE] == {1: Dot(1, f"{NODE}/srv")}
+    assert len(calls) == 2          # two completions asked, one got in
