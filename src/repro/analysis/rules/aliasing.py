@@ -32,8 +32,7 @@ MUTATING_METHODS = {"append", "extend", "insert", "add", "discard",
                     "clear", "sort", "reverse", "__setitem__"}
 
 #: Dispatch entry points whose message parameter is unannotated.
-DISPATCH_FUNCTIONS = {"on_message", "on_extra_message", "_dispatch",
-                      "_receive", "handle"}
+DISPATCH_FUNCTIONS = {"on_message", "_dispatch", "_receive", "handle"}
 
 
 def _message_param(module: Module, project: Project,

@@ -5,8 +5,7 @@
 * :mod:`repro.core.txn` — transactions with snapshot vectors and (possibly
   symbolic, possibly multi-equivalent) commit stamps;
 * :mod:`repro.core.journal` — base version + update journal per object;
-* :mod:`repro.core.kstable` — K-stability gate for edge visibility;
-* :mod:`repro.core.visibility` — the monotonic visibility frontier.
+* :mod:`repro.core.kstable` — K-stability gate for edge visibility.
 """
 
 from .clock import LamportClock, VectorClock, lub
@@ -14,8 +13,6 @@ from .dot import Dot, DotTracker
 from .journal import JournalEntry, ObjectJournal
 from .kstable import KStabilityTracker
 from .txn import CommitStamp, ObjectKey, Snapshot, Transaction, WriteOp
-from .visibility import (CausalityViolation, VisibleState, admissible,
-                         admit_ready)
 
 __all__ = [
     "LamportClock", "VectorClock", "lub",
@@ -23,5 +20,4 @@ __all__ = [
     "CommitStamp", "ObjectKey", "Snapshot", "Transaction", "WriteOp",
     "JournalEntry", "ObjectJournal",
     "KStabilityTracker",
-    "CausalityViolation", "VisibleState", "admissible", "admit_ready",
 ]

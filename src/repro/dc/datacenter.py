@@ -270,9 +270,6 @@ class DataCenter(Actor):
         self._carry_out(self.interest.subscribe(
             (k for k, _t in keys), fire))
 
-    def close_session(self, edge_id: str) -> None:
-        self._carry_out(self.interest.release(self._fanout.close(edge_id)))
-
     def _carry_out(self, outcome: Outcome) -> None:
         """Do what an interest decision asks: run the reads it found
         ready, then advertise to every peer."""

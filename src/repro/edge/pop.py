@@ -18,7 +18,7 @@ serves unrelated clients, so it offers plain TCC+, not an SI zone.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Set, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..core.clock import VectorClock
 from ..core.dot import Dot
@@ -36,6 +36,15 @@ from .node import EdgeNode
 
 class PoPNode(EdgeNode):
     """A border cache that proxies edge sessions towards its DC."""
+
+    _DISPATCH_NAMES = {
+        **EdgeNode._DISPATCH_NAMES,
+        CommitReject: "_on_commit_reject",
+        SessionOpen: "_child_session_open",
+        EdgeCommit: "_child_commit",
+        InterestChange: "_child_interest",
+        ObjectRequest: "_child_fetch",
+    }
 
     def __init__(self, node_id: str, loop: Union[EventLoop, Transport],
                  network: Optional[Network],
@@ -59,18 +68,6 @@ class PoPNode(EdgeNode):
     # ------------------------------------------------------------------
     # child-facing: the DC protocol, served from the border
     # ------------------------------------------------------------------
-    def on_extra_message(self, message: Any, sender: str) -> None:
-        if isinstance(message, SessionOpen):
-            self._child_session_open(message, sender)
-        elif isinstance(message, EdgeCommit):
-            self._child_commit(message, sender)
-        elif isinstance(message, InterestChange):
-            self._child_interest(message, sender)
-        elif isinstance(message, ObjectRequest):
-            self._child_fetch(message, sender)
-        else:
-            super().on_extra_message(message, sender)
-
     def _child_session_open(self, msg: SessionOpen, sender: str) -> None:
         # Compatibility: the child's state must be within ours (we only
         # ever serve prefixes of the DC's stable cut, so a child that was
@@ -104,33 +101,21 @@ class PoPNode(EdgeNode):
         # out at its next message.
         chain = self.vector.merge_dict(self._upstream or {})
         self._fanout.restart(msg.edge_id, chain.to_dict())
-        objects = tuple(self._seed_state(key)
-                        for key in interest if key in self._warm)
-        for key in interest:
-            if key not in self._warm:
-                self._child_unseeded.setdefault(key, set()).add(
-                    msg.edge_id)
-        self.send(sender, SessionAck(self.node_id, objects,
+        self.send(sender, SessionAck(self.node_id,
+                                     self._seeds_for(msg.edge_id, interest),
                                      self.vector.to_dict()))
 
-    def _seed_state(self, key: ObjectKey) -> dict:
-        vector = self.vector
-
-        def visible(entry) -> bool:
-            return entry.txn.commit.included_in(vector)
-
-        # Seeds cut a pure-vector view (no local deps, no masking), so
-        # they use their own cached-view scope: every child seeded at
-        # the same stable cut reuses one materialisation.
-        state, dots = self.cache.store.read_with_dots(
-            key, visible, type_name=self._interest_types[key],
-            token=("seed", vector), cache_key=(key, "seed"))
-        return {
-            "key": key.to_dict(),
-            "type": self._interest_types[key],
-            "base": state.to_dict(),
-            "base_dots": [d.to_dict() for d in sorted(dots)],
-        }
+    def _seeds_for(self, child: str,
+                   keys: Iterable[ObjectKey]) -> Tuple[dict, ...]:
+        """Seeds of the warm ``keys``; the others reach ``child`` once
+        our own upstream seed warms them (see ``_install_seed``)."""
+        seeds = []
+        for key in keys:
+            if key in self._warm:
+                seeds.append(self._seed_state(key))
+            else:
+                self._child_unseeded.setdefault(key, set()).add(child)
+        return tuple(seeds)
 
     def _child_commit(self, msg: EdgeCommit, sender: str) -> None:
         dot = Dot.from_dict(msg.txn["dot"])
@@ -172,30 +157,32 @@ class PoPNode(EdgeNode):
             if key not in self._interest_types:
                 self.declare_interest(key, type_name)
             added.append(key)
-        seeded = tuple(self._seed_state(key) for key in added
-                       if key in self._warm)
-        for key in added:
-            if key not in self._warm:
-                self._child_unseeded.setdefault(key, set()).add(
-                    msg.edge_id)
+        seeded = self._seeds_for(msg.edge_id, added)
         if seeded:
             self.send(msg.edge_id, SessionAck(self.node_id, seeded,
                                               self.vector.to_dict()))
 
     def _child_fetch(self, msg: ObjectRequest, sender: str) -> None:
         key = ObjectKey.from_dict(msg.key)
-        if key in self._warm:
-            self.send(msg.edge_id, ObjectResponse(
-                self._seed_state(key), self.vector.to_dict()))
-            return
         waiting = self._child_fetches.setdefault(key, [])
         if msg.edge_id not in waiting:  # retried fetches register once
             waiting.append(msg.edge_id)
+        if key in self._warm:
+            self._serve_fetches(key)
+            return
         self.declare_interest(key, msg.type_name)
         if self.session_open and not self.offline:
             self.send(self.connected_dc,
                       ObjectRequest(self.node_id, dict(msg.key),
                                     msg.type_name, self.vector.to_dict()))
+
+    def _serve_fetches(self, key: ObjectKey) -> None:
+        """Answer every child waiting on ``key``, once it is warm."""
+        if key not in self._warm:
+            return
+        for child in self._child_fetches.pop(key, ()):
+            self.send(child, ObjectResponse(self._seed_state(key),
+                                            self.vector.to_dict()))
 
     # ------------------------------------------------------------------
     # upstream-facing: relay acks and pushes down the tree
@@ -209,20 +196,21 @@ class PoPNode(EdgeNode):
             for child in waiting:
                 self.send(child, SessionAck(self.node_id, seeded,
                                             self.vector.to_dict()))
+
     def _on_commit_ack(self, msg: CommitAck, sender: str) -> None:
         super()._on_commit_ack(msg, sender)
         child = self._relayed.pop(Dot.from_dict(msg.dot), None)
         if child is not None:
             self.send(child, msg)
 
-    def on_message(self, message: Any, sender: str) -> None:
-        if isinstance(message, CommitReject) \
-                and sender == self.connected_dc:
-            child = self._relayed.pop(Dot.from_dict(message.dot), None)
-            if child is not None:
-                self.send(child, message)
+    def _on_commit_reject(self, msg: CommitReject, sender: str) -> None:
+        # Our own rejected commits wait for the retry timer (EdgeNode);
+        # a child's goes back down to the child.
+        if sender != self.connected_dc:
             return
-        super().on_message(message, sender)
+        child = self._relayed.pop(Dot.from_dict(msg.dot), None)
+        if child is not None:
+            self.send(child, msg)
 
     def _on_update_push(self, msg: UpdatePush, sender: str) -> None:
         super()._on_update_push(msg, sender)
@@ -256,20 +244,13 @@ class PoPNode(EdgeNode):
 
     def _on_object_response(self, msg: ObjectResponse, sender: str) -> None:
         super()._on_object_response(msg, sender)
-        key = ObjectKey.from_dict(msg.object_state["key"])
-        for child in self._child_fetches.pop(key, []):
-            if key in self._warm:
-                self.send(child, ObjectResponse(self._seed_state(key),
-                                                self.vector.to_dict()))
+        self._serve_fetches(ObjectKey.from_dict(msg.object_state["key"]))
 
     def _on_session_ack(self, msg: SessionAck, sender: str) -> None:
         super()._on_session_ack(msg, sender)
         # A fresh upstream seed may satisfy children waiting on fetches.
         for key in list(self._child_fetches):
-            if key in self._warm:
-                for child in self._child_fetches.pop(key):
-                    self.send(child, ObjectResponse(
-                        self._seed_state(key), self.vector.to_dict()))
+            self._serve_fetches(key)
 
     @property
     def pipeline_idle(self) -> bool:

@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict, deque
-from typing import (Any, Callable, Deque, Dict, List, Optional, Set,
-                    Tuple, Union)
+from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
+                    Set, Tuple, Union)
 
 from ..core.clock import VectorClock
 from ..core.dot import Dot
-from ..core.txn import CommitStamp, ObjectKey, Transaction
-from ..dc.messages import EdgeCommit, ObjectResponse, UpdatePush
+from ..core.txn import ObjectKey, Transaction
+from ..dc.messages import (EdgeCommit, ObjectRequest, ObjectResponse,
+                           UpdatePush)
 from ..edge.node import EdgeNode, _RunningTxn
 from ..epaxos.messages import InstanceId, TigaMessage
 from ..epaxos.replica import EPaxosReplica
@@ -69,6 +70,27 @@ def _txn_conflict_keys(txn_dict: dict) -> List[Tuple[str, str]]:
 
 class GroupMember(EdgeNode):
     """An edge node that participates in a peer group."""
+
+    #: Group traffic: dropped unread while the member is cut off from
+    #: its group (``group_offline``).
+    _GROUP_NAMES = {
+        GroupMsg: "_on_group_msg",
+        MembershipUpdate: "_on_membership",
+        GroupSeed: "_on_group_seed",
+        InterestAnnounce: "_on_interest_announce",
+        GroupFetch: "_on_group_fetch",
+        GroupFetchReply: "_on_group_fetch_reply",
+        GroupRelayPush: "_on_relay_push",
+        GroupCommitAck: "_on_group_commit_ack",
+        TxnPull: "_on_txn_pull",
+        TxnPushMsg: "_on_txn_push",
+    }
+    _DISPATCH_NAMES = {
+        **EdgeNode._DISPATCH_NAMES,
+        JoinGroup: "_on_join",
+        LeaveGroup: "_on_leave",
+        **_GROUP_NAMES,
+    }
 
     MAINTENANCE_MS = 100.0
     RESEND_AFTER_MS = 250.0
@@ -176,9 +198,7 @@ class GroupMember(EdgeNode):
             super()._resend_pending(dc_id)
             return
         if self.is_parent:
-            for dot, txn in self._ship_queue.items():
-                self.send(dc_id, EdgeCommit(txn.to_dict()))
-                self._ship_sent_at[dot] = self.now
+            self._ship(dc_id, self._ship_queue.values())
 
     # ------------------------------------------------------------------
     # group bootstrap / membership
@@ -239,11 +259,8 @@ class GroupMember(EdgeNode):
         if msg.node_id not in self.members:
             self.epoch += 1
             self.init_group(self.members + (msg.node_id,), self.epoch)
-        update = MembershipUpdate(self.group_id, self.epoch, self.node_id,
-                                  self.members)
-        for member in self.members:
-            if member != self.node_id:
-                self.send(member, update)
+        self._to_members(MembershipUpdate(self.group_id, self.epoch,
+                                          self.node_id, self.members))
         # Bootstrap the newcomer with the agreed consensus prefix.
         assert self.replica is not None
         instances = tuple(
@@ -263,11 +280,8 @@ class GroupMember(EdgeNode):
         roster = tuple(m for m in self.members if m != msg.node_id)
         self.init_group(roster, self.epoch)
         self._member_interest.pop(msg.node_id, None)
-        update = MembershipUpdate(self.group_id, self.epoch, self.node_id,
-                                  roster)
-        for member in roster:
-            if member != self.node_id:
-                self.send(member, update)
+        self._to_members(MembershipUpdate(self.group_id, self.epoch,
+                                          self.node_id, roster))
         if self.on_group_event is not None:
             self.on_group_event("leave", msg.node_id)
 
@@ -290,6 +304,10 @@ class GroupMember(EdgeNode):
             if cmd is not None:
                 self._exec_seen.add(Dot.from_dict(cmd["dot"]))
 
+    def _on_interest_announce(self, msg: InterestAnnounce,
+                              sender: str) -> None:
+        self._absorb_interest(msg.member, msg.add)
+
     def _absorb_interest(self, member: str,
                          interest: Tuple[Tuple[dict, str], ...]) -> None:
         """Parent: union a member's interest into the DC session."""
@@ -307,6 +325,11 @@ class GroupMember(EdgeNode):
             return
         self.send(dst, GroupMsg(self.group_id, self.epoch, payload))
 
+    def _to_members(self, message: Any) -> None:
+        for member in self.members:
+            if member != self.node_id:
+                self.send(member, message)
+
     def _propose_txn(self, txn: Transaction) -> None:
         assert self.replica is not None
         instance_id = self.replica.propose(txn.to_dict())
@@ -315,10 +338,16 @@ class GroupMember(EdgeNode):
     # ------------------------------------------------------------------
     # commit paths
     # ------------------------------------------------------------------
-    def after_commit(self, txn: Transaction) -> None:
-        """Variant "async": local commit done; order in the background."""
+    def _ship_commit(self, txn: Transaction) -> None:
+        """Variant "async": local commit done; order in the background.
+
+        A group's commits reach the DC through the sync point, in
+        visibility order — not straight from here, even on the parent.
+        """
         if self.in_group:
             self._propose_txn(txn)
+        else:
+            super()._ship_commit(txn)
 
     def _finish_txn(self, running: _RunningTxn, result: Any) -> None:
         ctx = running.ctx
@@ -328,11 +357,8 @@ class GroupMember(EdgeNode):
             return
         # Ordering on the critical path of commitment: a consensus slot
         # (psi) or a deadline-stamped fast-path round (tiga).
-        dot = Dot(self.lamport.tick(), self.node_id)
-        txn = Transaction(dot=dot, origin=self.node_id,
-                          snapshot=ctx.snapshot, commit=CommitStamp(),
-                          writes=list(ctx.writes), issuer=self.user)
-        self._psi_pending[dot] = (running, result, txn)
+        txn = self._new_txn(ctx)
+        self._psi_pending[txn.dot] = (running, result, txn)
         if self.commit_variant == "tiga":
             assert self.tiga is not None
             self.tiga.propose(txn.to_dict())
@@ -342,11 +368,7 @@ class GroupMember(EdgeNode):
     def _apply_psi_commit(self, txn: Transaction) -> None:
         """Own PSI transaction reached its slot without conflict: apply."""
         running, result, _ = self._psi_pending.pop(txn.dot)
-        self.dots.observe(txn.dot)
-        self._txn_by_dot[txn.dot] = txn
-        self.cache.apply_transaction(txn)
-        self._uncovered[txn.dot] = txn
-        self.unacked[txn.dot] = txn
+        self._admit(txn, own=True)
         self._notify_subscribers([k for k in txn.keys
                                   if k in self._interest_types])
         stats = self._record_stats(running.ctx)
@@ -382,13 +404,7 @@ class GroupMember(EdgeNode):
                          in_order: bool) -> None:
         """A transaction's deadline arrived: insert it into the
         visibility order through the shared execution pipeline."""
-        txn = Transaction.from_dict(command)
-        if txn.dot in self._exec_seen:
-            return
-        self._exec_seen.add(txn.dot)
-        self._tiga_release_meta[txn.dot] = in_order
-        self._exec_queue.append(txn)
-        self._drain_exec_queue()
+        self._execute(Transaction.from_dict(command), in_order)
 
     def _on_tiga_fallback(self, key: RoundKey) -> None:
         """Fast path abandoned (late deadline, loss, outage): the EPaxos
@@ -410,14 +426,6 @@ class GroupMember(EdgeNode):
                 "acks_sent": self.tiga.acks_sent,
                 "nacks_sent": self.tiga.nacks_sent}
 
-    def publish_tiga_metrics(self, registry) -> None:
-        """Publish fast-path counters into a metrics registry."""
-        stats = self.tiga_stats
-        registry.counter("commit_fast_path").inc(stats["fast_commits"])
-        registry.counter("commit_fallback").inc(stats["fallbacks"])
-        registry.counter("tiga_acks_sent").inc(stats["acks_sent"])
-        registry.counter("tiga_nacks_sent").inc(stats["nacks_sent"])
-
     # ------------------------------------------------------------------
     # visibility pipeline: consensus execution -> integration -> ship
     # ------------------------------------------------------------------
@@ -431,10 +439,18 @@ class GroupMember(EdgeNode):
         # drops the entry once the commit stamp resolves, which proves
         # the sync point executed and shipped the transaction.
         self._blocked_since.pop(instance_id, None)
-        txn = Transaction.from_dict(cmd)
+        self._execute(Transaction.from_dict(cmd))
+
+    def _execute(self, txn: Transaction,
+                 fast: Optional[bool] = None) -> None:
+        """Queue ``txn`` at its visibility slot, once per dot (the same
+        transaction may be proposed twice); ``fast`` says whether a tiga
+        release came in deadline order."""
         if txn.dot in self._exec_seen:
-            return  # duplicate proposal of the same transaction
+            return
         self._exec_seen.add(txn.dot)
+        if fast is not None:
+            self._tiga_release_meta[txn.dot] = fast
         self._exec_queue.append(txn)
         self._drain_exec_queue()
 
@@ -453,22 +469,16 @@ class GroupMember(EdgeNode):
                 self._exec_queue.popleft()
                 self._log_visible(txn)
                 self._apply_psi_commit(txn)
-                self._after_visible(txn)
-                continue
-            if self.dots.seen(txn.dot):
-                # Already integrated (own txn, or arrived via DC push).
+            elif self.integrate_foreign_txn(txn):
+                # Integrated now, or already held (own txn, or arrived
+                # via a DC push).
                 self._exec_queue.popleft()
                 self._log_visible(txn)
-                self._after_visible(txn)
-                continue
-            if self.integrate_foreign_txn(txn):
-                self._exec_queue.popleft()
-                self._log_visible(txn)
-                self._after_visible(txn)
-                continue
-            # Blocked on missing causal dependencies: pull them.
-            self._request_missing(txn)
-            return
+            else:
+                # Blocked on missing causal dependencies: pull them.
+                self._request_missing(txn)
+                return
+            self._after_visible(txn)
 
     def _log_visible(self, txn: Transaction) -> None:
         """Append to the group visibility order (the agreed outcome)."""
@@ -495,12 +505,18 @@ class GroupMember(EdgeNode):
             return  # the DC already assigned its timestamp
         self._ship_queue[txn.dot] = known
         if self.session_open and not self.offline:
-            self.send(self.connected_dc, EdgeCommit(known.to_dict()))
-            self._ship_sent_at[txn.dot] = self.now
+            self._ship(self.connected_dc, (known,))
+
+    def _ship(self, dc_id: str, txns: Iterable[Transaction]) -> None:
+        """Sync point: send queued commits to the DC (section 5.1.3)."""
+        now = self.now
+        for txn in txns:
+            self.send(dc_id, EdgeCommit(txn.to_dict()))
+            self._ship_sent_at[txn.dot] = now
 
     def _request_missing(self, txn: Transaction) -> None:
         missing = [d for d in txn.snapshot.local_deps
-                   if not self._covers.seen(d)]
+                   if not self.dots.seen(d)]
         # A missing dependency may already sit later in our own execution
         # queue (consensus may order a causal child of a conflicting pair
         # first): integrate it directly — causal order is the binding
@@ -515,17 +531,23 @@ class GroupMember(EdgeNode):
         if integrated and not missing:
             self._drain_exec_queue()
             return
-        targets = [self.parent_id] if not self.is_parent else []
-        if not targets:
-            targets = [m for m in self.members if m != self.node_id][:2]
         now = self.now
         to_pull = [d for d in missing
                    if now - self._pull_pending.get(d, -1e9) > 200.0]
-        if not to_pull:
-            return
-        for dot in to_pull:
+        if to_pull:
+            self._pull(to_pull)
+
+    def _pull(self, dots: List[Dot]) -> None:
+        """Ask for transactions by dot: the sync point, or (at the sync
+        point) two peers."""
+        if self.is_parent:
+            targets = [m for m in self.members if m != self.node_id][:2]
+        else:
+            targets = [self.parent_id]
+        now = self.now
+        for dot in dots:
             self._pull_pending[dot] = now
-        pull = TxnPull(self.node_id, tuple(d.to_dict() for d in to_pull))
+        pull = TxnPull(self.node_id, tuple(d.to_dict() for d in dots))
         for target in targets:
             self.send(target, pull)
 
@@ -554,33 +576,16 @@ class GroupMember(EdgeNode):
 
     def _on_group_fetch(self, msg: GroupFetch, sender: str) -> None:
         key = ObjectKey.from_dict(msg.key)
-        journal = self.cache.store.journal(key)
         # Serve only warm (seeded, hole-free) objects from the cache.
-        if journal is not None and key in self._warm:
-            vector = self.vector
-
-            def visible(entry) -> bool:
-                return entry.txn.commit.included_in(vector)
-
-            # Same pure-vector view the PoP cuts for its children, kept
-            # in its own cached-view scope.
-            crdt, dots = self.cache.store.read_with_dots(
-                key, visible, type_name=msg.type_name,
-                token=("seed", vector), cache_key=(key, "seed"))
-            state = {
-                "key": key.to_dict(),
-                "type": msg.type_name,
-                "base": crdt.to_dict(),
-                "base_dots": [d.to_dict() for d in sorted(dots)],
-            }
+        if key in self._warm:
             self.send(msg.requester, GroupFetchReply(
-                dict(msg.key), state, vector.to_dict(), True))
+                dict(msg.key), self._seed_state(key, msg.type_name),
+                self.vector.to_dict(), True))
             return
         # Not cached here: escalate to the DC on the member's behalf.
         self._member_fetch_waiting.setdefault(key, []).append(msg.requester)
         self.declare_interest(key, msg.type_name)
         if self.session_open and not self.offline:
-            from ..dc.messages import ObjectRequest
             self.send(self.connected_dc,
                       ObjectRequest(self.node_id, key.to_dict(),
                                     msg.type_name, self.vector.to_dict()))
@@ -641,13 +646,7 @@ class GroupMember(EdgeNode):
         if not expect:
             self._advance_to_seed(self._pending_vector)
             return
-        self._resync_expect = expect
-        self._resync_started = self.now
-        for missing in expect:
-            type_name = self._interest_types.get(missing, "counter")
-            self.send(self.parent_id,
-                      GroupFetch(missing.to_dict(), type_name,
-                                 self.node_id))
+        self._resync(expect)
 
     # ------------------------------------------------------------------
     # sync-point relays
@@ -656,11 +655,9 @@ class GroupMember(EdgeNode):
         super()._on_update_push(msg, sender)
         if self.is_parent and self.in_group and not self.group_offline:
             # Verbatim, gap or not: members share the sync point's chain.
-            relay = GroupRelayPush(msg.txns, dict(msg.stable_vector),
-                                   dict(msg.prev_vector))
-            for member in self.members:
-                if member != self.node_id:
-                    self.send(member, relay)
+            self._to_members(GroupRelayPush(msg.txns,
+                                            dict(msg.stable_vector),
+                                            dict(msg.prev_vector)))
         self._drain_exec_queue()
 
     def _on_relay_push(self, msg: GroupRelayPush, sender: str) -> None:
@@ -685,10 +682,14 @@ class GroupMember(EdgeNode):
         if self.group_offline:
             return
         keys = set(self._warm) | set(self._pending_fetches)
-        if not keys:
-            return
-        self._resync_expect = set(keys)
-        self._resync_started = now
+        if keys:
+            self._resync(keys)
+
+    def _resync(self, keys: Set[ObjectKey]) -> None:
+        """Fetch ``keys`` from the sync point; the vector waits for every
+        reply (see ``_note_reply_vector``)."""
+        self._resync_expect = keys
+        self._resync_started = self.now
         for key in keys:
             type_name = self._interest_types.get(key, "counter")
             self.send(self.parent_id,
@@ -700,10 +701,8 @@ class GroupMember(EdgeNode):
         if self.is_parent and self.in_group:
             self._ship_queue.pop(dot, None)
             self._ship_sent_at.pop(dot, None)
-            relay = GroupCommitAck(dict(msg.dot), dict(msg.entries))
-            for member in self.members:
-                if member != self.node_id:
-                    self.send(member, relay)
+            self._to_members(GroupCommitAck(dict(msg.dot),
+                                            dict(msg.entries)))
 
     def _on_group_commit_ack(self, msg: GroupCommitAck,
                              sender: str) -> None:
@@ -733,12 +732,9 @@ class GroupMember(EdgeNode):
             if known is not None:
                 # A pushed copy may carry a commit stamp we missed (the
                 # ack relay can be lost): adopt it.
-                for dc, ts in txn.commit.entries.items():
-                    if dc not in known.commit.entries:
-                        known.commit.add_entry(dc, ts)
-                if not known.commit.is_symbolic:
-                    self.unacked.pop(txn.dot, None)
-            self.integrate_foreign_txn(txn)
+                self._resolve_commit(known, txn.commit.entries)
+            else:
+                self.integrate_foreign_txn(txn)
         self._drain_exec_queue()
 
     # ------------------------------------------------------------------
@@ -845,90 +841,37 @@ class GroupMember(EdgeNode):
         stale = [d for d, at in self._pull_pending.items()
                  if now - at > self.RESEND_AFTER_MS]
         if stale:
-            for dot in stale:
-                self._pull_pending[dot] = now
-            targets = [self.parent_id] if not self.is_parent else \
-                [m for m in self.members if m != self.node_id][:2]
-            pull = TxnPull(self.node_id,
-                           tuple(d.to_dict() for d in stale))
-            for target in targets:
-                self.send(target, pull)
+            self._pull(stale)
         # Re-drive a stalled warm-set resync (lost fetch replies).
-        if self._resync_expect and now - self._resync_started > 1500.0 \
-                and not self.group_offline:
-            self._resync_started = now
-            for missing in self._resync_expect:
-                type_name = self._interest_types.get(missing, "counter")
-                self.send(self.parent_id,
-                          GroupFetch(missing.to_dict(), type_name,
-                                     self.node_id))
+        if self._resync_expect and now - self._resync_started > 1500.0:
+            self._resync(self._resync_expect)
         if self.is_parent and self.session_open and not self.offline:
-            for dot, txn in self._ship_queue.items():
-                sent = self._ship_sent_at.get(dot, -1e9)
-                if now - sent > self.SHIP_RETRY_MS:
-                    self.send(self.connected_dc,
-                              EdgeCommit(txn.to_dict()))
-                    self._ship_sent_at[dot] = now
+            self._ship(self.connected_dc, [
+                txn for dot, txn in self._ship_queue.items()
+                if now - self._ship_sent_at.get(dot, -1e9)
+                > self.SHIP_RETRY_MS])
         if self._exec_queue:
             self._drain_exec_queue()
 
     # ------------------------------------------------------------------
     # message dispatch
     # ------------------------------------------------------------------
-    def on_extra_message(self, message: Any, sender: str) -> None:
-        if self.group_offline and isinstance(
-                message, (GroupMsg, GroupRelayPush, GroupCommitAck,
-                          GroupFetch, GroupFetchReply, GroupSeed,
-                          MembershipUpdate, InterestAnnounce, TxnPull,
-                          TxnPushMsg)):
+    def on_message(self, message: Any, sender: str) -> None:
+        if self.group_offline and type(message) in self._GROUP_NAMES:
             return  # dropped: the member is cut off from its group
-        if isinstance(message, GroupMsg):
-            if isinstance(message.payload, TigaMessage):
-                # Routed before the EPaxos replica, which rejects
-                # unknown payload types.
-                if self.tiga is not None:
-                    self.tiga.handle(message.payload, sender)
-                return
-            if self.replica is None:
-                return
-            self.replica.handle(message.payload, sender)
-            self._drain_exec_queue()
-        elif isinstance(message, JoinGroup):
-            self._on_join(message, sender)
-        elif isinstance(message, LeaveGroup):
-            self._on_leave(message, sender)
-        elif isinstance(message, MembershipUpdate):
-            self._on_membership(message, sender)
-        elif isinstance(message, GroupSeed):
-            self._on_group_seed(message, sender)
-        elif isinstance(message, InterestAnnounce):
-            self._absorb_interest(message.member, message.add)
-        elif isinstance(message, GroupFetch):
-            self._on_group_fetch(message, sender)
-        elif isinstance(message, GroupFetchReply):
-            self._on_group_fetch_reply(message, sender)
-        elif isinstance(message, GroupRelayPush):
-            self._on_relay_push(message, sender)
-        elif isinstance(message, GroupCommitAck):
-            self._on_group_commit_ack(message, sender)
-        elif isinstance(message, TxnPull):
-            self._on_txn_pull(message, sender)
-        elif isinstance(message, TxnPushMsg):
-            self._on_txn_push(message, sender)
-        else:
-            super().on_extra_message(message, sender)
+        super().on_message(message, sender)
 
-    # Group commits ship via the sync point in visibility order; suppress
-    # the base class's direct-to-DC send (even on the parent).
-    def _commit_local(self, ctx) -> Transaction:
-        if not self.in_group:
-            return super()._commit_local(ctx)
-        was_open = self.session_open
-        self.session_open = False
-        try:
-            return super()._commit_local(ctx)
-        finally:
-            self.session_open = was_open
+    def _on_group_msg(self, msg: GroupMsg, sender: str) -> None:
+        if isinstance(msg.payload, TigaMessage):
+            # Routed before the EPaxos replica, which rejects unknown
+            # payload types.
+            if self.tiga is not None:
+                self.tiga.handle(msg.payload, sender)
+            return
+        if self.replica is None:
+            return
+        self.replica.handle(msg.payload, sender)
+        self._drain_exec_queue()
 
 
 def form_group(members: List[GroupMember]) -> None:

@@ -179,21 +179,10 @@ class NetworkStats:
             record = self.link_traffic[link] = [0, 0]
         return record
 
-    def record_send(self, src: str, dst: str, size_bytes: int) -> None:
-        self.messages_sent += 1
-        self.bytes_sent += size_bytes
-        record = self.traffic_record((src, dst))
-        record[0] += 1
-        record[1] += size_bytes
-
     def record_drop(self, src: str, dst: str) -> None:
         self.messages_dropped += 1
         link = (src, dst)
         self.drops_by_link[link] = self.drops_by_link.get(link, 0) + 1
-
-    def dropped_on(self, src: str, dst: str) -> int:
-        """Messages dropped on the directed link ``src -> dst``."""
-        return self.drops_by_link.get((src, dst), 0)
 
     def bytes_on(self, src: str, dst: str) -> int:
         """Bytes queued on the directed link ``src -> dst``."""

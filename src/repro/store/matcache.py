@@ -105,9 +105,9 @@ class MaterialisedCache:
         contract).  ``dots`` is the full visible dot set (base + applied
         entries), equal to ``journal.visible_dots(visible)``.  ``token``
         is any hashable descriptor of the reader's frontier: presenting an
-        equal token twice MUST denote an identical visible set (e.g. a
-        ``VisibleState.read_token()``, or the tuple of everything a
-        filter closure captures).  ``None`` disables the token fast
+        equal token twice MUST denote an identical visible set (e.g. the
+        tuple of everything a filter closure captures, as
+        ``EdgeNode._snapshot_view`` builds).  ``None`` disables the token fast
         path but still replays incrementally.
         """
         cache_key = key if key is not None else journal.key

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (CommitStamp, Dot, ObjectKey, Snapshot,
                         Transaction, VectorClock, WriteOp)
-from repro.core.visibility import VisibleState
 from repro.crdt import Counter, ORSet
 from repro.store import MaterialisedCache, VersionedStore
 
@@ -75,30 +74,44 @@ def _internal(crdt):
     return data
 
 
+def _frontier_filter(vector, admitted):
+    def visible(entry):
+        return entry.dot in admitted or entry.txn.commit.included_in(vector)
+    return visible
+
+
 def _run_interleaving(commands, txns, type_name):
     cache = MaterialisedCache()
     store = VersionedStore(mat_cache=cache)
     store.ensure_object(KEY, type_name)
-    state = VisibleState()
+    # The reader's frontier, as an edge keeps it: a vector plus the dots
+    # admitted by id; the pair is the read token.
+    vector, admitted = VectorClock.zero(), frozenset()
     stats = cache.stats
     previous = None
     for command, arg in commands:
         if command == "append":
             store.apply_transaction(txns[arg])
         elif command == "admit":
-            state.admit(txns[arg])
+            txn = txns[arg]
+            if txn.dot not in admitted \
+                    and not txn.commit.included_in(vector):
+                admitted |= {txn.dot}
+                if not txn.commit.is_symbolic:
+                    vector = vector.merge(
+                        txn.commit.as_vector(txn.snapshot.vector))
         elif command == "advance":
-            state.advance_vector(VectorClock({"dc0": arg}))
+            vector = vector.merge(VectorClock({"dc0": arg}))
         elif command == "compact":
             journal = store.journal(KEY)
-            journal.advance_base(state.entry_filter())
+            journal.advance_base(_frontier_filter(vector, admitted))
         elif command == "drop":
             store.drop(KEY)
             store.ensure_object(KEY, type_name)
-        flt = state.entry_filter()
+        flt = _frontier_filter(vector, admitted)
         incremental_before = stats.mat_incremental
         cached, dots = store.read_with_dots(
-            KEY, flt, type_name=type_name, token=state.read_token())
+            KEY, flt, type_name=type_name, token=(vector, admitted))
         journal = store.journal(KEY)
         fresh = journal.materialise(flt)
         assert cached.value() == fresh.value()

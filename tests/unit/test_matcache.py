@@ -2,7 +2,6 @@
 
 from repro.core import (CommitStamp, Dot, ObjectKey, ObjectJournal,
                         Snapshot, Transaction, VectorClock, WriteOp)
-from repro.core.visibility import VisibleState
 from repro.crdt import Counter, ORSet
 from repro.store import CacheStats, MaterialisedCache, VersionedStore
 
@@ -217,15 +216,45 @@ class TestInvalidation:
 
 
 class TestVisibleStateToken:
+    """The edge's frontier token, as ``EdgeNode._snapshot_view`` builds
+    it: the read vector and the dots visible by id."""
+
+    @staticmethod
+    def frontier_filter(vec, dots):
+        def visible(entry):
+            return entry.dot in dots or entry.txn.commit.included_in(vec)
+        return visible
+
     def test_read_token_changes_with_frontier(self):
-        vs = VisibleState()
-        t1 = vector_token = vs.read_token()
-        vs.advance_vector(VectorClock({"dc0": 1}))
-        assert vs.read_token() != vector_token
-        assert t1 == ("vs", id(vs), 0)
+        cache = MaterialisedCache()
+        j = ObjectJournal(KEY, "counter")
+        j.append(counter_txn(1, entries={"dc0": 1}))
+        j.append(counter_txn(2, origin="f"))
+        token = (VectorClock({"dc0": 1}), frozenset())
+        state, _ = cache.materialise(j, self.frontier_filter(*token),
+                                     token=token)
+        assert state.value() == 1
+        # Admitting the symbolic dot moves the frontier: a new token, and
+        # the cached view catches up instead of being served stale.
+        admitted = (token[0], frozenset({Dot(2, "f")}))
+        assert admitted != token
+        state, _ = cache.materialise(j, self.frontier_filter(*admitted),
+                                     token=admitted)
+        assert state.value() == 2
+        assert cache.stats.mat_hits == 0
 
     def test_token_stable_without_progress(self):
-        vs = VisibleState(VectorClock({"dc0": 1}))
-        token = vs.read_token()
-        vs.advance_vector(VectorClock({"dc0": 1}))  # no change
-        assert vs.read_token() == token
+        cache = MaterialisedCache()
+        j = ObjectJournal(KEY, "counter")
+        j.append(counter_txn(1, entries={"dc0": 1}))
+        vec = VectorClock({"dc0": 1})
+        token = (vec, frozenset())
+        first, _ = cache.materialise(j, self.frontier_filter(*token),
+                                     token=token)
+        # Progress already covered leaves the vector, hence the token.
+        same = (vec.merge(VectorClock({"dc0": 1})), frozenset())
+        assert same == token
+        second, _ = cache.materialise(j, self.frontier_filter(*same),
+                                      token=same)
+        assert second is first
+        assert cache.stats.mat_hits == 1
