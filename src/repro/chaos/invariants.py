@@ -20,9 +20,7 @@ Checked properties, mapped to the paper's claims:
   transaction on a key it holds warm without the key's journal holding
   it: the vector is a promise about content, and interest-scoped pushes
   (a session hears of most rounds only through a heartbeat) must keep
-  it (sections 3.8, 4.2).  Part of the ``--interest partial`` dimension
-  for now: at full interest it trips over a sync-point seeding bug that
-  predates it (DESIGN section 9, "Known failing").
+  it (sections 3.8, 4.2).
 * **Session guarantees** — read-my-writes and monotonic reads per
   session, replayed from the traced transaction log (section 3.8).
 * **Strong convergence** — at quiescence, every replica's materialised
@@ -64,11 +62,10 @@ class InvariantChecker:
     """
 
     def __init__(self, dcs: Sequence[Any], replicas: Sequence[Any],
-                 k_target: int, vector_coverage: bool = False):
+                 k_target: int):
         self.dcs = list(dcs)
         self.replicas = list(replicas)
         self.k_target = k_target
-        self.vector_coverage = vector_coverage
         self.checkpoints_run = 0
         # Per-node high-water vectors for the monotonicity check.
         self._last_vectors: Dict[str, VectorClock] = {}
@@ -165,7 +162,7 @@ class InvariantChecker:
                         self._now()))
         return violations
 
-    def check_vector_coverage(self) -> List[InvariantViolation]:
+    def check_vector_covers_journals(self) -> List[InvariantViolation]:
         """No vector covers a stable txn its warm journal lacks."""
         stable = {}
         for dc in self.dcs:
@@ -268,8 +265,7 @@ class InvariantChecker:
         violations = self.check_dot_uniqueness()
         violations += self.check_vector_monotonicity()
         violations += self.check_kstability_gate()
-        if self.vector_coverage:
-            violations += self.check_vector_coverage()
+        violations += self.check_vector_covers_journals()
         violations += self.check_stream_contiguity()
         violations += self.check_shard_contiguity()
         violations += self.check_sessions()

@@ -430,8 +430,7 @@ def run_scenario(config: ScenarioConfig,
                                      max_faults=config.max_faults)
     schedule = list(schedule)
     result = ScenarioResult(config, schedule)
-    checker = InvariantChecker(world.dcs, world.replicas, world.k_target,
-                               vector_coverage=config.partial_interest)
+    checker = InvariantChecker(world.dcs, world.replicas, world.k_target)
     injector = FaultInjector(sim, world.actors, world.peer_dcs)
     injector.install(schedule)
     workload = _Workload(world, config.seed, start, config.window_ms,

@@ -86,19 +86,35 @@ def test_duplicate_remote_request_is_sequenced_once():
     assert result.converged
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known failing, DESIGN section 9: a sync point cuts the seeds it "
-    "serves by commit stamp, and a transaction it first received through "
-    "the group keeps its symbolic stamp until the CommitAck although the "
-    "covering push already moved the vector, so a member resyncing in "
-    "between is seeded without it.  Fix (its own PR, it moves message "
-    "counts): adopt the pushed stamp for a dot already held in "
-    "EdgeNode._on_update_push — then drop this marker and run "
-    "vector-coverage at full interest too."))
 def test_sync_point_seeds_group_txns_awaiting_their_stamp():
+    """Regression (``--interest partial --topology group --seed 495``):
+    a sync point cuts the seeds it serves by commit stamp, and a
+    transaction it first received through the group kept its symbolic
+    stamp until the CommitAck although the covering push had already
+    moved the vector, so a member resyncing in between was seeded
+    without it at a cut that claimed it.  ``EdgeNode._on_update_push``
+    now adopts the pushed stamp for a dot it already holds."""
     result = run_scenario(ScenarioConfig(topology="group", seed=495,
                                          partial_interest=True))
     assert result.ok, [str(v) for v in result.violations]
+
+
+def test_sync_point_seed_after_migration_keeps_vector_coverage():
+    """Regression (``--topology group --seed 27``, full interest, shrunk
+    to its two faults): the same seeding bug without any narrowed
+    interest.  After sync point m0's migration, m1's blackout ends in a
+    resync that m0 answers 1 ms after the push covering ``m2@13``: its
+    copy of ``m2@13`` was still symbolic, so the seeds left it out while
+    their cut ``dc1:15`` covered it.  Vector coverage now runs in every
+    mode, so this is checked at full interest too."""
+    schedule = [
+        FaultEvent(1311.0, "migrate", ("m0", "dc1")),
+        FaultEvent(4307.0, "blackout", ("m1",), duration=1400.0),
+    ]
+    result = run_scenario(ScenarioConfig(topology="group", seed=27),
+                          schedule=schedule)
+    assert result.ok, [str(v) for v in result.violations]
+    assert result.converged
 
 
 def test_same_seed_replays_identically():

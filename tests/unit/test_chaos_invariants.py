@@ -81,7 +81,7 @@ class TestVectorCoverage:
         sim.network.heal("dc0", "r")
         reader.declare_interest(self.K, "counter")
         sim.run_for(100)
-        return InvariantChecker(dcs, [reader], 1, vector_coverage=True)
+        return InvariantChecker(dcs, [reader], 1)
 
     def test_partial_seed_past_a_lost_push_is_caught(self):
         checker = self.lose_a_push_then_seed_another_key(EagerSeedEdge)
@@ -90,10 +90,6 @@ class TestVectorCoverage:
             ("vector-coverage", "r")]
         assert "w@1" in violations[0].detail
         assert "b/J" in violations[0].detail
-        # Opt-in (the --interest partial dimension), until DESIGN
-        # section 9's known failure at full interest is fixed.
-        checker.vector_coverage = False
-        assert checker.checkpoint() == []
 
     def test_the_edge_keeps_its_vector_behind_the_gap(self):
         checker = self.lose_a_push_then_seed_another_key(EdgeNode)
