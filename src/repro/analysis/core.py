@@ -228,6 +228,11 @@ _IMMUTABLE = {"Tuple", "tuple", "FrozenSet", "frozenset", "Optional",
 _BANNED = {"List", "list", "Set", "set", "Deque", "deque", "bytearray",
            "MutableMapping", "MutableSet", "MutableSequence",
            "DefaultDict", "defaultdict"}
+#: Core values the transport codec carries as records.  All but the
+#: transaction are immutable; a transaction's stamp grows, so M203
+#: checks that a message receives it through ``handoff()``.
+RECORDS = {"Dot", "ObjectKey", "Operation", "WriteOp", "Snapshot",
+           "VectorClock", "CommitStamp", "Transaction", "StreamEntry"}
 
 
 def classify_annotation(node: ast.AST, aliases: Dict[str, ast.AST],
@@ -252,7 +257,7 @@ def classify_annotation(node: ast.AST, aliases: Dict[str, ast.AST],
             return CAT_OK
         if name in _DICT_LIKE:
             return CAT_DICT
-        if name in _IMMUTABLE:
+        if name in _IMMUTABLE or name in RECORDS:
             return CAT_OK
         if name in _BANNED:
             return CAT_BANNED
@@ -300,11 +305,12 @@ class MessageClass:
     """A dataclass defined in a ``messages.py`` module."""
 
     __slots__ = ("name", "fq", "module", "node", "frozen", "has_slots",
-                 "fields", "field_order")
+                 "fields", "field_order", "annotations")
 
     def __init__(self, name: str, fq: str, module: Module,
                  node: ast.ClassDef, frozen: bool, has_slots: bool,
-                 fields: Dict[str, str], field_order: List[str]):
+                 fields: Dict[str, str], field_order: List[str],
+                 annotations: Dict[str, ast.AST]):
         self.name = name
         self.fq = fq
         self.module = module
@@ -313,6 +319,7 @@ class MessageClass:
         self.has_slots = has_slots
         self.fields = fields          # field name -> category
         self.field_order = field_order
+        self.annotations = annotations  # field name -> annotation
 
 
 def _dataclass_decoration(node: ast.ClassDef) \
@@ -354,15 +361,17 @@ def _collect_messages(module: Module) -> List[MessageClass]:
         frozen, has_slots = decoration
         fields: Dict[str, str] = {}
         order: List[str] = []
+        annotations: Dict[str, ast.AST] = {}
         for stmt in node.body:
             if isinstance(stmt, ast.AnnAssign) and isinstance(
                     stmt.target, ast.Name):
                 fields[stmt.target.id] = classify_annotation(
                     stmt.annotation, aliases)
                 order.append(stmt.target.id)
+                annotations[stmt.target.id] = stmt.annotation
         out.append(MessageClass(
             node.name, f"{module.modname}.{node.name}", module, node,
-            frozen, has_slots, fields, order))
+            frozen, has_slots, fields, order, annotations))
     return out
 
 

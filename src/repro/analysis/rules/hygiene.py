@@ -6,7 +6,9 @@ receiver — a cross-actor data race waiting to happen.  Every dataclass
 in a ``messages.py`` module must be frozen, must only carry
 immutable/serialisable field types, and mutable containers (dicts)
 handed to a message constructor must be freshly built or copied at the
-call site.
+call site.  A transaction is immutable but for its commit stamp, so a
+message takes one only from ``Transaction.handoff()``, which gives the
+receiver its own stamp.
 """
 
 from __future__ import annotations
@@ -103,6 +105,66 @@ def _freshness(node: ast.AST, params: "set[str]") -> Optional[str]:
     return None
 
 
+#: Shells M203 sees through to the transactions inside them.
+_SHELLS = {"Tuple", "tuple", "FrozenSet", "frozenset"}
+
+
+def _head(node: ast.AST) -> str:
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else ""
+
+
+def _unhanded(annotation: ast.AST, value: ast.AST) -> List[ast.AST]:
+    """The parts of ``value`` that fill a ``Transaction`` slot of a field
+    annotated ``annotation`` without a ``handoff()`` call.
+
+    Walks the annotation and the value together through ``Optional``,
+    tuple shells, ``tuple(...)`` copies, comprehensions, literals and
+    conditionals; anything else in a transaction slot cannot be shown
+    to be a handoff and is reported.
+    """
+    if not any(_head(node) == "Transaction"
+               for node in ast.walk(annotation)):
+        return []
+    if isinstance(value, ast.IfExp):
+        return (_unhanded(annotation, value.body)
+                + _unhanded(annotation, value.orelse))
+    if isinstance(value, ast.Constant) and value.value is None:
+        return []
+    if _head(annotation) == "Transaction":
+        if isinstance(value, ast.Call) and _head(value.func) == "handoff":
+            return []
+        return [value]
+    if not isinstance(annotation, ast.Subscript):
+        return [value]
+    head = _head(annotation.value)
+    inner = annotation.slice
+    args = inner.elts if isinstance(inner, ast.Tuple) else [inner]
+    if head == "Optional":
+        return _unhanded(inner, value)
+    if head not in _SHELLS:
+        return [value]
+    variadic = head in ("FrozenSet", "frozenset") or (
+        len(args) == 2 and isinstance(args[1], ast.Constant)
+        and args[1].value is Ellipsis)
+    if isinstance(value, ast.Call) and _head(value.func) in _SHELLS \
+            and len(value.args) == 1 and not value.keywords:
+        return _unhanded(annotation, value.args[0])
+    if variadic and isinstance(value, (ast.ListComp, ast.SetComp,
+                                       ast.GeneratorExp)):
+        return _unhanded(args[0], value.elt)
+    if isinstance(value, (ast.Tuple, ast.List)):
+        if variadic:
+            pairs = [(args[0], elt) for elt in value.elts]
+        elif len(args) == len(value.elts):
+            pairs = list(zip(args, value.elts))
+        else:
+            return [value]
+        return [bare for ann, elt in pairs for bare in _unhanded(ann, elt)]
+    return [value]
+
+
 def _defines_wire_size(cls_node: ast.ClassDef) -> bool:
     """True when the class body defines a ``wire_size`` method."""
     return any(isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -116,7 +178,7 @@ class MessageHygieneRule(Rule):
         "M201": "message dataclass must be frozen=True",
         "M202": "message field type must be immutable/serialisable",
         "M203": "mutable container passed into a message constructor "
-                "without a copy",
+                "without a copy, or a transaction without handoff()",
         "M204": "message dataclass must implement wire_size()",
         "M205": "declared wire_size() drifts beyond tolerance from "
                 "the real encoded length",
@@ -224,6 +286,17 @@ class MessageHygieneRule(Rule):
                 pairs += [(kw.arg, kw.value) for kw in node.keywords
                           if kw.arg is not None]
                 for field_name, value in pairs:
+                    annotation = cls.annotations.get(field_name)
+                    for bare in (_unhanded(annotation, value)
+                                 if annotation is not None else ()):
+                        findings.append(Finding(
+                            "M203", module.path, bare.lineno,
+                            bare.col_offset,
+                            f"{cls.name}.{field_name} receives "
+                            f"{ast.unparse(bare)}, a transaction not "
+                            "taken through handoff(); the receiver "
+                            "would share the sender's growing stamp",
+                            module.qualname(node)))
                     if cls.fields.get(field_name) != CAT_DICT:
                         continue
                     reason = _freshness(value, params)

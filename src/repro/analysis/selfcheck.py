@@ -25,6 +25,8 @@ PLANTED_MESSAGES = '''\
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.core.txn import Transaction
+
 
 @dataclass(frozen=True)
 class Seed:
@@ -39,6 +41,14 @@ class BadRecord:            # M201: not frozen
 @dataclass(frozen=True)
 class Orphan:               # H301: nobody handles this
     token: str
+
+
+@dataclass(frozen=True)
+class Apply:
+    txn: Transaction
+
+    def wire_size(self):
+        return 16
 '''
 
 PLANTED_PROTO = '''\
@@ -75,7 +85,7 @@ def bucket(key):
 
 PLANTED_HANDLERS = '''\
 """Planted handlers.py: H/V/A/M203 violations in one actor."""
-from planted.messages import BadRecord, Seed
+from planted.messages import Apply, BadRecord, Seed
 
 
 class Actor:
@@ -91,6 +101,8 @@ class Actor:
             pass
         elif isinstance(message, BadRecord):
             pass
+        elif isinstance(message, Apply):
+            self._on_apply(message, sender)
 
     def _on_seed(self, msg: Seed, sender: str):
         msg.entries["poisoned"] = 1         # A501
@@ -99,6 +111,12 @@ class Actor:
         _ = self.state_vector._entries      # V402
         _ = msg.nope                        # H303
         return Seed(self.shared_map)        # M203
+
+    def _on_apply(self, msg: Apply, sender: str):
+        msg.txn.commit.add_entry("dc0", 1)  # A501: the sender's stamp
+        txn = msg.txn
+        txn.commit.entries["dc1"] = 2       # A501: the same, by name
+        return Apply(txn)                   # M203: no handoff()
 '''
 
 

@@ -12,12 +12,14 @@ from .clock import LamportClock, VectorClock, lub
 from .dot import Dot, DotTracker
 from .journal import JournalEntry, ObjectJournal
 from .kstable import KStabilityTracker
-from .txn import CommitStamp, ObjectKey, Snapshot, Transaction, WriteOp
+from .txn import (CommitStamp, ObjectKey, Snapshot, StreamEntry, Transaction,
+                  WriteOp)
 
 __all__ = [
     "LamportClock", "VectorClock", "lub",
     "Dot", "DotTracker",
-    "CommitStamp", "ObjectKey", "Snapshot", "Transaction", "WriteOp",
+    "CommitStamp", "ObjectKey", "Snapshot", "StreamEntry", "Transaction",
+    "WriteOp",
     "JournalEntry", "ObjectJournal",
     "KStabilityTracker",
 ]

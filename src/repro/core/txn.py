@@ -10,11 +10,18 @@ Per paper section 3.5 a transaction ``T`` carries:
   timestamp; after migration it may hold up to N equivalent entries, one per
   DC that accepted the transaction, stored sparsely (section 3.8);
 * a unique *dot* ``T.D`` arbitrating concurrent transactions.
+
+Everything but the commit stamp is immutable once a transaction is
+built: ``writes`` is a tuple of frozen :class:`WriteOp`, and the
+snapshot is never mutated.  The stamp is the one part that grows —
+:meth:`CommitStamp.add_entry` — so a transaction handed to another
+actor goes through :meth:`Transaction.handoff`, which shares the body
+and gives the receiver its own stamp.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -150,6 +157,11 @@ class CommitStamp:
     def copy(self) -> "CommitStamp":
         return CommitStamp(self.entries)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CommitStamp):
+            return NotImplemented
+        return self.entries == other.entries
+
     def __repr__(self) -> str:
         if self.is_symbolic:
             return "Commit(symbolic)"
@@ -157,7 +169,7 @@ class CommitStamp:
         return f"Commit({inner})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class WriteOp:
     """One CRDT update within a transaction."""
 
@@ -181,8 +193,20 @@ class Transaction:
     origin: str
     snapshot: Snapshot
     commit: CommitStamp
-    writes: List[WriteOp] = field(default_factory=list)
+    writes: Tuple[WriteOp, ...] = ()
     issuer: Optional[str] = None  # user identity, for ACL checks
+
+    def __post_init__(self) -> None:
+        if type(self.writes) is not tuple:
+            self.writes = tuple(self.writes)
+
+    def handoff(self) -> "Transaction":
+        """This transaction for another actor: the same immutable body
+        and a copy of the stamp, so neither side sees the other's
+        stamp grow.  Every message that carries a transaction gets it
+        from here (colony-lint M203)."""
+        return Transaction(self.dot, self.origin, self.snapshot,
+                           self.commit.copy(), self.writes, self.issuer)
 
     def tag_for(self, index: int) -> Tuple[int, str, int]:
         """Arbitration tag for the ``index``-th write (dot + position)."""
@@ -226,7 +250,7 @@ class Transaction:
             origin=data["origin"],
             snapshot=Snapshot.from_dict(data["snapshot"]),
             commit=CommitStamp.from_dict(data["commit"]),
-            writes=[WriteOp.from_dict(w) for w in data["writes"]],
+            writes=tuple(WriteOp.from_dict(w) for w in data["writes"]),
             issuer=data.get("issuer"),
         )
 
@@ -243,3 +267,23 @@ class Transaction:
     def __repr__(self) -> str:
         return (f"Txn({self.dot} S={self.snapshot}"
                 f" C={self.commit} |w|={len(self.writes)})")
+
+
+@dataclass(frozen=True, slots=True)
+class StreamEntry:
+    """One transaction as a full entry of a replication frame.
+
+    The snapshot vector travels as ``sv``, a delta against a base the
+    frame supplies, and the stream origin's commit entry is implicit in
+    the frame position: ``cx`` holds only the *other* equivalent
+    entries (present after a migration).  ``deps`` are the snapshot's
+    local dots, sorted.  Built and read by :mod:`repro.dc.replog`.
+    """
+
+    dot: Dot
+    origin: str
+    issuer: Optional[str]
+    sv: Dict[str, int]
+    deps: Tuple[Dot, ...]
+    cx: Dict[str, int]
+    writes: Tuple[WriteOp, ...]

@@ -21,14 +21,14 @@ The codec is base-agnostic: any ``base`` round-trips, only the wire
 size changes; how the sender chains the bases is told at
 :meth:`ReplSender.flush`.
 
-The encoded entry is a plain dict so frames stay serialisable values:
-
-``{"dot", "origin", "issuer", "sv", "deps", "cx", "writes"}``
-
+The encoded entry is a :class:`~repro.core.txn.StreamEntry` record —
+``dot``, ``origin``, ``issuer``, ``sv``, ``deps``, ``cx``, ``writes`` —
 where ``sv`` is ``snapshot.vector.delta_from(base)``, ``deps`` the
 local-dep dots, ``cx`` the *extra* equivalent commit entries (every DC
 except the stream origin, present only after migration) and ``writes``
-the serialised write ops.
+the transaction's own immutable write ops, shared, not copied.
+Decoding rebuilds only what the frame position and base imply — the
+snapshot vector and a fresh stamp — around that shared body.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from ..core.clock import VectorClock
 from ..core.dot import Dot
-from ..core.txn import CommitStamp, Snapshot, Transaction, WriteOp
+from ..core.txn import CommitStamp, Snapshot, StreamEntry, Transaction
 from .messages import (HEADER_BYTES, SKIP_MARKER_BYTES, InterestAdvert,
                        ReplicateBatch, ShardBackfill,
                        stream_entry_wire_size)
@@ -50,58 +50,46 @@ if TYPE_CHECKING:  # the values the machines share; no run-time import
 
 
 def encode_stream_entry(txn: Transaction, stream_dc: str, ts: int,
-                        base: VectorClock) -> Tuple[Dict[str, Any], int]:
+                        base: VectorClock) -> Tuple[StreamEntry, int]:
     """Delta-encode one stream entry; returns ``(entry, wire_bytes)``.
 
     ``ts`` must be the origin timestamp the frame position implies
     (``start_ts + i``); the entry does not repeat it.
     """
-    assigned = txn.commit.entries.get(stream_dc)
+    entries = txn.commit.entries
+    assigned = entries.get(stream_dc)
     if assigned is not None and assigned != ts:
         raise ValueError(
             f"stream position {ts} contradicts commit entry "
             f"{stream_dc}:{assigned} for {txn.dot}")
-    entry = {
-        "dot": txn.dot.to_dict(),
-        "origin": txn.origin,
-        "issuer": txn.issuer,
-        "sv": txn.snapshot.vector.delta_from(base),
-        "deps": [d.to_dict() for d in sorted(txn.snapshot.local_deps)],
-        "cx": {dc: t for dc, t in txn.commit.entries.items()
-               if dc != stream_dc},
-        "writes": [w.to_dict() for w in txn.writes],
-    }
+    snapshot = txn.snapshot
+    entry = StreamEntry(
+        txn.dot, txn.origin, txn.issuer,
+        snapshot.vector.delta_from(base),
+        tuple(sorted(snapshot.local_deps)),
+        {dc: t for dc, t in entries.items() if dc != stream_dc},
+        txn.writes)
     return entry, stream_entry_wire_size(entry)
 
 
-def decode_stream_entry(entry: Dict[str, Any], stream_dc: str, ts: int,
+def decode_stream_entry(entry: StreamEntry, stream_dc: str, ts: int,
                         base: VectorClock) -> Transaction:
     """Rebuild the transaction a frame entry encodes.
 
     Self-contained given the frame fields: ``base`` is the frame's
     ``base_vector`` and ``ts`` the timestamp its position implies.
     """
-    cx = entry.get("cx")
-    commit = dict(cx) if cx else {}
-    commit[stream_dc] = ts
-    dot = entry["dot"]
-    deps = entry.get("deps")
-    writes = entry.get("writes")
+    commit = CommitStamp(entry.cx)
+    commit.entries[stream_dc] = ts
     return Transaction(
-        dot=Dot(dot["counter"], dot["origin"]),
-        origin=entry["origin"],
-        snapshot=Snapshot(
-            VectorClock.from_delta(base, entry.get("sv") or {}),
-            [Dot.from_dict(d) for d in deps] if deps else []),
-        commit=CommitStamp(commit),
-        writes=[WriteOp.from_dict(w) for w in writes] if writes else [],
-        issuer=entry.get("issuer"),
-    )
+        entry.dot, entry.origin,
+        Snapshot(VectorClock.from_delta(base, entry.sv), entry.deps),
+        commit, entry.writes, entry.issuer)
 
 
 def well_formed_entries(entries: Any, shard_space: int) -> bool:
-    """Is every element of a frame's ``entries`` a stream entry (a
-    dict) or a legitimate ``(count, mask)`` skip run?
+    """Is every element of a frame's ``entries`` a stream entry or a
+    legitimate ``(count, mask)`` skip run?
 
     A run elides at least one position, and its mask names at least one
     shard (entries with mask 0 always ship) and none outside
@@ -110,7 +98,7 @@ def well_formed_entries(entries: Any, shard_space: int) -> bool:
     would walk the stream cursor backwards or jump it.
     """
     for element in entries:
-        if isinstance(element, dict):
+        if type(element) is StreamEntry:
             continue
         if not (isinstance(element, (tuple, list)) and len(element) == 2):
             return False
@@ -220,7 +208,7 @@ class ReplSender:
         # entry ts -> (entry, bytes).  Pruning makes the predecessor
         # link-dependent; links that shipped the same predecessor — all
         # of them on an unbroken chain — share one encoding.
-        self._encoded: Dict[int, Dict[int, Tuple[dict, int]]] = {}
+        self._encoded: Dict[int, Dict[int, Tuple[StreamEntry, int]]] = {}
 
     def link(self, peer: str) -> ReplLink:
         link = self.links.get(peer)
@@ -308,7 +296,7 @@ class ReplSender:
         log = self.log
         return log.txns[log.streams[self.node_id][prev_ts]].snapshot.vector
 
-    def _encode(self, prev_ts: int, ts: int) -> Tuple[dict, int]:
+    def _encode(self, prev_ts: int, ts: int) -> Tuple[StreamEntry, int]:
         """Chain-encode own stream entry ``ts`` against ``prev_ts``,
         the last entry shipped before it; memoised per pair.
 
@@ -373,17 +361,15 @@ class ReplSender:
         log = self.log
         stream = log.streams[self.node_id]
         stream_mask = self.interest.stream_mask
-        entries = []
-        dots = []
-        size = HEADER_BYTES + 12
-        for ts in range(1, log.sequencer + 1):
-            if stream_mask(ts) & bit:
-                txn = log.txns[stream[ts]]
-                entries.append((ts, txn.to_dict()))
-                dots.append(txn.dot)
-                size += 8 + txn.byte_size()
-        return (ShardBackfill(shard, tuple(entries), log.sequencer), size,
-                dots)
+        txns = [(ts, log.txns[stream[ts]])
+                for ts in range(1, log.sequencer + 1)
+                if stream_mask(ts) & bit]
+        size = HEADER_BYTES + 12 + sum(8 + txn.byte_size()
+                                       for _ts, txn in txns)
+        return (ShardBackfill(shard,
+                              tuple((ts, txn.handoff()) for ts, txn in txns),
+                              log.sequencer),
+                size, [txn.dot for _ts, txn in txns])
 
 
 class _ReplQueue:
@@ -519,7 +505,7 @@ class ReplReceiver:
         progress = False
         ts = msg.start_ts
         for element in msg.entries:
-            if isinstance(element, dict):
+            if type(element) is StreamEntry:
                 item: Any = decode_stream_entry(element, origin, ts, base)
                 if seen(item.dot):
                     # Stale resend or migration duplicate: account it as
@@ -679,8 +665,7 @@ class ReplReceiver:
         stream that the frontier already resolved."""
         log = self.log
         out = Received()
-        for ts, payload in msg.entries:
-            txn = Transaction.from_dict(payload)
+        for ts, txn in msg.entries:
             if log.dots.seen(txn.dot):
                 out.dups += 1
                 self._adopt(txn, out)

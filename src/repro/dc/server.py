@@ -44,12 +44,12 @@ class ShardServer(Actor):
         elif isinstance(message, ShardAbort):
             self._prepared.pop(message.txid, None)
         elif isinstance(message, ShardApply):
-            self.store.apply_transaction(Transaction.from_dict(message.txn))
+            self.store.apply_transaction(message.txn)
         elif isinstance(message, ShardApplyBatch):
             # Replicated applies batched per drain; FIFO links keep the
             # stream order a single-txn frame would have had.
             for txn in message.txns:
-                self.store.apply_transaction(Transaction.from_dict(txn))
+                self.store.apply_transaction(txn)
         elif isinstance(message, ShardRead):
             self._on_read(message, sender)
         elif isinstance(message, ShardCompactMsg):
@@ -71,16 +71,15 @@ class ShardServer(Actor):
 
     # -- 2PC participant -----------------------------------------------------
     def _on_prepare(self, msg: ShardPrepare, sender: str) -> None:
-        txn = Transaction.from_dict(msg.txn)
         # CRDT updates merge rather than conflict, so a shard only refuses
         # when it cannot durably stage the writes (never, in simulation).
-        self._prepared[msg.txid] = txn
+        self._prepared[msg.txid] = msg.txn
         self.send(sender, ShardVote(msg.txid, True))
 
     def _on_commit(self, msg: ShardCommit, sender: str) -> None:
         self._prepared.pop(msg.txid, None)
         # The coordinator's copy carries the assigned commit stamp.
-        self.store.apply_transaction(Transaction.from_dict(msg.txn))
+        self.store.apply_transaction(msg.txn)
 
     # -- reads -------------------------------------------------------------------
     def _on_read(self, msg: ShardRead, sender: str) -> None:

@@ -175,14 +175,14 @@ class RemoteTxns:
             return [self._committed_reply(pending, values, dot)]
         txn = Transaction(dot=dot, origin=msg.client_id,
                           snapshot=pending.snapshot, commit=CommitStamp(),
-                          writes=writes, issuer=msg.issuer)
+                          writes=tuple(writes), issuer=msg.issuer)
         # Two-phase commit across the touched shards (ClockSI style).
         shards = sorted(self.ring.partition(txn.keys))
         txid = self._next_txid
         self._next_txid += 1
         self._prepared[txid] = _Pending2PC(txn, shards, pending.client,
                                            msg.request_id, values)
-        prepare = ShardPrepare(txid, txn.to_dict())
+        prepare = ShardPrepare(txid, txn.handoff())
         return [(shard, prepare) for shard in shards]
 
     def _committed_reply(self, pending: PendingRemoteTxn,
@@ -218,7 +218,7 @@ class RemoteTxns:
         # Refused: a duplicate request raced this copy's prepare round
         # and committed first.  Release the prepared copy and answer
         # with the stamp the transaction already has.
-        decision = ShardCommit(msg.txid, txn.to_dict()) if committed \
+        decision = ShardCommit(msg.txid, txn.handoff()) if committed \
             else ShardAbort(msg.txid)
         sends: Sends = [(shard_id, decision) for shard_id in pending.shards]
         sends.append((pending.client, RemoteTxnReply(

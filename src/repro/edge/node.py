@@ -796,7 +796,7 @@ class EdgeNode(Actor):
         """An own transaction of ``ctx``'s writes, stamp still symbolic."""
         return Transaction(dot=Dot(self.lamport.tick(), self.node_id),
                            origin=self.node_id, snapshot=ctx.snapshot,
-                           commit=CommitStamp(), writes=list(ctx.writes),
+                           commit=CommitStamp(), writes=tuple(ctx.writes),
                            issuer=self.user)
 
     def _commit_local(self, ctx: TransactionContext) -> None:

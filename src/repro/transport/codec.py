@@ -18,6 +18,12 @@ encoding with two layers:
   declaration order.  Registration happens per module; the three
   protocol message modules register at import, and ``repro.serve``
   registers its control messages the same way.
+* **records**: the core values messages inside the infrastructure carry
+  (``Transaction`` and its parts, ``StreamEntry``) nest in the same
+  form — a type key, then the fields in declared order, no names.  A
+  record never stands alone in a frame, and decoding one checks the
+  type of every field, so a record built from hostile bytes is either
+  well-typed or ``CodecError``.
 
 A frame on the socket is a 4-byte big-endian length followed by the
 value encoding of ``(src, dst, type_key, fields)``.
@@ -46,7 +52,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import struct
-from typing import Any, Dict, List, Tuple, Type
+from typing import Any, Callable, Dict, List, Tuple, Type
 
 # ---------------------------------------------------------------------------
 # Value codec
@@ -354,11 +360,17 @@ _MODULE_ALIASES = {
     "repro.epaxos.messages": "epx",
     "repro.groups.messages": "grp",
     "repro.serve.control": "ctl",
+    "repro.core.clock": "core",
+    "repro.core.dot": "core",
+    "repro.core.txn": "core",
+    "repro.crdt.base": "crdt",
 }
 
 _BY_KEY: Dict[str, Type] = {}
 _BY_CLASS: Dict[Type, str] = {}
 _FIELDS: Dict[Type, Tuple[str, ...]] = {}
+#: Record class -> one type test per field, in ``_FIELDS`` order.
+_CHECKS: Dict[Type, Tuple[Callable[[Any], bool], ...]] = {}
 
 
 def _type_key(cls: Type) -> str:
@@ -366,18 +378,78 @@ def _type_key(cls: Type) -> str:
     return f"{alias}.{cls.__name__}"
 
 
-def register(cls: Type) -> Type:
-    """Register one message dataclass with the codec."""
-    if not dataclasses.is_dataclass(cls):
-        raise CodecError(f"{cls.__name__} is not a dataclass")
+def _enter(cls: Type, fields: Tuple[str, ...]) -> None:
     key = _type_key(cls)
     existing = _BY_KEY.get(key)
     if existing is not None and existing is not cls:
         raise CodecError(f"type key collision for {key}")
     _BY_KEY[key] = cls
     _BY_CLASS[cls] = key
-    _FIELDS[cls] = tuple(f.name for f in dataclasses.fields(cls))
+    _FIELDS[cls] = fields
+
+
+def register(cls: Type) -> Type:
+    """Register one message dataclass with the codec."""
+    if not dataclasses.is_dataclass(cls):
+        raise CodecError(f"{cls.__name__} is not a dataclass")
+    _enter(cls, tuple(f.name for f in dataclasses.fields(cls)))
     return cls
+
+
+def register_record(cls: Type,
+                    fields: Tuple[Tuple[str, Callable[[Any], bool]], ...]
+                    ) -> Type:
+    """Register a value type that messages carry: ``fields`` are
+    ``(attribute, type test)`` pairs in the constructor's order."""
+    _enter(cls, tuple(name for name, _check in fields))
+    _CHECKS[cls] = tuple(check for _name, check in fields)
+    return cls
+
+
+def _exactly(*types: type) -> Callable[[Any], bool]:
+    return lambda value: type(value) in types
+
+
+def _all_of(container: type, cls: type) -> Callable[[Any], bool]:
+    return lambda value: (type(value) is container
+                          and all(type(item) is cls for item in value))
+
+
+def _counts(value: Any) -> bool:
+    """A vector, stamp or vector delta: ``str -> int``."""
+    return type(value) is dict and all(
+        type(k) is str and type(v) is int for k, v in value.items())
+
+
+def _register_records() -> None:
+    from ..core.clock import VectorClock
+    from ..core.dot import Dot
+    from ..core.txn import (CommitStamp, ObjectKey, Snapshot, StreamEntry,
+                            Transaction, WriteOp)
+    from ..crdt.base import Operation
+    text = _exactly(str)
+    maybe_text = _exactly(str, type(None))
+    writes = _all_of(tuple, WriteOp)
+    register_record(Dot, (("counter", _exactly(int)), ("origin", text)))
+    register_record(ObjectKey, (("bucket", text), ("key", text)))
+    register_record(Operation, (
+        ("type_name", text), ("method", text), ("payload", _exactly(dict)),
+        ("tag", _exactly(tuple, type(None)))))
+    register_record(WriteOp, (("key", _exactly(ObjectKey)),
+                              ("op", _exactly(Operation))))
+    register_record(VectorClock, (("_entries", _counts),))
+    register_record(Snapshot, (("vector", _exactly(VectorClock)),
+                               ("local_deps", _all_of(frozenset, Dot))))
+    register_record(CommitStamp, (("entries", _counts),))
+    register_record(Transaction, (
+        ("dot", _exactly(Dot)), ("origin", text),
+        ("snapshot", _exactly(Snapshot)),
+        ("commit", _exactly(CommitStamp)), ("writes", writes),
+        ("issuer", maybe_text)))
+    register_record(StreamEntry, (
+        ("dot", _exactly(Dot)), ("origin", text), ("issuer", maybe_text),
+        ("sv", _counts), ("deps", _all_of(tuple, Dot)), ("cx", _counts),
+        ("writes", writes)))
 
 
 def register_module(module_name: str) -> int:
@@ -412,14 +484,21 @@ def _ensure_registry() -> None:
     global _bootstrapped
     if not _bootstrapped:
         _bootstrapped = True
+        _register_records()
         for module_name in _BOOTSTRAP_MODULES:
             register_module(module_name)
 
 
 def message_classes() -> Dict[str, Type]:
-    """Type key → class for every registered message."""
+    """Type key → class for every registered message (not records)."""
     _ensure_registry()
-    return dict(_BY_KEY)
+    return {key: cls for key, cls in _BY_KEY.items() if cls not in _CHECKS}
+
+
+def record_classes() -> Dict[str, Type]:
+    """Type key → class for every registered record."""
+    _ensure_registry()
+    return {key: cls for key, cls in _BY_KEY.items() if cls in _CHECKS}
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +518,27 @@ def _write_message(out: bytearray, message: Any, depth: int) -> None:
                             for name in _FIELDS[cls]), depth)
 
 
-def _build_message(key: Any, fields: Any) -> Any:
+def _build_message(key: Any, fields: Any, nested: bool = True) -> Any:
+    """The message or record ``key`` names, built from ``fields``;
+    outside a message (``nested=False``) only a message is accepted."""
     cls = _BY_KEY.get(key) if type(key) is str else None
     if cls is None:
         raise CodecError(f"unknown message type key {key!r}")
     if type(fields) is not tuple or len(fields) != len(_FIELDS[cls]):
         raise CodecError(f"{key} takes {len(_FIELDS[cls])} fields in a "
                          f"tuple, got {fields!r}")
-    return cls(*fields)
+    checks = _CHECKS.get(cls)
+    if checks is None:
+        return cls(*fields)
+    if not nested:
+        raise CodecError(f"{key} is a record, not a message")
+    for name, check, value in zip(_FIELDS[cls], checks, fields):
+        if not check(value):
+            raise CodecError(f"{key}.{name} cannot be {value!r}")
+    try:
+        return cls(*fields)
+    except (TypeError, ValueError) as exc:
+        raise CodecError(f"{key}{fields!r}: {exc}") from None
 
 
 def encode_message(message: Any) -> bytes:
@@ -460,7 +552,7 @@ def encode_message(message: Any) -> bytes:
 def decode_message(buf: bytes) -> Any:
     _ensure_registry()
     key, fields = _decode(buf, 2)
-    return _build_message(key, fields)
+    return _build_message(key, fields, nested=False)
 
 
 def encoded_size(message: Any) -> int:
@@ -489,7 +581,7 @@ def decode_frame(body: bytes) -> Tuple[str, str, Any]:
     src, dst, key, fields = _decode(body, 4)
     if type(src) is not str or type(dst) is not str:
         raise CodecError("frame src/dst must be strings")
-    return src, dst, _build_message(key, fields)
+    return src, dst, _build_message(key, fields, nested=False)
 
 
 # ---------------------------------------------------------------------------

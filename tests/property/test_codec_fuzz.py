@@ -5,12 +5,19 @@ else, so any other exception out of ``decode_frame`` kills the reader
 task of that connection with an unretrieved exception.  The corpus is
 the frame of every sample message; the mutations are the ones a broken
 or malicious peer produces: a flipped, dropped or extra byte, and a
-stream cut at any offset.
+stream cut at any offset.  A message that decodes holds only
+well-typed records: a ``Transaction`` inside it is one a shard could
+apply, never a shell around whatever the bytes said.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.clock import VectorClock
+from repro.core.dot import Dot
+from repro.core.txn import (CommitStamp, ObjectKey, Snapshot, StreamEntry,
+                            Transaction, WriteOp)
+from repro.crdt.base import Operation
 from repro.transport import samples
 from repro.transport.codec import (MAX_DEPTH, CodecError, decode_frame,
                                    decode_message, decode_value,
@@ -31,7 +38,77 @@ def decodes_or_refuses(body):
         return None
     assert type(src) is str and type(dst) is str
     assert isinstance(message, REGISTERED)
+    assert_records_well_typed(message)
     return message
+
+
+def _is(value, *types):
+    return type(value) in types
+
+
+def _all(items, cls):
+    return all(type(item) is cls for item in items)
+
+
+def _counts(mapping):
+    return type(mapping) is dict and all(
+        type(k) is str and type(v) is int for k, v in mapping.items())
+
+
+#: Record class -> what its fields must be, stated apart from the codec.
+RECORD_SHAPES = {
+    Dot: lambda d: _is(d.counter, int) and _is(d.origin, str),
+    ObjectKey: lambda k: _is(k.bucket, str) and _is(k.key, str),
+    Operation: lambda o: (_is(o.type_name, str) and _is(o.method, str)
+                          and _is(o.payload, dict)
+                          and _is(o.tag, tuple, type(None))),
+    WriteOp: lambda w: _is(w.key, ObjectKey) and _is(w.op, Operation),
+    VectorClock: lambda v: _counts(dict(v.items())),
+    Snapshot: lambda s: (_is(s.vector, VectorClock)
+                         and _is(s.local_deps, frozenset)
+                         and _all(s.local_deps, Dot)),
+    CommitStamp: lambda c: _counts(c.entries),
+    Transaction: lambda t: (_is(t.dot, Dot) and _is(t.origin, str)
+                            and _is(t.snapshot, Snapshot)
+                            and _is(t.commit, CommitStamp)
+                            and _is(t.writes, tuple)
+                            and _all(t.writes, WriteOp)
+                            and _is(t.issuer, str, type(None))),
+    StreamEntry: lambda e: (_is(e.dot, Dot) and _is(e.origin, str)
+                            and _is(e.issuer, str, type(None))
+                            and _counts(e.sv) and _counts(e.cx)
+                            and _is(e.deps, tuple) and _all(e.deps, Dot)
+                            and _is(e.writes, tuple)
+                            and _all(e.writes, WriteOp)),
+}
+
+#: Where records nest inside one another.
+_RECORD_PARTS = {
+    WriteOp: lambda w: (w.key, w.op),
+    Snapshot: lambda s: (s.vector, *s.local_deps),
+    Transaction: lambda t: (t.dot, t.snapshot, t.commit, *t.writes),
+    StreamEntry: lambda e: (e.dot, *e.deps, *e.writes),
+}
+
+
+def assert_records_well_typed(value):
+    """Every record reachable from a decoded message has the shape its
+    class promises."""
+    t = type(value)
+    shape = RECORD_SHAPES.get(t)
+    if shape is not None:
+        assert shape(value), value
+        for part in _RECORD_PARTS.get(t, lambda _v: ())(value):
+            assert_records_well_typed(part)
+    elif t in (tuple, list, set, frozenset):
+        for item in value:
+            assert_records_well_typed(item)
+    elif t is dict:
+        for item in value.values():
+            assert_records_well_typed(item)
+    elif hasattr(t, "__dataclass_fields__"):
+        for name in t.__dataclass_fields__:
+            assert_records_well_typed(getattr(value, name))
 
 
 _edit = st.tuples(st.sampled_from(("flip", "delete", "insert")),
@@ -150,6 +227,85 @@ def test_bad_type_key_fields_or_arity_raise_codec_error(raw):
         decode_frame(frame_of("a", "b") + raw)
     with pytest.raises(CodecError):       # the same, as a nested payload
         decode_value(b"\x0c" + raw)
+
+
+DOT = ("core.Dot", (3, "dc0"))
+_VC = ("core.VectorClock", ({"dc0": 2},))
+_SNAP = ("core.Snapshot", (_VC, frozenset()))
+_STAMP = ("core.CommitStamp", ({"dc0": 3},))
+
+
+def record(key, fields):
+    """The bytes of a record nested in a value: its tag, key and fields;
+    nested records are ``(key, fields)`` pairs themselves."""
+    def nest(value):
+        if type(value) is tuple and len(value) == 2 \
+                and type(value[0]) is str and value[0].startswith("core."):
+            return record(*value)
+        if type(value) is tuple:
+            return b"\x08" + bytes([len(value)]) + b"".join(map(nest, value))
+        return encode_value(value)
+    return (b"\x0c" + encode_value(key) + b"\x08" + bytes([len(fields)])
+            + b"".join(nest(field) for field in fields))
+
+
+def txn_fields(**override):
+    fields = {"dot": DOT, "origin": "e1", "snapshot": _SNAP,
+              "commit": _STAMP, "writes": (), "issuer": None}
+    fields.update(override)
+    return tuple(fields.values())
+
+
+BAD_RECORDS = {
+    "dot one field short": ("core.Dot", (3,)),
+    "dot one field over": ("core.Dot", (3, "dc0", 1)),
+    "dot counter is a string": ("core.Dot", ("3", "dc0")),
+    "dot counter is a bool": ("core.Dot", (True, "dc0")),
+    "dot origin is an int": ("core.Dot", (3, 7)),
+    "vector value is a string": ("core.VectorClock", ({"dc0": "2"},)),
+    "vector is a list": ("core.VectorClock", ([1, 2],)),
+    "snapshot deps are a list": ("core.Snapshot", (_VC, ())),
+    "snapshot dep is not a dot": ("core.Snapshot", (_VC, frozenset({7}))),
+    "stamp entry is negative text": ("core.CommitStamp", ({"dc0": "-1"},)),
+    "transaction one field short": ("core.Transaction", txn_fields()[:-1]),
+    "transaction dot is a dict": ("core.Transaction", txn_fields(
+        dot={"counter": 3, "origin": "dc0"})),
+    "transaction snapshot is a vector": ("core.Transaction", txn_fields(
+        snapshot=_VC)),
+    "transaction writes hold a dict": ("core.Transaction", txn_fields(
+        writes=({"key": {}, "op": {}},))),
+    "transaction issuer is an int": ("core.Transaction", txn_fields(
+        issuer=5)),
+    "write op is key and key": ("core.WriteOp", (
+        ("core.ObjectKey", ("b", "k")), ("core.ObjectKey", ("b", "k")))),
+    "operation payload is a list": ("core.Operation", (
+        "counter", "increment", [1], None)),
+    "stream entry deps are dots in a list": ("core.StreamEntry", (
+        DOT, "dc0", None, {}, [DOT], {}, ())),
+    "stream entry one field over": ("core.StreamEntry", (
+        DOT, "dc0", None, {}, (), {}, (), None)),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_RECORDS.values(), ids=BAD_RECORDS.keys())
+def test_records_of_wrong_arity_or_field_type_raise_codec_error(bad):
+    apply = frame_of("a", "b", "dc.ShardApply") + b"\x08\x01"
+    good = record("core.Transaction", txn_fields())
+    assert type(decodes_or_refuses(apply + good).txn) is Transaction
+    raw = record(*bad)
+    with pytest.raises(CodecError):
+        decode_value(raw)
+    with pytest.raises(CodecError):      # inside a message, in a frame
+        decode_frame(apply + raw)
+
+
+def test_a_record_is_not_a_message():
+    dot = frame_of(*DOT)
+    with pytest.raises(CodecError):
+        decode_message(dot)
+    with pytest.raises(CodecError):
+        decode_frame(frame_of("a", "b") + dot)
+    assert decode_value(b"\x0c" + dot) == Dot(3, "dc0")
 
 
 def test_frame_addresses_must_be_strings():

@@ -1,15 +1,24 @@
 """Property tests: the wire codec is a bijection on its value domain.
 
-Two generators: arbitrary value trees (the codec's full domain) and the
-per-class sample corpus perturbed structurally (realistic messages).
+Three generators: arbitrary value trees (the codec's full domain), the
+per-class sample corpus perturbed structurally (realistic messages) and
+arbitrary core values the codec carries as records (transactions and
+their parts, stream entries).
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.clock import VectorClock
+from repro.core.dot import Dot
+from repro.core.txn import (CommitStamp, ObjectKey, Snapshot, StreamEntry,
+                            Transaction, WriteOp)
+from repro.crdt.base import Operation
+from repro.dc.messages import ShardApply, ShardApplyBatch
 from repro.transport import samples
 from repro.transport.codec import (decode_frame, decode_message,
                                    decode_value, encode_frame,
-                                   encode_message, encode_value)
+                                   encode_message, encode_value,
+                                   record_classes)
 
 _scalars = st.one_of(
     st.none(),
@@ -79,3 +88,52 @@ def test_frame_round_trip(message, src, dst):
     frame = encode_frame(src, dst, message)
     assert int.from_bytes(frame[:4], "big") == len(frame) - 4
     assert decode_frame(frame[4:]) == (src, dst, message)
+
+
+# -- records -----------------------------------------------------------------
+
+_ids = st.text(min_size=1, max_size=6)
+_counts = st.dictionaries(_ids, st.integers(0, 2**40), max_size=4)
+
+dots = st.builds(Dot, st.integers(0, 2**40), _ids)
+object_keys = st.builds(ObjectKey, st.text(max_size=8), st.text(max_size=8))
+operations = st.builds(
+    Operation, st.text(max_size=8), st.text(max_size=8),
+    st.dictionaries(st.text(max_size=6), _values, max_size=3),
+    st.none() | st.tuples(st.integers(0, 2**20), _ids, st.integers(0, 9)))
+write_ops = st.builds(WriteOp, object_keys, operations)
+_writes = st.lists(write_ops, max_size=3).map(tuple)
+vectors = st.builds(VectorClock,
+                    st.dictionaries(_ids, st.integers(1, 2**40), max_size=4))
+snapshots = st.builds(Snapshot, vectors, st.frozensets(dots, max_size=3))
+stamps = st.builds(CommitStamp, _counts)
+transactions = st.builds(Transaction, dots, _ids, snapshots, stamps, _writes,
+                         st.none() | _ids)
+stream_entries = st.builds(StreamEntry, dots, _ids, st.none() | _ids,
+                           _counts, st.lists(dots, max_size=3).map(tuple),
+                           _counts, _writes)
+
+RECORDS = {Dot: dots, ObjectKey: object_keys, Operation: operations,
+           WriteOp: write_ops, VectorClock: vectors, Snapshot: snapshots,
+           CommitStamp: stamps, Transaction: transactions,
+           StreamEntry: stream_entries}
+
+
+def test_every_record_class_has_a_generator():
+    assert set(record_classes().values()) == set(RECORDS)
+
+
+@given(st.one_of(*RECORDS.values()))
+@settings(deadline=None)
+def test_record_round_trip(record):
+    back = decode_value(encode_value(record))
+    assert back == record
+    assert type(back) is type(record)
+
+
+@given(st.lists(transactions, min_size=1, max_size=3))
+@settings(deadline=None)
+def test_messages_carrying_transactions_round_trip(txns):
+    for message in (ShardApply(txns[0]), ShardApplyBatch(tuple(txns))):
+        back = decode_frame(encode_frame("dc0", "dc0/s1", message)[4:])
+        assert back == ("dc0", "dc0/s1", message)

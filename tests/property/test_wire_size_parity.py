@@ -1,0 +1,116 @@
+"""Property tests: a value costs on the wire what its dict form did.
+
+Messages inside the infrastructure carry ``Transaction`` values and
+``StreamEntry`` records where they once carried ``to_dict()`` forms;
+every ``wire_size()`` must still return the number the dict form gave,
+so ``bytes_sent`` and every byte total built on it do not move.  The
+oracles are the dict forms that stay — ``txn_wire_size`` over
+``Transaction.to_dict()`` — and, for stream entries, the dict encoder
+and its size formula kept verbatim below.
+"""
+
+from typing import Any, Dict, Mapping
+
+from hypothesis import given, settings, strategies as st
+
+from repro.core.clock import VectorClock
+from repro.core.txn import Transaction
+from repro.dc.messages import (DOT_BYTES, HEADER_BYTES, SKIP_MARKER_BYTES,
+                               STREAM_ENTRY_OVERHEAD_BYTES, ReplicateBatch,
+                               ShardApply, ShardApplyBatch, ShardBackfill,
+                               ShardCommit, ShardPrepare, _writes_wire_size,
+                               stream_entry_wire_size, txn_record_size,
+                               txn_wire_size, vector_wire_size)
+from repro.dc.replog import decode_stream_entry, encode_stream_entry
+
+from .test_codec_roundtrip import _counts, _ids, transactions
+
+# ----------------------------------------------------------------------
+# the oracle: the dict stream entry and its size (verbatim)
+# ----------------------------------------------------------------------
+
+
+def dict_stream_entry(txn: Transaction, stream_dc: str, ts: int,
+                      base: VectorClock) -> Dict[str, Any]:
+    assigned = txn.commit.entries.get(stream_dc)
+    if assigned is not None and assigned != ts:
+        raise ValueError(
+            f"stream position {ts} contradicts commit entry "
+            f"{stream_dc}:{assigned} for {txn.dot}")
+    entry = {
+        "dot": txn.dot.to_dict(),
+        "origin": txn.origin,
+        "issuer": txn.issuer,
+        "sv": txn.snapshot.vector.delta_from(base),
+        "deps": [d.to_dict() for d in sorted(txn.snapshot.local_deps)],
+        "cx": {dc: t for dc, t in txn.commit.entries.items()
+               if dc != stream_dc},
+        "writes": [w.to_dict() for w in txn.writes],
+    }
+    return entry
+
+
+def dict_stream_entry_wire_size(entry: Mapping[str, Any]) -> int:
+    size = STREAM_ENTRY_OVERHEAD_BYTES + DOT_BYTES
+    size += len(str(entry.get("origin", "")))
+    size += vector_wire_size(entry.get("sv") or {})
+    size += DOT_BYTES * len(entry.get("deps") or ())
+    size += 8 * len(entry.get("cx") or {})
+    size += _writes_wire_size(entry.get("writes") or ())
+    return size
+
+# ----------------------------------------------------------------------
+
+
+@given(transactions)
+@settings(deadline=None)
+def test_transaction_size_is_its_dict_forms(txn):
+    size = txn_wire_size(txn.to_dict())
+    assert txn_record_size(txn) == size
+    assert ShardApply(txn).wire_size() == HEADER_BYTES + size
+    assert ShardPrepare(1, txn).wire_size() == HEADER_BYTES + 8 + size
+    assert ShardCommit(1, txn).wire_size() == HEADER_BYTES + 8 + size
+    assert ShardApplyBatch((txn, txn)).wire_size() == HEADER_BYTES + 2 * size
+    assert ShardBackfill(0, ((3, txn),), 3).wire_size() \
+        == HEADER_BYTES + 12 + 8 + size
+
+
+@given(transactions, _ids,
+       st.builds(VectorClock,
+                 st.dictionaries(_ids, st.integers(1, 2**40), max_size=4)))
+@settings(deadline=None)
+def test_stream_entry_size_is_its_dict_forms(txn, stream_dc, base):
+    ts = txn.commit.entries.get(stream_dc, 1)    # the position it names
+    entry, size = encode_stream_entry(txn, stream_dc, ts, base)
+    oracle = dict_stream_entry(txn, stream_dc, ts, base)
+    assert size == stream_entry_wire_size(entry) \
+        == dict_stream_entry_wire_size(oracle)
+    # The record holds what the dict held, as values.
+    assert entry.dot.to_dict() == oracle["dot"]
+    assert (entry.origin, entry.issuer, entry.sv, entry.cx) \
+        == (oracle["origin"], oracle["issuer"], oracle["sv"], oracle["cx"])
+    assert [d.to_dict() for d in entry.deps] == oracle["deps"]
+    assert [w.to_dict() for w in entry.writes] == oracle["writes"]
+    # And decodes to the transaction, sharing its writes.
+    back = decode_stream_entry(entry, stream_dc, ts, base)
+    assert back.to_dict() == {**txn.to_dict(), "commit": {
+        "entries": {**txn.commit.entries, stream_dc: ts}}}
+    assert back.writes is txn.writes
+
+
+@given(st.lists(transactions, max_size=4), _counts, _counts,
+       st.lists(st.integers(1, 5), max_size=3))
+@settings(deadline=None)
+def test_frame_size_is_its_dict_forms(txns, base, sender, skips):
+    entries = [encode_stream_entry(txn, "dc0", txn.commit.entries.get(
+        "dc0", i + 1), VectorClock(base))[0] for i, txn in enumerate(txns)]
+    frame = ReplicateBatch("dc0", 1, base,
+                           tuple(entries) + tuple((n, 1) for n in skips),
+                           sender)
+    assert frame.wire_size() == (
+        HEADER_BYTES + 8 + len("dc0") + vector_wire_size(base)
+        + vector_wire_size(sender)
+        + sum(dict_stream_entry_wire_size(dict_stream_entry(
+            txn, "dc0", txn.commit.entries.get("dc0", i + 1),
+            VectorClock(base))) for i, txn in enumerate(txns))
+        + SKIP_MARKER_BYTES * len(skips))

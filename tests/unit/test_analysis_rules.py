@@ -145,6 +145,52 @@ def test_copied_constructor_arg_passes():
     assert not {f.rule for f in analyze(handler)} & {"M203"}
 
 
+TXN_MESSAGES = ('from dataclasses import dataclass\n'
+                'from typing import Optional, Tuple\n'
+                'from repro.core.txn import Transaction\n'
+                '@dataclass(frozen=True)\nclass Apply:\n'
+                '    txn: Transaction\n'
+                '@dataclass(frozen=True)\nclass Batch:\n'
+                '    txns: Tuple[Transaction, ...]\n'
+                '@dataclass(frozen=True)\nclass Fill:\n'
+                '    entries: Tuple[Tuple[int, Transaction], ...]\n'
+                '    last: Optional[Transaction]\n')
+
+
+def m203_lines(body):
+    handler = ('from pkg.messages import Apply, Batch, Fill\n'
+               'def emit(txn, txns, pairs):\n' + body)
+    return [f.line for f in check({"pkg/messages.py": TXN_MESSAGES,
+                                   "pkg/mod.py": handler})
+            if f.rule == "M203"]
+
+
+@pytest.mark.parametrize("body", [
+    "    return Apply(txn.handoff())\n",
+    "    return Apply(txn=txn.handoff())\n",
+    "    return Batch(tuple(t.handoff() for t in txns))\n",
+    "    return Batch((txn.handoff(), txn.handoff()))\n",
+    "    return Fill(tuple((ts, t.handoff()) for ts, t in pairs), None)\n",
+    "    return Fill((), txn.handoff() if txn else None)\n",
+])
+def test_handed_off_transactions_pass(body):
+    assert m203_lines(body) == []
+
+
+@pytest.mark.parametrize("body", [
+    "    return Apply(txn)\n",
+    "    return Apply(txn=txn)\n",
+    "    return Batch(tuple(txns))\n",
+    "    return Batch(tuple(t for t in txns))\n",
+    "    return Batch((txn.handoff(), txn))\n",
+    "    return Fill(tuple((ts, t) for ts, t in pairs), None)\n",
+    "    return Fill((), txn)\n",
+    "    return Apply(txn.handoff() if txn else txn)\n",
+])
+def test_bare_transactions_in_a_message_flagged(body):
+    assert m203_lines(body) == [3]
+
+
 # ---------------------------------------------------------------------------
 # handler coverage (H3xx)
 # ---------------------------------------------------------------------------
@@ -278,6 +324,31 @@ def test_stored_payload_alias_flagged():
                '    def _on_ping(self, msg: Ping, sender: str):\n'
                '        self.latest = msg.state_vector\n')
     assert "A502" in {f.rule for f in analyze(handler)}
+
+
+@pytest.mark.parametrize("body", [
+    "        msg.txn.commit.add_entry('dc0', 1)\n",
+    "        msg.txn.commit.entries['dc0'] = 1\n",
+    "        txn = msg.txn\n        txn.commit.add_entry('dc0', 1)\n",
+    "        for txn in msg.txns:\n            txn.commit.add_entry('dc0', 1)\n",
+    "        for _ts, txn in msg.entries:\n"
+    "            txn.commit.entries.update({'dc0': 1})\n",
+])
+def test_growing_a_received_stamp_flagged(body):
+    handler = ('from pkg.messages import Ping\n'
+               'class A:\n'
+               '    def _on_ping(self, msg: Ping, sender: str):\n' + body)
+    assert "A501" in {f.rule for f in analyze(handler)}
+
+
+def test_growing_a_handed_off_stamp_passes():
+    handler = ('from pkg.messages import Ping\n'
+               'class A:\n'
+               '    def _on_ping(self, msg: Ping, sender: str):\n'
+               '        own = msg.txn.handoff()\n'
+               '        own.commit.add_entry("dc0", 1)\n'
+               '        return own\n')
+    assert "A501" not in {f.rule for f in analyze(handler)}
 
 
 def test_copied_payload_store_passes():

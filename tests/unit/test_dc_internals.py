@@ -159,3 +159,33 @@ class TestStabilityBookkeeping:
         sim.run_for(200)
         assert late.vector == dcs[0].stable_vector
         assert dcs[0].sessions["late"].cursor == late.vector.to_dict()
+
+
+class TestStampSharing:
+    def test_a_grafted_entry_stays_on_the_dcs_own_copy(self):
+        # Shards and siblings share the transaction body by reference
+        # but each holds its own stamp: growing the DC's — here through
+        # CommitLog.adopt, as a migration duplicate would — moves no
+        # other copy.
+        sim, (dc0, dc1), _probe = world(n_dcs=2)
+        edge = build_edge(sim, "e1", interest=INTEREST)
+        sim.run_for(100)
+        run_update(edge, KEY, "counter", "increment", 1)
+        sim.run_for(300)
+        (dot,) = [d for d in dc0.log.txns if d.origin == "e1"]
+        ours = dc0.log.txns[dot]
+        copies = [dc1.log.txns[dot]] + [
+            entry.txn for dc in (dc0, dc1) for shard in dc.shards.values()
+            if shard.store.journal(KEY) is not None
+            for entry in shard.store.journal(KEY).entries()
+            if entry.dot == dot]
+        assert len(copies) == 3          # dc1, a shard of each DC
+        before = [dict(copy.commit.entries) for copy in copies]
+
+        duplicate = ours.handoff()
+        duplicate.commit.add_entry("dc9", 4)
+        assert dc0.log.adopt(duplicate) == ours.commit.entries["dc0"]
+
+        assert ours.commit.entries["dc9"] == 4
+        assert [copy.commit.entries for copy in copies] == before
+        assert all(copy.writes is ours.writes for copy in copies)

@@ -85,7 +85,7 @@ def test_unbroken_chain_encodes_each_entry_once_for_all_links():
             for ts, by_prev in origin.sender._encoded.items()} \
         == {1: [0], 2: [1], 3: [2]}
     # Delta chain: entry 3 carries only what moved since entry 2.
-    assert frame.entries[2]["sv"] == {ORIGIN: 2}
+    assert frame.entries[2].sv == {ORIGIN: 2}
     link = origin.sender.links["dc1"]
     assert (link.sent_ts, link.chain_ts, link.txns_sent) == (3, 3, 3)
     assert origin.flush("dc1") == []            # nothing left to ship
@@ -102,10 +102,10 @@ def test_a_pruned_position_breaks_the_chain_per_link():
     assert to_dc1[4] == 1 and to_dc1[5] > 0     # one position, its bytes
     # dc1's chain hops the pruned entry: 3 is encoded against 1 there,
     # against 2 (which dc2 got in full) on dc2's link.
-    assert full_3["sv"] == {ORIGIN: 2}
+    assert full_3.sv == {ORIGIN: 2}
     assert sorted(origin.sender._encoded[3]) == [1, 2]
     assert to_dc2[0].entries[0] == (1, 1 << 0)
-    assert to_dc2[0].entries[2]["sv"] == {ORIGIN: 2}
+    assert to_dc2[0].entries[2].sv == {ORIGIN: 2}
     assert to_dc2[0].entries[2] is not full_3
     links = origin.sender.links
     assert (links["dc1"].txns_sent, links["dc1"].txns_pruned) == (2, 1)
@@ -164,8 +164,8 @@ def test_graft_invalidates_exactly_the_grafted_position():
     ((again, *_rest),) = origin.flush("dc2")
     assert again.entries[0] is first.entries[0]
     assert again.entries[2] is first.entries[2]
-    assert first.entries[1]["cx"] == {}
-    assert again.entries[1]["cx"] == {"dc2": 7}
+    assert first.entries[1].cx == {}
+    assert again.entries[1].cx == {"dc2": 7}
 
 
 def test_backfill_walks_the_shard_in_stream_order():
@@ -306,12 +306,12 @@ def test_a_wrongly_pruned_run_asks_the_origin_to_backfill():
     # The backfill fills the positions off-stream.
     filled = make_txn(5, [key_on(0)], stamp={ORIGIN: 2})
     got = site.receiver.backfill(
-        ShardBackfill(0, ((2, filled.to_dict()),), 2), ORIGIN)
+        ShardBackfill(0, ((2, filled.handoff()),), 2), ORIGIN)
     assert [(ts, fill) for _o, ts, _t, fill in got.applied] == [(2, True)]
     assert site.log.state_vector == VectorClock({ORIGIN: 2})
     # Again (the first response was slow, we asked twice): a duplicate.
     got = site.receiver.backfill(
-        ShardBackfill(0, ((2, filled.to_dict()),), 2), ORIGIN)
+        ShardBackfill(0, ((2, filled.handoff()),), 2), ORIGIN)
     assert (got.applied, got.dups) == ([], 1)
 
 

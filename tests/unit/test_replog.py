@@ -91,13 +91,13 @@ class TestStreamEntryCodec:
         txn = make_txn(9)
         entry, _size = encode_stream_entry(
             txn, "dc0", 9, VectorClock.zero())
-        assert entry["cx"] == {}  # the ts rides on the frame position
+        assert entry.cx == {}  # the ts rides on the frame position
 
     def test_migration_equivalent_entries_survive(self):
         txn = make_txn(2, commit={"dc0": 2, "dc1": 5})
         entry, _size = encode_stream_entry(
             txn, "dc0", 2, VectorClock.zero())
-        assert entry["cx"] == {"dc1": 5}
+        assert entry.cx == {"dc1": 5}
         decoded = decode_stream_entry(entry, "dc0", 2, VectorClock.zero())
         assert decoded.commit.entries == {"dc0": 2, "dc1": 5}
 
@@ -227,6 +227,9 @@ MALFORMED_ELEMENTS = [
     (2, -1),
     (2.0, 0b1), (True, 0b1), ("2", 0b1),
     (2, 0b1, 0), (2,), 7, None, "xy",
+    # A full entry in its old dict form: entries are StreamEntry records.
+    {"dot": {"counter": 2, "origin": "dc0"}, "origin": "dc0",
+     "issuer": None, "sv": {"dc0": 1}, "deps": [], "cx": {}, "writes": []},
 ]
 
 

@@ -111,7 +111,7 @@ def test_update_prepares_then_sequences_on_the_last_vote():
     *commits, (client, reply) = sends
     assert [shard for shard, _m in commits] == touched
     assert all(isinstance(m, ShardCommit)
-               and m.txn["commit"] == {"entries": {NODE: 1}}
+               and m.txn.commit.entries == {NODE: 1}
                for _s, m in commits)
     assert (client, reply) \
         == (CLIENT, RemoteTxnReply(1, (5,), True, {NODE: 1}))
@@ -149,7 +149,7 @@ def test_duplicate_request_before_during_and_after_2pc_sequences_once():
     duplicate = coord.execute(retry)
     assert {m.txid for _s, m in prepares}.isdisjoint(
         m.txid for _s, m in duplicate)
-    assert {m.txn["dot"]["counter"] for _s, m in prepares + duplicate} == {1}
+    assert {m.txn.dot.counter for _s, m in prepares + duplicate} == {1}
     txn, sends = coord.vote_all(prepares)
     assert txn is not None and txn.commit.entries == {NODE: 1}
     # The second completion finds the dot sequenced: nothing to
