@@ -386,11 +386,7 @@ def commit_workload(bench, txns_per_member: int = 20,
     latencies = sorted(s.latency for s in commits)
     mean = (sum(latencies) / len(latencies)
             if latencies else float("nan"))
-    tiga = {"fast_commits": 0, "fallbacks": 0}
-    for member in members:
-        for field, count in member.tiga_stats.items():
-            if field in tiga:
-                tiga[field] += count
+    fast = sum(m.tiga_stats["fast_commits"] for m in members)
     keys = [bench.hot] + list(bench.cold_keys)
     digests = [[(repr(k), state.get(k) or 0) for k in keys]
                for state in
@@ -398,14 +394,12 @@ def commit_workload(bench, txns_per_member: int = 20,
                + [bench.dc.state_digest()]]
     digest = repr(digests[0]) if all(d == digests[0] for d in digests) \
         else "DIVERGED"
-    variant = members[0].commit_variant
     return CommitVariantRow(
-        variant, mean, len(aborts), len(commits),
+        members[0].commit_variant, mean, len(aborts), len(commits),
         p50_commit_latency_ms=percentile(latencies, 50.0),
-        fast_commits=tiga["fast_commits"],
-        fallbacks=tiga["fallbacks"],
-        fast_path_ratio=(tiga["fast_commits"] / len(commits)
-                         if variant == "tiga" and commits else 0.0),
+        fast_commits=fast,
+        fallbacks=sum(m.tiga_stats["fallbacks"] for m in members),
+        fast_path_ratio=fast / len(commits) if commits else 0.0,
         digest=digest)
 
 

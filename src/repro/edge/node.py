@@ -189,8 +189,7 @@ class EdgeNode(Actor):
         """Open (or re-open) the session with the connected DC."""
         if self.offline:
             return
-        interest = tuple((k.to_dict(), t)
-                         for k, t in self._interest_types.items())
+        interest = self._interest_wire()
         self._session_interest = set(self._interest_types)
         # Declare only dependencies the DC must already have: transactions
         # still carrying symbolic commits will be (re)shipped by us right
@@ -200,6 +199,10 @@ class EdgeNode(Actor):
         self.send(self.connected_dc,
                   SessionOpen(self.node_id, interest,
                               self.vector.to_dict(), deps))
+
+    def _interest_wire(self) -> Tuple[Tuple[dict, str], ...]:
+        """The interest set as messages carry it: (key dict, type) pairs."""
+        return tuple((k.to_dict(), t) for k, t in self._interest_types.items())
 
     def go_offline(self) -> None:
         """Lose connectivity; local operation continues (section 7.3.1)."""

@@ -40,6 +40,12 @@ class Instance:
     merged_deps: FrozenSet[InstanceId] = frozenset()
     prepare_replies: Optional[list] = None
 
+    def restart_preaccept(self) -> None:
+        """Count PreAccept replies afresh, against the current attributes."""
+        self.preaccept_replies = 0
+        self.preaccept_unanimous = True
+        self.merged_seq, self.merged_deps = self.seq, self.deps
+
     def promote(self, status: str) -> None:
         if _ORDER[status] < _ORDER[self.status]:
             raise ValueError(

@@ -1,4 +1,8 @@
-"""Tiga-style deadline-ordered fast path (``commit_variant="tiga"``).
+"""Tiga-style deadline-ordered fast path (``commit_variant="tiga"``),
+sans-io like :class:`~repro.epaxos.replica.EPaxosReplica`: the caller
+binds ``send`` and timers, feeds :meth:`TigaSequencer.handle`, and owns
+what a commit and a release do (:mod:`repro.groups.ordering` composes it
+with an EPaxos fallback).
 
 Instead of agreeing on a dependency graph (EPaxos), the coordinator of a
 transaction *predicts* its position in the group's visibility order: it
@@ -25,14 +29,12 @@ majority (skewed clocks, loss, partition) withdraws the round and
 re-proposes through EPaxos, which remains the correctness baseline.  A
 member stuck behind a pending entry past its deadline queries the
 coordinator (TigaStatus) and is answered with the round's outcome.
-
-The class is sans-io like :class:`EPaxosReplica`: the group member
-binds ``send``/timers and owns transaction application.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..sim.clock import HlcTimestamp, HybridLogicalClock, SkewedClock
@@ -51,34 +53,28 @@ def _key(dot: dict) -> RoundKey:
     return (dot["counter"], dot["origin"])
 
 
+@dataclass(slots=True, eq=False)
 class _Round:
     """Coordinator-side state of one fast-path attempt."""
 
-    __slots__ = ("dot", "txn", "deadline", "sent_at", "acks", "nacks",
-                 "state")
-
-    def __init__(self, dot: dict, txn: Any, deadline: HlcTimestamp,
-                 sent_at: float):
-        self.dot = dot
-        self.txn = txn
-        self.deadline = deadline
-        self.sent_at = sent_at
-        self.acks: Set[str] = set()
-        self.nacks: Set[str] = set()
-        self.state = PENDING
+    dot: dict
+    txn: Any
+    deadline: HlcTimestamp
+    sent_at: float
+    acks: Set[str] = field(default_factory=set)
+    nacks: Set[str] = field(default_factory=set)
+    state: str = PENDING
 
 
+@dataclass(slots=True, eq=False)
 class _Spec:
     """Member-side speculative entry awaiting its deadline."""
 
-    __slots__ = ("dot", "command", "deadline", "committed", "queried_at")
-
-    def __init__(self, dot: dict, command: Any, deadline: HlcTimestamp):
-        self.dot = dot
-        self.command = command
-        self.deadline = deadline
-        self.committed = False
-        self.queried_at = -1e9
+    dot: dict
+    command: Any
+    deadline: HlcTimestamp
+    committed: bool = False
+    queried_at: float = -1e9
 
 
 class TigaSequencer:
@@ -135,6 +131,14 @@ class TigaSequencer:
     def peers(self):
         return [m for m in self.members if m != self.node_id]
 
+    def _broadcast(self, message: Any) -> None:
+        for peer in self.peers():
+            self.send(peer, message)
+
+    @staticmethod
+    def _certificate(round_: _Round) -> TigaCommit:
+        return TigaCommit(dict(round_.dot), round_.deadline, round_.txn)
+
     @property
     def quorum(self) -> int:
         """Simple majority, counting the coordinator itself."""
@@ -168,9 +172,7 @@ class TigaSequencer:
         if len(round_.acks) + 1 >= self.quorum:   # singleton group
             self._fast_commit(round_)
         else:
-            message = TigaPropose(dot, deadline, txn)
-            for peer in self.peers():
-                self.send(peer, message)
+            self._broadcast(TigaPropose(dot, deadline, txn))
         return deadline
 
     def _fast_commit(self, round_: _Round) -> None:
@@ -181,10 +183,7 @@ class TigaSequencer:
             entry.committed = True
         self.fast_commits += 1
         self.on_commit(key, round_.deadline)
-        message = TigaCommit(dict(round_.dot), round_.deadline,
-                             round_.txn)
-        for peer in self.peers():
-            self.send(peer, message)
+        self._broadcast(self._certificate(round_))
         self._pump()
 
     def _fail_round(self, round_: _Round) -> None:
@@ -193,9 +192,7 @@ class TigaSequencer:
         self._spec.pop(key, None)
         self._resolved.add(key)
         self.fallbacks += 1
-        message = TigaWithdraw(dict(round_.dot))
-        for peer in self.peers():
-            self.send(peer, message)
+        self._broadcast(TigaWithdraw(dict(round_.dot)))
         self.on_fallback(key)
         self._pump()
 
@@ -228,9 +225,7 @@ class TigaSequencer:
         if round_ is None or round_.state == WITHDRAWN:
             self.send(msg.requester, TigaWithdraw(dict(msg.dot)))
         elif round_.state == COMMITTED:
-            self.send(msg.requester,
-                      TigaCommit(dict(round_.dot), round_.deadline,
-                                 round_.txn))
+            self.send(msg.requester, self._certificate(round_))
         # else: still deciding; the member will query again.
 
     # -- member role ---------------------------------------------------
@@ -278,18 +273,10 @@ class TigaSequencer:
         self._pump()
 
     def handle(self, message: Any, sender: str) -> None:
-        if isinstance(message, TigaPropose):
-            self._on_propose(message, sender)
-        elif isinstance(message, TigaAck):
-            self._on_ack(message, sender)
-        elif isinstance(message, TigaCommit):
-            self._on_commit(message, sender)
-        elif isinstance(message, TigaWithdraw):
-            self._on_withdraw(message, sender)
-        elif isinstance(message, TigaStatus):
-            self._on_status(message, sender)
-        else:
+        handler = self._HANDLERS.get(type(message))
+        if handler is None:
             raise TypeError(f"unexpected tiga message {message!r}")
+        handler(self, message, sender)
 
     # -- deadline-ordered release --------------------------------------
     def _enqueue(self, key: RoundKey, dot: dict, command: Any,
@@ -365,12 +352,8 @@ class TigaSequencer:
         """Re-send the commit certificate for an own committed round
         whose stamp has not resolved (a member may have missed it)."""
         round_ = self._rounds.get(key)
-        if round_ is None or round_.state != COMMITTED:
-            return
-        message = TigaCommit(dict(round_.dot), round_.deadline,
-                             round_.txn)
-        for peer in self.peers():
-            self.send(peer, message)
+        if round_ is not None and round_.state == COMMITTED:
+            self._broadcast(self._certificate(round_))
 
     def prune(self, is_settled: Callable[[RoundKey], bool]) -> None:
         """Drop bookkeeping for resolved rounds the member no longer
@@ -378,3 +361,7 @@ class TigaSequencer:
         for key, round_ in list(self._rounds.items()):
             if round_.state != PENDING and is_settled(key):
                 del self._rounds[key]
+
+    _HANDLERS = {TigaPropose: _on_propose, TigaAck: _on_ack,
+                 TigaCommit: _on_commit, TigaWithdraw: _on_withdraw,
+                 TigaStatus: _on_status}

@@ -2,9 +2,10 @@
 
 A peer group is a set of well-connected edge nodes.  Within the group:
 
-* every member runs an :class:`~repro.epaxos.EPaxosReplica`; the agreed
-  execution order is the group's **visibility order** — transactions become
-  visible group-wide in that sequence, making the group an SI zone;
+* every member runs one ordering machine, an
+  :class:`~repro.groups.ordering.Orderer`; the agreed order is the
+  group's **visibility order** — transactions become visible group-wide
+  in that sequence, making the group an SI zone;
 * the *parent* member doubles as the group's **sync point**: it holds the
   only DC session (interest set = union of the members'), ships executed
   transactions to the DC in visibility order, and relays DC pushes and
@@ -13,20 +14,17 @@ A peer group is a set of well-connected edge nodes.  Within the group:
   before falling back to the DC (the peer-group hits of Figure 5), and
   pull missing transactions from neighbours by dot.
 
-Three commit variants (section 5.1.4 plus the Tiga extension):
+The commit variant (section 5.1.4 plus the Tiga extension) picks the
+orderer once; this module calls only its interface:
 
 * ``"async"`` (default, used in the paper's evaluation): a transaction
-  commits locally at once; consensus runs in the background;
-* ``"psi"``: consensus sits on the critical path; a transaction whose
-  writes conflict with one ordered after its snapshot aborts, giving
-  Parallel Snapshot Isolation.  The conflict test is a deterministic
-  function of the visibility order, so every member reaches the same
-  verdict without further communication.
-* ``"tiga"``: deadline-ordered fast path (see :mod:`repro.epaxos.tiga`).
-  The coordinator stamps the transaction with a future HLC deadline and
-  commits on a one-round-trip majority of acks; members release in
-  deadline order.  Late arrivals and outages fall back to the EPaxos
-  path, which stays the correctness baseline.
+  commits locally at once; EPaxos orders it in the background;
+* ``"psi"``: EPaxos on the critical path, and a transaction whose
+  writes conflict with one ordered after its snapshot aborts (Parallel
+  Snapshot Isolation).  The test reads commit stamps, which resolve at
+  different times on different members: verdicts can differ (DESIGN §9).
+* ``"tiga"``: a deadline-ordered fast path (:mod:`repro.epaxos.tiga`)
+  over an EPaxos fallback, which stays the correctness baseline.
 """
 
 from __future__ import annotations
@@ -42,30 +40,16 @@ from ..core.txn import ObjectKey, Transaction
 from ..dc.messages import (EdgeCommit, ObjectRequest, ObjectResponse,
                            UpdatePush)
 from ..edge.node import EdgeNode, _RunningTxn
-from ..epaxos.messages import InstanceId, TigaMessage
-from ..epaxos.replica import EPaxosReplica
-from ..epaxos.tiga import RoundKey, TigaSequencer
 from ..obs.trace import GROUP_ORDER
-from ..sim.clock import HlcTimestamp, HybridLogicalClock
 from ..sim.events import EventLoop
 from ..sim.network import Network
 from ..transport.base import Transport
-from .certification import LogWriters
 from .messages import (GroupCommitAck, GroupFetch, GroupFetchReply,
                        GroupMsg, GroupRelayPush, GroupSeed,
                        InterestAnnounce, JoinGroup, LeaveGroup,
                        MembershipUpdate, TxnPull, TxnPushMsg)
-
-
-#: The accepted ``commit_variant`` values (single source of truth for
-#: validation, CLIs and benchmarks).
-COMMIT_VARIANTS: Tuple[str, ...] = ("async", "psi", "tiga")
-
-
-def _txn_conflict_keys(txn_dict: dict) -> List[Tuple[str, str]]:
-    """EPaxos interference keys: the objects a transaction writes."""
-    return [(w["key"]["bucket"], w["key"]["key"])
-            for w in txn_dict["writes"]]
+from .ordering import (COMMIT_VARIANTS, NO_FAST_PATH, ORDERERS,
+                       RECOVER_AFTER_MS, RESEND_AFTER_MS, Orderer, Wiring)
 
 
 class GroupMember(EdgeNode):
@@ -93,8 +77,6 @@ class GroupMember(EdgeNode):
     }
 
     MAINTENANCE_MS = 100.0
-    RESEND_AFTER_MS = 250.0
-    RECOVER_AFTER_MS = 800.0
     SHIP_RETRY_MS = 500.0
 
     def __init__(self, node_id: str, loop: Union[EventLoop, Transport],
@@ -114,49 +96,38 @@ class GroupMember(EdgeNode):
         self.group_id = group_id
         self.parent_id = parent_id
         self.commit_variant = commit_variant
+        self._orderer_class = ORDERERS[commit_variant]
         self.epoch = 0
         self.members: Tuple[str, ...] = ()
-        self.replica: Optional[EPaxosReplica] = None
+        #: The group's ordering machine; None outside a group.
+        self.orderer: Optional[Orderer] = None
         self.group_offline = False
-        # Visibility pipeline.
-        self._exec_queue: Deque[Transaction] = deque()
+        # Visibility pipeline: releases in order, each with its ``fast``
+        # flag (the GROUP_ORDER span's ``fast_path``).
+        self._exec_queue: Deque[Tuple[Transaction, Optional[bool]]] = \
+            deque()
         self._exec_seen: Set[Dot] = set()
         self.visibility_log: List[Transaction] = []
-        # PSI certification index over the log (psi variant only).
-        self._log_writers: Optional[LogWriters] = \
-            LogWriters() if commit_variant == "psi" else None
-        self._aborted_dots: Set[Dot] = set()
         # Critical-path transactions (psi and tiga variants) awaiting
         # their visibility slot / fast-path verdict.
-        self._psi_pending: Dict[Dot, Tuple[_RunningTxn, Any,
-                                           Transaction]] = {}
-        # Tiga fast path (``commit_variant="tiga"``).
-        self.hlc = HybridLogicalClock(self.clock, node_id)
-        self.tiga: Optional[TigaSequencer] = None
-        #: dot -> released in deadline order?  Feeds the GROUP_ORDER
-        #: span's ``fast_path`` attribute; absent for EPaxos slots.
-        self._tiga_release_meta: Dict[Dot, bool] = {}
-        # Last re-broadcast of an own fast commit whose stamp is still
-        # symbolic (a member may have missed the certificate).
-        self._tiga_recommit_at: Dict[Dot, float] = {}
+        self._psi_pending: Dict[Dot, Tuple[_RunningTxn, Any]] = {}
         # Sync-point state (active when self is the parent).
         self._ship_queue: "OrderedDict[Dot, Transaction]" = OrderedDict()
         self._ship_sent_at: Dict[Dot, float] = {}
         self._member_interest: Dict[str, Dict[ObjectKey, str]] = {}
         self._member_fetch_waiting: Dict[ObjectKey, List[str]] = {}
         # Liveness bookkeeping.
-        self._own_instances: Dict[InstanceId, float] = {}
-        self._blocked_since: Dict[InstanceId, float] = {}
         self._pull_pending: Dict[Dot, float] = {}
         # Last time we asked the sync point for a lost commit stamp.
         self._ack_pull_at: Dict[Dot, float] = {}
         self._last_resync = -1e9
-        # Vector advancement gating across fetch replies (see
-        # _note_reply_vector).
+        # Vector advancement gating across fetch replies.
         self._pending_vector = VectorClock.zero()
         self._resync_expect: Set[ObjectKey] = set()
         self._resync_started = -1e9
-        self.on_group_event: Optional[Callable[[str, str], None]] = None
+        #: Called with (kind, member) on join, leave and roster updates.
+        self.on_group_event: Callable[[str, str], None] = \
+            lambda kind, member: None
         self.every(self.MAINTENANCE_MS, self._group_maintenance,
                    jitter=20.0)
 
@@ -169,7 +140,7 @@ class GroupMember(EdgeNode):
 
     @property
     def in_group(self) -> bool:
-        return self.replica is not None
+        return self.orderer is not None
 
     def connect(self) -> None:
         # Only the sync point (parent) talks to the DC directly.
@@ -196,60 +167,42 @@ class GroupMember(EdgeNode):
     def _resend_pending(self, dc_id: str) -> None:
         if not self.in_group:
             super()._resend_pending(dc_id)
-            return
-        if self.is_parent:
+        elif self.is_parent:
             self._ship(dc_id, self._ship_queue.values())
 
     # ------------------------------------------------------------------
     # group bootstrap / membership
     # ------------------------------------------------------------------
     def init_group(self, members: Tuple[str, ...], epoch: int = 0) -> None:
-        """Install the roster and start the consensus replica."""
+        """Install the roster and start the group's orderer."""
         self.members = tuple(sorted(members))
         self.epoch = epoch
-        if self.replica is None:
-            self.replica = EPaxosReplica(
-                self.node_id, list(self.members),
-                keys_of=_txn_conflict_keys,
-                on_execute=self._on_consensus_execute,
-                send=self._send_consensus)
-            # Migrating in with pending commits (section 5.2): they stay
-            # logged until they can be merged into the DC — re-propose
-            # them through the new group's consensus so its sync point
-            # ships them (duplicate dots are filtered everywhere).
-            for txn in self.unacked.values():
-                if txn.commit.is_symbolic:
-                    self._propose_txn(txn)
-        else:
-            self.replica.set_members(list(self.members))
-        if self.commit_variant == "tiga":
-            if self.tiga is None:
-                self.tiga = TigaSequencer(
-                    self.node_id, self.members, self.clock, self.hlc,
-                    send=self._send_consensus,
-                    on_commit=self._on_tiga_commit,
-                    on_release=self._on_tiga_release,
-                    on_fallback=self._on_tiga_fallback,
-                    set_timer=self.set_timer,
-                    now_fn=lambda: self.now)
-            else:
-                self.tiga.set_members(self.members)
+        if self.orderer is not None:
+            self.orderer.set_members(self.members)
+            return
+        self.orderer = self._orderer_class(
+            self.node_id, self.members,
+            Wiring(send=self._send_consensus, release=self._execute,
+                   committed=self._apply_psi_commit, clock=self.clock,
+                   set_timer=self.set_timer, now=lambda: self.now))
+        # Migrating in with pending commits (section 5.2): they stay
+        # logged until they can be merged into the DC — order them in the
+        # new group so its sync point ships them (dots are deduplicated).
+        for txn in self.unacked.values():
+            if txn.commit.is_symbolic:
+                self.orderer.propose_committed(txn)
 
     def join_group(self) -> None:
         """Ask the group's parent to admit this node (section 5.1.1)."""
-        interest = tuple((k.to_dict(), t)
-                         for k, t in self._interest_types.items())
-        self.send(self.parent_id, JoinGroup(self.node_id, interest))
+        self.send(self.parent_id, JoinGroup(self.node_id,
+                                            self._interest_wire()))
 
     def leave_group(self) -> None:
-        if self.tiga is not None:
-            # Unresolved fast-path rounds re-propose through EPaxos
-            # while the replica still exists.
-            self.tiga.fail_pending()
-            self.tiga = None
+        if self.orderer is not None:
+            self.orderer.close()
         self.send(self.parent_id, LeaveGroup(self.node_id))
         self.members = ()
-        self.replica = None
+        self.orderer = None
         # Fall back to a direct DC session.
         self.connect()
 
@@ -262,16 +215,12 @@ class GroupMember(EdgeNode):
         self._to_members(MembershipUpdate(self.group_id, self.epoch,
                                           self.node_id, self.members))
         # Bootstrap the newcomer with the agreed consensus prefix.
-        assert self.replica is not None
-        instances = tuple(
-            (iid, cmd, seq, tuple(sorted(deps)))
-            for iid, cmd, seq, deps in self.replica.committed_instances())
-        self.send(msg.node_id, GroupSeed(self.group_id, self.epoch,
-                                         instances, self.vector.to_dict()))
+        self.send(msg.node_id, GroupSeed(
+            self.group_id, self.epoch, self.orderer.committed_instances(),
+            self.vector.to_dict()))
         # Adopt (and forward to the DC) the newcomer's interest set.
         self._absorb_interest(msg.node_id, msg.interest)
-        if self.on_group_event is not None:
-            self.on_group_event("join", msg.node_id)
+        self.on_group_event("join", msg.node_id)
 
     def _on_leave(self, msg: LeaveGroup, sender: str) -> None:
         if not self.is_parent or msg.node_id not in self.members:
@@ -282,8 +231,7 @@ class GroupMember(EdgeNode):
         self._member_interest.pop(msg.node_id, None)
         self._to_members(MembershipUpdate(self.group_id, self.epoch,
                                           self.node_id, roster))
-        if self.on_group_event is not None:
-            self.on_group_event("leave", msg.node_id)
+        self.on_group_event("leave", msg.node_id)
 
     def _on_membership(self, msg: MembershipUpdate, sender: str) -> None:
         if msg.group_id != self.group_id or msg.epoch < self.epoch:
@@ -291,18 +239,11 @@ class GroupMember(EdgeNode):
         self.parent_id = msg.parent
         if self.node_id in msg.members:
             self.init_group(msg.members, msg.epoch)
-        if self.on_group_event is not None:
-            self.on_group_event("membership", sender)
+        self.on_group_event("membership", sender)
 
     def _on_group_seed(self, msg: GroupSeed, sender: str) -> None:
-        if self.replica is None:
-            return
-        for iid, cmd, seq, deps in msg.instances:
-            self.replica.seed_committed(tuple(iid), cmd, seq,
-                                        frozenset(tuple(d) for d in deps),
-                                        executed=True)
-            if cmd is not None:
-                self._exec_seen.add(Dot.from_dict(cmd["dot"]))
+        if self.orderer is not None:
+            self._exec_seen.update(self.orderer.seed(msg.instances))
 
     def _on_interest_announce(self, msg: InterestAnnounce,
                               sender: str) -> None:
@@ -317,23 +258,14 @@ class GroupMember(EdgeNode):
             table[key] = type_name
             self.declare_interest(key, type_name)
 
-    # ------------------------------------------------------------------
-    # consensus plumbing
-    # ------------------------------------------------------------------
     def _send_consensus(self, dst: str, payload: Any) -> None:
-        if self.group_offline:
-            return
-        self.send(dst, GroupMsg(self.group_id, self.epoch, payload))
+        if not self.group_offline:
+            self.send(dst, GroupMsg(self.group_id, self.epoch, payload))
 
     def _to_members(self, message: Any) -> None:
         for member in self.members:
             if member != self.node_id:
                 self.send(member, message)
-
-    def _propose_txn(self, txn: Transaction) -> None:
-        assert self.replica is not None
-        instance_id = self.replica.propose(txn.to_dict())
-        self._own_instances[instance_id] = self.now
 
     # ------------------------------------------------------------------
     # commit paths
@@ -344,30 +276,26 @@ class GroupMember(EdgeNode):
         A group's commits reach the DC through the sync point, in
         visibility order — not straight from here, even on the parent.
         """
-        if self.in_group:
-            self._propose_txn(txn)
+        if self.orderer is not None:
+            self.orderer.propose_committed(txn)
         else:
             super()._ship_commit(txn)
 
     def _finish_txn(self, running: _RunningTxn, result: Any) -> None:
-        ctx = running.ctx
-        if (self.commit_variant not in ("psi", "tiga") or ctx.is_read_only
-                or not self.in_group):
+        if running.ctx.is_read_only or self.orderer is None \
+                or not self.orderer.critical:
             super()._finish_txn(running, result)
             return
         # Ordering on the critical path of commitment: a consensus slot
         # (psi) or a deadline-stamped fast-path round (tiga).
-        txn = self._new_txn(ctx)
-        self._psi_pending[txn.dot] = (running, result, txn)
-        if self.commit_variant == "tiga":
-            assert self.tiga is not None
-            self.tiga.propose(txn.to_dict())
-        else:
-            self._propose_txn(txn)
+        txn = self._new_txn(running.ctx)
+        self._psi_pending[txn.dot] = (running, result)
+        self.orderer.propose(txn)
 
     def _apply_psi_commit(self, txn: Transaction) -> None:
-        """Own PSI transaction reached its slot without conflict: apply."""
-        running, result, _ = self._psi_pending.pop(txn.dot)
+        """Apply an own critical-path transaction that committed: at its
+        slot without conflict (psi), or at its fast quorum (tiga)."""
+        running, result = self._psi_pending.pop(txn.dot)
         self._admit(txn, own=True)
         self._notify_subscribers([k for k in txn.keys
                                   if k in self._interest_types])
@@ -377,122 +305,65 @@ class GroupMember(EdgeNode):
 
     def _abort_psi(self, txn: Transaction) -> None:
         pending = self._psi_pending.pop(txn.dot, None)
-        self._aborted_dots.add(txn.dot)
         if pending is None:
             return
-        running, _result, _ = pending
+        running, _result = pending
         self._record_stats(running.ctx, aborted=True)
         if running.on_abort is not None:
             running.on_abort(Exception("psi-conflict"))
 
-    # ------------------------------------------------------------------
-    # tiga fast path (commit_variant="tiga")
-    # ------------------------------------------------------------------
-    def _on_tiga_commit(self, key: RoundKey,
-                        deadline: HlcTimestamp) -> None:
-        """Own transaction reached its fast quorum: the deadline slot is
-        durable on a majority, so commit now — release (visibility-log
-        insertion and shipping) follows at the deadline."""
-        dot = Dot(key[0], key[1])
-        pending = self._psi_pending.get(dot)
-        if pending is None:
-            return
-        self._tiga_recommit_at[dot] = self.now
-        self._apply_psi_commit(pending[2])
-
-    def _on_tiga_release(self, command: dict, deadline: HlcTimestamp,
-                         in_order: bool) -> None:
-        """A transaction's deadline arrived: insert it into the
-        visibility order through the shared execution pipeline."""
-        self._execute(Transaction.from_dict(command), in_order)
-
-    def _on_tiga_fallback(self, key: RoundKey) -> None:
-        """Fast path abandoned (late deadline, loss, outage): the EPaxos
-        slow path carries the transaction to the same outcome."""
-        dot = Dot(key[0], key[1])
-        pending = self._psi_pending.get(dot)
-        if pending is None:
-            return
-        self._propose_txn(pending[2])
-
     @property
     def tiga_stats(self) -> Dict[str, int]:
-        """Fast-path counters (zeros outside the tiga variant)."""
-        if self.tiga is None:
-            return {"fast_commits": 0, "fallbacks": 0,
-                    "acks_sent": 0, "nacks_sent": 0}
-        return {"fast_commits": self.tiga.fast_commits,
-                "fallbacks": self.tiga.fallbacks,
-                "acks_sent": self.tiga.acks_sent,
-                "nacks_sent": self.tiga.nacks_sent}
+        """The orderer's counters (deadline path, work per release)."""
+        return self.orderer.stats if self.orderer else dict(NO_FAST_PATH)
 
     # ------------------------------------------------------------------
-    # visibility pipeline: consensus execution -> integration -> ship
+    # visibility pipeline: release -> certification -> integration -> ship
     # ------------------------------------------------------------------
-    def _on_consensus_execute(self, cmd: dict,
-                              instance_id: InstanceId) -> None:
-        # Own instances stay in ``_own_instances`` past local execution:
-        # a Commit broadcast lost on a lossy link would otherwise strand
-        # peers at preaccepted with nobody left to resend (recovery only
-        # fires for dependencies of *committed* instances, so an orphan
-        # with no committed dependents is invisible to it).  Maintenance
-        # drops the entry once the commit stamp resolves, which proves
-        # the sync point executed and shipped the transaction.
-        self._blocked_since.pop(instance_id, None)
-        self._execute(Transaction.from_dict(cmd))
-
     def _execute(self, txn: Transaction,
                  fast: Optional[bool] = None) -> None:
-        """Queue ``txn`` at its visibility slot, once per dot (the same
-        transaction may be proposed twice); ``fast`` says whether a tiga
-        release came in deadline order."""
+        """Queue ``txn`` at its visibility slot, once per dot."""
         if txn.dot in self._exec_seen:
             return
         self._exec_seen.add(txn.dot)
-        if fast is not None:
-            self._tiga_release_meta[txn.dot] = fast
-        self._exec_queue.append(txn)
+        self._exec_queue.append((txn, fast))
         self._drain_exec_queue()
 
     def _drain_exec_queue(self) -> None:
-        while self._exec_queue:
-            txn = self._exec_queue[0]
-            if self._log_writers is not None \
-                    and txn.dot not in self._aborted_dots \
-                    and self._log_writers.conflicts(txn):
+        queue = self._exec_queue
+        while queue:
+            txn, fast = queue[0]
+            if self.orderer is not None and not self.orderer.certify(txn):
                 # PSI: a conflicting txn sits between this one's
                 # snapshot and its visibility slot.
-                self._exec_queue.popleft()
+                queue.popleft()
                 self._abort_psi(txn)
                 continue
             if txn.dot in self._psi_pending:
-                self._exec_queue.popleft()
-                self._log_visible(txn)
+                queue.popleft()
+                self._log_visible(txn, fast)
                 self._apply_psi_commit(txn)
             elif self.integrate_foreign_txn(txn):
                 # Integrated now, or already held (own txn, or arrived
                 # via a DC push).
-                self._exec_queue.popleft()
-                self._log_visible(txn)
+                queue.popleft()
+                self._log_visible(txn, fast)
             else:
                 # Blocked on missing causal dependencies: pull them.
                 self._request_missing(txn)
                 return
             self._after_visible(txn)
 
-    def _log_visible(self, txn: Transaction) -> None:
+    def _log_visible(self, txn: Transaction, fast: Optional[bool]) -> None:
         """Append to the group visibility order (the agreed outcome)."""
         self.visibility_log.append(txn)
-        if self._log_writers is not None:
-            self._log_writers.add(txn)
-        # Consumed whether or not tracing is on, so the recorder stays a
-        # pure observer (identical protocol state either way).
-        fast = self._tiga_release_meta.pop(txn.dot, None)
+        if self.orderer is not None:
+            self.orderer.appended(txn)
         if self.obs.enabled:
             attrs: Dict[str, Any] = {"group": self.group_id,
                                      "slot": len(self.visibility_log)}
-            if self.commit_variant == "tiga":
-                attrs["fast_path"] = bool(fast)
+            if fast is not None:
+                attrs["fast_path"] = fast
             self.obs.record(GROUP_ORDER, txn.dot, self.node_id,
                             self.now, **attrs)
 
@@ -521,7 +392,7 @@ class GroupMember(EdgeNode):
         # queue (consensus may order a causal child of a conflicting pair
         # first): integrate it directly — causal order is the binding
         # constraint, and its own slot later deduplicates by dot.
-        by_dot = {queued.dot: queued for queued in self._exec_queue}
+        by_dot = {queued.dot: queued for queued, _ in self._exec_queue}
         integrated = False
         for dot in list(missing):
             queued = by_dot.get(dot)
@@ -538,8 +409,7 @@ class GroupMember(EdgeNode):
             self._pull(to_pull)
 
     def _pull(self, dots: List[Dot]) -> None:
-        """Ask for transactions by dot: the sync point, or (at the sync
-        point) two peers."""
+        """Ask the sync point (at the sync point: two peers) by dot."""
         if self.is_parent:
             targets = [m for m in self.members if m != self.node_id][:2]
         else:
@@ -557,13 +427,13 @@ class GroupMember(EdgeNode):
     def declare_interest(self, key: ObjectKey, type_name: str) -> None:
         already = key in self._interest_types
         super().declare_interest(key, type_name)
-        if already or not self.in_group or self.is_parent:
+        if already or not self.in_group or self.is_parent \
+                or self.group_offline:
             return
         # Publish the interest to the parent, which subscribes with the
         # DC on the whole group's behalf (section 5.1.2).
-        if not self.group_offline:
-            self.send(self.parent_id, InterestAnnounce(
-                self.node_id, add=((key.to_dict(), type_name),)))
+        self.send(self.parent_id, InterestAnnounce(
+            self.node_id, add=((key.to_dict(), type_name),)))
 
     def fetch_object(self, key: ObjectKey, type_name: str, ctx) -> None:
         if self.is_parent or not self.in_group:
@@ -616,16 +486,12 @@ class GroupMember(EdgeNode):
     def _note_reply_vector(self, key: ObjectKey,
                            reply_vector: VectorClock) -> None:
         """Advance the member vector only when every warm journal is
-        known to be complete up to it.
-
-        A single fetch reply may run ahead of the relays (notably across
-        a parent re-seed, whose jump is never relayed as individual
-        transactions); blindly merging its vector would declare coverage
-        of transactions the *other* journals never received.  Reads of
-        the freshly fetched key are already served through its per-key
-        cut; the global vector waits until a full warm-set resync
-        confirms completeness.
-        """
+        known to be complete up to it.  A single fetch reply may run
+        ahead of the relays (notably across a parent re-seed, whose jump
+        is never relayed as individual transactions); merging its vector
+        would claim transactions the *other* journals never received.
+        Reads of the fetched key use its per-key cut; the global vector
+        waits until a full warm-set resync confirms completeness."""
         if self._resync_expect:
             # Every reply settles its key, even one that taught us
             # nothing (pushes may have advanced our vector past the
@@ -649,7 +515,7 @@ class GroupMember(EdgeNode):
         self._resync(expect)
 
     # ------------------------------------------------------------------
-    # sync-point relays
+    # sync-point relays, transaction pulls
     # ------------------------------------------------------------------
     def _on_update_push(self, msg: UpdatePush, sender: str) -> None:
         super()._on_update_push(msg, sender)
@@ -661,18 +527,16 @@ class GroupMember(EdgeNode):
         self._drain_exec_queue()
 
     def _on_relay_push(self, msg: GroupRelayPush, sender: str) -> None:
-        super()._on_update_push(
-            UpdatePush(msg.txns, dict(msg.stable_vector),
-                       dict(msg.prev_vector)),
-            sender)
+        super()._on_update_push(UpdatePush(
+            msg.txns, dict(msg.stable_vector), dict(msg.prev_vector)), sender)
         self._drain_exec_queue()
 
     def _handle_push_gap(self, sender: str) -> None:
         """A missed delta: members re-seed from the parent's cache."""
         if self.is_parent or not self.in_group:
             super()._handle_push_gap(sender)
-            return
-        self._resync_from_parent()
+        else:
+            self._resync_from_parent()
 
     def _resync_from_parent(self) -> None:
         now = self.now
@@ -710,11 +574,8 @@ class GroupMember(EdgeNode):
         if txn is not None:
             self._resolve_commit(txn, msg.entries)
 
-    # ------------------------------------------------------------------
-    # transaction pulls
-    # ------------------------------------------------------------------
     def _on_txn_pull(self, msg: TxnPull, sender: str) -> None:
-        queued = {txn.dot: txn for txn in self._exec_queue}
+        queued = {txn.dot: txn for txn, _ in self._exec_queue}
         found = []
         for dot_dict in msg.dots:
             dot = Dot.from_dict(dot_dict)
@@ -738,7 +599,7 @@ class GroupMember(EdgeNode):
         self._drain_exec_queue()
 
     # ------------------------------------------------------------------
-    # group connectivity injection (benchmark scenarios)
+    # connectivity injection (benchmark scenarios), liveness, dispatch
     # ------------------------------------------------------------------
     @property
     def pipeline_idle(self) -> bool:
@@ -746,7 +607,7 @@ class GroupMember(EdgeNode):
         return (super().pipeline_idle and not self._exec_queue
                 and not self._ship_queue and not self._pull_pending
                 and not self._psi_pending and not self._resync_expect
-                and (self.tiga is None or self.tiga.idle))
+                and (self.orderer is None or self.orderer.idle))
 
     def disconnect_from_group(self) -> None:
         """Drop out of the group's network (Figure 6 scenario)."""
@@ -754,71 +615,19 @@ class GroupMember(EdgeNode):
 
     def reconnect_to_group(self) -> None:
         self.group_offline = False
-        # Re-drive consensus for anything we proposed while away, and
+        # Re-drive the order for anything we proposed while away, and
         # re-seed the cache: relays sent meanwhile were lost.
-        if self.replica is not None:
-            for instance_id in list(self._own_instances):
-                self.replica.resend(instance_id)
-        if self.tiga is not None:
-            # Fast-path rounds started while cut off can never have
-            # gathered a quorum; hand them to EPaxos directly.
-            self.tiga.fail_pending()
+        if self.orderer is not None:
+            self.orderer.reconnect()
         self._last_resync = -1e9
         self._resync_from_parent()
 
-    # ------------------------------------------------------------------
-    # liveness maintenance
-    # ------------------------------------------------------------------
-    def _own_instance_settled(self, instance_id: InstanceId) -> bool:
-        """An own proposal needs no further resends once it is committed
-        locally and its commit stamp has resolved: the stamp only
-        resolves through the DC round trip, which proves the sync point
-        executed (hence received) the instance."""
-        assert self.replica is not None
-        inst = self.replica.instances.get(instance_id)
-        if inst is None or not inst.is_committed:
-            return False
-        dot = Dot.from_dict(inst.command["dot"])
-        return dot not in self.unacked
-
     def _group_maintenance(self) -> None:
-        if self.replica is None or self.group_offline:
+        if self.orderer is None or self.group_offline:
             return
         now = self.now
-        for instance_id, created in list(self._own_instances.items()):
-            if self._own_instance_settled(instance_id):
-                del self._own_instances[instance_id]
-                continue
-            if now - created > self.RESEND_AFTER_MS:
-                self.replica.resend(instance_id)
-                self._own_instances[instance_id] = now
-        if self.tiga is not None:
-            self.tiga.maintenance()
-            # Re-broadcast the commit certificate of an own fast commit
-            # whose stamp is still symbolic: the sync point (or another
-            # member) may have lost it, and nothing else would resend.
-            for dot, txn in list(self.unacked.items()):
-                if dot.origin != self.node_id \
-                        or not txn.commit.is_symbolic:
-                    continue
-                last = self._tiga_recommit_at.get(dot, -1e9)
-                if now - last > self.RECOVER_AFTER_MS:
-                    self._tiga_recommit_at[dot] = now
-                    self.tiga.rebroadcast_commit((dot.counter, dot.origin))
-            for dot in [d for d in self._tiga_recommit_at
-                        if d not in self.unacked]:
-                del self._tiga_recommit_at[dot]
-            self.tiga.prune(
-                lambda key: Dot(key[0], key[1]) not in self.unacked)
-        blocked = self.replica.uncommitted_dependencies()
-        for instance_id in blocked:
-            since = self._blocked_since.setdefault(instance_id, now)
-            if now - since > self.RECOVER_AFTER_MS:
-                self.replica.recover(instance_id)
-                self._blocked_since[instance_id] = now
-        for instance_id in list(self._blocked_since):
-            if instance_id not in blocked:
-                del self._blocked_since[instance_id]
+        # Settled: the stamp resolved, through the sync point's DC trip.
+        self.orderer.tick(now, lambda dot: dot not in self.unacked)
         # Unacked commits: a stamp resolved through a relay or stable
         # push just needs dropping; one still symbolic after a lost
         # GroupCommitAck is re-queried from the sync point, whose copy
@@ -828,7 +637,7 @@ class GroupMember(EdgeNode):
                 del self.unacked[dot]
             elif not self.is_parent:
                 last = self._ack_pull_at.get(dot, -1e9)
-                if now - last > self.RECOVER_AFTER_MS:
+                if now - last > RECOVER_AFTER_MS:
                     self._ack_pull_at[dot] = now
                     self.send(self.parent_id,
                               TxnPull(self.node_id, (dot.to_dict(),)))
@@ -839,7 +648,7 @@ class GroupMember(EdgeNode):
         for dot in [d for d in self._pull_pending if self.dots.seen(d)]:
             del self._pull_pending[dot]
         stale = [d for d, at in self._pull_pending.items()
-                 if now - at > self.RESEND_AFTER_MS]
+                 if now - at > RESEND_AFTER_MS]
         if stale:
             self._pull(stale)
         # Re-drive a stalled warm-set resync (lost fetch replies).
@@ -853,25 +662,15 @@ class GroupMember(EdgeNode):
         if self._exec_queue:
             self._drain_exec_queue()
 
-    # ------------------------------------------------------------------
-    # message dispatch
-    # ------------------------------------------------------------------
     def on_message(self, message: Any, sender: str) -> None:
         if self.group_offline and type(message) in self._GROUP_NAMES:
             return  # dropped: the member is cut off from its group
         super().on_message(message, sender)
 
     def _on_group_msg(self, msg: GroupMsg, sender: str) -> None:
-        if isinstance(msg.payload, TigaMessage):
-            # Routed before the EPaxos replica, which rejects unknown
-            # payload types.
-            if self.tiga is not None:
-                self.tiga.handle(msg.payload, sender)
-            return
-        if self.replica is None:
-            return
-        self.replica.handle(msg.payload, sender)
-        self._drain_exec_queue()
+        if self.orderer is not None \
+                and self.orderer.handle(msg.payload, sender):
+            self._drain_exec_queue()
 
 
 def form_group(members: List[GroupMember]) -> None:
@@ -895,7 +694,5 @@ def form_group(members: List[GroupMember]) -> None:
     if parent is None:
         raise ValueError("the parent must be one of the members")
     for member in members:
-        interest = tuple((k.to_dict(), t)
-                         for k, t in member._interest_types.items())
-        parent._absorb_interest(member.node_id, interest)
+        parent._absorb_interest(member.node_id, member._interest_wire())
     parent.connect()

@@ -69,8 +69,9 @@ def run_group(writes_per_member):
     sim.run_for(1000)
 
     def work():
-        return (sum(m._log_writers.examined for m in members),
-                sum(m.replica.execute_visits for m in members))
+        stats = [m.orderer.stats for m in members]
+        return (sum(s["examined"] for s in stats),
+                sum(s["execute_visits"] for s in stats))
 
     examined_before, visits_before = work()
     certifications, executes, clones = [], [], []
@@ -89,7 +90,7 @@ def run_group(writes_per_member):
         assert member.read_value(doc, "orset") \
             == {"first", *range(writes_per_member)}
     examined, visits = work()
-    aborted = sum(len(m._aborted_dots) for m in members)
+    aborted = sum(len(m.orderer.aborted) for m in members)
     return ((examined - examined_before) / len(certifications),
             (visits - visits_before) / len(executes),
             len(clones), aborted)

@@ -128,7 +128,7 @@ class FullScanReplica(EPaxosReplica):
             stack.extend(inst.deps)
         return closure
 
-    def pending_instances(self):
+    def unexecuted(self):
         return [i for i, inst in self.instances.items()
                 if not inst.is_executed]
 
@@ -192,7 +192,6 @@ def test_unexecuted_set_executes_in_full_scan_order(deps, seqs, arrivals):
                                        executed=how == "seed_executed")
         indexed, oracle = replicas["indexed"], replicas["oracle"]
         assert executed["indexed"] == executed["oracle"]
-        assert indexed.executed == oracle.executed
-        assert indexed.pending_instances() == oracle.pending_instances()
+        assert list(indexed._unexecuted) == oracle.unexecuted()
         assert list(indexed.uncommitted_dependencies()) \
             == list(oracle.uncommitted_dependencies())

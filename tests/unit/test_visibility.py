@@ -193,6 +193,11 @@ def member(commit_variant="async"):
     return node
 
 
+def queued(node):
+    """The transactions waiting in the node's execution queue."""
+    return [txn for txn, _fast in node._exec_queue]
+
+
 def pulls_sent(node):
     return node.network.stats.messages_on("e", "m0")
 
@@ -210,7 +215,7 @@ class TestAdmission:
         node._execute(late)
         assert node.dots.seen(first.dot)
         assert not node.dots.seen(late.dot)
-        assert late.dot in node._aborted_dots
+        assert node.orderer.aborted == {late.dot}
         assert node.visibility_log == [first]
 
     def test_admit_ready_resolves_chains(self):
@@ -228,7 +233,7 @@ class TestAdmission:
         node = member()
         blocked = txn(2, local_deps=[Dot(1, "f")])
         node._execute(blocked)
-        assert list(node._exec_queue) == [blocked]
+        assert queued(node) == [blocked]
         assert not node.dots.seen(blocked.dot)
         assert Dot(1, "f") in node._pull_pending
 
@@ -236,7 +241,7 @@ class TestAdmission:
         node = member()
         ahead = txn(1, snapshot_vector={"dc0": 3})
         node._execute(ahead)
-        assert list(node._exec_queue) == [ahead]
+        assert queued(node) == [ahead]
         assert not node.dots.seen(ahead.dot)
 
     def test_admit_ready_skips_repull_within_window(self):
