@@ -1,11 +1,14 @@
 """Indexed PSI certification over a group's visibility log.
 
-The PSI rule (see :mod:`repro.groups.peergroup`) is a deterministic
-function of the visibility order: a transaction aborts when a
-conflicting one sits between its snapshot and its slot, i.e. when some
-earlier entry of the visibility log wrote one of its keys and is *not
-covered* by its snapshot — neither named in ``local_deps`` nor, once its
-commit stamp is concrete, included in the snapshot vector.
+The PSI rule (see :class:`~repro.groups.ordering.CertifiedOrder`): a
+transaction aborts when a conflicting one sits between its snapshot and
+its slot, i.e. when some earlier entry of the visibility log wrote one of
+its keys and is *not covered* by its snapshot — neither named in
+``local_deps`` nor, once its commit stamp is concrete, included in the
+snapshot vector.  The verdict is therefore a function of the visibility
+order *and* of the stamps this member holds when it certifies; stamps
+resolve at different times on different members, so two members can
+reach different verdicts on one transaction (DESIGN §9).
 Only writers of the transaction's own keys can decide that, so the log
 is indexed by written key and certification walks those lists newest
 first, with the same three tests the full reverse scan of the log

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.chaos import runner
 from repro.chaos.runner import (KEYS, TOPOLOGIES, ScenarioConfig,
                                 build_world, run_scenario, run_suite)
 from repro.chaos.schedule import FaultEvent
+from repro.groups import GroupMember
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
@@ -115,6 +117,30 @@ def test_sync_point_seed_after_migration_keeps_vector_coverage():
                           schedule=schedule)
     assert result.ok, [str(v) for v in result.violations]
     assert result.converged
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="known failure 3(c): certification reads commit "
+                   "stamps, which resolve at different times on different "
+                   "members (DESIGN §9)")
+def test_psi_members_agree_on_every_verdict(monkeypatch):
+    """``--commit-variant psi --topology group --seed 1``: as the CLI
+    runs it, the sync point m0 certifies and ships ``m1@5``, ``m1@6``,
+    ``m2@10`` and ``m2@13``, which their writers m1 and m2 abort.  In
+    NMSI's terms, an abort reported for a transaction that committed."""
+    worlds = []
+
+    def build(*args, **kwargs):
+        worlds.append(build_world(*args, **kwargs))
+        return worlds[-1]
+
+    monkeypatch.setattr(runner, "build_world", build)
+    run_scenario(ScenarioConfig(topology="group", seed=1,
+                                commit_variant="psi"))
+    verdicts = {name: frozenset(actor.orderer.aborted)
+                for name, actor in worlds[0].actors.items()
+                if isinstance(actor, GroupMember)}
+    assert len(set(verdicts.values())) == 1, verdicts
 
 
 def test_same_seed_replays_identically():

@@ -164,7 +164,9 @@ def test_conflicting_visibility_order_agreement(burst, seed):
 @given(writers=st.lists(st.integers(0, 2), min_size=1, max_size=5),
        seed=st.integers(0, 5000))
 def test_psi_group_agrees_on_aborts(writers, seed):
-    """PSI: every member reaches the same commit/abort verdicts."""
+    """PSI: every member reaches the same commit/abort verdicts — the
+    same aborted dots at every member, and those are exactly the aborts
+    the writers were told of."""
     sim = Simulation(seed=seed, default_latency=LatencyModel(10.0))
     build_cluster(sim, n_dcs=1, k_target=1)
     members = []
@@ -188,6 +190,9 @@ def test_psi_group_agrees_on_aborts(writers, seed):
             on_abort=lambda e: outcomes.append("abort"))
     sim.run_for(10_000)
     assert len(outcomes) == len(writers)
+    verdicts = [m.orderer.aborted for m in members]
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+    assert len(verdicts[0]) == outcomes.count("abort")
     commits = outcomes.count("commit")
     values = {m.read_value(KEYS[0], "counter") for m in members}
     assert values == {commits}

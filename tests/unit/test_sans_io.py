@@ -55,6 +55,13 @@ def test_the_dc_machines_make_the_claim():
     assert "dc/datacenter.py" not in names      # the wiring is an Actor
 
 
+def test_the_group_machines_make_the_claim():
+    names = {str(path.relative_to(ROOT)) for path in SANS_IO}
+    assert {"groups/ordering.py", "epaxos/replica.py",
+            "epaxos/tiga.py"} <= names
+    assert "groups/peergroup.py" not in names   # the wiring is an Actor
+
+
 @pytest.mark.parametrize(
     "path", SANS_IO, ids=[str(p.relative_to(ROOT)) for p in SANS_IO])
 def test_sans_io_module_imports_no_simulator_or_transport(path):
