@@ -1,5 +1,7 @@
 """Peer-group integration tests (paper section 5.1)."""
 
+import pytest
+
 from repro.core import ObjectKey
 from repro.groups import GroupMember, form_group
 from repro.sim import LAN, LatencyModel, Simulation
@@ -174,6 +176,53 @@ class TestCommitVariants:
                                    on_done=lambda r, s: done.append(s))
         sim.run_for(300)
         assert done and done[0].latency > 0.0
+
+
+@pytest.mark.parametrize("variant", ["async", "psi"])
+def test_own_commit_outlives_a_noop_recovery_of_its_instance(variant):
+    """m1's transaction X reaches only m2; m2's Y commits depending on
+    it while m1 is cut off; with m1 and m2 both cut off, m0, m3 and m4
+    recover m1's instance as a no-op, and after the heal m2's recovery
+    hands m1 that no-op.  X must still be ordered: shipped to the DC
+    (async) or given a verdict (psi)."""
+    sim, members = group_world(n_members=5, commit_variant=variant)
+    for member in members:
+        def read(tx):
+            return (yield tx.read(KEY, "counter"))
+        member.run_transaction(read)
+    sim.run_for(500)
+    rest = ("m0", "m3", "m4")
+
+    def cut(node, others, heal=False):
+        for other in others:
+            (sim.network.heal if heal else sim.network.partition)(node,
+                                                                  other)
+
+    def increment(tx):
+        yield tx.update(KEY, "counter", "increment", 1)
+
+    verdicts = []
+    cut("m1", rest)
+    members[1].run_transaction(
+        increment, on_done=lambda r, s: verdicts.append("done"),
+        on_abort=lambda e: verdicts.append("abort"))
+    sim.run_for(5)
+    cut("m1", ["m2"])
+    members[2].run_transaction(increment)
+    sim.run_for(50)
+    cut("m2", rest)
+    sim.run_for(3000)
+    cut("m1", rest + ("m2",), heal=True)
+    cut("m2", rest, heal=True)
+    sim.run_for(8000)
+    values = {m.read_value(KEY, "counter") for m in members}
+    assert not members[1].unacked
+    if variant == "async":
+        assert values == {2}
+        assert sim.actors["dc0"].state_digest()[KEY] == 2
+    else:
+        assert len(verdicts) == 1
+        assert values == {1 + verdicts.count("done")}
 
 
 class TestMembership:
