@@ -31,7 +31,7 @@ import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.journal import JournalEntry
-from ..core.txn import ObjectKey, Transaction
+from ..core.txn import ObjectKey
 from ..dc.datacenter import DataCenter
 from ..edge.node import EdgeNode
 from ..groups.peergroup import COMMIT_VARIANTS
@@ -572,7 +572,7 @@ class DotReplayEdge(EdgeNode):
         if self._replayed or not msg.txns:
             return
         from bisect import insort
-        txn = Transaction.from_dict(msg.txns[0])
+        txn = msg.txns[0]
         for key in txn.keys:
             journal = self.cache.store.journal(key)
             if journal is None or not journal.has(txn.dot):

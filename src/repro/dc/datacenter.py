@@ -191,8 +191,8 @@ class DataCenter(Actor):
         elif isinstance(message, EdgeCommit):
             self._on_edge_commit(message.txn, sender)
         elif isinstance(message, EdgeCommitBatch):
-            for txn_dict in message.txns:
-                self._on_edge_commit(txn_dict, sender)
+            for txn in message.txns:
+                self._on_edge_commit(txn, sender)
         elif isinstance(message, RemoteTxnRequest):
             self._on_remote_txn(message, sender)
         elif isinstance(message, ReplicateBatch):
@@ -332,8 +332,12 @@ class DataCenter(Actor):
     # ------------------------------------------------------------------
     # edge transaction commitment (section 3.7)
     # ------------------------------------------------------------------
-    def _on_edge_commit(self, payload: dict, sender: str) -> None:
-        txn = Transaction.from_dict(payload)
+    def _on_edge_commit(self, txn: Union[Transaction, dict],
+                        sender: str) -> None:
+        if type(txn) is not Transaction:
+            # The ``to_dict()`` form, which drivers outside ``src/``
+            # build by hand; the sender handed us the value otherwise.
+            txn = Transaction.from_dict(txn)
         log = self.log
         self.stats["edge_commits"] += 1
         if log.dots.seen(txn.dot):
@@ -341,20 +345,19 @@ class DataCenter(Actor):
             # with the already assigned equivalent commit stamp.
             known = log.txns.get(txn.dot)
             if known is not None:
-                self.send(sender, CommitAck(txn.dot.to_dict(),
+                self.send(sender, CommitAck(txn.dot,
                                             dict(known.commit.entries)))
             return
         if not txn.snapshot.satisfied_by(log.state_vector, log.dots):
             # The edge depends on transactions we have not yet received
             # (possible after migration); it must retry later.
-            self.send(sender, CommitReject(txn.dot.to_dict(),
+            self.send(sender, CommitReject(txn.dot,
                                            "missing-dependencies"))
             self.stats["rejected"] += 1
             return
         log.sequence(txn)
         self._committed(txn)
-        self.send(sender, CommitAck(txn.dot.to_dict(),
-                                    dict(txn.commit.entries)))
+        self.send(sender, CommitAck(txn.dot, dict(txn.commit.entries)))
 
     def _committed(self, txn: Transaction,
                    notify_shards: bool = True) -> None:
@@ -594,18 +597,19 @@ class DataCenter(Actor):
         txns = self.log.txns
         unique = [txns[dot] for dot in delivery_order(run)]
         stable = self.stable_vector.to_dict()
-        # Serialise each txn once and share the dict across its audience:
-        # receivers rebuild Transaction objects and never mutate these.
+        # Size each transaction once; each session gets its own copy
+        # (``handoff()``), so no receiver shares a stamp with us or with
+        # another session.
         sends = self._fanout.route(
-            ((t.keys, (t.to_dict(), t.byte_size())) for t in unique),
-            stable)
+            ((t.keys, (t, t.byte_size())) for t in unique), stable)
         if self.crashed:
             # The audience's cursors moved and nothing was sent: to them
             # this round is a lost push, caught at their next message.
             return
         overhead = 16 + 8 * len(stable)
         for session, relevant, prev in sends:
-            push = UpdatePush(tuple(p for p, _ in relevant), stable, prev)
+            push = UpdatePush(tuple(t.handoff() for t, _ in relevant),
+                              stable, prev)
             self.send(session.session_id, push,
                       size_bytes=sum(s for _, s in relevant) + overhead)
         self.stats["pushes_out"] += len(sends)

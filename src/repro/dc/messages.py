@@ -8,17 +8,24 @@ Three message families:
 * intra-DC: ClockSI-style two-phase commit between the transaction
   coordinator and the shard servers, plus shard reads.
 
-Messages inside the infrastructure — a DC to its own shards and to its
-sibling DCs — carry the core values themselves: a :class:`~repro.core.
-txn.Transaction` (always through ``Transaction.handoff()``, so the
-receiver owns its stamp) or a :class:`~repro.core.txn.StreamEntry`.
-Messages to and from edge nodes still carry plain dictionaries (the
-``to_dict`` forms of the core types).  Every message implements
-``wire_size()`` — an honest estimate of its serialised size, one
-formula for a value and for its dict form — which the network uses
-automatically when a ``send()`` call site does not pass an explicit
-``size_bytes``, making ``NetworkStats.bytes_sent`` a real wire-cost
-metric.
+A message that carries a transaction carries the core value itself: a
+:class:`~repro.core.txn.Transaction` — always through
+``Transaction.handoff()``, one copy per receiver, so every receiver owns
+its stamp — on a DC's links to its shards, its siblings (as a
+:class:`~repro.core.txn.StreamEntry`) and its edge sessions, and a
+:class:`~repro.core.dot.Dot` where a message names one.  Two ingress
+points also accept a transaction's ``to_dict()`` form, which drivers
+outside ``src/`` build by hand: ``DataCenter._on_edge_commit`` and
+``EdgeNode._on_update_push``.  Keys, object states and session vectors
+stay plain dictionaries.
+
+Every message implements ``wire_size()`` — an honest estimate of its
+serialised size — which the network uses automatically when a
+``send()`` call site does not pass an explicit ``size_bytes``, making
+``NetworkStats.bytes_sent`` a real wire-cost metric.  A value and its
+dict form are sized by one formula, each with its own constants: the
+``*_RECORD_*`` ones are calibrated against the schema'd record the codec
+writes, the others against the dict.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
+from ..core.dot import Dot
 from ..core.txn import StreamEntry, Transaction, WriteOp
 
 #: Fixed per-message framing overhead (type tag, lengths, checksums).
@@ -44,9 +52,20 @@ WRITE_OVERHEAD_BYTES = 64
 #: Key dict plus ``type``/``base``/``base_dots`` field names of a
 #: journal snapshot state.
 OBJECT_STATE_OVERHEAD_BYTES = 60
-#: ``dot``/``origin``/``sv``/``deps``/``cx``/``writes`` field names of
-#: one replication stream entry.
-STREAM_ENTRY_OVERHEAD_BYTES = 48
+
+#: The same three for the schema'd record (``repro.transport.codec``):
+#: a dot record — a varint counter and a short origin id.
+DOT_RECORD_BYTES = 8
+#: A transaction record beyond its payload: the record tag and id, the
+#: origin and issuer ids and the vector, stamp and writes counts.
+TXN_RECORD_OVERHEAD_BYTES = 16
+#: One write record: the key's two string headers, the type and method
+#: string headers, the payload dict's tags and the tag field.
+WRITE_RECORD_OVERHEAD_BYTES = 8
+#: A stream entry record beyond its dot, origin and payload: the record
+#: tag and id, the issuer and the ``sv``/``deps``/``cx``/``writes``
+#: counts.
+STREAM_ENTRY_OVERHEAD_BYTES = 12
 
 
 def vector_wire_size(vector: Mapping[Any, int]) -> int:
@@ -93,24 +112,32 @@ def object_state_wire_size(state: Mapping[str, Any]) -> int:
 
 
 def _writes_record_size(writes: Sequence[WriteOp]) -> int:
-    """``_writes_wire_size`` of the same writes in their dict form."""
+    """``_writes_wire_size``'s formula, computed from the values."""
     total = 0
     for write in writes:
         key = write.key
         op = write.op
-        total += (WRITE_OVERHEAD_BYTES + len(key.bucket) + len(key.key)
-                  + len(op.type_name) + len(op.method)
+        total += (WRITE_RECORD_OVERHEAD_BYTES + len(key.bucket)
+                  + len(key.key) + len(op.type_name) + len(op.method)
                   + len(repr(op.payload)))
     return total
 
 
 def txn_record_size(txn: Transaction) -> int:
-    """``txn_wire_size(txn.to_dict())``, computed from the value."""
+    """``txn_wire_size``'s formula, computed from the value."""
     snapshot = txn.snapshot
-    return (TXN_OVERHEAD_BYTES + DOT_BYTES + 8 * len(snapshot.vector)
-            + DOT_BYTES * len(snapshot.local_deps)
+    return (TXN_RECORD_OVERHEAD_BYTES + DOT_RECORD_BYTES
+            + 8 * len(snapshot.vector)
+            + DOT_RECORD_BYTES * len(snapshot.local_deps)
             + 8 * max(1, len(txn.commit.entries))
             + _writes_record_size(txn.writes))
+
+
+def txn_size(txn: Any) -> int:
+    """A transaction on an ingress message: a value, or its dict form."""
+    if type(txn) is Transaction:
+        return txn_record_size(txn)
+    return txn_wire_size(txn)
 
 
 def stream_entry_wire_size(entry: StreamEntry) -> int:
@@ -121,8 +148,8 @@ def stream_entry_wire_size(entry: StreamEntry) -> int:
     entry whose snapshot sits at the link frontier costs just the dot,
     the origin id, the entry scaffolding and its writes.
     """
-    return (STREAM_ENTRY_OVERHEAD_BYTES + DOT_BYTES + len(entry.origin)
-            + 8 * len(entry.sv) + DOT_BYTES * len(entry.deps)
+    return (STREAM_ENTRY_OVERHEAD_BYTES + DOT_RECORD_BYTES + len(entry.origin)
+            + 8 * len(entry.sv) + DOT_RECORD_BYTES * len(entry.deps)
             + 8 * len(entry.cx) + _writes_record_size(entry.writes))
 
 
@@ -200,10 +227,10 @@ class ObjectResponse:
 class EdgeCommit:
     """An edge transaction shipped for (asynchronous) DC commitment."""
 
-    txn: dict
+    txn: Transaction
 
     def wire_size(self) -> int:
-        return HEADER_BYTES + txn_wire_size(self.txn)
+        return HEADER_BYTES + txn_size(self.txn)
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,30 +238,30 @@ class EdgeCommitBatch:
     """Several buffered edge transactions shipped together, in commit
     order (the writeback cache policy, section 6.1)."""
 
-    txns: Tuple[dict, ...]
+    txns: Tuple[Transaction, ...]
 
     def wire_size(self) -> int:
-        return HEADER_BYTES + sum(txn_wire_size(t) for t in self.txns)
+        return HEADER_BYTES + sum(map(txn_size, self.txns))
 
 
 @dataclass(frozen=True, slots=True)
 class CommitAck:
     """The concrete commit descriptor for a previously symbolic commit."""
 
-    dot: dict
+    dot: Dot
     entries: Dict[str, int]
 
     def wire_size(self) -> int:
-        return HEADER_BYTES + DOT_BYTES + 8 * len(self.entries)
+        return HEADER_BYTES + DOT_RECORD_BYTES + 8 * len(self.entries)
 
 
 @dataclass(frozen=True, slots=True)
 class CommitReject:
-    dot: dict
+    dot: Dot
     reason: str
 
     def wire_size(self) -> int:
-        return HEADER_BYTES + DOT_BYTES + len(self.reason)
+        return HEADER_BYTES + DOT_RECORD_BYTES + len(self.reason)
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,12 +273,12 @@ class UpdatePush:
     and must re-synchronise instead of blindly advancing its vector.
     """
 
-    txns: Tuple[dict, ...]
+    txns: Tuple[Transaction, ...]
     stable_vector: Dict[str, int]
     prev_vector: Dict[str, int] = field(default_factory=dict)
 
     def wire_size(self) -> int:
-        return (HEADER_BYTES + sum(txn_wire_size(t) for t in self.txns)
+        return (HEADER_BYTES + sum(map(txn_size, self.txns))
                 + vector_wire_size(self.stable_vector)
                 + vector_wire_size(self.prev_vector))
 

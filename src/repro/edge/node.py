@@ -345,7 +345,7 @@ class EdgeNode(Actor):
     def _resend_pending(self, dc_id: str) -> None:
         """Resend transactions the (possibly new) DC may lack."""
         for txn in self.unacked.values():
-            self.send(dc_id, EdgeCommit(txn.to_dict()))
+            self.send(dc_id, EdgeCommit(txn.handoff()))
 
     def _install_seed(self, state: dict,
                       seed_vector: Optional[VectorClock] = None) -> None:
@@ -426,16 +426,29 @@ class EdgeNode(Actor):
         }
 
     def _on_update_push(self, msg: UpdatePush, sender: str) -> None:
-        """Apply a push — or a heartbeat, which is a push of nothing."""
-        if not self.vector.dominates_dict(msg.prev_vector):
+        """Apply a push — or a heartbeat, which is a push of nothing.
+
+        A transaction may also come in its ``to_dict()`` form, which
+        drivers outside ``src/`` build by hand.
+        """
+        self._apply_push(
+            [t if type(t) is Transaction else Transaction.from_dict(t)
+             for t in msg.txns], msg.stable_vector, msg.prev_vector, sender)
+
+    def _apply_push(self, txns: List[Transaction],
+                    stable_vector: Mapping[str, int],
+                    prev_vector: Mapping[str, int], sender: str) -> None:
+        """Take in pushed transactions — each this replica's own copy —
+        and advance to ``stable_vector``, if our vector covers the cut
+        ``prev_vector`` the push starts from."""
+        if not self.vector.dominates_dict(prev_vector):
             # We missed an earlier delta (e.g. across a partition):
             # re-open the session to get a full re-seed rather than
             # advancing the vector past transactions we do not hold.
             self._handle_push_gap(sender)
             return
         touched: List[ObjectKey] = []
-        for txn_dict in msg.txns:
-            txn = Transaction.from_dict(txn_dict)
+        for txn in txns:
             self.lamport.observe(txn.dot.counter)
             if self._admit(txn, pushed=True):
                 touched.extend(k for k in txn.keys
@@ -450,7 +463,7 @@ class EdgeNode(Actor):
                 known = self._txn_by_dot.get(txn.dot)
                 if known is not None and known.commit.is_symbolic:
                     self._resolve_commit(known, txn.commit.entries)
-        self._advance_vector(msg.stable_vector)
+        self._advance_vector(stable_vector)
         self._notify_subscribers(touched)
 
     def _handle_push_gap(self, sender: str) -> None:
@@ -517,7 +530,7 @@ class EdgeNode(Actor):
                     journal.advance_base(stable)
 
     def _on_commit_ack(self, msg: CommitAck, sender: str) -> None:
-        txn = self._txn_by_dot.get(Dot.from_dict(msg.dot))
+        txn = self._txn_by_dot.get(msg.dot)
         if txn is not None:
             self._resolve_commit(txn, msg.entries)
 
@@ -576,8 +589,8 @@ class EdgeNode(Actor):
         """Writeback policy: ship the buffered commits as one batch."""
         if self.offline or not self.session_open or not self.unacked:
             return
-        batch = tuple(txn.to_dict() for txn in self.unacked.values())
-        self.send(self.connected_dc, EdgeCommitBatch(batch))
+        self.send(self.connected_dc, EdgeCommitBatch(
+            tuple(txn.handoff() for txn in self.unacked.values())))
 
     # ------------------------------------------------------------------
     # reading: snapshot materialisation
@@ -827,7 +840,7 @@ class EdgeNode(Actor):
         to its timer, a peer-group member to its group."""
         if self.session_open and not self.offline \
                 and self.writeback_ms is None:
-            self.send(self.connected_dc, EdgeCommit(txn.to_dict()))
+            self.send(self.connected_dc, EdgeCommit(txn.handoff()))
 
     def _admit(self, txn: Transaction, own: bool = False,
                pushed: bool = False) -> bool:

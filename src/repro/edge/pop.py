@@ -118,11 +118,10 @@ class PoPNode(EdgeNode):
         return tuple(seeds)
 
     def _child_commit(self, msg: EdgeCommit, sender: str) -> None:
-        dot = Dot.from_dict(msg.txn["dot"])
-        self._relayed[dot] = sender
-        # Journal it locally so sibling children see it at border latency
-        # once the DC's (authoritative, K-stable) push returns; forward
-        # upstream unchanged — the DC assigns the commit timestamp.
+        self._relayed[msg.txn.dot] = sender
+        # Siblings see it once the DC's (authoritative, K-stable) push
+        # returns; forward upstream unchanged — the child handed the
+        # transaction off, the DC assigns the commit timestamp.
         if self.session_open and not self.offline:
             self.send(self.connected_dc, msg)
 
@@ -199,7 +198,7 @@ class PoPNode(EdgeNode):
 
     def _on_commit_ack(self, msg: CommitAck, sender: str) -> None:
         super()._on_commit_ack(msg, sender)
-        child = self._relayed.pop(Dot.from_dict(msg.dot), None)
+        child = self._relayed.pop(msg.dot, None)
         if child is not None:
             self.send(child, msg)
 
@@ -208,7 +207,7 @@ class PoPNode(EdgeNode):
         # a child's goes back down to the child.
         if sender != self.connected_dc:
             return
-        child = self._relayed.pop(Dot.from_dict(msg.dot), None)
+        child = self._relayed.pop(msg.dot, None)
         if child is not None:
             self.send(child, msg)
 
@@ -230,12 +229,13 @@ class PoPNode(EdgeNode):
             self._fanout.restart_all(dict(msg.prev_vector))
         stable = self._upstream = dict(msg.stable_vector)
         if msg.txns:
+            # Our replica keeps what we received; every child gets a
+            # copy of its own.
             routed = self._fanout.route(
-                (([ObjectKey.from_dict(w["key"]) for w in txn["writes"]],
-                  txn) for txn in msg.txns), stable)
+                ((txn.keys, txn) for txn in msg.txns), stable)
             for child, txns, prev in routed:
-                self.send(child.session_id,
-                          UpdatePush(tuple(txns), stable, prev))
+                self.send(child.session_id, UpdatePush(
+                    tuple(txn.handoff() for txn in txns), stable, prev))
         else:
             for prev, children in self._fanout.heartbeat(stable):
                 push = UpdatePush((), stable, prev)

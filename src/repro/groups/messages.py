@@ -5,6 +5,14 @@ traffic is wrapped in :class:`GroupMsg`; membership flows through the
 parent; the collaborative cache uses fetch/pull messages; the sync point
 relays DC pushes and commit acknowledgements into the group.
 
+The relays and the pull path carry :class:`~repro.core.txn.Transaction`
+and :class:`~repro.core.dot.Dot` values, a transaction through
+``Transaction.handoff()`` once per receiver, as on a DC's links (see
+:mod:`repro.dc.messages`).  Consensus commands — EPaxos and Tiga
+payloads, and the instances of a :class:`GroupSeed` — are still the
+transactions' ``to_dict()`` forms, converted once each way inside the
+orderer (:mod:`repro.groups.ordering`).
+
 Every message reports an honest ``wire_size()`` (same conventions as
 :mod:`repro.dc.messages`), so ``NetworkStats.bytes_sent`` reflects real
 wire cost on group links too.
@@ -15,7 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from ..dc.messages import (DOT_BYTES, HEADER_BYTES, object_state_wire_size,
+from ..core.dot import Dot
+from ..core.txn import Transaction
+from ..dc.messages import (DOT_RECORD_BYTES, HEADER_BYTES,
+                           object_state_wire_size, txn_record_size,
                            txn_wire_size, vector_wire_size)
 
 #: Charged for consensus payloads that do not size themselves.
@@ -135,25 +146,26 @@ class GroupFetchReply:
 class GroupRelayPush:
     """Sync point relays a DC update push into the group."""
 
-    txns: Tuple[dict, ...]
+    txns: Tuple[Transaction, ...]
     stable_vector: Dict[str, int]
     prev_vector: Dict[str, int]
 
     def wire_size(self) -> int:
         return (HEADER_BYTES + vector_wire_size(self.stable_vector)
                 + vector_wire_size(self.prev_vector)
-                + sum(txn_wire_size(t) for t in self.txns))
+                + sum(map(txn_record_size, self.txns)))
 
 
 @dataclass(frozen=True, slots=True)
 class GroupCommitAck:
     """Sync point relays a DC commit acknowledgement into the group."""
 
-    dot: dict
+    dot: Dot
     entries: Dict[str, int]
 
     def wire_size(self) -> int:
-        return HEADER_BYTES + DOT_BYTES + vector_wire_size(self.entries)
+        return (HEADER_BYTES + DOT_RECORD_BYTES
+                + vector_wire_size(self.entries))
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,16 +173,16 @@ class TxnPull:
     """Request missing transactions by dot (section 5.1.2 pull)."""
 
     requester: str
-    dots: Tuple[dict, ...]
+    dots: Tuple[Dot, ...]
 
     def wire_size(self) -> int:
         return (HEADER_BYTES + len(self.requester)
-                + DOT_BYTES * len(self.dots))
+                + DOT_RECORD_BYTES * len(self.dots))
 
 
 @dataclass(frozen=True, slots=True)
 class TxnPushMsg:
-    txns: Tuple[dict, ...]
+    txns: Tuple[Transaction, ...]
 
     def wire_size(self) -> int:
-        return HEADER_BYTES + sum(txn_wire_size(t) for t in self.txns)
+        return HEADER_BYTES + sum(map(txn_record_size, self.txns))

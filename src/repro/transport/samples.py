@@ -8,11 +8,12 @@ One place for realistic message samples, shared by:
   message class whose declared ``wire_size()`` has drifted beyond
   tolerance from the real encoded length.
 
-Samples follow what each message really carries: the ``to_dict``
-shapes of the core types (dots, transactions, journal snapshot states)
-on edge-facing messages, and the values themselves — transactions and
-stream entries, as codec records — inside the infrastructure; plus edge
-variants: empty collections, unicode ids, large counters.
+Samples follow what each message really carries: the values themselves
+— transactions, dots and stream entries, as codec records — wherever a
+message carries a transaction or names one by dot; the ``to_dict``
+shapes of the core types in consensus commands, and of keys and journal
+snapshot states everywhere; plus edge variants: empty collections,
+unicode ids, large counters.
 """
 
 from __future__ import annotations
@@ -58,12 +59,14 @@ OBJECT_STATE = {"key": KEY_C0, "type": "counter",
                 "base": {"type": "counter", "value": 41},
                 "base_dots": [DOT_A, DOT_B]}
 
-#: The same transactions as values (records on the wire).
+#: The same dots and transactions as values (records on the wire).
+DOT_A_VALUE = Dot.from_dict(DOT_A)
+DOT_B_VALUE = Dot.from_dict(DOT_B)
 TXN_VALUE = Transaction.from_dict(TXN)
 TXN_EMPTY_VALUE = Transaction.from_dict(TXN_EMPTY)
 
-STREAM_ENTRY = StreamEntry(Dot.from_dict(DOT_A), "dc0", None, {"dc1": 2},
-                           (Dot.from_dict(DOT_B),), {"dc0": 9},
+STREAM_ENTRY = StreamEntry(DOT_A_VALUE, "dc0", None, {"dc1": 2},
+                           (DOT_B_VALUE,), {"dc0": 9},
                            (WriteOp.from_dict(WRITE_ORSET),))
 
 VECTOR = {"dc0": 4, "dc1": 17, "dc2": 9}
@@ -98,16 +101,17 @@ _SAMPLES: Dict[Type, List[Any]] = {
     dc.ObjectResponse: [
         dc.ObjectResponse(OBJECT_STATE, dict(VECTOR)),
     ],
-    dc.EdgeCommit: [dc.EdgeCommit(TXN), dc.EdgeCommit(TXN_EMPTY)],
+    dc.EdgeCommit: [dc.EdgeCommit(TXN_VALUE.handoff()),
+                    dc.EdgeCommit(TXN_EMPTY_VALUE.handoff())],
     dc.EdgeCommitBatch: [
-        dc.EdgeCommitBatch((TXN, TXN_EMPTY)),
+        dc.EdgeCommitBatch((TXN_VALUE.handoff(), TXN_EMPTY_VALUE.handoff())),
         dc.EdgeCommitBatch(()),
     ],
-    dc.CommitAck: [dc.CommitAck(DOT_A, {"dc0": 7, "dc1": 8}),
-                   dc.CommitAck(DOT_B, {})],
-    dc.CommitReject: [dc.CommitReject(DOT_A, "unauthorised")],
+    dc.CommitAck: [dc.CommitAck(DOT_A_VALUE, {"dc0": 7, "dc1": 8}),
+                   dc.CommitAck(DOT_B_VALUE, {})],
+    dc.CommitReject: [dc.CommitReject(DOT_A_VALUE, "unauthorised")],
     dc.UpdatePush: [
-        dc.UpdatePush((TXN,), dict(VECTOR), {"dc0": 3}),
+        dc.UpdatePush((TXN_VALUE.handoff(),), dict(VECTOR), {"dc0": 3}),
         dc.UpdatePush((), {}, {}),
     ],
     dc.RemoteTxnRequest: [
@@ -208,11 +212,12 @@ _SAMPLES: Dict[Type, List[Any]] = {
         grp.GroupFetchReply(KEY_S0, None, {}, False),
     ],
     grp.GroupRelayPush: [
-        grp.GroupRelayPush((TXN,), dict(VECTOR), {"dc0": 3}),
+        grp.GroupRelayPush((TXN_VALUE.handoff(),), dict(VECTOR),
+                           {"dc0": 3}),
     ],
-    grp.GroupCommitAck: [grp.GroupCommitAck(DOT_A, {"dc0": 7})],
-    grp.TxnPull: [grp.TxnPull("m1", (DOT_A, DOT_B))],
-    grp.TxnPushMsg: [grp.TxnPushMsg((TXN,))],
+    grp.GroupCommitAck: [grp.GroupCommitAck(DOT_A_VALUE, {"dc0": 7})],
+    grp.TxnPull: [grp.TxnPull("m1", (DOT_A_VALUE, DOT_B_VALUE))],
+    grp.TxnPushMsg: [grp.TxnPushMsg((TXN_VALUE.handoff(),))],
 }
 
 

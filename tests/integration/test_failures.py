@@ -109,10 +109,9 @@ class TestDuplicates:
         sim.run_for(200)
         run_update(edge, KEY, "counter", "increment", 1)
         txn = next(iter(edge.unacked.values()))
-        payload = txn.to_dict()
         sim.run_for(500)
         for _ in range(3):
-            edge.send("dc0", EdgeCommit(payload))
+            edge.send("dc0", EdgeCommit(txn.handoff()))
         sim.run_for(2000)
         assert dcs[0].committed_count == 1
         assert edge.read_value(KEY, "counter") == 1

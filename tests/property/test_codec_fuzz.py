@@ -176,7 +176,7 @@ def frame_of(*values):
 
 
 KEY = "dc.CommitAck"
-FIELDS = ({"origin": "m0", "counter": 3}, {"dc0": 7})
+FIELDS = (Dot(3, "m0"), {"dc0": 7})
 
 HOSTILE = {
     "empty": b"",
@@ -185,7 +185,7 @@ HOSTILE = {
     "list as dict key": b"\x09\x01\x07\x00\x00",
     "dict in a set": b"\x0a\x01\x09\x00",
     "list in a frozenset": b"\x0b\x01\x07\x00",
-    "unknown tag": b"\x0d",
+    "unknown tag": b"\x0e",
     "truncated float": b"\x04\x00\x00",
     "string longer than the buffer": b"\x05\x7fab",
     "count longer than the buffer": b"\x07\xff\xff\xff\xff\x0f\x00",
@@ -196,6 +196,9 @@ HOSTILE = {
     "nested list bomb": bytes([0x07, 1]) * 5000,
     "nested dict bomb": bytes([0x09, 1, 0x00]) * 5000,
     "nested message bomb": b"\x0c" * 5000,
+    # An Operation whose payload holds an Operation whose payload ...
+    "nested record bomb": (b"\x0d\x03\x05\x01c\x05\x01m\x09\x01\x05\x01k"
+                           * 5000),
 }
 
 
@@ -229,83 +232,115 @@ def test_bad_type_key_fields_or_arity_raise_codec_error(raw):
         decode_value(b"\x0c" + raw)
 
 
-DOT = ("core.Dot", (3, "dc0"))
-_VC = ("core.VectorClock", ({"dc0": 2},))
-_SNAP = ("core.Snapshot", (_VC, frozenset()))
-_STAMP = ("core.CommitStamp", ({"dc0": 3},))
+# -- records, byte by byte ----------------------------------------------------
+
+def varint(n):
+    out = bytearray()
+    while n > 0x7F:
+        out.append(n & 0x7F | 0x80)
+        n >>= 7
+    out.append(n)
+    return bytes(out)
 
 
-def record(key, fields):
-    """The bytes of a record nested in a value: its tag, key and fields;
-    nested records are ``(key, fields)`` pairs themselves."""
-    def nest(value):
-        if type(value) is tuple and len(value) == 2 \
-                and type(value[0]) is str and value[0].startswith("core."):
-            return record(*value)
-        if type(value) is tuple:
-            return b"\x08" + bytes([len(value)]) + b"".join(map(nest, value))
-        return encode_value(value)
-    return (b"\x0c" + encode_value(key) + b"\x08" + bytes([len(fields)])
-            + b"".join(nest(field) for field in fields))
+def s(text):
+    """A string field: tag, length, UTF-8 — as any string value."""
+    return encode_value(text)
 
 
-def txn_fields(**override):
-    fields = {"dot": DOT, "origin": "e1", "snapshot": _SNAP,
-              "commit": _STAMP, "writes": (), "issuer": None}
-    fields.update(override)
-    return tuple(fields.values())
+def i(n):
+    """An int field: a zigzag varint and no tag."""
+    return varint(n << 1 if n >= 0 else ((-n) << 1) - 1)
+
+
+def counts(mapping):
+    return varint(len(mapping)) + b"".join(
+        s(key) + i(value) for key, value in sorted(mapping.items()))
+
+
+def seq(*records):
+    return varint(len(records)) + b"".join(records)
+
+
+def rec(class_id, *fields):
+    """A record as a value: the record tag, its class id, its fields."""
+    return b"\x0d" + bytes([class_id]) + b"".join(fields)
+
+
+DOT = i(3) + s("dc0")                       # the fields of Dot(3, "dc0")
+_VC = counts({"dc0": 2})
+_SNAP = _VC + seq()                         # no local deps
+_STAMP = counts({"dc0": 3})
+_KEY = s("b") + s("k")
+
+
+def txn(dot=DOT, origin=s("e1"), snapshot=_SNAP, commit=_STAMP,
+        writes=seq(), issuer=b"\x00"):
+    return rec(0x08, dot, origin, snapshot, commit, writes, issuer)
 
 
 BAD_RECORDS = {
-    "dot one field short": ("core.Dot", (3,)),
-    "dot one field over": ("core.Dot", (3, "dc0", 1)),
-    "dot counter is a string": ("core.Dot", ("3", "dc0")),
-    "dot counter is a bool": ("core.Dot", (True, "dc0")),
-    "dot origin is an int": ("core.Dot", (3, 7)),
-    "vector value is a string": ("core.VectorClock", ({"dc0": "2"},)),
-    "vector is a list": ("core.VectorClock", ([1, 2],)),
-    "snapshot deps are a list": ("core.Snapshot", (_VC, ())),
-    "snapshot dep is not a dot": ("core.Snapshot", (_VC, frozenset({7}))),
-    "stamp entry is negative text": ("core.CommitStamp", ({"dc0": "-1"},)),
-    "transaction one field short": ("core.Transaction", txn_fields()[:-1]),
-    "transaction dot is a dict": ("core.Transaction", txn_fields(
-        dot={"counter": 3, "origin": "dc0"})),
-    "transaction snapshot is a vector": ("core.Transaction", txn_fields(
-        snapshot=_VC)),
-    "transaction writes hold a dict": ("core.Transaction", txn_fields(
-        writes=({"key": {}, "op": {}},))),
-    "transaction issuer is an int": ("core.Transaction", txn_fields(
-        issuer=5)),
-    "write op is key and key": ("core.WriteOp", (
-        ("core.ObjectKey", ("b", "k")), ("core.ObjectKey", ("b", "k")))),
-    "operation payload is a list": ("core.Operation", (
-        "counter", "increment", [1], None)),
-    "stream entry deps are dots in a list": ("core.StreamEntry", (
-        DOT, "dc0", None, {}, [DOT], {}, ())),
-    "stream entry one field over": ("core.StreamEntry", (
-        DOT, "dc0", None, {}, (), {}, (), None)),
+    "dot one field short": rec(0x01, i(3)),
+    "dot one field over": rec(0x01, DOT, i(1)),
+    "dot counter is a string": rec(0x01, s("3"), s("dc0")),
+    "dot origin is an int": rec(0x01, i(3), encode_value(7)),
+    "vector value is a string": rec(0x05, varint(1) + s("dc0") + s("2")),
+    "vector is a list": rec(0x05, encode_value([1, 2])),
+    "snapshot deps are a list": rec(0x06, _VC, encode_value([])),
+    "snapshot dep is not a dot": rec(0x06, _VC, seq(encode_value(7))),
+    "stamp entry is negative text": rec(0x07, varint(1) + s("dc0")
+                                        + s("-1")),
+    "transaction one field short": txn()[:-1],
+    "transaction dot is a dict": txn(dot=encode_value(
+        {"counter": 3, "origin": "dc0"})),
+    "transaction snapshot is a vector": txn(snapshot=_VC),
+    "transaction writes hold a dict": txn(writes=seq(encode_value(
+        {"key": {}, "op": {}}))),
+    "transaction issuer is an int": txn(issuer=encode_value(5)),
+    "write op is key and key": rec(0x04, _KEY, _KEY),
+    "operation payload is a list": rec(0x03, s("counter"), s("increment"),
+                                       encode_value([1]), b"\x00"),
+    "stream entry deps are dots in a list": rec(
+        0x09, DOT, s("dc0"), b"\x00", counts({}), encode_value([DOT]),
+        counts({}), seq()),
+    "stream entry one field over": rec(
+        0x09, DOT, s("dc0"), b"\x00", counts({}), seq(), counts({}), seq(),
+        b"\x00"),
+    "unknown class id": rec(0xEE, DOT),
+    "string where an int is due": rec(
+        0x09, DOT, s("dc0"), b"\x00",
+        varint(2) + s("dc1") + s("2") + s("dc2") + i(1), seq(), counts({}),
+        seq()),
+    "truncated inside a nested record": txn()[:2 + len(DOT) + 4 + 3],
+    "tag is a list": rec(0x03, s("counter"), s("increment"),
+                         encode_value({"amount": 1}),
+                         encode_value([1, "a", 0])),
 }
 
 
 @pytest.mark.parametrize("bad", BAD_RECORDS.values(), ids=BAD_RECORDS.keys())
 def test_records_of_wrong_arity_or_field_type_raise_codec_error(bad):
     apply = frame_of("a", "b", "dc.ShardApply") + b"\x08\x01"
-    good = record("core.Transaction", txn_fields())
+    good = txn()
+    assert good == encode_value(Transaction(
+        Dot(3, "dc0"), "e1", Snapshot(VectorClock({"dc0": 2})),
+        CommitStamp({"dc0": 3})))
     assert type(decodes_or_refuses(apply + good).txn) is Transaction
-    raw = record(*bad)
     with pytest.raises(CodecError):
-        decode_value(raw)
+        decode_value(bad)
     with pytest.raises(CodecError):      # inside a message, in a frame
-        decode_frame(apply + raw)
+        decode_frame(apply + bad)
 
 
 def test_a_record_is_not_a_message():
-    dot = frame_of(*DOT)
-    with pytest.raises(CodecError):
-        decode_message(dot)
-    with pytest.raises(CodecError):
-        decode_frame(frame_of("a", "b") + dot)
-    assert decode_value(b"\x0c" + dot) == Dot(3, "dc0")
+    dot = rec(0x01, DOT)
+    for raw in (dot + encode_value(()),              # a record as type key
+                frame_of("core.Dot", (3, "dc0"))):   # records have no key
+        with pytest.raises(CodecError):
+            decode_message(raw)
+        with pytest.raises(CodecError):
+            decode_frame(frame_of("a", "b") + raw)
+    assert decode_value(dot) == Dot(3, "dc0")
 
 
 def test_frame_addresses_must_be_strings():

@@ -13,7 +13,9 @@ from repro.core.dot import Dot
 from repro.core.txn import (CommitStamp, ObjectKey, Snapshot, StreamEntry,
                             Transaction, WriteOp)
 from repro.crdt.base import Operation
+from repro.dc import messages as dc
 from repro.dc.messages import ShardApply, ShardApplyBatch
+from repro.groups import messages as grp
 from repro.transport import samples
 from repro.transport.codec import (decode_frame, decode_message,
                                    decode_value, encode_frame,
@@ -137,3 +139,22 @@ def test_messages_carrying_transactions_round_trip(txns):
     for message in (ShardApply(txns[0]), ShardApplyBatch(tuple(txns))):
         back = decode_frame(encode_frame("dc0", "dc0/s1", message)[4:])
         assert back == ("dc0", "dc0/s1", message)
+
+
+@given(st.lists(transactions, min_size=1, max_size=3), dots, _counts,
+       _counts)
+@settings(deadline=None)
+def test_edge_and_group_messages_carrying_values_round_trip(txns, dot,
+                                                            stable, prev):
+    """Every message that carries transactions or dots as values."""
+    batch = tuple(txns)
+    for message in (dc.EdgeCommit(txns[0]), dc.EdgeCommitBatch(batch),
+                    dc.CommitAck(dot, stable), dc.CommitReject(dot, "no"),
+                    dc.UpdatePush(batch, stable, prev),
+                    grp.GroupRelayPush(batch, stable, prev),
+                    grp.GroupCommitAck(dot, prev),
+                    grp.TxnPull("m1", (dot, txns[0].dot)),
+                    grp.TxnPushMsg(batch)):
+        back = decode_frame(encode_frame("dc0", "e1", message)[4:])
+        assert back == ("dc0", "e1", message)
+        assert type(back[2]) is type(message)

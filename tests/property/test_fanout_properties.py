@@ -73,7 +73,7 @@ class Upstream:
                if not t.commit.included_in(self.pushed)]
         self.pushed = self.stable
         return self.fanout.route(
-            ((t.keys, t.to_dict()) for t in new), self.stable.to_dict())
+            ((t.keys, t) for t in new), self.stable.to_dict())
 
 
 def _deliver(edges, sends, lost):
@@ -81,7 +81,8 @@ def _deliver(edges, sends, lost):
         index = int(session.session_id[1:])
         if index not in lost:
             edges[index].on_message(
-                UpdatePush(tuple(txns), stable, prev), UP)
+                UpdatePush(tuple(t.handoff() for t in txns), stable, prev),
+                UP)
 
 
 lost_st = st.frozensets(st.integers(0, N_RECEIVERS - 1))

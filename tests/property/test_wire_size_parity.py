@@ -1,22 +1,32 @@
-"""Property tests: a value costs on the wire what its dict form did.
+"""Property tests: a value costs on the wire what its dict form's
+formula says, with the record-side constants.
 
-Messages inside the infrastructure carry ``Transaction`` values and
-``StreamEntry`` records where they once carried ``to_dict()`` forms;
-every ``wire_size()`` must still return the number the dict form gave,
-so ``bytes_sent`` and every byte total built on it do not move.  The
-oracles are the dict forms that stay — ``txn_wire_size`` over
-``Transaction.to_dict()`` — and, for stream entries, the dict encoder
-and its size formula kept verbatim below.
+Messages carry ``Transaction`` values and ``StreamEntry`` records where
+they once carried ``to_dict()`` forms.  Every ``wire_size()`` keeps the
+formula the dict form was sized by, computed from the value; only the
+constants differ — ``*_RECORD_*`` are calibrated against the schema'd
+record the codec writes, and none is above its dict-side twin, so no
+size rose.  The oracles are the dict forms — ``txn_wire_size`` over
+``Transaction.to_dict()`` and, for stream entries, the dict encoder and
+its size formula kept verbatim below — evaluated with the record
+constants in place of the dict ones.
 """
 
 from typing import Any, Dict, Mapping
+from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.clock import VectorClock
 from repro.core.txn import Transaction
-from repro.dc.messages import (DOT_BYTES, HEADER_BYTES, SKIP_MARKER_BYTES,
-                               STREAM_ENTRY_OVERHEAD_BYTES, ReplicateBatch,
+from repro.dc import messages
+from repro.dc.messages import (DOT_BYTES, DOT_RECORD_BYTES, HEADER_BYTES,
+                               SKIP_MARKER_BYTES,
+                               STREAM_ENTRY_OVERHEAD_BYTES,
+                               TXN_OVERHEAD_BYTES,
+                               TXN_RECORD_OVERHEAD_BYTES,
+                               WRITE_OVERHEAD_BYTES,
+                               WRITE_RECORD_OVERHEAD_BYTES, ReplicateBatch,
                                ShardApply, ShardApplyBatch, ShardBackfill,
                                ShardCommit, ShardPrepare, _writes_wire_size,
                                stream_entry_wire_size, txn_record_size,
@@ -24,6 +34,24 @@ from repro.dc.messages import (DOT_BYTES, HEADER_BYTES, SKIP_MARKER_BYTES,
 from repro.dc.replog import decode_stream_entry, encode_stream_entry
 
 from .test_codec_roundtrip import _counts, _ids, transactions
+
+#: The dict-side constant each record-side one stands in for.
+RECORD_CONSTANTS = {"DOT_BYTES": DOT_RECORD_BYTES,
+                    "TXN_OVERHEAD_BYTES": TXN_RECORD_OVERHEAD_BYTES,
+                    "WRITE_OVERHEAD_BYTES": WRITE_RECORD_OVERHEAD_BYTES}
+
+
+def with_record_constants(size, *args):
+    """``size(*args)`` with the record constants in the dict formulas."""
+    with patch.multiple(messages, **RECORD_CONSTANTS):
+        return size(*args)
+
+
+def test_no_record_constant_is_above_its_dict_twin():
+    assert DOT_RECORD_BYTES <= DOT_BYTES
+    assert TXN_RECORD_OVERHEAD_BYTES <= TXN_OVERHEAD_BYTES
+    assert WRITE_RECORD_OVERHEAD_BYTES <= WRITE_OVERHEAD_BYTES
+
 
 # ----------------------------------------------------------------------
 # the oracle: the dict stream entry and its size (verbatim)
@@ -51,10 +79,10 @@ def dict_stream_entry(txn: Transaction, stream_dc: str, ts: int,
 
 
 def dict_stream_entry_wire_size(entry: Mapping[str, Any]) -> int:
-    size = STREAM_ENTRY_OVERHEAD_BYTES + DOT_BYTES
+    size = STREAM_ENTRY_OVERHEAD_BYTES + messages.DOT_BYTES
     size += len(str(entry.get("origin", "")))
     size += vector_wire_size(entry.get("sv") or {})
-    size += DOT_BYTES * len(entry.get("deps") or ())
+    size += messages.DOT_BYTES * len(entry.get("deps") or ())
     size += 8 * len(entry.get("cx") or {})
     size += _writes_wire_size(entry.get("writes") or ())
     return size
@@ -65,8 +93,8 @@ def dict_stream_entry_wire_size(entry: Mapping[str, Any]) -> int:
 @given(transactions)
 @settings(deadline=None)
 def test_transaction_size_is_its_dict_forms(txn):
-    size = txn_wire_size(txn.to_dict())
-    assert txn_record_size(txn) == size
+    size = with_record_constants(txn_wire_size, txn.to_dict())
+    assert txn_record_size(txn) == size <= txn_wire_size(txn.to_dict())
     assert ShardApply(txn).wire_size() == HEADER_BYTES + size
     assert ShardPrepare(1, txn).wire_size() == HEADER_BYTES + 8 + size
     assert ShardCommit(1, txn).wire_size() == HEADER_BYTES + 8 + size
@@ -84,7 +112,7 @@ def test_stream_entry_size_is_its_dict_forms(txn, stream_dc, base):
     entry, size = encode_stream_entry(txn, stream_dc, ts, base)
     oracle = dict_stream_entry(txn, stream_dc, ts, base)
     assert size == stream_entry_wire_size(entry) \
-        == dict_stream_entry_wire_size(oracle)
+        == with_record_constants(dict_stream_entry_wire_size, oracle)
     # The record holds what the dict held, as values.
     assert entry.dot.to_dict() == oracle["dot"]
     assert (entry.origin, entry.issuer, entry.sv, entry.cx) \
@@ -110,7 +138,8 @@ def test_frame_size_is_its_dict_forms(txns, base, sender, skips):
     assert frame.wire_size() == (
         HEADER_BYTES + 8 + len("dc0") + vector_wire_size(base)
         + vector_wire_size(sender)
-        + sum(dict_stream_entry_wire_size(dict_stream_entry(
-            txn, "dc0", txn.commit.entries.get("dc0", i + 1),
-            VectorClock(base))) for i, txn in enumerate(txns))
+        + sum(with_record_constants(
+            dict_stream_entry_wire_size, dict_stream_entry(
+                txn, "dc0", txn.commit.entries.get("dc0", i + 1),
+                VectorClock(base))) for i, txn in enumerate(txns))
         + SKIP_MARKER_BYTES * len(skips))

@@ -1,8 +1,10 @@
 """DataCenter internals: service queue, anti-entropy, request dedup."""
 
-from repro.core import Dot, ObjectKey, VectorClock
-from repro.dc.messages import (DCSyncPing, RemoteTxnReply,
-                               RemoteTxnRequest)
+from repro.core import (CommitStamp, Dot, ObjectKey, Snapshot, Transaction,
+                        VectorClock, WriteOp)
+from repro.crdt import Counter
+from repro.dc.messages import (CommitAck, DCSyncPing, EdgeCommitBatch,
+                               RemoteTxnReply, RemoteTxnRequest)
 from repro.sim import Actor, LatencyModel, Simulation
 
 from ..conftest import build_cluster, build_edge, run_update
@@ -189,3 +191,43 @@ class TestStampSharing:
         assert ours.commit.entries["dc9"] == 4
         assert [copy.commit.entries for copy in copies] == before
         assert all(copy.writes is ours.writes for copy in copies)
+
+    def test_an_edge_adopting_a_stamp_on_its_pushed_copy_moves_no_other(self):
+        # A push hands every session a copy of its own: an edge growing
+        # the stamp of what it was pushed — as ``_resolve_commit`` does
+        # when a later ack or relay brings one more entry — moves neither
+        # the DC's copy nor another session's.
+        sim, (dc0,), _probe = world()
+        readers = [build_edge(sim, name, interest=INTEREST)
+                   for name in ("r1", "r2")]
+        writer = build_edge(sim, "w", interest=INTEREST)
+        sim.run_for(200)
+        run_update(writer, KEY, "counter", "increment", 1)
+        sim.run_for(500)
+        (dot,) = [d for d in dc0.log.txns if d.origin == "w"]
+        ours = dc0.log.txns[dot]
+        first, second = (reader.own_transaction(dot) for reader in readers)
+        assert len({id(ours), id(first), id(second)}) == 3
+        before = dict(ours.commit.entries)
+
+        readers[0]._resolve_commit(first, {"dc9": 4})
+
+        assert first.commit.entries == {**before, "dc9": 4}
+        assert ours.commit.entries == second.commit.entries == before
+        assert writer.own_transaction(dot).commit.entries == before
+        assert first.writes is ours.writes is second.writes
+
+
+class TestDictIngress:
+    def test_an_edge_commit_in_its_dict_form_commits(self):
+        # Drivers outside ``src/`` build edge commits from ``to_dict()``;
+        # the DC parses that form where it comes in.
+        sim, (dc0,), probe = world()
+        txn = Transaction(Dot(1, "probe"), "probe", Snapshot(VectorClock()),
+                          CommitStamp(),
+                          (WriteOp(KEY, Counter().prepare("increment", 1)),))
+        probe.send("dc0", EdgeCommitBatch((txn.to_dict(),)))
+        sim.run_for(100)
+        assert dc0.transaction(txn.dot).commit.entries == {"dc0": 1}
+        (_at, ack), = probe.replies
+        assert ack == CommitAck(txn.dot, {"dc0": 1})

@@ -3,7 +3,7 @@ message dispatch."""
 
 import pytest
 
-from repro.core import ObjectKey, Transaction, VectorClock
+from repro.core import ObjectKey, VectorClock
 from repro.crdt import Counter
 from repro.dc.messages import CommitAck, UpdatePush
 from repro.edge import EdgeNode, PoPNode
@@ -189,22 +189,35 @@ class TestSnapshotAndCuts:
         sim.network.partition("dc0", "e")      # the test plays the DC
         run_update(node, KEY, "counter", "increment", 1)
         (dot, txn), = node._uncovered.items()
-        stamped = dict(txn.to_dict(), commit={"entries": {"dc0": 1}})
+        stamped = txn.handoff()
+        stamped.commit.add_entry("dc0", 1)
         node.on_message(UpdatePush((stamped,), {"dc0": 1}, {}), "dc0")
         assert node.vector["dc0"] == 1
         assert txn.commit.entries == {"dc0": 1}
         assert not node._uncovered and not node.unacked
-        node.on_message(CommitAck(dot.to_dict(), {"dc0": 1}), "dc0")
+        node.on_message(CommitAck(dot, {"dc0": 1}), "dc0")
         assert not node._uncovered and not node.unacked
         assert not node.current_snapshot().local_deps
         assert node.read_value(KEY, "counter") == 1
+
+    def test_a_push_in_its_dict_form_applies(self):
+        # Drivers outside ``src/`` build pushes from ``to_dict()``; the
+        # edge parses that form where it comes in.
+        sim, dcs, node = world()
+        sim.network.partition("dc0", "e")      # the test plays the DC
+        run_update(node, KEY, "counter", "increment", 1)
+        (dot, txn), = node._uncovered.items()
+        stamped = dict(txn.to_dict(), commit={"entries": {"dc0": 1}})
+        node.on_message(UpdatePush((stamped,), {"dc0": 1}, {}), "dc0")
+        assert txn.commit.entries == {"dc0": 1}
+        assert not node._uncovered and not node.unacked
 
     def test_ack_before_the_push_keeps_read_my_writes(self):
         sim, dcs, node = world()
         sim.network.partition("dc0", "e")
         run_update(node, KEY, "counter", "increment", 1)
         (dot, _txn), = node._uncovered.items()
-        node.on_message(CommitAck(dot.to_dict(), {"dc0": 1}), "dc0")
+        node.on_message(CommitAck(dot, {"dc0": 1}), "dc0")
         assert dot in node._uncovered and not node.unacked
         assert node.read_value(KEY, "counter") == 1
 
@@ -344,9 +357,9 @@ class TestStampAdoption:
         node.init_group(("m0", "n"))
         run_update(node, KEY, "counter", "increment", 1)
         (own,) = node.unacked.values()
-        stamped = Transaction.from_dict(own.to_dict())
+        stamped = own.handoff()
         stamped.commit.add_entry("dc0", 1)
-        node.on_message(GroupRelayPush((stamped.to_dict(),), {"dc0": 1},
+        node.on_message(GroupRelayPush((stamped,), {"dc0": 1},
                                        node.vector.to_dict()), "m0")
         assert own.commit.entries == {"dc0": 1}
         assert not node.unacked

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.core.dot import Dot
 from repro.sim import Actor, EventLoop, Network, Simulation
 from repro.transport.asyncio_backend import AsyncioTransport
 from repro.transport.base import SimTransport
@@ -162,7 +163,7 @@ class TestAsyncioBackend:
 
             t2.attach("b", on_message)
             from repro.dc.messages import CommitAck
-            message = CommitAck({"origin": "a", "counter": 1}, {"dc": 2})
+            message = CommitAck(Dot(1, "a"), {"dc": 2})
             t1.send("a", "b", message)
             await asyncio.wait_for(got.wait(), timeout=5.0)
             assert inbox == [(message, "a")]
@@ -212,7 +213,7 @@ class TestAsyncioBackend:
             writer.close()
             assert t2.malformed == 1
 
-            message = CommitAck({"origin": "a", "counter": 1}, {"dc": 2})
+            message = CommitAck(Dot(1, "a"), {"dc": 2})
             t1.send("a", "b", message)
             await asyncio.wait_for(got.wait(), timeout=5.0)
             assert inbox == [(message, "a")]

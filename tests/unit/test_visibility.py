@@ -61,7 +61,7 @@ def commit_own(node):
 
 
 def push(node, *txns, stable):
-    node.on_message(UpdatePush(tuple(t.to_dict() for t in txns), stable,
+    node.on_message(UpdatePush(tuple(t.handoff() for t in txns), stable,
                                node.vector.to_dict()), "dc0")
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.dot import Dot
 from repro.dc.messages import CommitAck, EdgeCommit
 from repro.epaxos.messages import Commit, PreAccept
 from repro.groups.messages import GroupMsg
@@ -54,7 +55,7 @@ class TestValueRoundTrip:
 
 class TestMessageCodec:
     def test_message_round_trip(self):
-        message = CommitAck({"origin": "m0", "counter": 3}, {"dc0": 7})
+        message = CommitAck(Dot(3, "m0"), {"dc0": 7})
         assert decode_message(encode_message(message)) == message
 
     def test_nested_message_payload_round_trips(self):
@@ -75,7 +76,7 @@ class TestMessageCodec:
             encode_message(NotRegistered(1))
 
     def test_encoded_size_matches_encoding(self):
-        message = EdgeCommit(samples.TXN)
+        message = EdgeCommit(samples.TXN_VALUE)
         assert encoded_size(message) == len(encode_message(message))
 
     def test_registry_covers_all_protocol_modules(self):
@@ -98,7 +99,7 @@ class TestFraming:
                 {"writes": ["x" * MAX_FRAME_BYTES]}))
 
     def test_truncated_body_raises(self):
-        frame = encode_frame("m1", "m2", CommitAck(samples.DOT_A, {}))
+        frame = encode_frame("m1", "m2", CommitAck(samples.DOT_A_VALUE, {}))
         with pytest.raises(CodecError):
             decode_frame(frame[4:-1])
 
