@@ -258,3 +258,11 @@ class TestSeeding:
         assert replica.n == 4
         with pytest.raises(ValueError):
             replica.set_members(["b", "c"])
+
+
+def test_deps_are_sized_as_the_sum_of_their_instances():
+    from repro.epaxos.messages import _deps_wire_size, _instance_wire_size
+    deps = frozenset({("m0", 1), ("m12", 7), ("édge", 3)})
+    assert _deps_wire_size(deps) \
+        == sum(_instance_wire_size(d) for d in deps) == 8 * 3 + 2 + 3 + 4
+    assert _deps_wire_size(frozenset()) == 0
