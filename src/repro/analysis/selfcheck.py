@@ -117,6 +117,11 @@ class Actor:
         txn = msg.txn
         txn.commit.entries["dc1"] = 2       # A501: the same, by name
         return Apply(txn)                   # M203: no handoff()
+
+    def _relay(self, msg: Apply, sender: str):
+        relay = Apply(msg.txn.handoff())
+        for peer in self.peers:
+            self.send(peer, relay)          # M203: one copy, many peers
 '''
 
 

@@ -191,6 +191,52 @@ def test_bare_transactions_in_a_message_flagged(body):
     assert m203_lines(body) == [3]
 
 
+def m203_fan_out_lines(body):
+    """M203 lines of ``body``, a method of an actor with a fan-out
+    helper, in a tree whose messages carry transactions."""
+    handler = ('from pkg.messages import Apply, Batch\n'
+               'class A:\n'
+               '    def _to_all(self, message):\n'
+               '        for peer in self.peers:\n'
+               '            self.send(peer, message)\n'
+               '    def emit(self, txn, txns):\n' + body)
+    return [f.line for f in check({"pkg/messages.py": TXN_MESSAGES,
+                                   "pkg/mod.py": handler})
+            if f.rule == "M203"]
+
+
+@pytest.mark.parametrize("body,line", [
+    # one handed-off copy, built before the loop, to every peer
+    ("        push = Batch(tuple(t.handoff() for t in txns))\n"
+     "        for peer in self.peers:\n"
+     "            self.send(peer, push)\n", 9),
+    # the same through a helper that sends its argument to everybody
+    ("        self._to_all(Apply(txn.handoff()))\n", 7),
+    ("        push = Apply(txn.handoff())\n"
+     "        self._to_all(push)\n", 8),
+])
+def test_one_message_with_transactions_to_several_receivers_flagged(body,
+                                                                    line):
+    assert m203_fan_out_lines(body) == [line]
+
+
+@pytest.mark.parametrize("body", [
+    "        for peer in self.peers:\n"
+    "            self.send(peer, Apply(txn.handoff()))\n",
+    "        for peer in self.peers:\n"
+    "            push = Batch(tuple(t.handoff() for t in txns))\n"
+    "            self.send(peer, push)\n",
+    # a heartbeat carries no transaction: one message may go to all
+    "        beat = Batch(())\n"
+    "        for peer in self.peers:\n"
+    "            self.send(peer, beat)\n",
+    "        self._to_all(Batch(()))\n",
+    "        self.send(self.peers[0], Apply(txn.handoff()))\n",
+])
+def test_one_message_per_receiver_passes(body):
+    assert m203_fan_out_lines(body) == []
+
+
 # ---------------------------------------------------------------------------
 # handler coverage (H3xx)
 # ---------------------------------------------------------------------------
