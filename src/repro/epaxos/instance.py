@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, FrozenSet, Optional
+from dataclasses import dataclass, field
+from typing import Any, FrozenSet, Optional, Set
 
 from .messages import Ballot, InstanceId
 
@@ -32,17 +32,19 @@ class Instance:
     deps: FrozenSet[InstanceId] = frozenset()
     status: str = NONE
 
-    # Leader-side bookkeeping for the ongoing round:
-    preaccept_replies: int = 0
+    # Leader-side bookkeeping for the ongoing round.  Replies count once
+    # per replier: a re-sent round's replies and the first round's late
+    # ones come from the same replicas.
+    preaccept_repliers: Set[str] = field(default_factory=set)
     preaccept_unanimous: bool = True
-    accept_replies: int = 0
+    accept_repliers: Set[str] = field(default_factory=set)
     merged_seq: int = 0
     merged_deps: FrozenSet[InstanceId] = frozenset()
     prepare_replies: Optional[list] = None
 
     def restart_preaccept(self) -> None:
         """Count PreAccept replies afresh, against the current attributes."""
-        self.preaccept_replies = 0
+        self.preaccept_repliers = set()
         self.preaccept_unanimous = True
         self.merged_seq, self.merged_deps = self.seq, self.deps
 

@@ -184,12 +184,12 @@ class EPaxosReplica:
             return  # stale reply (already moved on)
         if not msg.ok:
             return  # a recovery with a higher ballot is in charge
-        inst.preaccept_replies += 1
+        inst.preaccept_repliers.add(sender)
         if msg.seq != inst.seq or msg.deps != inst.deps:
             inst.preaccept_unanimous = False
         inst.merged_seq = max(inst.merged_seq, msg.seq)
         inst.merged_deps = inst.merged_deps | msg.deps
-        if inst.preaccept_replies < self.fast_quorum_replies:
+        if len(inst.preaccept_repliers) < self.fast_quorum_replies:
             return
         if inst.preaccept_unanimous:
             self._commit(msg.instance, inst.command, inst.seq, inst.deps)
@@ -204,7 +204,7 @@ class EPaxosReplica:
                       ballot: Ballot) -> None:
         inst = self._instance(instance_id)
         inst.ballot = ballot
-        inst.accept_replies = 0
+        inst.accept_repliers = set()
         self._adopt(inst, command, seq, deps, ACCEPTED)
         if self.majority - 1 == 0:
             self._commit(instance_id, command, seq, deps)
@@ -229,8 +229,8 @@ class EPaxosReplica:
             return
         if not msg.ok:
             return
-        inst.accept_replies += 1
-        if inst.accept_replies >= self.majority - 1:
+        inst.accept_repliers.add(sender)
+        if len(inst.accept_repliers) >= self.majority - 1:
             self._commit(msg.instance, inst.command, inst.seq, inst.deps)
 
     # .. Commit ...........................................................................
@@ -325,7 +325,7 @@ class EPaxosReplica:
             message: Any = PreAccept(instance_id, inst.ballot, inst.command,
                                      inst.seq, inst.deps)
         elif inst.status == ACCEPTED and inst.ballot[1] == self.replica_id:
-            inst.accept_replies = 0
+            inst.accept_repliers = set()
             message = Accept(instance_id, inst.ballot, inst.command,
                              inst.seq, inst.deps)
         elif inst.is_committed:

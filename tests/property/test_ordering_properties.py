@@ -48,12 +48,11 @@ def once_each(group: OrderGroup, name: str) -> bool:
 
 @settings(max_examples=150, deadline=None)
 @given(n=st.sampled_from([3, 5]),
-       steps=st.lists(message_st, min_size=1, max_size=40))
+       steps=st.lists(step_st, min_size=1, max_size=40))
 def test_consensus_releases_one_sequence_per_key(n, steps):
-    """Time stands still until the heal: an own instance re-sent while
-    replies to its first round are in flight can reach a fast quorum on
-    a stale reply, a known failure (DESIGN §9) pinned in
-    ``test_epaxos_ballots.py``."""
+    """Time passes between messages, so own instances are re-sent and
+    blocked ones recovered while replies to earlier rounds are still in
+    flight; each reply counts once per replier and round."""
     group = OrderGroup([f"m{i}" for i in range(n)], ConsensusOrder)
     run(group, steps)
     for key in KEYS:
