@@ -10,7 +10,11 @@ Dispatch is recognised in the codebase's idiomatic forms:
 
 * ``isinstance(message, Cls)`` / ``isinstance(message, (A, B))`` tests;
 * handler functions with a parameter annotated with a message class
-  (``def _on_seed(self, msg: GroupSeed, sender: str)``).
+  (``def _on_seed(self, msg: GroupSeed, sender: str)``);
+* type-keyed dispatch tables: a dict display mapping message classes to
+  handler names (``{GroupCommitAck: "_on_commit_ack"}``), which is how
+  the edge tier routes one message type to a handler shared with
+  another.
 
 The coverage check (H301) arms itself only when the analyzed file set
 contains at least one dispatch site — running the analyzer over a lone
@@ -65,6 +69,12 @@ class HandlerCoverageRule(Rule):
             # -- isinstance dispatch tests ------------------------------
             per_function: Dict[Tuple[str, str], List[ast.Call]] = {}
             for node in ast.walk(module.tree):
+                if isinstance(node, ast.Dict):
+                    for key, value in zip(node.keys, node.values):
+                        cls = key and project.lookup_message(module, key)
+                        if cls and isinstance(value, ast.Constant):
+                            dispatch_sites += 1
+                            handled.add(cls.fq)
                 if isinstance(node, ast.Call):
                     classes = _isinstance_classes(module, project, node)
                     if classes:

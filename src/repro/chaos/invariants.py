@@ -151,7 +151,7 @@ class InvariantChecker:
         """No edge exposes a foreign txn replicated at fewer than K DCs."""
         violations = []
         for replica in self.replicas:
-            for dot in replica.exposed_dots():
+            for dot in replica.frontier.exposed_dots():
                 holders = self.global_holders(dot)
                 required = self.required_k(dot)
                 if len(holders) < required:
@@ -171,8 +171,10 @@ class InvariantChecker:
         violations = []
         ordered = sorted(stable)
         for replica in self.replicas:
+            journal = replica.cache.store.journal
             for dot in ordered:
-                for key in replica.covered_but_missing(stable[dot]):
+                for key in replica.frontier.covered_but_missing(
+                        stable[dot], journal):
                     violations.append(InvariantViolation(
                         "vector-coverage", replica.node_id,
                         f"vector {replica.vector} covers {dot} on warm "

@@ -193,12 +193,8 @@ class ObjectJournal:
     # -- (de)serialisation ------------------------------------------------------------
     def snapshot_state(self) -> Dict[str, Any]:
         """Serialise the base version (journal entries travel as txns)."""
-        return {
-            "key": self.key.to_dict(),
-            "type": self.type_name,
-            "base": self._base.to_dict(),
-            "base_dots": [d.to_dict() for d in sorted(self._base_dots)],
-        }
+        return object_state(self.key, self.type_name, self._base,
+                            self._base_dots)
 
     @classmethod
     def from_snapshot_state(cls, data: Dict[str, Any]) -> "ObjectJournal":
@@ -210,3 +206,12 @@ class ObjectJournal:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ObjectJournal({self.key}, base_dots="
                 f"{len(self._base_dots)}, journal={len(self._entries)})")
+
+
+def object_state(key: ObjectKey, type_name: str, state: OpBasedCRDT,
+                 dots: Iterable[Dot]) -> Dict[str, Any]:
+    """An object version as seeds and shard reads carry it: the state
+    and the dots folded into it, which become a journal's base
+    (:meth:`ObjectJournal.from_snapshot_state`)."""
+    return {"key": key.to_dict(), "type": type_name, "base": state.to_dict(),
+            "base_dots": [d.to_dict() for d in sorted(dots)]}

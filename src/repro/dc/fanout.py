@@ -30,13 +30,32 @@ the ``prev`` a caller puts into a message is safe to share by reference.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import (Any, Dict, Iterable, List, Mapping, Optional, Set,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Set, Tuple)
 
+from ..core.clock import VectorClock
+from ..core.dot import Dot
 from ..core.txn import ObjectKey
+from .messages import SessionAck, SessionOpen
 
 #: A raw wire vector (``VectorClock.to_dict()``), frozen by convention.
 Cut = Dict[str, int]
+
+
+def session_refusal(server_id: str, msg: SessionOpen, vector: VectorClock,
+                    seen: Callable[[Dot], bool]) -> Optional[SessionAck]:
+    """What a tier at ``vector`` answers a session that cannot open on
+    it, or ``None`` when it can (section 3.8's compatibility check): the
+    edge's state must be within ours — its vector covered, and every
+    dependency it declares ``seen`` here or its own (it re-ships those
+    right after the open).  Else its transactions could not commit here,
+    and the session is refused until the gap closes."""
+    if VectorClock(msg.state_vector).leq(vector) and all(
+            seen(dot) or dot.origin == msg.edge_id
+            for dot in map(Dot.from_dict, msg.local_deps)):
+        return None
+    return SessionAck(server_id, (), {}, accepted=False,
+                      reason="causally-incompatible")
 
 
 class PushSession:

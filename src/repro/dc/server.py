@@ -13,7 +13,7 @@ from typing import Any, Dict, Optional, Union
 
 from ..core.clock import VectorClock
 from ..core.dot import Dot
-from ..core.journal import ObjectJournal
+from ..core.journal import ObjectJournal, object_state
 from ..core.txn import ObjectKey, Transaction
 from ..sim.actor import Actor
 from ..sim.events import EventLoop
@@ -101,10 +101,5 @@ class ShardServer(Actor):
             journal = ObjectJournal(key, msg.type_name)
             state = journal.materialise(visible)
             dots = journal.visible_dots(visible)
-        object_state = {
-            "key": key.to_dict(),
-            "type": msg.type_name,
-            "base": state.to_dict(),
-            "base_dots": [d.to_dict() for d in sorted(dots)],
-        }
-        self.send(sender, ShardReadReply(msg.request_id, object_state))
+        self.send(sender, ShardReadReply(
+            msg.request_id, object_state(key, msg.type_name, state, dots)))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..core.clock import LamportClock
 from ..core.txn import ObjectKey
 from ..dc.messages import RemoteTxnReply, RemoteTxnRequest
 from ..sim.actor import Actor
@@ -31,7 +30,6 @@ class CloudClient(Actor):
         super().__init__(node_id, loop, network, rng)
         self.connected_dc = dc_id
         self.user = user or node_id
-        self.lamport = LamportClock()
         self._next_request = 0
         self._pending: Dict[int, Tuple[float, Optional[Callable]]] = {}
         self.txn_stats: List[TxnStats] = []

@@ -135,8 +135,7 @@ class TestPoPFailures:
         from repro.dc.messages import SessionOpen
         stranger = sim.spawn(EdgeNode, "stranger", dc_id="pop0")
         sim.network.set_link("stranger", "pop0", ETHERNET)
-        stranger.vector = stranger.vector.merge(
-            type(stranger.vector)({"dc0": 999}))
+        stranger.frontier.advance({"dc0": 999})
         stranger.connect()
         sim.run_for(300)
         assert not stranger.session_open

@@ -159,8 +159,8 @@ def _step(up, edges, op):
 
 def _check_safety(up, edges, trail):
     for edge in edges:
-        for key in edge._warm:
-            frontier = edge.vector.merge(edge._key_cut[key])
+        for key, cut in edge.frontier.key_cut.items():
+            frontier = edge.vector.merge(cut)
             journal = edge.cache.store.journal(key)
             missing = [t.dot for t in up.on(key, frontier)
                        if not journal.has(t.dot)]

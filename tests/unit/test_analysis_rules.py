@@ -269,6 +269,26 @@ def test_unhandled_message_flagged():
     assert any(f.rule == "H301" and f.symbol == "Orphan" for f in found)
 
 
+def test_a_dispatch_table_entry_is_a_handler():
+    # The edge tier's type-keyed tables route a message type to a
+    # handler it shares with another type.
+    table = ('from pkg.messages import Ping\n'
+             'class A:\n'
+             '    _DISPATCH_NAMES = {Ping: "_on_ping"}\n')
+    assert "H301" not in codes({"pkg/messages.py": MESSAGES,
+                                "pkg/mod0.py": table})
+    # A dict keyed by a message class is a table only if it names
+    # its handlers.
+    counts = table.replace('{Ping: "_on_ping"}', '{Orphan: len}').replace(
+        "import Ping", "import Orphan, Ping") + (
+        '    def on_message(self, message, sender):\n'
+        '        return isinstance(message, Ping)\n')
+    found = check({"pkg/messages.py": MESSAGES + (
+        "\n\n@dataclass(frozen=True)\nclass Orphan:\n    x: int\n"),
+        "pkg/mod0.py": counts})
+    assert any(f.rule == "H301" and f.symbol == "Orphan" for f in found)
+
+
 def test_h301_disarmed_without_dispatch_sites():
     # Pre-commit over a lone messages.py must not flag every class.
     assert "H301" not in codes({"pkg/messages.py": MESSAGES})

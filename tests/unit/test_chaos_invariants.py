@@ -60,7 +60,8 @@ class EagerSeedEdge(EdgeNode):
     exists for: any seed, even of one key, moves the node vector."""
 
     def _advance_to_seed(self, seed_vector):
-        self._advance_vector(seed_vector)
+        self.frontier.advance(seed_vector)
+        self._after_advance()
 
 
 class TestVectorCoverage:

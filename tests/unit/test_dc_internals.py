@@ -194,7 +194,7 @@ class TestStampSharing:
 
     def test_an_edge_adopting_a_stamp_on_its_pushed_copy_moves_no_other(self):
         # A push hands every session a copy of its own: an edge growing
-        # the stamp of what it was pushed — as ``_resolve_commit`` does
+        # the stamp of what it was pushed — as ``EdgeLog.adopt`` does
         # when a later ack or relay brings one more entry — moves neither
         # the DC's copy nor another session's.
         sim, (dc0,), _probe = world()
@@ -210,7 +210,7 @@ class TestStampSharing:
         assert len({id(ours), id(first), id(second)}) == 3
         before = dict(ours.commit.entries)
 
-        readers[0]._resolve_commit(first, {"dc9": 4})
+        readers[0].log.adopt(dot, {"dc9": 4})
 
         assert first.commit.entries == {**before, "dc9": 4}
         assert ours.commit.entries == second.commit.entries == before

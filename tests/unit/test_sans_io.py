@@ -62,6 +62,14 @@ def test_the_group_machines_make_the_claim():
     assert "groups/peergroup.py" not in names   # the wiring is an Actor
 
 
+def test_the_edge_machines_make_the_claim():
+    names = {str(path.relative_to(ROOT)) for path in SANS_IO}
+    assert "edge/replica.py" in names
+    # The wiring around the log and the frontier is Actors.
+    assert not {"edge/node.py", "edge/pop.py",
+                "groups/peergroup.py"} & names
+
+
 @pytest.mark.parametrize(
     "path", SANS_IO, ids=[str(p.relative_to(ROOT)) for p in SANS_IO])
 def test_sans_io_module_imports_no_simulator_or_transport(path):

@@ -2,11 +2,13 @@
 
 What a replica exposes to readers (§3.8, §4) is its state vector plus
 the dots it holds visible by id — own commits awaiting their stamp,
-a peer's transactions ahead of the push chain.  ``EdgeNode._admit`` is
-the one way a transaction enters it, ``EdgeNode._snapshot_view`` the
-filter and token readers see, and a group member's execution pipeline
-the gate between consensus order and admission.  No DC runs here: the
-sessions stay closed and pushes are handed to the replica directly.
+a peer's transactions ahead of the push chain.  ``EdgeLog.admit`` is
+the one way a transaction enters it and ``EdgeFrontier`` decides what
+readers see: most tests here drive those two values directly, with no
+node and no simulator, the way ``EdgeNode`` wires them.  A group
+member's execution pipeline — the gate between consensus order and
+admission — is an actor's, and is driven on a node whose sessions stay
+closed.
 """
 
 import pytest
@@ -15,12 +17,12 @@ from repro.core import (CommitStamp, Dot, JournalEntry, KStabilityTracker,
                         ObjectKey, Snapshot, Transaction, VectorClock,
                         WriteOp)
 from repro.crdt import Counter
-from repro.dc.messages import UpdatePush
 from repro.edge import EdgeNode
+from repro.edge.replica import EdgeFrontier
 from repro.groups import GroupMember
 from repro.sim import Simulation
 
-from ..conftest import run_update
+from ..replicas import Replica
 
 KEY = ObjectKey("b", "x")
 
@@ -35,154 +37,178 @@ def txn(counter, origin="f", snapshot_vector=None, local_deps=(),
         writes=[WriteOp(KEY, op)])
 
 
-def replica(cls=EdgeNode, **kwargs):
-    """A replica of KEY, seeded empty, with no DC session."""
-    node = Simulation(seed=1).spawn(cls, "e", dc_id="dc0", **kwargs)
-    node.declare_interest(KEY, "counter")
-    node._install_seed({"key": KEY.to_dict(), "type": "counter",
-                        "base": Counter().to_dict(), "base_dots": []})
-    return node
+def replica_values():
+    """The two values of a replica of KEY, seeded empty."""
+    r = Replica()
+    r.frontier.take_seed(KEY, VectorClock.zero())
+    return r
 
 
-def view(node):
-    """(filter, token) of the node's current frontier on KEY."""
-    return node._snapshot_view(node.current_snapshot(), KEY)
-
-
-def visible(node, t):
-    return view(node)[0](JournalEntry(t, []))
-
-
-def commit_own(node):
-    """One own update; returns its (still symbolic) transaction."""
-    run_update(node, KEY, "counter", "increment", 1)
-    (dot,) = node.unacked
-    return node.own_transaction(dot)
-
-
-def push(node, *txns, stable):
-    node.on_message(UpdatePush(tuple(t.handoff() for t in txns), stable,
-                               node.vector.to_dict()), "dc0")
+def push(r, *txns, stable):
+    """A push of the DC's copies, chained from our vector."""
+    assert r.push([t.handoff() for t in txns], stable,
+                  r.frontier.vector.to_dict())
 
 
 class TestVisibleState:
     def test_admit_advances_vector(self):
-        node = replica()
+        r = replica_values()
         t = txn(1, entries={"dc0": 1})
-        push(node, t, stable={"dc0": 1})
-        assert node.vector["dc0"] == 1
-        assert node.dots.seen(t.dot) and visible(node, t)
-        assert t.dot not in node.current_snapshot().local_deps
+        push(r, t, stable={"dc0": 1})
+        assert r.frontier.vector["dc0"] == 1
+        assert r.log.dots.seen(t.dot) and r.visible(t, KEY)
+        assert t.dot not in r.deps
 
     def test_admit_symbolic_tracked_by_dot(self):
-        node = replica()
+        r = replica_values()
         t = txn(1)
-        assert node.integrate_foreign_txn(t)
-        assert visible(node, t)
-        assert t.dot in node.current_snapshot().local_deps
-        assert node.vector == VectorClock.zero()
+        assert r.integrate(t)
+        assert r.visible(t, KEY)
+        assert t.dot in r.deps
+        assert r.frontier.vector == VectorClock.zero()
 
     def test_admit_duplicate_returns_false(self):
-        node = replica()
+        r = replica_values()
         t = txn(1, entries={"dc0": 1})
-        assert node._admit(t)
-        assert not node._admit(t)
-        assert len(node.cache.store.journal(KEY).entries()) == 1
+        assert r.log.admit(t)
+        assert not r.log.admit(t.handoff())
+        assert r.log.txns[t.dot] is t
 
     def test_admit_with_missing_deps_is_refused(self):
-        node = replica()
+        r = replica_values()
         ahead = txn(1, snapshot_vector={"dc0": 5})
         orphan = txn(2, local_deps=[Dot(9, "g")])
-        assert not node.integrate_foreign_txn(ahead)
-        assert not node.integrate_foreign_txn(orphan)
-        assert not node.dots.seen(ahead.dot)
-        assert not node.cache.store.journal(KEY).entries()
+        assert not r.integrate(ahead)
+        assert not r.integrate(orphan)
+        assert not r.log.dots.seen(ahead.dot)
+        assert not r.log.txns
 
     def test_dependencies_met_via_local_dep(self):
-        node = replica()
-        own = commit_own(node)
-        assert node.integrate_foreign_txn(txn(1, local_deps=[own.dot]))
+        r = replica_values()
+        own = r.commit_own(KEY)
+        assert r.integrate(txn(1, local_deps=[own.dot]))
 
     def test_resolve_commit_merges_vector(self):
-        node = replica()
-        own = commit_own(node)
-        node._resolve_commit(own, {"dc0": 4})
+        r = replica_values()
+        own = r.commit_own(KEY)
+        assert r.adopt(own.dot, {"dc0": 4}) is own
         assert own.commit.entries == {"dc0": 4}
-        assert not node.unacked
+        assert not r.log.unacked
         # Read-my-writes holds it by dot until the vector covers it.
-        assert own.dot in node.current_snapshot().local_deps
-        node._advance_vector({"dc0": 4})
-        assert own.dot not in node.current_snapshot().local_deps
-        assert visible(node, own)
+        assert own.dot in r.deps
+        r.frontier.advance({"dc0": 4})
+        assert own.dot not in r.deps
+        assert r.visible(own, KEY)
 
     def test_entry_filter_matches_admitted(self):
-        node = replica()
+        r = replica_values()
         t1 = txn(1, entries={"dc0": 1})
-        push(node, t1, stable={"dc0": 1})
-        assert visible(node, t1)
-        assert not visible(node, txn(9, origin="z"))
-        assert not visible(node, txn(2, entries={"dc0": 2}))
+        push(r, t1, stable={"dc0": 1})
+        assert r.visible(t1, KEY)
+        assert not r.visible(txn(9, origin="z"), KEY)
+        assert not r.visible(txn(2, entries={"dc0": 2}), KEY)
 
     def test_rollback_freedom_vector_monotonic(self):
-        node = replica()
-        node._advance_vector({"dc0": 5})
-        node._advance_vector({"dc0": 3, "dc1": 1})
-        assert node.vector.to_dict() == {"dc0": 5, "dc1": 1}
+        r = replica_values()
+        r.frontier.advance({"dc0": 5})
+        r.frontier.advance({"dc0": 3, "dc1": 1})
+        assert r.frontier.vector.to_dict() == {"dc0": 5, "dc1": 1}
+
+    def test_the_filter_masks_before_anything_else(self):
+        t = txn(1, entries={"dc0": 1})
+        entry = JournalEntry(t, [])
+        vector = VectorClock({"dc0": 1})
+        assert EdgeFrontier.filter(vector)(entry)
+        assert not EdgeFrontier.filter(vector, masked=frozenset(
+            {t.dot}))(entry)
+        assert not EdgeFrontier.filter(vector, frozenset({t.dot}),
+                                       frozenset({t.dot}))(entry)
+        # A symbolic stamp is visible only by dot.
+        own = JournalEntry(txn(2), [])
+        assert not EdgeFrontier.filter(vector)(own)
+        assert EdgeFrontier.filter(vector, frozenset({own.dot}))(own)
 
 
 class TestFingerprint:
     """The read token: equal tokens, identical visible set."""
 
     def test_admit_bumps_fingerprint(self):
-        node = replica()
-        before = view(node)[1]
-        node.integrate_foreign_txn(txn(1))
-        assert view(node)[1] != before
+        r = replica_values()
+        before = r.view(KEY)[1]
+        r.integrate(txn(1))
+        assert r.view(KEY)[1] != before
 
     def test_duplicate_admit_does_not_bump(self):
-        node = replica()
+        r = replica_values()
         t = txn(1)
-        node.integrate_foreign_txn(t)
-        token = view(node)[1]
-        assert not node._admit(t)
-        assert node.integrate_foreign_txn(t)
-        assert view(node)[1] == token
+        r.integrate(t)
+        token = r.view(KEY)[1]
+        assert not r.admit(t)
+        assert r.integrate(t)
+        assert r.view(KEY)[1] == token
 
     def test_resolve_commit_bumps_fingerprint(self):
-        node = replica()
-        own = commit_own(node)
-        token = view(node)[1]
-        node._resolve_commit(own, {"dc0": 4})
-        node._advance_vector({"dc0": 4})
-        assert view(node)[1] != token
+        r = replica_values()
+        own = r.commit_own(KEY)
+        token = r.view(KEY)[1]
+        r.adopt(own.dot, {"dc0": 4})
+        r.frontier.advance({"dc0": 4})
+        assert r.view(KEY)[1] != token
 
     def test_advance_vector_bumps_only_on_progress(self):
-        node = replica()
-        node._advance_vector({"dc0": 5})
-        token = view(node)[1]
-        node._advance_vector({"dc0": 3})  # already covered
-        assert view(node)[1] == token
-        node._advance_vector({"dc1": 1})
-        assert view(node)[1] != token
+        r = replica_values()
+        r.frontier.advance({"dc0": 5})
+        token = r.view(KEY)[1]
+        r.frontier.advance({"dc0": 3})  # already covered
+        assert r.view(KEY)[1] == token
+        r.frontier.advance({"dc1": 1})
+        assert r.view(KEY)[1] != token
 
     def test_read_token_reflects_fingerprint(self):
-        node = replica()
-        token = view(node)[1]
-        assert view(node)[1] == token
-        push(node, txn(1, entries={"dc0": 1}), stable={"dc0": 1})
-        assert view(node)[1] != token
+        r = replica_values()
+        token = r.view(KEY)[1]
+        assert r.view(KEY)[1] == token
+        push(r, txn(1, entries={"dc0": 1}), stable={"dc0": 1})
+        assert r.view(KEY)[1] != token
 
     def test_dots_view_is_frozen_and_refreshed(self):
-        node = replica()
+        r = replica_values()
         t = txn(1)
-        node.integrate_foreign_txn(t)
-        deps = node.current_snapshot().local_deps
+        r.integrate(t)
+        deps = r.deps
         assert isinstance(deps, frozenset)
         assert deps == {t.dot}
         t2 = txn(2, origin="g")
-        node.integrate_foreign_txn(t2)
-        assert node.current_snapshot().local_deps == {t.dot, t2.dot}
+        r.integrate(t2)
+        assert r.deps == {t.dot, t2.dot}
         assert deps == {t.dot}
+
+    def test_a_key_read_at_its_seed_cut(self):
+        r = replica_values()
+        ahead = txn(1, entries={"dc0": 3})
+        assert r.frontier.take_seed(KEY, VectorClock({"dc0": 3}))
+        assert r.frontier.vector == VectorClock.zero()
+        assert r.view(KEY)[1][0] == VectorClock({"dc0": 3})
+        assert r.visible(ahead, KEY)
+
+
+def replica(cls=EdgeNode, **kwargs):
+    """A node replicating KEY, seeded empty, with no DC session."""
+    node = Simulation(seed=1).spawn(cls, "e", dc_id="dc0", **kwargs)
+    node.declare_interest(KEY, "counter")
+    node._install_seed({"key": KEY.to_dict(), "type": "counter",
+                        "base": Counter().to_dict(), "base_dots": []},
+                       VectorClock.zero())
+    return node
+
+
+class TestTheNodeWiring:
+    def test_a_duplicate_admit_journals_once(self):
+        node = replica()
+        t = txn(1, entries={"dc0": 1})
+        assert node._admit(t)
+        assert not node._admit(t)
+        assert len(node.cache.store.journal(KEY).entries()) == 1
 
 
 def member(commit_variant="async"):
@@ -257,7 +283,7 @@ class TestAdmission:
         node = member()
         ahead = txn(1, snapshot_vector={"dc0": 3})
         node._execute(ahead)
-        node._advance_vector({"dc0": 3})
+        node.frontier.advance({"dc0": 3})
         node._drain_exec_queue()
         assert node.dots.seen(ahead.dot)
         assert not node._exec_queue
