@@ -78,7 +78,11 @@ class RemoteTxns:
                extra_dots: Tuple[dict, ...], done: Gathered) -> Sends:
         """Read object states (at ``vector``) from their owning shards;
         ``done`` is handed back by :meth:`on_read_reply` with the states
-        in ``keys`` order once the last one arrived."""
+        in ``keys`` order once the last one arrived — or, with no keys,
+        called at once with none."""
+        if not keys:
+            done([])
+            return []
         sends: Sends = []
         request_ids: List[int] = []
         for key, type_name in keys:
