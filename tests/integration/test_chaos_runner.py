@@ -119,6 +119,21 @@ def test_sync_point_seed_after_migration_keeps_vector_coverage():
     assert result.converged
 
 
+def test_member_back_from_churn_with_nothing_warm_learns_the_vector():
+    """Regression (``--interest partial --topology group --seed 102``,
+    shrunk to its one fault): narrowed member m2 had never fetched, so
+    nothing was warm when it came back from churn behind the relays.  Its
+    resync had nothing to fetch, the vector was never learned, and the
+    transactions queued for visibility waited on it for good.  With
+    nothing warm the resync now fetches the interest set."""
+    schedule = [FaultEvent(3097.0, "churn", ("m2",), duration=630.0)]
+    result = run_scenario(ScenarioConfig(topology="group", seed=102,
+                                         partial_interest=True),
+                          schedule=schedule)
+    assert result.ok, [str(v) for v in result.violations]
+    assert result.converged
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="known failure 3(c): certification reads commit "
                    "stamps, which resolve at different times on different "
