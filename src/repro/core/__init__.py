@@ -10,7 +10,7 @@
 
 from .clock import LamportClock, VectorClock, lub
 from .dot import Dot, DotTracker
-from .journal import JournalEntry, ObjectJournal
+from .journal import JournalEntry, ObjectJournal, ObjectState
 from .kstable import KStabilityTracker
 from .txn import (CommitStamp, ObjectKey, Snapshot, StreamEntry, Transaction,
                   WriteOp)
@@ -20,6 +20,6 @@ __all__ = [
     "Dot", "DotTracker",
     "CommitStamp", "ObjectKey", "Snapshot", "StreamEntry", "Transaction",
     "WriteOp",
-    "JournalEntry", "ObjectJournal",
+    "JournalEntry", "ObjectJournal", "ObjectState",
     "KStabilityTracker",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List,
                     Optional, Set, Tuple)
@@ -190,28 +191,32 @@ class ObjectJournal:
         """The live entry list, sorted by dot.  Callers must not mutate."""
         return self._entries
 
-    # -- (de)serialisation ------------------------------------------------------------
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Serialise the base version (journal entries travel as txns)."""
-        return object_state(self.key, self.type_name, self._base,
-                            self._base_dots)
-
-    @classmethod
-    def from_snapshot_state(cls, data: Dict[str, Any]) -> "ObjectJournal":
-        journal = cls(ObjectKey.from_dict(data["key"]), data["type"])
-        journal._base = state_from_dict(data["base"])
-        journal._base_dots = {Dot.from_dict(d) for d in data["base_dots"]}
-        return journal
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ObjectJournal({self.key}, base_dots="
                 f"{len(self._base_dots)}, journal={len(self._entries)})")
 
 
-def object_state(key: ObjectKey, type_name: str, state: OpBasedCRDT,
-                 dots: Iterable[Dot]) -> Dict[str, Any]:
-    """An object version as seeds and shard reads carry it: the state
-    and the dots folded into it, which become a journal's base
-    (:meth:`ObjectJournal.from_snapshot_state`)."""
-    return {"key": key.to_dict(), "type": type_name, "base": state.to_dict(),
-            "base_dots": [d.to_dict() for d in sorted(dots)]}
+@dataclass(frozen=True, slots=True)
+class ObjectState:
+    """An object version as seeds, fetches and shard reads carry it: the
+    state and the dots folded into it, which become a receiver's journal
+    base (:meth:`journal`).  ``base`` is the CRDT's ``to_dict()`` form,
+    the one copy a receiver installs (``from_dict`` shares nothing with
+    it), so one state may go to several receivers."""
+
+    key: ObjectKey
+    type_name: str
+    base: Dict[str, Any]
+    base_dots: Tuple[Dot, ...]      # sorted
+
+    @classmethod
+    def of(cls, key: ObjectKey, type_name: str, state: OpBasedCRDT,
+           dots: Iterable[Dot]) -> "ObjectState":
+        return cls(key, type_name, state.to_dict(), tuple(sorted(dots)))
+
+    def journal(self) -> ObjectJournal:
+        """A fresh journal whose base is this version."""
+        journal = ObjectJournal(self.key, self.type_name)
+        journal._base = state_from_dict(self.base)
+        journal._base_dots = set(self.base_dots)
+        return journal

@@ -52,7 +52,7 @@ def session_refusal(server_id: str, msg: SessionOpen, vector: VectorClock,
     and the session is refused until the gap closes."""
     if VectorClock(msg.state_vector).leq(vector) and all(
             seen(dot) or dot.origin == msg.edge_id
-            for dot in map(Dot.from_dict, msg.local_deps)):
+            for dot in msg.local_deps):
         return None
     return SessionAck(server_id, (), {}, accepted=False,
                       reason="causally-incompatible")

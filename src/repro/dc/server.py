@@ -12,9 +12,8 @@ import random
 from typing import Any, Dict, Optional, Union
 
 from ..core.clock import VectorClock
-from ..core.dot import Dot
-from ..core.journal import ObjectJournal, object_state
-from ..core.txn import ObjectKey, Transaction
+from ..core.journal import ObjectJournal, ObjectState
+from ..core.txn import Transaction
 from ..sim.actor import Actor
 from ..sim.events import EventLoop
 from ..sim.network import Network
@@ -83,9 +82,9 @@ class ShardServer(Actor):
 
     # -- reads -------------------------------------------------------------------
     def _on_read(self, msg: ShardRead, sender: str) -> None:
-        key = ObjectKey.from_dict(msg.key)
+        key = msg.key
         vector = VectorClock(msg.visible_vector)
-        extras = frozenset(Dot.from_dict(d) for d in msg.extra_dots)
+        extras = frozenset(msg.extra_dots)
 
         def visible(entry) -> bool:
             return (entry.txn.commit.included_in(vector)
@@ -102,4 +101,4 @@ class ShardServer(Actor):
             state = journal.materialise(visible)
             dots = journal.visible_dots(visible)
         self.send(sender, ShardReadReply(
-            msg.request_id, object_state(key, msg.type_name, state, dots)))
+            msg.request_id, ObjectState.of(key, msg.type_name, state, dots)))

@@ -22,6 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..core.clock import VectorClock
 from ..core.dot import Dot
+from ..core.journal import ObjectState
 from ..core.txn import CommitStamp, ObjectKey, Snapshot, Transaction, WriteOp
 from ..crdt.base import state_from_dict
 from ..store.ring import HashRing
@@ -33,7 +34,7 @@ from .messages import (RemoteTxnReply, RemoteTxnRequest, ShardAbort,
 #: Messages for the DC to send, in order: ``(destination, message)``.
 Sends = List[Tuple[str, Any]]
 #: What to do with gathered object states.
-Gathered = Callable[[List[dict]], None]
+Gathered = Callable[[List[ObjectState]], None]
 
 
 @dataclass
@@ -67,7 +68,7 @@ class RemoteTxns:
         self.ring = ring
         self.node_id = log.node_id
         self._next_request = 0
-        self._gathers: Dict[int, Tuple[Set[int], Dict[int, dict],
+        self._gathers: Dict[int, Tuple[Set[int], Dict[int, ObjectState],
                                        Gathered, List[int]]] = {}
         self._prepared: Dict[int, _Pending2PC] = {}
         self._next_txid = 0
@@ -75,7 +76,7 @@ class RemoteTxns:
 
     # -- shard read gathering ------------------------------------------------
     def gather(self, keys: List[Tuple[ObjectKey, str]], vector: VectorClock,
-               extra_dots: Tuple[dict, ...], done: Gathered) -> Sends:
+               extra_dots: Tuple[Dot, ...], done: Gathered) -> Sends:
         """Read object states (at ``vector``) from their owning shards;
         ``done`` is handed back by :meth:`on_read_reply` with the states
         in ``keys`` order once the last one arrived — or, with no keys,
@@ -90,15 +91,14 @@ class RemoteTxns:
             self._next_request += 1
             request_ids.append(request_id)
             sends.append((self.ring.lookup(key), ShardRead(
-                request_id, key.to_dict(), type_name, vector.to_dict(),
-                tuple(extra_dots))))
+                request_id, key, type_name, vector.to_dict(), extra_dots)))
         gather = (set(request_ids), {}, done, request_ids)
         for request_id in request_ids:
             self._gathers[request_id] = gather
         return sends
 
     def on_read_reply(self, msg: ShardReadReply) \
-            -> Optional[Tuple[Gathered, List[dict]]]:
+            -> Optional[Tuple[Gathered, List[ObjectState]]]:
         """``(done, states)`` when ``msg`` completed its gather."""
         gather = self._gathers.pop(msg.request_id, None)
         if gather is None:
@@ -123,7 +123,7 @@ class RemoteTxns:
             # still a superset of the client's dependencies, and it keeps
             # shard reads above the compaction frontier.
             snapshot = Snapshot(VectorClock(msg.snapshot).merge(stable),
-                                [Dot.from_dict(d) for d in msg.local_deps])
+                                msg.local_deps)
             if not snapshot.satisfied_by(log.state_vector, log.dots):
                 return RemoteTxnReply(msg.request_id, (), False,
                                       reason="missing-dependencies")
@@ -131,8 +131,7 @@ class RemoteTxns:
             snapshot = Snapshot(log.state_vector)
         keys: List[Tuple[ObjectKey, str]] = []
         seen: Set[ObjectKey] = set()
-        for key_dict, type_name, *_update in (*msg.reads, *msg.updates):
-            key = ObjectKey.from_dict(key_dict)
+        for key, type_name, *_update in (*msg.reads, *msg.updates):
             if key not in seen:
                 keys.append((key, type_name))
                 seen.add(key)
@@ -141,22 +140,20 @@ class RemoteTxns:
         return PendingRemoteTxn(msg, client, snapshot, keys)
 
     def execute(self, pending: PendingRemoteTxn,
-                object_states: List[dict]) -> Sends:
+                object_states: List[ObjectState]) -> Sends:
         """Run a transaction on its gathered reads: the reply of a
         read-only or already committed one, else the prepare round."""
         msg = pending.request
-        states = {key: state_from_dict(state["base"])
+        states = {key: state_from_dict(state.base)
                   for (key, _t), state in zip(pending.keys, object_states)}
         # Reads are taken from the materialised snapshot states.
-        values = tuple(states[ObjectKey.from_dict(k)].value()
-                       for k, _t in msg.reads)
+        values = tuple(states[k].value() for k, _t in msg.reads)
         if not msg.updates:
             return [(pending.client,
                      RemoteTxnReply(msg.request_id, values, True))]
         # Prepare the updates against the snapshot.
         writes: List[WriteOp] = []
-        for key_dict, _type_name, method, args in msg.updates:
-            key = ObjectKey.from_dict(key_dict)
+        for key, _type_name, method, args in msg.updates:
             writes.append(WriteOp(key, states[key].prepare(method, *args)))
         # Idempotent retries: a repeated (client, request) pair re-uses the
         # dot assigned the first time and just reports its commit stamp.
@@ -165,7 +162,7 @@ class RemoteTxns:
         if known_dot is not None and self.log.dots.seen(known_dot):
             return [self._committed_reply(pending, values, known_dot)]
         if msg.dot is not None:
-            dot = Dot.from_dict(msg.dot)
+            dot = msg.dot
         else:
             # A duplicate that raced the first copy's commit re-uses the
             # dot assigned the first time, so both copies collapse onto

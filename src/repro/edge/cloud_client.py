@@ -46,9 +46,8 @@ class CloudClient(Actor):
         request = RemoteTxnRequest(
             client_id=self.node_id,
             request_id=request_id,
-            reads=tuple((k.to_dict(), t) for k, t in reads),
-            updates=tuple((k.to_dict(), t, m, tuple(a))
-                          for k, t, m, a in updates),
+            reads=tuple((k, t) for k, t in reads),
+            updates=tuple((k, t, m, tuple(a)) for k, t, m, a in updates),
             issuer=self.user,
         )
         self._pending[request_id] = (self.now, on_done)

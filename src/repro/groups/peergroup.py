@@ -190,8 +190,8 @@ class GroupMember(EdgeNode):
 
     def join_group(self) -> None:
         """Ask the group's parent to admit this node (section 5.1.1)."""
-        self.send(self.parent_id, JoinGroup(self.node_id,
-                                            self._interest_wire()))
+        self.send(self.parent_id, JoinGroup(
+            self.node_id, tuple(self._interest_types.items())))
 
     def leave_group(self) -> None:
         if self.orderer is not None:
@@ -246,11 +246,10 @@ class GroupMember(EdgeNode):
         self._absorb_interest(msg.member, msg.add)
 
     def _absorb_interest(self, member: str,
-                         interest: Tuple[Tuple[dict, str], ...]) -> None:
+                         interest: Iterable[Tuple[ObjectKey, str]]) -> None:
         """Parent: union a member's interest into the DC session."""
         table = self._member_interest.setdefault(member, {})
-        for key_dict, type_name in interest:
-            key = ObjectKey.from_dict(key_dict)
+        for key, type_name in interest:
             table[key] = type_name
             self.declare_interest(key, type_name)
 
@@ -426,7 +425,7 @@ class GroupMember(EdgeNode):
         # Publish the interest to the parent, which subscribes with the
         # DC on the whole group's behalf (section 5.1.2).
         self.send(self.parent_id, InterestAnnounce(
-            self.node_id, add=((key.to_dict(), type_name),)))
+            self.node_id, add=((key, type_name),)))
 
     def fetch_object(self, key: ObjectKey, type_name: str, ctx) -> None:
         if self.is_parent or not self.in_group:
@@ -435,14 +434,14 @@ class GroupMember(EdgeNode):
         ctx.note_serving("peer")
         if not self.group_offline:
             self.send(self.parent_id,
-                      GroupFetch(key.to_dict(), type_name, self.node_id))
+                      GroupFetch(key, type_name, self.node_id))
 
     def _on_group_fetch(self, msg: GroupFetch, sender: str) -> None:
-        key = ObjectKey.from_dict(msg.key)
+        key = msg.key
         # Serve only warm (seeded, hole-free) objects from the cache.
         if key in self.frontier.key_cut:
             self.send(msg.requester, GroupFetchReply(
-                dict(msg.key), self._seed_state(key, msg.type_name),
+                key, self._seed_state(key, msg.type_name),
                 self.vector.to_dict(), True))
             return
         # Not cached here: escalate to the DC on the member's behalf.
@@ -451,15 +450,14 @@ class GroupMember(EdgeNode):
 
     def _on_object_response(self, msg: ObjectResponse, sender: str) -> None:
         super()._on_object_response(msg, sender)
-        key = ObjectKey.from_dict(msg.object_state["key"])
-        for member in self._member_fetch_waiting.pop(key, []):
+        state = msg.object_state
+        for member in self._member_fetch_waiting.pop(state.key, []):
             self.send(member, GroupFetchReply(
-                key.to_dict(), dict(msg.object_state),
-                dict(msg.stable_vector), False))
+                state.key, state, dict(msg.stable_vector), False))
 
     def _on_group_fetch_reply(self, msg: GroupFetchReply,
                               sender: str) -> None:
-        key = ObjectKey.from_dict(msg.key)
+        key = msg.key
         if not msg.from_cache:
             for running in self._pending_fetches.get(key, ()):
                 running.ctx.note_serving("dc")
@@ -525,7 +523,7 @@ class GroupMember(EdgeNode):
         for key in keys:
             type_name = self._interest_types.get(key, "counter")
             self.send(self.parent_id,
-                      GroupFetch(key.to_dict(), type_name, self.node_id))
+                      GroupFetch(key, type_name, self.node_id))
 
     def _on_dc_commit_ack(self, msg: CommitAck, sender: str) -> None:
         """The sync point relays the DC's ack to every member, whose
@@ -650,5 +648,6 @@ def form_group(members: List[GroupMember]) -> None:
     if parent is None:
         raise ValueError("the parent must be one of the members")
     for member in members:
-        parent._absorb_interest(member.node_id, member._interest_wire())
+        parent._absorb_interest(member.node_id,
+                                tuple(member._interest_types.items()))
     parent.connect()

@@ -90,9 +90,7 @@ def bootstrap_group(topo: Topology, member: GroupMember) -> None:
     member.init_group(tuple(s.name for s in sites))
     if member.is_parent:
         for site in sites:
-            member._absorb_interest(
-                site.name, tuple((key.to_dict(), type_name) for
-                                 key, type_name in topo.keys_of(site)))
+            member._absorb_interest(site.name, topo.keys_of(site))
         member.connect()
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.clock import VectorClock
 from repro.core.dot import Dot
+from repro.core.journal import ObjectState
 from repro.core.txn import (CommitStamp, ObjectKey, Snapshot, StreamEntry,
                             Transaction, WriteOp)
 from repro.crdt.base import Operation
@@ -80,6 +81,10 @@ RECORD_SHAPES = {
                             and _is(e.deps, tuple) and _all(e.deps, Dot)
                             and _is(e.writes, tuple)
                             and _all(e.writes, WriteOp)),
+    ObjectState: lambda o: (_is(o.key, ObjectKey) and _is(o.type_name, str)
+                            and _is(o.base, dict)
+                            and _is(o.base_dots, tuple)
+                            and _all(o.base_dots, Dot)),
 }
 
 #: Where records nest inside one another.
@@ -88,6 +93,7 @@ _RECORD_PARTS = {
     Snapshot: lambda s: (s.vector, *s.local_deps),
     Transaction: lambda t: (t.dot, t.snapshot, t.commit, *t.writes),
     StreamEntry: lambda e: (e.dot, *e.deps, *e.writes),
+    ObjectState: lambda o: (o.key, *o.base_dots),
 }
 
 
@@ -279,6 +285,12 @@ def txn(dot=DOT, origin=s("e1"), snapshot=_SNAP, commit=_STAMP,
     return rec(0x08, dot, origin, snapshot, commit, writes, issuer)
 
 
+def state(key=_KEY, type_name=s("counter"),
+          base=encode_value({"type": "counter", "value": 1}),
+          base_dots=seq(DOT)):
+    return rec(0x0A, key, type_name, base, base_dots)
+
+
 BAD_RECORDS = {
     "dot one field short": rec(0x01, i(3)),
     "dot one field over": rec(0x01, DOT, i(1)),
@@ -315,6 +327,13 @@ BAD_RECORDS = {
     "tag is a list": rec(0x03, s("counter"), s("increment"),
                          encode_value({"amount": 1}),
                          encode_value([1, "a", 0])),
+    "object state base is a list": state(base=encode_value([1])),
+    "object state base is a CRDT record": state(base=rec(0x02, _KEY)),
+    "object state dot is not a dot": state(base_dots=seq(s("dc0"))),
+    "object state dots are a list": state(base_dots=encode_value([])),
+    "object state one field short": state()[:-len(seq(DOT))],
+    "truncated inside the object state's key": state()[:2 + len(s("b"))
+                                                       + 1],
 }
 
 
@@ -330,6 +349,12 @@ def test_records_of_wrong_arity_or_field_type_raise_codec_error(bad):
         decode_value(bad)
     with pytest.raises(CodecError):      # inside a message, in a frame
         decode_frame(apply + bad)
+
+
+def test_an_object_state_decodes_from_its_fields():
+    assert decode_value(state()) == ObjectState(
+        ObjectKey("b", "k"), "counter", {"type": "counter", "value": 1},
+        (Dot(3, "dc0"),))
 
 
 def test_a_record_is_not_a_message():

@@ -3,13 +3,14 @@
 Three generators: arbitrary value trees (the codec's full domain), the
 per-class sample corpus perturbed structurally (realistic messages) and
 arbitrary core values the codec carries as records (transactions and
-their parts, stream entries).
+their parts, stream entries, object states).
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.clock import VectorClock
 from repro.core.dot import Dot
+from repro.core.journal import ObjectState
 from repro.core.txn import (CommitStamp, ObjectKey, Snapshot, StreamEntry,
                             Transaction, WriteOp)
 from repro.crdt.base import Operation
@@ -115,10 +116,15 @@ stream_entries = st.builds(StreamEntry, dots, _ids, st.none() | _ids,
                            _counts, st.lists(dots, max_size=3).map(tuple),
                            _counts, _writes)
 
+object_states = st.builds(
+    ObjectState, object_keys, st.text(max_size=8),
+    st.dictionaries(st.text(max_size=6), _values, max_size=3),
+    st.lists(dots, max_size=3).map(lambda ds: tuple(sorted(ds))))
+
 RECORDS = {Dot: dots, ObjectKey: object_keys, Operation: operations,
            WriteOp: write_ops, VectorClock: vectors, Snapshot: snapshots,
            CommitStamp: stamps, Transaction: transactions,
-           StreamEntry: stream_entries}
+           StreamEntry: stream_entries, ObjectState: object_states}
 
 
 def test_every_record_class_has_a_generator():
@@ -155,6 +161,34 @@ def test_edge_and_group_messages_carrying_values_round_trip(txns, dot,
                     grp.GroupCommitAck(dot, prev),
                     grp.TxnPull("m1", (dot, txns[0].dot)),
                     grp.TxnPushMsg(batch)):
+        back = decode_frame(encode_frame("dc0", "e1", message)[4:])
+        assert back == ("dc0", "e1", message)
+        assert type(back[2]) is type(message)
+
+
+@given(st.lists(object_keys, min_size=1, max_size=3),
+       st.lists(dots, max_size=3).map(tuple), object_states, _counts)
+@settings(deadline=None)
+def test_messages_naming_keys_dots_and_states_round_trip(keys, deps, state,
+                                                         vector):
+    """Every message that names a key, a dot or an object version."""
+    interest = tuple((key, "counter") for key in keys)
+    for message in (
+            dc.SessionOpen("e1", interest, vector, deps, None),
+            dc.SessionAck("dc0", (state, state), vector),
+            dc.InterestChange("e1", interest, tuple(keys), vector),
+            dc.ObjectRequest("e1", keys[0], "counter", vector),
+            dc.ObjectResponse(state, vector),
+            dc.RemoteTxnRequest("c1", 7, interest, tuple(
+                (key, "counter", "increment", (1,)) for key in keys),
+                vector, deps, "u1", deps[0] if deps else None),
+            dc.ShardRead(3, keys[0], "counter", vector, deps),
+            dc.ShardReadReply(3, state),
+            grp.JoinGroup("m1", interest),
+            grp.InterestAnnounce("m1", interest, tuple(keys)),
+            grp.GroupFetch(keys[0], "counter", "m1"),
+            grp.GroupFetchReply(state.key, state, vector, True),
+            grp.GroupFetchReply(keys[0], None, vector, False)):
         back = decode_frame(encode_frame("dc0", "e1", message)[4:])
         assert back == ("dc0", "e1", message)
         assert type(back[2]) is type(message)

@@ -24,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core import (CommitStamp, Dot, ObjectKey, Snapshot, Transaction,
                         VectorClock, WriteOp)
-from repro.core.journal import ObjectJournal
+from repro.core.journal import ObjectJournal, ObjectState
 from repro.crdt import Counter
 from repro.dc.fanout import SessionFanout
 from repro.dc.messages import ObjectResponse, SessionAck, UpdatePush
@@ -64,7 +64,8 @@ class Upstream:
         for txn in self.on(key, cut):
             journal.append(txn)
         journal.advance_base(lambda entry: True)
-        return journal.snapshot_state()
+        return ObjectState.of(key, "counter", journal.materialise(),
+                              journal.base_dots)
 
     def round(self):
         """Everything committed becomes stable; route what is new."""

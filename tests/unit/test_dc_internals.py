@@ -24,9 +24,7 @@ class _Probe(Actor):
     def remote(self, dc, request_id, reads=(), updates=()):
         self.send(dc, RemoteTxnRequest(
             client_id=self.node_id, request_id=request_id,
-            reads=tuple((k.to_dict(), t) for k, t in reads),
-            updates=tuple((k.to_dict(), t, m, a)
-                          for k, t, m, a in updates)))
+            reads=tuple(reads), updates=tuple(updates)))
 
 
 def world(n_dcs=1, k=1, service_time_ms=None, seed=121):

@@ -5,8 +5,8 @@ replica's two values directly (``tests/replicas.py``)."""
 
 import pytest
 
-from repro.core import (CommitStamp, Dot, ObjectKey, Transaction,
-                        VectorClock)
+from repro.core import (CommitStamp, Dot, ObjectKey, ObjectState,
+                        Transaction, VectorClock)
 from repro.crdt import Counter
 from repro.dc.messages import CommitAck, UpdatePush
 from repro.edge import EdgeNode, PoPNode
@@ -432,9 +432,8 @@ class TestStampAdoption:
         commit carries its stamp; no GroupCommitAck is needed."""
         node = spawn(GroupMember)
         node.declare_interest(KEY, "counter")
-        node._install_seed({"key": KEY.to_dict(), "type": "counter",
-                            "base": Counter().to_dict(), "base_dots": []},
-                           VectorClock.zero())
+        node._install_seed(ObjectState(KEY, "counter", Counter().to_dict(),
+                                       ()), VectorClock.zero())
         node.init_group(("m0", "n"))
         run_update(node, KEY, "counter", "increment", 1)
         (own,) = node.unacked.values()

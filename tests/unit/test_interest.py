@@ -129,7 +129,7 @@ def test_interest_messages_have_wire_sizes():
     backfill = ShardBackfill(shard=2, entries=(), upto=7)
     assert backfill.wire_size() > 0
     change = InterestChange("edge1",
-                            add=(({"bucket": "b", "key": "k"}, "counter"),),
+                            add=((ObjectKey("b", "k"), "counter"),),
                             state_vector={})
     assert change.wire_size() > 0
 

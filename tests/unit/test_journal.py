@@ -1,7 +1,8 @@
 """ObjectJournal tests: base + journal, materialisation, compaction (§4.1)."""
 
 from repro.core import (CommitStamp, Dot, ObjectKey, ObjectJournal,
-                        Snapshot, Transaction, VectorClock, WriteOp)
+                        ObjectState, Snapshot, Transaction, VectorClock,
+                        WriteOp)
 from repro.crdt import Counter, RGASequence
 
 
@@ -178,7 +179,8 @@ class TestSnapshotState:
         j = ObjectJournal(KEY, "counter")
         j.append(counter_txn(1, amount=3, entries={"dc0": 1}))
         j.advance_base(lambda e: True)
-        restored = ObjectJournal.from_snapshot_state(j.snapshot_state())
+        restored = ObjectState.of(KEY, "counter", j.materialise(),
+                                  j.base_dots).journal()
         assert restored.materialise().value() == 3
         assert restored.base_dots == {Dot(1, "e")}
 

@@ -1,7 +1,7 @@
 """RemoteTxns, driven directly: no simulator, no DataCenter, no shards —
 the test plays the shards' side of the conversation."""
 
-from repro.core import Dot, ObjectKey, VectorClock
+from repro.core import Dot, ObjectKey, ObjectState, VectorClock
 from repro.crdt import Counter
 from repro.dc.commitlog import CommitLog
 from repro.dc.messages import (RemoteTxnReply, RemoteTxnRequest, ShardAbort,
@@ -27,8 +27,8 @@ class Coordinator:
     def request(self, request_id, reads=(), updates=(), **extra):
         return RemoteTxnRequest(
             CLIENT, request_id,
-            reads=tuple((key.to_dict(), "counter") for key in reads),
-            updates=tuple((key.to_dict(), "counter", "increment", (n,))
+            reads=tuple((key, "counter") for key in reads),
+            updates=tuple((key, "counter", "increment", (n,))
                           for key, n in updates), **extra)
 
     def open(self, msg):
@@ -40,8 +40,9 @@ class Coordinator:
         if value:
             counter.apply(counter.prepare("increment", value)
                           .with_tag((1, "seed", 0)))
-        state = {"base": counter.to_dict()}
-        return self.remote.execute(pending, [state] * len(pending.keys))
+        return self.remote.execute(pending, [
+            ObjectState(key, "counter", counter.to_dict(), ())
+            for key, _type_name in pending.keys])
 
     def vote_all(self, prepares):
         """Every shard votes yes; what the last vote decided."""
@@ -129,7 +130,7 @@ def test_retry_after_the_commit_reports_the_same_stamp():
     assert coord.log.sequencer == 1
     # A client-assigned dot we already hold (resent after a migration).
     again = coord.request(2, updates=[(X, 1)],
-                          dot=Dot(1, f"{NODE}/srv").to_dict())
+                          dot=Dot(1, f"{NODE}/srv"))
     assert coord.execute(coord.open(again)) \
         == [(CLIENT, RemoteTxnReply(2, (), True, {NODE: 1}))]
     assert coord.log.sequencer == 1

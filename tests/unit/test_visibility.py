@@ -14,8 +14,8 @@ closed.
 import pytest
 
 from repro.core import (CommitStamp, Dot, JournalEntry, KStabilityTracker,
-                        ObjectKey, Snapshot, Transaction, VectorClock,
-                        WriteOp)
+                        ObjectKey, ObjectState, Snapshot, Transaction,
+                        VectorClock, WriteOp)
 from repro.crdt import Counter
 from repro.edge import EdgeNode
 from repro.edge.replica import EdgeFrontier
@@ -196,8 +196,7 @@ def replica(cls=EdgeNode, **kwargs):
     """A node replicating KEY, seeded empty, with no DC session."""
     node = Simulation(seed=1).spawn(cls, "e", dc_id="dc0", **kwargs)
     node.declare_interest(KEY, "counter")
-    node._install_seed({"key": KEY.to_dict(), "type": "counter",
-                        "base": Counter().to_dict(), "base_dots": []},
+    node._install_seed(ObjectState(KEY, "counter", Counter().to_dict(), ()),
                        VectorClock.zero())
     return node
 

@@ -186,3 +186,60 @@ class TestStringTables:
         assert len(codec._DEC_STRS) < DECODE_TABLE_MAX
         clear()
         assert frames() == empty        # just cleared
+
+
+class TestValuesNotDicts:
+    """A message names a key, a dot or an object version by the value,
+    not by its ``to_dict()`` form — but in the places that still speak
+    dicts on purpose, named here."""
+
+    #: Dict shapes of the core values, by their exact key sets.
+    SHAPES = {frozenset({"bucket", "key"}): "key",
+              frozenset({"origin", "counter"}): "dot",
+              frozenset({"key", "type", "base", "base_dots"}): "state"}
+    #: EPaxos and Tiga messages carry consensus commands (a transaction's
+    #: dict form) and Tiga names a command by its dict dot.
+    EXEMPT_MODULES = {"repro.epaxos.messages"}
+    #: A group seed's instances are consensus commands; the two ingress
+    #: points take a ``to_dict()`` transaction from drivers outside src/.
+    EXEMPT_FIELDS = {("GroupSeed", "instances"), ("EdgeCommit", "txn"),
+                     ("EdgeCommitBatch", "txns"), ("UpdatePush", "txns")}
+
+    def dict_shapes(self, value, path):
+        """``(path, shape)`` of every key-, dot- or state-shaped dict
+        reachable from ``value``."""
+        found = []
+        if type(value) is dict:
+            shape = self.SHAPES.get(frozenset(value))
+            if shape is not None:
+                found.append((path, shape))
+            for k, item in value.items():
+                found += self.dict_shapes(item, f"{path}[{k!r}]")
+        elif type(value) in (tuple, list, set, frozenset):
+            for i, item in enumerate(value):
+                found += self.dict_shapes(item, f"{path}[{i}]")
+        elif hasattr(type(value), "__dataclass_fields__"):
+            cls = type(value)
+            if cls.__module__ in self.EXEMPT_MODULES:
+                return found
+            for name in cls.__dataclass_fields__:
+                if (cls.__name__, name) not in self.EXEMPT_FIELDS:
+                    found += self.dict_shapes(getattr(value, name),
+                                              f"{path}.{name}")
+        return found
+
+    def test_no_message_field_holds_a_key_dot_or_object_state_dict(self):
+        found = [hit for message in samples.all_samples()
+                 for hit in self.dict_shapes(message,
+                                             type(message).__name__)]
+        assert found == []
+
+    def test_the_check_finds_each_shape(self):
+        from repro.dc.messages import SessionAck, SessionOpen
+        key, dot = {"bucket": "b", "key": "k"}, {"origin": "e", "counter": 1}
+        state = {"key": key, "type": "counter", "base": {}, "base_dots": []}
+        assert self.dict_shapes(SessionOpen("e", ((key, "counter"),), {},
+                                            (dot,)), "m") \
+            == [("m.interest[0][0]", "key"), ("m.local_deps[0]", "dot")]
+        assert self.dict_shapes(SessionAck("dc0", (state,), {}), "m") \
+            == [("m.objects[0]", "state"), ("m.objects[0]['key']", "key")]
