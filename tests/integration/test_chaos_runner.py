@@ -134,6 +134,26 @@ def test_member_back_from_churn_with_nothing_warm_learns_the_vector():
     assert result.converged
 
 
+def test_a_seed_folds_only_what_its_cut_covers():
+    """Regression (``--topology tree --seed 54``, shrunk to its three
+    faults): the sync point m0, migrated to a dc0 cut off from dc1,
+    re-opened its session declaring ``m0@10``, stamped by dc0 alone.
+    The DC read the seed of s0 at its stable cut *plus* that dependency,
+    so the base folded a dot the cut did not cover; m0 then seeded m2
+    from its cache, and m2 showed ``m0@10`` held at one DC with K=2.  A
+    seed's base now folds only what its cut covers."""
+    schedule = [
+        FaultEvent(3756.9859442727134, "churn", ("m2",),
+                   duration=1880.576880633816),
+        FaultEvent(4922.294993446383, "dc_isolate", ("dc1",),
+                   duration=303.8371462594595),
+        FaultEvent(5282.097959063816, "migrate", ("m0", "dc0"))]
+    result = run_scenario(ScenarioConfig(topology="tree", seed=54),
+                          schedule=schedule)
+    assert result.ok, [str(v) for v in result.violations]
+    assert result.converged
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="known failure 3(c): certification reads commit "
                    "stamps, which resolve at different times on different "
