@@ -28,6 +28,13 @@ class CRDTError(Exception):
 # (dot, op_index).  Tests may use plain integers.
 Tag = Tuple[Any, ...]
 
+#: Kinds of the payload fields an effect method declares
+#: (:attr:`OpBasedCRDT.PAYLOADS`), which the wire codec writes by schema:
+#: ``INT`` is an ``int`` (never a ``bool``), ``VALUE`` any plain value and
+#: ``(VALUE, t)`` a plain value of type ``t``.
+INT = "int"
+VALUE = "value"
+
 
 class Operation:
     """A self-contained downstream operation produced by ``prepare``.
@@ -94,9 +101,14 @@ class OpBasedCRDT:
       concurrent under the causal order, and idempotent-by-delivery (the
       caller never delivers the same tag twice; Colony filters duplicates by
       dot, paper section 3.8).
+
+    ``PAYLOADS`` declares, per effect method, the fields of the payload
+    its ``prepare`` returns, in wire order: ``(name, kind)`` pairs with
+    the kinds above.  A kind is as tight as ``prepare`` guarantees.
     """
 
     TYPE_NAME = "abstract"
+    PAYLOADS: Dict[str, Tuple[Tuple[str, Any], ...]] = {}
 
     def prepare(self, method: str, *args: Any, **kwargs: Any) -> Operation:
         """Produce the downstream operation for ``method(*args)``."""

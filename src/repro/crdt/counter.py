@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from .base import CRDTError, OpBasedCRDT, Operation, register_crdt
+from .base import INT, VALUE, CRDTError, OpBasedCRDT, Operation, register_crdt
 
 
 @register_crdt
@@ -18,18 +18,20 @@ class Counter(OpBasedCRDT):
     """Op-based integer counter; increments/decrements commute."""
 
     TYPE_NAME = "counter"
+    PAYLOADS = {"increment": (("amount", INT),),
+                "decrement": (("amount", INT),)}
 
     def __init__(self, value: int = 0):
         self._value = int(value)
 
     # -- prepare -----------------------------------------------------------
     def _prepare_increment(self, amount: int = 1) -> Dict[str, Any]:
-        if not isinstance(amount, int):
+        if type(amount) is not int:
             raise CRDTError("counter increment must be an int")
         return {"amount": amount}
 
     def _prepare_decrement(self, amount: int = 1) -> Dict[str, Any]:
-        if not isinstance(amount, int):
+        if type(amount) is not int:
             raise CRDTError("counter decrement must be an int")
         return {"amount": amount}
 
@@ -60,6 +62,9 @@ class PNCounter(OpBasedCRDT):
     """Positive-negative counter exposing both totals."""
 
     TYPE_NAME = "pncounter"
+    # ``prepare`` only compares the amount with 0: any number passes.
+    PAYLOADS = {"increment": (("amount", VALUE),),
+                "decrement": (("amount", VALUE),)}
 
     def __init__(self, positive: int = 0, negative: int = 0):
         self._positive = int(positive)

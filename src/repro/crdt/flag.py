@@ -11,11 +11,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Set
 
-from .base import OpBasedCRDT, Operation, Tag, register_crdt
+from .base import VALUE, OpBasedCRDT, Operation, Tag, register_crdt
 
 
 class _TagFlag(OpBasedCRDT):
     """Shared machinery: live enable tags vs live disable tags."""
+
+    PAYLOADS = {"enable": (("observed", (VALUE, list)),),
+                "disable": (("observed", (VALUE, list)),)}
 
     #: Which side wins a concurrent enable/disable race.
     WINNER = "enable"

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Set
 
-from .base import (CRDTError, OpBasedCRDT, Operation, Tag, new_crdt,
+from .base import (VALUE, CRDTError, OpBasedCRDT, Operation, Tag, new_crdt,
                    register_crdt, state_from_dict)
 
 
 class _NestedMap(OpBasedCRDT):
     """Shared machinery: nested-update prepare/effect for CRDT maps."""
+
+    # ``child`` is the nested operation's ``to_dict()`` form.
+    PAYLOADS = {"update": (("key", VALUE), ("child", (VALUE, dict)))}
 
     def __init__(self, children: Optional[Dict[Any, OpBasedCRDT]] = None):
         self._children: Dict[Any, OpBasedCRDT] = {
@@ -108,6 +111,8 @@ class ORMap(_NestedMap):
     """
 
     TYPE_NAME = "ormap"
+    PAYLOADS = {**_NestedMap.PAYLOADS,
+                "remove": (("key", VALUE), ("observed", (VALUE, list)))}
 
     def __init__(self, children: Optional[Dict[Any, OpBasedCRDT]] = None,
                  live_tags: Optional[Dict[Any, Set[Tag]]] = None):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from .base import OpBasedCRDT, Operation, Tag, register_crdt
+from .base import VALUE, OpBasedCRDT, Operation, Tag, register_crdt
 
 
 @register_crdt
@@ -19,6 +19,7 @@ class LWWRegister(OpBasedCRDT):
     """Last-writer-wins register; the writer with the greatest tag wins."""
 
     TYPE_NAME = "lwwregister"
+    PAYLOADS = {"assign": (("value", VALUE),)}
 
     def __init__(self, value: Any = None, tag: Optional[Tag] = None):
         self._value = value
@@ -61,6 +62,7 @@ class MVRegister(OpBasedCRDT):
     """
 
     TYPE_NAME = "mvregister"
+    PAYLOADS = {"assign": (("value", VALUE), ("observed", (VALUE, list)))}
 
     def __init__(self, entries: Optional[Dict[Tag, Any]] = None):
         # Maps assignment tag -> value.

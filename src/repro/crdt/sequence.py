@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from .base import CRDTError, OpBasedCRDT, Operation, Tag, register_crdt
+from .base import VALUE, CRDTError, OpBasedCRDT, Operation, Tag, register_crdt
 
 # The virtual anchor for inserts at the head of the sequence.
 _ROOT: Tag = ()
@@ -33,6 +33,9 @@ class RGASequence(OpBasedCRDT):
     """Sequence CRDT with insert-at-index, append and delete-at-index."""
 
     TYPE_NAME = "rga"
+    PAYLOADS = {"insert": (("anchor", (VALUE, list)), ("value", VALUE)),
+                "append": (("anchor", (VALUE, list)), ("value", VALUE)),
+                "delete": (("target", (VALUE, list)),)}
 
     def __init__(self) -> None:
         self._nodes: Dict[Tag, _Node] = {}

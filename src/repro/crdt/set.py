@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Hashable
 from typing import Any, Dict, List, Optional, Set
 
-from .base import OpBasedCRDT, Operation, Tag, register_crdt
+from .base import VALUE, OpBasedCRDT, Operation, Tag, register_crdt
 
 
 def _hashable(value: Any) -> Any:
@@ -27,6 +27,8 @@ class GSet(OpBasedCRDT):
     """Grow-only set; removal is not supported."""
 
     TYPE_NAME = "gset"
+    PAYLOADS = {"add": (("value", VALUE),),
+                "add_all": (("values", (VALUE, list)),)}
 
     def __init__(self, items: Optional[Set[Any]] = None):
         self._items: Set[Any] = set(items or ())
@@ -66,6 +68,10 @@ class ORSet(OpBasedCRDT):
     """Observed-remove set (add-wins semantics)."""
 
     TYPE_NAME = "orset"
+    PAYLOADS = {"add": (("value", VALUE),),
+                "add_all": (("values", (VALUE, list)),),
+                "remove": (("value", VALUE), ("observed", (VALUE, list))),
+                "clear": (("observed", (VALUE, list)),)}
 
     def __init__(self, instances: Optional[Dict[Any, Set[Tag]]] = None):
         # element -> set of live instance tags.
@@ -153,6 +159,10 @@ class RWSet(OpBasedCRDT):
     """
 
     TYPE_NAME = "rwset"
+    PAYLOADS = {"add": (("value", VALUE),
+                        ("observed_removes", (VALUE, list))),
+                "remove": (("value", VALUE),
+                           ("observed_adds", (VALUE, list)))}
 
     def __init__(self,
                  adds: Optional[Dict[Any, Set[Tag]]] = None,

@@ -23,7 +23,7 @@ from repro.transport import samples
 from repro.transport.codec import (MAX_DEPTH, CodecError, decode_frame,
                                    decode_message, decode_value,
                                    encode_frame, encode_message,
-                                   encode_value, message_classes)
+                                   encode_value, message_classes, op_schemas)
 
 BODIES = [encode_frame("dc0", "édge-1", message)[4:]
           for message in samples.all_samples()]
@@ -56,12 +56,24 @@ def _counts(mapping):
         type(k) is str and type(v) is int for k, v in mapping.items())
 
 
+#: ``(type name, method)`` -> the payload's field names, in order.
+_OP_FIELDS = {(type_name, method): [name for name, _kind in fields]
+              for _oid, type_name, method, fields in op_schemas()}
+
+
+def _dot_tuple(dots):
+    """A tuple of dots as records hold one: sorted, no dot twice."""
+    return (_is(dots, tuple) and _all(dots, Dot)
+            and list(dots) == sorted(set(dots)))
+
+
 #: Record class -> what its fields must be, stated apart from the codec.
 RECORD_SHAPES = {
     Dot: lambda d: _is(d.counter, int) and _is(d.origin, str),
     ObjectKey: lambda k: _is(k.bucket, str) and _is(k.key, str),
-    Operation: lambda o: (_is(o.type_name, str) and _is(o.method, str)
-                          and _is(o.payload, dict)
+    Operation: lambda o: (_is(o.payload, dict)
+                          and list(o.payload) == _OP_FIELDS.get(
+                              (o.type_name, o.method))
                           and _is(o.tag, tuple, type(None))),
     WriteOp: lambda w: _is(w.key, ObjectKey) and _is(w.op, Operation),
     VectorClock: lambda v: _counts(dict(v.items())),
@@ -78,13 +90,12 @@ RECORD_SHAPES = {
     StreamEntry: lambda e: (_is(e.dot, Dot) and _is(e.origin, str)
                             and _is(e.issuer, str, type(None))
                             and _counts(e.sv) and _counts(e.cx)
-                            and _is(e.deps, tuple) and _all(e.deps, Dot)
+                            and _dot_tuple(e.deps)
                             and _is(e.writes, tuple)
                             and _all(e.writes, WriteOp)),
     ObjectState: lambda o: (_is(o.key, ObjectKey) and _is(o.type_name, str)
                             and _is(o.base, dict)
-                            and _is(o.base_dots, tuple)
-                            and _all(o.base_dots, Dot)),
+                            and _dot_tuple(o.base_dots)),
 }
 
 #: Where records nest inside one another.
@@ -202,9 +213,8 @@ HOSTILE = {
     "nested list bomb": bytes([0x07, 1]) * 5000,
     "nested dict bomb": bytes([0x09, 1, 0x00]) * 5000,
     "nested message bomb": b"\x0c" * 5000,
-    # An Operation whose payload holds an Operation whose payload ...
-    "nested record bomb": (b"\x0d\x03\x05\x01c\x05\x01m\x09\x01\x05\x01k"
-                           * 5000),
+    # An lwwregister assign whose value is an assign whose value ...
+    "nested record bomb": b"\x0d\x03\x0d" * 5000,
 }
 
 
@@ -273,9 +283,20 @@ def rec(class_id, *fields):
     return b"\x0d" + bytes([class_id]) + b"".join(fields)
 
 
+def runs(*runs):
+    """Dot runs, as written: ``(origin, first counter, delta, ...)`` per
+    run, in the order given."""
+    out = varint(len(runs))
+    for origin, first, *deltas in runs:
+        out += s(origin) + varint(1 + len(deltas)) + i(first)
+        out += b"".join(varint(delta) for delta in deltas)
+    return out
+
+
 DOT = i(3) + s("dc0")                       # the fields of Dot(3, "dc0")
+RUNS = runs(("dc0", 3))                     # the dot runs of (Dot(3, "dc0"),)
 _VC = counts({"dc0": 2})
-_SNAP = _VC + seq()                         # no local deps
+_SNAP = _VC + runs()                        # no local deps
 _STAMP = counts({"dc0": 3})
 _KEY = s("b") + s("k")
 
@@ -287,8 +308,22 @@ def txn(dot=DOT, origin=s("e1"), snapshot=_SNAP, commit=_STAMP,
 
 def state(key=_KEY, type_name=s("counter"),
           base=encode_value({"type": "counter", "value": 1}),
-          base_dots=seq(DOT)):
+          base_dots=RUNS):
     return rec(0x0A, key, type_name, base, base_dots)
+
+
+def stream_entry(deps=runs()):
+    return rec(0x09, DOT, s("dc0"), b"\x00", counts({}), deps, counts({}),
+               seq())
+
+
+#: Op ids of the table (``test_op_schemas.PINNED``).
+INCREMENT, ORSET_REMOVE, GMAP_UPDATE, RGA_INSERT = 0x01, 0x09, 0x13, 0x16
+
+
+def op(op_id, *fields, tag=b"\x00"):
+    """An operation record: its op id, its payload's fields, its tag."""
+    return rec(0x03, bytes([op_id]), *fields, tag)
 
 
 BAD_RECORDS = {
@@ -299,7 +334,7 @@ BAD_RECORDS = {
     "vector value is a string": rec(0x05, varint(1) + s("dc0") + s("2")),
     "vector is a list": rec(0x05, encode_value([1, 2])),
     "snapshot deps are a list": rec(0x06, _VC, encode_value([])),
-    "snapshot dep is not a dot": rec(0x06, _VC, seq(encode_value(7))),
+    "snapshot dep is a dot record": rec(0x06, _VC, seq(rec(0x01, DOT))),
     "stamp entry is negative text": rec(0x07, varint(1) + s("dc0")
                                         + s("-1")),
     "transaction one field short": txn()[:-1],
@@ -310,31 +345,59 @@ BAD_RECORDS = {
         {"key": {}, "op": {}}))),
     "transaction issuer is an int": txn(issuer=encode_value(5)),
     "write op is key and key": rec(0x04, _KEY, _KEY),
-    "operation payload is a list": rec(0x03, s("counter"), s("increment"),
-                                       encode_value([1]), b"\x00"),
-    "stream entry deps are dots in a list": rec(
-        0x09, DOT, s("dc0"), b"\x00", counts({}), encode_value([DOT]),
-        counts({}), seq()),
-    "stream entry one field over": rec(
-        0x09, DOT, s("dc0"), b"\x00", counts({}), seq(), counts({}), seq(),
-        b"\x00"),
+    "unknown op id": op(0xEE, i(1)),
+    "op id 0": op(0x00, i(1)),
+    "operation in its old named form": rec(0x03, s("counter"),
+                                           s("increment"),
+                                           encode_value({"amount": 1}),
+                                           b"\x00"),
+    "payload field missing": op(ORSET_REMOVE, s("x")),
+    "payload field of the wrong kind": op(ORSET_REMOVE, s("x"),
+                                          encode_value({})),
+    "counter amount is a string": op(INCREMENT, s("1")),
+    "map child is a list": op(GMAP_UPDATE, s("k"), encode_value([])),
+    "rga anchor is a tuple": op(RGA_INSERT, encode_value((1, "a", 0)),
+                                s("v")),
+    "operation cut before its tag": op(INCREMENT, i(1), tag=b""),
+    "tag is a list": op(INCREMENT, i(1), tag=encode_value([1, "a", 0])),
+    "stream entry deps are dots in a list": stream_entry(
+        encode_value([rec(0x01, DOT)])),
+    "stream entry one field over": stream_entry() + b"\x00",
     "unknown class id": rec(0xEE, DOT),
     "string where an int is due": rec(
         0x09, DOT, s("dc0"), b"\x00",
-        varint(2) + s("dc1") + s("2") + s("dc2") + i(1), seq(), counts({}),
+        varint(2) + s("dc1") + s("2") + s("dc2") + i(1), runs(), counts({}),
         seq()),
     "truncated inside a nested record": txn()[:2 + len(DOT) + 4 + 3],
-    "tag is a list": rec(0x03, s("counter"), s("increment"),
-                         encode_value({"amount": 1}),
-                         encode_value([1, "a", 0])),
     "object state base is a list": state(base=encode_value([1])),
     "object state base is a CRDT record": state(base=rec(0x02, _KEY)),
-    "object state dot is not a dot": state(base_dots=seq(s("dc0"))),
+    "object state run has no counters": state(base_dots=varint(1)
+                                              + s("dc0")),
     "object state dots are a list": state(base_dots=encode_value([])),
-    "object state one field short": state()[:-len(seq(DOT))],
+    "object state one field short": state()[:-len(RUNS)],
     "truncated inside the object state's key": state()[:2 + len(s("b"))
                                                        + 1],
 }
+
+#: Dot runs the decoder refuses: not the encoder's form, or no form.
+BAD_RUNS = {
+    "origins out of order": runs(("dc1", 1), ("dc0", 2)),
+    "an origin twice": runs(("dc0", 1), ("dc0", 2)),
+    "a zero delta": runs(("dc0", 3, 0)),
+    "an empty run": varint(1) + s("dc0") + varint(0),
+    "a run-count bomb": varint(2**62) + s("dc0") + varint(1) + i(1),
+    "a counter-count bomb": (varint(1) + s("dc0") + varint(2**62) + i(1)
+                             + b"\x01" * 8),
+    "truncated inside a run": runs(("dc0", 3, 1, 300))[:-1],
+    "a run's origin is an int": varint(1) + encode_value(7) + varint(1)
+    + i(1),
+    "a run's counter is a string": varint(1) + s("dc0") + varint(1)
+    + s("3"),
+}
+for name, raw in BAD_RUNS.items():
+    BAD_RECORDS[f"snapshot deps: {name}"] = rec(0x06, _VC, raw)
+    BAD_RECORDS[f"stream entry deps: {name}"] = stream_entry(raw)
+    BAD_RECORDS[f"object state dots: {name}"] = state(base_dots=raw)
 
 
 @pytest.mark.parametrize("bad", BAD_RECORDS.values(), ids=BAD_RECORDS.keys())
@@ -355,6 +418,17 @@ def test_an_object_state_decodes_from_its_fields():
     assert decode_value(state()) == ObjectState(
         ObjectKey("b", "k"), "counter", {"type": "counter", "value": 1},
         (Dot(3, "dc0"),))
+
+
+def test_dot_runs_decode_to_a_set_or_to_a_tuple_in_dot_order():
+    both = runs(("a", 5), ("b", 1, 1))
+    dots = (Dot(1, "b"), Dot(2, "b"), Dot(5, "a"))
+    assert decode_value(rec(0x06, _VC, both)) \
+        == Snapshot(VectorClock({"dc0": 2}), dots)
+    assert decode_value(stream_entry(both)).deps == dots
+    assert decode_value(state(base_dots=both)).base_dots == dots
+    assert encode_value(decode_value(stream_entry(both))) \
+        == stream_entry(both)
 
 
 def test_a_record_is_not_a_message():

@@ -7,9 +7,11 @@ one call (kept verbatim but for the names of its two entry points, like
 and set element is encoded to its own ``bytes`` and the pairs are
 sorted.  The record form (``_T_REC``) was taught to it before the codec
 learnt it, written as naively as the rest: its own schema table, one
-field at a time, no string tables.  The wire format is whatever this
-oracle says it is; ``CORPUS_SHA256`` pins it, so a process from before
-a rewrite and one from after interoperate by construction.
+field at a time, no string tables; so were operations by op id (the
+pinned table of ``test_op_schemas.py``) and dot collections as runs.
+The wire format is whatever this oracle says it is; ``CORPUS_SHA256``
+pins it, so a process from before a rewrite and one from after
+interoperate by construction.
 """
 
 import hashlib
@@ -27,14 +29,15 @@ from repro.transport import codec, samples
 from repro.transport.codec import (decode_frame, decode_value, encode_frame,
                                    encode_value)
 
+from ..unit.test_op_schemas import PINNED
 from .test_codec_roundtrip import RECORDS, _hashable, _values
 
 #: SHA-256 of ``encode_frame("dc0", "dc1", m)`` over ``all_samples()``,
-#: concatenated, computed with the oracle (74 frames, 9 286 B).
-#: A change to ``samples.py`` re-pins it from ``oracle_frame``; a change
-#: to the codec must not.
+#: concatenated, computed with the oracle (74 frames, 8 657 B; 9 286 B
+#: before operations by op id and dot runs).  A change to ``samples.py``
+#: re-pins it from ``oracle_frame``; a change to the codec must not.
 CORPUS_SHA256 = \
-    "257f3ac8948973a564229b1f35c03a606e8699c2806438430c54764f5caeb6fa"
+    "07555e160baba1faf756e5691c9d1cd354dc29d446b4dd8b89a8bd73f69646c3"
 
 # ----------------------------------------------------------------------
 # the oracle (verbatim)
@@ -63,13 +66,14 @@ _FIELDS = codec._FIELDS
 CodecError = codec.CodecError
 
 #: Class id -> (class, fields); a field is (attribute, kind), and a kind
-#: is "str", "int", "counts", "optional str", "value", a record class
-#: (its fields, inline) or ("tuple" | "frozenset", record class).
+#: is "str", "int", "counts", "optional str", "value", "op" (the
+#: operation's type name, method and payload), a record class (its
+#: fields, inline) or ("tuple" | "frozenset", record class) — of Dot,
+#: dot runs.
 SCHEMAS = {
     0x01: (Dot, (("counter", "int"), ("origin", "str"))),
     0x02: (ObjectKey, (("bucket", "str"), ("key", "str"))),
-    0x03: (Operation, (("type_name", "str"), ("method", "str"),
-                       ("payload", "value"), ("tag", "value"))),
+    0x03: (Operation, (("payload", "op"), ("tag", "value"))),
     0x04: (WriteOp, (("key", ObjectKey), ("op", Operation))),
     0x05: (VectorClock, (("_entries", "counts"),)),
     0x06: (Snapshot, (("vector", VectorClock),
@@ -88,6 +92,13 @@ SCHEMAS = {
 }
 _IDS = {cls: cid for cid, (cls, _fields) in SCHEMAS.items()}
 _SCHEMA = {cls: fields for cls, fields in SCHEMAS.values()}
+#: Op id -> (type name, method, payload fields); a field is (name,
+#: kind), and a kind is "int" or ("value", ...): the table of
+#: ``test_op_schemas.py``.
+_OPS = {oid: (type_name, method, fields)
+        for oid, type_name, method, fields in PINNED}
+_OP_IDS = {(type_name, method): oid
+           for oid, (type_name, method, _fields) in _OPS.items()}
 
 
 def _write_varint(out, n):
@@ -181,11 +192,22 @@ def _zigzag(n):
 
 def _write_fields(out, record):
     for name, kind in _SCHEMA[type(record)]:
-        _write_field(out, kind, getattr(record, name))
+        if kind == "op":
+            _write_op(out, record)
+        else:
+            _write_field(out, kind, getattr(record, name))
+
+
+def _write_op(out, op):
+    oid = _OP_IDS[op.type_name, op.method]
+    out.append(oid)
+    for name, kind in _OPS[oid][2]:
+        _write_field(out, kind, op.payload[name])
 
 
 def _write_field(out, kind, value):
-    if kind in ("str", "optional str", "value"):
+    if kind in ("str", "optional str", "value", ("value", list),
+                ("value", dict)):
         _write_value(out, value)
     elif kind == "int":
         _write_varint(out, _zigzag(value))
@@ -196,6 +218,18 @@ def _write_field(out, kind, value):
             _write_varint(out, _zigzag(count))
     elif isinstance(kind, type):
         _write_fields(out, value)
+    elif kind[1] is Dot:
+        runs = {}
+        for dot in value:
+            runs.setdefault(dot.origin, []).append(dot.counter)
+        _write_varint(out, len(runs))
+        for origin in sorted(runs):
+            counters = sorted(runs[origin])
+            _write_value(out, origin)
+            _write_varint(out, len(counters))
+            _write_varint(out, _zigzag(counters[0]))
+            for before, counter in zip(counters, counters[1:]):
+                _write_varint(out, counter - before)
     else:
         _write_varint(out, len(value))
         for item in sorted(value) if kind[0] == "frozenset" else value:
@@ -270,13 +304,22 @@ def _read_value(buf, pos):
 def _read_fields(buf, pos, cls):
     fields = []
     for _name, kind in _SCHEMA[cls]:
-        value, pos = _read_field(buf, pos, kind)
-        fields.append(value)
+        if kind == "op":
+            type_name, method, op_fields = _OPS[buf[pos]]
+            pos += 1
+            payload = {}
+            for name, op_kind in op_fields:
+                payload[name], pos = _read_field(buf, pos, op_kind)
+            fields += [type_name, method, payload]
+        else:
+            value, pos = _read_field(buf, pos, kind)
+            fields.append(value)
     return cls(*fields), pos
 
 
 def _read_field(buf, pos, kind):
-    if kind in ("str", "optional str", "value"):
+    if kind in ("str", "optional str", "value", ("value", list),
+                ("value", dict)):
         return _read_value(buf, pos)
     if kind == "int":
         z, pos = _read_varint(buf, pos)
@@ -292,6 +335,18 @@ def _read_field(buf, pos, kind):
     if isinstance(kind, type):
         return _read_fields(buf, pos, kind)
     n, pos = _read_varint(buf, pos)
+    if kind[1] is Dot:
+        dots = []
+        for _ in range(n):
+            origin, pos = _read_value(buf, pos)
+            count, pos = _read_varint(buf, pos)
+            counter = 0
+            for i in range(count):
+                z, pos = _read_varint(buf, pos)
+                counter = (z >> 1) ^ -(z & 1) if i == 0 else counter + z
+                dots.append(Dot(counter, origin))
+        return (frozenset(dots) if kind[0] == "frozenset"
+                else tuple(sorted(dots))), pos
     items = []
     for _ in range(n):
         item, pos = _read_fields(buf, pos, kind[1])
@@ -382,7 +437,7 @@ def test_the_oracle_knows_every_record_class_by_its_id():
 def test_corpus_digest_is_the_one_pinned_at_the_recursive_codec():
     frames = [encode_frame("dc0", "dc1", message)
               for message in samples.all_samples()]
-    assert len(frames) == 74 and sum(map(len, frames)) == 9286
+    assert len(frames) == 74 and sum(map(len, frames)) == 8657
     assert hashlib.sha256(b"".join(frames)).hexdigest() == CORPUS_SHA256
     assert frames == [oracle_frame("dc0", "dc1", message)
                       for message in samples.all_samples()]

@@ -6,6 +6,7 @@ arbitrary core values the codec carries as records (transactions and
 their parts, stream entries, object states).
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.clock import VectorClock
@@ -13,15 +14,15 @@ from repro.core.dot import Dot
 from repro.core.journal import ObjectState
 from repro.core.txn import (CommitStamp, ObjectKey, Snapshot, StreamEntry,
                             Transaction, WriteOp)
-from repro.crdt.base import Operation
+from repro.crdt.base import INT, VALUE, Operation
 from repro.dc import messages as dc
 from repro.dc.messages import ShardApply, ShardApplyBatch
 from repro.groups import messages as grp
 from repro.transport import samples
-from repro.transport.codec import (decode_frame, decode_message,
+from repro.transport.codec import (CodecError, decode_frame, decode_message,
                                    decode_value, encode_frame,
                                    encode_message, encode_value,
-                                   record_classes)
+                                   op_schemas, record_classes)
 
 _scalars = st.one_of(
     st.none(),
@@ -99,27 +100,49 @@ _ids = st.text(min_size=1, max_size=6)
 _counts = st.dictionaries(_ids, st.integers(0, 2**40), max_size=4)
 
 dots = st.builds(Dot, st.integers(0, 2**40), _ids)
+#: Dots as dependencies come: few origins, near counters (dot runs).
+_deps = st.one_of(dots, st.builds(Dot, st.integers(-3, 300),
+                                  st.sampled_from(("dc0", "dc1", "édge"))))
 object_keys = st.builds(ObjectKey, st.text(max_size=8), st.text(max_size=8))
-operations = st.builds(
-    Operation, st.text(max_size=8), st.text(max_size=8),
-    st.dictionaries(st.text(max_size=6), _values, max_size=3),
-    st.none() | st.tuples(st.integers(0, 2**20), _ids, st.integers(0, 9)))
+
+
+def _payload_field(kind):
+    """Values of one payload field kind (``repro.crdt.base``)."""
+    if kind == INT:
+        return st.integers(min_value=-(2**70), max_value=2**70)
+    if kind == VALUE:
+        return _values
+    if kind[1] is list:
+        return st.lists(_values, max_size=3)
+    return st.dictionaries(st.text(max_size=6), _values, max_size=3)
+
+
+#: Any operation of the op table, its payload by that op's schema.
+operations = st.sampled_from(op_schemas()).flatmap(
+    lambda schema: st.builds(
+        Operation, st.just(schema[1]), st.just(schema[2]),
+        st.fixed_dictionaries({name: _payload_field(kind)
+                               for name, kind in schema[3]}),
+        st.none() | st.tuples(st.integers(0, 2**20), _ids,
+                              st.integers(0, 9))))
 write_ops = st.builds(WriteOp, object_keys, operations)
 _writes = st.lists(write_ops, max_size=3).map(tuple)
 vectors = st.builds(VectorClock,
                     st.dictionaries(_ids, st.integers(1, 2**40), max_size=4))
-snapshots = st.builds(Snapshot, vectors, st.frozensets(dots, max_size=3))
+snapshots = st.builds(Snapshot, vectors, st.frozensets(_deps, max_size=6))
 stamps = st.builds(CommitStamp, _counts)
 transactions = st.builds(Transaction, dots, _ids, snapshots, stamps, _writes,
                          st.none() | _ids)
+#: A tuple of dots as records hold one: sorted, no dot twice.
+_sorted_dots = st.frozensets(_deps, max_size=6).map(
+    lambda ds: tuple(sorted(ds)))
 stream_entries = st.builds(StreamEntry, dots, _ids, st.none() | _ids,
-                           _counts, st.lists(dots, max_size=3).map(tuple),
-                           _counts, _writes)
+                           _counts, _sorted_dots, _counts, _writes)
 
 object_states = st.builds(
     ObjectState, object_keys, st.text(max_size=8),
     st.dictionaries(st.text(max_size=6), _values, max_size=3),
-    st.lists(dots, max_size=3).map(lambda ds: tuple(sorted(ds))))
+    _sorted_dots)
 
 RECORDS = {Dot: dots, ObjectKey: object_keys, Operation: operations,
            WriteOp: write_ops, VectorClock: vectors, Snapshot: snapshots,
@@ -192,3 +215,23 @@ def test_messages_naming_keys_dots_and_states_round_trip(keys, deps, state,
         back = decode_frame(encode_frame("dc0", "e1", message)[4:])
         assert back == ("dc0", "e1", message)
         assert type(back[2]) is type(message)
+
+
+@given(_sorted_dots.filter(lambda deps: len(deps) > 1),
+       st.randoms(use_true_random=False))
+@settings(deadline=None)
+def test_dot_runs_are_canonical_and_a_tuple_must_be_in_dot_order(deps, rnd):
+    """Equal dot sets, equal bytes; a tuple is written only in the
+    order it decodes to, each dot once."""
+    shuffled = list(deps)
+    rnd.shuffle(shuffled)
+    vector = VectorClock({"dc0": 1})
+    assert encode_value(Snapshot(vector, shuffled)) \
+        == encode_value(Snapshot(vector, deps))
+
+    def entry(ds):
+        return StreamEntry(Dot(1, "dc0"), "dc0", None, {}, ds, {}, ())
+    assert decode_value(encode_value(entry(deps))) == entry(deps)
+    for bad in (tuple(reversed(deps)), deps + deps[-1:]):
+        with pytest.raises(CodecError):
+            encode_value(entry(bad))
