@@ -25,9 +25,10 @@ Every message implements ``wire_size()`` — an honest estimate of its
 serialised size — which the network uses automatically when a
 ``send()`` call site does not pass an explicit ``size_bytes``, making
 ``NetworkStats.bytes_sent`` a real wire-cost metric.  A value and its
-dict form are sized by one formula, each with its own constants: the
-``*_RECORD_*`` ones are calibrated against the schema'd record the codec
-writes, the others against the dict.
+dict form are sized by one formula, each with its own terms: a value's
+are calibrated against the schema'd record the codec writes (the
+``*_RECORD_*`` constants, a write's ``WriteOp.record_bytes`` and dot
+runs), a dict's against the dict.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..core.dot import Dot
 from ..core.journal import ObjectState
-from ..core.txn import ObjectKey, StreamEntry, Transaction, WriteOp
+from ..core.txn import (ObjectKey, StreamEntry, Transaction, WriteOp,
+                        dot_runs_bytes)
 
 #: Fixed per-message framing overhead (type tag, lengths, checksums).
 HEADER_BYTES = 16
@@ -54,14 +56,15 @@ TXN_OVERHEAD_BYTES = 96
 WRITE_OVERHEAD_BYTES = 64
 
 #: The same three for the schema'd record (``repro.transport.codec``):
-#: a dot record — a varint counter and a short origin id.
+#: a dot record — a varint counter and a short origin id.  A collection
+#: of dots inside a record is written as runs (``dot_runs_bytes``).
 DOT_RECORD_BYTES = 8
 #: A transaction record beyond its payload: the record tag and id, the
 #: origin and issuer ids and the vector, stamp and writes counts.
 TXN_RECORD_OVERHEAD_BYTES = 16
-#: One write record: the key's two string headers, the type and method
-#: string headers, the payload dict's tags and the tag field.
-WRITE_RECORD_OVERHEAD_BYTES = 8
+#: One write record beyond ``WriteOp.record_bytes``: the key's two
+#: string headers and the tag field.
+WRITE_RECORD_OVERHEAD_BYTES = 5
 #: A stream entry record beyond its dot, origin and payload: the record
 #: tag and id, the issuer and the ``sv``/``deps``/``cx``/``writes``
 #: counts.
@@ -115,27 +118,24 @@ def txn_wire_size(txn: Mapping[str, Any]) -> int:
 def object_state_wire_size(state: ObjectState) -> int:
     """Object versions shipped in seeds, fetches and read replies."""
     return (OBJECT_STATE_RECORD_OVERHEAD_BYTES + len(repr(state.base))
-            + DOT_RECORD_BYTES * len(state.base_dots))
+            + dot_runs_bytes(len(state.base_dots)))
 
 
 def _writes_record_size(writes: Sequence[WriteOp]) -> int:
-    """``_writes_wire_size``'s formula, computed from the values."""
-    total = 0
+    """The writes of a record: each its key and its op by schema."""
+    total = WRITE_RECORD_OVERHEAD_BYTES * len(writes)
     for write in writes:
-        key = write.key
-        op = write.op
-        total += (WRITE_RECORD_OVERHEAD_BYTES + len(key.bucket)
-                  + len(key.key) + len(op.type_name) + len(op.method)
-                  + len(repr(op.payload)))
+        total += write.record_bytes
     return total
 
 
 def txn_record_size(txn: Transaction) -> int:
-    """``txn_wire_size``'s formula, computed from the value."""
+    """``txn_wire_size``'s formula, computed from the value, with the
+    local dependencies as dot runs and the writes by schema."""
     snapshot = txn.snapshot
     return (TXN_RECORD_OVERHEAD_BYTES + DOT_RECORD_BYTES
             + 8 * len(snapshot.vector)
-            + DOT_RECORD_BYTES * len(snapshot.local_deps)
+            + dot_runs_bytes(len(snapshot.local_deps))
             + 8 * max(1, len(txn.commit.entries))
             + _writes_record_size(txn.writes))
 
@@ -156,7 +156,7 @@ def stream_entry_wire_size(entry: StreamEntry) -> int:
     the origin id, the entry scaffolding and its writes.
     """
     return (STREAM_ENTRY_OVERHEAD_BYTES + DOT_RECORD_BYTES + len(entry.origin)
-            + 8 * len(entry.sv) + DOT_RECORD_BYTES * len(entry.deps)
+            + 8 * len(entry.sv) + dot_runs_bytes(len(entry.deps))
             + 8 * len(entry.cx) + _writes_record_size(entry.writes))
 
 
