@@ -578,8 +578,12 @@ class DotReplayEdge(EdgeNode):
             if journal is None or not journal.has(txn.dot):
                 continue
             ops = [w.op for w in txn.tagged_writes() if w.key == key]
-            # Bypass append()'s dedup on purpose: a second entry with
-            # the same dot lands in the journal.
+            # Bypass append() on purpose, and with it both of its
+            # records: its dedup index would refuse the dot, and its
+            # arrival log would offer the copy to cached views' delta
+            # reads.  A second entry with the same dot lands in the
+            # journal behind the reader's back, as a re-seed bug's
+            # would; the checker finds it in the dot census.
             insort(journal._entries, JournalEntry(txn, ops))
             journal.version += 1
             self._replayed = True

@@ -16,13 +16,14 @@ order at every replica, giving strong convergence.
 from __future__ import annotations
 
 import itertools
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import (Any, Callable, Dict, FrozenSet, Iterable, List,
-                    Optional, Set, Tuple)
+from typing import (AbstractSet, Any, Callable, Dict, FrozenSet, Iterable,
+                    List, Optional, Sequence, Set, Tuple)
 
 from ..crdt.base import OpBasedCRDT, Operation, new_crdt, state_from_dict
+from .clock import VectorClock
 from .dot import Dot
 from .txn import ObjectKey, Transaction
 
@@ -51,12 +52,57 @@ class JournalEntry:
 EntryFilter = Callable[[JournalEntry], bool]
 
 _ORDER = attrgetter("order")
+_NO_DOTS: FrozenSet[Dot] = frozenset()
+_NO_ENTRIES: Tuple[JournalEntry, ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class Visibility:
+    """The one visibility rule every read applies — a read at a
+    snapshot, a seed for whoever hangs below us, compaction's stable
+    prefix, a shard's snapshot read, security's unmasked view: an entry
+    is visible when its dot is one of ``deps`` or its stamp is included
+    in ``vector`` (never a symbolic one), and never when ``masked``.
+
+    A value: two equal views show the same entries of a journal, so a
+    view is its own materialisation-cache token.  A view :meth:`widens`
+    another when it shows at least what the other showed of the dots a
+    reader applied — the cache then tests only what it has not applied
+    (:mod:`repro.store.matcache`).
+    """
+
+    vector: VectorClock
+    deps: FrozenSet[Dot] = _NO_DOTS
+    masked: FrozenSet[Dot] = _NO_DOTS
+
+    def __call__(self, entry: JournalEntry) -> bool:
+        dot = entry.dot
+        if self.masked and dot in self.masked:
+            return False
+        if self.deps and dot in self.deps:
+            return True
+        return entry.txn.commit.included_in(self.vector)
+
+    def widens(self, other: "Visibility", applied: AbstractSet[Dot]) -> bool:
+        """Does every entry ``other`` showed through its vector stay
+        visible here: a vector at least ``other``'s (stamps only grow)
+        and no dot of ``applied`` newly masked?  What ``other`` showed
+        only through a dep is the caller's to check."""
+        if not other.vector.leq(self.vector):
+            return False
+        masked = self.masked
+        return not masked or masked == other.masked \
+            or (masked - other.masked).isdisjoint(applied)
 
 _JOURNAL_UIDS = itertools.count()
 
 
 class ObjectJournal:
     """Base version + ordered journal for a single object."""
+
+    __slots__ = ("key", "type_name", "_base", "_base_dots",
+                 "_base_dots_view", "_entries", "_index", "version",
+                 "base_version", "uid", "_arrivals", "_trimmed")
 
     def __init__(self, key: ObjectKey, type_name: str):
         self.key = key
@@ -77,6 +123,12 @@ class ObjectJournal:
         #: but must re-check its applied set against the new base.
         self.base_version = 0
         self.uid = next(_JOURNAL_UIDS)
+        # The arrival log: entries in the order they were appended, the
+        # folded prefix trimmed at compaction (``_trimmed`` of them so
+        # far).  Started by the first :meth:`arrival_mark`, so a journal
+        # no cache reads pays nothing for it.
+        self._arrivals: Optional[List[JournalEntry]] = None
+        self._trimmed = 0
 
     # -- writes ---------------------------------------------------------------
     def append(self, txn: Transaction) -> bool:
@@ -106,11 +158,44 @@ class ObjectJournal:
         else:
             insort(entries, entry, key=_ORDER)
         self._index.add(order)
+        if self._arrivals is not None:
+            self._arrivals.append(entry)
         self.version += 1
         return True
 
     def has(self, dot: Dot) -> bool:
         return dot.as_tuple() in self._index or dot in self._base_dots
+
+    def holds(self, entry: JournalEntry) -> bool:
+        """Is ``entry`` still journalled — not folded into the base?"""
+        return entry.order in self._index
+
+    def find(self, dot: Dot) -> Optional[JournalEntry]:
+        """The journalled entry of ``dot``, if any."""
+        order = dot.as_tuple()
+        if order not in self._index:
+            return None
+        entries = self._entries
+        return entries[bisect_left(entries, order, key=_ORDER)]
+
+    # -- the arrival log ------------------------------------------------------
+    def arrival_mark(self) -> int:
+        """Where the arrival log ends now: a reader that has seen every
+        entry so far passes it to :meth:`arrivals_since` later.  The
+        first call starts the log."""
+        if self._arrivals is None:
+            self._arrivals = []
+        return self._trimmed + len(self._arrivals)
+
+    def arrivals_since(self, mark: int) -> Optional[Sequence[JournalEntry]]:
+        """The entries appended after ``mark``, in arrival order; None
+        when compaction trimmed some of them from the log (they were
+        folded into the base unseen)."""
+        start = mark - self._trimmed
+        arrivals = self._arrivals
+        if start < 0 or arrivals is None:
+            return None
+        return arrivals[start:] if start < len(arrivals) else _NO_ENTRIES
 
     # -- reads ------------------------------------------------------------------
     def materialise(self, visible: Optional[EntryFilter] = None) \
@@ -136,6 +221,22 @@ class ObjectJournal:
                 dots.add(entry.dot)
         return dots
 
+    def replay(self, visible: Optional[EntryFilter] = None) \
+            -> Tuple[OpBasedCRDT, Set[Dot], List[JournalEntry]]:
+        """:meth:`materialise` and :meth:`visible_dots` in one pass over
+        the journal, plus the entries ``visible`` hid."""
+        state = self._base.clone()
+        dots = set(self._base_dots)
+        hidden = []
+        for entry in self._entries:
+            if visible is None or visible(entry):
+                for op in entry.ops:
+                    state.apply(op)
+                dots.add(entry.dot)
+            else:
+                hidden.append(entry)
+        return state, dots, hidden
+
     # -- compaction ----------------------------------------------------------------
     def advance_base(self, stable: EntryFilter) -> int:
         """Fold entries accepted by ``stable`` into the base version.
@@ -156,6 +257,14 @@ class ObjectJournal:
                 self._base.apply(op)
             self._base_dots.add(entry.dot)
         self._entries = entries[folded:]
+        arrivals = self._arrivals
+        if arrivals:
+            index = self._index
+            cut = 0
+            while cut < len(arrivals) and arrivals[cut].order not in index:
+                cut += 1
+            del arrivals[:cut]
+            self._trimmed += cut
         self._base_dots_view = None
         self.version += 1
         self.base_version += 1

@@ -12,7 +12,7 @@ import random
 from typing import Any, Dict, Optional, Union
 
 from ..core.clock import VectorClock
-from ..core.journal import ObjectJournal, ObjectState
+from ..core.journal import ObjectJournal, ObjectState, Visibility
 from ..core.txn import Transaction
 from ..sim.actor import Actor
 from ..sim.events import EventLoop
@@ -83,22 +83,15 @@ class ShardServer(Actor):
     # -- reads -------------------------------------------------------------------
     def _on_read(self, msg: ShardRead, sender: str) -> None:
         key = msg.key
-        vector = VectorClock(msg.visible_vector)
-        extras = frozenset(msg.extra_dots)
-
-        def visible(entry) -> bool:
-            return (entry.txn.commit.included_in(vector)
-                    or entry.dot in extras)
-
+        visible = Visibility(VectorClock(msg.visible_vector),
+                             frozenset(msg.extra_dots))
         if self.store.has_object(key):
             # Snapshot reads mostly arrive at the DC's advancing stable
             # frontier, so the cached state replays only the delta.
             state, dots = self.store.read_with_dots(
-                key, visible, type_name=msg.type_name,
-                token=(vector, extras))
+                key, visible, type_name=msg.type_name)
         else:
-            journal = ObjectJournal(key, msg.type_name)
-            state = journal.materialise(visible)
-            dots = journal.visible_dots(visible)
+            state, dots, _ = ObjectJournal(key, msg.type_name).replay(
+                visible)
         self.send(sender, ShardReadReply(
             msg.request_id, ObjectState.of(key, msg.type_name, state, dots)))

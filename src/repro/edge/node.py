@@ -357,11 +357,10 @@ class EdgeNode(Actor):
         they use their own cached-view scope: every seed cut at the same
         stable vector reuses one materialisation.
         """
-        vector = self.vector
         type_name = type_name or self._interest_types[key]
         state, dots = self.cache.store.read_with_dots(
-            key, EdgeFrontier.filter(vector), type_name=type_name,
-            token=("seed", vector), cache_key=(key, "seed"))
+            key, EdgeFrontier.filter(self.vector), type_name=type_name,
+            cache_key=(key, "seed"))
         return ObjectState.of(key, type_name, state, dots)
 
     def _on_update_push(self, msg: UpdatePush, sender: str) -> None:
@@ -487,23 +486,20 @@ class EdgeNode(Actor):
                      type_name: str) -> Optional[OpBasedCRDT]:
         """Materialise through the store's incremental cache.
 
-        The token captures everything the filter closes over — the read
-        vector, the symbolic local dependencies and the security window
-        — so the materialisation cache recognises an unchanged frontier
-        without calling the filter.  The returned state is the cache's
-        own, valid until the next read of ``key`` (see
-        :mod:`repro.store.matcache`); the transaction buffer never
-        mutates it.
+        The view — the read vector, the symbolic local dependencies and
+        the security window — is a value and its own token, so the
+        materialisation cache recognises an unchanged frontier without
+        evaluating it, and a widened one by testing only the entries it
+        has not applied.  The returned state is the cache's own, valid
+        until the next read of ``key`` (see :mod:`repro.store.matcache`);
+        the transaction buffer never mutates it.
         """
         masked = self.enforcer.masked_dots if self.security_enabled \
             else frozenset()
-        generation = self.enforcer.generation if self.security_enabled \
-            else 0
         vector = self.frontier.read_vector(snapshot.vector, key)
-        deps = snapshot.local_deps
         return self.cache.read(
-            key, EdgeFrontier.filter(vector, deps, masked), type_name,
-            token=(vector, deps, generation))
+            key, EdgeFrontier.filter(vector, snapshot.local_deps, masked),
+            type_name)
 
     def read_value(self, key: ObjectKey, type_name: str) -> Any:
         """Read outside a transaction (current snapshot); cache-only."""
@@ -741,10 +737,8 @@ class EdgeNode(Actor):
         def read(key: ObjectKey, type_name: str):
             # Security metadata is read unmasked; key the cached view
             # separately so it never thrashes the masked reads.
-            state = self.cache.read(
-                key, raw, type_name,
-                token=(snapshot.vector, snapshot.local_deps),
-                cache_key=(key, "raw"))
+            state = self.cache.read(key, raw, type_name,
+                                    cache_key=(key, "raw"))
             return state if state is not None else new_crdt(type_name)
 
         acl_set = read(ACL_OBJECT, "orset").value()

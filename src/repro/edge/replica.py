@@ -21,7 +21,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping,
 
 from ..core.clock import LamportClock, VectorClock
 from ..core.dot import Dot, DotTracker
-from ..core.journal import EntryFilter, JournalEntry, ObjectJournal
+from ..core.journal import ObjectJournal, Visibility
 from ..core.txn import ObjectKey, Snapshot, Transaction
 
 _ZERO = VectorClock.zero()
@@ -231,19 +231,12 @@ class EdgeFrontier:
 
     @staticmethod
     def filter(vector: VectorClock, deps: FrozenSet[Dot] = _NO_DOTS,
-               masked: FrozenSet[Dot] = _NO_DOTS) -> EntryFilter:
+               masked: FrozenSet[Dot] = _NO_DOTS) -> Visibility:
         """The one visibility rule every read applies — a read at a
         snapshot, a seed for whoever hangs below us, compaction's
-        stable prefix, security's unmasked view: an entry is visible
-        when its dot is one of ``deps`` or its stamp is included in
-        ``vector`` (never a symbolic one), and never when ``masked``."""
-        def visible(entry: JournalEntry) -> bool:
-            if masked and entry.dot in masked:
-                return False
-            if deps and entry.dot in deps:
-                return True
-            return entry.txn.commit.included_in(vector)
-        return visible
+        stable prefix, security's unmasked view — as a value
+        (:class:`~repro.core.journal.Visibility`)."""
+        return Visibility(vector, deps, masked)
 
     def ready(self, txn: Transaction) -> bool:
         """May ``txn``, which arrived outside the push chain, be held:

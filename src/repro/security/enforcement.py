@@ -19,7 +19,7 @@ guarantees as data:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, FrozenSet, Iterable, Optional, Set
 
 from ..core.dot import Dot
 from ..core.txn import ObjectKey, Transaction
@@ -58,9 +58,6 @@ class SecurityEnforcer:
         self.acl = acl or AclState()
         self._restricted: Set[str] = set()
         self._masked: Dict[Dot, Transaction] = {}
-        #: Bumped whenever the visibility window may have changed; used to
-        #: invalidate materialisation caches.
-        self.generation = 0
         self._rebuild_restriction_index()
 
     # -- security state maintenance --------------------------------------------
@@ -76,7 +73,6 @@ class SecurityEnforcer:
         for child, parent in user_parents.items():
             state.set_user_parent(child, parent)
         self.acl = state
-        self.generation += 1
         self._rebuild_restriction_index()
 
     def _rebuild_restriction_index(self) -> None:
@@ -133,7 +129,6 @@ class SecurityEnforcer:
         transactions whose grants were restored become visible again.
         """
         self._masked = {}
-        self.generation += 1
         pending = list(txns)
         # First pass: direct ACL failures.
         for txn in pending:
@@ -152,8 +147,8 @@ class SecurityEnforcer:
         return set(self._masked)
 
     @property
-    def masked_dots(self) -> Set[Dot]:
-        return set(self._masked)
+    def masked_dots(self) -> FrozenSet[Dot]:
+        return frozenset(self._masked)
 
     def is_masked(self, dot: Dot) -> bool:
         return dot in self._masked

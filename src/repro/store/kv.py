@@ -103,7 +103,8 @@ class VersionedStore:
         if self.mat_cache is not None:
             return self.mat_cache.materialise(journal, visible,
                                               token=token, key=cache_key)
-        return journal.materialise(visible), journal.visible_dots(visible)
+        state, dots, _ = journal.replay(visible)
+        return state, dots
 
     def keys(self) -> Set[ObjectKey]:
         return set(self._journals)

@@ -8,36 +8,48 @@ that cost, which grows linearly with the journal.
 
 ``MaterialisedCache`` memoises, per journal incarnation, the last
 materialised state *plus* the exact dot set it reflects.  A later read
-then falls into one of three paths:
+then falls into one of four paths:
 
-* **hit** — the reader presents the same frontier ``token`` against an
-  unchanged journal version: the cached state is returned as-is, with no
-  clone, no replay and no callback evaluation;
-* **incremental** — the journal gained entries and/or the reader's
-  frontier advanced: only the new or newly-visible entries are applied,
-  **in place**, on top of the cached state (legal because visibility
-  grows along causal order, so anything newly visible is concurrent
-  with or causally after what the cached state already reflects — and
-  CRDT effects of concurrent operations commute);
-* **miss** — nothing usable is cached, the journal is a different
+* **hit** — the reader presents an equal view (a
+  :class:`~repro.core.journal.Visibility` is its own token; an opaque
+  callable brings a ``token``) against an unchanged journal version:
+  the cached state is returned as-is, with no clone, no replay and no
+  callback evaluation;
+* **delta** — the reader's view *widens* the cached one: its vector is
+  at least the cached vector, no applied dot is newly masked, and every
+  entry applied only through a dep is still visible or folded.  Nothing
+  applied can have become hidden, so only the entries not applied can
+  change: the cached version's *pending* entries (journalled, not
+  applied), the journal's arrivals since the last read, and those
+  by-dep entries are tested.  The newly visible ones are applied **in
+  place**, in dot order (legal because visibility grows along causal
+  order, so anything newly visible is concurrent with or causally after
+  what the cached state already reflects — and CRDT effects of
+  concurrent operations commute).  An entry folded meanwhile counts as
+  visible: it is in the base a fresh materialisation starts from;
+* **scan** — a view that does not widen (a reader at an older vector, a
+  new mask) or an opaque callable: one pass over the whole journal
+  collects the visible entries not applied, and detects a regression (an
+  applied entry now hidden), which rebuilds;
+* **rebuild** — nothing usable is cached, the journal is a different
   incarnation (``uid`` changed after a drop/re-ensure), compaction
-  folded an entry the cached state had *not* applied, or the reader's
-  frontier regressed below the cached one: full rebuild from the base.
+  folded an entry the cached state had neither applied nor can still
+  find (trimmed from the arrival log before this key read again), or a
+  regression: one pass from the base.
 
 Invalidation rules:
 
-* ``uid`` mismatch (drop + re-``ensure_object``) always misses;
+* ``uid`` mismatch (drop + re-``ensure_object``) always rebuilds;
 * ``base_version`` mismatch (``advance_base`` ran) re-checks that every
-  base dot is inside the cached dot set — compaction only folds entries
-  that were stable, so a reasonably fresh cached state survives it;
-* a visibility *regression* (an applied dot no longer visible — e.g. a
-  security mask landed, or a reader at an older snapshot) forces a full
-  rebuild rather than producing a superset state.
+  base dot is inside the cached dot set — after the delta has applied
+  its folded candidates, or before a scan;
+* a visibility *regression* forces a rebuild rather than producing a
+  superset state.
 
-Callers that serve several distinct frontier families for the same
-object (a node's own snapshot reads vs. the pure-vector seeds it cuts
-for children, or ACL-masked vs. raw security reads) should pass a
-distinct ``key`` per family so the families do not evict each other.
+Callers that serve several distinct view families for the same object
+(a node's own snapshot reads vs. the pure-vector seeds it cuts for
+children, or ACL-masked vs. raw security reads) should pass a distinct
+``key`` per family so the families do not evict each other.
 
 **Validity contract.**  The returned state and dot set *are* the cached
 ones: callers must not mutate them, and they are valid only until the
@@ -52,19 +64,29 @@ nothing pays for a copy per read of a large object.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Hashable, Optional, Set, Tuple
+from operator import attrgetter
+from typing import (AbstractSet, Dict, Hashable, List, Optional, Set,
+                    Tuple)
 
 from ..core.dot import Dot
-from ..core.journal import EntryFilter, ObjectJournal
+from ..core.journal import (EntryFilter, JournalEntry, ObjectJournal,
+                            Visibility)
 from ..crdt.base import OpBasedCRDT
 from .cache import CacheStats
 
+_ORDER = attrgetter("order")
+
 
 class _CachedVersion:
-    """One memoised materialisation of one journal incarnation."""
+    """One memoised materialisation of one journal incarnation.
+
+    Built under a :class:`Visibility` (its ``view``), it also keeps what
+    a delta read tests: the arrival-log ``mark`` it has seen up to, the
+    ``pending`` entries (journalled, not applied) and the ``by_dep``
+    entries (applied, shown only through a dep)."""
 
     __slots__ = ("uid", "version", "base_version", "token", "dots",
-                 "state")
+                 "state", "view", "mark", "pending", "by_dep")
 
     def __init__(self, uid: int, version: int, base_version: int,
                  token: Optional[Hashable], dots: Set[Dot],
@@ -75,15 +97,42 @@ class _CachedVersion:
         self.token = token
         self.dots = dots
         self.state = state
+        self.view: Optional[Visibility] = None
+        self.mark = 0
+        self.pending: List[JournalEntry] = []
+        self.by_dep: List[JournalEntry] = []
+
+    def track(self, journal: ObjectJournal, view: Optional[Visibility],
+              hidden: List[JournalEntry]) -> None:
+        """After a full pass: what a delta read under ``view`` starts
+        from (nothing, for an opaque filter)."""
+        self.view = view
+        if view is None:
+            return
+        self.mark = journal.arrival_mark()
+        self.pending = hidden
+        self.by_dep = _by_dep(journal, view)
+
+
+def _by_dep(journal: ObjectJournal, view: Visibility) -> List[JournalEntry]:
+    """The journalled entries ``view`` shows only through a dep."""
+    found = []
+    for dot in view.deps:
+        entry = journal.find(dot)
+        if entry is not None and view(entry) \
+                and not entry.txn.commit.included_in(view.vector):
+            found.append(entry)
+    return found
 
 
 class MaterialisedCache:
     """Memoises materialised object versions, replaying only deltas.
 
-    One cached version is kept per ``key`` (latest frontier wins, which
+    One cached version is kept per ``key`` (latest view wins, which
     matches the monotonic frontiers every node exposes).  ``stats`` is a
     :class:`~repro.store.cache.CacheStats`; the cache bumps its
-    ``mat_hits`` / ``mat_incremental`` / ``mat_misses`` counters.
+    ``mat_hits`` (hits, and deltas or scans that found nothing new) /
+    ``mat_incremental`` / ``mat_misses`` (rebuilds) counters.
     """
 
     def __init__(self, stats: Optional[CacheStats] = None):
@@ -103,39 +152,120 @@ class MaterialisedCache:
 
         Both are live views of the cache (see the module's validity
         contract).  ``dots`` is the full visible dot set (base + applied
-        entries), equal to ``journal.visible_dots(visible)``.  ``token``
-        is any hashable descriptor of the reader's frontier: presenting an
-        equal token twice MUST denote an identical visible set (e.g. the
-        tuple of everything a filter closure captures, as
-        ``EdgeNode._snapshot_view`` builds).  ``None`` disables the token fast
-        path but still replays incrementally.
+        entries), equal to ``journal.visible_dots(visible)``.  A
+        :class:`Visibility` is its own token and may take the delta
+        path.  Any other callable may bring a ``token``: any hashable
+        descriptor of the reader's frontier, where presenting an equal
+        token twice MUST denote an identical visible set.  ``None``
+        disables the hit path but still replays incrementally.
         """
         cache_key = key if key is not None else journal.key
+        view = visible if type(visible) is Visibility else None
+        if view is not None:
+            token = view
         cached = self._versions.get(cache_key)
-        if cached is None or cached.uid != journal.uid \
-                or not self._base_still_covered(cached, journal):
-            return self._rebuild(cache_key, journal, visible, token)
-        if token is not None and cached.token == token \
-                and cached.version == journal.version:
+        if cached is None or cached.uid != journal.uid:
+            return self._rebuild(cache_key, journal, visible, token, view)
+        if token is not None and cached.version == journal.version \
+                and cached.token == token:
             self.stats.mat_hits += 1
             return cached.state, cached.dots
-        # Single scan: collect the newly visible entries, and detect a
-        # visibility regression (an already-applied entry now hidden).
+        if view is not None and cached.view is not None \
+                and self._widens(cached.view, cached, view, journal):
+            if self._delta(cached, journal, view):
+                return cached.state, cached.dots
+            return self._rebuild(cache_key, journal, visible, token, view)
+        return self._scan(cache_key, cached, journal, visible, token, view)
+
+    @staticmethod
+    def _widens(old: Visibility, cached: _CachedVersion, view: Visibility,
+                journal: ObjectJournal) -> bool:
+        """Does ``view`` show everything ``cached``, read under ``old``,
+        applied?"""
+        if old is view:
+            return True
+        if not view.widens(old, cached.dots):
+            return False
+        for entry in cached.by_dep:
+            if not (view(entry) or not journal.holds(entry)):
+                return False
+        return True
+
+    def _delta(self, cached: _CachedVersion, journal: ObjectJournal,
+               view: Visibility) -> bool:
+        """Apply what became visible among the entries not applied;
+        False when compaction folded one this version can no longer
+        find (the caller rebuilds)."""
+        arrived = journal.arrivals_since(cached.mark)
+        if arrived is None:
+            return False
+        holds = journal.holds
+        pending = cached.pending
+        shown: Optional[List[JournalEntry]] = None
+        for i, entry in enumerate(cached.pending):
+            if view(entry) or not holds(entry):
+                if shown is None:
+                    shown, pending = [], pending[:i]
+                shown.append(entry)
+            elif shown is not None:
+                pending.append(entry)
+        for entry in arrived:
+            if view(entry) or not holds(entry):
+                if shown is None:
+                    shown = []
+                shown.append(entry)
+            else:
+                pending.append(entry)
+        cached.pending = pending
+        cached.mark += len(arrived)
+        vector = view.vector
+        by_dep = cached.by_dep
+        if by_dep and cached.view is not view:
+            by_dep[:] = [entry for entry in by_dep if holds(entry)
+                         and not entry.txn.commit.included_in(vector)]
+        if shown:
+            if len(shown) > 1:
+                shown.sort(key=_ORDER)
+            state, dots = cached.state, cached.dots
+            for entry in shown:
+                for op in entry.ops:
+                    state.apply(op)
+                dots.add(entry.dot)
+                if holds(entry) \
+                        and not entry.txn.commit.included_in(vector):
+                    by_dep.append(entry)
+        if cached.base_version != journal.base_version:
+            if not journal.base_dots <= cached.dots:
+                return False
+            cached.base_version = journal.base_version
+        cached.version = journal.version
+        cached.token = cached.view = view
+        if shown:
+            self.stats.mat_incremental += 1
+        else:
+            self.stats.mat_hits += 1
+        return True
+
+    def _scan(self, cache_key: Hashable, cached: _CachedVersion,
+              journal: ObjectJournal, visible: Optional[EntryFilter],
+              token: Optional[Hashable], view: Optional[Visibility]) \
+            -> Tuple[OpBasedCRDT, AbstractSet[Dot]]:
+        """One pass over the whole journal: apply the visible entries
+        not applied, or rebuild on a regression."""
+        if not self._base_still_covered(cached, journal):
+            return self._rebuild(cache_key, journal, visible, token, view)
         to_apply = []
+        hidden = []
         applied = cached.dots
         for entry in journal.iter_entries():
             if visible is None or visible(entry):
                 if entry.dot not in applied:
                     to_apply.append(entry)
             elif entry.dot in applied:
-                return self._rebuild(cache_key, journal, visible, token)
-        if not to_apply:
-            # Same visible set as cached; remember the (possibly newer)
-            # journal version and token so the next read is a pure hit.
-            cached.version = journal.version
-            cached.token = token
-            self.stats.mat_hits += 1
-            return cached.state, cached.dots
+                return self._rebuild(cache_key, journal, visible, token,
+                                     view)
+            else:
+                hidden.append(entry)
         state = cached.state
         for entry in to_apply:
             for op in entry.ops:
@@ -144,7 +274,13 @@ class MaterialisedCache:
         cached.version = journal.version
         cached.base_version = journal.base_version
         cached.token = token
-        self.stats.mat_incremental += 1
+        cached.track(journal, view, hidden)
+        if to_apply:
+            self.stats.mat_incremental += 1
+        else:
+            # Same visible set as cached; the next read with this token
+            # is a pure hit.
+            self.stats.mat_hits += 1
         return cached.state, cached.dots
 
     def _base_still_covered(self, cached: _CachedVersion,
@@ -159,13 +295,14 @@ class MaterialisedCache:
 
     def _rebuild(self, cache_key: Hashable, journal: ObjectJournal,
                  visible: Optional[EntryFilter],
-                 token: Optional[Hashable]) \
+                 token: Optional[Hashable],
+                 view: Optional[Visibility]) \
             -> Tuple[OpBasedCRDT, AbstractSet[Dot]]:
-        state = journal.materialise(visible)
-        dots = journal.visible_dots(visible)
-        self._versions[cache_key] = _CachedVersion(
+        state, dots, hidden = journal.replay(visible)
+        cached = self._versions[cache_key] = _CachedVersion(
             journal.uid, journal.version, journal.base_version, token,
             dots, state)
+        cached.track(journal, view, hidden)
         self.stats.mat_misses += 1
         return state, dots
 

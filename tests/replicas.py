@@ -14,7 +14,7 @@ seed names the dots its base folded.
 from typing import Iterable, Mapping, Optional, Sequence, Set
 
 from repro.core import (CommitStamp, Dot, JournalEntry, ObjectKey,
-                        Transaction, VectorClock, WriteOp)
+                        Transaction, VectorClock, Visibility, WriteOp)
 from repro.crdt import Counter
 from repro.edge.replica import EdgeFrontier, EdgeLog
 
@@ -105,16 +105,16 @@ class Replica:
         return resync
 
     # -- what a reader sees ---------------------------------------------------
-    def view(self, key: ObjectKey):
-        """(filter, token) of a read of ``key`` at the current snapshot,
-        as ``EdgeNode._read_cached`` builds them (no security)."""
+    def view(self, key: ObjectKey) -> Visibility:
+        """The view of a read of ``key`` at the current snapshot — its
+        own cache token — as ``EdgeNode._read_cached`` builds it (no
+        security)."""
         snapshot = self.frontier.current_snapshot()
         vector = self.frontier.read_vector(snapshot.vector, key)
-        deps = snapshot.local_deps
-        return EdgeFrontier.filter(vector, deps), (vector, deps)
+        return EdgeFrontier.filter(vector, snapshot.local_deps)
 
     def visible(self, txn: Transaction, key: ObjectKey) -> bool:
-        return self.view(key)[0](JournalEntry(txn, []))
+        return self.view(key)(JournalEntry(txn, []))
 
     @property
     def deps(self):

@@ -1,7 +1,8 @@
 """MaterialisedCache: hits, incremental replay, invalidation rules."""
 
 from repro.core import (CommitStamp, Dot, ObjectKey, ObjectJournal,
-                        Snapshot, Transaction, VectorClock, WriteOp)
+                        Snapshot, Transaction, VectorClock, Visibility,
+                        WriteOp)
 from repro.crdt import Counter, ORSet
 from repro.store import CacheStats, MaterialisedCache, VersionedStore
 
@@ -258,3 +259,105 @@ class TestVisibleStateToken:
                                       token=same)
         assert second is first
         assert cache.stats.mat_hits == 1
+
+
+class TestDeltaReads:
+    """A :class:`Visibility` is its own token, and a view that widens the
+    cached one tests only the entries the cached version has not
+    applied."""
+
+    def test_an_equal_view_is_a_pure_hit(self):
+        cache = MaterialisedCache()
+        j = ObjectJournal(KEY, "counter")
+        j.append(counter_txn(1, entries={"dc0": 1}))
+        vec = VectorClock({"dc0": 1})
+        first, _ = cache.materialise(j, Visibility(vec))
+        second, _ = cache.materialise(j, Visibility(VectorClock({"dc0": 1})))
+        assert second is first
+        assert cache.stats.mat_hits == 1
+
+    def test_a_widening_view_applies_the_new_entries_in_place(self):
+        cache = MaterialisedCache()
+        j = ObjectJournal(KEY, "counter")
+        j.append(counter_txn(1, amount=2, entries={"dc0": 1}))
+        j.append(counter_txn(2, amount=3, entries={"dc0": 2}))
+        first, _ = cache.materialise(j, Visibility(VectorClock({"dc0": 1})))
+        j.append(counter_txn(3, amount=4, origin="f"))
+        own = frozenset({Dot(3, "f")})
+        state, dots = cache.materialise(
+            j, Visibility(VectorClock({"dc0": 2}), own))
+        assert state is first and state.value() == 9
+        assert dots == {Dot(1, "e"), Dot(2, "e"), Dot(3, "f")}
+        assert cache.stats.mat_incremental == 1
+        assert cache.stats.mat_misses == 1
+
+    def test_a_dep_retired_while_uncovered_rebuilds(self):
+        cache = MaterialisedCache()
+        j = ObjectJournal(KEY, "counter")
+        j.append(counter_txn(1, origin="f"))
+        vec = VectorClock({"dc0": 1})
+        cache.materialise(j, Visibility(vec, frozenset({Dot(1, "f")})))
+        state, dots = cache.materialise(j, Visibility(vec))
+        assert state.value() == 0 and not dots
+        assert cache.stats.mat_misses == 2
+
+    def test_a_newly_masked_applied_dot_rebuilds(self):
+        cache = MaterialisedCache()
+        j = ObjectJournal(KEY, "counter")
+        j.append(counter_txn(1, entries={"dc0": 1}))
+        vec = VectorClock({"dc0": 1})
+        cache.materialise(j, Visibility(vec))
+        state, _ = cache.materialise(
+            j, Visibility(vec, masked=frozenset({Dot(1, "e")})))
+        assert state.value() == 0
+        assert cache.stats.mat_misses == 2
+
+    def test_survives_a_compaction_that_folds_its_pending_entries(self):
+        """A cached version that has seen every arrival keeps its state
+        when compaction folds entries it holds pending: they are in the
+        base now, so they count as visible and are applied."""
+        cache = MaterialisedCache()
+        j = ObjectJournal(KEY, "counter")
+        for i in (1, 2, 3):
+            j.append(counter_txn(i, amount=i, entries={"dc0": i}))
+        view = Visibility(VectorClock({"dc0": 1}))
+        first, _ = cache.materialise(j, view)
+        assert first.value() == 1
+        assert j.advance_base(Visibility(VectorClock({"dc0": 3}))) == 3
+        state, dots = cache.materialise(j, view)
+        assert state is first and state.value() == 6
+        assert dots == {Dot(1, "e"), Dot(2, "e"), Dot(3, "e")}
+        assert cache.stats.mat_misses == 1
+
+    def test_an_arrival_folded_unseen_rebuilds(self):
+        cache = MaterialisedCache()
+        j = ObjectJournal(KEY, "counter")
+        view = Visibility(VectorClock({"dc0": 1}))
+        cache.materialise(j, view)
+        j.append(counter_txn(1, entries={"dc0": 1}))
+        j.append(counter_txn(2, entries={"dc0": 2}))
+        j.advance_base(Visibility(VectorClock({"dc0": 2})))
+        state, _ = cache.materialise(j, view)
+        assert state.value() == 2
+        assert cache.stats.mat_misses == 2
+
+    def test_only_a_journal_a_cache_read_keeps_an_arrival_log(self):
+        j = ObjectJournal(KEY, "counter")
+        j.append(counter_txn(1, entries={"dc0": 1}))
+        assert j.arrivals_since(0) is None
+        mark = j.arrival_mark()
+        j.append(counter_txn(2, entries={"dc0": 2}))
+        assert [e.dot for e in j.arrivals_since(mark)] == [Dot(2, "e")]
+        j.advance_base(lambda e: True)
+        assert j.arrivals_since(mark) is None
+        assert list(j.arrivals_since(j.arrival_mark())) == []
+
+    def test_replay_is_materialise_and_visible_dots_in_one_pass(self):
+        j = ObjectJournal(KEY, "counter")
+        j.append(counter_txn(1, amount=2, entries={"dc0": 1}))
+        j.append(counter_txn(2, amount=3, entries={"dc0": 2}))
+        view = Visibility(VectorClock({"dc0": 1}))
+        state, dots, hidden = j.replay(view)
+        assert state.value() == j.materialise(view).value() == 2
+        assert dots == j.visible_dots(view)
+        assert [e.dot for e in hidden] == [Dot(2, "e")]

@@ -199,12 +199,6 @@ class TestEnforcer:
         masked = enforcer.recompute([bad, mid, leaf])
         assert masked == {bad.dot, mid.dot, leaf.dot}
 
-    def test_generation_bumps_on_change(self):
-        enforcer = SecurityEnforcer()
-        g0 = enforcer.generation
-        enforcer.load_from_values([], {}, {})
-        assert enforcer.generation > g0
-
     def test_inherited_restriction(self):
         enforcer = SecurityEnforcer()
         enforcer.load_from_values(

@@ -134,42 +134,42 @@ class TestFingerprint:
 
     def test_admit_bumps_fingerprint(self):
         r = replica_values()
-        before = r.view(KEY)[1]
+        before = r.view(KEY)
         r.integrate(txn(1))
-        assert r.view(KEY)[1] != before
+        assert r.view(KEY) != before
 
     def test_duplicate_admit_does_not_bump(self):
         r = replica_values()
         t = txn(1)
         r.integrate(t)
-        token = r.view(KEY)[1]
+        token = r.view(KEY)
         assert not r.admit(t)
         assert r.integrate(t)
-        assert r.view(KEY)[1] == token
+        assert r.view(KEY) == token
 
     def test_resolve_commit_bumps_fingerprint(self):
         r = replica_values()
         own = r.commit_own(KEY)
-        token = r.view(KEY)[1]
+        token = r.view(KEY)
         r.adopt(own.dot, {"dc0": 4})
         r.frontier.advance({"dc0": 4})
-        assert r.view(KEY)[1] != token
+        assert r.view(KEY) != token
 
     def test_advance_vector_bumps_only_on_progress(self):
         r = replica_values()
         r.frontier.advance({"dc0": 5})
-        token = r.view(KEY)[1]
+        token = r.view(KEY)
         r.frontier.advance({"dc0": 3})  # already covered
-        assert r.view(KEY)[1] == token
+        assert r.view(KEY) == token
         r.frontier.advance({"dc1": 1})
-        assert r.view(KEY)[1] != token
+        assert r.view(KEY) != token
 
     def test_read_token_reflects_fingerprint(self):
         r = replica_values()
-        token = r.view(KEY)[1]
-        assert r.view(KEY)[1] == token
+        token = r.view(KEY)
+        assert r.view(KEY) == token
         push(r, txn(1, entries={"dc0": 1}), stable={"dc0": 1})
-        assert r.view(KEY)[1] != token
+        assert r.view(KEY) != token
 
     def test_dots_view_is_frozen_and_refreshed(self):
         r = replica_values()
@@ -188,7 +188,7 @@ class TestFingerprint:
         ahead = txn(1, entries={"dc0": 3})
         assert r.frontier.take_seed(KEY, VectorClock({"dc0": 3}))
         assert r.frontier.vector == VectorClock.zero()
-        assert r.view(KEY)[1][0] == VectorClock({"dc0": 3})
+        assert r.view(KEY).vector == VectorClock({"dc0": 3})
         assert r.visible(ahead, KEY)
 
 
