@@ -16,7 +16,10 @@ hypothesis delivers in any order, duplicates or drops:
 * one-key seeds (an interest add or a fetch) and whole-warm-set seeds
   (the ack of a reopen), cut at the DC's stable vector.  A group member
   takes its seeds as fetch replies through the resync gate instead and,
-  on a gap, resyncs its warm set where an edge reopens its session.
+  on a gap, resyncs its warm set where an edge reopens its session.  As
+  ``GroupMember`` does, it tells the gate which keys a fetch of its own
+  is still out for (until a reply to it arrives) and, with nothing warm
+  or fetching, resyncs its interest set.
 
 After every step:
 
@@ -69,6 +72,9 @@ class World:
         self.peers: List[Transaction] = []
         self.counters = {"w": 0, "p": 0}
         self.in_flight: List[tuple] = []
+        #: A member's own fetches still out (``GroupMember``'s pending
+        #: fetches), by key; a resync's fetches are not among them.
+        self.fetching: Set[ObjectKey] = set()
 
     # -- the DC ---------------------------------------------------------------
     def sequence(self, txn: Transaction) -> int:
@@ -88,6 +94,11 @@ class World:
     def seed_of(self, key: ObjectKey) -> tuple:
         kind = "reply" if self.member else "seed"
         return (kind, key, self.stable, self.folded(key))
+
+    def fetch(self, key: ObjectKey) -> None:
+        """The edge fetches ``key`` for itself (not for a resync)."""
+        if self.member:
+            self.fetching.add(key)
 
     def on_uplink(self, msg: tuple) -> None:
         kind = msg[0]
@@ -117,7 +128,9 @@ class World:
         elif kind == "open":
             edge.seeded(msg[1], cut(msg[2]))
         elif kind == "reply":
-            self.resync(edge.fetch_reply(msg[1], cut(msg[2]), msg[3]))
+            self.resync(edge.fetch_reply(msg[1], cut(msg[2]), msg[3],
+                                         self.fetching))
+            self.fetching.discard(msg[1])
         elif kind == "ack":
             edge.adopt(msg[1], msg[2])
         elif kind == "pull":
@@ -127,7 +140,8 @@ class World:
         if not self.member:
             self.in_flight.append(("reopen",))
         elif not self.edge.frontier.resync_expect:
-            self.resync(self.edge.frontier.resync_keys(()))
+            self.resync(self.edge.frontier.resync_keys(self.fetching,
+                                                       self.interest))
 
     def resync(self, keys: Set[ObjectKey]) -> None:
         if keys:
@@ -155,9 +169,11 @@ class World:
                 self.cursor = self.stable
         elif name == "declare" and key not in self.interest:
             self.interest.add(key)
+            self.fetch(key)
             self.in_flight.append(self.seed_of(key))
         elif name == "refetch" and key in self.interest \
                 and key not in self.edge.frontier.key_cut:
+            self.fetch(key)
             self.in_flight.append(("fetch", key))
         elif name == "own" and key in self.interest:
             own = self.edge.commit_own(key)
