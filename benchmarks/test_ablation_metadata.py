@@ -10,7 +10,7 @@ simulated deployment.
 import pytest
 
 from repro.bench import ablation_metadata
-from repro.bench.harness import Deployment, DeploymentConfig
+from repro.bench.harness import build_chat_world
 from repro.bench.scenarios import _small_trace
 from repro.workload.driver import ClosedLoopDriver
 
@@ -44,18 +44,14 @@ def test_measured_transaction_metadata(benchmark):
 
     def run():
         trace = _small_trace(12, seed=7)
-        deployment = Deployment(
-            DeploymentConfig(mode="swiftcloud", n_dcs=3, n_clients=12,
-                             seed=7), trace)
-        deployment.warm_up(1500.0)
-        driver = ClosedLoopDriver(deployment.sim, trace,
-                                  [(u, a) for u, _n, a
-                                   in deployment.clients],
+        world = build_chat_world("swiftcloud", 3, trace, 12, seed=7)
+        world.warm_up(1500.0)
+        driver = ClosedLoopDriver(world.sim, trace, world.apps(),
                                   think_time_ms=10.0)
         driver.start()
-        deployment.sim.run_for(2000.0)
+        world.sim.run_for(2000.0)
         sizes = []
-        for dc in deployment.dcs:
+        for dc in world.dcs:
             for txn in dc.log.txns.values():
                 sizes.append(8 * len(txn.snapshot.vector)
                              + 16 * len(txn.snapshot.local_deps)

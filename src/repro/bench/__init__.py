@@ -1,6 +1,7 @@
-"""Benchmark harness: deployments, metrics, per-figure scenarios."""
+"""Benchmark harness: chat worlds, metrics, per-figure scenarios."""
 
-from .harness import MODES, Deployment, DeploymentConfig
+from .harness import (MODES, ChatWorld, build_chat_world,
+                      chat_topology)
 from .metrics import (LatencySummary, TimelinePoint, bucket_timeline,
                       percentile, served_by_breakdown, summarise,
                       throughput, timeline)
@@ -13,7 +14,7 @@ from .scenarios import (CommitVariantRow, Fig4Point, KStabilityRow,
 from .topo import GroupBench, build_group_bench
 
 __all__ = [
-    "Deployment", "DeploymentConfig", "MODES",
+    "ChatWorld", "build_chat_world", "chat_topology", "MODES",
     "LatencySummary", "TimelinePoint", "summarise", "throughput",
     "timeline", "bucket_timeline", "percentile", "served_by_breakdown",
     "Fig4Point", "fig4_point", "fig4_curve",

@@ -2,9 +2,11 @@
 
 The paper validates colony on a small Grid'5000 testbed (section 7); the
 north star is millions of edge nodes, which makes the discrete-event
-simulator the system under test here.  This module builds a *wide*
+simulator the system under test here.  This module describes a *wide*
 topology — many DCs, thousands of edge sessions, a small population of
-active writers — and measures how many simulator events per wall-clock
+active writers — as a :class:`~repro.serve.topology.Topology`, has
+``build_sim_world`` build it (every session opens in the builder's
+connect phase), and measures how many simulator events per wall-clock
 second the sim core sustains.
 
 The scenario is deterministic for a given ``ScaleConfig`` (all times and
@@ -31,9 +33,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, List
 
 from ..core.txn import ObjectKey
-from ..dc.datacenter import DataCenter
 from ..edge.node import EdgeNode
-from ..sim.network import CELLULAR, ETHERNET, LAN, LatencyModel
+from ..serve.builder import build_sim_world
+from ..serve.topology import Site, Topology
+from ..sim.network import ETHERNET
 from ..sim.runtime import Simulation
 
 
@@ -43,8 +46,9 @@ class ScaleConfig:
 
     n_nodes: int = 1000
     seed: int = 0
-    #: Simulated measurement window (ms).  The settle phase before it
-    #: (sessions opening, caches seeding) is excluded from the rates.
+    #: Simulated measurement window (ms).  It starts at ``settle_ms``
+    #: of simulated time; the settling before it (sessions opening,
+    #: caches seeding) is excluded from the rates.
     duration_ms: float = 3000.0
     settle_ms: float = 800.0
     #: Edge nodes per cell; a cell shares one counter object, so pushes
@@ -63,39 +67,23 @@ class ScaleConfig:
 
 
 def build_scale_world(config: ScaleConfig) -> Simulation:
-    """Spawn the DC mesh and the edge population, connects staggered."""
-    sim = Simulation(seed=config.seed, default_latency=CELLULAR)
+    """The DC mesh and the edge population, built and connected."""
     n_dcs = config.resolved_dcs()
     dc_ids = [f"dc{i}" for i in range(n_dcs)]
-    for dc_id in dc_ids:
-        dc = sim.spawn(
-            DataCenter, dc_id,
-            peer_dcs=[d for d in dc_ids if d != dc_id],
-            n_shards=2, k_target=min(2, n_dcs))
-        for shard in dc.shard_ids:
-            sim.network.set_link(dc_id, shard, LAN)
-    for a in dc_ids:
-        for b in dc_ids:
-            if a < b:
-                sim.network.set_link(a, b, ETHERNET)
-
-    rng = random.Random(f"scale-build/{config.seed}")
-    access = LatencyModel(50.0, 10.0)  # cellular access links
+    sites = [Site(d, "dc", n_shards=2, k_target=min(2, n_dcs))
+             for d in dc_ids]
     for index in range(config.n_nodes):
         cell = index // config.cell_size
-        dc_id = dc_ids[cell % n_dcs]
-        node_id = f"n{index}"
-        node = sim.spawn(EdgeNode, node_id, dc_id=dc_id)
-        sim.network.set_link(node_id, dc_id, access)
-        node.declare_interest(ObjectKey("scale", f"cell{cell}"),
-                              "counter")
-        node.declare_interest(ObjectKey("scale", f"own{index}"),
-                              "counter")
-        # Stagger session opens so the seed reads do not form one
-        # thundering herd at t=0.
-        sim.loop.schedule(rng.uniform(0.0, config.settle_ms * 0.5),
-                          node.connect)
-    return sim
+        sites.append(Site(
+            f"n{index}", "edge", dc=dc_ids[cell % n_dcs],
+            keys=[(ObjectKey("scale", f"cell{cell}"), "counter"),
+                  (ObjectKey("scale", f"own{index}"), "counter")]))
+    keys = list(dict.fromkeys(key for site in sites
+                              for key in site.keys or ()))
+    topo = Topology("scale", config.seed, sites, keys,
+                    links={(a, b): ETHERNET for a in dc_ids
+                           for b in dc_ids if a < b})
+    return build_sim_world(topo).sim
 
 
 def _schedule_writers(sim: Simulation, config: ScaleConfig,
@@ -148,7 +136,7 @@ def run_scale(config: ScaleConfig) -> Dict[str, Any]:
     build_wall = time.perf_counter() - build_wall   # colony-lint: disable=D101
 
     settle_wall = time.perf_counter()               # colony-lint: disable=D101
-    sim.run_for(config.settle_ms)
+    sim.run_for(max(0.0, config.settle_ms - sim.now))
     settle_wall = time.perf_counter() - settle_wall  # colony-lint: disable=D101
 
     _schedule_writers(sim, config, sim.now, counters)

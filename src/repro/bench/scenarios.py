@@ -13,12 +13,15 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from ..api.client import Connection
 from ..chat.app import ChatApp
-from ..edge.node import EdgeNode
-from ..sim.network import LAN
+from ..core.txn import ObjectKey
+from ..serve.builder import add_site, build_sim_world
+from ..serve.topology import Site, Topology
+from ..sim.network import ETHERNET, LAN, LatencyModel
 from ..workload.driver import ClosedLoopDriver
 from ..workload.trace import MattermostTrace, TraceConfig
-from .harness import Deployment, DeploymentConfig
+from .harness import ChatWorld, build_chat_world
 from .metrics import (TimelinePoint, summarise, throughput,
                       timeline)
 
@@ -51,19 +54,15 @@ def fig4_point(mode: str, n_dcs: int, n_clients: int,
                think_time_ms: float = 10.0, seed: int = 7) -> Fig4Point:
     """One point of the throughput/latency curve for one configuration."""
     trace = _small_trace(n_clients, seed)
-    config = DeploymentConfig(mode=mode, n_dcs=n_dcs,
-                              n_clients=n_clients, seed=seed)
-    deployment = Deployment(config, trace)
-    deployment.warm_up(warm_ms)
-    driver = ClosedLoopDriver(deployment.sim, trace,
-                              [(u, a) for u, _n, a
-                               in deployment.clients],
+    world = build_chat_world(mode, n_dcs, trace, n_clients, seed=seed)
+    world.warm_up(warm_ms)
+    driver = ClosedLoopDriver(world.sim, world.trace, world.apps(),
                               think_time_ms=think_time_ms)
     driver.start()
-    start = deployment.sim.now
-    deployment.sim.run_for(measure_ms)
-    end = deployment.sim.now
-    stats = deployment.all_stats()
+    start = world.sim.now
+    world.sim.run_for(measure_ms)
+    end = world.sim.now
+    stats = world.all_stats()
     summary = summarise(stats, since=start, until=end)
     tput = throughput(stats, start, end)
     return Fig4Point(mode, n_dcs, n_clients, tput,
@@ -90,37 +89,23 @@ class TimelineResult:
     duration_ms: float
 
 
-class _Fig567World:
+def _fig567_world(seed: int, cache_coverage: float = 0.9) -> ChatWorld:
     """One workspace, 36 users: 12 in a peer group, 24 independent."""
+    trace = _small_trace(36, seed, channels=12)
+    world = build_chat_world("colony", 1, trace, 12, n_solo=24,
+                             cache_coverage=cache_coverage, seed=seed)
+    world.warm_up(2000.0)
+    return world
 
-    def __init__(self, n_group: int = 12, n_solo: int = 24,
-                 seed: int = 11, cache_coverage: float = 0.9):
-        self.trace = _small_trace(n_group + n_solo, seed,
-                                  channels=12)
-        config = DeploymentConfig(mode="colony", n_dcs=1,
-                                  n_clients=n_group, group_size=n_group,
-                                  cache_coverage=cache_coverage, seed=seed)
-        self.deployment = Deployment(config, self.trace)
-        self.sim = self.deployment.sim
-        self.group = self.deployment.groups[0]
-        # Independent (SwiftCloud-style) users share the workspace.
-        rng = random.Random(seed * 131)
-        self.solo: List[Tuple[str, EdgeNode, ChatApp]] = []
-        for user in self.trace.users[n_group:n_group + n_solo]:
-            self.solo.append(self.deployment.spawn_edge_client(
-                f"solo/{user}", user, "dc0", rng, bound=False))
 
-    def all_apps(self) -> List[Tuple[str, ChatApp]]:
-        return ([(u, a) for u, _n, a in self.deployment.clients]
-                + [(u, a) for u, _n, a in self.solo])
+def _run_workload(world: ChatWorld, duration_ms: float) -> None:
+    ClosedLoopDriver(world.sim, world.trace, world.apps(),
+                     think_time_ms=150.0).start()
+    world.sim.run_for(duration_ms)
 
-    def run_workload(self, duration_ms: float,
-                     think_time_ms: float = 150.0) -> ClosedLoopDriver:
-        driver = ClosedLoopDriver(self.sim, self.trace, self.all_apps(),
-                                  think_time_ms=think_time_ms)
-        driver.start()
-        self.sim.run_for(duration_ms)
-        return driver
+
+def _stats(population) -> list:
+    return [s for _u, node, _a in population for s in node.txn_stats]
 
 
 def _shifted(stats, t0: float) -> List[TimelinePoint]:
@@ -134,22 +119,18 @@ def fig5_dc_disconnection(duration_ms: float = 70_000.0,
                           reconnect_at: float = 45_000.0,
                           seed: int = 11) -> TimelineResult:
     """The peer group's sync point loses (then regains) its DC link."""
-    world = _Fig567World(seed=seed)
-    world.deployment.warm_up(2000.0)
+    world = _fig567_world(seed)
     sim = world.sim
     t0 = sim.now
-    parent = world.group[0]
+    parent = world.groups[0][0]
     sim.loop.schedule(disconnect_at,
                       lambda: sim.network.partition(parent.node_id, "dc0"))
     sim.loop.schedule(reconnect_at,
                       lambda: sim.network.heal(parent.node_id, "dc0"))
-    world.run_workload(duration_ms)
-    group_stats = [s for _u, n, _a in world.deployment.clients
-                   for s in n.txn_stats]
-    solo_stats = [s for _u, n, _a in world.solo for s in n.txn_stats]
+    _run_workload(world, duration_ms)
     return TimelineResult(
-        points={"group": _shifted(group_stats, t0),
-                "solo": _shifted(solo_stats, t0)},
+        points={"group": _shifted(_stats(world.clients), t0),
+                "solo": _shifted(_stats(world.solo), t0)},
         disconnect_at_ms=disconnect_at, reconnect_at_ms=reconnect_at,
         duration_ms=duration_ms)
 
@@ -159,33 +140,31 @@ def fig6_peer_disconnection(duration_ms: float = 70_000.0,
                             reconnect_at: float = 45_000.0,
                             seed: int = 12) -> TimelineResult:
     """One user drops out of its peer group and reconnects 20 s later."""
-    world = _Fig567World(seed=seed, cache_coverage=1.0)
-    world.deployment.warm_up(2000.0)
+    world = _fig567_world(seed, cache_coverage=1.0)
     sim = world.sim
     t0 = sim.now
-    victim = world.group[-1]
+    group = world.groups[0]
+    victim = group[-1]
 
     def cut() -> None:
         victim.disconnect_from_group()
-        for other in world.group:
+        for other in group:
             if other is not victim:
                 sim.network.partition(victim.node_id, other.node_id)
 
     def heal() -> None:
-        for other in world.group:
+        for other in group:
             if other is not victim:
                 sim.network.heal(victim.node_id, other.node_id)
         victim.reconnect_to_group()
 
     sim.loop.schedule(disconnect_at, cut)
     sim.loop.schedule(reconnect_at, heal)
-    world.run_workload(duration_ms)
-    victim_stats = list(victim.txn_stats)
-    rest_stats = [s for _u, n, _a in world.deployment.clients
-                  if n is not victim for s in n.txn_stats]
+    _run_workload(world, duration_ms)
+    rest = [c for c in world.clients if c[1] is not victim]
     return TimelineResult(
-        points={"victim": _shifted(victim_stats, t0),
-                "group": _shifted(rest_stats, t0)},
+        points={"victim": _shifted(victim.txn_stats, t0),
+                "group": _shifted(_stats(rest), t0)},
         disconnect_at_ms=disconnect_at, reconnect_at_ms=reconnect_at,
         duration_ms=duration_ms)
 
@@ -194,33 +173,28 @@ def fig7_migration(duration_ms: float = 70_000.0,
                    join_at: float = 45_000.0,
                    seed: int = 13) -> TimelineResult:
     """A mobile client with an invalid cache joins the peer group."""
-    world = _Fig567World(seed=seed)
-    world.deployment.warm_up(2000.0)
+    world = _fig567_world(seed)
     sim = world.sim
     t0 = sim.now
-    group = world.group
-    parent = group[0]
+    parent = world.groups[0][0]
     # The migrating client: same workspace, completely cold cache.
     user = world.trace.users[-1]
-    node, app = world.deployment.spawn_member(
-        f"mobile/{user}", user, group, "dc0", parent.group_id,
-        parent.node_id)
+    node = add_site(world.world, Site(
+        f"mobile/{user}", "member", dc="dc0", group=parent.group_id,
+        parent=parent.node_id, keys=[]))
     sim.loop.schedule(join_at, node.join_group)
-
-    driver = ClosedLoopDriver(sim, world.trace, world.all_apps(),
+    driver = ClosedLoopDriver(sim, world.trace, world.apps(),
                               think_time_ms=150.0)
     driver.start()
     # The mobile client only starts transacting once in the group.
-    mobile_driver = ClosedLoopDriver(sim, world.trace, [(user, app)],
-                                     think_time_ms=150.0)
+    mobile_driver = ClosedLoopDriver(
+        sim, world.trace, [(user, ChatApp(Connection(node), user))],
+        think_time_ms=150.0)
     sim.loop.schedule(join_at + 50.0, mobile_driver.start)
     sim.run_for(duration_ms)
-
-    group_stats = [s for _u, n, _a in world.deployment.clients
-                   for s in n.txn_stats]
     return TimelineResult(
         points={"mobile": _shifted(node.txn_stats, t0),
-                "group": _shifted(group_stats, t0)},
+                "group": _shifted(_stats(world.clients), t0)},
         disconnect_at_ms=join_at, reconnect_at_ms=join_at,
         duration_ms=duration_ms)
 
@@ -247,27 +221,21 @@ def ablation_kstability(k: int, n_dcs: int = 3, updates: int = 30,
     client run ahead of the DC it migrates to (incompatible sessions);
     K = N gates visibility on the slowest DC.
     """
-    from ..core.txn import ObjectKey
-    from ..serve.builder import build_sim_world
-    from ..serve.topology import Site, Topology
-    from ..sim.network import ETHERNET, LatencyModel
-    from ..sim.runtime import Simulation
-
     far = LatencyModel(60.0, 2.0)
     dc_ids = [f"dc{i}" for i in range(n_dcs)]
     key = ObjectKey("bench", "counter")
     links = {(a, b): far if b_i >= 2 else ETHERNET
              for b_i, b in enumerate(dc_ids) for a in dc_ids[:b_i]}
-    links.update({(name, "dc0"): LAN for name in ("writer", "reader")})
+    # The edges are on LAN to every DC, their migration targets too.
+    links.update({(name, d): LAN for name in ("writer", "reader")
+                  for d in dc_ids})
     topo = Topology(
         "kstability", seed,
         [Site(d, "dc", n_shards=1, k_target=k) for d in dc_ids]
         + [Site(name, "edge", dc="dc0") for name in ("writer", "reader")],
         [(key, "counter")], links=links)
-    # Every pair the description does not link (the writer's migration
-    # targets) is on LAN too.
-    sim = Simulation(seed=seed, default_latency=LAN)
-    world = build_sim_world(topo, sim)
+    world = build_sim_world(topo)
+    sim = world.sim
     dcs = world.dcs
     writer, reader = world.actors["writer"], world.actors["reader"]
     sim.run_for(1000.0 - sim.now)   # one second of settling in all

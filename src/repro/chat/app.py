@@ -141,13 +141,5 @@ class ChatApp:
     # -- cache priming ------------------------------------------------------------------
     def open_workspace(self, workspace: str, channels: List[str]) -> None:
         """Declare interest in a workspace's objects (cache warm-up)."""
-        handles = [model.workspace_members(workspace),
-                   model.workspace_channels(workspace),
-                   model.user_workspaces(self.user),
-                   model.user_profile(self.user),
-                   model.user_friends(self.user),
-                   model.user_events(self.user)]
-        for channel in channels:
-            handles.append(model.channel_messages(workspace, channel))
-            handles.append(model.channel_meta(workspace, channel))
-        self.conn.open_bucket(handles)
+        self.conn.open_bucket(
+            model.workspace_objects(workspace, self.user, channels))

@@ -15,10 +15,10 @@ handles so that application code and the workload generator agree on keys.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, List
 
-from ..api.handles import (FlagHandle, MapHandle, ORMapHandle,
-                           SequenceHandle, SetHandle)
+from ..api.handles import (FlagHandle, MapHandle, ObjectHandle,
+                           ORMapHandle, SequenceHandle, SetHandle)
 
 USERS_BUCKET = "users"
 WORKSPACES_BUCKET = "workspaces"
@@ -83,6 +83,20 @@ def user_presence(workspace: str, user: str) -> FlagHandle:
 def typing_indicator(workspace: str, channel: str) -> SetHandle:
     """Set of users currently typing in the channel."""
     return SetHandle(f"{workspace}/{channel}/typing", CHANNELS_BUCKET)
+
+
+def workspace_objects(workspace: str, user: str,
+                      channels: List[str]) -> List[ObjectHandle]:
+    """What a user caches of one workspace: its membership and channel
+    sets, the user's own objects, and the listed channels."""
+    handles: List[ObjectHandle] = [
+        workspace_members(workspace), workspace_channels(workspace),
+        user_workspaces(user), user_profile(user), user_friends(user),
+        user_events(user)]
+    for channel in channels:
+        handles.append(channel_messages(workspace, channel))
+        handles.append(channel_meta(workspace, channel))
+    return handles
 
 
 def message(author: str, text: str, at: float) -> Dict[str, Any]:

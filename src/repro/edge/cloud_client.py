@@ -53,6 +53,10 @@ class CloudClient(Actor):
         self._pending[request_id] = (self.now, on_done)
         self.send(self.connected_dc, request)
 
+    def state_digest(self) -> Dict[ObjectKey, Any]:
+        """Nothing: the client keeps no state (a live site reports it)."""
+        return {}
+
     def on_message(self, message: Any, sender: str) -> None:
         if not isinstance(message, RemoteTxnReply):
             raise TypeError(f"cloud client {self.node_id}: unexpected"

@@ -26,9 +26,11 @@ objects directly and therefore only works inside one process.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..dc.datacenter import DataCenter
+from ..edge.cloud_client import CloudClient
 from ..edge.node import EdgeNode
 from ..edge.pop import PoPNode
 from ..groups.peergroup import GroupMember
@@ -49,8 +51,9 @@ def build_site(transport: Any, topo: Topology, site: Site,
                cls: Optional[type] = None) -> Any:
     """Construct one site's protocol actor over ``transport``.
 
-    Returns the site's principal actor (the DC, PoP, edge node or group
-    member).  Interest declaration happens here; ``connect()`` and group
+    Returns the site's principal actor (the DC, PoP, edge node, group
+    member or cache-less cloud client).  Interest declaration happens
+    here; ``connect()`` and group
     bootstrap are the caller's job so the sim path can interleave
     settling phases.  ``cls`` substitutes the role's actor class (a test
     double with the same constructor).
@@ -63,6 +66,9 @@ def build_site(transport: Any, topo: Topology, site: Site,
     if site.role == "pop":
         return (cls or PoPNode)(site.name, transport, None,
                                 dc_id=site.dc)
+    if site.role == "cloud":
+        return (cls or CloudClient)(site.name, transport, None,
+                                    dc_id=site.dc)
     if site.role == "edge":
         node = (cls or EdgeNode)(site.name, transport, None,
                                  dc_id=site.dc)
@@ -115,8 +121,9 @@ class SimWorld:
 
 
 #: Uplink class by role: a relay (a PoP, a group's parent) is on carrier
-#: Ethernet, a plain edge on cellular.
-UPLINK = {"pop": ETHERNET, "member": ETHERNET, "edge": CELLULAR}
+#: Ethernet, a plain edge or cloud client on cellular.
+UPLINK = {"pop": ETHERNET, "member": ETHERNET, "edge": CELLULAR,
+          "cloud": CELLULAR}
 
 
 def _role_links(topo: Topology, actors: Mapping[str, Any]) \
@@ -144,11 +151,12 @@ def settle_order(topo: Topology) -> Tuple[List[Site], List[Site]]:
     First the sites whose upstream is a DC open their sessions; once
     those are up, the sites below a relay connect and the groups form,
     so a PoP's children are seeded from a PoP that already has a
-    session, whatever order the sites are listed in.
+    session, whatever order the sites are listed in.  A cloud client
+    opens no session, so it is in neither phase.
     """
     direct, below = [], []
     for site in topo.sites:
-        if site.role == "dc":
+        if site.role in ("dc", "cloud"):
             continue
         relayed = topo.by_name[site.dc].role == "pop"
         (below if relayed or site.role == "member" else direct) \
@@ -191,6 +199,24 @@ def build_sim_world(topo: Topology, sim: Optional[Simulation] = None,
         if sites:
             sim.run_for(settle_ms)
     return SimWorld(topo, sim, actors)
+
+
+def add_site(world: SimWorld, site: Site) -> Any:
+    """Build one more site into a running world (a late joiner).
+
+    The site is built on the world's transport and linked to the sites
+    already there by the role rule; connecting or joining its group is
+    the caller's job.
+    """
+    topo = replace(world.topo, sites=world.topo.sites + [site])
+    sim = world.sim
+    actor = world.actors[site.name] = sim.actors[site.name] = build_site(
+        sim.network.transport_view(sim.loop), topo, site)
+    for a, b, model in _role_links(topo, world.actors):
+        if site.name in (a, b):
+            sim.network.set_link(a, b, model)
+    world.topo = topo
+    return actor
 
 
 def schedule_ops(world: SimWorld, ops: List[Op]) -> None:

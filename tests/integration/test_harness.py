@@ -1,65 +1,72 @@
-"""Deployment-harness and workload-driver integration tests."""
+"""Chat-world harness and workload-driver integration tests."""
 
 import pytest
 
-from repro.bench import Deployment, DeploymentConfig
-from repro.bench.metrics import served_by_breakdown, summarise
+from repro.bench import build_chat_world, chat_topology
+from repro.bench.metrics import served_by_breakdown
 from repro.bench.scenarios import _small_trace
 from repro.workload import ClosedLoopDriver, MattermostTrace, TimedDriver
 from repro.workload.trace import TraceConfig
 
 
-def deploy(mode, n_clients=8, n_dcs=1, seed=7, **kwargs):
+def deploy(mode, n_clients=8, n_dcs=1, seed=7):
     trace = _small_trace(n_clients, seed)
-    config = DeploymentConfig(mode=mode, n_dcs=n_dcs,
-                              n_clients=n_clients, seed=seed, **kwargs)
-    return Deployment(config, trace), trace
+    return build_chat_world(mode, n_dcs, trace, n_clients,
+                            seed=seed), trace
+
+
+def drive(world, warm_ms, run_ms, think_time_ms, **kwargs):
+    world.warm_up(warm_ms)
+    driver = ClosedLoopDriver(world.sim, world.trace, world.apps(),
+                              think_time_ms=think_time_ms, **kwargs)
+    driver.start()
+    world.sim.run_for(run_ms)
+    return driver
 
 
 class TestDeployment:
     def test_unknown_mode_rejected(self):
         trace = _small_trace(4, 1)
-        with pytest.raises(ValueError):
-            Deployment(DeploymentConfig(mode="nope"), trace)
+        with pytest.raises(ValueError, match="nope"):
+            chat_topology("nope", 1, trace, 4)
 
     @pytest.mark.parametrize("mode", ["antidote", "swiftcloud", "colony"])
     def test_each_mode_builds_and_runs(self, mode):
-        deployment, trace = deploy(mode)
-        deployment.warm_up(1500.0)
-        driver = ClosedLoopDriver(deployment.sim, trace,
-                                  [(u, a) for u, _n, a
-                                   in deployment.clients],
-                                  think_time_ms=20.0)
-        driver.start()
-        deployment.sim.run_for(1500.0)
-        stats = deployment.all_stats()
+        world, _ = deploy(mode)
+        drive(world, 1500.0, 1500.0, 20.0)
+        stats = world.all_stats()
         assert len(stats) > 20
         assert not any(s.aborted for s in stats)
 
     def test_colony_groups_formed(self):
-        deployment, _ = deploy("colony", n_clients=8)
-        deployment.config.group_size = 4
-        assert deployment.groups
-        for group in deployment.groups:
-            assert group[0].is_parent
+        world, _ = deploy("colony", n_clients=30)
+        groups = world.groups
+        assert [len(group) for group in groups] == [12, 12, 6]
+        users = [node for _u, node, _a in world.clients]
+        assert [m for group in groups for m in group] == users
+        for group in groups:
+            parent = group[0]
+            assert parent.is_parent
+            assert all(m.parent_id == parent.node_id for m in group)
+            assert not any(m.is_parent for m in group[1:])
+            roster = tuple(sorted(m.node_id for m in group))
+            assert all(m.members == roster for m in group)
+        assert all(g[0].session_open for g in groups)
 
     def test_k_default_tracks_dc_count(self):
-        assert DeploymentConfig(n_dcs=1).resolved_k() == 1
-        assert DeploymentConfig(n_dcs=3).resolved_k() == 2
-        assert DeploymentConfig(n_dcs=3, k_target=3).resolved_k() == 3
+        trace = _small_trace(4, 1)
+        for n_dcs, k in ((1, 1), (2, 2), (3, 2)):
+            topo = chat_topology("swiftcloud", n_dcs, trace, 4)
+            assert [s.k_target for s in topo.dcs] == [k] * n_dcs
+            world = build_chat_world("swiftcloud", n_dcs, trace, 4)
+            assert [dc.k_target for dc in world.dcs] == [k] * n_dcs
 
     def test_served_by_profile_per_mode(self):
         profiles = {}
         for mode in ("antidote", "swiftcloud", "colony"):
-            deployment, trace = deploy(mode, n_clients=8)
-            deployment.warm_up(1500.0)
-            driver = ClosedLoopDriver(deployment.sim, trace,
-                                      [(u, a) for u, _n, a
-                                       in deployment.clients],
-                                      think_time_ms=15.0)
-            driver.start()
-            deployment.sim.run_for(2000.0)
-            profiles[mode] = served_by_breakdown(deployment.all_stats())
+            world, _ = deploy(mode, n_clients=8)
+            drive(world, 1500.0, 2000.0, 15.0)
+            profiles[mode] = served_by_breakdown(world.all_stats())
         assert set(profiles["antidote"]) == {"dc"}
         assert profiles["swiftcloud"].get("client", 0) > 0
         assert "peer" not in profiles["swiftcloud"]
@@ -67,61 +74,42 @@ class TestDeployment:
 
     def test_determinism_same_seed_same_results(self):
         def run():
-            deployment, trace = deploy("colony", n_clients=6, seed=13)
-            deployment.warm_up(1200.0)
-            driver = ClosedLoopDriver(deployment.sim, trace,
-                                      [(u, a) for u, _n, a
-                                       in deployment.clients],
-                                      think_time_ms=15.0)
-            driver.start()
-            deployment.sim.run_for(1500.0)
+            world, _ = deploy("colony", n_clients=6, seed=13)
+            drive(world, 1200.0, 1500.0, 15.0)
             return [(s.start, s.end, s.served_by)
-                    for s in deployment.all_stats()]
+                    for s in world.all_stats()]
 
         assert run() == run()
 
 
 class TestDrivers:
     def test_timed_driver_replays_trace(self):
-        deployment, trace = deploy("swiftcloud", n_clients=8)
-        deployment.warm_up(1500.0)
+        world, _ = deploy("swiftcloud", n_clients=8)
+        world.warm_up(1500.0)
         config = TraceConfig(n_users=8, n_workspaces=1,
                              big_workspace_users=8, events_total=200,
                              duration_ms=2000.0, seed=3)
         timed_trace = MattermostTrace(config)
-        # Use the deployment's users (same naming scheme).
-        driver = TimedDriver(deployment.sim, deployment.apps_by_user(),
+        # Use the world's users (same naming scheme).
+        driver = TimedDriver(world.sim, dict(world.apps()),
                              timed_trace.generate())
         driver.schedule()
-        deployment.sim.run_for(4000.0)
-        stats = deployment.all_stats()
+        world.sim.run_for(4000.0)
+        stats = world.all_stats()
         assert len(stats) + driver.skipped >= 150
 
     def test_closed_loop_respects_max_txns(self):
-        deployment, trace = deploy("swiftcloud", n_clients=4)
-        deployment.warm_up(1500.0)
-        driver = ClosedLoopDriver(deployment.sim, trace,
-                                  [(u, a) for u, _n, a
-                                   in deployment.clients],
-                                  think_time_ms=5.0,
-                                  max_txns_per_client=10)
-        driver.start()
-        deployment.sim.run_for(5000.0)
+        world, _ = deploy("swiftcloud", n_clients=4)
+        driver = drive(world, 1500.0, 5000.0, 5.0, max_txns_per_client=10)
         assert driver.completed <= 40
 
     def test_stop_halts_issuance(self):
-        deployment, trace = deploy("swiftcloud", n_clients=4)
-        deployment.warm_up(1500.0)
-        driver = ClosedLoopDriver(deployment.sim, trace,
-                                  [(u, a) for u, _n, a
-                                   in deployment.clients],
-                                  think_time_ms=5.0)
-        driver.start()
-        deployment.sim.run_for(500.0)
+        world, _ = deploy("swiftcloud", n_clients=4)
+        driver = drive(world, 1500.0, 500.0, 5.0)
         driver.stop()
         completed = driver.completed
-        deployment.sim.run_for(1000.0)
-        assert driver.completed <= completed + len(deployment.clients)
+        world.sim.run_for(1000.0)
+        assert driver.completed <= completed + len(world.clients)
 
 
 class TestWritebackPolicy:
