@@ -114,6 +114,7 @@ async def run_node(topo: Topology, site_name: str,
                "clean": clean,
                "unroutable": transport.unroutable,
                "malformed": transport.malformed,
+               "dropped": transport.stats.messages_dropped,
                "messages_sent": transport.stats.messages_sent}
     log.write("shutdown", **summary)
     return summary

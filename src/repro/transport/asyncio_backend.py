@@ -13,12 +13,21 @@ node or group member).  It implements both facets of
   the simulator's FIFO, non-reentrant delivery semantics); ids homed on
   a remote site go out as codec frames over a per-peer TCP connection.
 
+Both ends of a connection are asyncio protocols.  An outbound link
+(``_PeerLink``) writes each frame straight to its socket while it is
+connected and asyncio has not paused it (``pause_writing``); while it
+connects, reconnects or is paused, frames wait in a bounded FIFO that
+the new connection or ``resume_writing`` flushes in order.  An inbound
+connection (``_Inbound``) reads into one buffer it keeps for its
+lifetime and parses every complete frame in place, so no ``recv``
+allocates.
+
 Connections are lazy and self-healing: the first frame to a peer opens
-the connection, frames queue while it is down, and a failed connection
-retries with linear backoff.  Nothing is acknowledged at this layer —
-exactly like TCP in the paper's testbed, loss on a broken connection is
-the protocols' problem, and the stack already handles it (session
-retry, anti-entropy, EPaxos resends).
+the connection and a failed connection retries with linear backoff.
+Nothing is acknowledged at this layer — exactly like TCP in the paper's
+testbed, frames handed to a socket that then dies are lost, and that is
+the protocols' problem, which the stack already handles (session retry,
+anti-entropy, EPaxos resends).
 
 Inbound bytes are not trusted.  A connection whose length prefix is 0
 or above ``MAX_FRAME_BYTES``, or whose frame body ``decode_frame``
@@ -34,7 +43,9 @@ The shared services keep their simulator implementations:
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import struct
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from ..obs.trace import NULL_RECORDER
 from ..sim.clock import ClockService
@@ -47,75 +58,187 @@ RECONNECT_BASE_MS = 50.0
 RECONNECT_STEP_MS = 100.0
 RECONNECT_MAX_MS = 1000.0
 
-#: Frames queued towards an unreachable peer before the oldest drop.
+#: Frames a link holds while it cannot write before ``send`` refuses
+#: (and counts) the next one.
 MAX_OUTBOUND_QUEUE = 10_000
 
+#: Size of an inbound connection's read buffer; it grows only for a
+#: frame that does not fit.  Benchmark line that justifies reading into
+#: a kept buffer: ``live_steady`` ``cpu_ms_per_txn`` (a stream reader
+#: reads each ``recv`` into a fresh 256 KiB block, which glibc may serve
+#: with ``mmap``); the size is kept small for ``peak_rss_mb``.
+READ_BUFFER_BYTES = 16 * 1024
 
-class _PeerLink:
-    """Outbound connection to one remote site: queue + writer task."""
+#: How long ``stop`` lets sockets flush what they hold before it aborts
+#: them (s).
+STOP_GRACE_S = 1.0
 
-    def __init__(self, transport: "AsyncioTransport", peer: str,
+_LENGTH = struct.Struct(">I")
+
+
+class _PeerLink(asyncio.Protocol):
+    """Outbound connection to one remote site.
+
+    ``pending`` holds, in order, the frames that could not be written
+    yet; a new connection and ``resume_writing`` flush it.  While it is
+    empty and the socket is connected and not paused, ``send`` writes
+    straight to the socket.
+    """
+
+    def __init__(self, owner: "AsyncioTransport", peer: str,
                  host: str, port: int):
-        self.transport = transport
+        self.owner = owner
         self.peer = peer
         self.host = host
         self.port = port
-        self.queue: asyncio.Queue = asyncio.Queue()
+        self.pending: Deque[bytes] = deque()
+        #: The connection's asyncio transport, from ``connection_made``
+        #: to ``connection_lost``.
+        self.sock: Optional[asyncio.Transport] = None
+        self.paused = False
         self.task: Optional[asyncio.Task] = None
-        self.dropped = 0
+        #: Resolved by ``connection_lost`` of the current connection.
+        self.lost: Optional[asyncio.Future] = None
 
-    def enqueue(self, frame: bytes) -> bool:
-        if self.queue.qsize() >= MAX_OUTBOUND_QUEUE:
-            self.dropped += 1
+    def send(self, frame: bytes) -> bool:
+        """Write or hold ``frame``; False if the queue is full."""
+        sock = self.sock
+        if sock is not None and not self.paused and not self.pending:
+            sock.write(frame)
+            if sock.is_closing():
+                # The connection is going down and the frame may not
+                # have left: it goes first on the next connection (it
+                # may arrive twice; protocol dedup absorbs that).
+                self.pending.append(frame)
+            return True
+        if len(self.pending) >= MAX_OUTBOUND_QUEUE:
             return False
-        self.queue.put_nowait(frame)
-        if self.task is None or self.task.done():
-            self.task = asyncio.get_running_loop().create_task(self._run())
+        self.pending.append(frame)
+        if sock is None and self.task is None:
+            self.task = self.owner._loop.create_task(self._connect())
         return True
 
-    async def _run(self) -> None:
+    async def _connect(self) -> None:
         attempt = 0
-        writer: Optional[asyncio.StreamWriter] = None
-        # A frame whose write failed: it goes out first on the next
-        # connection, ahead of everything queued behind it — stream
-        # apply and chain-delta decoding above assume per-link FIFO.
-        held: Optional[bytes] = None
         try:
-            while not self.transport.closing:
-                if writer is None:
-                    try:
-                        _, writer = await asyncio.open_connection(
-                            self.host, self.port)
-                        attempt = 0
-                    except OSError:
-                        attempt += 1
-                        delay = min(RECONNECT_BASE_MS
-                                    + attempt * RECONNECT_STEP_MS,
-                                    RECONNECT_MAX_MS)
-                        await asyncio.sleep(delay / 1000.0)
-                        continue
-                frame = held if held is not None \
-                    else await self.queue.get()
+            while self.sock is None and not self.owner.closing:
                 try:
-                    writer.write(frame)
-                    await writer.drain()
-                    held = None
-                except (ConnectionError, OSError):
-                    # Connection died mid-write: keep the frame and
-                    # reconnect.  It may arrive twice; protocol dedup
-                    # (dots, request ids, idempotent session msgs)
-                    # absorbs it.
-                    held = frame
-                    writer.close()
-                    writer = None
+                    await self.owner._loop.create_connection(
+                        lambda: self, self.host, self.port)
+                except OSError:
+                    attempt += 1
+                    delay = min(RECONNECT_BASE_MS
+                                + attempt * RECONNECT_STEP_MS,
+                                RECONNECT_MAX_MS)
+                    await asyncio.sleep(delay / 1000.0)
         finally:
-            if writer is not None:
-                writer.close()
-
-    def close(self) -> None:
-        if self.task is not None:
-            self.task.cancel()
             self.task = None
+
+    def _flush(self) -> None:
+        # Stream apply and chain-delta decoding above assume per-link
+        # FIFO: the head frame leaves the queue only once a write took it.
+        sock = self.sock
+        pending = self.pending
+        while pending and not self.paused:
+            sock.write(pending[0])
+            if sock.is_closing():
+                return
+            pending.popleft()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.sock = transport
+        self.lost = self.owner._loop.create_future()
+        if self.owner.closing:
+            transport.close()
+        else:
+            self._flush()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.sock = None
+        self.paused = False
+        self.lost.set_result(None)
+        if self.pending and self.task is None and not self.owner.closing:
+            self.task = self.owner._loop.create_task(self._connect())
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self._flush()
+
+
+class _Inbound(asyncio.BufferedProtocol):
+    """One accepted connection, read into one buffer it keeps.
+
+    ``buffer_updated`` delivers every complete frame in place and moves
+    the partial tail to the front of the buffer.
+    """
+
+    def __init__(self, owner: "AsyncioTransport"):
+        self.owner = owner
+        self.buf = bytearray(READ_BUFFER_BYTES)
+        self.view = memoryview(self.buf)
+        #: Bytes at the front of ``buf`` that are not a whole frame yet.
+        self.held = 0
+        self.sock: Optional[asyncio.Transport] = None
+        self.lost: Optional[asyncio.Future] = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.sock = transport
+        self.lost = self.owner._loop.create_future()
+        self.owner._inbound.add(self)
+        if self.owner.closing:
+            transport.close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.sock = None
+        self.owner._inbound.discard(self)
+        self.lost.set_result(None)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.view[self.held:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        buf = self.buf
+        view = self.view
+        end = self.held + nbytes
+        pos = 0
+        need = 0
+        deliver = self.owner._deliver_local
+        while end - pos >= 4:
+            length = _LENGTH.unpack_from(buf, pos)[0]
+            if not 0 < length <= MAX_FRAME_BYTES:
+                self._refuse()
+                return
+            body = pos + 4
+            if body + length > end:
+                need = 4 + length
+                break
+            try:
+                src, dst, message = decode_frame(
+                    bytes(view[body:body + length]))
+            except CodecError:
+                # The stream cannot be trusted past this point: close
+                # this connection only.  A live peer reconnects and the
+                # protocols above resend.
+                self._refuse()
+                return
+            pos = body + length
+            deliver(dst, message, src)
+        held = end - pos
+        if need > len(buf):
+            grown = bytearray(need)
+            grown[:held] = view[pos:end]
+            self.buf = grown
+            self.view = memoryview(grown)
+        elif pos and held:
+            buf[:held] = buf[pos:end]
+        self.held = held
+
+    def _refuse(self) -> None:
+        self.owner.malformed += 1
+        self.sock.close()
 
 
 class AsyncioTransport(Transport):
@@ -142,7 +265,7 @@ class AsyncioTransport(Transport):
         self._handlers: Dict[str, Callable[[Any, str], None]] = {}
         self._links: Dict[str, _PeerLink] = {}
         self._server: Optional[asyncio.base_events.Server] = None
-        self._reader_tasks: List[asyncio.Task] = []
+        self._inbound: Set[_Inbound] = set()
         self.stats = NetworkStats()
         self.obs = NULL_RECORDER
         self.clocks = ClockService(self)
@@ -222,7 +345,7 @@ class AsyncioTransport(Transport):
                 return False
             link = _PeerLink(self, peer, addr[0], addr[1])
             self._links[peer] = link
-        if not link.enqueue(encode_frame(src, dst, message)):
+        if not link.send(encode_frame(src, dst, message)):
             stats.record_drop(src, dst)
             return False
         return True
@@ -240,69 +363,41 @@ class AsyncioTransport(Transport):
         """Start listening (if configured); idempotent."""
         if self._server is None and self.listen_addr is not None:
             host, port = self.listen_addr
-            self._server = await asyncio.start_server(
-                self._on_connection, host, port)
+            self._server = await self._loop.create_server(
+                lambda: _Inbound(self), host, port)
             # Record the real bound address so ``port 0`` (ephemeral,
             # used by tests) yields a routable listen_addr.
             bound = self._server.sockets[0].getsockname()
             self.listen_addr = (bound[0], bound[1])
 
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._reader_tasks.append(task)
-        try:
-            while not self.closing:
-                try:
-                    prefix = await reader.readexactly(4)
-                except (asyncio.IncompleteReadError, ConnectionError,
-                        OSError):
-                    return
-                length = int.from_bytes(prefix, "big")
-                if not 0 < length <= MAX_FRAME_BYTES:
-                    self.malformed += 1
-                    return
-                try:
-                    body = await reader.readexactly(length)
-                except (asyncio.IncompleteReadError, ConnectionError,
-                        OSError):
-                    return
-                try:
-                    src, dst, message = decode_frame(body)
-                except CodecError:
-                    # The stream cannot be trusted past this point:
-                    # close this connection only.  A live peer reconnects
-                    # and the protocols above resend.
-                    self.malformed += 1
-                    return
-                self._deliver_local(dst, message, src)
-        except asyncio.CancelledError:
-            # stop() cancels reader tasks; treat as a clean close so the
-            # streams machinery does not log the cancellation.
-            return
-        finally:
-            writer.close()
-            if task is not None and task in self._reader_tasks:
-                self._reader_tasks.remove(task)
-
     async def stop(self) -> None:
-        """Close the server and every peer link."""
+        """Close the listener and every connection, inbound and outbound.
+
+        Returns once every socket is released: a connection that cannot
+        flush what it holds within ``STOP_GRACE_S`` is aborted.
+        """
         self.closing = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        pending = [link.task for link in self._links.values()
-                   if link.task is not None]
-        for link in self._links.values():
-            link.close()
-        for task in list(self._reader_tasks):
+        connecting = [link.task for link in self._links.values()
+                      if link.task is not None]
+        for task in connecting:
             task.cancel()
-        pending.extend(self._reader_tasks)
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        await asyncio.sleep(0)
+        await asyncio.gather(*connecting, return_exceptions=True)
+        conns = [conn for conn in (*self._links.values(), *self._inbound)
+                 if conn.sock is not None]
+        for conn in conns:
+            conn.sock.close()
+        if conns:
+            _, late = await asyncio.wait([conn.lost for conn in conns],
+                                         timeout=STOP_GRACE_S)
+            if late:
+                for conn in conns:
+                    if conn.sock is not None:
+                        conn.sock.abort()
+                await asyncio.wait(late)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"AsyncioTransport(site={self.site!r}, seed={self.seed},"

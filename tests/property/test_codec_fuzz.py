@@ -1,8 +1,9 @@
 """Hostile bytes: the decoder answers with a message or ``CodecError``.
 
-``AsyncioTransport._on_connection`` catches ``CodecError`` and nothing
-else, so any other exception out of ``decode_frame`` kills the reader
-task of that connection with an unretrieved exception.  The corpus is
+The inbound connection protocol's ``buffer_updated``
+(``asyncio_backend._Inbound``) catches ``CodecError`` and nothing else,
+so any other exception out of ``decode_frame`` is a fatal error of that
+connection, reported to the event loop's exception handler.  The corpus is
 the frame of every sample message; the mutations are the ones a broken
 or malicious peer produces: a flipped, dropped or extra byte, and a
 stream cut at any offset.  A message that decodes holds only
