@@ -3,8 +3,8 @@
 Colony's vectors have one 8-byte entry per *DC* (each DC is an SI zone and
 counts as one sequential process); flat causal designs (Depot, PRACTI) need
 one entry per *replica*.  We compare the analytic wire sizes and measure
-the actual average metadata bytes of transactions flowing through a
-simulated deployment.
+the encoded metadata bytes of transactions flowing through a simulated
+deployment.
 """
 
 import pytest
@@ -12,6 +12,7 @@ import pytest
 from repro.bench import ablation_metadata
 from repro.bench.harness import build_chat_world
 from repro.bench.scenarios import _small_trace
+from repro.transport.codec import value_size
 from repro.workload.driver import ClosedLoopDriver
 
 
@@ -50,12 +51,15 @@ def test_measured_transaction_metadata(benchmark):
                                   think_time_ms=10.0)
         driver.start()
         world.sim.run_for(2000.0)
+        # A transaction's metadata as the codec writes it inside the
+        # transaction record: the snapshot's vector and local deps and
+        # the commit stamp (a record in a value carries 2 more bytes,
+        # its tag and class id).
         sizes = []
         for dc in world.dcs:
             for txn in dc.log.txns.values():
-                sizes.append(8 * len(txn.snapshot.vector)
-                             + 16 * len(txn.snapshot.local_deps)
-                             + 8 * max(1, len(txn.commit.entries)))
+                sizes.append(value_size(txn.snapshot) - 2
+                             + value_size(txn.commit) - 2)
         return sizes
 
     sizes = benchmark.pedantic(run, rounds=1, iterations=1)

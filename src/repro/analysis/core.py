@@ -214,139 +214,74 @@ def function_params(func: Optional[ast.AST]) -> Set[str]:
 
 # -- message-class catalogue --------------------------------------------------
 
-#: Field categories, by outermost annotation container.
-CAT_OK = "ok"            # immutable / scalar
-CAT_DICT = "dict"        # dict-like: serialisable but mutable
-CAT_BANNED = "banned"    # mutable container that must not ride a message
-CAT_UNKNOWN = "unknown"  # unresolvable type name
+#: Field categories: a dict-like field is serialisable but mutable, so
+#: M203 wants it copied where a message is built.  That a field has a
+#: kind the codec can write is checked when the class registers with it.
+CAT_OK = "ok"
+CAT_DICT = "dict"
 
-_SCALARS = {"str", "int", "float", "bool", "bytes", "complex", "None",
-            "Any", "object"}
 _DICT_LIKE = {"dict", "Dict", "Mapping", "OrderedDict"}
-_IMMUTABLE = {"Tuple", "tuple", "FrozenSet", "frozenset", "Optional",
-              "Union", "Literal", "Callable", "Final", "ClassVar"}
-_BANNED = {"List", "list", "Set", "set", "Deque", "deque", "bytearray",
-           "MutableMapping", "MutableSet", "MutableSequence",
-           "DefaultDict", "defaultdict"}
-#: Core values the transport codec carries as records.  All but the
-#: transaction are immutable; a transaction's stamp grows, so M203
-#: checks that a message receives it through ``handoff()``.
-RECORDS = {"Dot", "ObjectKey", "ObjectState", "Operation", "WriteOp",
-           "Snapshot", "VectorClock", "CommitStamp", "Transaction",
-           "StreamEntry"}
 
 
 def classify_annotation(node: ast.AST, aliases: Dict[str, ast.AST],
                         _depth: int = 0) -> str:
-    """Categorise a field annotation (outermost container wins; Optional
-    and Union are transparent)."""
+    """``CAT_DICT`` when the annotation's outermost container is
+    dict-like — through ``Optional``, ``Union``, ``X | Y``, string
+    annotations and module-level aliases — else ``CAT_OK``."""
     if _depth > 8:
-        return CAT_UNKNOWN
-    if isinstance(node, ast.Constant):
-        if node.value is None:
+        return CAT_OK
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            parsed = ast.parse(node.value, mode="eval").body
+        except SyntaxError:
             return CAT_OK
-        if isinstance(node.value, str):
-            try:
-                parsed = ast.parse(node.value, mode="eval").body
-            except SyntaxError:
-                return CAT_UNKNOWN
-            return classify_annotation(parsed, aliases, _depth + 1)
-        return CAT_UNKNOWN
-    if isinstance(node, ast.Name) or isinstance(node, ast.Attribute):
-        name = node.id if isinstance(node, ast.Name) else node.attr
-        if name in _SCALARS:
-            return CAT_OK
-        if name in _DICT_LIKE:
-            return CAT_DICT
-        if name in _IMMUTABLE or name in RECORDS:
-            return CAT_OK
-        if name in _BANNED:
-            return CAT_BANNED
-        if isinstance(node, ast.Name) and node.id in aliases:
-            return classify_annotation(aliases[node.id], aliases,
-                                       _depth + 1)
-        return CAT_UNKNOWN
-    if isinstance(node, ast.Subscript):
-        head = node.value
-        head_name = head.id if isinstance(head, ast.Name) else (
-            head.attr if isinstance(head, ast.Attribute) else "")
-        if head_name in _BANNED:
-            return CAT_BANNED
-        if head_name in _DICT_LIKE:
-            return CAT_DICT
-        if head_name in ("Optional", "Union"):
-            inner = node.slice
-            elements = inner.elts if isinstance(inner, ast.Tuple) \
-                else [inner]
-            worst = CAT_OK
-            order = {CAT_OK: 0, CAT_DICT: 1, CAT_UNKNOWN: 2,
-                     CAT_BANNED: 3}
-            for element in elements:
-                cat = classify_annotation(element, aliases, _depth + 1)
-                if order[cat] > order[worst]:
-                    worst = cat
-            return worst
-        if head_name in _IMMUTABLE or head_name in _SCALARS:
-            # Immutable shell (Tuple[...]/FrozenSet[...]): contents are
-            # the call-site's responsibility (shallow-copy contract).
-            return CAT_OK
-        if isinstance(head, ast.Name) and head.id in aliases:
-            return classify_annotation(aliases[head.id], aliases,
-                                       _depth + 1)
-        return CAT_UNKNOWN
+        return classify_annotation(parsed, aliases, _depth + 1)
+    head = node.value if isinstance(node, ast.Subscript) else node
+    name = head.id if isinstance(head, ast.Name) else (
+        head.attr if isinstance(head, ast.Attribute) else "")
     if isinstance(node, ast.BinOp):  # X | Y unions
-        left = classify_annotation(node.left, aliases, _depth + 1)
-        right = classify_annotation(node.right, aliases, _depth + 1)
-        order = {CAT_OK: 0, CAT_DICT: 1, CAT_UNKNOWN: 2, CAT_BANNED: 3}
-        return left if order[left] >= order[right] else right
-    return CAT_UNKNOWN
+        elements = [node.left, node.right]
+    elif isinstance(node, ast.Subscript) and name in ("Optional", "Union"):
+        inner = node.slice
+        elements = inner.elts if isinstance(inner, ast.Tuple) else [inner]
+    elif name in _DICT_LIKE:
+        return CAT_DICT
+    elif isinstance(head, ast.Name) and head.id in aliases:
+        return classify_annotation(aliases[head.id], aliases, _depth + 1)
+    else:
+        return CAT_OK
+    return CAT_DICT if any(
+        classify_annotation(element, aliases, _depth + 1) == CAT_DICT
+        for element in elements) else CAT_OK
 
 
 class MessageClass:
-    """A dataclass defined in a ``messages.py`` module."""
+    """A message class: a dataclass the wire codec's class table names."""
 
-    __slots__ = ("name", "fq", "module", "node", "frozen", "has_slots",
-                 "fields", "field_order", "annotations")
+    __slots__ = ("name", "fq", "module", "node", "fields", "field_order",
+                 "annotations")
 
     def __init__(self, name: str, fq: str, module: Module,
-                 node: ast.ClassDef, frozen: bool, has_slots: bool,
-                 fields: Dict[str, str], field_order: List[str],
-                 annotations: Dict[str, ast.AST]):
+                 node: ast.ClassDef, fields: Dict[str, str],
+                 field_order: List[str], annotations: Dict[str, ast.AST]):
         self.name = name
         self.fq = fq
         self.module = module
         self.node = node
-        self.frozen = frozen
-        self.has_slots = has_slots
         self.fields = fields          # field name -> category
         self.field_order = field_order
         self.annotations = annotations  # field name -> annotation
 
 
-def _dataclass_decoration(node: ast.ClassDef) \
-        -> Optional[Tuple[bool, bool]]:
-    """(frozen, slots) if decorated with @dataclass, else None."""
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) \
-            else decorator
-        name = target.id if isinstance(target, ast.Name) else (
-            target.attr if isinstance(target, ast.Attribute) else "")
-        if name != "dataclass":
-            continue
-        frozen = has_slots = False
-        if isinstance(decorator, ast.Call):
-            for keyword in decorator.keywords:
-                if keyword.arg == "frozen" and isinstance(
-                        keyword.value, ast.Constant):
-                    frozen = bool(keyword.value.value)
-                if keyword.arg == "slots" and isinstance(
-                        keyword.value, ast.Constant):
-                    has_slots = bool(keyword.value.value)
-        return frozen, has_slots
-    return None
+def codec_messages() -> Set[str]:
+    """``module.Class`` of every message in the wire codec's fixed class
+    table (``repro.transport.codec.message_ids``)."""
+    from ..transport.codec import message_ids
+    return {f"{module}.{name}" for _mid, module, name in message_ids()}
 
 
-def _collect_messages(module: Module) -> List[MessageClass]:
+def _collect_messages(module: Module,
+                      messages: Set[str]) -> List[MessageClass]:
     aliases: Dict[str, ast.AST] = {}
     for node in module.tree.body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
@@ -356,10 +291,8 @@ def _collect_messages(module: Module) -> List[MessageClass]:
     for node in module.tree.body:
         if not isinstance(node, ast.ClassDef):
             continue
-        decoration = _dataclass_decoration(node)
-        if decoration is None:
+        if f"{module.modname}.{node.name}" not in messages:
             continue
-        frozen, has_slots = decoration
         fields: Dict[str, str] = {}
         order: List[str] = []
         annotations: Dict[str, ast.AST] = {}
@@ -372,21 +305,24 @@ def _collect_messages(module: Module) -> List[MessageClass]:
                 annotations[stmt.target.id] = stmt.annotation
         out.append(MessageClass(
             node.name, f"{module.modname}.{node.name}", module, node,
-            frozen, has_slots, fields, order, annotations))
+            fields, order, annotations))
     return out
 
 
 class Project:
-    """Every module of one analyzer run, plus cross-module facts."""
+    """Every module of one analyzer run, plus cross-module facts.
 
-    def __init__(self, modules: Sequence[Module]):
+    ``messages`` names the message classes (``module.Class``); by
+    default, the classes of the wire codec's table."""
+
+    def __init__(self, modules: Sequence[Module],
+                 messages: Optional[Iterable[str]] = None):
         self.modules = list(modules)
+        names = codec_messages() if messages is None else set(messages)
         self.message_classes: Dict[str, MessageClass] = {}
         self.message_by_name: Dict[str, List[MessageClass]] = {}
         for module in self.modules:
-            if not module.path.endswith("messages.py"):
-                continue
-            for cls in _collect_messages(module):
+            for cls in _collect_messages(module, names):
                 self.message_classes[cls.fq] = cls
                 self.message_by_name.setdefault(cls.name, []).append(cls)
 
@@ -410,8 +346,8 @@ class Project:
         return None
 
     @classmethod
-    def from_paths(cls, paths: Sequence[str],
-                   root: Optional[Path] = None) -> "Project":
+    def from_paths(cls, paths: Sequence[str], root: Optional[Path] = None,
+                   messages: Optional[Iterable[str]] = None) -> "Project":
         root = root or Path.cwd()
         files: List[Path] = []
         for raw in paths:
@@ -435,14 +371,15 @@ class Project:
             seen.add(rel_str)
             modules.append(Module(rel_str, path.read_text(),
                                   modname_for(rel_str)))
-        return cls(modules)
+        return cls(modules, messages)
 
     @classmethod
-    def from_sources(cls, sources: Dict[str, str]) -> "Project":
+    def from_sources(cls, sources: Dict[str, str],
+                     messages: Optional[Iterable[str]] = None) -> "Project":
         """Build from in-memory {relpath: source} (tests, self-check)."""
         modules = [Module(path, text, modname_for(path))
                    for path, text in sorted(sources.items())]
-        return cls(modules)
+        return cls(modules, messages)
 
 
 def modname_for(relpath: str) -> str:

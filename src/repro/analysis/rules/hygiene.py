@@ -1,76 +1,24 @@
-"""Message-hygiene rules (family M).
+"""Message-hygiene rule M203.
 
 Messages are values: the simulated network passes them *by reference*,
 so any mutable state riding a message is shared between sender and
-receiver — a cross-actor data race waiting to happen.  Every dataclass
-in a ``messages.py`` module must be frozen, must only carry
-immutable/serialisable field types, and mutable containers (dicts)
-handed to a message constructor must be freshly built or copied at the
-call site.  A transaction is immutable but for its commit stamp, so a
-message takes one only from ``Transaction.handoff()``, which gives the
-receiver its own stamp.
+receiver — a cross-actor data race waiting to happen.  That a message
+class is frozen and that its fields can be written is checked when the
+wire codec registers it (``repro.transport.codec.register``); what is
+left to check statically is the call sites.  Mutable containers (dicts)
+handed to a message constructor must be freshly built or copied there.
+A transaction is immutable but for its commit stamp, so a message takes
+one only from ``Transaction.handoff()``, which gives the receiver its
+own stamp.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-from ..core import (CAT_BANNED, CAT_DICT, CAT_UNKNOWN, Finding, Module,
-                    Project, Rule, function_params, root_name)
-
-#: M205 tolerance: declared ``wire_size()`` must stay within a factor
-#: of the real encoded length, with absolute slack so tiny/empty
-#: messages are not judged on scaffolding bytes alone.
-WIRE_DRIFT_FACTOR = 2.0
-WIRE_DRIFT_SLACK_BYTES = 32
-
-#: One M205 audit record: (module, class name, kind, detail) where kind
-#: is ``"unsampled"`` (no sample in ``repro.transport.samples``),
-#: ``"unencodable"`` (detail: repr of the codec error) or ``"drift"``
-#: (detail: ``(declared, actual)`` byte counts of the worst sample).
-AuditRecord = Tuple[str, str, str, object]
-
-#: Test/self-check seam: replaces :func:`_wire_audit` when set.
-AUDIT_OVERRIDE: Optional[Callable[[], List[AuditRecord]]] = None
-
-
-def _wire_audit() -> List[AuditRecord]:
-    """Encode every codec sample and measure ``wire_size()`` drift.
-
-    This is the runtime half of M205 — the static pass cannot know what
-    a message really encodes to, so the analyzer round-trips the shared
-    sample corpus through the transport codec.  Returns no records when
-    the runtime modules are not importable (analysing a partial tree).
-    """
-    try:
-        from ...transport import samples
-        from ...transport.codec import wire_size_drift
-    except Exception:
-        return []
-    records: List[AuditRecord] = []
-    for cls in samples.unsampled_classes():
-        records.append((cls.__module__, cls.__name__, "unsampled", None))
-    for cls, items in samples.samples_by_class().items():
-        worst: Optional[Tuple[int, int]] = None
-        for sample in items:
-            try:
-                declared, actual = wire_size_drift(sample)
-            except Exception as exc:
-                records.append((cls.__module__, cls.__name__,
-                                "unencodable", repr(exc)))
-                break
-            low = actual / WIRE_DRIFT_FACTOR - WIRE_DRIFT_SLACK_BYTES
-            high = actual * WIRE_DRIFT_FACTOR + WIRE_DRIFT_SLACK_BYTES
-            if low <= declared <= high:
-                continue
-            if worst is None or abs(declared - actual) > \
-                    abs(worst[0] - worst[1]):
-                worst = (declared, actual)
-        if worst is not None:
-            records.append((cls.__module__, cls.__name__, "drift", worst))
-    return records
-
+from ..core import (CAT_DICT, Finding, Module, Project, Rule,
+                    function_params, root_name)
 
 def _freshness(node: ast.AST, params: "set[str]") -> Optional[str]:
     """None when the expression is evidently fresh; otherwise a short
@@ -152,8 +100,9 @@ def _unhanded(annotation: ast.AST, value: ast.AST) -> List[ast.AST]:
     head = _head(annotation.value)
     inner = annotation.slice
     args = inner.elts if isinstance(inner, ast.Tuple) else [inner]
-    if head == "Optional":
-        return _unhanded(inner, value)
+    if head in ("Optional", "Union"):
+        return [bare for arg in args if _holds_transactions(arg)
+                for bare in _unhanded(arg, value)]
     if head not in _SHELLS:
         return [value]
     variadic = head in ("FrozenSet", "frozenset") or (
@@ -211,106 +160,12 @@ def _sent_in_loops(func: ast.AST) -> List[Tuple[ast.AST, ast.Name]]:
     return sent
 
 
-def _defines_wire_size(cls_node: ast.ClassDef) -> bool:
-    """True when the class body defines a ``wire_size`` method."""
-    return any(isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-               and stmt.name == "wire_size"
-               for stmt in cls_node.body)
-
-
 class MessageHygieneRule(Rule):
     name = "message-hygiene"
     codes = {
-        "M201": "message dataclass must be frozen=True",
-        "M202": "message field type must be immutable/serialisable",
         "M203": "mutable container passed into a message constructor "
                 "without a copy, or a transaction without handoff()",
-        "M204": "message dataclass must implement wire_size()",
-        "M205": "declared wire_size() drifts beyond tolerance from "
-                "the real encoded length",
     }
-
-    # -- per messages.py module -------------------------------------------
-    def check_module(self, module: Module,
-                     project: Project) -> Iterable[Finding]:
-        if not module.path.endswith("messages.py"):
-            return ()
-        findings: List[Finding] = []
-        for cls in project.message_classes.values():
-            if cls.module is not module:
-                continue
-            if not cls.frozen:
-                findings.append(Finding(
-                    "M201", module.path, cls.node.lineno,
-                    cls.node.col_offset,
-                    f"message dataclass {cls.name} is not frozen=True "
-                    "(messages must be immutable values)", cls.name))
-            if not _defines_wire_size(cls.node):
-                findings.append(Finding(
-                    "M204", module.path, cls.node.lineno,
-                    cls.node.col_offset,
-                    f"message dataclass {cls.name} has no wire_size(); "
-                    "the network silently charges the default byte "
-                    "cost, skewing every bytes_sent metric", cls.name))
-            for stmt in cls.node.body:
-                if not (isinstance(stmt, ast.AnnAssign)
-                        and isinstance(stmt.target, ast.Name)):
-                    continue
-                category = cls.fields.get(stmt.target.id)
-                if category in (CAT_BANNED, CAT_UNKNOWN):
-                    label = "mutable container" if category == CAT_BANNED \
-                        else "non-serialisable/unresolvable type"
-                    findings.append(Finding(
-                        "M202", module.path, stmt.lineno,
-                        stmt.col_offset,
-                        f"field {cls.name}.{stmt.target.id} has a "
-                        f"{label} annotation "
-                        f"{ast.unparse(stmt.annotation)}; use "
-                        "tuple/frozenset/dict-of-scalars forms",
-                        f"{cls.name}.{stmt.target.id}"))
-        return findings
-
-    # -- M205: runtime wire_size honesty ----------------------------------
-    def _locate(self, project: Project, module_name: str,
-                cls_name: str) -> Optional[Tuple[str, int, int]]:
-        """Source location of a runtime class inside this project, or
-        None when its module is not part of the analyzer run."""
-        static = project.message_classes.get(f"{module_name}.{cls_name}")
-        if static is not None:
-            return (static.module.path, static.node.lineno,
-                    static.node.col_offset)
-        for module in project.modules:
-            if module.modname != module_name:
-                continue
-            for node in module.tree.body:
-                if isinstance(node, ast.ClassDef) \
-                        and node.name == cls_name:
-                    return module.path, node.lineno, node.col_offset
-            return module.path, 1, 0
-        return None
-
-    def _wire_findings(self, project: Project) -> Iterable[Finding]:
-        audit = AUDIT_OVERRIDE() if AUDIT_OVERRIDE else _wire_audit()
-        for module_name, cls_name, kind, detail in audit:
-            where = self._locate(project, module_name, cls_name)
-            if where is None:   # class outside the analysed tree
-                continue
-            path, line, col = where
-            if kind == "unsampled":
-                message = (f"registered message {cls_name} has no "
-                           "sample in repro.transport.samples, so its "
-                           "wire_size() honesty is unaudited")
-            elif kind == "unencodable":
-                message = (f"sample of {cls_name} does not survive the "
-                           f"transport codec: {detail}")
-            else:
-                declared, actual = detail  # type: ignore[misc]
-                message = (f"{cls_name}.wire_size() declares {declared} "
-                           f"bytes but a representative sample encodes "
-                           f"to {actual}; recalibrate (tolerance: "
-                           f"{WIRE_DRIFT_FACTOR}x + "
-                           f"{WIRE_DRIFT_SLACK_BYTES} B either way)")
-            yield Finding("M205", path, line, col, message, cls_name)
 
     # -- one message carrying transactions, several receivers -------------
     def _fan_out_findings(self, project: Project) -> Iterable[Finding]:
@@ -376,8 +231,7 @@ class MessageHygieneRule(Rule):
     def finalize(self, project: Project) -> Iterable[Finding]:
         if not project.message_classes:
             return ()
-        findings: List[Finding] = list(self._wire_findings(project))
-        findings += self._fan_out_findings(project)
+        findings: List[Finding] = list(self._fan_out_findings(project))
         for module in project.modules:
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.Call):

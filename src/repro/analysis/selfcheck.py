@@ -15,15 +15,15 @@ from __future__ import annotations
 from typing import Dict, List, Set, TextIO
 
 from .core import Finding, Project, run_rules
-from .rules import ALL_RULES, hygiene
+from .rules import ALL_RULES
 
 #: Every code the registry can emit; the planted tree must trip all.
 EXPECTED: Set[str] = {code for rule in ALL_RULES for code in rule.codes}
 
 PLANTED_MESSAGES = '''\
-"""Planted messages.py: M201/M202 violations plus handled classes."""
+"""Planted messages.py: the message classes the handlers use."""
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.core.txn import Transaction
 
@@ -31,11 +31,6 @@ from repro.core.txn import Transaction
 @dataclass(frozen=True)
 class Seed:
     entries: Dict[str, int]
-
-
-@dataclass
-class BadRecord:            # M201: not frozen
-    items: List[str]        # M202: mutable container field
 
 
 @dataclass(frozen=True)
@@ -46,10 +41,13 @@ class Orphan:               # H301: nobody handles this
 @dataclass(frozen=True)
 class Apply:
     txn: Transaction
-
-    def wire_size(self):
-        return 16
 '''
+
+#: The planted tree's message classes, as the codec's table names the
+#: real ones.
+PLANTED_MESSAGE_CLASSES = {"planted.messages.Seed",
+                           "planted.messages.Orphan",
+                           "planted.messages.Apply"}
 
 PLANTED_PROTO = '''\
 """Planted proto.py: determinism violations."""
@@ -85,7 +83,7 @@ def bucket(key):
 
 PLANTED_HANDLERS = '''\
 """Planted handlers.py: H/V/A/M203 violations in one actor."""
-from planted.messages import Apply, BadRecord, Seed
+from planted.messages import Apply, Seed
 
 
 class Actor:
@@ -98,8 +96,6 @@ class Actor:
         if isinstance(message, Seed):
             self._on_seed(message, sender)
         elif isinstance(message, Seed):     # H302: duplicate arm
-            pass
-        elif isinstance(message, BadRecord):
             pass
         elif isinstance(message, Apply):
             self._on_apply(message, sender)
@@ -134,16 +130,9 @@ def planted_sources() -> Dict[str, str]:
 
 
 def run_self_check(out: TextIO) -> int:
-    project = Project.from_sources(planted_sources())
-    # M205 is a runtime audit (it encodes real message samples), so the
-    # planted in-memory tree cannot trip it organically; inject a fake
-    # audit record against a planted class to prove the reporting path.
-    hygiene.AUDIT_OVERRIDE = lambda: [
-        ("planted.messages", "BadRecord", "drift", (8, 400))]
-    try:
-        findings: List[Finding] = run_rules(project, ALL_RULES)
-    finally:
-        hygiene.AUDIT_OVERRIDE = None
+    project = Project.from_sources(planted_sources(),
+                                   PLANTED_MESSAGE_CLASSES)
+    findings: List[Finding] = run_rules(project, ALL_RULES)
     reported = {finding.rule for finding in findings}
     for finding in findings:
         out.write(finding.render() + "\n")

@@ -168,10 +168,6 @@ class VectorClock(Mapping[Any, int]):
         return cls(entries)
 
     # -- misc -----------------------------------------------------------------
-    def byte_size(self, entry_bytes: int = 8) -> int:
-        """Wire size estimate; the paper uses 8 bytes per component."""
-        return entry_bytes * len(self._entries)
-
     def to_dict(self) -> Dict[Any, int]:
         return dict(self._entries)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import (AbstractSet, Any, Callable, Dict, FrozenSet, Iterable,
                     List, Optional, Sequence, Set, Tuple)
@@ -317,6 +317,9 @@ class ObjectState:
     type_name: str
     base: Dict[str, Any]
     base_dots: Tuple[Dot, ...]      # sorted
+    # The wire codec's size of the fields, once computed (frozen).
+    _record_bytes: Optional[int] = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     @classmethod
     def of(cls, key: ObjectKey, type_name: str, state: OpBasedCRDT,

@@ -50,17 +50,6 @@ class ObjectKey:
 
 _NO_DEPS: FrozenSet[Dot] = frozenset()
 
-#: Dots as the wire codec writes a collection of them — one run per
-#: origin, the origin once and each counter after the first as a delta —
-#: charged as a single run of a short origin: its id with tag and length,
-#: the run's count and a two-byte first counter, then a byte per dot.
-DOT_RUN_OVERHEAD_BYTES = 6
-
-
-def dot_runs_bytes(n: int) -> int:
-    """Bytes charged for ``n`` dots written as runs (none for none)."""
-    return n + DOT_RUN_OVERHEAD_BYTES if n else 0
-
 
 class Snapshot:
     """A causally closed read point: DC vector + unacknowledged local dots.
@@ -186,26 +175,10 @@ class WriteOp:
 
     key: ObjectKey
     op: Operation
-    # ``record_bytes`` once computed: a write is frozen, and every
-    # receiver of its transaction shares it.  The benchmark line that
-    # justifies the cache: ``des_geo_write`` ``cpu_ms_per_txn``.
+    # The wire codec's size of the fields, once computed: a write is
+    # frozen, and every receiver of its transaction shares it.
     _record_bytes: Optional[int] = field(default=None, init=False,
                                          repr=False, compare=False)
-
-    @property
-    def record_bytes(self) -> int:
-        """Bytes charged for this write's record but its fixed overhead:
-        the key's two strings, the op id and each payload field as its
-        ``repr`` (the wire codec writes the fields by the op's schema,
-        with no names)."""
-        size = self._record_bytes
-        if size is None:
-            key = self.key
-            size = (len(key.bucket) + len(key.key) + 1
-                    + sum(len(repr(value))
-                          for value in self.op.payload.values()))
-            object.__setattr__(self, "_record_bytes", size)
-        return size
 
     def to_dict(self) -> Dict[str, Any]:
         return {"key": self.key.to_dict(), "op": self.op.to_dict()}
@@ -226,6 +199,10 @@ class Transaction:
     commit: CommitStamp
     writes: Tuple[WriteOp, ...] = ()
     issuer: Optional[str] = None  # user identity, for ACL checks
+    # The wire codec's size of every field but the stamp, once computed:
+    # the body is immutable, and ``handoff()`` carries it along.
+    _body_bytes: Optional[int] = field(default=None, init=False,
+                                       repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if type(self.writes) is not tuple:
@@ -236,8 +213,10 @@ class Transaction:
         and a copy of the stamp, so neither side sees the other's
         stamp grow.  Every message that carries a transaction gets it
         from here (colony-lint M203)."""
-        return Transaction(self.dot, self.origin, self.snapshot,
+        copy = Transaction(self.dot, self.origin, self.snapshot,
                            self.commit.copy(), self.writes, self.issuer)
+        copy._body_bytes = self._body_bytes
+        return copy
 
     def tag_for(self, index: int) -> Tuple[int, str, int]:
         """Arbitration tag for the ``index``-th write (dot + position)."""
@@ -285,16 +264,6 @@ class Transaction:
             issuer=data.get("issuer"),
         )
 
-    def byte_size(self) -> int:
-        """Rough wire-size estimate for metadata-overhead benchmarks."""
-        size = 16  # dot
-        size += 8 * len(self.snapshot.vector)
-        size += dot_runs_bytes(len(self.snapshot.local_deps))
-        size += 8 * max(1, len(self.commit.entries))
-        for write in self.writes:
-            size += write.record_bytes
-        return size
-
     def __repr__(self) -> str:
         return (f"Txn({self.dot} S={self.snapshot}"
                 f" C={self.commit} |w|={len(self.writes)})")
@@ -318,3 +287,6 @@ class StreamEntry:
     deps: Tuple[Dot, ...]
     cx: Dict[str, int]
     writes: Tuple[WriteOp, ...]
+    # The wire codec's size of the fields, once computed (frozen).
+    _record_bytes: Optional[int] = field(default=None, init=False,
+                                         repr=False, compare=False)

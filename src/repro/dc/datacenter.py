@@ -45,6 +45,7 @@ from ..sim.actor import Actor
 from ..sim.events import EventLoop
 from ..sim.network import Network
 from ..transport.base import Transport
+from ..transport.codec import value_size, wire_size
 from .commitlog import CommitLog
 from .fanout import SessionFanout, session_refusal
 from .interest import InterestGraph, Outcome, ShardMap, shards_of_mask
@@ -129,7 +130,8 @@ class DataCenter(Actor):
         # Log shipping (see repro.dc.replog).  The commit stream itself
         # is the send buffer; the DC adds the pending-flush guard and
         # the per-drain shard apply buffer.
-        self.sender = ReplSender(self.log, self.interest)
+        self.sender = ReplSender(self.log, self.interest, wire_size,
+                                 value_size)
         self.receiver = ReplReceiver(self.log, self.interest,
                                      self.stability)
         self._repl_flush_scheduled = False
@@ -412,9 +414,9 @@ class DataCenter(Actor):
         """Send the unsent suffix of our stream on ``link``."""
         peer = link.peer
         stats = self.stats
-        for frame, size, lo, hi, pruned, pruned_bytes in self.sender.flush(
+        for frame, lo, hi, pruned, pruned_bytes in self.sender.flush(
                 link, self.REPL_BATCH_MAX, limit):
-            self.send(peer, frame, size_bytes=size)
+            self.send(peer, frame)
             if self.obs.enabled:
                 stream = self.log.streams[self.node_id]
                 for ts in range(lo, hi + 1):
@@ -493,8 +495,8 @@ class DataCenter(Actor):
             # The holder credit is optimistic — the requester's
             # retry-on-ping loop re-requests a lost backfill, so the
             # credit converges with reality.
-            message, size, dots = self.sender.backfill(shard)
-            self.send(sender, message, size_bytes=size)
+            message, dots = self.sender.backfill(shard)
+            self.send(sender, message)
             self.stats["repl_backfills_out"] += 1
             credited = [self.stability.credit(dot, sender) for dot in dots]
             if any(credited):
@@ -576,21 +578,17 @@ class DataCenter(Actor):
         txns = self.log.txns
         unique = [txns[dot] for dot in delivery_order(run)]
         stable = self.stable_vector.to_dict()
-        # Size each transaction once; each session gets its own copy
-        # (``handoff()``), so no receiver shares a stamp with us or with
-        # another session.
-        sends = self._fanout.route(
-            ((t.keys, (t, t.byte_size())) for t in unique), stable)
+        # Each session gets its own copy (``handoff()``), so no receiver
+        # shares a stamp with us or with another session.
+        sends = self._fanout.route(((t.keys, t) for t in unique), stable)
         if self.crashed:
             # The audience's cursors moved and nothing was sent: to them
             # this round is a lost push, caught at their next message.
             return
-        overhead = 16 + 8 * len(stable)
         for session, relevant, prev in sends:
-            push = UpdatePush(tuple(t.handoff() for t, _ in relevant),
-                              stable, prev)
-            self.send(session.session_id, push,
-                      size_bytes=sum(s for _, s in relevant) + overhead)
+            self.send(session.session_id,
+                      UpdatePush(tuple(t.handoff() for t in relevant),
+                                 stable, prev))
         self.stats["pushes_out"] += len(sends)
 
     def _keepalive(self) -> None:
@@ -601,9 +599,8 @@ class DataCenter(Actor):
         stable = self.stable_vector.to_dict()
         for prev, sessions in self._fanout.heartbeat(stable):
             push = UpdatePush((), stable, prev)
-            size = push.wire_size()
             for session in sessions:
-                self.send(session.session_id, push, size_bytes=size)
+                self.send(session.session_id, push)
             self.stats["heartbeats_out"] += len(sessions)
 
     # ------------------------------------------------------------------

@@ -21,143 +21,22 @@ accept a transaction's ``to_dict()`` form, which drivers outside
 ``EdgeNode._on_update_push``.  Vectors stay plain ``str -> int``
 dictionaries.
 
-Every message implements ``wire_size()`` — an honest estimate of its
-serialised size — which the network uses automatically when a
-``send()`` call site does not pass an explicit ``size_bytes``, making
-``NetworkStats.bytes_sent`` a real wire-cost metric.  A value and its
-dict form are sized by one formula, each with its own terms: a value's
-are calibrated against the schema'd record the codec writes (the
-``*_RECORD_*`` constants, a write's ``WriteOp.record_bytes`` and dot
-runs), a dict's against the dict.
+Each class has a one-byte id in the wire codec's fixed table, and its
+fields are its schema (``repro.transport.codec.message_schemas``): a
+message's bytes, and the size every send charges for it
+(``repro.transport.codec.wire_size``), follow from its annotations.  A
+field that accepts a transaction's dict form is annotated so, and goes
+on the wire as a generic value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 from ..core.dot import Dot
 from ..core.journal import ObjectState
-from ..core.txn import (ObjectKey, StreamEntry, Transaction, WriteOp,
-                        dot_runs_bytes)
-
-#: Fixed per-message framing overhead (type tag, lengths, checksums).
-HEADER_BYTES = 16
-#: A dot dict on the wire: tag scaffolding, the ``origin``/``counter``
-#: field names, a short origin id and a varint counter.  Calibrated
-#: against the transport codec (M205 keeps it honest).
-DOT_BYTES = 24
-#: Dict scaffolding of a serialised transaction beyond its payload:
-#: the ``dot``/``origin``/``snapshot``/``commit``/``writes``/``issuer``
-#: field names, nested dict tags and the origin/issuer ids.
-TXN_OVERHEAD_BYTES = 96
-#: Dict scaffolding of one write: the ``key``/``op`` envelope plus the
-#: ``type``/``method``/``payload``/``tag`` field names.
-WRITE_OVERHEAD_BYTES = 64
-
-#: The same three for the schema'd record (``repro.transport.codec``):
-#: a dot record — a varint counter and a short origin id.  A collection
-#: of dots inside a record is written as runs (``dot_runs_bytes``).
-DOT_RECORD_BYTES = 8
-#: A transaction record beyond its payload: the record tag and id, the
-#: origin and issuer ids and the vector, stamp and writes counts.
-TXN_RECORD_OVERHEAD_BYTES = 16
-#: One write record beyond ``WriteOp.record_bytes``: the key's two
-#: string headers and the tag field.
-WRITE_RECORD_OVERHEAD_BYTES = 5
-#: A stream entry record beyond its dot, origin and payload: the record
-#: tag and id, the issuer and the ``sv``/``deps``/``cx``/``writes``
-#: counts.
-STREAM_ENTRY_OVERHEAD_BYTES = 12
-#: A key record: the record tag and id and two short strings with their
-#: headers (a key's dict form was charged 24).
-KEY_RECORD_BYTES = 16
-#: An object state record beyond its base and its dots: the record tag
-#: and id, the key's fields, the type name and the dots' count (the
-#: dict form was charged 60).
-OBJECT_STATE_RECORD_OVERHEAD_BYTES = 24
-
-
-def vector_wire_size(vector: Mapping[Any, int]) -> int:
-    """8 bytes per entry, matching ``VectorClock.byte_size``."""
-    return 8 * len(vector)
-
-
-def _writes_wire_size(writes: Sequence[Mapping[str, Any]]) -> int:
-    total = 0
-    for write in writes:
-        key = write.get("key") or {}
-        total += (WRITE_OVERHEAD_BYTES
-                  + len(str(key.get("bucket", "")))
-                  + len(str(key.get("key", ""))))
-        op = write.get("op") or {}
-        total += (len(str(op.get("type", "")))
-                  + len(str(op.get("method", "")))
-                  + len(repr(op.get("payload", {}))))
-    return total
-
-
-def txn_wire_size(txn: Mapping[str, Any]) -> int:
-    """Wire size of a serialised transaction.
-
-    Mirrors ``Transaction.byte_size`` so dict payloads and live objects
-    account identically: the txn envelope, a dot, 8 bytes per
-    snapshot-vector entry, a dot per local dep, 8 per commit entry
-    (minimum one, the symbolic placeholder), plus the writes.
-    """
-    snapshot = txn.get("snapshot") or {}
-    commit = (txn.get("commit") or {}).get("entries") or {}
-    size = TXN_OVERHEAD_BYTES + DOT_BYTES
-    size += vector_wire_size(snapshot.get("vector") or {})
-    size += DOT_BYTES * len(snapshot.get("local_deps") or ())
-    size += 8 * max(1, len(commit))
-    size += _writes_wire_size(txn.get("writes") or ())
-    return size
-
-
-def object_state_wire_size(state: ObjectState) -> int:
-    """Object versions shipped in seeds, fetches and read replies."""
-    return (OBJECT_STATE_RECORD_OVERHEAD_BYTES + len(repr(state.base))
-            + dot_runs_bytes(len(state.base_dots)))
-
-
-def _writes_record_size(writes: Sequence[WriteOp]) -> int:
-    """The writes of a record: each its key and its op by schema."""
-    total = WRITE_RECORD_OVERHEAD_BYTES * len(writes)
-    for write in writes:
-        total += write.record_bytes
-    return total
-
-
-def txn_record_size(txn: Transaction) -> int:
-    """``txn_wire_size``'s formula, computed from the value, with the
-    local dependencies as dot runs and the writes by schema."""
-    snapshot = txn.snapshot
-    return (TXN_RECORD_OVERHEAD_BYTES + DOT_RECORD_BYTES
-            + 8 * len(snapshot.vector)
-            + dot_runs_bytes(len(snapshot.local_deps))
-            + 8 * max(1, len(txn.commit.entries))
-            + _writes_record_size(txn.writes))
-
-
-def txn_size(txn: Any) -> int:
-    """A transaction on an ingress message: a value, or its dict form."""
-    if type(txn) is Transaction:
-        return txn_record_size(txn)
-    return txn_wire_size(txn)
-
-
-def stream_entry_wire_size(entry: StreamEntry) -> int:
-    """Wire size of one delta-encoded ``ReplicateBatch`` entry.
-
-    The stream origin's commit entry is implicit in the frame position
-    and the snapshot vector is a delta against the frame base, so an
-    entry whose snapshot sits at the link frontier costs just the dot,
-    the origin id, the entry scaffolding and its writes.
-    """
-    return (STREAM_ENTRY_OVERHEAD_BYTES + DOT_RECORD_BYTES + len(entry.origin)
-            + 8 * len(entry.sv) + dot_runs_bytes(len(entry.deps))
-            + 8 * len(entry.cx) + _writes_record_size(entry.writes))
+from ..core.txn import ObjectKey, Transaction
 
 
 # -- edge/client <-> DC -------------------------------------------------------
@@ -173,12 +52,6 @@ class SessionOpen:
     local_deps: Tuple[Dot, ...] = ()
     credentials: Optional[str] = None
 
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + len(self.edge_id)
-                + KEY_RECORD_BYTES * len(self.interest)
-                + vector_wire_size(self.state_vector)
-                + DOT_RECORD_BYTES * len(self.local_deps))
-
 
 @dataclass(frozen=True, slots=True)
 class SessionAck:
@@ -187,11 +60,6 @@ class SessionAck:
     stable_vector: Dict[str, int]
     accepted: bool = True
     reason: Optional[str] = None
-
-    def wire_size(self) -> int:
-        return (HEADER_BYTES
-                + sum(object_state_wire_size(o) for o in self.objects)
-                + vector_wire_size(self.stable_vector))
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,11 +70,6 @@ class InterestChange:
     # The edge's current state vector: seeds must not be older than it.
     state_vector: Dict[str, int] = field(default_factory=dict)
 
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + len(self.edge_id)
-                + KEY_RECORD_BYTES * (len(self.add) + len(self.remove))
-                + vector_wire_size(self.state_vector))
-
 
 @dataclass(frozen=True, slots=True)
 class ObjectRequest:
@@ -215,29 +78,18 @@ class ObjectRequest:
     type_name: str
     state_vector: Dict[str, int] = field(default_factory=dict)
 
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + len(self.edge_id) + KEY_RECORD_BYTES
-                + vector_wire_size(self.state_vector))
-
 
 @dataclass(frozen=True, slots=True)
 class ObjectResponse:
     object_state: ObjectState
     stable_vector: Dict[str, int]
 
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + object_state_wire_size(self.object_state)
-                + vector_wire_size(self.stable_vector))
-
 
 @dataclass(frozen=True, slots=True)
 class EdgeCommit:
     """An edge transaction shipped for (asynchronous) DC commitment."""
 
-    txn: Transaction
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + txn_size(self.txn)
+    txn: Union[Transaction, Dict[str, Any]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,10 +97,7 @@ class EdgeCommitBatch:
     """Several buffered edge transactions shipped together, in commit
     order (the writeback cache policy, section 6.1)."""
 
-    txns: Tuple[Transaction, ...]
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + sum(map(txn_size, self.txns))
+    txns: Tuple[Union[Transaction, Dict[str, Any]], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,17 +107,11 @@ class CommitAck:
     dot: Dot
     entries: Dict[str, int]
 
-    def wire_size(self) -> int:
-        return HEADER_BYTES + DOT_RECORD_BYTES + 8 * len(self.entries)
-
 
 @dataclass(frozen=True, slots=True)
 class CommitReject:
     dot: Dot
     reason: str
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + DOT_RECORD_BYTES + len(self.reason)
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,14 +123,9 @@ class UpdatePush:
     and must re-synchronise instead of blindly advancing its vector.
     """
 
-    txns: Tuple[Transaction, ...]
+    txns: Tuple[Union[Transaction, Dict[str, Any]], ...]
     stable_vector: Dict[str, int]
     prev_vector: Dict[str, int] = field(default_factory=dict)
-
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + sum(map(txn_size, self.txns))
-                + vector_wire_size(self.stable_vector)
-                + vector_wire_size(self.prev_vector))
 
 
 @dataclass(frozen=True, slots=True)
@@ -311,15 +149,6 @@ class RemoteTxnRequest:
     # spaces collision-free and makes retries idempotent).
     dot: Optional[Dot] = None
 
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + len(self.client_id)
-                + KEY_RECORD_BYTES * len(self.reads)
-                + sum(KEY_RECORD_BYTES + 24 + len(repr(args))
-                      for _k, _t, _m, args in self.updates)
-                + vector_wire_size(self.snapshot or {})
-                + DOT_RECORD_BYTES * len(self.local_deps)
-                + (DOT_RECORD_BYTES if self.dot is not None else 0))
-
 
 @dataclass(frozen=True, slots=True)
 class RemoteTxnReply:
@@ -328,10 +157,6 @@ class RemoteTxnReply:
     committed: bool
     commit_entries: Dict[str, int] = field(default_factory=dict)
     reason: Optional[str] = None
-
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + len(repr(self.values))
-                + 8 * len(self.commit_entries))
 
 
 # -- DC <-> DC ------------------------------------------------------------------
@@ -347,20 +172,12 @@ class DCSyncPing:
     Where links can prune, the ping also carries the sender's interest
     mask and advert sequence number, so a lost :class:`InterestAdvert`
     heals within one sync period; ``interest_mask is None`` (nothing
-    can be pruned) costs no bytes.
+    can be pruned) costs one byte.
     """
 
     state_vector: Dict[str, int]
     interest_mask: Optional[int] = None
     interest_seq: int = 0
-
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + vector_wire_size(self.state_vector)
-                + (16 if self.interest_mask is not None else 0))
-
-
-#: Wire cost of one skip marker: a 4-byte run length + 8-byte mask.
-SKIP_MARKER_BYTES = 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -397,17 +214,6 @@ class ReplicateBatch:
     entries: Tuple[Any, ...]
     sender_vector: Dict[str, int]
 
-    def wire_size(self) -> int:
-        size = (HEADER_BYTES + len(self.origin_dc) + 8
-                + vector_wire_size(self.base_vector)
-                + vector_wire_size(self.sender_vector))
-        for element in self.entries:
-            if type(element) is StreamEntry:
-                size += stream_entry_wire_size(element)
-            else:
-                size += SKIP_MARKER_BYTES
-        return size
-
 
 @dataclass(frozen=True, slots=True)
 class InterestAdvert:
@@ -424,9 +230,6 @@ class InterestAdvert:
     shards_mask: int
     seq: int
     backfill: Tuple[int, ...] = ()
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + 16 + 4 * len(self.backfill)
 
 
 @dataclass(frozen=True, slots=True)
@@ -447,10 +250,6 @@ class ShardBackfill:
     entries: Tuple[Tuple[int, Transaction], ...]
     upto: int
 
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + 12
-                + sum(8 + txn_record_size(t) for _ts, t in self.entries))
-
 
 @dataclass(frozen=True, slots=True)
 class ReplicateBatchAck:
@@ -463,9 +262,6 @@ class ReplicateBatchAck:
 
     applied_vector: Dict[str, int]
 
-    def wire_size(self) -> int:
-        return HEADER_BYTES + vector_wire_size(self.applied_vector)
-
 
 # -- intra-DC (coordinator <-> shard server) ----------------------------------------
 
@@ -474,17 +270,11 @@ class ShardPrepare:
     txid: int
     txn: Transaction
 
-    def wire_size(self) -> int:
-        return HEADER_BYTES + 8 + txn_record_size(self.txn)
-
 
 @dataclass(frozen=True, slots=True)
 class ShardVote:
     txid: int
     ok: bool
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + 9
 
 
 @dataclass(frozen=True, slots=True)
@@ -492,16 +282,10 @@ class ShardCommit:
     txid: int
     txn: Transaction
 
-    def wire_size(self) -> int:
-        return HEADER_BYTES + 8 + txn_record_size(self.txn)
-
 
 @dataclass(frozen=True, slots=True)
 class ShardAbort:
     txid: int
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -509,9 +293,6 @@ class ShardApply:
     """Replicated/edge transaction applied to the owning shard (no 2PC)."""
 
     txn: Transaction
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + txn_record_size(self.txn)
 
 
 @dataclass(frozen=True, slots=True)
@@ -521,18 +302,12 @@ class ShardApplyBatch:
 
     txns: Tuple[Transaction, ...]
 
-    def wire_size(self) -> int:
-        return HEADER_BYTES + sum(txn_record_size(t) for t in self.txns)
-
 
 @dataclass(frozen=True, slots=True)
 class ShardCompactMsg:
     """Fold journalled entries covered by ``frontier`` into base versions."""
 
     frontier: Dict[str, int]
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + vector_wire_size(self.frontier)
 
 
 @dataclass(frozen=True, slots=True)
@@ -545,16 +320,8 @@ class ShardRead:
     # transaction's snapshot, section 3.9).
     extra_dots: Tuple[Dot, ...] = ()
 
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + 8 + KEY_RECORD_BYTES
-                + vector_wire_size(self.visible_vector)
-                + DOT_RECORD_BYTES * len(self.extra_dots))
-
 
 @dataclass(frozen=True, slots=True)
 class ShardReadReply:
     request_id: int
     object_state: ObjectState
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + object_state_wire_size(self.object_state)

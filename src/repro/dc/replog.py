@@ -34,14 +34,13 @@ snapshot vector and a fresh stamp — around that shared body.
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set,
+                    Tuple)
 
 from ..core.clock import VectorClock
 from ..core.dot import Dot
 from ..core.txn import CommitStamp, Snapshot, StreamEntry, Transaction
-from .messages import (HEADER_BYTES, SKIP_MARKER_BYTES, InterestAdvert,
-                       ReplicateBatch, ShardBackfill,
-                       stream_entry_wire_size)
+from .messages import InterestAdvert, ReplicateBatch, ShardBackfill
 
 if TYPE_CHECKING:  # the values the machines share; no run-time import
     from .commitlog import CommitLog
@@ -50,8 +49,8 @@ if TYPE_CHECKING:  # the values the machines share; no run-time import
 
 
 def encode_stream_entry(txn: Transaction, stream_dc: str, ts: int,
-                        base: VectorClock) -> Tuple[StreamEntry, int]:
-    """Delta-encode one stream entry; returns ``(entry, wire_bytes)``.
+                        base: VectorClock) -> StreamEntry:
+    """Delta-encode one stream entry.
 
     ``ts`` must be the origin timestamp the frame position implies
     (``start_ts + i``); the entry does not repeat it.
@@ -63,13 +62,12 @@ def encode_stream_entry(txn: Transaction, stream_dc: str, ts: int,
             f"stream position {ts} contradicts commit entry "
             f"{stream_dc}:{assigned} for {txn.dot}")
     snapshot = txn.snapshot
-    entry = StreamEntry(
+    return StreamEntry(
         txn.dot, txn.origin, txn.issuer,
         snapshot.vector.delta_from(base),
         tuple(sorted(snapshot.local_deps)),
         {dc: t for dc, t in entries.items() if dc != stream_dc},
         txn.writes)
-    return entry, stream_entry_wire_size(entry)
 
 
 def decode_stream_entry(entry: StreamEntry, stream_dc: str, ts: int,
@@ -189,26 +187,35 @@ class ReplLink:
                 f" batches={self.batches_sent} txns={self.txns_sent})")
 
 
-#: One frame ready to ship on a link: ``(frame, wire_bytes, lo, hi,
-#: pruned, pruned_bytes)`` — stream positions ``lo..hi``, ``pruned`` of
-#: them elided as skip runs that would have cost ``pruned_bytes``.
-Shipment = Tuple[ReplicateBatch, int, int, int, int, int]
+#: One frame ready to ship on a link: ``(frame, lo, hi, pruned,
+#: pruned_bytes)`` — stream positions ``lo..hi``, ``pruned`` of them
+#: elided as skip runs that would have cost ``pruned_bytes``.
+Shipment = Tuple[ReplicateBatch, int, int, int, int]
 
 
 class ReplSender:
     """Ships our own commit stream: one :class:`ReplLink` per sibling,
-    and the chain-encoded entries they share."""
+    and the chain-encoded entries they share.
 
-    def __init__(self, log: "CommitLog", interest: "InterestGraph"):
+    ``wire_size`` and ``value_size`` are the wire codec's measures of a
+    message and of a value (``repro.transport.codec``), which the links'
+    byte counters are kept in; they are handed in, so that this module
+    imports no transport."""
+
+    def __init__(self, log: "CommitLog", interest: "InterestGraph",
+                 wire_size: Callable[[Any], int],
+                 value_size: Callable[[Any], int]):
         self.log = log
         self.interest = interest
+        self.wire_size = wire_size
+        self.value_size = value_size
         self.node_id = log.node_id
         self.links: Dict[str, ReplLink] = {}
         # Chain-encoded own-stream entries: ts -> previous *shipped*
-        # entry ts -> (entry, bytes).  Pruning makes the predecessor
+        # entry ts -> entry.  Pruning makes the predecessor
         # link-dependent; links that shipped the same predecessor — all
         # of them on an unbroken chain — share one encoding.
-        self._encoded: Dict[int, Dict[int, Tuple[StreamEntry, int]]] = {}
+        self._encoded: Dict[int, Dict[int, StreamEntry]] = {}
 
     def link(self, peer: str) -> ReplLink:
         link = self.links.get(peer)
@@ -254,14 +261,10 @@ class ReplSender:
             elements: List[Any] = []
             pruned = 0
             pruned_bytes = 0
-            size = (HEADER_BYTES + len(self.node_id) + 8
-                    + 8 * len(base) + 8 * len(sender_vector))
             chain_ts = link.chain_ts
             for ts in range(lo, hi + 1):
                 if wants(peer, ts):
-                    encoded, entry_size = self._encode(chain_ts, ts)
-                    elements.append(encoded)
-                    size += entry_size
+                    elements.append(self._encode(chain_ts, ts))
                     chain_ts = ts
                     continue
                 mask = stream_mask(ts)
@@ -270,20 +273,18 @@ class ReplSender:
                     elements[-1] = (last[0] + 1, mask)   # the run goes on
                 else:
                     elements.append((1, mask))
-                    size += SKIP_MARKER_BYTES
                 pruned += 1
                 # What the entry would have cost on the unbroken
                 # chain — the honest measure of bytes saved.
-                pruned_bytes += self._encode(ts - 1, ts)[1]
-            shipments.append((
-                ReplicateBatch(self.node_id, lo, base.to_dict(),
-                               tuple(elements), sender_vector),
-                size, lo, hi, pruned, pruned_bytes))
+                pruned_bytes += self.value_size(self._encode(ts - 1, ts))
+            frame = ReplicateBatch(self.node_id, lo, base.to_dict(),
+                                   tuple(elements), sender_vector)
+            shipments.append((frame, lo, hi, pruned, pruned_bytes))
             link.sent_ts = hi
             link.chain_ts = chain_ts
             link.batches_sent += 1
             link.txns_sent += hi - lo + 1 - pruned
-            link.bytes_sent += size
+            link.bytes_sent += self.wire_size(frame)
             link.txns_pruned += pruned
             link.pruned_bytes += pruned_bytes
         return shipments
@@ -296,7 +297,7 @@ class ReplSender:
         log = self.log
         return log.txns[log.streams[self.node_id][prev_ts]].snapshot.vector
 
-    def _encode(self, prev_ts: int, ts: int) -> Tuple[StreamEntry, int]:
+    def _encode(self, prev_ts: int, ts: int) -> StreamEntry:
         """Chain-encode own stream entry ``ts`` against ``prev_ts``,
         the last entry shipped before it; memoised per pair.
 
@@ -348,9 +349,9 @@ class ReplSender:
         link.last_advert = peer_has
         return link
 
-    def backfill(self, shard: int) -> Tuple[ShardBackfill, int, List[Dot]]:
+    def backfill(self, shard: int) -> Tuple[ShardBackfill, List[Dot]]:
         """Answer a catch-up request for ``shard`` from our own stream:
-        the message, its wire bytes and the dots it hands over.
+        the message and the dots it hands over.
 
         FIFO links make subscribe + backfill gap-free: ``upto`` is our
         sequencer at response time, and every later entry ships as a
@@ -364,12 +365,10 @@ class ReplSender:
         txns = [(ts, log.txns[stream[ts]])
                 for ts in range(1, log.sequencer + 1)
                 if stream_mask(ts) & bit]
-        size = HEADER_BYTES + 12 + sum(8 + txn.byte_size()
-                                       for _ts, txn in txns)
         return (ShardBackfill(shard,
                               tuple((ts, txn.handoff()) for ts, txn in txns),
                               log.sequencer),
-                size, [txn.dot for _ts, txn in txns])
+                [txn.dot for _ts, txn in txns])
 
 
 class _ReplQueue:

@@ -10,11 +10,7 @@ interfering ones fall back to a Paxos-Accept round.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Any, FrozenSet, Optional, Tuple
-
-from ..dc.messages import DOT_BYTES, HEADER_BYTES, txn_wire_size
-from ..sim.clock import hlc_wire_size
 
 # HLC timestamp (``repro.sim.clock.HlcTimestamp``): (ms, counter, node).
 HlcTimestamp = Tuple[float, int, str]
@@ -27,41 +23,9 @@ Ballot = Tuple[int, str]
 
 INITIAL_BALLOT_EPOCH = 0
 
-#: Charged for commands that are not serialised transactions (tests
-#: propose bare strings/dicts); real group proposals are txn dicts and
-#: get the exact ``txn_wire_size`` accounting.
-OPAQUE_COMMAND_BYTES = 32
-
 
 def initial_ballot(leader: str) -> Ballot:
     return (INITIAL_BALLOT_EPOCH, leader)
-
-
-def _instance_wire_size(instance: InstanceId) -> int:
-    """Replica id plus an 8-byte slot number."""
-    return len(instance[0]) + 8
-
-
-def _ballot_wire_size(ballot: Optional[Ballot]) -> int:
-    """8-byte epoch plus the tie-breaking replica id (1 when absent)."""
-    if ballot is None:
-        return 1
-    return 8 + len(ballot[1])
-
-
-def _deps_wire_size(deps: FrozenSet[InstanceId]) -> int:
-    """``_instance_wire_size`` summed over ``deps``, in C: ``deps`` name
-    every interfering instance ever (DESIGN §17), so this runs over
-    thousands of instances per message on a long group run."""
-    return 8 * len(deps) + sum(map(len, map(itemgetter(0), deps)))
-
-
-def _command_wire_size(command: Any) -> int:
-    if command is None:
-        return 1
-    if isinstance(command, dict) and "dot" in command:
-        return txn_wire_size(command)
-    return OPAQUE_COMMAND_BYTES
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,12 +36,6 @@ class PreAccept:
     seq: int
     deps: FrozenSet[InstanceId]
 
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + _instance_wire_size(self.instance)
-                + _ballot_wire_size(self.ballot)
-                + _command_wire_size(self.command) + 8
-                + _deps_wire_size(self.deps))
-
 
 @dataclass(frozen=True, slots=True)
 class PreAcceptReply:
@@ -86,11 +44,6 @@ class PreAcceptReply:
     ok: bool
     seq: int
     deps: FrozenSet[InstanceId]
-
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + _instance_wire_size(self.instance)
-                + _ballot_wire_size(self.ballot) + 1 + 8
-                + _deps_wire_size(self.deps))
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,22 +54,12 @@ class Accept:
     seq: int
     deps: FrozenSet[InstanceId]
 
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + _instance_wire_size(self.instance)
-                + _ballot_wire_size(self.ballot)
-                + _command_wire_size(self.command) + 8
-                + _deps_wire_size(self.deps))
-
 
 @dataclass(frozen=True, slots=True)
 class AcceptReply:
     instance: InstanceId
     ballot: Ballot
     ok: bool
-
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + _instance_wire_size(self.instance)
-                + _ballot_wire_size(self.ballot) + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,11 +69,6 @@ class Commit:
     seq: int
     deps: FrozenSet[InstanceId]
 
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + _instance_wire_size(self.instance)
-                + _command_wire_size(self.command) + 8
-                + _deps_wire_size(self.deps))
-
 
 @dataclass(frozen=True, slots=True)
 class Prepare:
@@ -138,10 +76,6 @@ class Prepare:
 
     instance: InstanceId
     ballot: Ballot
-
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + _instance_wire_size(self.instance)
-                + _ballot_wire_size(self.ballot))
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,14 +89,6 @@ class PrepareReply:
     command: Any
     seq: int
     deps: FrozenSet[InstanceId]
-
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + _instance_wire_size(self.instance)
-                + _ballot_wire_size(self.ballot) + 1
-                + len(self.status)
-                + _ballot_wire_size(self.accepted_ballot)
-                + _command_wire_size(self.command) + 8
-                + _deps_wire_size(self.deps))
 
 
 EPaxosMessage = (PreAccept, PreAcceptReply, Accept, AcceptReply, Commit,
@@ -182,10 +108,6 @@ class TigaPropose:
     deadline: HlcTimestamp
     command: Any                # serialised transaction
 
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + DOT_BYTES + hlc_wire_size(self.deadline)
-                + _command_wire_size(self.command))
-
 
 @dataclass(frozen=True, slots=True)
 class TigaAck:
@@ -196,10 +118,6 @@ class TigaAck:
     deadline: HlcTimestamp
     ok: bool
     local_ms: float
-
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + DOT_BYTES + hlc_wire_size(self.deadline)
-                + 1 + 8)
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,19 +130,12 @@ class TigaCommit:
     deadline: HlcTimestamp
     command: Any
 
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + DOT_BYTES + hlc_wire_size(self.deadline)
-                + _command_wire_size(self.command))
-
 
 @dataclass(frozen=True, slots=True)
 class TigaWithdraw:
     """Coordinator → members: round abandoned, EPaxos will carry it."""
 
     dot: dict
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + DOT_BYTES
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,9 +145,6 @@ class TigaStatus:
 
     dot: dict
     requester: str
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + DOT_BYTES + len(self.requester)
 
 
 TigaMessage = (TigaPropose, TigaAck, TigaCommit, TigaWithdraw, TigaStatus)

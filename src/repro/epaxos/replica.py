@@ -172,7 +172,9 @@ class EPaxosReplica:
         local_seq, local_deps = self._attributes_for(msg.command,
                                                      msg.instance)
         seq = max(msg.seq, local_seq)
-        deps = msg.deps | local_deps
+        # The leader's own set when it already holds ours: one object
+        # travels from the PreAccept to the replies and the Commit.
+        deps = msg.deps if local_deps <= msg.deps else msg.deps | local_deps
         self._adopt(inst, msg.command, seq, deps, PREACCEPTED)
         self.send(sender, PreAcceptReply(msg.instance, msg.ballot, True,
                                          seq, deps))

@@ -15,9 +15,8 @@ EPaxos and Tiga payloads, and the instances of a :class:`GroupSeed` —
 are still the transactions' ``to_dict()`` forms, converted once each
 way inside the orderer (:mod:`repro.groups.ordering`).
 
-Every message reports an honest ``wire_size()`` (same conventions as
-:mod:`repro.dc.messages`), so ``NetworkStats.bytes_sent`` reflects real
-wire cost on group links too.
+As on a DC's links (:mod:`repro.dc.messages`), a message's schema is its
+fields, and ``NetworkStats.bytes_sent`` counts its encoded length.
 """
 
 from __future__ import annotations
@@ -28,12 +27,6 @@ from typing import Any, Dict, Optional, Tuple
 from ..core.dot import Dot
 from ..core.journal import ObjectState
 from ..core.txn import ObjectKey, Transaction
-from ..dc.messages import (DOT_RECORD_BYTES, HEADER_BYTES, KEY_RECORD_BYTES,
-                           object_state_wire_size, txn_record_size,
-                           txn_wire_size, vector_wire_size)
-
-#: Charged for consensus payloads that do not size themselves.
-_OPAQUE_PAYLOAD_BYTES = 48
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,28 +37,16 @@ class GroupMsg:
     epoch: int
     payload: Any
 
-    def wire_size(self) -> int:
-        sizer = getattr(self.payload, "wire_size", None)
-        inner = sizer() if sizer is not None else _OPAQUE_PAYLOAD_BYTES
-        return HEADER_BYTES + len(self.group_id) + 8 + inner
-
 
 @dataclass(frozen=True, slots=True)
 class JoinGroup:
     node_id: str
     interest: Tuple[Tuple[ObjectKey, str], ...] = ()
 
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + len(self.node_id)
-                + sum(KEY_RECORD_BYTES + len(t) for _k, t in self.interest))
-
 
 @dataclass(frozen=True, slots=True)
 class LeaveGroup:
     node_id: str
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + len(self.node_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,11 +56,6 @@ class MembershipUpdate:
     parent: str
     members: Tuple[str, ...]
     session_key_id: Optional[str] = None
-
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + len(self.group_id) + 8 + len(self.parent)
-                + sum(len(m) + 1 for m in self.members)
-                + (len(self.session_key_id) if self.session_key_id else 0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,15 +69,6 @@ class GroupSeed:
                            Tuple[Tuple[str, int], ...]], ...]
     stable_vector: Dict[str, int]
 
-    def wire_size(self) -> int:
-        size = (HEADER_BYTES + len(self.group_id) + 8
-                + vector_wire_size(self.stable_vector))
-        for _iid, txn, _seq, deps in self.instances:
-            size += 24 + 16 * len(deps)
-            if txn is not None:
-                size += txn_wire_size(txn)
-        return size
-
 
 @dataclass(frozen=True, slots=True)
 class InterestAnnounce:
@@ -110,11 +77,6 @@ class InterestAnnounce:
     member: str
     add: Tuple[Tuple[ObjectKey, str], ...] = ()
     remove: Tuple[ObjectKey, ...] = ()
-
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + len(self.member)
-                + sum(KEY_RECORD_BYTES + len(t) for _k, t in self.add)
-                + KEY_RECORD_BYTES * len(self.remove))
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,10 +87,6 @@ class GroupFetch:
     type_name: str
     requester: str
 
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + KEY_RECORD_BYTES + len(self.type_name)
-                + len(self.requester))
-
 
 @dataclass(frozen=True, slots=True)
 class GroupFetchReply:
@@ -136,13 +94,6 @@ class GroupFetchReply:
     object_state: Optional[ObjectState]
     state_vector: Dict[str, int]
     from_cache: bool
-
-    def wire_size(self) -> int:
-        size = (HEADER_BYTES + KEY_RECORD_BYTES + 1
-                + vector_wire_size(self.state_vector))
-        if self.object_state is not None:
-            size += object_state_wire_size(self.object_state)
-        return size
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,11 +104,6 @@ class GroupRelayPush:
     stable_vector: Dict[str, int]
     prev_vector: Dict[str, int]
 
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + vector_wire_size(self.stable_vector)
-                + vector_wire_size(self.prev_vector)
-                + sum(map(txn_record_size, self.txns)))
-
 
 @dataclass(frozen=True, slots=True)
 class GroupCommitAck:
@@ -165,10 +111,6 @@ class GroupCommitAck:
 
     dot: Dot
     entries: Dict[str, int]
-
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + DOT_RECORD_BYTES
-                + vector_wire_size(self.entries))
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,14 +120,7 @@ class TxnPull:
     requester: str
     dots: Tuple[Dot, ...]
 
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + len(self.requester)
-                + DOT_RECORD_BYTES * len(self.dots))
-
 
 @dataclass(frozen=True, slots=True)
 class TxnPushMsg:
     txns: Tuple[Transaction, ...]
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + sum(map(txn_record_size, self.txns))

@@ -7,7 +7,8 @@ site attaches a :class:`ControlAgent` under ``<site>.ctl``; the
 supervisor's own agent is ``supervisor.ctl``.
 
 The messages are registered with the wire codec exactly like protocol
-messages (they define ``wire_size()`` and live in a registered module).
+messages: each has an id in the codec's fixed table, and the module
+registers at import.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from ..dc.messages import HEADER_BYTES
 from ..sim.actor import Actor
 from ..transport.codec import register_module
 
@@ -26,18 +26,12 @@ class CtrlStart:
 
     run_id: str
 
-    def wire_size(self) -> int:
-        return HEADER_BYTES + len(self.run_id)
-
 
 @dataclass(frozen=True, slots=True)
 class CtrlDigestRequest:
     """Supervisor -> site: report state digest and progress."""
 
     probe: int
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,10 +45,6 @@ class CtrlDigestReply:
     ops_done: int
     ops_total: int
 
-    def wire_size(self) -> int:
-        return (HEADER_BYTES + 8 + len(self.site) + len(self.role)
-                + len(self.digest) + 16)
-
 
 @dataclass(frozen=True, slots=True)
 class CtrlShutdown:
@@ -62,18 +52,12 @@ class CtrlShutdown:
 
     reason: str = "done"
 
-    def wire_size(self) -> int:
-        return HEADER_BYTES + len(self.reason)
-
 
 @dataclass(frozen=True, slots=True)
 class CtrlBye:
     """Site -> supervisor: acknowledging shutdown."""
 
     site: str
-
-    def wire_size(self) -> int:
-        return HEADER_BYTES + len(self.site)
 
 
 register_module(__name__)

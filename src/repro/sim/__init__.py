@@ -8,7 +8,7 @@ reproducible from the seed.
 
 from .actor import Actor
 from .clock import (ClockService, HlcTimestamp, HybridLogicalClock,
-                    SkewedClock, hlc_wire_size)
+                    SkewedClock)
 from .events import EventLoop
 from .network import (CELLULAR, CELLULAR_LATENCY_MS, ETHERNET,
                       ETHERNET_LATENCY_MS, LAN, LAN_LATENCY_MS,
@@ -22,5 +22,5 @@ __all__ = [
     "LAN_LATENCY_MS", "ETHERNET_LATENCY_MS", "CELLULAR_LATENCY_MS",
     "Simulation",
     "ClockService", "SkewedClock", "HybridLogicalClock",
-    "HlcTimestamp", "hlc_wire_size",
+    "HlcTimestamp",
 ]

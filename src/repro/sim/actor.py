@@ -70,7 +70,7 @@ class Actor:
     # -- messaging ---------------------------------------------------------
     def send(self, dst: str, message: Any,
              size_bytes: Optional[int] = None) -> bool:
-        """Send; ``size_bytes`` defaults to the message's ``wire_size()``."""
+        """Send; ``size_bytes`` defaults to the message's encoded length."""
         if self.crashed:
             return False
         return self.network.send(self.node_id, dst, message, size_bytes)

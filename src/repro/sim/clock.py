@@ -28,10 +28,6 @@ from .events import EventLoop
 #: between distinct nodes, the counter between same-node same-ms stamps.
 HlcTimestamp = Tuple[float, int, str]
 
-#: Wire cost of one HLC timestamp: 8B ms + 4B counter + the node id.
-def hlc_wire_size(ts: HlcTimestamp) -> int:
-    return 12 + len(ts[2])
-
 
 class SkewedClock:
     """A physical clock as one node sees it: true time plus error.

@@ -25,6 +25,7 @@ import random
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from ..obs.trace import NULL_RECORDER
+from ..transport.codec import wire_size
 from .clock import ClockService
 from .events import EventLoop
 
@@ -32,10 +33,6 @@ from .events import EventLoop
 LAN_LATENCY_MS = 0.15
 ETHERNET_LATENCY_MS = 10.0
 CELLULAR_LATENCY_MS = 50.0
-
-#: Charged for messages without a ``wire_size()`` (bare test payloads).
-DEFAULT_MESSAGE_BYTES = 16
-
 
 class LatencyModel:
     """Base latency plus uniform jitter, sampled from the shared RNG."""
@@ -68,9 +65,9 @@ class NetworkStats:
     Sends and drops are also attributed to the directed link they
     occurred on, so benchmark and fault-injection reports can say *which*
     link carried (or lost) the traffic rather than only the totals.
-    ``bytes_sent`` is a real wire-cost metric: every message carries an
-    honest ``wire_size()`` that the network falls back to when a call
-    site does not pass an explicit size.
+    ``bytes_sent`` is a real wire-cost metric: a send is charged the
+    encoded length of its message (``repro.transport.codec.wire_size``)
+    unless the call site passes an explicit size.
 
     The counters are cumulative for the simulation's lifetime; a
     benchmark that measures one phase takes a :meth:`snapshot` at the
@@ -229,9 +226,6 @@ class Network:
         #: send landing on the same instant appends instead of
         #: scheduling another event).
         self._link_state: Dict[Tuple[str, str], list] = {}
-        #: ``type -> bool`` memo of which message classes define
-        #: ``wire_size`` (saves a getattr per send on the hot path).
-        self._wire_sized: Dict[type, bool] = {}
         self.stats = NetworkStats()
         # Lifecycle trace recorder; actors reach it via ``Actor.obs``.
         # The null default keeps tracing a pure observer: assigning a
@@ -312,22 +306,15 @@ class Network:
              size_bytes: Optional[int] = None) -> bool:
         """Queue a message for delivery; returns False when unreachable.
 
-        When ``size_bytes`` is None the message's own ``wire_size()`` is
-        charged (every protocol message implements it); hot paths that
-        already computed the size while encoding pass it explicitly.
+        When ``size_bytes`` is None the message's encoded length is
+        charged (``wire_size``), exactly what a socket would carry.
 
         An unreachable destination silently drops the message, as a real
         disconnected socket would: protocols must handle it with retries
         (and they do — that is the point of the paper).
         """
         if size_bytes is None:
-            klass = type(message)
-            sized = self._wire_sized.get(klass)
-            if sized is None:
-                sized = self._wire_sized[klass] = \
-                    callable(getattr(klass, "wire_size", None))
-            size_bytes = message.wire_size() if sized \
-                else DEFAULT_MESSAGE_BYTES
+            size_bytes = wire_size(message)
         link = (src, dst)
         state = self._link_state.get(link)
         if state is None:

@@ -13,19 +13,18 @@ implement it:
   processes with monotonic-clock timers: the production path driven by
   ``python -m repro.serve``.
 
-The wire codec (:mod:`repro.transport.codec`) serialises every message
-dataclass with a length-prefixed self-describing encoding, and keeps
-the declared ``wire_size()`` estimates honest against real encoded
-lengths (colony-lint M205).
+The wire codec (:mod:`repro.transport.codec`) writes every message by
+the schema its class registers, and sizes it by the same schema:
+``wire_size(message)`` is the encoded length, and both backends charge
+it on every send.
 """
 
 from .base import NetworkFacet, SimTransport, TimerFacet, Transport
 from .codec import (decode_frame, decode_message, encode_frame,
-                    encode_message, encoded_size, message_classes,
-                    wire_size_drift)
+                    encode_message, message_classes, wire_size)
 
 __all__ = [
     "NetworkFacet", "SimTransport", "TimerFacet", "Transport",
     "decode_frame", "decode_message", "encode_frame", "encode_message",
-    "encoded_size", "message_classes", "wire_size_drift",
+    "message_classes", "wire_size",
 ]

@@ -49,9 +49,10 @@ from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from ..obs.trace import NULL_RECORDER
 from ..sim.clock import ClockService
-from ..sim.network import DEFAULT_MESSAGE_BYTES, NetworkStats
+from ..sim.network import NetworkStats
 from .base import Transport
-from .codec import MAX_FRAME_BYTES, CodecError, decode_frame, encode_frame
+from .codec import (MAX_FRAME_BYTES, CodecError, decode_frame,
+                    encode_sized_frame, wire_size)
 
 #: Reconnect backoff: base delay, per-attempt increment, ceiling (ms).
 RECONNECT_BASE_MS = 50.0
@@ -316,15 +317,15 @@ class AsyncioTransport(Transport):
 
     def send(self, src: str, dst: str, message: Any,
              size_bytes: Optional[int] = None) -> bool:
+        """Deliver locally or frame and queue the message; charge what
+        ``wire_size`` charges in the simulator — on a socket, the length
+        of the message the frame carries."""
         stats = self.stats
         stats.messages_sent += 1
-        if size_bytes is None:
-            wire_size = getattr(message, "wire_size", None)
-            size_bytes = (wire_size() if wire_size is not None
-                          else DEFAULT_MESSAGE_BYTES)
-        stats.bytes_sent += size_bytes
         handler = self._handlers.get(dst)
         if handler is not None:
+            stats.bytes_sent += wire_size(message) if size_bytes is None \
+                else size_bytes
             # Local delivery is deferred to the next loop iteration so a
             # handler never runs re-entrantly inside the sender's frame
             # (matching the simulator, where delivery is always a later
@@ -332,20 +333,21 @@ class AsyncioTransport(Transport):
             self._loop.call_soon(self._deliver_local, dst, message, src)
             return True
         peer = self.homes.get(dst)
-        if peer is None or peer == self.site:
+        link = self._links.get(peer)
+        if link is None and peer is not None and peer != self.site:
+            addr = self.peer_addrs.get(peer)
+            if addr is not None:
+                link = self._links[peer] = _PeerLink(self, peer, addr[0],
+                                                     addr[1])
+        if link is None:
+            stats.bytes_sent += wire_size(message) if size_bytes is None \
+                else size_bytes
             self.unroutable += 1
             stats.record_drop(src, dst)
             return False
-        link = self._links.get(peer)
-        if link is None:
-            addr = self.peer_addrs.get(peer)
-            if addr is None:
-                self.unroutable += 1
-                stats.record_drop(src, dst)
-                return False
-            link = _PeerLink(self, peer, addr[0], addr[1])
-            self._links[peer] = link
-        if not link.send(encode_frame(src, dst, message)):
+        frame, size = encode_sized_frame(src, dst, message)
+        stats.bytes_sent += size if size_bytes is None else size_bytes
+        if not link.send(frame):
             stats.record_drop(src, dst)
             return False
         return True

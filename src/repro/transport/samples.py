@@ -3,10 +3,10 @@
 One place for realistic message samples, shared by:
 
 * the round-trip property tests (encode → decode → equality for every
-  registered class);
-* colony-lint rule **M205**, which encodes each sample and fails any
-  message class whose declared ``wire_size()`` has drifted beyond
-  tolerance from the real encoded length.
+  registered class), the codec oracle and the byte fuzz;
+* the exactness tests, which hold ``wire_size`` to the encoded length
+  of every sample and ask for a sample of every class of the codec's
+  table.
 
 Samples follow what each message really carries: the values themselves
 — transactions, dots, keys, object states and stream entries, as codec
@@ -255,7 +255,7 @@ def all_samples() -> List[Any]:
 
 
 def unsampled_classes() -> List[Type]:
-    """Registered message classes with no sample (M205 flags these)."""
+    """Registered message classes with no sample."""
     covered = set(samples_by_class())
     return [cls for cls in message_classes().values()
             if cls not in covered]

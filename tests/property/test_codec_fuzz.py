@@ -30,7 +30,7 @@ from repro.transport.codec import (DECODE_VALUES_MAX, MAX_DEPTH, CodecError,
                                    encode_message, encode_value,
                                    message_classes, op_schemas)
 
-from .test_codec_oracle import oracle_decode
+from .test_codec_oracle import oracle_decode_frame
 
 BODIES = [encode_frame("dc0", "édge-1", message)[4:]
           for message in samples.all_samples()]
@@ -199,10 +199,7 @@ def test_mutated_frames_read_the_same_whatever_the_value_table_holds(
     assert len(codec._DEC_VALUES) == DECODE_VALUES_MAX
     assert reading(raw) == empty
     if empty is not None:
-        # The four values of a body are a tuple's items to the oracle.
-        src, dst, key, fields = oracle_decode(b"\x08\x04" + raw)
-        assert empty == encode_frame(src, dst,
-                                     message_classes()[key](*fields))
+        assert empty == encode_frame(*oracle_decode_frame(raw))
 
 
 @given(st.binary(max_size=64))
@@ -234,8 +231,11 @@ def frame_of(*values):
     return b"".join(encode_value(value) for value in values)
 
 
-KEY = "dc.CommitAck"
-FIELDS = (Dot(3, "m0"), {"dc0": 7})
+#: ``CommitAck(Dot(3, "m0"), {"dc0": 7})``: its class id, then its
+#: fields — the dot's, inline, and the vector as counts.
+KEY = bytes([0x17])
+ACK_DOT = b"\x06" + frame_of("m0")
+FIELDS = ACK_DOT + b"\x01" + frame_of("dc0") + b"\x0e"
 
 HOSTILE = {
     "empty": b"",
@@ -266,22 +266,31 @@ def test_hostile_values_raise_codec_error(raw):
         decode_value(raw)
 
 
+#: The message's fields as the string-keyed form wrote them: a tuple.
+OLD_FIELDS = (Dot(3, "m0"), {"dc0": 7})
+
+#: A class id is one byte of the fixed table, above every value tag, and
+#: is followed by the fields by schema.  The type key and field tuple of
+#: earlier releases start with a value tag, which no table id is.
 BAD_MESSAGES = {
-    "type key is a list": frame_of([KEY], FIELDS),
-    "type key is a dict": frame_of({}, FIELDS),
-    "type key is an int": frame_of(7, FIELDS),
-    "type key is unknown": frame_of("dc.NoSuchMessage", FIELDS),
-    "fields is a list": frame_of(KEY, list(FIELDS)),
-    "fields is a string": frame_of(KEY, "ab"),
-    "fields is an int": frame_of(KEY, 5),
-    "one field short": frame_of(KEY, FIELDS[:1]),
-    "one field over": frame_of(KEY, FIELDS + (None,)),
+    "type key is a list": frame_of([KEY[0]]) + FIELDS,
+    "type key is a dict": frame_of({}) + FIELDS,
+    "type key is an int": frame_of(KEY[0]) + FIELDS,
+    "type key is unknown": bytes([0xEE]) + FIELDS,
+    "type key is a record's class id": bytes([0x01]) + FIELDS,
+    "type key is a string": frame_of("dc.CommitAck", OLD_FIELDS),
+    "fields is a list": KEY + frame_of(list(OLD_FIELDS)),
+    "fields is a string": KEY + frame_of("ab"),
+    "fields is an int": KEY + frame_of(5),
+    "one field short": KEY + ACK_DOT,
+    "one field over": KEY + FIELDS + b"\x00",
 }
 
 
 @pytest.mark.parametrize("raw", BAD_MESSAGES.values(), ids=BAD_MESSAGES.keys())
 def test_bad_type_key_fields_or_arity_raise_codec_error(raw):
-    assert decode_message(frame_of(KEY, FIELDS)).dot == FIELDS[0]
+    assert decode_message(KEY + FIELDS) == codec.message_classes()[0x17](
+        *OLD_FIELDS)
     with pytest.raises(CodecError):
         decode_message(raw)
     with pytest.raises(CodecError):
@@ -444,7 +453,7 @@ for name, raw in BAD_RUNS.items():
 
 @pytest.mark.parametrize("bad", BAD_RECORDS.values(), ids=BAD_RECORDS.keys())
 def test_records_of_wrong_arity_or_field_type_raise_codec_error(bad):
-    apply = frame_of("a", "b", "dc.ShardApply") + b"\x08\x01"
+    apply = frame_of("a", "b") + bytes([0x15])    # an EdgeCommit: a value
     good = txn()
     assert good == encode_value(Transaction(
         Dot(3, "dc0"), "e1", Snapshot(VectorClock({"dc0": 2})),
@@ -475,7 +484,8 @@ def test_dot_runs_decode_to_a_set_or_to_a_tuple_in_dot_order():
 
 def test_a_record_is_not_a_message():
     dot = rec(0x01, DOT)
-    for raw in (dot + encode_value(()),              # a record as type key
+    for raw in (dot,                                 # a record as message
+                bytes([0x01]) + DOT,                 # a record's class id
                 frame_of("core.Dot", (3, "dc0"))):   # records have no key
         with pytest.raises(CodecError):
             decode_message(raw)
@@ -485,10 +495,11 @@ def test_a_record_is_not_a_message():
 
 
 def test_frame_addresses_must_be_strings():
+    assert decode_frame(frame_of("a", "b") + KEY + FIELDS)[:2] == ("a", "b")
     with pytest.raises(CodecError):
-        decode_frame(frame_of(1, "b", KEY, FIELDS))
+        decode_frame(frame_of(1, "b") + KEY + FIELDS)
     with pytest.raises(CodecError):
-        decode_frame(frame_of("a", None, KEY, FIELDS))
+        decode_frame(frame_of("a", None) + KEY + FIELDS)
 
 
 def nested(levels):

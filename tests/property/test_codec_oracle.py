@@ -8,14 +8,20 @@ and set element is encoded to its own ``bytes`` and the pairs are
 sorted.  The record form (``_T_REC``) was taught to it before the codec
 learnt it, written as naively as the rest: its own schema table, one
 field at a time, no string tables; so were operations by op id (the
-pinned table of ``test_op_schemas.py``) and dot collections as runs.
-The wire format is whatever this oracle says it is; ``CORPUS_SHA256``
-pins it, so a process from before a rewrite and one from after
-interoperate by construction.
+pinned table of ``test_op_schemas.py``), dot collections as runs and
+messages by class id (``MESSAGE_IDS``, each message's fields derived
+from its annotations by ``_message_kind``, apart from the codec's own
+derivation).  The wire format is whatever this oracle says it is;
+``CORPUS_SHA256`` pins it, so a process from before a rewrite and one
+from after interoperate by construction.
 """
 
+import dataclasses
 import hashlib
+import importlib
 import struct
+import typing
+from typing import Dict, FrozenSet, Optional
 
 from hypothesis import given, strategies as st
 
@@ -33,11 +39,12 @@ from ..unit.test_op_schemas import PINNED
 from .test_codec_roundtrip import RECORDS, _hashable, _values
 
 #: SHA-256 of ``encode_frame("dc0", "dc1", m)`` over ``all_samples()``,
-#: concatenated, computed with the oracle (74 frames, 8 657 B; 9 286 B
-#: before operations by op id and dot runs).  A change to ``samples.py``
-#: re-pins it from ``oracle_frame``; a change to the codec must not.
+#: concatenated, computed with the oracle (74 frames, 7 111 B; 8 657 B
+#: with string type keys and field tuples, 9 286 B before operations by
+#: op id and dot runs).  A change to ``samples.py`` re-pins it from
+#: ``oracle_frame``; a change to the codec must not.
 CORPUS_SHA256 = \
-    "07555e160baba1faf756e5691c9d1cd354dc29d446b4dd8b89a8bd73f69646c3"
+    "0fb6686d1ceb1dc18009a150bd70ec1317a7bc8b25033cd1e1594fffc3ba295e"
 
 # ----------------------------------------------------------------------
 # the oracle (verbatim)
@@ -59,10 +66,6 @@ _T_MSG = 0x0C
 _T_REC = 0x0D
 
 _DOUBLE = struct.Struct(">d")
-codec.message_classes()         # the registry fills on first use
-_BY_KEY = codec._BY_KEY
-_BY_CLASS = codec._BY_CLASS
-_FIELDS = codec._FIELDS
 CodecError = codec.CodecError
 
 #: Class id -> (class, fields); a field is (attribute, kind), and a kind
@@ -99,6 +102,101 @@ _OPS = {oid: (type_name, method, fields)
         for oid, type_name, method, fields in PINNED}
 _OP_IDS = {(type_name, method): oid
            for oid, (type_name, method, _fields) in _OPS.items()}
+
+#: Message class id -> (module, class name): the codec's fixed table.
+MESSAGE_IDS = {
+    0x10: ("repro.dc.messages", "SessionOpen"),
+    0x11: ("repro.dc.messages", "SessionAck"),
+    0x12: ("repro.dc.messages", "InterestChange"),
+    0x13: ("repro.dc.messages", "ObjectRequest"),
+    0x14: ("repro.dc.messages", "ObjectResponse"),
+    0x15: ("repro.dc.messages", "EdgeCommit"),
+    0x16: ("repro.dc.messages", "EdgeCommitBatch"),
+    0x17: ("repro.dc.messages", "CommitAck"),
+    0x18: ("repro.dc.messages", "CommitReject"),
+    0x19: ("repro.dc.messages", "UpdatePush"),
+    0x1A: ("repro.dc.messages", "RemoteTxnRequest"),
+    0x1B: ("repro.dc.messages", "RemoteTxnReply"),
+    0x1C: ("repro.dc.messages", "DCSyncPing"),
+    0x1D: ("repro.dc.messages", "ReplicateBatch"),
+    0x1E: ("repro.dc.messages", "InterestAdvert"),
+    0x1F: ("repro.dc.messages", "ShardBackfill"),
+    0x20: ("repro.dc.messages", "ReplicateBatchAck"),
+    0x21: ("repro.dc.messages", "ShardPrepare"),
+    0x22: ("repro.dc.messages", "ShardVote"),
+    0x23: ("repro.dc.messages", "ShardCommit"),
+    0x24: ("repro.dc.messages", "ShardAbort"),
+    0x25: ("repro.dc.messages", "ShardApply"),
+    0x26: ("repro.dc.messages", "ShardApplyBatch"),
+    0x27: ("repro.dc.messages", "ShardCompactMsg"),
+    0x28: ("repro.dc.messages", "ShardRead"),
+    0x29: ("repro.dc.messages", "ShardReadReply"),
+    0x30: ("repro.epaxos.messages", "PreAccept"),
+    0x31: ("repro.epaxos.messages", "PreAcceptReply"),
+    0x32: ("repro.epaxos.messages", "Accept"),
+    0x33: ("repro.epaxos.messages", "AcceptReply"),
+    0x34: ("repro.epaxos.messages", "Commit"),
+    0x35: ("repro.epaxos.messages", "Prepare"),
+    0x36: ("repro.epaxos.messages", "PrepareReply"),
+    0x37: ("repro.epaxos.messages", "TigaPropose"),
+    0x38: ("repro.epaxos.messages", "TigaAck"),
+    0x39: ("repro.epaxos.messages", "TigaCommit"),
+    0x3A: ("repro.epaxos.messages", "TigaWithdraw"),
+    0x3B: ("repro.epaxos.messages", "TigaStatus"),
+    0x40: ("repro.groups.messages", "GroupMsg"),
+    0x41: ("repro.groups.messages", "JoinGroup"),
+    0x42: ("repro.groups.messages", "LeaveGroup"),
+    0x43: ("repro.groups.messages", "MembershipUpdate"),
+    0x44: ("repro.groups.messages", "GroupSeed"),
+    0x45: ("repro.groups.messages", "InterestAnnounce"),
+    0x46: ("repro.groups.messages", "GroupFetch"),
+    0x47: ("repro.groups.messages", "GroupFetchReply"),
+    0x48: ("repro.groups.messages", "GroupRelayPush"),
+    0x49: ("repro.groups.messages", "GroupCommitAck"),
+    0x4A: ("repro.groups.messages", "TxnPull"),
+    0x4B: ("repro.groups.messages", "TxnPushMsg"),
+    0x50: ("repro.serve.control", "CtrlStart"),
+    0x51: ("repro.serve.control", "CtrlDigestRequest"),
+    0x52: ("repro.serve.control", "CtrlDigestReply"),
+    0x53: ("repro.serve.control", "CtrlShutdown"),
+    0x54: ("repro.serve.control", "CtrlBye"),
+}
+
+
+def _message_kind(hint):
+    """A message field's kind, from its annotation: a string, an int, an
+    optional string, a vector (``Dict[str, int]``), a record, a tuple of
+    records but dots, a frozenset of dots — else any value."""
+    args = typing.get_args(hint)
+    if hint is str:
+        return "str"
+    if hint is int:
+        return "int"
+    if hint in _IDS:
+        return hint
+    if hint == Optional[str]:
+        return "optional str"
+    if hint == Dict[str, int]:
+        return "counts"
+    if typing.get_origin(hint) is tuple and args[1:] == (...,) \
+            and args[0] in _IDS and args[0] is not Dot:
+        return ("tuple", args[0])
+    if hint == FrozenSet[Dot]:
+        return ("frozenset", Dot)
+    return "value"
+
+
+def _message_class(module, name):
+    cls = getattr(importlib.import_module(module), name)
+    hints = typing.get_type_hints(cls)
+    _SCHEMA[cls] = tuple((f.name, _message_kind(hints[f.name]))
+                         for f in dataclasses.fields(cls))
+    return cls
+
+
+_MESSAGES = {mid: _message_class(module, name)
+             for mid, (module, name) in MESSAGE_IDS.items()}
+_MESSAGE_IDS = {cls: mid for mid, cls in _MESSAGES.items()}
 
 
 def _write_varint(out, n):
@@ -176,14 +274,17 @@ def _write_value(out, value):
     else:
         # Envelope messages (GroupMsg, relays) carry other protocol
         # messages as payloads; registered dataclasses nest natively.
-        key = _BY_CLASS.get(type(value))
-        if key is None:
-            raise CodecError(f"unencodable value of type "
-                             f"{type(value).__name__}: {value!r}")
         out.append(_T_MSG)
-        _write_value(out, key)
-        _write_value(out, tuple(getattr(value, name)
-                                for name in _FIELDS[type(value)]))
+        _write_message(out, value)
+
+
+def _write_message(out, message):
+    mid = _MESSAGE_IDS.get(type(message))
+    if mid is None:
+        raise CodecError(f"unencodable value of type "
+                         f"{type(message).__name__}: {message!r}")
+    out.append(mid)
+    _write_fields(out, message)
 
 
 def _zigzag(n):
@@ -292,13 +393,14 @@ def _read_value(buf, pos):
     if tag == _T_REC:
         return _read_fields(buf, pos + 1, SCHEMAS[buf[pos]][0])
     if tag == _T_MSG:
-        key, pos = _read_value(buf, pos)
-        fields, pos = _read_value(buf, pos)
-        cls = _BY_KEY.get(key)
-        if cls is None:
-            raise CodecError(f"unknown nested message type {key!r}")
-        return cls(*fields), pos
+        return _read_message(buf, pos)
     raise CodecError(f"unknown tag 0x{tag:02x} at offset {pos - 1}")
+
+
+def _read_message(buf, pos):
+    if pos >= len(buf) or buf[pos] not in _MESSAGES:
+        raise CodecError("no message class id")
+    return _read_fields(buf, pos + 1, _MESSAGES[buf[pos]])
 
 
 def _read_fields(buf, pos, cls):
@@ -366,10 +468,18 @@ def oracle_frame(src, dst, message):
     body = bytearray()
     _write_value(body, src)
     _write_value(body, dst)
-    _write_value(body, _BY_CLASS[type(message)])
-    _write_value(body, tuple(getattr(message, name)
-                             for name in _FIELDS[type(message)]))
+    _write_message(body, message)
     return len(body).to_bytes(4, "big") + bytes(body)
+
+
+def oracle_decode_frame(body):
+    """``(src, dst, message)`` of a frame body."""
+    src, pos = _read_value(body, 0)
+    dst, pos = _read_value(body, pos)
+    message, pos = _read_message(body, pos)
+    if pos != len(body):
+        raise CodecError(f"{len(body) - pos} trailing bytes after frame")
+    return src, dst, message
 
 
 # ----------------------------------------------------------------------
@@ -434,10 +544,22 @@ def test_the_oracle_knows_every_record_class_by_its_id():
         cid: cls for cid, (cls, _fields) in SCHEMAS.items()}
 
 
+def test_the_oracle_knows_every_message_class_by_its_id():
+    assert {mid: (module, name) for mid, module, name
+            in codec.message_ids()} == MESSAGE_IDS
+    assert codec.message_classes() == _MESSAGES
+    # The codec names a container kind by its type, the oracle by name.
+    assert {cls: tuple((name, (kind[0].__name__, kind[1])
+                        if type(kind) is tuple else kind)
+                       for name, kind in schema)
+            for cls, schema in codec.message_schemas().items()} == {
+        cls: _SCHEMA[cls] for cls in _MESSAGES.values()}
+
+
 def test_corpus_digest_is_the_one_pinned_at_the_recursive_codec():
     frames = [encode_frame("dc0", "dc1", message)
               for message in samples.all_samples()]
-    assert len(frames) == 74 and sum(map(len, frames)) == 8657
+    assert len(frames) == 74 and sum(map(len, frames)) == 7111
     assert hashlib.sha256(b"".join(frames)).hexdigest() == CORPUS_SHA256
     assert frames == [oracle_frame("dc0", "dc1", message)
                       for message in samples.all_samples()]

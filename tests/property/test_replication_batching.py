@@ -67,7 +67,7 @@ def batch_frame(lo: int, hi: int, base_entries,
                 elements.append((1, FOREIGN_MASK))
             continue
         txn = stream_txn(ts, foreign)
-        elements.append(encode_stream_entry(txn, ORIGIN, ts, base)[0])
+        elements.append(encode_stream_entry(txn, ORIGIN, ts, base))
         base = txn.snapshot.vector
     return ReplicateBatch(ORIGIN, lo, VectorClock(base_entries).to_dict(),
                           tuple(elements), {ORIGIN: hi})

@@ -1,8 +1,9 @@
 """colony-lint rule tests: must-flag and must-pass cases per family.
 
-Each case builds an in-memory project (``Project.from_sources``) and
-asserts on the finding codes — no filesystem, no subprocess, except the
-CLI exit-code tests at the bottom.
+Each case builds an in-memory project (``Project.from_sources``, its
+message classes named by ``MESSAGE_CLASSES`` as the codec's table names
+the real ones) and asserts on the finding codes — no filesystem, no
+subprocess, except the CLI exit-code tests at the bottom.
 """
 
 import json
@@ -13,10 +14,11 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import ALL_RULES, Project, run_rules
-from repro.analysis.core import (load_baseline, split_baselined,
-                                 write_baseline)
-from repro.analysis.rules import hygiene
-from repro.analysis.selfcheck import EXPECTED, planted_sources, run_self_check
+from repro.analysis.core import (CAT_DICT, CAT_OK, load_baseline,
+                                 split_baselined, write_baseline)
+from repro.analysis.selfcheck import (EXPECTED, PLANTED_MESSAGE_CLASSES,
+                                      planted_sources, run_self_check)
+from repro.transport.codec import message_ids
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -36,8 +38,16 @@ class Ping:
 '''
 
 
+#: The message classes of the in-memory trees below.
+MESSAGE_CLASSES = PLANTED_MESSAGE_CLASSES | {
+    f"pkg.messages.{name}"
+    for name in ("Ping", "M", "Apply", "Batch", "Fill", "Orphan",
+                 "Ingress")}
+
+
 def check(sources):
-    return run_rules(Project.from_sources(sources), ALL_RULES)
+    return run_rules(Project.from_sources(sources, MESSAGE_CLASSES),
+                     ALL_RULES)
 
 
 def codes(sources):
@@ -94,32 +104,39 @@ def test_determinism_passes(snippet):
 # message hygiene (M2xx)
 # ---------------------------------------------------------------------------
 
-def test_unfrozen_message_flagged():
-    src = ("from dataclasses import dataclass\n"
-           "@dataclass\nclass Evil:\n    x: int\n")
-    assert "M201" in codes({"pkg/messages.py": src})
-
-
-def test_mutable_field_annotation_flagged():
-    src = ("from dataclasses import dataclass\n"
-           "from typing import List\n"
-           "@dataclass(frozen=True)\nclass Evil:\n"
-           "    xs: List[int]\n")
-    assert "M202" in codes({"pkg/messages.py": src})
-
-
 def test_clean_message_module_passes():
-    assert not {f.rule for f in analyze()} & {"M201", "M202"}
+    assert analyze() == []
 
 
 def test_type_alias_resolution():
-    # epaxos-style: InstanceId = Tuple[str, int] must classify as OK
+    # epaxos-style: InstanceId = Tuple[str, int] must classify as OK,
+    # an alias of a dict as one M203 watches.
     src = ("from dataclasses import dataclass\n"
-           "from typing import Tuple\n"
+           "from typing import Dict, Tuple\n"
            "InstanceId = Tuple[str, int]\n"
+           "Vector = Dict[str, int]\n"
            "@dataclass(frozen=True)\nclass M:\n"
-           "    instance: InstanceId\n")
-    assert "M202" not in codes({"pkg/messages.py": src})
+           "    instance: InstanceId\n"
+           "    vector: Vector\n")
+    project = Project.from_sources({"pkg/messages.py": src},
+                                   MESSAGE_CLASSES)
+    assert project.message_classes["pkg.messages.M"].fields \
+        == {"instance": CAT_OK, "vector": CAT_DICT}
+
+
+def test_message_classes_are_the_ones_the_table_names():
+    # A dataclass the table does not name is not a message, wherever
+    # it is defined; one it names is, in any module.
+    src = ("from dataclasses import dataclass\n"
+           "@dataclass(frozen=True)\nclass Ping:\n    x: int\n"
+           "@dataclass(frozen=True)\nclass Local:\n    x: int\n")
+    project = Project.from_sources({"pkg/messages.py": src,
+                                    "pkg/control.py": src.replace(
+                                        "Ping", "Orphan")},
+                                   {"pkg.messages.Ping",
+                                    "pkg.control.Orphan"})
+    assert sorted(project.message_classes) == ["pkg.control.Orphan",
+                                               "pkg.messages.Ping"]
 
 
 def test_aliased_constructor_arg_flagged():
@@ -189,6 +206,24 @@ def test_handed_off_transactions_pass(body):
 ])
 def test_bare_transactions_in_a_message_flagged(body):
     assert m203_lines(body) == [3]
+
+
+def test_a_slot_for_a_transaction_or_its_dict_form_takes_a_handoff():
+    messages = TXN_MESSAGES.replace(
+        "from typing import Optional, Tuple",
+        "from typing import Any, Dict, Optional, Tuple, Union") + (
+        '@dataclass(frozen=True)\nclass Ingress:\n'
+        '    txns: Tuple[Union[Transaction, Dict[str, Any]], ...]\n')
+
+    def lines(body):
+        handler = ('from pkg.messages import Ingress\n'
+                   'def emit(txn, txns):\n' + body)
+        return [f.line for f in check({"pkg/messages.py": messages,
+                                       "pkg/mod.py": handler})
+                if f.rule == "M203"]
+    assert lines("    return Ingress(tuple(t.handoff() for t in txns))\n") \
+        == []
+    assert lines("    return Ingress((txn,))\n") == [3]
 
 
 def m203_fan_out_lines(body):
@@ -486,39 +521,8 @@ def test_baseline_fingerprint_line_independent(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_self_check_trips_every_code():
-    # M205 is a runtime audit; inject a record as run_self_check does.
-    hygiene.AUDIT_OVERRIDE = lambda: [
-        ("planted.messages", "BadRecord", "drift", (8, 400))]
-    try:
-        found = {f.rule for f in check(planted_sources())}
-    finally:
-        hygiene.AUDIT_OVERRIDE = None
+    found = {f.rule for f in check(planted_sources())}
     assert EXPECTED <= found
-
-
-def test_wire_drift_audit_reports_m205():
-    records = [
-        ("pkg.messages", "Msg", "drift", (8, 400)),
-        ("pkg.messages", "Msg", "unsampled", None),
-        ("pkg.messages", "Msg", "unencodable", "CodecError('x')"),
-        ("elsewhere.messages", "Other", "drift", (1, 2)),  # not in tree
-    ]
-    hygiene.AUDIT_OVERRIDE = lambda: records
-    try:
-        findings = [f for f in check({
-            "pkg/messages.py": MESSAGES.replace("Ping", "Msg"),
-        }) if f.rule == "M205"]
-    finally:
-        hygiene.AUDIT_OVERRIDE = None
-    assert len(findings) == 3       # the out-of-tree record is skipped
-    assert all(f.path == "pkg/messages.py" for f in findings)
-    assert any("declares 8 bytes" in f.message for f in findings)
-    assert any("no sample" in f.message for f in findings)
-    assert any("does not survive" in f.message for f in findings)
-
-
-def test_wire_drift_audit_real_corpus_is_clean():
-    assert [r for r in hygiene._wire_audit()] == []
 
 
 def test_self_check_exit_protocol(capsys):
@@ -532,6 +536,12 @@ def test_real_tree_is_clean():
     project = Project.from_paths([str(REPO / "src")], root=REPO)
     findings = run_rules(project, ALL_RULES)
     assert findings == [], "\n".join(f.render() for f in findings)
+
+
+def test_m203_sees_every_message_of_the_codec_table():
+    project = Project.from_paths([str(REPO / "src")], root=REPO)
+    assert set(project.message_classes) == {
+        f"{module}.{name}" for _mid, module, name in message_ids()}
 
 
 # ---------------------------------------------------------------------------

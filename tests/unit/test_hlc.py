@@ -1,8 +1,8 @@
 """Skewed physical clocks and hybrid logical clocks (repro.sim.clock)."""
 
-from repro.sim.clock import (ClockService, HybridLogicalClock,
-                             SkewedClock, hlc_wire_size)
+from repro.sim.clock import ClockService, HybridLogicalClock, SkewedClock
 from repro.sim.events import EventLoop
+from repro.transport.codec import encode_value, value_size
 
 
 def _advance(loop, ms):
@@ -162,4 +162,6 @@ class TestClockService:
         assert abs(service.max_offset_ms() - 40.0) < 1e-9
 
     def test_wire_size_counts_node_id(self):
-        assert hlc_wire_size((1.0, 0, "m0")) == 14
+        assert value_size((1.0, 0, "m0")) \
+            == len(encode_value((1.0, 0, "m0"))) \
+            == value_size((1.0, 0, "m")) + 1

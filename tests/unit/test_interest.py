@@ -10,10 +10,10 @@ import pytest
 from repro.core import Dot, ObjectKey
 from repro.dc.interest import (MAX_SHARDS, InterestGraph, ShardMap, mask_of,
                                shard_of, shards_of_mask)
-from repro.dc.messages import (SKIP_MARKER_BYTES, InterestAdvert,
-                               InterestChange, ReplicateBatch,
-                               ShardBackfill)
+from repro.dc.messages import (InterestAdvert, InterestChange,
+                               ReplicateBatch, ShardBackfill)
 from repro.dc.replog import SkipRun
+from repro.transport.codec import value_size, wire_size
 
 
 # ----------------------------------------------------------------------
@@ -117,21 +117,21 @@ def test_partial_batch_prices_skip_markers():
 
     # A skip run costs a flat marker, independent of the entries it
     # elides; a full entry costs the same next to one.
-    assert frame(entry, (2, 0b1)).wire_size() \
-        == frame(entry).wire_size() + SKIP_MARKER_BYTES
-    assert frame((2, 0b1)).wire_size() - frame().wire_size() \
-        == SKIP_MARKER_BYTES
+    marker = value_size((2, 0b1))
+    assert wire_size(frame(entry, (2, 0b1))) \
+        == wire_size(frame(entry)) + marker
+    assert wire_size(frame((2, 0b1))) - wire_size(frame()) == marker
 
 
 def test_interest_messages_have_wire_sizes():
     advert = InterestAdvert(shards_mask=0b101, seq=3, backfill=(0, 2))
-    assert advert.wire_size() > InterestAdvert(0b101, 3).wire_size()
+    assert wire_size(advert) > wire_size(InterestAdvert(0b101, 3))
     backfill = ShardBackfill(shard=2, entries=(), upto=7)
-    assert backfill.wire_size() > 0
+    assert wire_size(backfill) > 0
     change = InterestChange("edge1",
                             add=((ObjectKey("b", "k"), "counter"),),
                             state_vector={})
-    assert change.wire_size() > 0
+    assert wire_size(change) > 0
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from repro.dc.commitlog import CommitLog
 from repro.dc.interest import InterestGraph, ShardMap
 from repro.dc.messages import ReplicateBatch, ShardBackfill
 from repro.dc.replog import ReplReceiver, ReplSender, encode_stream_entry
+from repro.transport.codec import value_size, wire_size
 from repro.dc.stability import StabilityFrontier
 
 ORIGIN = "dc0"
@@ -42,7 +43,8 @@ class Origin:
     def __init__(self, shard_map=None):
         self.log = CommitLog(ORIGIN)
         self.interest = InterestGraph(ORIGIN, PEERS, shard_map)
-        self.sender = ReplSender(self.log, self.interest)
+        self.sender = ReplSender(self.log, self.interest, wire_size,
+                                 value_size)
 
     def commit(self, counter, keys=(), vector=None):
         txn = self.log.sequence(make_txn(counter, keys, vector=vector))
@@ -76,7 +78,7 @@ def test_unbroken_chain_encodes_each_entry_once_for_all_links():
     for counter in (1, 2, 3):
         origin.commit(counter, vector={ORIGIN: counter - 1})
     (one,), (two,) = origin.flush("dc1"), origin.flush("dc2")
-    frame, _size, lo, hi, pruned, _bytes = one
+    frame, lo, hi, pruned, _bytes = one
     assert (lo, hi, pruned) == (1, 3, 0)
     assert frame.start_ts == 1 and frame.base_vector == {}
     # The very same encoded entries ride on both links.
@@ -99,7 +101,7 @@ def test_a_pruned_position_breaks_the_chain_per_link():
     (to_dc1,), (to_dc2,) = origin.flush("dc1"), origin.flush("dc2")
     full_1, skipped, full_3 = to_dc1[0].entries
     assert skipped == (1, 1 << 2)
-    assert to_dc1[4] == 1 and to_dc1[5] > 0     # one position, its bytes
+    assert to_dc1[3] == 1 and to_dc1[4] > 0     # one position, its bytes
     # dc1's chain hops the pruned entry: 3 is encoded against 1 there,
     # against 2 (which dc2 got in full) on dc2's link.
     assert full_3.sv == {ORIGIN: 2}
@@ -130,7 +132,7 @@ def test_rewind_only_on_a_twice_advertised_stalled_frontier():
     link = heard("dc1", 2)
     assert (link.sent_ts, link.chain_ts, link.rewinds) == (2, 2, 1)
     (resent,) = origin.flush("dc1", limit=2)
-    assert (resent[2], resent[3]) == (3, 4)     # capped by the limit
+    assert (resent[1], resent[2]) == (3, 4)     # capped by the limit
     # Progress since the last advert is not a stall.
     link = heard("dc1", 3)
     assert (link.sent_ts, link.rewinds) == (4, 1)
@@ -145,7 +147,7 @@ def test_peer_ahead_of_the_link_skips_ahead():
     # dc1 got 1..4 through a third DC; this link never shipped them.
     link = origin.sender.heard("dc1", 4)
     assert (link.sent_ts, link.chain_ts, link.rewinds) == (4, 4, 0)
-    ((frame, _size, lo, hi, _pruned, _bytes),) = origin.flush("dc1")
+    ((frame, lo, hi, _pruned, _bytes),) = origin.flush("dc1")
     assert (lo, hi, frame.start_ts) == (5, 5, 5)
     assert frame.base_vector == {ORIGIN: 3}     # entry 4's snapshot
 
@@ -174,11 +176,10 @@ def test_backfill_walks_the_shard_in_stream_order():
     a = origin.commit(1, [hit])
     origin.commit(2, [key_on(0)])
     c = origin.commit(3, [hit, key_on(1)])
-    message, size, dots = origin.sender.backfill(2)
+    message, dots = origin.sender.backfill(2)
     assert [ts for ts, _payload in message.entries] == [1, 3]
     assert (message.shard, message.upto) == (2, 3)
     assert dots == [a.dot, c.dot]
-    assert size > 0
     assert origin.sender.backfill(3)[0].entries == ()
 
 
@@ -239,7 +240,7 @@ def test_a_head_blocked_on_a_third_stream_unblocks_across_queues():
     theirs = make_txn(9, stamp={"dc2": 1})
     other = ReplicateBatch(
         "dc2", 1, {},
-        (encode_stream_entry(theirs, "dc2", 1, VectorClock.zero())[0],),
+        (encode_stream_entry(theirs, "dc2", 1, VectorClock.zero()),),
         {"dc2": 1})
     got = site.receive(other, sender="dc2")
     assert [(o, ts) for o, ts, _t, _f in got.applied] \

@@ -20,6 +20,7 @@ from repro.dc.messages import ReplicateBatch
 from repro.dc.replog import (ReplLink, _ReplQueue, decode_stream_entry,
                              encode_stream_entry, well_formed_entries)
 from repro.sim import LatencyModel, Simulation
+from repro.transport.codec import value_size
 
 from ..conftest import build_edge, run_update
 
@@ -77,8 +78,8 @@ class TestStreamEntryCodec:
         base = VectorClock({"dc1": 2})
         txn = make_txn(4, vector=VectorClock({"dc1": 2, "dc0": 3}),
                        issuer="alice")
-        entry, size = encode_stream_entry(txn, "dc0", 4, base)
-        assert size > 0
+        entry = encode_stream_entry(txn, "dc0", 4, base)
+        assert value_size(entry) > 0
         decoded = decode_stream_entry(entry, "dc0", 4, base)
         assert decoded.dot == txn.dot
         assert decoded.origin == txn.origin
@@ -89,13 +90,13 @@ class TestStreamEntryCodec:
 
     def test_origin_commit_entry_is_implicit(self):
         txn = make_txn(9)
-        entry, _size = encode_stream_entry(
+        entry = encode_stream_entry(
             txn, "dc0", 9, VectorClock.zero())
         assert entry.cx == {}  # the ts rides on the frame position
 
     def test_migration_equivalent_entries_survive(self):
         txn = make_txn(2, commit={"dc0": 2, "dc1": 5})
-        entry, _size = encode_stream_entry(
+        entry = encode_stream_entry(
             txn, "dc0", 2, VectorClock.zero())
         assert entry.cx == {"dc1": 5}
         decoded = decode_stream_entry(entry, "dc0", 2, VectorClock.zero())
@@ -109,7 +110,7 @@ class TestStreamEntryCodec:
     def test_local_deps_roundtrip(self):
         deps = [Dot(1, "e1"), Dot(2, "e1")]
         txn = make_txn(5, deps=deps)
-        entry, _size = encode_stream_entry(
+        entry = encode_stream_entry(
             txn, "dc0", 5, VectorClock.zero())
         decoded = decode_stream_entry(entry, "dc0", 5, VectorClock.zero())
         assert set(decoded.snapshot.local_deps) == set(deps)
@@ -117,10 +118,10 @@ class TestStreamEntryCodec:
     def test_delta_encoding_shrinks_wire_size(self):
         vector = VectorClock({"dc0": 10, "dc1": 20, "dc2": 30})
         txn = make_txn(11, vector=vector)
-        _entry, cold = encode_stream_entry(
-            txn, "dc0", 11, VectorClock.zero())
-        _entry, warm = encode_stream_entry(
-            txn, "dc0", 11, VectorClock({"dc0": 10, "dc1": 20, "dc2": 30}))
+        cold = value_size(encode_stream_entry(
+            txn, "dc0", 11, VectorClock.zero()))
+        warm = value_size(encode_stream_entry(
+            txn, "dc0", 11, VectorClock({"dc0": 10, "dc1": 20, "dc2": 30})))
         assert warm < cold
 
 
@@ -236,7 +237,7 @@ MALFORMED_ELEMENTS = [
 class TestFrameInputCheck:
     def test_well_formed_entries(self):
         entry = encode_stream_entry(make_txn(1), "dc0", 1,
-                                    VectorClock.zero())[0]
+                                    VectorClock.zero())
         assert well_formed_entries((), 0)
         assert well_formed_entries((entry, (3, 0b1010), [1, 0b1]), 0b1111)
         # A DC that prunes nothing has an empty shard space: no run at
@@ -254,7 +255,7 @@ class TestFrameInputCheck:
                        shard_map=ShardMap(4, ["dc0", "dcR"],
                                           replica_factor=1))
         first = encode_stream_entry(make_txn(1), "dc0", 1,
-                                    VectorClock.zero())[0]
+                                    VectorClock.zero())
         dc.on_message(ReplicateBatch("dc0", 1, {}, (first,), {"dc0": 1}),
                       "dc0")
         sim.run_for(50)
@@ -264,7 +265,7 @@ class TestFrameInputCheck:
         # A good entry ahead of the bad element: nothing of the frame
         # may land, not even the part before the defect.
         second = encode_stream_entry(make_txn(2), "dc0", 2,
-                                     VectorClock({"dc0": 1}))[0]
+                                     VectorClock({"dc0": 1}))
         dc.on_message(ReplicateBatch("dc0", 2, {"dc0": 1},
                                      (second, element), {"dc0": 9}),
                       "dc0")

@@ -5,6 +5,7 @@ import pytest
 from repro.core import (CommitStamp, Dot, DotTracker, ObjectKey, Snapshot,
                         Transaction, VectorClock, WriteOp)
 from repro.crdt import Counter
+from repro.transport.codec import value_size
 
 
 def make_txn(dot=Dot(1, "edge"), snapshot_vector=None, local_deps=(),
@@ -128,7 +129,7 @@ class TestTransaction:
     def test_byte_size_scales_with_metadata(self):
         small = make_txn(snapshot_vector={"dc0": 1})
         large = make_txn(snapshot_vector={f"dc{i}": 1 for i in range(10)})
-        assert large.byte_size() > small.byte_size()
+        assert value_size(large) > value_size(small)
 
 
 class TestObjectKey:

@@ -17,8 +17,9 @@ from repro.dc.messages import UpdatePush
 from repro.transport.codec import decode_frame, encode_frame
 
 #: Body bytes (the frame less its 4-byte length prefix).  Operations by
-#: name and one dot record per dependency encoded this push to 266.
-BUDGET = 182
+#: name and one dot record per dependency encoded this push to 266, a
+#: string type key and a field tuple to 182.
+BUDGET = 158
 
 
 def live_push() -> UpdatePush:

@@ -1,5 +1,8 @@
 """Wire codec: value round-trips, framing, registry, wire_size honesty."""
 
+import dataclasses
+from typing import Dict, List
+
 import pytest
 
 from repro.core.clock import VectorClock
@@ -18,10 +21,8 @@ from repro.transport.codec import (CodecError, DECODE_TABLE_MAX,
                                    ENCODE_TABLE_MAX, MAX_FRAME_BYTES,
                                    TABLE_STR_MAX_BYTES, decode_frame,
                                    decode_message, decode_value, encode_frame,
-                                   encode_message, encode_value, encoded_size,
-                                   message_classes, wire_size_drift)
-from repro.analysis.rules.hygiene import (WIRE_DRIFT_FACTOR,
-                                          WIRE_DRIFT_SLACK_BYTES)
+                                   encode_message, encode_value,
+                                   message_classes, register, wire_size)
 
 
 class TestValueRoundTrip:
@@ -73,8 +74,6 @@ class TestMessageCodec:
         assert isinstance(back.payload, PreAccept)
 
     def test_unregistered_dataclass_raises(self):
-        import dataclasses
-
         @dataclasses.dataclass(frozen=True)
         class NotRegistered:
             x: int
@@ -82,9 +81,33 @@ class TestMessageCodec:
         with pytest.raises(CodecError):
             encode_message(NotRegistered(1))
 
+    def test_registration_refuses_a_class_that_is_not_frozen(self):
+        @dataclasses.dataclass
+        class BadRecord:
+            items: Dict[str, int]
+
+        with pytest.raises(CodecError, match="not a frozen dataclass"):
+            register(BadRecord)
+
+    def test_registration_refuses_a_mutable_container_field(self):
+        @dataclasses.dataclass(frozen=True)
+        class BadRecord:
+            items: List[str]
+
+        with pytest.raises(CodecError, match="mutable container"):
+            register(BadRecord)
+
+    def test_registration_refuses_a_class_missing_from_the_table(self):
+        @dataclasses.dataclass(frozen=True)
+        class Unlisted:
+            x: int
+
+        with pytest.raises(CodecError, match="no class id"):
+            register(Unlisted)
+
     def test_encoded_size_matches_encoding(self):
         message = EdgeCommit(samples.TXN_VALUE)
-        assert encoded_size(message) == len(encode_message(message))
+        assert wire_size(message) == len(encode_message(message))
 
     def test_registry_covers_all_protocol_modules(self):
         modules = {cls.__module__ for cls in message_classes().values()}
@@ -120,13 +143,11 @@ class TestWireSizeHonesty:
             assert decode_message(encode_message(sample)) == sample
 
     def test_declared_wire_size_within_tolerance(self):
-        offenders = []
-        for sample in samples.all_samples():
-            declared, actual = wire_size_drift(sample)
-            low = actual / WIRE_DRIFT_FACTOR - WIRE_DRIFT_SLACK_BYTES
-            high = actual * WIRE_DRIFT_FACTOR + WIRE_DRIFT_SLACK_BYTES
-            if not low <= declared <= high:
-                offenders.append((type(sample).__name__, declared, actual))
+        # The tolerance is zero: the size is derived from the schema.
+        offenders = [(type(sample).__name__, wire_size(sample),
+                      len(encode_message(sample)))
+                     for sample in samples.all_samples()
+                     if wire_size(sample) != len(encode_message(sample))]
         assert offenders == []
 
 
