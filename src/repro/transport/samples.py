@@ -79,8 +79,8 @@ INSTANCE = ("m0", 7)
 BALLOT = (1, "m1")
 DEPS = frozenset({("m1", 3), ("m2", 5)})
 
-#: Class -> list of sample instances.  Every registered message class
-#: must appear here (M205 flags missing ones).
+#: Class -> list of sample instances.  Every class of the codec's id
+#: table must appear here (``test_wire_size_exact.py`` fails otherwise).
 _SAMPLES: Dict[Type, List[Any]] = {
     # -- edge/client <-> DC ------------------------------------------------
     dc.SessionOpen: [
