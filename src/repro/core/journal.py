@@ -317,10 +317,9 @@ class ObjectState:
     type_name: str
     base: Dict[str, Any]
     base_dots: Tuple[Dot, ...]      # sorted
-    # The wire codec's size of the fields, in a one-item list, once
-    # computed (frozen).
-    _record_bytes: Optional[List[int]] = field(default=None, init=False,
-                                               repr=False, compare=False)
+    # The wire codec's size of the fields, once computed (frozen).
+    _record_bytes: Optional[int] = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     @classmethod
     def of(cls, key: ObjectKey, type_name: str, state: OpBasedCRDT,

@@ -175,11 +175,10 @@ class WriteOp:
 
     key: ObjectKey
     op: Operation
-    # The wire codec's size of the fields, in a one-item list, once
-    # computed: a write is frozen, and every receiver of its transaction
-    # shares it.
-    _record_bytes: Optional[List[int]] = field(default=None, init=False,
-                                               repr=False, compare=False)
+    # The wire codec's size of the fields, once computed: a write is
+    # frozen, and every receiver of its transaction shares it.
+    _record_bytes: Optional[int] = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     def to_dict(self) -> Dict[str, Any]:
         return {"key": self.key.to_dict(), "op": self.op.to_dict()}
@@ -200,11 +199,10 @@ class Transaction:
     commit: CommitStamp
     writes: Tuple[WriteOp, ...] = ()
     issuer: Optional[str] = None  # user identity, for ACL checks
-    # The wire codec's size of every field but the stamp, in a one-item
-    # list that ``handoff()`` shares with every copy: the body is the
-    # same, so it is sized once for all of them.
-    _body_bytes: Optional[List[Optional[int]]] = field(
-        default=None, init=False, repr=False, compare=False)
+    # The wire codec's size of every field but the stamp, once computed:
+    # the body is immutable, and ``handoff()`` carries it along.
+    _body_bytes: Optional[int] = field(default=None, init=False,
+                                       repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if type(self.writes) is not tuple:
@@ -217,10 +215,7 @@ class Transaction:
         from here (colony-lint M203)."""
         copy = Transaction(self.dot, self.origin, self.snapshot,
                            self.commit.copy(), self.writes, self.issuer)
-        cell = self._body_bytes
-        if cell is None:
-            cell = self._body_bytes = [None]
-        copy._body_bytes = cell
+        copy._body_bytes = self._body_bytes
         return copy
 
     def tag_for(self, index: int) -> Tuple[int, str, int]:
@@ -292,7 +287,6 @@ class StreamEntry:
     deps: Tuple[Dot, ...]
     cx: Dict[str, int]
     writes: Tuple[WriteOp, ...]
-    # The wire codec's size of the fields, in a one-item list, once
-    # computed (frozen).
-    _record_bytes: Optional[List[int]] = field(default=None, init=False,
-                                               repr=False, compare=False)
+    # The wire codec's size of the fields, once computed (frozen).
+    _record_bytes: Optional[int] = field(default=None, init=False,
+                                         repr=False, compare=False)

@@ -555,10 +555,9 @@ def message_ids() -> Tuple[Tuple[int, str, str], ...]:
 def _size_caches() -> Dict[Type, Tuple[str, Tuple[str, ...]]]:
     """Record class -> the attribute its fields' size is kept in, and
     the fields left out of it: a frozen value's fields never change, and
-    but for its stamp neither do a transaction's (``handoff()`` shares
-    the list the size is kept in with every copy of the body).  The
-    benchmark lines that justify the cache: ``des_geo_write`` and
-    ``des_sessions`` ``cpu_ms_per_txn``."""
+    but for its stamp neither do a transaction's (``handoff()`` carries
+    the size along with the body).  The benchmark lines that justify the
+    cache: ``des_geo_write`` and ``des_sessions`` ``cpu_ms_per_txn``."""
     from ..core.journal import ObjectState
     from ..core.txn import StreamEntry, Transaction, WriteOp
     return {WriteOp: ("_record_bytes", ()),
@@ -1084,7 +1083,7 @@ def _compile_record(name: str, fields: Tuple[Tuple[str, Any], ...],
     at run time.  A nested record is written at its parent's depth: only
     ``VALUE`` fields nest deeper.  With a ``cache`` — an attribute and
     the fields left out — the size of the other fields is kept on the
-    value, in a one-item list, the first time it is asked for."""
+    value the first time it is asked for."""
     write = [f"def write_{name}(out, v, depth):"]
     write += ["    " + line for line in head]
     read = [f"def read_{name}(buf, pos, depth):"]
@@ -1104,13 +1103,10 @@ def _compile_record(name: str, fields: Tuple[Tuple[str, Any], ...],
         size += [f"    n = {1 if head else 0}"]   # the head's id byte
         size += ["    " + line for line in kept]
     else:
-        size += [f"    cell = v.{cache[0]}",
-                 "    n = None if cell is None else cell[0]",
-                 "    if n is None:", "        n = 0"]
+        size += [f"    n = v.{cache[0]}", "    if n is None:",
+                 "        n = 0"]
         size += ["        " + line for line in kept]
-        size += ["        if cell is None:",
-                 f"            set_attr(v, {cache[0]!r}, [n])",
-                 "        else:", "            cell[0] = n"]
+        size += [f"        set_attr(v, {cache[0]!r}, n)"]
         size += ["    " + line for line in rest]
     size += ["    return n"]
     return "\n".join(write + read + size) + "\n"

@@ -92,11 +92,10 @@ def test_generated_records_are_sized_exactly(record):
 
 def test_a_stamp_grown_after_sizing_is_charged():
     txn = samples.TXN_VALUE.handoff()
-    copy = txn.handoff()            # shares where the body's size goes
     apply = ShardApply(txn)
     assert_exact(apply)
-    assert copy._body_bytes is txn._body_bytes
-    assert copy._body_bytes[0] is not None
+    copy = txn.handoff()            # carries the body's size along
+    assert copy._body_bytes == txn._body_bytes is not None
     copy.commit.add_entry("dc-far-away", 2**40)
     assert_exact(ShardApply(copy))
     assert_exact(apply)
