@@ -18,7 +18,8 @@ from repro.analysis.core import (CAT_DICT, CAT_OK, load_baseline,
                                  split_baselined, write_baseline)
 from repro.analysis.selfcheck import (EXPECTED, PLANTED_MESSAGE_CLASSES,
                                       planted_sources, run_self_check)
-from repro.transport.codec import message_ids
+from repro.transport import samples
+from repro.transport.codec import encode_message, message_ids, wire_size
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -530,6 +531,20 @@ def test_self_check_exit_protocol(capsys):
     buf = io.StringIO()
     assert run_self_check(buf) == 1
     assert "self-check OK" in buf.getvalue()
+
+
+def test_wire_drift_audit_real_corpus_is_clean():
+    # No message of the real corpus is charged other than its encoded
+    # length, and the corpus has one for every message class the rules
+    # read in the real tree.
+    project = Project.from_paths([str(REPO / "src")], root=REPO)
+    by_class = samples.samples_by_class()
+    assert set(project.message_classes) == {
+        f"{cls.__module__}.{cls.__qualname__}" for cls in by_class}
+    drift = [(type(m).__name__, wire_size(m), len(encode_message(m)))
+             for messages in by_class.values() for m in messages
+             if wire_size(m) != len(encode_message(m))]
+    assert drift == []
 
 
 def test_real_tree_is_clean():
