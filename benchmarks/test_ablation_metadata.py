@@ -47,7 +47,7 @@ def test_measured_transaction_metadata(benchmark):
         trace = _small_trace(12, seed=7)
         world = build_chat_world("swiftcloud", 3, trace, 12, seed=7)
         world.warm_up(1500.0)
-        driver = ClosedLoopDriver(world.sim, trace, world.apps(),
+        driver = ClosedLoopDriver(world.sim, trace, world.users(),
                                   think_time_ms=10.0)
         driver.start()
         world.sim.run_for(2000.0)

@@ -11,7 +11,7 @@ Three system configurations (paper section 7.3):
 
 :func:`chat_topology` describes one of them over a Mattermost trace as a
 :class:`~repro.serve.topology.Topology`; :func:`build_chat_world` has
-``build_sim_world`` build it and puts a :class:`ChatApp` on every client.
+``build_sim_world`` build it, with each client paired with its trace user.
 Latencies follow section 7.2: the builder's role rule gives 0.15 ms
 inside a cluster/peer group and 50 ms mobile cellular from a client to
 its DC; the topology sets 10 ms carrier Ethernet between DCs, and
@@ -24,8 +24,6 @@ from __future__ import annotations
 import random
 from typing import Any, List, Tuple
 
-from ..api.client import Connection
-from ..chat.app import ChatApp
 from ..chat.model import workspace_objects
 from ..edge.node import TxnStats
 from ..groups.peergroup import GroupMember
@@ -99,10 +97,10 @@ def _user(site: Site) -> str:
 
 
 class ChatWorld:
-    """A built chat world: the simulation, its DCs, a ChatApp per user.
+    """A built chat world: the simulation, its DCs, its clients.
 
-    ``clients`` and ``solo`` are ``(user, actor, app)`` in listing order:
-    the ``n_clients`` users of the mode, then the solo edge users.
+    ``clients`` and ``solo`` are ``(user, actor)`` in listing order: the
+    ``n_clients`` users of the mode, then the solo edge users.
     """
 
     def __init__(self, world: SimWorld, trace: MattermostTrace,
@@ -131,9 +129,8 @@ class ChatWorld:
                 world.actors[site.name].cache.capacity = 4 + max(
                     1, int(cache_coverage * n_channels))
 
-    def _client(self, site: Site) -> Tuple[str, Any, ChatApp]:
-        actor = self.world.actors[site.name]
-        return _user(site), actor, ChatApp(Connection(actor), _user(site))
+    def _client(self, site: Site) -> Tuple[str, Any]:
+        return _user(site), self.world.actors[site.name]
 
     @property
     def groups(self) -> List[List[GroupMember]]:
@@ -148,13 +145,12 @@ class ChatWorld:
         """Let sessions open and caches seed until ``until_ms``."""
         self.sim.run_for(max(0.0, until_ms - self.sim.now))
 
-    def apps(self) -> List[Tuple[str, ChatApp]]:
-        return [(user, app) for user, _node, app
-                in self.clients + self.solo]
+    def users(self) -> List[Tuple[str, Any]]:
+        """Every ``(user, actor)`` pair, the closed loop's clients."""
+        return self.clients + self.solo
 
     def all_stats(self) -> List[TxnStats]:
-        return [s for _user, node, _app in self.clients + self.solo
-                for s in node.txn_stats]
+        return [s for _user, node in self.users() for s in node.txn_stats]
 
 
 def build_chat_world(mode: str, n_dcs: int, trace: MattermostTrace,

@@ -30,12 +30,13 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List
 
 from ..core.txn import ObjectKey
-from ..edge.node import EdgeNode
 from ..serve.builder import build_sim_world
 from ..serve.topology import Site, Topology
+from ..serve.workload import Op, run_op
 from ..sim.network import ETHERNET
 from ..sim.runtime import Simulation
 
@@ -92,9 +93,19 @@ def _schedule_writers(sim: Simulation, config: ScaleConfig,
     rng = random.Random(f"scale-load/{config.seed}")
     writers = config.resolved_writers()
     span = max(config.duration_ms - 400.0, 100.0)
+
+    def done(result, stats):
+        counters["committed"] += 1
+
+    def abort(exc):
+        counters["aborted"] += 1
+
+    def fire(op: Op) -> None:
+        counters["submitted"] += 1
+        run_op(sim.actors[op.client], op, done, abort)
+
     for w in range(writers):
         index = rng.randrange(config.n_nodes)
-        node = sim.actors[f"n{index}"]
         cell = index // config.cell_size
         for _ in range(config.txns_per_writer):
             at = start + rng.uniform(50.0, span)
@@ -103,23 +114,8 @@ def _schedule_writers(sim: Simulation, config: ScaleConfig,
             key = (ObjectKey("scale", f"cell{cell}")
                    if rng.random() < 0.75
                    else ObjectKey("scale", f"own{index}"))
-            sim.loop.schedule_at(at, _make_txn(node, key, counters))
-
-
-def _make_txn(node: EdgeNode, key: ObjectKey,
-              counters: Dict[str, int]):
-    def body(tx):
-        yield tx.update(key, "counter", "increment", 1)
-
-    def fire() -> None:
-        counters["submitted"] += 1
-        node.run_transaction(
-            body,
-            on_done=lambda r, s: counters.__setitem__(
-                "committed", counters["committed"] + 1),
-            on_abort=lambda exc: counters.__setitem__(
-                "aborted", counters["aborted"] + 1))
-    return fire
+            sim.loop.schedule_at(at, partial(fire, Op(
+                at, f"n{index}", key, "counter", "increment", (1,))))
 
 
 def run_scale(config: ScaleConfig) -> Dict[str, Any]:

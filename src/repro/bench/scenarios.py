@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Tuple
 
-from ..api.client import Connection
-from ..chat.app import ChatApp
 from ..core.txn import ObjectKey
 from ..serve.builder import add_site, build_sim_world
 from ..serve.topology import Site, Topology
+from ..serve.workload import Op, run_op
 from ..sim.network import ETHERNET, LAN, LatencyModel
 from ..workload.driver import ClosedLoopDriver
 from ..workload.trace import MattermostTrace, TraceConfig
@@ -56,7 +56,7 @@ def fig4_point(mode: str, n_dcs: int, n_clients: int,
     trace = _small_trace(n_clients, seed)
     world = build_chat_world(mode, n_dcs, trace, n_clients, seed=seed)
     world.warm_up(warm_ms)
-    driver = ClosedLoopDriver(world.sim, world.trace, world.apps(),
+    driver = ClosedLoopDriver(world.sim, world.trace, world.users(),
                               think_time_ms=think_time_ms)
     driver.start()
     start = world.sim.now
@@ -99,13 +99,13 @@ def _fig567_world(seed: int, cache_coverage: float = 0.9) -> ChatWorld:
 
 
 def _run_workload(world: ChatWorld, duration_ms: float) -> None:
-    ClosedLoopDriver(world.sim, world.trace, world.apps(),
+    ClosedLoopDriver(world.sim, world.trace, world.users(),
                      think_time_ms=150.0).start()
     world.sim.run_for(duration_ms)
 
 
 def _stats(population) -> list:
-    return [s for _u, node, _a in population for s in node.txn_stats]
+    return [s for _u, node in population for s in node.txn_stats]
 
 
 def _shifted(stats, t0: float) -> List[TimelinePoint]:
@@ -183,13 +183,12 @@ def fig7_migration(duration_ms: float = 70_000.0,
         f"mobile/{user}", "member", dc="dc0", group=parent.group_id,
         parent=parent.node_id, keys=[]))
     sim.loop.schedule(join_at, node.join_group)
-    driver = ClosedLoopDriver(sim, world.trace, world.apps(),
+    driver = ClosedLoopDriver(sim, world.trace, world.users(),
                               think_time_ms=150.0)
     driver.start()
     # The mobile client only starts transacting once in the group.
-    mobile_driver = ClosedLoopDriver(
-        sim, world.trace, [(user, ChatApp(Connection(node), user))],
-        think_time_ms=150.0)
+    mobile_driver = ClosedLoopDriver(sim, world.trace, [(user, node)],
+                                     think_time_ms=150.0)
     sim.loop.schedule(join_at + 50.0, mobile_driver.start)
     sim.run_for(duration_ms)
     return TimelineResult(
@@ -241,15 +240,9 @@ def ablation_kstability(k: int, n_dcs: int = 3, updates: int = 30,
     sim.run_for(1000.0 - sim.now)   # one second of settling in all
 
     lags: List[float] = []
-    expected = 0
-
-    def one_update(index: int) -> None:
-        def body(tx):
-            yield tx.update(key, "counter", "increment", 1)
-        writer.run_transaction(body)
-
+    bump = Op(0.0, "writer", key, "counter", "increment", (1,))
     for index in range(updates):
-        sim.loop.schedule(index * 400.0, lambda i=index: one_update(i))
+        sim.loop.schedule(index * 400.0, partial(run_op, writer, bump))
     # Sample visibility lag: poll the reader for each new value.
     commit_times: Dict[int, float] = {}
     seen_times: Dict[int, float] = {}
@@ -280,9 +273,7 @@ def ablation_kstability(k: int, n_dcs: int = 3, updates: int = 30,
     hop_targets = [dc_ids[(i + 1) % 2] for i in range(migrations)]
 
     def hop(target: str) -> None:
-        def body(tx):
-            yield tx.update(key, "counter", "increment", 1)
-        writer.run_transaction(body)
+        run_op(writer, bump)
         # Migrate just after the fresh update becomes K-stable at the old
         # DC and is pushed back — the window where, for low K, the writer
         # knows more than the new DC does.
@@ -339,12 +330,9 @@ def commit_workload(bench, txns_per_member: int = 20,
                 key = bench.hot
             else:
                 key = bench.cold_keys[member_index]
-
-            def body(tx, k=key):
-                yield tx.update(k, "counter", "increment", 1)
-            sim.loop.schedule(
-                txn_index * 50.0,
-                (lambda m=member, b=body: m.run_transaction(b)))
+            op = Op(txn_index * 50.0, member.node_id, key, "counter",
+                    "increment", (1,))
+            sim.loop.schedule(op.at_ms, partial(run_op, member, op))
     sim.run_for(txns_per_member * 50.0 + 5000.0)
 
     stats = [s for m in members for s in m.txn_stats

@@ -19,6 +19,7 @@ from ..dc.datacenter import DataCenter
 from ..groups.peergroup import GroupMember
 from ..serve.builder import build_sim_world
 from ..serve.topology import Site, Topology
+from ..serve.workload import READ, Op, run_op
 from ..sim.network import CELLULAR, LatencyModel
 from ..sim.runtime import Simulation
 
@@ -72,10 +73,7 @@ def build_group_bench(variant: str = "async", n_members: int = 5,
     # warm-up statistics: the ablations measure steady-state commits.
     for member in members:
         for key in [hot] + cold_keys:
-            def warm_body(tx, k=key):
-                value = yield tx.read(k, "counter")
-                return value
-            member.run_transaction(warm_body)
+            run_op(member, Op(0.0, member.node_id, key, "counter", READ))
     sim.run_for(2000.0)
     bench = GroupBench(sim, world.actors["dc0"], members, hot, cold_keys)
     bench.clear_stats()

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import random
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.journal import JournalEntry
@@ -37,6 +38,7 @@ from ..edge.node import EdgeNode
 from ..groups.peergroup import COMMIT_VARIANTS
 from ..serve.builder import SimWorld, build_sim_world
 from ..serve.topology import Site, Topology
+from ..serve.workload import READ, Op, expected_state, run_op
 from ..sim.network import LatencyModel
 from ..sim.runtime import Simulation
 from .invariants import InvariantChecker, InvariantViolation
@@ -238,107 +240,64 @@ def build_world(topology: str, seed: int,
 class _Workload:
     """Seeded client transactions plus the durability ledger.
 
-    Every *locally committed* update is recorded; asynchronous commit
+    Every *locally committed* op goes on the ledger; asynchronous commit
     promises durability once the pipeline drains, so at quiescence the
-    DCs must reflect exactly this ledger.
+    DCs must hold the ledger's fold.
     """
 
     def __init__(self, world: World, seed: int, start: float,
                  window: float, n_txns: int):
         self.world = world
+        self.ledger: List[Op] = []
         self.committed = 0
         self.aborted = 0
         self.remote_failed = 0
-        self.expected: Dict[ObjectKey, Any] = {
-            key: (0 if t == "counter" else set())
-            for key, t in world.keys}
         rng = random.Random(f"chaos-workload/{seed}")
         span = max(window - 500.0, 100.0)
         for i in range(n_txns):
             at = start + rng.uniform(50.0, span)
             client = rng.choice(world.clients)
-            key, type_name = rng.choice(
-                world.narrow.get(client.node_id, world.keys))
+            name = client.node_id
+            key, type_name = rng.choice(world.narrow.get(name, world.keys))
             roll = rng.random()
             if roll < 0.15:
-                self._schedule_read(at, client, key, type_name)
-            elif roll < 0.25 and client in world.remote_clients:
-                self._schedule_remote(at, client, key, type_name,
-                                      rng.randint(1, 5), i)
+                method, args = READ, ()
+            elif type_name == "counter":
+                method, args = "increment", (rng.randint(1, 5),)
             else:
-                self._schedule_update(at, client, key, type_name,
-                                      rng.randint(1, 5), i)
+                rng.randint(1, 5)   # the amount a set add does not use
+                method, args = "add", (f"{name}:{i}",)
+            op = Op(at, name, key, type_name, method, args)
+            remote = 0.15 <= roll < 0.25 \
+                and client in world.remote_clients
+            world.sim.loop.schedule_at(
+                at, partial(self._fire, client, op, remote))
 
-    def _schedule_read(self, at: float, client: EdgeNode,
-                       key: ObjectKey, type_name: str) -> None:
-        def body(tx):
-            yield tx.read(key, type_name)
+    def _fire(self, client: EdgeNode, op: Op, remote: bool) -> None:
+        def done(result, stats):
+            self.committed += 1
+            self.ledger.append(op)
 
-        def fire() -> None:
-            client.run_transaction(
-                body, on_done=lambda r, s: self._done(None, None, None),
-                on_abort=lambda exc: self._abort())
-
-        self.world.sim.loop.schedule_at(at, fire)
-
-    def _schedule_update(self, at: float, client: EdgeNode,
-                         key: ObjectKey, type_name: str, amount: int,
-                         index: int) -> None:
-        method, args = self._op(client, type_name, amount, index)
-
-        def body(tx):
-            yield tx.update(key, type_name, method, *args)
-
-        def fire() -> None:
-            client.run_transaction(
-                body,
-                on_done=lambda r, s: self._done(key, method, args),
-                on_abort=lambda exc: self._abort())
-
-        self.world.sim.loop.schedule_at(at, fire)
-
-    def _schedule_remote(self, at: float, client: EdgeNode,
-                         key: ObjectKey, type_name: str, amount: int,
-                         index: int) -> None:
-        method, args = self._op(client, type_name, amount, index)
-
-        def fire() -> None:
+        if remote:
             client.run_remote_transaction(
-                updates=[(key, type_name, method, args)],
-                on_done=lambda r, s: self._done(key, method, args),
-                on_fail=lambda reason: self._remote_fail())
-
-        self.world.sim.loop.schedule_at(at, fire)
-
-    @staticmethod
-    def _op(client: EdgeNode, type_name: str, amount: int,
-            index: int) -> Tuple[str, Tuple]:
-        if type_name == "counter":
-            return "increment", (amount,)
-        return "add", (f"{client.node_id}:{index}",)
-
-    def _done(self, key: Optional[ObjectKey], method: Optional[str],
-              args: Optional[Tuple]) -> None:
-        self.committed += 1
-        if key is None:
-            return
-        if method == "increment":
-            self.expected[key] += args[0]
+                updates=[(op.key, op.type_name, op.method, op.args)],
+                on_done=done, on_fail=self._remote_fail)
         else:
-            self.expected[key].add(args[0])
+            run_op(client, op, done, self._abort)
 
-    def _abort(self) -> None:
+    def _abort(self, exc: Exception) -> None:
         self.aborted += 1
 
-    def _remote_fail(self) -> None:
+    def _remote_fail(self, reason: str) -> None:
         self.remote_failed += 1
 
     def check_durability(self, world: World) -> List[InvariantViolation]:
         """Locally committed updates must all survive into the DCs."""
         violations = []
         reference = world.dcs[0].state_digest()
+        expected = expected_state(world.keys, self.ledger)
         for key, type_name in world.keys:
-            expect = self.expected[key]
+            expect = expected[key]
             got = reference.get(key)
             if type_name == "orset":
                 got = set(got or ())

@@ -822,11 +822,12 @@ class EdgeNode(Actor):
             on_done(msg.values, stats)
 
     # ------------------------------------------------------------------
-    # convenience: one-shot transactions (used by the workload driver)
+    # one-shot transactions (``serve.workload.run_op``, the API's batches)
     # ------------------------------------------------------------------
     def execute(self, reads: List[Tuple[ObjectKey, str]] = (),
                 updates: List[Tuple[ObjectKey, str, str, tuple]] = (),
-                on_done: Optional[Callable[[Any, TxnStats], None]] = None) \
+                on_done: Optional[Callable[[Any, TxnStats], None]] = None,
+                on_abort: Optional[Callable[[Exception], None]] = None) \
             -> None:
         """Run a batch transaction: all reads, then all updates."""
         def body(tx: TransactionContext):
@@ -836,7 +837,7 @@ class EdgeNode(Actor):
             for key, type_name, method, args in updates:
                 yield tx.update(key, type_name, method, *args)
             return tuple(values)
-        self.run_transaction(body, on_done=on_done)
+        self.run_transaction(body, on_done=on_done, on_abort=on_abort)
 
 
 # Subclasses build their table as they are defined; this class's own

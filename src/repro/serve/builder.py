@@ -27,6 +27,7 @@ objects directly and therefore only works inside one process.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..dc.datacenter import DataCenter
@@ -37,7 +38,7 @@ from ..groups.peergroup import GroupMember
 from ..sim.network import CELLULAR, ETHERNET, LAN, LatencyModel
 from ..sim.runtime import Simulation
 from .topology import Site, Topology
-from .workload import Op, canonical_digest, expected_state
+from .workload import Op, canonical_digest, expected_state, run_op
 
 #: Core-cloud mesh latency (paper section 7.2 geo-distribution stand-in).
 DC_MESH = LatencyModel(5.0, 1.0)
@@ -222,22 +223,17 @@ def add_site(world: SimWorld, site: Site) -> Any:
 def schedule_ops(world: SimWorld, ops: List[Op]) -> None:
     """Schedule ``ops`` on their clients, offsets counted from now."""
     start = world.sim.now
+
+    def done(result, stats):
+        world.committed += 1
+
+    def abort(exc):
+        world.aborted += 1
+
     for op in ops:
-        client = world.actors[op.client]
-
-        def body(tx, op=op):
-            yield tx.update(op.key, op.type_name, op.method, *op.args)
-
-        def fire(client=client, body=body) -> None:
-            def done(result, stats):
-                world.committed += 1
-
-            def abort(exc):
-                world.aborted += 1
-
-            client.run_transaction(body, on_done=done, on_abort=abort)
-
-        world.sim.loop.schedule_at(start + op.at_ms, fire)
+        world.sim.loop.schedule_at(
+            start + op.at_ms,
+            partial(run_op, world.actors[op.client], op, done, abort))
 
 
 def run_reference(topo: Topology,

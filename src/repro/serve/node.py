@@ -27,7 +27,7 @@ from ..transport.asyncio_backend import AsyncioTransport
 from .builder import bootstrap_group, build_site
 from .control import ControlAgent
 from .topology import Topology
-from .workload import Op, canonical_digest
+from .workload import Op, canonical_digest, run_op
 
 #: A site that never hears from the supervisor gives up eventually, so
 #: an orphaned process (supervisor crash) cannot linger forever.
@@ -71,25 +71,19 @@ async def run_node(topo: Topology, site_name: str,
                         if op.client == site.name]
     progress = {"done": 0, "aborted": 0}
 
-    def fire_op(op: Op) -> None:
-        def body(tx):
-            yield tx.update(op.key, op.type_name, op.method, *op.args)
+    def done(result, stats):
+        progress["done"] += 1
+        log.write("op_committed", done=progress["done"], total=len(my_ops))
 
-        def done(result, stats):
-            progress["done"] += 1
-            log.write("op_committed", done=progress["done"],
-                      total=len(my_ops))
-
-        def abort(exc):
-            progress["aborted"] += 1
-            log.write("op_aborted", error=repr(exc))
-
-        actor.run_transaction(body, on_done=done, on_abort=abort)
+    def abort(exc):
+        progress["aborted"] += 1
+        log.write("op_aborted", error=repr(exc))
 
     def start_workload() -> None:
         log.write("workload_start", ops=len(my_ops))
         for op in my_ops:
-            transport.schedule_fast(op.at_ms, fire_op, (op,))
+            transport.schedule_fast(op.at_ms, run_op,
+                                    (actor, op, done, abort))
 
     stop = asyncio.Event()
     ControlAgent(

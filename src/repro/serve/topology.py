@@ -15,7 +15,7 @@ deployment is driven with.  Example::
     [[keys]]
     bucket = "app"
     key = "c0"
-    type = "counter"
+    type = "counter"      # or "orset": the two the workload updates
 
     [[sites]]
     name = "dc0"
@@ -71,6 +71,8 @@ from ..sim.network import LatencyModel
 from .workload import Op, generate_ops
 
 ROLES = ("dc", "pop", "edge", "member", "cloud")
+#: The ``[[keys]]`` types ``generate_ops`` has an update for.
+KEY_TYPES = ("counter", "orset")
 
 Key = Tuple[ObjectKey, str]
 
@@ -215,8 +217,12 @@ def parse_topology(data: dict, path: Optional[str] = None) -> Topology:
 
     keys: List[Key] = []
     for entry in data.get("keys", []):
-        keys.append((ObjectKey(entry["bucket"], entry["key"]),
-                     entry.get("type", "counter")))
+        key = ObjectKey(entry["bucket"], entry["key"])
+        type_name = entry.get("type", "counter")
+        if type_name not in KEY_TYPES:
+            raise ValueError(f"key {key.bucket}/{key.key}: type "
+                             f"{type_name!r} is not one of {KEY_TYPES}")
+        keys.append((key, type_name))
     if not keys:
         raise ValueError("topology declares no [[keys]]")
     key_named = {f"{key.bucket}/{key.key}": (key, type_name)

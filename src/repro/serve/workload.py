@@ -1,12 +1,18 @@
-"""Seeded deployment workload and canonical state digests.
+"""Client work as :class:`Op` records, run by :func:`run_op`; the
+seeded deployment workload and canonical state digests.
 
-The workload is a pure function of the topology: ``seed`` fixes every
-operation (which client, which key, which CRDT update, when).  All
-operations are *local* client transactions — locally committed CRDT
-updates are exactly once by dot dedup, so any run that commits every
-operation and converges holds the same final state, whether the clock
-was simulated or real.  That makes the digest comparison content-based
-and timing-independent: the DES reference, the live deployment, and the
+An :class:`Op` is one client transaction on one object, a read or one
+CRDT update, and :func:`run_op` is the one way every workload (the
+deployment, chaos, obs, the scale sweep, the ablations and the paper's
+figures) runs it on an actor.
+
+The deployment workload is a pure function of the topology: ``seed``
+fixes every operation (which client, which key, which CRDT update,
+when).  All operations are *local* client transactions — locally
+committed CRDT updates are exactly once by dot dedup, so any run that
+commits every operation and converges holds the same final state,
+whether the clock was simulated or real.  That makes the digest
+comparison content-based and timing-independent: the DES reference, the live deployment, and the
 analytic expectation (folding the op list) must all agree.
 """
 
@@ -16,21 +22,37 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.txn import ObjectKey
+
+#: ``Op.method`` of a read: a name no CRDT effect uses.
+READ = "read"
 
 
 @dataclass(frozen=True)
 class Op:
-    """One client transaction of the deployment workload."""
+    """One client transaction: a read of one object, or one update."""
 
-    at_ms: float           # offset from the site's workload start
-    client: str            # site (and protocol node) name
+    at_ms: float           # when to issue it, in its workload's time base
+    client: str            # site (and protocol node) name, or trace user
     key: ObjectKey
     type_name: str
-    method: str            # "increment" | "add"
-    args: Tuple
+    method: str            # READ, or a CRDT update method
+    args: Tuple = ()
+
+
+def run_op(actor: Any, op: Op, on_done: Optional[Callable] = None,
+           on_abort: Optional[Callable[[Exception], None]] = None) -> None:
+    """Run ``op`` as one transaction on an edge node, a group member or
+    a cloud client (which reports an abort through ``on_done``'s stats
+    and takes no ``on_abort``)."""
+    if op.method == READ:
+        reads, updates = [(op.key, op.type_name)], []
+    else:
+        reads, updates = [], [(op.key, op.type_name, op.method, op.args)]
+    extra = {} if on_abort is None else {"on_abort": on_abort}
+    actor.execute(reads=reads, updates=updates, on_done=on_done, **extra)
 
 
 def generate_ops(seed: int, clients: Sequence[str],
@@ -54,15 +76,21 @@ def generate_ops(seed: int, clients: Sequence[str],
 
 def expected_state(keys: Sequence[Tuple[ObjectKey, str]],
                    ops: Sequence[Op]) -> Dict[ObjectKey, Any]:
-    """Fold the op list into the final CRDT state it must produce."""
+    """Fold the op list into the final CRDT state it must produce.
+
+    Reads change nothing; an update other than a counter ``increment``
+    or a set ``add`` has no fold here and raises ``ValueError``.
+    """
     state: Dict[ObjectKey, Any] = {
         key: (0 if type_name == "counter" else set())
         for key, type_name in keys}
     for op in ops:
         if op.method == "increment":
             state[op.key] += op.args[0]
-        else:
+        elif op.method == "add":
             state[op.key].add(op.args[0])
+        elif op.method != READ:
+            raise ValueError(f"no fold for {op.method!r} on {op.key}")
     return state
 
 

@@ -1,7 +1,7 @@
-"""Workload generation: synthetic Mattermost trace + drivers."""
+"""Workload generation: the synthetic Mattermost trace's ops and the
+closed-loop driver the figures run them with."""
 
-from .driver import ClosedLoopDriver, TimedDriver, execute_event
-from .trace import MattermostTrace, TraceConfig, TraceEvent
+from .driver import ClosedLoopDriver
+from .trace import MattermostTrace, TraceConfig
 
-__all__ = ["MattermostTrace", "TraceConfig", "TraceEvent",
-           "ClosedLoopDriver", "TimedDriver", "execute_event"]
+__all__ = ["MattermostTrace", "TraceConfig", "ClosedLoopDriver"]

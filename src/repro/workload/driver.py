@@ -1,114 +1,62 @@
-"""Workload drivers: replay a trace or run clients in a closed loop.
+"""The closed-loop workload driver of the paper's figures (section 7.3).
 
-Two modes:
-
-* :class:`TimedDriver` replays a generated trace at its own pace — used
-  for the timeline experiments (Figures 5-7);
-* :class:`ClosedLoopDriver` keeps every client saturated (next action as
-  soon as the previous completes, plus think time) — used for the
-  throughput/latency curves of Figure 4 where load grows with the number
-  of clients.
+:class:`ClosedLoopDriver` keeps every client saturated: each issues its
+next trace op (:meth:`MattermostTrace.sample_op`) as soon as the
+previous one completes, plus think time, so the load grows with the
+number of clients (Figure 4) and a timeline shows how each population
+fares under a fault (Figures 5-7).  Each op runs through
+:func:`~repro.serve.workload.run_op`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
-from ..chat.app import ChatApp
+from ..serve.workload import run_op
 from ..sim.runtime import Simulation
-from .trace import MattermostTrace, TraceEvent
-
-
-def execute_event(app: ChatApp, event: TraceEvent, now: float,
-                  on_done: Optional[Callable] = None) -> None:
-    """Run one trace action through the application."""
-    done = (lambda *_a, **_k: on_done()) if on_done else None
-    if event.action == "read_channel":
-        app.read_channel(event.workspace, event.channel,
-                         on_done=(lambda _v: on_done()) if on_done
-                         else None)
-    elif event.action == "post_message":
-        app.post_message(event.workspace, event.channel,
-                         event.text or "", at=now, on_done=done)
-    elif event.action == "update_profile":
-        app.set_profile("status", f"at-{now:.0f}", on_done=done)
-    elif event.action == "add_friend":
-        app.add_friend(f"user{int(now) % 97}", on_done=done)
-    elif event.action == "log_event":
-        app.log_event(f"event-at-{now:.0f}", at=now, on_done=done)
-    else:
-        raise ValueError(f"unknown trace action {event.action!r}")
-
-
-class TimedDriver:
-    """Replays a timed trace against per-user applications."""
-
-    def __init__(self, sim: Simulation, apps: Dict[str, ChatApp],
-                 events: Sequence[TraceEvent]):
-        self.sim = sim
-        self.apps = apps
-        self.events = list(events)
-        self.skipped = 0
-
-    def schedule(self) -> None:
-        for event in self.events:
-            app = self.apps.get(event.user)
-            if app is None:
-                self.skipped += 1
-                continue
-            self.sim.loop.schedule(
-                event.at_ms,
-                (lambda e=event, a=app:
-                 execute_event(a, e, self.sim.now)))
+from .trace import MattermostTrace
 
 
 class ClosedLoopDriver:
-    """Each client issues its next transaction as soon as one finishes."""
+    """Each client issues its next transaction as soon as one finishes.
+
+    ``clients`` are ``(user, actor)`` pairs: the trace user whose
+    actions the actor (an edge node, a group member or a cloud client)
+    runs.
+    """
 
     def __init__(self, sim: Simulation, trace: MattermostTrace,
-                 clients: List[Tuple[str, ChatApp]],
-                 think_time_ms: float = 1.0,
-                 max_txns_per_client: Optional[int] = None):
+                 clients: List[Tuple[str, Any]],
+                 think_time_ms: float = 1.0):
         self.sim = sim
         self.trace = trace
         self.clients = clients
         self.think_time_ms = think_time_ms
-        self.max_txns = max_txns_per_client
         self.completed = 0
         self._counts: Dict[str, int] = {}
-        self._stopped = False
         self._rngs: Dict[str, random.Random] = {
             user: random.Random(f"{trace.config.seed}/{user}")
-            for user, _app in clients}
+            for user, _actor in clients}
 
     def start(self) -> None:
-        for user, app in self.clients:
+        for user, actor in self.clients:
             # Stagger starts to avoid a thundering herd at t=0.
             delay = self._rngs[user].uniform(0.0, 5.0)
             self.sim.loop.schedule(
-                delay, (lambda u=user, a=app: self._issue(u, a)))
+                delay, (lambda u=user, a=actor: self._issue(u, a)))
 
-    def stop(self) -> None:
-        self._stopped = True
-
-    def _issue(self, user: str, app: ChatApp) -> None:
-        if self._stopped:
-            return
+    def _issue(self, user: str, actor: Any) -> None:
         count = self._counts.get(user, 0) + 1
         self._counts[user] = count
-        if self.max_txns is not None and count > self.max_txns:
-            return
         rng = self._rngs[user]
-        event = self.trace.sample_action(user, count, rng)
+        op = self.trace.sample_op(user, count, rng, self.sim.now)
 
-        def next_turn() -> None:
+        def next_turn(result: Any, stats: Any) -> None:
             self.completed += 1
-            if self._stopped:
-                return
             think = self.think_time_ms * rng.expovariate(1.0) \
                 if self.think_time_ms else 0.0
             self.sim.loop.schedule(
-                think, (lambda: self._issue(user, app)))
+                think, (lambda: self._issue(user, actor)))
 
-        execute_event(app, event, self.sim.now, on_done=next_turn)
+        run_op(actor, op, on_done=next_turn)

@@ -1,26 +1,29 @@
 """Synthetic Mattermost-like trace (paper section 7.1).
 
 The paper replays "a modified trace from a popular Mattermost server" that
-is not publicly available.  We regenerate a synthetic trace with every
-statistic the paper states:
+is not publicly available.  We regenerate its shape, seeded:
 
 * ~2 000 users over 3 workspaces, ~20 channels per workspace on average;
 * one workspace with 1 000 users; users may belong to several workspaces;
-* ~10 % of users are bots reacting to channel messages;
 * 90/10 read/write ratio; a user refreshes its local copy of a channel
-  every 5 transactions;
-* Pareto activity: 20 % of the users execute 80 % of the operations;
-* 40 days of activity with a diurnal cycle, accelerated to minutes.
+  every 5 transactions.
 
-Everything is seeded, so the trace is a pure function of its config.
+:meth:`MattermostTrace.sample_op` draws a user's next action as a
+:class:`~repro.serve.workload.Op` on ``chat.model``'s objects, and the
+closed loop (``workload.driver``) runs it; that is all the figures run.
+The paper's other trace statistics (Pareto 80/20 activity, a 40-day
+diurnal cycle, ~10 % reactive bots) are not reproduced: no figure uses
+them, every client of a figure runs the same closed loop.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
+
+from ..chat import model
+from ..serve.workload import READ, Op
 
 
 @dataclass
@@ -31,27 +34,9 @@ class TraceConfig:
     n_workspaces: int = 3
     channels_per_workspace: int = 20
     big_workspace_users: int = 1000
-    bot_fraction: float = 0.10
     read_ratio: float = 0.90
     refresh_every: int = 5
-    pareto_alpha: float = 1.16      # ~80/20 activity skew
-    trace_days: int = 40
-    duration_ms: float = 60_000.0   # accelerated wall-clock span
-    events_total: int = 10_000
-    diurnal_amplitude: float = 0.5
     seed: int = 42
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One user action, scheduled at ``at_ms`` into the run."""
-
-    at_ms: float
-    user: str
-    action: str                     # read_channel | post_message | ...
-    workspace: str
-    channel: Optional[str] = None
-    text: Optional[str] = None
 
 
 # Write-action mix within the 10% writes.
@@ -60,21 +45,20 @@ _WRITE_ACTIONS = (("post_message", 0.80), ("update_profile", 0.08),
 
 
 class MattermostTrace:
-    """Generates and holds the synthetic workload."""
+    """The synthetic trace's users, workspaces and channels."""
 
     def __init__(self, config: Optional[TraceConfig] = None):
         self.config = config or TraceConfig()
         self.rng = random.Random(self.config.seed)
         cfg = self.config
         self.users = [f"user{i}" for i in range(cfg.n_users)]
-        n_bots = int(cfg.n_users * cfg.bot_fraction)
-        self.bots = set(self.rng.sample(self.users, n_bots))
+        # The draw that once picked the 10 % bots: it keeps every later
+        # draw, and so every figure, where it was.
+        self.rng.sample(self.users, int(cfg.n_users * 0.10))
         self.workspaces = [f"ws{i}" for i in range(cfg.n_workspaces)]
         self.channels: Dict[str, List[str]] = {}
         self.user_workspaces: Dict[str, List[str]] = {}
-        self._weights: List[float] = []
         self._build_topology()
-        self._build_weights()
 
     # -- topology ------------------------------------------------------------
     def _build_topology(self) -> None:
@@ -104,39 +88,32 @@ class MattermostTrace:
                 memberships.append(big)
             self.user_workspaces[user] = memberships
 
-    def _build_weights(self) -> None:
-        """Pareto activity: weight_i ~ rank^-alpha gives ~80/20 skew."""
-        alpha = self.config.pareto_alpha
-        raw = [(rank + 1) ** (-alpha) for rank in range(len(self.users))]
-        total = sum(raw)
-        self._weights = [w / total for w in raw]
-
-    def activity_share(self, top_fraction: float) -> float:
-        """Share of operations executed by the most active fraction."""
-        k = max(1, int(len(self._weights) * top_fraction))
-        return sum(sorted(self._weights, reverse=True)[:k])
-
     # -- sampling ---------------------------------------------------------------
-    def sample_user(self, rng: Optional[random.Random] = None) -> str:
-        rng = rng or self.rng
-        return rng.choices(self.users, weights=self._weights, k=1)[0]
-
-    def sample_action(self, user: str, txn_index: int,
-                      rng: Optional[random.Random] = None) -> TraceEvent:
-        """Draw the user's next action (time filled in by the caller)."""
-        rng = rng or self.rng
+    def sample_op(self, user: str, txn_index: int, rng: random.Random,
+                  now: float) -> Op:
+        """The user's ``txn_index``-th action, issued at ``now``: a read
+        of one of its channels, or a write from ``_WRITE_ACTIONS``."""
         workspace = rng.choice(self.user_workspaces[user])
         channel = rng.choice(self.channels[workspace])
-        if txn_index % self.config.refresh_every == 0:
-            action = "read_channel"     # periodic local-copy refresh
-        elif rng.random() < self.config.read_ratio:
-            action = "read_channel"
-        else:
-            action = self._sample_write(rng)
-        text = None
+        messages = model.channel_messages(workspace, channel)
+        if txn_index % self.config.refresh_every == 0 \
+                or rng.random() < self.config.read_ratio:
+            # A periodic local-copy refresh, or a read of the mix.
+            return Op(now, user, messages.key, messages.TYPE_NAME, READ)
+        action = self._sample_write(rng)
         if action == "post_message":
-            text = f"msg-{user}-{txn_index}"
-        return TraceEvent(0.0, user, action, workspace, channel, text)
+            update = messages.append(model.message(
+                user, f"msg-{user}-{txn_index}", now))
+        elif action == "update_profile":
+            update = model.user_profile(user).register("status") \
+                .assign(f"at-{now:.0f}")
+        elif action == "add_friend":
+            update = model.user_friends(user).add(f"user{int(now) % 97}")
+        else:
+            update = model.user_events(user).append(
+                {"text": f"event-at-{now:.0f}", "at": now})
+        return Op(now, user, update.key, update.type_name, update.method,
+                  update.args)
 
     @staticmethod
     def _sample_write(rng: random.Random) -> str:
@@ -147,32 +124,3 @@ class MattermostTrace:
             if roll < acc:
                 return action
         return _WRITE_ACTIONS[0][0]
-
-    # -- full timed trace -----------------------------------------------------------
-    def diurnal_rate(self, at_ms: float) -> float:
-        """Relative arrival rate at ``at_ms`` (diurnal sinusoid)."""
-        cfg = self.config
-        day_ms = cfg.duration_ms / cfg.trace_days
-        phase = 2.0 * math.pi * (at_ms % day_ms) / day_ms
-        return 1.0 + cfg.diurnal_amplitude * math.sin(phase)
-
-    def generate(self) -> List[TraceEvent]:
-        """The complete accelerated trace, in time order."""
-        cfg = self.config
-        base_rate = cfg.events_total / cfg.duration_ms  # events per ms
-        events: List[TraceEvent] = []
-        per_user_counts: Dict[str, int] = {}
-        t = 0.0
-        while len(events) < cfg.events_total:
-            rate = base_rate * self.diurnal_rate(t)
-            t += self.rng.expovariate(rate)
-            if t >= cfg.duration_ms:
-                break
-            user = self.sample_user()
-            index = per_user_counts.get(user, 0) + 1
-            per_user_counts[user] = index
-            event = self.sample_action(user, index)
-            events.append(TraceEvent(t, event.user, event.action,
-                                     event.workspace, event.channel,
-                                     event.text))
-        return events

@@ -5,8 +5,7 @@ import pytest
 from repro.bench import build_chat_world, chat_topology
 from repro.bench.metrics import served_by_breakdown
 from repro.bench.scenarios import _small_trace
-from repro.workload import ClosedLoopDriver, MattermostTrace, TimedDriver
-from repro.workload.trace import TraceConfig
+from repro.workload import ClosedLoopDriver
 
 
 def deploy(mode, n_clients=8, n_dcs=1, seed=7):
@@ -15,10 +14,10 @@ def deploy(mode, n_clients=8, n_dcs=1, seed=7):
                             seed=seed), trace
 
 
-def drive(world, warm_ms, run_ms, think_time_ms, **kwargs):
+def drive(world, warm_ms, run_ms, think_time_ms):
     world.warm_up(warm_ms)
-    driver = ClosedLoopDriver(world.sim, world.trace, world.apps(),
-                              think_time_ms=think_time_ms, **kwargs)
+    driver = ClosedLoopDriver(world.sim, world.trace, world.users(),
+                              think_time_ms=think_time_ms)
     driver.start()
     world.sim.run_for(run_ms)
     return driver
@@ -42,7 +41,7 @@ class TestDeployment:
         world, _ = deploy("colony", n_clients=30)
         groups = world.groups
         assert [len(group) for group in groups] == [12, 12, 6]
-        users = [node for _u, node, _a in world.clients]
+        users = [node for _u, node in world.clients]
         assert [m for group in groups for m in group] == users
         for group in groups:
             parent = group[0]
@@ -80,36 +79,6 @@ class TestDeployment:
                     for s in world.all_stats()]
 
         assert run() == run()
-
-
-class TestDrivers:
-    def test_timed_driver_replays_trace(self):
-        world, _ = deploy("swiftcloud", n_clients=8)
-        world.warm_up(1500.0)
-        config = TraceConfig(n_users=8, n_workspaces=1,
-                             big_workspace_users=8, events_total=200,
-                             duration_ms=2000.0, seed=3)
-        timed_trace = MattermostTrace(config)
-        # Use the world's users (same naming scheme).
-        driver = TimedDriver(world.sim, dict(world.apps()),
-                             timed_trace.generate())
-        driver.schedule()
-        world.sim.run_for(4000.0)
-        stats = world.all_stats()
-        assert len(stats) + driver.skipped >= 150
-
-    def test_closed_loop_respects_max_txns(self):
-        world, _ = deploy("swiftcloud", n_clients=4)
-        driver = drive(world, 1500.0, 5000.0, 5.0, max_txns_per_client=10)
-        assert driver.completed <= 40
-
-    def test_stop_halts_issuance(self):
-        world, _ = deploy("swiftcloud", n_clients=4)
-        driver = drive(world, 1500.0, 500.0, 5.0)
-        driver.stop()
-        completed = driver.completed
-        world.sim.run_for(1000.0)
-        assert driver.completed <= completed + len(world.clients)
 
 
 class TestWritebackPolicy:

@@ -64,6 +64,15 @@ class TestCloudRole:
         assert cloud.state_digest() == {}
 
 
+@pytest.mark.parametrize("type_name", ["rga", "orsett"])
+def test_key_of_a_type_the_workload_cannot_update_is_named(type_name):
+    document = _document(("e0", "edge"))
+    document["keys"].append({"bucket": "app", "key": "doc",
+                             "type": type_name})
+    with pytest.raises(ValueError, match=f"app/doc: type '{type_name}'"):
+        parse_topology(document)
+
+
 def test_checks_and_links_take_linear_time():
     """2·10^4 edge sites and 40 groups of 5: validation and the role
     links are one pass each, not a scan of every site per site."""

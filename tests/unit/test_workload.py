@@ -1,16 +1,28 @@
-"""Workload generator tests: the trace matches the paper's statistics."""
+"""Workload generator tests: the trace's shape and the ops it draws."""
 
 import random
 
+import pytest
+
+from repro.chat import model
+from repro.core import ObjectKey
+from repro.serve.workload import READ, Op, expected_state
 from repro.workload import MattermostTrace, TraceConfig
 
 
 def small_config(**overrides):
     base = dict(n_users=200, n_workspaces=3, channels_per_workspace=20,
-                big_workspace_users=100, events_total=2000,
-                duration_ms=10_000.0, seed=5)
+                big_workspace_users=100, seed=5)
     base.update(overrides)
     return TraceConfig(**base)
+
+
+def sample_ops(trace, n_per_user=10, seed=1):
+    """Each user's first ``n_per_user`` ops, issued 10 ms apart."""
+    rng = random.Random(seed)
+    return [(user, trace.sample_op(user, i, rng, 10.0 * i))
+            for user in trace.users
+            for i in range(1, n_per_user + 1)]
 
 
 class TestTopology:
@@ -18,10 +30,6 @@ class TestTopology:
         trace = MattermostTrace(small_config())
         assert len(trace.users) == 200
         assert len(trace.workspaces) == 3
-
-    def test_bot_fraction(self):
-        trace = MattermostTrace(small_config())
-        assert len(trace.bots) == 20  # 10% of 200
 
     def test_big_workspace_membership(self):
         trace = MattermostTrace(small_config())
@@ -43,70 +51,68 @@ class TestTopology:
         t1 = MattermostTrace(small_config())
         t2 = MattermostTrace(small_config())
         assert t1.user_workspaces == t2.user_workspaces
-        assert [e.user for e in t1.generate()] \
-            == [e.user for e in t2.generate()]
-
-
-class TestActivitySkew:
-    def test_pareto_top20_does_most_work(self):
-        trace = MattermostTrace(small_config())
-        share = trace.activity_share(0.2)
-        # The paper's 80/20: tolerate the finite-population deviation.
-        assert share > 0.6
-
-    def test_sampling_matches_weights(self):
-        trace = MattermostTrace(small_config())
-        rng = random.Random(1)
-        counts = {}
-        for _ in range(5000):
-            user = trace.sample_user(rng)
-            counts[user] = counts.get(user, 0) + 1
-        top = max(counts, key=counts.get)
-        assert top == trace.users[0]  # rank-0 user is the most active
+        assert sample_ops(t1) == sample_ops(t2)
 
 
 class TestActions:
     def test_read_write_ratio(self):
         trace = MattermostTrace(small_config())
-        events = trace.generate()
-        reads = sum(1 for e in events if e.action == "read_channel")
+        ops = [op for _user, op in sample_ops(trace)]
+        reads = sum(1 for op in ops if op.method == READ)
         # >= 90% reads (refresh every 5th txn also reads).
-        assert reads / len(events) >= 0.85
+        assert reads / len(ops) >= 0.85
+        assert reads < len(ops)
 
     def test_refresh_every_fifth_txn_reads(self):
         trace = MattermostTrace(small_config())
-        event = trace.sample_action("user0", txn_index=5)
-        assert event.action == "read_channel"
+        rng = random.Random(0)
+        ops = [trace.sample_op("user0", 5 * k, rng, 0.0)
+               for k in range(1, 50)]
+        assert all(op.method == READ for op in ops)
 
     def test_actions_target_member_workspaces(self):
         trace = MattermostTrace(small_config())
-        for event in trace.generate()[:200]:
-            assert event.workspace in trace.user_workspaces[event.user]
-            assert event.channel in trace.channels[event.workspace]
+        for user, op in sample_ops(trace):
+            assert op.client == user
+            channels = {model.channel_messages(workspace, channel).key
+                        for workspace in trace.user_workspaces[user]
+                        for channel in trace.channels[workspace]}
+            own = {model.user_profile(user).key,
+                   model.user_friends(user).key,
+                   model.user_events(user).key}
+            assert op.key in (channels if op.key.bucket
+                              == model.CHANNELS_BUCKET else own)
 
     def test_posts_have_text(self):
         trace = MattermostTrace(small_config())
-        posts = [e for e in trace.generate()
-                 if e.action == "post_message"]
-        assert posts and all(p.text for p in posts)
+        posts = [(user, op) for user, op in sample_ops(trace)
+                 if op.key.bucket == model.CHANNELS_BUCKET
+                 and op.method == "append"]
+        assert posts
+        for user, op in posts:
+            (message,) = op.args
+            assert message["author"] == user and message["text"]
+            assert message["at"] == op.at_ms
 
 
-class TestTiming:
-    def test_events_sorted_and_bounded(self):
-        trace = MattermostTrace(small_config())
-        events = trace.generate()
-        times = [e.at_ms for e in events]
-        assert times == sorted(times)
-        assert times[-1] < trace.config.duration_ms
+class TestExpectedState:
+    KEYS = [(ObjectKey("w", "c"), "counter"), (ObjectKey("w", "s"), "orset")]
 
-    def test_diurnal_rate_oscillates(self):
-        trace = MattermostTrace(small_config())
-        day = trace.config.duration_ms / trace.config.trace_days
-        peak = trace.diurnal_rate(day / 4)
-        trough = trace.diurnal_rate(3 * day / 4)
-        assert peak > 1.0 > trough
+    def test_folds_increments_and_adds_and_skips_reads(self):
+        (c, _), (s, _) = self.KEYS
+        ops = [Op(0.0, "e", c, "counter", "increment", (2,)),
+               Op(0.0, "e", c, "counter", READ),
+               Op(0.0, "e", s, "orset", "add", ("x",)),
+               Op(0.0, "e", s, "orset", READ),
+               Op(0.0, "e", c, "counter", "increment", (3,))]
+        assert expected_state(self.KEYS, ops) == {c: 5, s: {"x"}}
 
-    def test_event_volume_near_target(self):
-        trace = MattermostTrace(small_config())
-        events = trace.generate()
-        assert len(events) >= trace.config.events_total * 0.8
+    @pytest.mark.parametrize("method, args", [
+        ("append", ({"text": "hi"},)),
+        ("update", ("f", "lwwregister", "assign", 1)),
+        ("remove", ("x",))])
+    def test_an_update_with_no_fold_raises(self, method, args):
+        s = self.KEYS[1][0]
+        with pytest.raises(ValueError, match=repr(method)):
+            expected_state(self.KEYS, [Op(0.0, "e", s, "orset", method,
+                                          args)])
