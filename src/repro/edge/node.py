@@ -327,16 +327,21 @@ class EdgeNode(Actor):
         (``EdgeFrontier.take_seed``); otherwise the seed base replaces
         the journal, and both our uncovered transactions and the
         previously journalled entries are replayed on top (appends
-        deduplicate by dot).
+        deduplicate by dot).  What the journal folded into its base
+        cannot be replayed, so a seed lacking any of it is stale too,
+        whatever its cut.
         """
         journal = state.journal()
         key = journal.key
         if key not in self._interest_types:
             self._declare_interest_local(key, journal.type_name)
+        previous = self.cache.store.journal(key)
+        if previous is not None and not all(
+                journal.has(dot) for dot in previous.base_dots):
+            return
         if not self.frontier.take_seed(key, seed_vector):
             return
         self.log.fold(journal.base_dots)
-        previous = self.cache.store.journal(key)
         self.cache.store.drop(key)
         self.cache.store._journals[key] = journal  # noqa: SLF001
         if previous is not None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, FrozenSet, Optional, Set
+from typing import Any, FrozenSet, Hashable, Optional, Set
 
 from .messages import Ballot, InstanceId
 
@@ -31,6 +31,10 @@ class Instance:
     seq: int = 0
     deps: FrozenSet[InstanceId] = frozenset()
     status: str = NONE
+    #: The ballot at which the current attributes were taken.
+    accepted_ballot: Optional[Ballot] = None
+    #: The conflict keys of ``command`` (none for a no-op).
+    keys: FrozenSet[Hashable] = frozenset()
 
     # Leader-side bookkeeping for the ongoing round.  Replies count once
     # per replier: a re-sent round's replies and the first round's late

@@ -65,6 +65,8 @@ class GroupSeed:
     group_id: str
     epoch: int
     # ((instance_id, txn_dict-or-None, seq, deps-tuple), ...) — committed.
+    # deps holds at most one (replica, slot) per replica: every instance
+    # of that replica up to the slot whose command interferes.
     instances: Tuple[Tuple[Tuple[str, int], Optional[dict], int,
                            Tuple[Tuple[str, int], ...]], ...]
     stable_vector: Dict[str, int]

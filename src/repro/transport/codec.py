@@ -811,8 +811,6 @@ def _value_size(value: Any) -> int:
         n = len(value)
         if not n:
             return 2
-        if t is frozenset and n >= SIZED_SET_MIN:
-            return _frozenset_size(value, n)
         return (2 if n < 0x80 else 1 + _varint_size(n)) + _sum_sizes(value)
     if t is dict:
         return _dict_size(value)
@@ -841,29 +839,6 @@ def _value_size(value: Any) -> int:
 #: sized once.  The benchmark line that justifies it:
 #: ``des_group_mix`` ``cpu_ms_per_txn``.
 _LAST_NESTED: List[Any] = [None, 0]
-
-
-#: Frozensets of at least ``SIZED_SET_MIN`` items keep their size in
-#: ``_SIZED_SETS``, ``id -> (set, size)``, emptied past ``SIZED_SETS_MAX``
-#: entries.  A frozenset and its items are immutable, so its size holds,
-#: and the entry keeps the set alive, so its id names it.  EPaxos deps
-#: name every interfering instance ever and travel unchanged from a
-#: PreAccept to its replies and its Commit.  The benchmark line that
-#: justifies it: ``des_group_mix`` ``cpu_ms_per_txn``.
-SIZED_SET_MIN = 16
-SIZED_SETS_MAX = 256
-_SIZED_SETS: Dict[int, Tuple[frozenset, int]] = {}
-
-
-def _frozenset_size(value: frozenset, n: int) -> int:
-    entry = _SIZED_SETS.get(id(value))
-    if entry is not None and entry[0] is value:
-        return entry[1]
-    size = (2 if n < 0x80 else 1 + _varint_size(n)) + _sum_sizes(value)
-    if len(_SIZED_SETS) >= SIZED_SETS_MAX:
-        _SIZED_SETS.clear()
-    _SIZED_SETS[id(value)] = (value, size)
-    return size
 
 
 def _dict_size(mapping: Dict[Any, Any]) -> int:

@@ -11,16 +11,27 @@ writes per member, every member on its own growing ``orset`` document
 
 Before certification and execution were indexed the first two doubled
 with N, and every write cloned its document twice.
+
+A five-member ``async`` group whose members all write one document, so
+that every instance interferes with every other, guards the consensus
+messages themselves: their bytes per write (each ``GroupMsg`` as
+``NetworkStats`` charges it) stay flat, and no ``PreAccept``,
+``PreAcceptReply`` or ``Commit`` names more than one dependency per
+member.  When deps named every interfering instance ever, both grew
+with the run.
 """
 
 from unittest import mock
 
 from repro.core import ObjectKey
 from repro.crdt import ORSet
-from repro.epaxos import EPaxosReplica
-from repro.groups import GroupMember, form_group
+from repro.epaxos import Commit, EPaxosReplica, PreAccept
+from repro.epaxos.messages import PreAcceptReply
+from repro.groups import GroupMember, GroupMsg, form_group
 from repro.groups.certification import LogWriters
 from repro.sim import LAN, LatencyModel, Simulation
+from repro.sim.network import Network
+from repro.transport.codec import wire_size
 
 from ..conftest import build_cluster
 
@@ -39,15 +50,17 @@ def counting(cls, name, calls):
     return mock.patch.object(cls, name, wrapper)
 
 
-def run_group(writes_per_member):
+def run_group(writes_per_member, variant="psi", shared=False):
     """Per-unit work counts of one run: (examined per certification,
-    visits per ``_try_execute``, clones, aborted)."""
+    visits per ``_try_execute``, clones, aborted, consensus bytes per
+    write, most deps in one message)."""
     sim = Simulation(seed=11, default_latency=LatencyModel(10.0))
     build_cluster(sim, n_dcs=1, k_target=1)
     members = [sim.spawn(GroupMember, f"m{i}", dc_id="dc0", group_id="g",
-                         parent_id="m0", commit_variant="psi")
+                         parent_id="m0", commit_variant=variant)
                for i in range(N_MEMBERS)]
-    docs = [ObjectKey("b", f"doc{i}") for i in range(N_MEMBERS)]
+    docs = [ObjectKey("b", "doc0" if shared else f"doc{i}")
+            for i in range(N_MEMBERS)]
     for a in members:
         for b in members:
             if a.node_id < b.node_id:
@@ -75,30 +88,46 @@ def run_group(writes_per_member):
 
     examined_before, visits_before = work()
     certifications, executes, clones = [], [], []
+    consensus = {"bytes": 0, "deps": 0}
+    send = Network.send
+
+    def tally(network, src, dst, message, size_bytes=None):
+        if type(message) is GroupMsg:
+            consensus["bytes"] += wire_size(message)
+            if type(message.payload) in (PreAccept, PreAcceptReply, Commit):
+                consensus["deps"] = max(consensus["deps"],
+                                        len(message.payload.deps))
+        return send(network, src, dst, message, size_bytes)
+
     with counting(LogWriters, "conflicts", certifications), \
             counting(EPaxosReplica, "_try_execute", executes), \
-            counting(ORSet, "clone", clones):
+            counting(ORSet, "clone", clones), \
+            mock.patch.object(Network, "send", tally):
         for round_ in range(writes_per_member):
             for index, (member, doc) in enumerate(zip(members, docs)):
                 sim.loop.schedule(
                     WRITE_GAP_MS * round_ + index,
-                    lambda m=member, d=doc, e=round_: write(m, d, e))
+                    lambda m=member, d=doc, e=(index, round_):
+                    write(m, d, e if shared else e[1]))
         sim.run_for(WRITE_GAP_MS * writes_per_member + 3000)
+    written = {(i, r) if shared else r for i in range(N_MEMBERS)
+               for r in range(writes_per_member)}
     for member, doc in zip(members, docs):
         assert len(member.visibility_log) \
             == N_MEMBERS * (writes_per_member + 1)
-        assert member.read_value(doc, "orset") \
-            == {"first", *range(writes_per_member)}
+        assert member.read_value(doc, "orset") == {"first", *written}
     examined, visits = work()
-    aborted = sum(len(m.orderer.aborted) for m in members)
-    return ((examined - examined_before) / len(certifications),
+    aborted = sum(len(getattr(m.orderer, "aborted", ())) for m in members)
+    return ((examined - examined_before) / max(len(certifications), 1),
             (visits - visits_before) / len(executes),
-            len(clones), aborted)
+            len(clones), aborted,
+            consensus["bytes"] / (N_MEMBERS * writes_per_member),
+            consensus["deps"])
 
 
 def test_per_transaction_work_does_not_grow_with_history():
-    examined_n, visits_n, clones_n, aborted_n = run_group(15)
-    examined_2n, visits_2n, clones_2n, aborted_2n = run_group(30)
+    examined_n, visits_n, clones_n, aborted_n, _, _ = run_group(15)
+    examined_2n, visits_2n, clones_2n, aborted_2n, _, _ = run_group(30)
     assert aborted_n == aborted_2n == 0
     # Flat, not merely sub-linear: a tenth of slack, where walking the
     # history would double both.
@@ -106,3 +135,14 @@ def test_per_transaction_work_does_not_grow_with_history():
     assert visits_2n <= visits_n * 1.1
     assert clones_n == clones_2n == 0
 
+
+
+def test_consensus_messages_do_not_grow_with_history():
+    _, visits_n, _, _, bytes_n, deps_n = run_group(15, "async", True)
+    _, visits_2n, _, _, bytes_2n, deps_2n = run_group(30, "async", True)
+    # One dependency per member at most, whatever the history.
+    assert 0 < deps_n <= N_MEMBERS and 0 < deps_2n <= N_MEMBERS
+    # Flat within 5 %, where deps naming every interfering instance
+    # ever make the bytes per write grow about linearly with the run.
+    assert bytes_2n <= bytes_n * 1.05
+    assert visits_2n <= visits_n * 1.1

@@ -1,11 +1,15 @@
 """Chat-world harness and workload-driver integration tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench import build_chat_world, chat_topology
+from repro.bench.harness import ChatWorld
 from repro.bench.metrics import served_by_breakdown
 from repro.bench.scenarios import _small_trace
-from repro.workload import ClosedLoopDriver
+from repro.serve.builder import build_sim_world
+from repro.workload import ClosedLoopDriver, MattermostTrace, TraceConfig
 
 
 def deploy(mode, n_clients=8, n_dcs=1, seed=7):
@@ -79,6 +83,31 @@ class TestDeployment:
                     for s in world.all_stats()]
 
         assert run() == run()
+
+
+def test_closed_loop_clients_keep_issuing_after_an_abort():
+    """A psi group whose members all post to one channel: certification
+    aborts some posts, an aborted op ends its client's turn as a
+    completed one does, and every client keeps issuing."""
+    trace = MattermostTrace(TraceConfig(
+        n_users=5, n_workspaces=1, channels_per_workspace=1,
+        big_workspace_users=5, read_ratio=0.0, seed=3))
+    topo = chat_topology("colony", 1, trace, 5)
+    topo.sites = [replace(site, commit_variant="psi")
+                  if site.role == "member" else site for site in topo.sites]
+    world = ChatWorld(build_sim_world(topo), trace, 5, 0.9)
+    world.warm_up()
+    driver = ClosedLoopDriver(world.sim, trace, world.users(),
+                              think_time_ms=5.0)
+    driver.start()
+    world.sim.run_for(3000.0)
+    assert driver.aborted > 0 and driver.completed > 0
+    aborts = sum(s.aborted for s in world.all_stats())
+    assert driver.aborted == aborts
+    issued = dict(driver._counts)
+    world.sim.run_for(2000.0)
+    assert all(driver._counts[user] > issued[user]
+               for user, _actor in world.users())
 
 
 class TestWritebackPolicy:

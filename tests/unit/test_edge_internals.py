@@ -65,6 +65,23 @@ class TestWarmth:
         assert r.seed(KEY, VectorClock({"dc0": 1, "dc1": 3}))
         assert r.frontier.key_cut[KEY] == VectorClock({"dc0": 2, "dc1": 3})
 
+    def test_a_seed_lacking_what_the_journal_folded_is_dropped(self):
+        """A seed cut past the key's cut but short of what its journal
+        has folded into the base — a session ack's seed overtaken by
+        pushes and a compaction — would lose those transactions for
+        good, with the vector still covering them: it is dropped.
+        (Chaos ``--topology group --seed 78`` met it on a sync point
+        reopening its session.)"""
+        node = spawn(EdgeNode)
+        folded = Dot(7, "w")
+        node._install_seed(ObjectState(KEY, "counter", Counter().to_dict(),
+                                       (folded,)), VectorClock({"dc0": 9}))
+        node._install_seed(ObjectState(KEY, "counter", Counter().to_dict(),
+                                       (Dot(1, "w"),)),
+                           VectorClock({"dc0": 9, "dc1": 1}))
+        assert node.cache.store.journal(KEY).has(folded)
+        assert node.frontier.key_cut[KEY] == VectorClock({"dc0": 9})
+
     def test_a_one_key_seed_does_not_move_the_vector_past_the_others(self):
         other = ObjectKey("b", "other")
         r = Replica()
