@@ -36,9 +36,13 @@ class CloudClient(Actor):
 
     def execute(self, reads: List[Tuple[ObjectKey, str]] = (),
                 updates: List[Tuple[ObjectKey, str, str, tuple]] = (),
-                on_done: Optional[Callable[[Any, TxnStats], None]] = None) \
+                on_done: Optional[Callable[[Any, TxnStats], None]] = None,
+                on_abort: Optional[Callable[[Exception], None]] = None) \
             -> None:
-        """Run one remote transaction; mirrors ``EdgeNode.execute``."""
+        """Run one remote transaction; mirrors ``EdgeNode.execute``.
+
+        ``on_abort`` is never called: the DC reports an abort through
+        ``on_done``, with ``stats.aborted`` set."""
         request_id = self._next_request
         self._next_request += 1
         # The DC assigns the dot (Lamport-ordered after everything it has

@@ -46,13 +46,13 @@ def run_op(actor: Any, op: Op, on_done: Optional[Callable] = None,
            on_abort: Optional[Callable[[Exception], None]] = None) -> None:
     """Run ``op`` as one transaction on an edge node, a group member or
     a cloud client (which reports an abort through ``on_done``'s stats
-    and takes no ``on_abort``)."""
+    and never calls ``on_abort``)."""
     if op.method == READ:
         reads, updates = [(op.key, op.type_name)], []
     else:
         reads, updates = [], [(op.key, op.type_name, op.method, op.args)]
-    extra = {} if on_abort is None else {"on_abort": on_abort}
-    actor.execute(reads=reads, updates=updates, on_done=on_done, **extra)
+    actor.execute(reads=reads, updates=updates, on_done=on_done,
+                  on_abort=on_abort)
 
 
 def generate_ops(seed: int, clients: Sequence[str],
