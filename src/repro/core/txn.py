@@ -22,7 +22,6 @@ and gives the receiver its own stamp.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..crdt.base import Operation
@@ -189,7 +188,7 @@ class WriteOp:
                    Operation.from_dict(data["op"]))
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     """A committed update transaction travelling through the system."""
 
@@ -203,6 +202,10 @@ class Transaction:
     # the body is immutable, and ``handoff()`` carries it along.
     _body_bytes: Optional[int] = field(default=None, init=False,
                                        repr=False, compare=False)
+    # ``key_set``, once computed (a slotted class has no ``__dict__``
+    # for ``cached_property``).
+    _key_set: Optional[FrozenSet[ObjectKey]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if type(self.writes) is not tuple:
@@ -231,10 +234,13 @@ class Transaction:
     def keys(self) -> List[ObjectKey]:
         return [w.key for w in self.writes]
 
-    @cached_property
+    @property
     def key_set(self) -> FrozenSet[ObjectKey]:
         """The written keys; ``writes`` is fixed once a txn is built."""
-        return frozenset(w.key for w in self.writes)
+        keys = self._key_set
+        if keys is None:
+            keys = self._key_set = frozenset(w.key for w in self.writes)
+        return keys
 
     def touches(self, key: ObjectKey) -> bool:
         return key in self.key_set

@@ -615,9 +615,9 @@ class DataCenter(Actor):
 
     def stable_transactions(self) -> List[Transaction]:
         """Every transaction inside this DC's stable cut."""
-        txns = self.log.txns
-        return [txns[dot] for dot in self.stability.stable_dots
-                if dot in txns]
+        released = self.stability.released
+        return [txn for dot, txn in self.log.txns.items()
+                if released(dot)]
 
     def stream_gaps(self) -> Dict[str, List[int]]:
         """Missing stream positions below each applied frontier (see

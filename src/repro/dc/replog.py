@@ -214,8 +214,12 @@ class ReplSender:
         # Chain-encoded own-stream entries: ts -> previous *shipped*
         # entry ts -> entry.  Pruning makes the predecessor
         # link-dependent; links that shipped the same predecessor — all
-        # of them on an unbroken chain — share one encoding.
+        # of them on an unbroken chain — share one encoding.  A position
+        # every peer's link shipped leaves (see _drain).
         self._encoded: Dict[int, Dict[int, StreamEntry]] = {}
+        # Every position at or below this was shipped on every link and
+        # its encodings dropped.
+        self._drained = 0
 
     def link(self, peer: str) -> ReplLink:
         link = self.links.get(peer)
@@ -287,7 +291,22 @@ class ReplSender:
             link.bytes_sent += self.wire_size(frame)
             link.txns_pruned += pruned
             link.pruned_bytes += pruned_bytes
+        self._drain()
         return shipments
+
+    def _drain(self) -> None:
+        """Drop the encodings of every position each peer's link has
+        shipped — over all peers, so a link not yet created (shipped
+        nothing) holds them for the one encoding the links share.  A
+        rewound link lowers the floor; what it re-encodes drains once
+        it ships past again."""
+        links = self.links
+        floor = min(((links[peer].sent_ts if peer in links else 0)
+                     for peer in self.interest.peers), default=0)
+        encoded = self._encoded
+        for ts in range(self._drained + 1, floor + 1):
+            encoded.pop(ts, None)
+        self._drained = floor
 
     def _chain_base(self, prev_ts: int) -> VectorClock:
         """Snapshot vector of own stream entry ``prev_ts`` — what the
@@ -347,6 +366,7 @@ class ReplSender:
             link.chain_ts = peer_has
             link.rewinds += 1
         link.last_advert = peer_has
+        self._drain()
         return link
 
     def backfill(self, shard: int) -> Tuple[ShardBackfill, List[Dot]]:
@@ -606,8 +626,6 @@ class ReplReceiver:
         flat cursor already resolved — the position is covered, only the
         data was missing."""
         self.log.admit(origin, ts, txn, advance)
-        if not advance:
-            self.stability.fill(origin, ts, txn.dot)
         self.interest.note_entry(txn.dot, origin, txn.keys)
         # Every peer whose applied vector already covers this coordinate
         # holds the transaction — that knowledge arrived coalesced on
@@ -669,7 +687,6 @@ class ReplReceiver:
                 out.dups += 1
                 self._adopt(txn, out)
                 log.admit(origin, ts, txn, advance=False)
-                self.stability.fill(origin, ts, txn.dot)
             else:
                 self._apply(origin, ts, txn, out, advance=False)
         return out

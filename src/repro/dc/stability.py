@@ -4,21 +4,25 @@ A transaction is shown to edge nodes once it is known at ``K`` data
 centres *and* everything it depends on is already shown: the stable
 vector stays a causally closed cut.  :class:`StabilityFrontier` owns
 what that takes — the applied vector last heard from each peer, the
-holder set of every dot (the :class:`KStabilityTracker`'s map, written
-in place), the released dots and the stable vector — and reads the DC's
+holder set of every dot not yet released (the :class:`KStabilityTracker`'s
+map, written in place) and the stable vector — and reads the DC's
 :class:`~repro.dc.commitlog.CommitLog`, which the sequencer and the
 replication receiver write.  It sends nothing and records no span:
 :meth:`advance` returns the run it released, which is also what the DC
 has to push.
+
+What is released is read off the stamp (:func:`passed`), so the only
+per-dot state kept here is the holder set, and it ends at release.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.clock import VectorClock
 from ..core.dot import Dot
 from ..core.kstable import KStabilityTracker
+from ..core.txn import Transaction
 from .commitlog import CommitLog
 from .interest import InterestGraph
 
@@ -26,6 +30,21 @@ _ZERO = VectorClock.zero()
 
 #: A released stream position: ``(origin, ts, dot)``.
 Release = Tuple[str, int, Dot]
+
+
+def passed(txn: Transaction, in_cut: Callable[[str, int], int]) -> bool:
+    """Is ``txn`` inside the stable cut whose ``get`` is ``in_cut``?
+
+    It is iff one of its commit entries ``(dc, ts)`` has ``ts`` at or
+    below the cut's ``dc`` component.  The frontier of stream ``dc``
+    passed position ``ts`` either by releasing the transaction there or
+    by hopping the position while it was skip-covered; a transaction
+    stored there afterwards is part of the cut all the same.
+    """
+    for dc, ts in txn.commit.entries.items():
+        if ts <= in_cut(dc, 0):
+            return True
+    return False
 
 
 def delivery_order(run: List[Release]) -> List[Dot]:
@@ -46,16 +65,19 @@ class StabilityFrontier:
         self.interest = interest
         self.kstab = KStabilityTracker(k_target)
         # Readers go through the tracker; the folds below write the
-        # sets without a call per holder.
+        # sets without a call per holder.  A set lives from the dot's
+        # first holder to its release.
         self._holders: Dict[Dot, Set[str]] = self.kstab._holders
         self._streams = log.streams     # origin -> ts -> dot
         self._txns = log.txns
-        self._seen = log.dots.seen      # was this dot ever applied here?
         self._skip_covered = log.covered
         self._peer_applied: Dict[str, VectorClock] = {}
-        #: Every dot inside the stable cut.
-        self.stable_dots: Set[Dot] = set()
         self.stable_vector = _ZERO
+
+    def released(self, dot: Dot) -> bool:
+        """Is ``dot`` held here and inside the stable cut?"""
+        txn = self._txns.get(dot)
+        return txn is not None and passed(txn, self.stable_vector.get)
 
     def known_holders(self, origin: str, ts: int,
                       dot: Optional[Dot] = None) -> Set[str]:
@@ -72,28 +94,22 @@ class StabilityFrontier:
         return holders
 
     def record(self, dot: Dot, holders: Set[str]) -> None:
-        """``holders`` (a set this call may keep) hold ``dot``."""
+        """``holders`` (a set this call may keep) hold ``dot``.  Holder
+        sets only gate stability: a released dot gets none back (a
+        migration duplicate arriving on a second stream after release,
+        or a fill at a position the frontier hopped)."""
         held = self._holders.get(dot)
-        if held is None:
-            self._holders[dot] = holders
-        else:
+        if held is not None:
             held.update(holders)
+        elif not self.released(dot):
+            self._holders[dot] = holders
 
     def credit(self, dot: Dot, peer: str) -> bool:
-        """``peer`` was handed ``dot``.  False once the dot is stable:
-        holder sets only gate stability."""
-        if dot in self.stable_dots:
+        """``peer`` was handed ``dot``.  False once the dot is stable."""
+        if self.released(dot):
             return False
         self.record(dot, {peer})
         return True
-
-    def fill(self, origin: str, ts: int, dot: Dot) -> None:
-        """``dot`` was stored at an already resolved position.  If the
-        stable frontier hopped it while it was skip-covered, the dot is
-        part of the cut: entries naming it as a local dependency must
-        see it as released."""
-        if ts <= self.stable_vector[origin]:
-            self.stable_dots.add(dot)
 
     def note_peer_applied(self, peer: str, vector: VectorClock,
                           applied: VectorClock) -> bool:
@@ -107,27 +123,25 @@ class StabilityFrontier:
         if vector.leq(known):
             return False
         merged = self._peer_applied[peer] = known.merge(vector)
-        stable_dots = self.stable_dots
         holders = self._holders
         holds = self.interest.peer_holds if self.interest.prunes else None
         for origin in merged:
             stream = self._streams.get(origin)
             if not stream:
                 continue
-            # Every dot at or below the stable frontier is released
-            # (see fill): start above it.
+            # Every dot at or below the stable frontier is released:
+            # start above it.
             lo = max(known[origin], self.stable_vector[origin])
             for ts in range(lo + 1, min(merged[origin],
                                         applied[origin]) + 1):
                 dot = stream.get(ts)
-                if (dot is None or dot in stable_dots
-                        or (holds and not holds(peer, dot))):
+                if dot is None or (holds and not holds(peer, dot)):
                     continue
                 held = holders.get(dot)
-                if held is None:
-                    holders[dot] = {peer}
-                else:
+                if held is not None:
                     held.add(peer)
+                elif not self.released(dot):
+                    holders[dot] = {peer}
         return True
 
     def advance(self) -> Optional[List[Release]]:
@@ -138,16 +152,19 @@ class StabilityFrontier:
         is inside the cut and its symbolic dependencies were released —
         one never seen here was pruned from the stream that carried it:
         nothing to wait for.  A skip-covered position holds nothing and
-        is hopped.  Streams unblock one another, so the sweep repeats
-        until nothing moves.  Returns the run in release order, ``None``
-        when the cut did not move.
+        is hopped, and so is a dot already inside the cut (a migration
+        duplicate released on another stream: it is in the run again,
+        as at every position it holds).  Streams unblock one another, so
+        the sweep repeats until nothing moves.  A released dot's holder
+        set is dropped.  Returns the run in release order, ``None`` when
+        the cut did not move.
         """
         # A plain dict: a long run would otherwise rebuild an immutable
         # clock per released transaction.
         stable = self.stable_vector.to_dict()
         in_cut = stable.get
-        holders_of = self._holders.get
-        stable_dots = self.stable_dots
+        txns = self._txns
+        holders = self._holders
         k_target = self.k_target
         required_k = self.interest.required_k \
             if self.interest.prunes else None
@@ -166,32 +183,39 @@ class StabilityFrontier:
                             break
                         frontier = stable[origin] = ts
                         continue
-                    held = len(holders_of(dot, ()))
-                    if held < k_target and (
-                            required_k is None
-                            or held < required_k(dot, k_target)):
-                        break
-                    txn = self._txns.get(dot)
+                    txn = txns.get(dot)
                     if txn is None:  # pragma: no cover - defensive
                         break
-                    snapshot = txn.snapshot
-                    vector = snapshot.vector
-                    for dc in vector:
-                        if vector[dc] > in_cut(dc, 0):
-                            break   # blocked on another stream's frontier
-                    else:
-                        if snapshot.local_deps and not all(
-                                d in stable_dots or not self._seen(d)
-                                for d in snapshot.local_deps):
+                    if not passed(txn, in_cut):
+                        held = len(holders.get(dot, ()))
+                        if held < k_target and (
+                                required_k is None
+                                or held < required_k(dot, k_target)):
                             break
-                        frontier = stable[origin] = ts
-                        stable_dots.add(dot)
-                        released.append((origin, ts, dot))
-                        continue
-                    break
+                        if not self._ready(txn, in_cut):
+                            break
+                    holders.pop(dot, None)
+                    frontier = stable[origin] = ts
+                    released.append((origin, ts, dot))
                 if frontier != start:
                     progress = moved = True
         if not moved:
             return None
         self.stable_vector = VectorClock(stable)
         return released
+
+    def _ready(self, txn: Transaction,
+               in_cut: Callable[[str, int], int]) -> bool:
+        """Is everything ``txn`` depends on inside the cut?  Its snapshot
+        vector, and each local dependency held here."""
+        snapshot = txn.snapshot
+        vector = snapshot.vector
+        for dc in vector:
+            if vector[dc] > in_cut(dc, 0):
+                return False    # blocked on another stream's frontier
+        txns = self._txns
+        for dep in snapshot.local_deps:
+            held = txns.get(dep)
+            if held is not None and not passed(held, in_cut):
+                return False
+        return True

@@ -19,6 +19,15 @@ messages themselves: their bytes per write (each ``GroupMsg`` as
 ``PreAcceptReply`` or ``Commit`` names more than one dependency per
 member.  When deps named every interfering instance ever, both grew
 with the run.
+
+A three-DC mesh (``k_target=2``) with a writer at each DC guards what a
+DC keeps per transaction once its stable cut has passed it: after N and
+then 2N writes, at every checkpoint, the K-stability holder map holds
+only unreleased dots and the replication encode memo no position that
+every link has shipped; after the drain the map is empty, every logged
+transaction is inside the stable cut, and a forced rewind and re-ship
+leaves the memo as drained as before.  Both used to keep an entry for
+every dot the DC ever saw.
 """
 
 from unittest import mock
@@ -33,7 +42,7 @@ from repro.sim import LAN, LatencyModel, Simulation
 from repro.sim.network import Network
 from repro.transport.codec import wire_size
 
-from ..conftest import build_cluster
+from ..conftest import build_cluster, build_edge, run_update
 
 N_MEMBERS = 5
 WRITE_GAP_MS = 20.0
@@ -146,3 +155,66 @@ def test_consensus_messages_do_not_grow_with_history():
     # ever make the bytes per write grow about linearly with the run.
     assert bytes_2n <= bytes_n * 1.05
     assert visits_2n <= visits_n * 1.1
+
+
+def released(dc, dot):
+    """Is ``dot`` inside ``dc``'s stable cut?  Iff one of its commit
+    entries is."""
+    stable = dc.stable_vector
+    return any(ts <= stable[origin] for origin, ts
+               in dc.log.txns[dot].commit.entries.items())
+
+
+def check_retention(dc):
+    """What ``dc`` keeps per dot: holder sets for unreleased dots only,
+    no encoding of a position every link shipped."""
+    assert not [dot for dot in dc.kstab._holders if released(dc, dot)]
+    floor = min(dc.sender.link(peer).sent_ts for peer in dc.peer_dcs)
+    assert not [ts for ts in dc.sender._encoded if ts <= floor]
+
+
+def run_mesh(n_writes):
+    """Per DC, after ``n_writes`` writes and the drain: (holder sets,
+    memo entries, logged transactions outside the stable cut)."""
+    sim = Simulation(seed=3, default_latency=LatencyModel(5.0))
+    dcs = build_cluster(sim, n_dcs=3, k_target=2)
+    keys = [ObjectKey("b", f"k{i}") for i in range(8)]
+    writers = [build_edge(sim, f"w{i}", dc_id=dc.node_id,
+                          interest=[(key, "counter") for key in keys])
+               for i, dc in enumerate(dcs)]
+    sim.run_for(300)
+    for index in range(n_writes):
+        writer = writers[index % len(writers)]
+        run_update(writer, keys[index % len(keys)], "counter",
+                   "increment", 1)
+        sim.run_for(WRITE_GAP_MS / 4)
+        if index % 10 == 9:
+            for dc in dcs:
+                check_retention(dc)
+    sim.run_for(3000)
+    assert all(dc.committed_count for dc in dcs)
+    # A link that lost frames: rewound to an older advert, seen twice,
+    # and the suffix re-shipped.
+    origin = dcs[0]
+    link = origin.sender.link("dc1")
+    stalled = link.sent_ts - 5
+    origin.sender.heard("dc1", stalled)
+    origin.sender.heard("dc1", stalled)
+    assert link.sent_ts == stalled
+    origin._ship(link, limit=2)
+    check_retention(origin)
+    sim.run_for(3000)
+    out = []
+    for dc in dcs:
+        check_retention(dc)
+        assert len(dc.log.txns) == n_writes
+        out.append((len(dc.kstab._holders), len(dc.sender._encoded),
+                    sum(not released(dc, dot) for dot in dc.log.txns)))
+    return out
+
+
+def test_a_dc_forgets_what_its_stable_cut_passed():
+    for n_writes in (60, 120):
+        # Nothing per dot is left once the cut passed every dot, however
+        # long the run.
+        assert run_mesh(n_writes) == [(0, 0, 0)] * 3

@@ -72,13 +72,28 @@ def counted(calls, original):
     return wrapper
 
 
+def record_releases(stability, released):
+    """Add every dot ``stability.advance`` releases to ``released``."""
+    advance = stability.advance
+
+    def wrapper():
+        run = advance()
+        if run is not None:
+            released.update(dot for _origin, _ts, dot in run)
+        return run
+
+    stability.advance = wrapper
+
+
 def run_window(n_txns):
     """(md5 calls, ``__lt__`` calls per append, holder-set operations
     per released transaction at the DC that did most) of one window."""
     sim = Simulation(seed=5, default_latency=LatencyModel(5.0))
     dcs = build_cluster(sim, n_dcs=N_DCS, k_target=N_DCS)
-    for dc in dcs:
+    released = [set() for _dc in dcs]
+    for dc, dots in zip(dcs, released):
         dc.stability._holders = dc.kstab._holders = CountedHolders()
+        record_releases(dc.stability, dots)
     writer = build_edge(sim, "w", dc_id="dc0",
                         interest=[(key, "counter") for key in KEYS])
     sim.run_for(300)
@@ -91,7 +106,7 @@ def run_window(n_txns):
         sim.loop.schedule(GAP_MS * index, lambda i=index: write(i))
     sim.run_for(GAP_MS * len(KEYS) + 1500)
 
-    released_before = [len(dc.stability.stable_dots) for dc in dcs]
+    released_before = [len(dots) for dots in released]
     ops_before = [dc.kstab._holders.ops for dc in dcs]
     md5_calls, compares, appends = [], [], []
     with mock.patch.object(hashlib, "md5", counted(md5_calls, hashlib.md5)), \
@@ -102,9 +117,9 @@ def run_window(n_txns):
         for index in range(n_txns):
             sim.loop.schedule(GAP_MS * index, lambda i=index: write(i))
         sim.run_for(GAP_MS * n_txns + 1500)
-    for dc, before in zip(dcs, released_before):
+    for dc, dots, before in zip(dcs, released, released_before):
         # Applied, stable and converged everywhere.
-        assert len(dc.stability.stable_dots) - before == n_txns
+        assert len(dots) - before == n_txns
         assert dc.state_digest() == dcs[0].state_digest()
     holder_ops = max(dc.kstab._holders.ops - before
                      for dc, before in zip(dcs, ops_before))

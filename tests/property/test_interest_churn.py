@@ -72,7 +72,7 @@ step_st = st.tuples(st.sampled_from(["write", "toggle"]),
                     st.floats(1.0, 40.0))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(deadline=None)
 @given(steps=st.lists(step_st, min_size=2, max_size=14),
        seed=st.integers(0, 10_000))
 def test_churned_dc_matches_always_subscribed_run(steps, seed):

@@ -123,7 +123,7 @@ def assert_closed_form(dc, n, foreign=frozenset()):
     assert held == sum(ts for ts in foreign if dc.holds(Dot(ts, ORIGIN)))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(deadline=None)
 @given(plan=delivery_plan())
 def test_batched_interleavings_match_per_txn_delivery(plan):
     n, foreign, frames = plan
@@ -138,7 +138,7 @@ def test_batched_interleavings_match_per_txn_delivery(plan):
     assert_closed_form(dc, n, foreign)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(deadline=None)
 @given(n=st.integers(1, 8), splits=st.sets(st.integers(1, 7)))
 def test_any_chunking_is_equivalent(n, splits):
     """Every way of cutting the stream into frames yields one state."""

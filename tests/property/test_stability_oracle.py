@@ -17,9 +17,19 @@ Any sequence of {local commit, remote apply on a stream, applied vector
 from a peer, backfill credit, skip run, late fill of a skip-covered
 position, duplicate of a held dot on another stream, interest advert
 that changes a peer's mask} must leave both with equal stable vectors,
-stable dots, holder sets, peer vectors, release order, sweep outcomes
-and collected pushes **after every step** — under no shard map, a map
-under which everybody is interested in everything, and a pruning map.
+peer vectors, release order, sweep outcomes and collected pushes
+**after every step** — under no shard map, a map under which everybody
+is interested in everything, and a pruning map.  The frontier keeps no
+released dots and drops a holder set at release, so every held dot must
+be ``released`` exactly when the oracle's ``_stable_dots`` has it, and
+the holder sets must be equal over the dots not yet released.
+
+The two part at one kind of step only: a stream head holding a dot the
+oracle already counts as stable (a duplicate of a dot that entered the
+cut by a fill, or before its threshold rose).  The oracle gates it on K
+holders again but credits none to a stable dot, so it can wait there
+forever; the frontier passes it.  There the example asserts that the
+frontier moved past every such head, and ends.
 """
 
 from typing import List, Optional, Set
@@ -76,6 +86,12 @@ class World:
             dot, dot.origin, snapshot, CommitStamp(stamp),
             [WriteOp(key, Counter().prepare("increment", 1))
              for key in keys])
+
+    def copyable(self, origin):
+        """Held dots that ``origin`` has not committed: a DC gives a dot
+        at most one position of its stream."""
+        return sorted(dot for dot, txn in self.txns.items()
+                      if origin not in txn.commit.entries)
 
     def copy_at(self, dot, origin, ts):
         """Another copy of a held transaction, committed at
@@ -296,9 +312,10 @@ class Pair:
         self.new.record(dot, set(holders))
 
     def fill(self, origin, ts, dot):
+        """The parent marked a dot stored at a hopped position stable by
+        hand; the frontier reads it off the stamp."""
         if ts <= self.head.stable_vector[origin]:
             self.head._stable_dots.add(dot)
-        self.new.fill(origin, ts, dot)
 
     def sweep(self):
         self.head._advance_stability()
@@ -308,11 +325,28 @@ class Pair:
             self.pushes.append([self.world.txns[dot]
                                 for dot in delivery_order(run)])
 
+    def parent_stalls(self):
+        """Stream heads at which the parent waits on a dot already in its
+        cut: a duplicate of a dot that entered the cut by a fill or
+        before its threshold rose.  The parent gates the position on K
+        holders again but credits none to a stable dot, so it can wait
+        forever; the frontier passes a released dot."""
+        head = self.head
+        return [(origin, ts) for origin, stream in self.world.streams.items()
+                for ts in (head.stable_vector[origin] + 1,)
+                if stream.get(ts) in head._stable_dots]
+
     def check(self):
         head, new = self.head, self.new
         assert new.stable_vector == head.stable_vector
-        assert new.stable_dots == head._stable_dots
-        assert new.kstab._holders == head.kstab._holders
+        # Release is read off the stamp: the dots the parent marked.
+        for dot in self.world.txns:
+            assert new.released(dot) == (dot in head._stable_dots), dot
+        # Holder sets end at release: compared over unreleased dots.
+        assert {dot: holders for dot, holders in new.kstab._holders.items()
+                if not new.released(dot)} == {
+            dot: holders for dot, holders in head.kstab._holders.items()
+            if dot not in head._stable_dots}
         assert new._peer_applied == head._peer_applied
         assert self.released == head.obs.released
         assert self.pushes == head.pushes
@@ -410,12 +444,13 @@ def run_step(pair: Pair, step, seq: int) -> None:
         if not holes:
             return
         ts = holes[pick % len(holes)]
-        if held and world.txns:
+        dots = world.copyable(origin)
+        if held and dots:
             # A backfill of a dot we hold through another stream.
-            dots = sorted(world.txns)
             dot = dots[pick % len(dots)]
-            world.log.admit(origin, ts, world.copy_at(dot, origin, ts),
-                            advance=False)
+            copy = world.copy_at(dot, origin, ts)
+            world.log.adopt(copy)
+            world.log.admit(origin, ts, copy, advance=False)
             pair.fill(origin, ts, dot)
             return
         txn = world.mint(origin, [KEYS[pick % len(KEYS)]],
@@ -427,13 +462,15 @@ def run_step(pair: Pair, step, seq: int) -> None:
         pair.sweep()
     elif kind == "dup":
         _, peer, pick = step
-        if not world.txns:
-            return
         origin = PEERS[peer % len(PEERS)]
-        dots = sorted(world.txns)
+        dots = world.copyable(origin)
+        if not dots:
+            return
         dot = dots[pick % len(dots)]
         ts = world.state_vector[origin] + 1
-        world.log.admit(origin, ts, world.copy_at(dot, origin, ts))
+        copy = world.copy_at(dot, origin, ts)
+        world.log.adopt(copy)
+        world.log.admit(origin, ts, copy)
         pair.record(dot, at=(origin, ts), checked=False)
         pair.sweep()
     elif kind == "advert":
@@ -450,4 +487,12 @@ def test_frontier_matches_the_code_it_replaced(shard_map, k_target, steps):
     pair = Pair(SHARD_MAPS[shard_map](), k_target)
     for seq, step in enumerate(steps, start=1):
         run_step(pair, step, seq)
+        stalls = pair.parent_stalls()
+        if stalls:
+            # The one place the two part: from here on only the
+            # frontier moves on, past every such head.
+            pair.sweep()
+            for origin, ts in stalls:
+                assert pair.new.stable_vector[origin] >= ts
+            return
         pair.check()

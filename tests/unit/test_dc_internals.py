@@ -132,7 +132,8 @@ class TestStabilityBookkeeping:
         run_update(edge, KEY, "counter", "increment", 1)
         dot = next(iter(edge.unacked))
         sim.run_for(200)
-        assert dot in dcs[0].stability.stable_dots
+        assert dcs[0].stability.released(dot)
+        assert dcs[0].transaction(dot) in dcs[0].stable_transactions()
 
     def test_session_cursor_moves_with_its_own_pushes_only(self):
         sim, dcs, probe = world()

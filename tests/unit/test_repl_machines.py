@@ -77,15 +77,19 @@ def test_unbroken_chain_encodes_each_entry_once_for_all_links():
     origin = Origin()
     for counter in (1, 2, 3):
         origin.commit(counter, vector={ORIGIN: counter - 1})
-    (one,), (two,) = origin.flush("dc1"), origin.flush("dc2")
+    (one,) = origin.flush("dc1")
     frame, lo, hi, pruned, _bytes = one
     assert (lo, hi, pruned) == (1, 3, 0)
     assert frame.start_ts == 1 and frame.base_vector == {}
-    # The very same encoded entries ride on both links.
-    assert all(a is b for a, b in zip(frame.entries, two[0].entries))
+    # dc2 has not shipped them yet: the encodings wait for its link.
     assert {ts: list(by_prev)
             for ts, by_prev in origin.sender._encoded.items()} \
         == {1: [0], 2: [1], 3: [2]}
+    (two,) = origin.flush("dc2")
+    # The very same encoded entries ride on both links, and once every
+    # link shipped them nothing is kept.
+    assert all(a is b for a, b in zip(frame.entries, two[0].entries))
+    assert origin.sender._encoded == {}
     # Delta chain: entry 3 carries only what moved since entry 2.
     assert frame.entries[2].sv == {ORIGIN: 2}
     link = origin.sender.links["dc1"]
@@ -98,14 +102,20 @@ def test_a_pruned_position_breaks_the_chain_per_link():
     origin.commit(1, [key_on(0)], vector={})            # dc1 only
     origin.commit(2, [key_on(2)], vector={ORIGIN: 1})   # dc2 only
     origin.commit(3, [key_on(1)], vector={ORIGIN: 2})   # both
-    (to_dc1,), (to_dc2,) = origin.flush("dc1"), origin.flush("dc2")
+    (to_dc1,) = origin.flush("dc1")
     full_1, skipped, full_3 = to_dc1[0].entries
     assert skipped == (1, 1 << 2)
     assert to_dc1[3] == 1 and to_dc1[4] > 0     # one position, its bytes
-    # dc1's chain hops the pruned entry: 3 is encoded against 1 there,
-    # against 2 (which dc2 got in full) on dc2's link.
+    # dc1's chain hops the pruned entry: 3 is encoded against 1 there
+    # (2 is measured on the unbroken chain, for the bytes it saved).
     assert full_3.sv == {ORIGIN: 2}
-    assert sorted(origin.sender._encoded[3]) == [1, 2]
+    assert {ts: sorted(by_prev)
+            for ts, by_prev in origin.sender._encoded.items()} \
+        == {1: [0], 2: [1], 3: [1]}
+    # On dc2's link 3 is encoded against 2, which dc2 got in full; then
+    # every link shipped every position and the memo is empty.
+    (to_dc2,) = origin.flush("dc2")
+    assert origin.sender._encoded == {}
     assert to_dc2[0].entries[0] == (1, 1 << 0)
     assert to_dc2[0].entries[2].sv == {ORIGIN: 2}
     assert to_dc2[0].entries[2] is not full_3
@@ -168,6 +178,28 @@ def test_graft_invalidates_exactly_the_grafted_position():
     assert again.entries[2] is first.entries[2]
     assert first.entries[1].cx == {}
     assert again.entries[1].cx == {"dc2": 7}
+    assert origin.sender._encoded == {}         # both links shipped 1..3
+
+
+def test_the_memo_drains_behind_every_link_and_after_a_rewind():
+    origin = Origin()
+    for counter in range(1, 6):
+        origin.commit(counter, vector={ORIGIN: counter - 1})
+    ((first, *_rest),) = origin.flush("dc1")
+    origin.flush("dc2", limit=2)
+    # dc2's link shipped only 1..2: 3..5 wait for it.
+    assert sorted(origin.sender._encoded) == [3, 4, 5]
+    # dc1 lost everything past 2.  The resend of 3 is the encoding both
+    # links share, and the memo keeps 3 while dc1 is behind again.
+    origin.sender.heard("dc1", 2)
+    origin.sender.heard("dc1", 2)
+    (resent,) = origin.flush("dc1", limit=1)
+    assert resent[0].entries[0] is first.entries[2]
+    assert sorted(origin.sender._encoded) == [3, 4, 5]
+    origin.flush("dc2")
+    assert sorted(origin.sender._encoded) == [4, 5]
+    origin.flush("dc1")
+    assert origin.sender._encoded == {}
 
 
 def test_backfill_walks_the_shard_in_stream_order():
@@ -265,6 +297,33 @@ def test_a_duplicate_coordinate_and_its_stale_resend_adopt():
     got = site.receive(frame)
     assert (got.applied, got.dups, got.grafted) == ([], 1, [])
     assert len(site.receiver.queues[ORIGIN]) == 0
+
+
+def test_a_duplicate_after_release_gets_no_holder_set():
+    # dc0 ships the edge's transaction; the edge migrated and committed
+    # it at dc2 too, whose stream brings it after we released it.
+    origin = Origin()
+    txn = origin.commit(1)
+    ((frame, *_rest),) = origin.flush("dc1")
+    site = Site()
+    site.receive(frame)
+    stability = site.stability
+    assert stability.advance() == [(ORIGIN, 1, txn.dot)]
+    assert stability.released(txn.dot)
+    assert txn.dot not in stability._holders
+    copy = make_txn(1, stamp={ORIGIN: 1, "dc2": 1})
+    duplicate = ReplicateBatch(
+        "dc2", 1, {}, (encode_stream_entry(copy, "dc2", 1,
+                                            VectorClock.zero()),),
+        {"dc2": 1, ORIGIN: 1})
+    got = site.receive(duplicate, sender="dc2")
+    assert (got.applied, got.dups) == ([], 1)
+    assert site.log.streams["dc2"][1] == txn.dot
+    assert txn.dot not in stability._holders
+    # The dup's position is passed (the dot is in the run again, as at
+    # every position it holds), and still no set comes back.
+    assert stability.advance() == [("dc2", 1, txn.dot)]
+    assert txn.dot not in stability._holders
 
 
 def test_full_entry_after_a_skip_run_late_fills():

@@ -34,6 +34,17 @@ class Bench:
             dot, self.frontier.known_holders(origin, ts, dot))
         return dot
 
+    def fill(self, origin, ts, counter):
+        """A full entry for a resolved position (after a skip run)
+        arrived: stored off-stream, as the receiver does."""
+        dot = Dot(counter, f"e-{origin}")
+        txn = Transaction(dot, dot.origin, Snapshot(VectorClock()),
+                          CommitStamp({origin: ts}))
+        self.log.admit(origin, ts, txn, advance=False)
+        self.frontier.record(
+            dot, self.frontier.known_holders(origin, ts, dot))
+        return dot
+
     def skip(self, origin, ts):
         """``(origin, ts)`` reached us inside a skip run."""
         self.log.skip(origin, SkipRun(ts, 1, 0b1))
@@ -48,7 +59,8 @@ def test_k1_is_stable_at_birth():
     dot = bench.put(NODE, 1, 1)
     assert bench.frontier.advance() == [(NODE, 1, dot)]
     assert bench.frontier.stable_vector == VectorClock({NODE: 1})
-    assert dot in bench.frontier.stable_dots
+    assert bench.frontier.released(dot)
+    assert dot not in bench.frontier._holders   # its set ends at release
     assert bench.frontier.advance() is None     # nothing left to move
 
 
@@ -137,17 +149,27 @@ def test_late_fill_below_the_frontier_joins_the_cut():
     bench = Bench(k_target=1)
     bench.skip("dc1", 1)
     bench.frontier.advance()                    # hopped dc1:1
-    filled = Dot(5, "e-dc1")
-    bench.frontier.fill("dc1", 1, filled)
-    assert filled in bench.frontier.stable_dots
-    bench.frontier.fill("dc1", 2, Dot(6, "e-dc1"))    # above the frontier
-    assert Dot(6, "e-dc1") not in bench.frontier.stable_dots
+    filled = bench.fill("dc1", 1, 5)
+    assert bench.frontier.released(filled)
+    assert filled not in bench.frontier._holders
+    # dc1:2 is resolved but above the stable frontier, which waits on
+    # dc1:1's snapshot: a fill there is not released.
+    late = Bench(k_target=1)
+    late.put("dc1", 1, 1, vector={"dc2": 1})
+    late.skip("dc1", 2)
+    assert late.frontier.advance() is None
+    above = late.fill("dc1", 2, 6)
+    assert not late.frontier.released(above)
+    assert late.frontier.kstab.holders(above) == {NODE}
 
 
 def test_credit_stops_once_the_dot_is_stable():
     bench = Bench(k_target=1)
     dot = bench.put(NODE, 1, 1)
     assert bench.frontier.credit(dot, "dc1")
-    bench.frontier.advance()
-    assert not bench.frontier.credit(dot, "dc2")
     assert bench.frontier.kstab.holders(dot) == {NODE, "dc1"}
+    bench.frontier.advance()
+    assert bench.frontier.released(dot)
+    assert not bench.frontier.credit(dot, "dc2")
+    # The set ended at release, and the credit brought none back.
+    assert dot not in bench.frontier._holders
