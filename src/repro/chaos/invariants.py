@@ -89,7 +89,7 @@ class InvariantChecker:
         for dc in self.dcs:
             if dc.holds(dot):
                 holders.add(dc.node_id)
-            holders |= dc.kstab.holders(dot)
+            holders |= dc.stability.holders(dot)
         return holders
 
     # ------------------------------------------------------------------

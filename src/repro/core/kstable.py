@@ -6,6 +6,10 @@ already holds the dependencies of the edge node's state.  DCs learn each
 other's holdings through replication messages that carry the set of DCs
 known to store the transaction; receivers union and re-gossip, so counts
 converge monotonically.
+
+A DC keeps its holder sets in
+:class:`~repro.dc.stability.StabilityFrontier`, which ends a set when its
+dot is released; this tracker keeps every set and counts it.
 """
 
 from __future__ import annotations
@@ -30,23 +34,8 @@ class KStabilityTracker:
         holders.update(dc_ids)
         return len(holders)
 
-    def holders(self, dot: Dot) -> Set[str]:
-        return set(self._holders.get(dot, ()))
-
     def count(self, dot: Dot) -> int:
         return len(self._holders.get(dot, ()))
-
-    def is_stable(self, dot: Dot) -> bool:
-        """Is the transaction K-stable (visible to edge nodes)?"""
-        return self.count(dot) >= self.k_target
-
-    def stable_dots(self) -> Set[Dot]:
-        return {dot for dot, holders in self._holders.items()
-                if len(holders) >= self.k_target}
-
-    def forget(self, dot: Dot) -> None:
-        """Drop bookkeeping for a fully propagated transaction."""
-        self._holders.pop(dot, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"KStabilityTracker(K={self.k_target},"

@@ -126,7 +126,6 @@ class DataCenter(Actor):
         # Holder knowledge and the stable cut (see repro.dc.stability).
         self.stability = StabilityFrontier(node_id, k_target,
                                            self.interest, self.log)
-        self.kstab = self.stability.kstab
         # Log shipping (see repro.dc.replog).  The commit stream itself
         # is the send buffer; the DC adds the pending-flush guard and
         # the per-drain shard apply buffer.

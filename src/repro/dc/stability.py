@@ -4,12 +4,11 @@ A transaction is shown to edge nodes once it is known at ``K`` data
 centres *and* everything it depends on is already shown: the stable
 vector stays a causally closed cut.  :class:`StabilityFrontier` owns
 what that takes — the applied vector last heard from each peer, the
-holder set of every dot not yet released (the :class:`KStabilityTracker`'s
-map, written in place) and the stable vector — and reads the DC's
-:class:`~repro.dc.commitlog.CommitLog`, which the sequencer and the
-replication receiver write.  It sends nothing and records no span:
-:meth:`advance` returns the run it released, which is also what the DC
-has to push.
+holder set of every dot not yet released and the stable vector — and
+reads the DC's :class:`~repro.dc.commitlog.CommitLog`, which the
+sequencer and the replication receiver write.  It sends nothing and
+records no span: :meth:`advance` returns the run it released, which is
+also what the DC has to push.
 
 What is released is read off the stamp (:func:`passed`), so the only
 per-dot state kept here is the holder set, and it ends at release.
@@ -21,7 +20,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.clock import VectorClock
 from ..core.dot import Dot
-from ..core.kstable import KStabilityTracker
 from ..core.txn import Transaction
 from .commitlog import CommitLog
 from .interest import InterestGraph
@@ -63,11 +61,8 @@ class StabilityFrontier:
         self.node_id = node_id
         self.k_target = k_target
         self.interest = interest
-        self.kstab = KStabilityTracker(k_target)
-        # Readers go through the tracker; the folds below write the
-        # sets without a call per holder.  A set lives from the dot's
-        # first holder to its release.
-        self._holders: Dict[Dot, Set[str]] = self.kstab._holders
+        # A set lives from the dot's first holder to its release.
+        self._holders: Dict[Dot, Set[str]] = {}
         self._streams = log.streams     # origin -> ts -> dot
         self._txns = log.txns
         self._skip_covered = log.covered
@@ -78,6 +73,10 @@ class StabilityFrontier:
         """Is ``dot`` held here and inside the stable cut?"""
         txn = self._txns.get(dot)
         return txn is not None and passed(txn, self.stable_vector.get)
+
+    def holders(self, dot: Dot) -> Set[str]:
+        """The DCs known to hold ``dot``; none once it is released."""
+        return set(self._holders.get(dot, ()))
 
     def known_holders(self, origin: str, ts: int,
                       dot: Optional[Dot] = None) -> Set[str]:

@@ -106,7 +106,7 @@ class TigaPropose:
 
     dot: dict                   # serialised Dot (identifies the round)
     deadline: HlcTimestamp
-    command: Any                # serialised transaction
+    command: Any                # the round's command
 
 
 @dataclass(frozen=True, slots=True)

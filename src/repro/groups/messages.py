@@ -5,15 +5,14 @@ traffic is wrapped in :class:`GroupMsg`; membership flows through the
 parent; the collaborative cache uses fetch/pull messages; the sync point
 relays DC pushes and commit acknowledgements into the group.
 
-The relays and the pull path carry :class:`~repro.core.txn.Transaction`
-and :class:`~repro.core.dot.Dot` values, a transaction through
-``Transaction.handoff()`` once per receiver, as on a DC's links (see
-:mod:`repro.dc.messages`); interest and fetches carry
-:class:`~repro.core.txn.ObjectKey` and
-:class:`~repro.core.journal.ObjectState` values.  Consensus commands —
-EPaxos and Tiga payloads, and the instances of a :class:`GroupSeed` —
-are still the transactions' ``to_dict()`` forms, converted once each
-way inside the orderer (:mod:`repro.groups.ordering`).
+The relays, the pull path and consensus carry
+:class:`~repro.core.txn.Transaction` and :class:`~repro.core.dot.Dot`
+values, a transaction through ``Transaction.handoff()`` once per
+receiver, as on a DC's links (see :mod:`repro.dc.messages`): an EPaxos
+command, an instance of a :class:`GroupSeed` and the ``"txn"`` of a Tiga
+command are transactions (:mod:`repro.groups.ordering`).  Interest and
+fetches carry :class:`~repro.core.txn.ObjectKey` and
+:class:`~repro.core.journal.ObjectState` values.
 
 As on a DC's links (:mod:`repro.dc.messages`), a message's schema is its
 fields, and ``NetworkStats.bytes_sent`` counts its encoded length.
@@ -64,10 +63,11 @@ class GroupSeed:
 
     group_id: str
     epoch: int
-    # ((instance_id, txn_dict-or-None, seq, deps-tuple), ...) — committed.
-    # deps holds at most one (replica, slot) per replica: every instance
-    # of that replica up to the slot whose command interferes.
-    instances: Tuple[Tuple[Tuple[str, int], Optional[dict], int,
+    # ((instance_id, transaction-or-None, seq, deps-tuple), ...) —
+    # committed.  deps holds at most one (replica, slot) per replica:
+    # every instance of that replica up to the slot whose command
+    # interferes.
+    instances: Tuple[Tuple[Tuple[str, int], Optional[Transaction], int,
                            Tuple[Tuple[str, int], ...]], ...]
     stable_vector: Dict[str, int]
 

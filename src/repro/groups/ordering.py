@@ -27,15 +27,17 @@ Releases come back in order through ``Wiring.release(txn, fast)``, where
 ``fast`` says whether a deadline release came in deadline order (None
 without a deadline path), and an own fast commit is signalled ahead of
 its release through ``Wiring.committed(txn)``.  Consensus commands are
-the transactions' ``to_dict()`` form; the conversion happens here, once
-each way.
+the transactions themselves, as :class:`~repro.core.txn.Transaction`
+records, handed off at both ends: a proposal carries the stamp as it
+stood then, and each member releases a copy with its own stamp.  A
+deadline round's command is ``{"dot": ..., "txn": ...}``: the sequencer
+names its rounds by the dot's dict form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.dot import Dot
 from ..core.txn import Transaction
@@ -56,19 +58,13 @@ RECOVER_AFTER_MS = 800.0
 #: which proves the sync point executed, hence received, it.
 Settled = Callable[[Dot], bool]
 #: A committed instance as ``GroupSeed`` carries it.
-SeedInstance = Tuple[InstanceId, Optional[dict], int,
+SeedInstance = Tuple[InstanceId, Optional[Transaction], int,
                      Tuple[InstanceId, ...]]
 
 #: The deadline-path counters every orderer reports (zero without one),
 #: named as :class:`TigaSequencer` names them.
 NO_FAST_PATH = {"fast_commits": 0, "fallbacks": 0,
                 "acks_sent": 0, "nacks_sent": 0}
-
-
-def _txn_conflict_keys(txn_dict: dict) -> List[Tuple[str, str]]:
-    """EPaxos interference keys: the objects a transaction writes."""
-    return [(w["key"]["bucket"], w["key"]["key"])
-            for w in txn_dict["writes"]]
 
 
 @dataclass(frozen=True)
@@ -140,29 +136,30 @@ class ConsensusOrder(Orderer):
     def __init__(self, node_id: str, members: Sequence[str],
                  wiring: Wiring):
         self.replica = EPaxosReplica(
-            node_id, list(members), keys_of=_txn_conflict_keys,
+            node_id, list(members), keys_of=lambda txn: txn.key_set,
             on_execute=self._on_execute, send=wiring.send)
         self._release = wiring.release
         self._now = wiring.now
-        # Own instances -> (last (re)send, dot, command).  They stay past
+        # Own instances -> (last (re)send, command).  They stay past
         # local execution: a Commit lost on a lossy link would otherwise
         # strand peers at preaccepted with nobody left to resend (recovery
         # only fires for dependencies of *committed* instances).
-        self._own: Dict[InstanceId, Tuple[float, Dot, dict]] = {}
+        self._own: Dict[InstanceId, Tuple[float, Transaction]] = {}
         self._blocked_since: Dict[InstanceId, float] = {}
 
     def propose(self, txn: Transaction) -> None:
-        self._propose(txn.dot, txn.to_dict())
+        self._propose(txn.handoff())
 
-    def _propose(self, dot: Dot, command: dict) -> None:
+    def _propose(self, command: Transaction) -> None:
         instance_id = self.replica.propose(command)
-        self._own[instance_id] = (self._now(), dot, command)
+        self._own[instance_id] = (self._now(), command)
 
     propose_committed = propose
 
-    def _on_execute(self, command: dict, instance_id: InstanceId) -> None:
+    def _on_execute(self, command: Transaction,
+                    instance_id: InstanceId) -> None:
         self._blocked_since.pop(instance_id, None)
-        self._release(Transaction.from_dict(command), None)
+        self._release(command.handoff(), None)
 
     def handle(self, payload: Any, sender: str) -> bool:
         self.replica.handle(payload, sender)
@@ -180,17 +177,17 @@ class ConsensusOrder(Orderer):
         resolved; order again a command whose instance a peer's recovery
         finalised as a no-op, since no member can execute it there."""
         instances = self.replica.instances
-        for instance_id, (sent_at, dot, command) in list(self._own.items()):
+        for instance_id, (sent_at, command) in list(self._own.items()):
             inst = instances.get(instance_id)
             committed = inst is not None and inst.is_committed
             if committed and inst.command is NOOP:
                 del self._own[instance_id]
-                self._propose(dot, command)
-            elif committed and settled(dot):
+                self._propose(command)
+            elif committed and settled(command.dot):
                 del self._own[instance_id]
             elif now - sent_at > RESEND_AFTER_MS:
                 self.replica.resend(instance_id)
-                self._own[instance_id] = (now, dot, command)
+                self._own[instance_id] = (now, command)
 
     def _recover_blocked(self, now: float) -> None:
         blocked = self.replica.uncommitted_dependencies()
@@ -219,7 +216,7 @@ class ConsensusOrder(Orderer):
                 tuple(instance_id), command, seq,
                 frozenset(tuple(d) for d in deps), executed=True)
             if command is not None:
-                dots.append(Dot.from_dict(command["dot"]))
+                dots.append(command.dot)
         return dots
 
     @property
@@ -296,7 +293,7 @@ class DeadlineOrder(Orderer):
 
     def propose(self, txn: Transaction) -> None:
         self._deciding[(txn.dot.counter, txn.dot.origin)] = txn
-        self.tiga.propose(txn.to_dict())
+        self.tiga.propose({"dot": txn.dot.to_dict(), "txn": txn.handoff()})
 
     def propose_committed(self, txn: Transaction) -> None:
         self.fallback.propose(txn)
@@ -311,7 +308,7 @@ class DeadlineOrder(Orderer):
 
     def _on_release(self, command: dict, deadline: HlcTimestamp,
                     in_order: bool) -> None:
-        self._release(Transaction.from_dict(command), in_order)
+        self._release(command["txn"].handoff(), in_order)
 
     def _on_fallback(self, key: RoundKey) -> None:
         """Fast path abandoned (late deadline, loss, outage): EPaxos

@@ -212,7 +212,11 @@ class GroupMember(EdgeNode):
                                           self.node_id, self.members))
         # Bootstrap the newcomer with the agreed consensus prefix.
         self.send(msg.node_id, GroupSeed(
-            self.group_id, self.epoch, self.orderer.committed_instances(),
+            self.group_id, self.epoch, tuple(
+                (instance_id, None if command is None else command.handoff(),
+                 seq, deps)
+                for instance_id, command, seq, deps
+                in self.orderer.committed_instances()),
             self.vector.to_dict()))
         # Adopt (and forward to the DC) the newcomer's interest set.
         self._absorb_interest(msg.node_id, msg.interest)
@@ -630,17 +634,18 @@ class GroupMember(EdgeNode):
 def form_group(members: List[GroupMember]) -> None:
     """Bootstrap a peer group out-of-band (initial deployment).
 
-    All nodes must share ``group_id`` and agree on the parent; the parent
-    learns every member's interest set and opens the DC session.
+    All nodes must share ``group_id`` and agree on the parent and the
+    commit variant; the parent learns every member's interest set and
+    opens the DC session.
     """
     if not members:
         raise ValueError("a group needs at least one member")
-    group_id = members[0].group_id
-    parent_id = members[0].parent_id
+    first = members[0]
     roster = tuple(sorted(m.node_id for m in members))
     parent = None
     for member in members:
-        if member.group_id != group_id or member.parent_id != parent_id:
+        if (member.group_id, member.parent_id, member.commit_variant) != (
+                first.group_id, first.parent_id, first.commit_variant):
             raise ValueError("members disagree on group configuration")
         member.init_group(roster)
         if member.is_parent:

@@ -161,6 +161,11 @@ class Topology:
             raise ValueError(f"{who}: group {site.group!r} disagrees "
                              f"on its parent ({site.parent!r} vs "
                              f"{members[0].parent!r})")
+        if site.commit_variant != members[0].commit_variant:
+            raise ValueError(f"{who}: group {site.group!r} disagrees "
+                             f"on its commit variant "
+                             f"({site.commit_variant!r} vs "
+                             f"{members[0].commit_variant!r})")
 
     def keys_of(self, site: Site) -> List[Key]:
         return self.keys if site.keys is None else site.keys

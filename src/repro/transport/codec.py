@@ -837,14 +837,16 @@ def _value_size(value: Any) -> int:
 #: payload goes to every member in turn — one EPaxos or Tiga message,
 #: one ``GroupMsg`` per member — and a message is a value, so it is
 #: sized once.  The benchmark line that justifies it:
-#: ``des_group_mix`` ``cpu_ms_per_txn``.
+#: ``des_group_mix`` ``cpu_ms_per_txn``, by a small margin (EXPERIMENTS
+#: "consensus commands as records").
 _LAST_NESTED: List[Any] = [None, 0]
 
 
 def _dict_size(mapping: Dict[Any, Any]) -> int:
     """:func:`_value_size` of a dict; a string key and a string, small
-    int, ``None`` or dict value are sized in the loop (a transaction's
-    ``to_dict()`` form is a dozen small dicts)."""
+    int, ``None`` or dict value are sized in the loop (a ``to_dict()``
+    transaction, as drivers outside ``src/`` commit them, is a dozen
+    small dicts)."""
     n = len(mapping)
     total = 2 if n < 0x80 else 1 + _varint_size(n)
     sizes = _STR_SIZES
@@ -872,7 +874,7 @@ def _sum_sizes(values: Any) -> int:
     0x2000, ``None`` and the items of short tuples of them — keys, ids,
     counters, ``(replica, slot)`` pairs — are sized in the loop, not
     called for.  The benchmark line that justifies it: ``des_group_mix``
-    ``cpu_ms_per_txn`` (dict commands and deps in every consensus
+    ``cpu_ms_per_txn`` (deps and instance ids in every consensus
     message)."""
     total = 0
     sizes = _STR_SIZES

@@ -10,9 +10,9 @@ One place for realistic message samples, shared by:
 
 Samples follow what each message really carries: the values themselves
 — transactions, dots, keys, object states and stream entries, as codec
-records — wherever a message carries or names one; the ``to_dict``
-shapes of the core types in consensus commands only; plus edge variants:
-empty collections, unicode ids, large counters.
+records — wherever a message carries or names one, consensus commands
+included; a dot's ``to_dict`` shape only where Tiga names its round by
+it; plus edge variants: empty collections, unicode ids, large counters.
 """
 
 from __future__ import annotations
@@ -169,34 +169,37 @@ _SAMPLES: Dict[Type, List[Any]] = {
     dc.ShardReadReply: [dc.ShardReadReply(3, OBJECT_STATE)],
     # -- EPaxos ------------------------------------------------------------
     epx.PreAccept: [
-        epx.PreAccept(INSTANCE, BALLOT, TXN, 2, DEPS),
+        epx.PreAccept(INSTANCE, BALLOT, TXN_VALUE.handoff(), 2, DEPS),
         epx.PreAccept(INSTANCE, BALLOT, None, 0, frozenset()),
     ],
     epx.PreAcceptReply: [
         epx.PreAcceptReply(INSTANCE, BALLOT, True, 2, DEPS),
     ],
-    epx.Accept: [epx.Accept(INSTANCE, BALLOT, TXN, 2, DEPS)],
+    epx.Accept: [epx.Accept(INSTANCE, BALLOT, TXN_VALUE.handoff(), 2,
+                            DEPS)],
     epx.AcceptReply: [epx.AcceptReply(INSTANCE, BALLOT, True)],
-    epx.Commit: [epx.Commit(INSTANCE, TXN, 2, DEPS)],
+    epx.Commit: [epx.Commit(INSTANCE, TXN_VALUE.handoff(), 2, DEPS)],
     epx.Prepare: [epx.Prepare(INSTANCE, (2, "m2"))],
     epx.PrepareReply: [
         epx.PrepareReply(INSTANCE, (2, "m2"), True, "accepted",
-                         BALLOT, TXN, 2, DEPS),
+                         BALLOT, TXN_VALUE.handoff(), 2, DEPS),
         epx.PrepareReply(INSTANCE, (2, "m2"), False, "none",
                          None, None, 0, frozenset()),
     ],
     # -- Tiga --------------------------------------------------------------
-    epx.TigaPropose: [epx.TigaPropose(DOT_A, HLC, TXN)],
+    epx.TigaPropose: [epx.TigaPropose(
+        DOT_A, HLC, {"dot": DOT_A, "txn": TXN_VALUE.handoff()})],
     epx.TigaAck: [epx.TigaAck(DOT_A, HLC, True, 1233.25)],
-    epx.TigaCommit: [epx.TigaCommit(DOT_A, HLC, TXN)],
+    epx.TigaCommit: [epx.TigaCommit(
+        DOT_A, HLC, {"dot": DOT_A, "txn": TXN_VALUE.handoff()})],
     epx.TigaWithdraw: [epx.TigaWithdraw(DOT_A)],
     epx.TigaStatus: [epx.TigaStatus(DOT_A, "m2")],
     # -- groups ------------------------------------------------------------
     grp.GroupMsg: [
-        grp.GroupMsg("g", 0, epx.PreAccept(INSTANCE, BALLOT, TXN, 2,
-                                           DEPS)),
-        grp.GroupMsg("g", 3, epx.Commit(INSTANCE, TXN_EMPTY, 1,
-                                        frozenset())),
+        grp.GroupMsg("g", 0, epx.PreAccept(INSTANCE, BALLOT,
+                                           TXN_VALUE.handoff(), 2, DEPS)),
+        grp.GroupMsg("g", 3, epx.Commit(INSTANCE, TXN_EMPTY_VALUE.handoff(),
+                                        1, frozenset())),
     ],
     grp.JoinGroup: [grp.JoinGroup("m3", ((KEY_C0_VALUE, "counter"),))],
     grp.LeaveGroup: [grp.LeaveGroup("m3")],
@@ -206,7 +209,7 @@ _SAMPLES: Dict[Type, List[Any]] = {
     ],
     grp.GroupSeed: [
         grp.GroupSeed("g", 2,
-                      ((INSTANCE, TXN, 2, (("m1", 3),)),
+                      ((INSTANCE, TXN_VALUE.handoff(), 2, (("m1", 3),)),
                        (("m1", 0), None, 0, ())),
                       dict(VECTOR)),
     ],

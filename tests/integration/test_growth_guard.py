@@ -168,7 +168,7 @@ def released(dc, dot):
 def check_retention(dc):
     """What ``dc`` keeps per dot: holder sets for unreleased dots only,
     no encoding of a position every link shipped."""
-    assert not [dot for dot in dc.kstab._holders if released(dc, dot)]
+    assert not [dot for dot in dc.stability._holders if released(dc, dot)]
     floor = min(dc.sender.link(peer).sent_ts for peer in dc.peer_dcs)
     assert not [ts for ts in dc.sender._encoded if ts <= floor]
 
@@ -208,7 +208,7 @@ def run_mesh(n_writes):
     for dc in dcs:
         check_retention(dc)
         assert len(dc.log.txns) == n_writes
-        out.append((len(dc.kstab._holders), len(dc.sender._encoded),
+        out.append((len(dc.stability._holders), len(dc.sender._encoded),
                     sum(not released(dc, dot) for dot in dc.log.txns)))
     return out
 

@@ -76,6 +76,18 @@ class TestGroupBasics:
         assert all(log == logs[0] for log in logs)
         assert all(m.read_value(KEY, "counter") == 5 for m in members)
 
+    def test_members_on_different_commit_variants_are_refused(self):
+        # A tiga member would send Tiga rounds its async peers' EPaxos
+        # replicas refuse: the group is refused when it is formed.
+        sim = Simulation(seed=9, default_latency=LatencyModel(10.0))
+        build_cluster(sim, n_dcs=1, k_target=1)
+        members = [sim.spawn(GroupMember, f"m{i}", dc_id="dc0",
+                             group_id="g", parent_id="m0",
+                             commit_variant=variant)
+                   for i, variant in enumerate(("tiga", "async"))]
+        with pytest.raises(ValueError, match="disagree"):
+            form_group(members)
+
 
 class TestCollaborativeCache:
     def test_member_miss_served_by_parent(self):

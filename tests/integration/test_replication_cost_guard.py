@@ -58,8 +58,8 @@ class CountedHolders(dict):
         dict.__setitem__(self, dot, CountedSet(self, holders))
 
     def setdefault(self, dot, holders):
-        # ``KStabilityTracker.record``'s way in: nothing on the measured
-        # path uses it now, and a change that goes back to it is counted.
+        # Nothing on the measured path writes through it now, and a
+        # change that does is counted.
         if dot not in self:
             self[dot] = holders
         return self[dot]
@@ -92,7 +92,7 @@ def run_window(n_txns):
     dcs = build_cluster(sim, n_dcs=N_DCS, k_target=N_DCS)
     released = [set() for _dc in dcs]
     for dc, dots in zip(dcs, released):
-        dc.stability._holders = dc.kstab._holders = CountedHolders()
+        dc.stability._holders = CountedHolders()
         record_releases(dc.stability, dots)
     writer = build_edge(sim, "w", dc_id="dc0",
                         interest=[(key, "counter") for key in KEYS])
@@ -107,7 +107,7 @@ def run_window(n_txns):
     sim.run_for(GAP_MS * len(KEYS) + 1500)
 
     released_before = [len(dots) for dots in released]
-    ops_before = [dc.kstab._holders.ops for dc in dcs]
+    ops_before = [dc.stability._holders.ops for dc in dcs]
     md5_calls, compares, appends = [], [], []
     with mock.patch.object(hashlib, "md5", counted(md5_calls, hashlib.md5)), \
             mock.patch.object(JournalEntry, "__lt__",
@@ -121,7 +121,7 @@ def run_window(n_txns):
         # Applied, stable and converged everywhere.
         assert len(dots) - before == n_txns
         assert dc.state_digest() == dcs[0].state_digest()
-    holder_ops = max(dc.kstab._holders.ops - before
+    holder_ops = max(dc.stability._holders.ops - before
                      for dc, before in zip(dcs, ops_before))
     return (len(md5_calls), len(compares) / len(appends),
             holder_ops / n_txns)

@@ -165,12 +165,15 @@ def _member(name, parent, **fields):
     (_document((("far", "edge"), {"dc": "far"})), "'far'"),
     (_document(_member("m0", "ghost")), "'m0'"),
     (_document(_member("m0", "m0"), _member("m1", "m1")), "'m1'"),
+    (_document(_member("m0", "m0"),
+               _member("m1", "m0", commit_variant="tiga")), "'m1'"),
     (_document((("far", "edge"), {"dc": "dc0", "keys": ["app/zz"]})),
      "'far'"),
     (_document(links=[{"a": "dc0", "b": "ghost", "base_ms": 1.0}]),
      "'ghost'"),
 ], ids=["upstream-missing", "upstream-not-a-relay", "parent-not-a-member",
-        "parents-disagree", "key-not-declared", "link-end-not-a-site"])
+        "parents-disagree", "commit-variants-disagree", "key-not-declared",
+        "link-end-not-a-site"])
 def test_parse_topology_rejects_dangling_names(document, named):
     with pytest.raises(ValueError, match=named):
         parse_topology(document)

@@ -39,12 +39,13 @@ from ..unit.test_op_schemas import PINNED
 from .test_codec_roundtrip import RECORDS, _hashable, _values
 
 #: SHA-256 of ``encode_frame("dc0", "dc1", m)`` over ``all_samples()``,
-#: concatenated, computed with the oracle (74 frames, 7 111 B; 8 657 B
-#: with string type keys and field tuples, 9 286 B before operations by
-#: op id and dot runs).  A change to ``samples.py`` re-pins it from
+#: concatenated, computed with the oracle (74 frames, 4 691 B; 7 111 B
+#: with consensus commands in their ``to_dict()`` form, 8 657 B with
+#: string type keys and field tuples, 9 286 B before operations by op id
+#: and dot runs).  A change to ``samples.py`` re-pins it from
 #: ``oracle_frame``; a change to the codec must not.
 CORPUS_SHA256 = \
-    "0fb6686d1ceb1dc18009a150bd70ec1317a7bc8b25033cd1e1594fffc3ba295e"
+    "56dea091e638f7951c88ae6e826e44fe148bf165fca39e88a5345715e2bc8a3b"
 
 # ----------------------------------------------------------------------
 # the oracle (verbatim)
@@ -559,7 +560,7 @@ def test_the_oracle_knows_every_message_class_by_its_id():
 def test_corpus_digest_is_the_one_pinned_at_the_recursive_codec():
     frames = [encode_frame("dc0", "dc1", message)
               for message in samples.all_samples()]
-    assert len(frames) == 74 and sum(map(len, frames)) == 7111
+    assert len(frames) == 74 and sum(map(len, frames)) == 4691
     assert hashlib.sha256(b"".join(frames)).hexdigest() == CORPUS_SHA256
     assert frames == [oracle_frame("dc0", "dc1", message)
                       for message in samples.all_samples()]

@@ -343,7 +343,7 @@ class Pair:
         for dot in self.world.txns:
             assert new.released(dot) == (dot in head._stable_dots), dot
         # Holder sets end at release: compared over unreleased dots.
-        assert {dot: holders for dot, holders in new.kstab._holders.items()
+        assert {dot: holders for dot, holders in new._holders.items()
                 if not new.released(dot)} == {
             dot: holders for dot, holders in head.kstab._holders.items()
             if dot not in head._stable_dots}

@@ -244,7 +244,7 @@ def test_in_order_head_applies_without_touching_the_queue():
     assert site.log.state_vector == VectorClock({ORIGIN: 3})
     assert site.log.gaps() == {}
     # The sender holds what its vector covers: two holders each.
-    assert site.stability.kstab.holders(Dot(3, "e")) == {"dc1", ORIGIN}
+    assert site.stability.holders(Dot(3, "e")) == {"dc1", ORIGIN}
 
 
 def test_a_hole_waits_for_the_resend():

@@ -69,7 +69,7 @@ def test_k_above_cluster_size_never_stabilises():
     dot = bench.put(NODE, 1, 1)
     assert bench.heard("dc1", {NODE: 1})
     assert bench.heard("dc2", {NODE: 1})
-    assert bench.frontier.kstab.holders(dot) == {NODE, "dc1", "dc2"}
+    assert bench.frontier.holders(dot) == {NODE, "dc1", "dc2"}
     assert bench.frontier.advance() is None
     assert bench.frontier.stable_vector == VectorClock.zero()
 
@@ -94,17 +94,17 @@ def test_stale_vector_changes_nothing():
     bench = Bench(k_target=2)
     dot = bench.put(NODE, 1, 1)
     assert bench.heard("dc1", {NODE: 1})
-    before = bench.frontier.kstab.holders(dot)
+    before = bench.frontier.holders(dot)
     assert not bench.heard("dc1", {NODE: 1})    # same again
     assert not bench.heard("dc1", {})           # older
-    assert bench.frontier.kstab.holders(dot) == before
+    assert bench.frontier.holders(dot) == before
 
 
 def test_vector_past_our_frontier_is_credited_at_apply_time():
     bench = Bench(k_target=2)
     assert bench.heard("dc1", {"dc1": 3})       # we applied none of it
     dot = bench.put("dc1", 1, 1)
-    assert bench.frontier.kstab.holders(dot) == {NODE, "dc1"}
+    assert bench.frontier.holders(dot) == {NODE, "dc1"}
     assert bench.frontier.advance() == [("dc1", 1, dot)]
 
 
@@ -160,14 +160,14 @@ def test_late_fill_below_the_frontier_joins_the_cut():
     assert late.frontier.advance() is None
     above = late.fill("dc1", 2, 6)
     assert not late.frontier.released(above)
-    assert late.frontier.kstab.holders(above) == {NODE}
+    assert late.frontier.holders(above) == {NODE}
 
 
 def test_credit_stops_once_the_dot_is_stable():
     bench = Bench(k_target=1)
     dot = bench.put(NODE, 1, 1)
     assert bench.frontier.credit(dot, "dc1")
-    assert bench.frontier.kstab.holders(dot) == {NODE, "dc1"}
+    assert bench.frontier.holders(dot) == {NODE, "dc1"}
     bench.frontier.advance()
     assert bench.frontier.released(dot)
     assert not bench.frontier.credit(dot, "dc2")

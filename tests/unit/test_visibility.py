@@ -296,26 +296,15 @@ class TestKStability:
     def test_count_and_stability(self):
         tracker = KStabilityTracker(2)
         d = Dot(1, "e")
+        assert tracker.count(d) == 0
         assert tracker.record(d, {"dc0"}) == 1
-        assert not tracker.is_stable(d)
+        assert tracker.count(d) < tracker.k_target
         assert tracker.record(d, {"dc1"}) == 2
-        assert tracker.is_stable(d)
+        assert tracker.count(d) == tracker.k_target
 
     def test_record_unions(self):
         tracker = KStabilityTracker(3)
         d = Dot(1, "e")
-        tracker.record(d, {"dc0", "dc1"})
-        tracker.record(d, {"dc1", "dc2"})
-        assert tracker.holders(d) == {"dc0", "dc1", "dc2"}
-
-    def test_stable_dots(self):
-        tracker = KStabilityTracker(1)
-        tracker.record(Dot(1, "e"), {"dc0"})
-        assert tracker.stable_dots() == {Dot(1, "e")}
-
-    def test_forget(self):
-        tracker = KStabilityTracker(1)
-        d = Dot(1, "e")
-        tracker.record(d, {"dc0"})
-        tracker.forget(d)
-        assert tracker.count(d) == 0
+        assert tracker.record(d, {"dc0", "dc1"}) == 2
+        assert tracker.record(d, {"dc1", "dc2"}) == 3
+        assert tracker.count(d) == 3

@@ -13,7 +13,7 @@ from repro.core.txn import (CommitStamp, ObjectKey, Snapshot, StreamEntry,
 from repro.crdt.base import Operation
 from repro.dc.messages import (CommitAck, EdgeCommit, ObjectResponse,
                                ReplicateBatch, UpdatePush)
-from repro.epaxos.messages import Commit, PreAccept
+from repro.epaxos.messages import Commit, PreAccept, TigaMessage
 from repro.groups.messages import GroupMsg
 from repro.transport import codec, samples
 from repro.transport.codec import (CodecError, DECODE_TABLE_MAX,
@@ -117,7 +117,8 @@ class TestMessageCodec:
 
 class TestFraming:
     def test_frame_round_trip(self):
-        message = Commit(("m1", 3), samples.TXN, 2, frozenset({("m0", 1)}))
+        message = Commit(("m1", 3), samples.TXN_VALUE.handoff(), 2,
+                         frozenset({("m0", 1)}))
         frame = encode_frame("m1", "m2", message)
         assert int.from_bytes(frame[:4], "big") == len(frame) - 4
         src, dst, back = decode_frame(frame[4:])
@@ -318,13 +319,12 @@ class TestValuesNotDicts:
     SHAPES = {frozenset({"bucket", "key"}): "key",
               frozenset({"origin", "counter"}): "dot",
               frozenset({"key", "type", "base", "base_dots"}): "state"}
-    #: EPaxos and Tiga messages carry consensus commands (a transaction's
-    #: dict form) and Tiga names a command by its dict dot.
-    EXEMPT_MODULES = {"repro.epaxos.messages"}
-    #: A group seed's instances are consensus commands; the two ingress
-    #: points take a ``to_dict()`` transaction from drivers outside src/.
-    EXEMPT_FIELDS = {("GroupSeed", "instances"), ("EdgeCommit", "txn"),
-                     ("EdgeCommitBatch", "txns"), ("UpdatePush", "txns")}
+    #: Tiga names its rounds by the dict dot.
+    EXEMPT_CLASSES = {cls.__name__ for cls in TigaMessage}
+    #: The two ingress points take a ``to_dict()`` transaction from
+    #: drivers outside src/.
+    EXEMPT_FIELDS = {("EdgeCommit", "txn"), ("EdgeCommitBatch", "txns"),
+                     ("UpdatePush", "txns")}
 
     def dict_shapes(self, value, path):
         """``(path, shape)`` of every key-, dot- or state-shaped dict
@@ -341,7 +341,7 @@ class TestValuesNotDicts:
                 found += self.dict_shapes(item, f"{path}[{i}]")
         elif hasattr(type(value), "__dataclass_fields__"):
             cls = type(value)
-            if cls.__module__ in self.EXEMPT_MODULES:
+            if cls.__name__ in self.EXEMPT_CLASSES:
                 return found
             for name in cls.__dataclass_fields__:
                 if (cls.__name__, name) not in self.EXEMPT_FIELDS:
