@@ -10,11 +10,10 @@ Two static approximations of the race:
 
 * **A501** — a handler writes through the message parameter, or
   through a local name bound to a part of it (``msg.entries[k] = v``,
-  ``msg.txns.append(...)``, ``for txn in msg.txns:
-  txn.commit.add_entry(...)``) — a transaction's stamp included: a
-  received transaction's stamp is the sender's unless it was handed
-  off, and growing it is :class:`~repro.core.txn.CommitStamp`'s
-  ``add_entry``;
+  ``msg.txns.append(...)``, ``for txn in msg.txns: txn.commit =
+  txn.commit.with_entry(...)``) — a transaction's stamp included: a
+  received transaction is the sender's unless it was handed off, and
+  a stamp grows by assignment to its holder's ``commit``;
 * **A502** — a handler stores a mutable payload (a dict-typed message
   field) into actor state without copying, creating a long-lived alias
   that a later local mutation would push back across the boundary.
@@ -34,8 +33,7 @@ from ..core import (CAT_DICT, Finding, Module, Project, Rule,
 #: In-place mutators on containers.
 MUTATING_METHODS = {"append", "extend", "insert", "add", "discard",
                     "remove", "update", "setdefault", "pop", "popitem",
-                    "clear", "sort", "reverse", "__setitem__",
-                    "add_entry"}
+                    "clear", "sort", "reverse", "__setitem__"}
 
 #: Dispatch entry points whose message parameter is unannotated.
 DISPATCH_FUNCTIONS = {"on_message", "_dispatch", "_receive", "handle"}

@@ -7,9 +7,9 @@ class is frozen and that its fields can be written is checked when the
 wire codec registers it (``repro.transport.codec.register``); what is
 left to check statically is the call sites.  Mutable containers (dicts)
 handed to a message constructor must be freshly built or copied there.
-A transaction is immutable but for its commit stamp, so a message takes
-one only from ``Transaction.handoff()``, which gives the receiver its
-own stamp.
+A transaction's holder grows its commit stamp by replacing ``commit``,
+so a message takes one only from ``Transaction.handoff()``, which gives
+the receiver a transaction of its own around the shared body and stamp.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ class MessageHygieneRule(Rule):
         return Finding(
             "M203", module.path, node.lineno, node.col_offset,
             f"one {cls.name} carrying transactions goes to several "
-            "receivers, which would share its copies' stamps; build one "
+            "receivers, which would share its transactions; build one "
             "per receiver, each from handoff()", module.qualname(node))
 
     # -- constructor call sites, anywhere in the tree ---------------------
@@ -252,7 +252,7 @@ class MessageHygieneRule(Rule):
                             f"{cls.name}.{field_name} receives "
                             f"{ast.unparse(bare)}, a transaction not "
                             "taken through handoff(); the receiver "
-                            "would share the sender's growing stamp",
+                            "would see the sender's stamp grow",
                             module.qualname(node)))
                     if cls.fields.get(field_name) != CAT_DICT:
                         continue

@@ -109,7 +109,7 @@ class Actor:
         return Seed(self.shared_map)        # M203
 
     def _on_apply(self, msg: Apply, sender: str):
-        msg.txn.commit.add_entry("dc0", 1)  # A501: the sender's stamp
+        msg.txn.commit = msg.txn.commit.with_entry("dc0", 1)  # A501
         txn = msg.txn
         txn.commit.entries["dc1"] = 2       # A501: the same, by name
         return Apply(txn)                   # M203: no handoff()

@@ -517,7 +517,7 @@ class DotReplayEdge(EdgeNode):
     """Test double with a planted dot-duplication bug.
 
     On the first pushed transaction it re-journals the txn *past* the
-    journal's dedup index — the bug class a broken migration re-seed
+    journal's dedup check — the bug class a broken migration re-seed
     would introduce.  The chaos checker must flag it as a
     ``dot-uniqueness`` violation (and, downstream, a convergence one).
     """
@@ -537,12 +537,12 @@ class DotReplayEdge(EdgeNode):
             if journal is None or not journal.has(txn.dot):
                 continue
             ops = [w.op for w in txn.tagged_writes() if w.key == key]
-            # Bypass append() on purpose, and with it both of its
-            # records: its dedup index would refuse the dot, and its
-            # arrival log would offer the copy to cached views' delta
-            # reads.  A second entry with the same dot lands in the
-            # journal behind the reader's back, as a re-seed bug's
-            # would; the checker finds it in the dot census.
+            # Bypass append() on purpose: its dedup check would refuse
+            # the dot, and its arrival log would offer the copy to
+            # cached views' delta reads.  A second entry with the same
+            # dot lands in the journal behind the reader's back, as a
+            # re-seed bug's would; the checker finds it in the dot
+            # census.
             insort(journal._entries, JournalEntry(txn, ops))
             journal.version += 1
             self._replayed = True

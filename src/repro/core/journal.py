@@ -33,13 +33,14 @@ class JournalEntry:
 
     __slots__ = ("dot", "txn", "ops", "order")
 
-    def __init__(self, txn: Transaction, ops: List[Operation]):
-        dot = self.dot = txn.dot
+    def __init__(self, txn: Transaction, ops: Sequence[Operation],
+                 order: Optional[Tuple[int, str]] = None):
+        self.dot = txn.dot
         self.txn = txn
         self.ops = ops  # already tagged
         #: Journal position: the dot as a plain tuple, built once so
         #: ordering an entry never calls back into Python.
-        self.order = (dot.counter, dot.origin)
+        self.order = order or txn.dot.as_tuple()
 
     def __lt__(self, other: "JournalEntry") -> bool:
         return self.order < other.order
@@ -101,19 +102,19 @@ class ObjectJournal:
     """Base version + ordered journal for a single object."""
 
     __slots__ = ("key", "type_name", "_base", "_base_dots",
-                 "_base_dots_view", "_entries", "_index", "version",
+                 "_base_dots_view", "_entries", "version",
                  "base_version", "uid", "_arrivals", "_trimmed")
 
     def __init__(self, key: ObjectKey, type_name: str):
         self.key = key
         self.type_name = type_name
         self._base: OpBasedCRDT = new_crdt(type_name)
-        self._base_dots: Set[Dot] = set()
+        # Until the first fold every journal shares one empty set (and
+        # ``frozenset()`` of it is itself: the view).
+        self._base_dots: AbstractSet[Dot] = _NO_DOTS
         self._base_dots_view: Optional[FrozenSet[Dot]] = None
-        self._entries: List[JournalEntry] = []  # kept sorted by dot
-        # ``order`` of every journalled entry: tuples hash in C, a Dot
-        # through a Python ``__hash__``.
-        self._index: Set[Tuple[int, str]] = set()
+        # Sorted by ``order``: membership is a bisect.
+        self._entries: List[JournalEntry] = []
         #: Bumped on every append/compaction; readers use it to cache
         #: materialised versions.  ``uid`` distinguishes journal
         #: incarnations after a drop/reinstall.
@@ -139,44 +140,46 @@ class ObjectJournal:
         """
         dot = txn.dot
         order = (dot.counter, dot.origin)
-        if order in self._index or (self._base_dots
-                                    and dot in self._base_dots):
-            return False
-        key = self.key
-        # Only this object's writes, tagged as tagged_writes() would.
-        ops = [w.op.with_tag((*order, i))
-               for i, w in enumerate(txn.writes) if w.key == key]
-        if not ops:
-            return False
-        entry = JournalEntry(txn, ops)
         entries = self._entries
         # A stream delivers in dot order, so the new entry nearly always
         # belongs after the tail; anything else (a concurrent origin, a
-        # resend) is placed by a bisect over the precomputed tuples.
-        if not entries or order > entries[-1].order:
+        # resend) is looked up and placed by bisects over the
+        # precomputed tuples.
+        tail = not entries or order > entries[-1].order
+        if (self._base_dots and dot in self._base_dots) \
+                or (not tail and self.find(dot) is not None):
+            return False
+        key = self.key
+        # Only this object's writes, tagged as tagged_writes() would.
+        ops = tuple([w.op.with_tag((*order, i))
+                     for i, w in enumerate(txn.writes) if w.key == key])
+        if not ops:
+            return False
+        entry = JournalEntry(txn, ops, order)
+        if tail:
             entries.append(entry)
         else:
             insort(entries, entry, key=_ORDER)
-        self._index.add(order)
         if self._arrivals is not None:
             self._arrivals.append(entry)
         self.version += 1
         return True
 
     def has(self, dot: Dot) -> bool:
-        return dot.as_tuple() in self._index or dot in self._base_dots
+        return self.find(dot) is not None or dot in self._base_dots
 
     def holds(self, entry: JournalEntry) -> bool:
         """Is ``entry`` still journalled — not folded into the base?"""
-        return entry.order in self._index
+        return self.find(entry.dot) is not None
 
     def find(self, dot: Dot) -> Optional[JournalEntry]:
         """The journalled entry of ``dot``, if any."""
         order = dot.as_tuple()
-        if order not in self._index:
-            return None
         entries = self._entries
-        return entries[bisect_left(entries, order, key=_ORDER)]
+        index = bisect_left(entries, order, key=_ORDER)
+        if index < len(entries) and entries[index].order == order:
+            return entries[index]
+        return None
 
     # -- the arrival log ------------------------------------------------------
     def arrival_mark(self) -> int:
@@ -251,17 +254,18 @@ class ObjectJournal:
             folded += 1
         if not folded:
             return 0
+        base_dots = self._base_dots
+        if not isinstance(base_dots, set):
+            base_dots = self._base_dots = set()
         for entry in entries[:folded]:
-            self._index.remove(entry.order)
             for op in entry.ops:
                 self._base.apply(op)
-            self._base_dots.add(entry.dot)
+            base_dots.add(entry.dot)
         self._entries = entries[folded:]
         arrivals = self._arrivals
         if arrivals:
-            index = self._index
             cut = 0
-            while cut < len(arrivals) and arrivals[cut].order not in index:
+            while cut < len(arrivals) and not self.holds(arrivals[cut]):
                 cut += 1
             del arrivals[:cut]
             self._trimmed += cut
@@ -273,7 +277,7 @@ class ObjectJournal:
     def applied_dots(self) -> List[Dot]:
         """Every dot applied to this object, *with multiplicity*.
 
-        The base set and the entry index each deduplicate on their own,
+        The base set and the entry list each deduplicate on their own,
         but nothing structurally prevents one dot from being folded into
         the base and journalled again (e.g. by a buggy re-seed after
         migration).  Invariant checkers scan this census for duplicates.
@@ -330,5 +334,6 @@ class ObjectState:
         """A fresh journal whose base is this version."""
         journal = ObjectJournal(self.key, self.type_name)
         journal._base = state_from_dict(self.base)
-        journal._base_dots = set(self.base_dots)
+        if self.base_dots:
+            journal._base_dots = set(self.base_dots)
         return journal

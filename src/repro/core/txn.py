@@ -11,12 +11,14 @@ Per paper section 3.5 a transaction ``T`` carries:
   DC that accepted the transaction, stored sparsely (section 3.8);
 * a unique *dot* ``T.D`` arbitrating concurrent transactions.
 
-Everything but the commit stamp is immutable once a transaction is
-built: ``writes`` is a tuple of frozen :class:`WriteOp`, and the
-snapshot is never mutated.  The stamp is the one part that grows —
-:meth:`CommitStamp.add_entry` — so a transaction handed to another
-actor goes through :meth:`Transaction.handoff`, which shares the body
-and gives the receiver its own stamp.
+Every part of a transaction is an immutable value once built:
+``writes`` is a tuple of frozen :class:`WriteOp`, the snapshot is never
+mutated, and neither is a stamp.  A stamp grows by replacement — the
+holder assigns ``txn.commit = txn.commit.with_entry(dc, ts)`` — so a
+transaction handed to another actor goes through
+:meth:`Transaction.handoff`, which shares the body and the stamp and
+gives the receiver its own :class:`Transaction` shell: growth at one
+holder replaces only that holder's ``commit``.
 """
 
 from __future__ import annotations
@@ -115,6 +117,10 @@ class CommitStamp:
     entries denote the *same* point of the causal order (the paper declares
     them equivalent); storing only significant components realises the
     memory optimisation of section 3.8.
+
+    A value: nothing mutates a stamp or its ``entries`` once built, so
+    every holder of a transaction may share it.  :meth:`with_entry`
+    returns the grown stamp.
     """
 
     __slots__ = ("entries",)
@@ -126,12 +132,14 @@ class CommitStamp:
     def is_symbolic(self) -> bool:
         return not self.entries
 
-    def add_entry(self, dc_id: str, timestamp: int) -> None:
-        existing = self.entries.get(dc_id)
-        if existing is not None and existing != timestamp:
+    def with_entry(self, dc_id: str, timestamp: int) -> "CommitStamp":
+        """This stamp plus ``dc_id``'s entry (itself when already held)."""
+        existing = self.entries.get(dc_id, timestamp)
+        if existing != timestamp:
             raise ValueError(
                 f"DC {dc_id} already assigned timestamp {existing}")
-        self.entries[dc_id] = timestamp
+        return self if dc_id in self.entries \
+            else CommitStamp({**self.entries, dc_id: timestamp})
 
     def included_in(self, state_vector: VectorClock) -> bool:
         """True when any equivalent entry is covered by ``state_vector``."""
@@ -152,9 +160,6 @@ class CommitStamp:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CommitStamp":
         return cls(data["entries"])
-
-    def copy(self) -> "CommitStamp":
-        return CommitStamp(self.entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CommitStamp):
@@ -212,12 +217,13 @@ class Transaction:
             self.writes = tuple(self.writes)
 
     def handoff(self) -> "Transaction":
-        """This transaction for another actor: the same immutable body
-        and a copy of the stamp, so neither side sees the other's
-        stamp grow.  Every message that carries a transaction gets it
-        from here (colony-lint M203)."""
+        """This transaction for another actor: a shell of its own around
+        the same immutable body and stamp.  A stamp grows by replacing
+        the holder's ``commit``, so neither side sees the other's grow.
+        Every message that carries a transaction gets it from here
+        (colony-lint M203)."""
         copy = Transaction(self.dot, self.origin, self.snapshot,
-                           self.commit.copy(), self.writes, self.issuer)
+                           self.commit, self.writes, self.issuer)
         copy._body_bytes = self._body_bytes
         return copy
 

@@ -56,8 +56,9 @@ class Operation:
         self.tag = tag
 
     def with_tag(self, tag: Tag) -> "Operation":
-        """Return a copy of this operation carrying ``tag``."""
-        return Operation(self.type_name, self.method, dict(self.payload), tag)
+        """This operation carrying ``tag``; the payload is shared, as no
+        effect mutates one."""
+        return Operation(self.type_name, self.method, self.payload, tag)
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -69,7 +69,7 @@ class CommitLog:
         if known is not None:
             return known
         ts = self.sequencer = self.sequencer + 1
-        txn.commit.add_entry(self.node_id, ts)
+        txn.commit = txn.commit.with_entry(self.node_id, ts)
         self.admit(self.node_id, ts, txn)
         return txn
 
@@ -117,13 +117,12 @@ class CommitLog:
         known = self.txns.get(txn.dot)
         if known is None:
             return None
-        entries = known.commit.entries
-        changed = False
+        held = known.commit
         for dc, entry_ts in txn.commit.entries.items():
-            if dc not in entries:
-                known.commit.add_entry(dc, entry_ts)
-                changed = True
-        return entries.get(self.node_id) if changed else None
+            if dc not in known.commit.entries:
+                known.commit = known.commit.with_entry(dc, entry_ts)
+        return None if known.commit is held \
+            else known.commit.entries.get(self.node_id)
 
     def skip(self, origin: str, run: SkipRun) -> Optional[SkipRun]:
         """Advance ``origin``'s frontier over positions its sender

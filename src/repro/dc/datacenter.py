@@ -578,7 +578,7 @@ class DataCenter(Actor):
         unique = [txns[dot] for dot in delivery_order(run)]
         stable = self.stable_vector.to_dict()
         # Each session gets its own copy (``handoff()``), so no receiver
-        # shares a stamp with us or with another session.
+        # sees a stamp grow at us or at another session.
         sends = self._fanout.route(((t.keys, t) for t in unique), stable)
         if self.crashed:
             # The audience's cursors moved and nothing was sent: to them

@@ -77,12 +77,10 @@ def decode_stream_entry(entry: StreamEntry, stream_dc: str, ts: int,
     Self-contained given the frame fields: ``base`` is the frame's
     ``base_vector`` and ``ts`` the timestamp its position implies.
     """
-    commit = CommitStamp(entry.cx)
-    commit.entries[stream_dc] = ts
     return Transaction(
         entry.dot, entry.origin,
         Snapshot(VectorClock.from_delta(base, entry.sv), entry.deps),
-        commit, entry.writes, entry.issuer)
+        CommitStamp({**entry.cx, stream_dc: ts}), entry.writes, entry.issuer)
 
 
 def well_formed_entries(entries: Any, shard_space: int) -> bool:

@@ -47,10 +47,13 @@ class EdgeLog:
         """Hold ``txn``: own commits, DC pushes, group relays and pulled
         or consensus-ordered transactions all come in here.  A dot
         already held is refused (False); an ``own`` commit waits in
-        ``unacked`` for its stamp."""
+        ``unacked`` for its stamp — also one whose copy a peer brought
+        first, if that copy's stamp is symbolic."""
         dot = txn.dot
         self.lamport.observe(dot.counter)
         if not self.dots.observe(dot):
+            if own and dot in self.txns and self.txns[dot].commit.is_symbolic:
+                self.unacked[dot] = self.txns[dot]
             return False
         self.txns[dot] = txn
         if own:
@@ -76,7 +79,7 @@ class EdgeLog:
             return None
         for dc, ts in entries.items():
             if dc not in txn.commit.entries:
-                txn.commit.add_entry(dc, ts)
+                txn.commit = txn.commit.with_entry(dc, ts)
         if not txn.commit.is_symbolic:
             self.unacked.pop(dot, None)
         return txn

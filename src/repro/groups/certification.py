@@ -16,18 +16,20 @@ applies (``tests/property/test_group_properties.py`` keeps that scan as
 the oracle).
 
 **The settled prefix.**  A key's older writers all end up with concrete
-stamps, and a stamp never loses or changes an entry
-(:meth:`~repro.core.txn.CommitStamp.add_entry`).  Per key the index
-therefore folds the leading run of concrete writers into a *floor*: for
-every DC at which *all* of them hold an entry, the largest timestamp
-among them.  A snapshot vector that reaches the floor at one such DC
-includes every one of those stamps, so the walk stops there without
-visiting them; a vector that does not is compared with each of them as
-before.  The floor only ever summarises facts that stay true, so the
-verdict equals the full scan's on every input, whatever the commit
-stamps do between two certifications.  A writer whose stamp never
-resolves (or a run of writers with no DC in common) stops the prefix
-growing on that key, which then costs a walk of its writers again.
+stamps, and a stamp never loses or changes an entry: a writer's stamp is
+only ever replaced by one with an entry more
+(:meth:`~repro.core.txn.CommitStamp.with_entry`), and the index reads it
+off the writer each time.  Per key the index therefore folds the leading
+run of concrete writers into a *floor*: for every DC at which *all* of
+them hold an entry, the largest timestamp among them.  A snapshot vector
+that reaches the floor at one such DC includes every one of those
+stamps, so the walk stops there without visiting them; a vector that
+does not is compared with each of them as before.  The floor only ever
+summarises facts that stay true, so the verdict equals the full scan's
+on every input, whatever the commit stamps do between two
+certifications.  A writer whose stamp never resolves (or a run of
+writers with no DC in common) stops the prefix growing on that key,
+which then costs a walk of its writers again.
 """
 
 from __future__ import annotations

@@ -29,7 +29,8 @@ without a deadline path), and an own fast commit is signalled ahead of
 its release through ``Wiring.committed(txn)``.  Consensus commands are
 the transactions themselves, as :class:`~repro.core.txn.Transaction`
 records, handed off at both ends: a proposal carries the stamp as it
-stood then, and each member releases a copy with its own stamp.  A
+stood then, and each member releases a transaction of its own, whose
+stamp only that member grows.  A
 deadline round's command is ``{"dot": ..., "txn": ...}``: the sequencer
 names its rounds by the dot's dict form.
 """

@@ -585,8 +585,10 @@ class GroupMember(EdgeNode):
         if self.orderer is None or self.group_offline:
             return
         now = self.now
-        # Settled: the stamp resolved, through the sync point's DC trip.
-        self.orderer.tick(now, lambda dot: dot not in self.log.unacked)
+        # Settled: released here, and the stamp resolved through the
+        # sync point's DC trip.
+        self.orderer.tick(now, lambda dot: dot not in self._psi_pending
+                          and dot not in self.log.unacked)
         # An own commit still unacked after a lost GroupCommitAck is
         # re-queried from the sync point, whose copy carries the resolved
         # stamp (served via the pull path).  (A stamp that resolved some

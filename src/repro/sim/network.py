@@ -367,11 +367,9 @@ class Network:
         # appeared while the batch was in flight kills it (TCP reset).
         stats = self.stats
         stats.delivery_events += 1
-        if (self._down or self._cut) and not self.is_reachable(src, dst):
-            for _ in batch:
-                stats.record_drop(src, dst)
-            return
         handlers = self._handlers
+        if (self._down or self._cut) and not self.is_reachable(src, dst):
+            handlers = {}       # every message of the batch drops
         delivered = 0
         for message in batch:
             # Per-message handler lookup: a handler may detach its node
@@ -383,3 +381,6 @@ class Network:
             delivered += 1
             handler(message, src)
         stats.messages_delivered += delivered
+        # The link's record still names the batch as its tail until the
+        # next send: it must keep no delivered message alive.
+        batch.clear()

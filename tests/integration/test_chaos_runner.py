@@ -154,6 +154,29 @@ def test_a_seed_folds_only_what_its_cut_covers():
     assert result.converged
 
 
+def test_an_own_commit_waiting_for_its_release_is_not_settled():
+    """Regression (``--commit-variant tiga --topology group --seed 24``,
+    shrunk to its three faults): m1's rounds fell back to EPaxos, whose
+    Commits the sync point m0 lost across its blackout and partition.
+    m1 held its own ``m1@12``..``m1@14`` in ``_psi_pending`` until their
+    release, and in that window they counted as settled (not in
+    ``unacked``), so m1 stopped re-sending the Commits: m0 never
+    released them, and never shipped them or what followed them.  An
+    own commit is settled only once released and stamped."""
+    schedule = [
+        FaultEvent(4490.010692785593, "churn", ("m1",),
+                   duration=1599.9522974953188),
+        FaultEvent(5240.25659869739, "blackout", ("m0",),
+                   duration=492.7644891513569),
+        FaultEvent(5981.981033682309, "partition", ("m0", "m1"),
+                   duration=427.7638061733386)]
+    result = run_scenario(ScenarioConfig(topology="group", seed=24,
+                                         commit_variant="tiga"),
+                          schedule=schedule)
+    assert result.ok, [str(v) for v in result.violations]
+    assert result.converged
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="known failure 3(c): certification reads commit "
                    "stamps, which resolve at different times on different "

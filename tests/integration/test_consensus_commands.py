@@ -79,8 +79,11 @@ def test_commands_are_transaction_records(variant):
     parent = epaxos(members[0]).instances
     for instance_id, command in seeded:     # a copy of the parent's
         assert type(command) is Transaction
-        assert command == parent[instance_id].command
-        assert command.commit is not parent[instance_id].command.commit
+        held = parent[instance_id].command
+        assert command == held
+        before = dict(command.commit.entries)
+        held.commit = held.commit.with_entry("elsewhere", 99)
+        assert command.commit.entries == before
     payloads = [m.payload for m in sent if type(m) is GroupMsg]
     carried = [p.command for p in payloads
                if hasattr(p, "command") and p.command is not None]
@@ -102,7 +105,7 @@ def test_each_member_releases_its_own_stamp(variant):
     for name in ("propose", "propose_committed"):
         def grow_after(txn, propose=getattr(orderer, name)):
             propose(txn)
-            txn.commit.add_entry("elsewhere", 99)
+            txn.commit = txn.commit.with_entry("elsewhere", 99)
         setattr(orderer, name, grow_after)
     for member in members:      # one at a time: psi aborts overlaps
         run_update(member, KEY, "counter", "increment", 1)
@@ -112,7 +115,7 @@ def test_each_member_releases_its_own_stamp(variant):
     released = [txn for member in members
                 for txn in member.visibility_log]
     assert len(released) == 3 * 3
-    assert len({id(txn.commit) for txn in released}) == len(released)
+    assert len({id(txn) for txn in released}) == len(released)
     grown = {txn.dot for txn in members[1].visibility_log
              if txn.origin == "m1"}
     assert len(grown) == 1

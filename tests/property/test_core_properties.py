@@ -108,7 +108,7 @@ class TestJournalProperties:
         journal = ObjectJournal(ObjectKey("b", "x"), "counter")
         txns = [self._txn(c, o, a) for c, o, a in entries]
         for txn in txns:
-            txn.commit.add_entry("dc0", txn.dot.counter)
+            txn.commit = txn.commit.with_entry("dc0", txn.dot.counter)
             journal.append(txn)
         before = journal.materialise().value()
         limit = sorted(t.dot.counter for t in txns)

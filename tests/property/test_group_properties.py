@@ -262,9 +262,9 @@ def test_indexed_certification_equals_full_log_scan(steps):
             index.add(entry)
         elif step[0] == "ack":
             if log:
-                stamp = log[step[1] % len(log)].commit
-                if step[2] not in stamp.entries:
-                    stamp.add_entry(step[2], step[3])
+                acked = log[step[1] % len(log)]
+                if step[2] not in acked.commit.entries:
+                    acked.commit = acked.commit.with_entry(step[2], step[3])
         else:
             deps = [log[i % len(log)].dot for i in step[3]] if log else []
             candidate = txn(number, step[1], {}, vector=step[2],

@@ -159,7 +159,7 @@ class _Run:
             dot = _pick(self.admitted, arg)
             txn = txns[dot.counter - 1] if dot is not None else txn
             if dot is not None and txn.commit.is_symbolic:
-                txn.commit.add_entry(
+                txn.commit = txn.commit.with_entry(
                     "dc0", max(dot.counter, self.vector["dc0"] + 1))
         elif command == "advance":
             self.vector = self.vector.merge(VectorClock({"dc0": arg}))

@@ -96,7 +96,7 @@ def test_a_stamp_grown_after_sizing_is_charged():
     assert_exact(apply)
     copy = txn.handoff()            # carries the body's size along
     assert copy._body_bytes == txn._body_bytes is not None
-    copy.commit.add_entry("dc-far-away", 2**40)
+    copy.commit = copy.commit.with_entry("dc-far-away", 2**40)
     assert_exact(ShardApply(copy))
     assert_exact(apply)
 

@@ -429,10 +429,12 @@ def test_stored_payload_alias_flagged():
 
 
 @pytest.mark.parametrize("body", [
-    "        msg.txn.commit.add_entry('dc0', 1)\n",
+    "        msg.txn.commit = msg.txn.commit.with_entry('dc0', 1)\n",
     "        msg.txn.commit.entries['dc0'] = 1\n",
-    "        txn = msg.txn\n        txn.commit.add_entry('dc0', 1)\n",
-    "        for txn in msg.txns:\n            txn.commit.add_entry('dc0', 1)\n",
+    "        theirs = msg.txn\n"
+    "        theirs.commit = theirs.commit.with_entry('dc0', 1)\n",
+    "        for txn in msg.txns:\n"
+    "            txn.commit = txn.commit.with_entry('dc0', 1)\n",
     "        for _ts, txn in msg.entries:\n"
     "            txn.commit.entries.update({'dc0': 1})\n",
 ])
@@ -448,7 +450,7 @@ def test_growing_a_handed_off_stamp_passes():
                'class A:\n'
                '    def _on_ping(self, msg: Ping, sender: str):\n'
                '        own = msg.txn.handoff()\n'
-               '        own.commit.add_entry("dc0", 1)\n'
+               '        own.commit = own.commit.with_entry("dc0", 1)\n'
                '        return own\n')
     assert "A501" not in {f.rule for f in analyze(handler)}
 

@@ -165,7 +165,7 @@ class TestStabilityBookkeeping:
 class TestStampSharing:
     def test_a_grafted_entry_stays_on_the_dcs_own_copy(self):
         # Shards and siblings share the transaction body by reference
-        # but each holds its own stamp: growing the DC's — here through
+        # but each holds its own transaction: growing the DC's — here through
         # CommitLog.adopt, as a migration duplicate would — moves no
         # other copy.
         sim, (dc0, dc1), _probe = world(n_dcs=2)
@@ -184,7 +184,7 @@ class TestStampSharing:
         before = [dict(copy.commit.entries) for copy in copies]
 
         duplicate = ours.handoff()
-        duplicate.commit.add_entry("dc9", 4)
+        duplicate.commit = duplicate.commit.with_entry("dc9", 4)
         assert dc0.log.adopt(duplicate) == ours.commit.entries["dc0"]
 
         assert ours.commit.entries["dc9"] == 4

@@ -242,7 +242,7 @@ class TestSnapshotAndCuts:
         r.seed(KEY, VectorClock.zero())
         txn = r.commit_own(KEY)
         stamped = txn.handoff()
-        stamped.commit.add_entry("dc0", 1)
+        stamped.commit = stamped.commit.with_entry("dc0", 1)
         assert r.push([stamped], {"dc0": 1}, {})
         assert r.frontier.vector["dc0"] == 1
         assert txn.commit.entries == {"dc0": 1}
@@ -455,7 +455,7 @@ class TestStampAdoption:
         run_update(node, KEY, "counter", "increment", 1)
         (own,) = node.unacked.values()
         stamped = own.handoff()
-        stamped.commit.add_entry("dc0", 1)
+        stamped.commit = stamped.commit.with_entry("dc0", 1)
         node.on_message(GroupRelayPush((stamped,), {"dc0": 1},
                                        node.vector.to_dict()), "m0")
         assert own.commit.entries == {"dc0": 1}
@@ -480,11 +480,11 @@ class TestStampAdoption:
     def test_a_pushed_copy_adopts_only_onto_a_symbolic_one(self):
         r, own, foreign = self.held({"dc0": 1})
         copy = foreign.handoff()
-        copy.commit.add_entry("dc1", 7)
+        copy.commit = copy.commit.with_entry("dc1", 7)
         assert r.push([copy, own.handoff()], {"dc0": 1}, {})
         assert foreign.commit.entries == {"dc0": 1}     # left alone
         pushed_own = own.handoff()
-        pushed_own.commit.add_entry("dc0", 2)
+        pushed_own.commit = pushed_own.commit.with_entry("dc0", 2)
         assert r.push([pushed_own], {"dc0": 2}, {"dc0": 1})
         assert own.commit.entries == {"dc0": 2}
         assert not r.log.unacked and not r.frontier.uncovered
@@ -492,7 +492,23 @@ class TestStampAdoption:
     def test_a_pulled_copy_adopts_always(self):
         r, own, foreign = self.held({"dc0": 1})
         copy = foreign.handoff()
-        copy.commit.add_entry("dc1", 7)
+        copy.commit = copy.commit.with_entry("dc1", 7)
         r.pulled(copy)
         assert foreign.commit.entries == {"dc0": 1, "dc1": 7}
         assert r.log.txns[foreign.dot] is foreign
+
+    def test_an_own_commit_a_peer_brought_first_waits_for_its_stamp(self):
+        # A critical-path commit is admitted at its release; a peer's
+        # pull may have brought a copy of it before.  A symbolic copy
+        # still waits in ``unacked``, so the member keeps driving it.
+        writer = Replica("m1")
+        own = writer.commit_own(KEY)
+        for entries, waits in (({}, True), ({"dc0": 1}, False)):
+            r = Replica("m1")
+            copy = Transaction(own.dot, own.origin, own.snapshot,
+                               CommitStamp(entries), own.writes)
+            assert r.integrate(copy)
+            assert not r.admit(own.handoff(), own=True)
+            assert (r.log.unacked.get(own.dot) is copy) == waits
+            assert r.adopt(own.dot, {"dc0": 1}) is copy
+            assert not r.log.unacked

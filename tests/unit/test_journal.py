@@ -36,6 +36,21 @@ class TestAppend:
         j = ObjectJournal(ObjectKey("b", "other"), "counter")
         assert not j.append(counter_txn(1))
 
+    def test_an_entry_shares_each_ops_payload_with_its_write(self):
+        other = ObjectKey("b", "y")
+        op = Counter().prepare("increment", 2)
+        txn = Transaction(dot=Dot(4, "e"), origin="e",
+                          snapshot=Snapshot(VectorClock()),
+                          commit=CommitStamp(),
+                          writes=[WriteOp(other, op), WriteOp(KEY, op),
+                                  WriteOp(KEY, op)])
+        j = ObjectJournal(KEY, "counter")
+        assert j.append(txn)
+        (entry,) = j.entries()
+        assert [o.tag for o in entry.ops] == [(4, "e", 1), (4, "e", 2)]
+        assert all(o.payload is op.payload for o in entry.ops)
+        assert j.materialise().value() == 4
+
     def test_entries_sorted_by_dot(self):
         j = ObjectJournal(KEY, "counter")
         j.append(counter_txn(3, origin="b"))

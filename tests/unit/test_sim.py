@@ -1,5 +1,7 @@
 """Simulation substrate tests: event loop, network, actors."""
 
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -69,6 +71,11 @@ class _Echo(Actor):
 
     def on_message(self, message, sender):
         self.received.append((message, sender, self.now))
+
+
+class _Sink(Actor):
+    def on_message(self, message, sender):
+        pass
 
 
 class TestNetwork:
@@ -151,6 +158,25 @@ class TestNetwork:
         sim.loop.schedule(1.0, lambda: sim.network.partition("a", "b"))
         sim.run()
         assert b.received == []
+
+    def test_a_delivered_batch_keeps_no_message_alive(self):
+        # The link's record names its last batch until the next send on
+        # the link, which may never come.
+        class Payload:
+            pass
+
+        sim = Simulation(seed=1, default_latency=LatencyModel(10.0))
+        sim.spawn(_Sink, "a")
+        sim.spawn(_Sink, "b")
+        sent = [Payload(), Payload()]
+        refs = [weakref.ref(message) for message in sent]
+        sim.network.send("a", "b", sent[0], size_bytes=1)
+        sim.run()
+        sim.network.send("a", "b", sent[1], size_bytes=1)
+        sim.loop.schedule(1.0, lambda: sim.network.partition("a", "b"))
+        sim.run()
+        del sent
+        assert [ref() for ref in refs] == [None, None]
 
     def test_isolate_node(self):
         sim, a, b = self._world()

@@ -5,6 +5,9 @@ import pytest
 from repro.core import (CommitStamp, Dot, DotTracker, ObjectKey, Snapshot,
                         Transaction, VectorClock, WriteOp)
 from repro.crdt import Counter
+from repro.dc.commitlog import CommitLog
+from repro.dc.replog import decode_stream_entry, encode_stream_entry
+from repro.edge.replica import EdgeLog
 from repro.transport.codec import value_size
 
 
@@ -55,7 +58,7 @@ class TestCommitStamp:
     def test_symbolic_until_first_entry(self):
         stamp = CommitStamp()
         assert stamp.is_symbolic
-        stamp.add_entry("dc0", 5)
+        stamp = stamp.with_entry("dc0", 5)
         assert not stamp.is_symbolic
 
     def test_included_in_any_equivalent_entry(self):
@@ -71,11 +74,11 @@ class TestCommitStamp:
     def test_conflicting_reassignment_rejected(self):
         stamp = CommitStamp({"dc0": 5})
         with pytest.raises(ValueError):
-            stamp.add_entry("dc0", 6)
+            stamp.with_entry("dc0", 6)
 
     def test_idempotent_reassignment_ok(self):
         stamp = CommitStamp({"dc0": 5})
-        stamp.add_entry("dc0", 5)
+        stamp = stamp.with_entry("dc0", 5)
         assert stamp.entries == {"dc0": 5}
 
     def test_as_vector_advances_snapshot(self):
@@ -86,9 +89,9 @@ class TestCommitStamp:
     def test_roundtrip_and_copy(self):
         stamp = CommitStamp({"dc0": 1})
         assert CommitStamp.from_dict(stamp.to_dict()).entries == {"dc0": 1}
-        copy = stamp.copy()
-        copy.add_entry("dc1", 2)
+        grown = stamp.with_entry("dc1", 2)
         assert "dc1" not in stamp.entries
+        assert grown.entries == {"dc0": 1, "dc1": 2}
 
 
 class TestTransaction:
@@ -126,6 +129,14 @@ class TestTransaction:
         assert restored.commit.entries == txn.commit.entries
         assert len(restored.writes) == len(txn.writes)
 
+    def test_handoff_shares_the_stamp_and_the_writes(self):
+        txn = make_txn(entries={"dc0": 3}, keys=("b/x", "b/y"))
+        copy = txn.handoff()
+        assert copy is not txn
+        assert copy.commit is txn.commit
+        assert copy.writes is txn.writes
+        assert copy.snapshot is txn.snapshot
+
     def test_byte_size_scales_with_metadata(self):
         small = make_txn(snapshot_vector={"dc0": 1})
         large = make_txn(snapshot_vector={f"dc{i}": 1 for i in range(10)})
@@ -142,3 +153,48 @@ class TestObjectKey:
 
     def test_repr(self):
         assert repr(ObjectKey("b", "k")) == "b/k"
+
+
+class TestStampGrowth:
+    """A stamp grows at four sites, each by replacing its holder's
+    ``commit``: every other holder of the transaction keeps its stamp."""
+
+    def test_sequence_grows_only_the_logs_copy(self):
+        sent = make_txn()
+        held = sent.handoff()
+        log = CommitLog("dc0")
+        assert log.sequence(held) is held
+        assert held.commit.entries == {"dc0": 1}
+        assert sent.commit.is_symbolic
+
+    def test_a_dc_graft_grows_only_the_logs_copy(self):
+        log = CommitLog("dc0")
+        held = log.sequence(make_txn())
+        shard_copy = held.handoff()
+        duplicate = held.handoff()
+        duplicate.commit = duplicate.commit.with_entry("dc1", 7)
+        assert log.adopt(duplicate) == 1
+        assert held.commit.entries == {"dc0": 1, "dc1": 7}
+        assert shard_copy.commit.entries == {"dc0": 1}
+
+    def test_an_edge_adoption_grows_only_the_logs_copy(self):
+        log = EdgeLog("edge")
+        own = make_txn()
+        assert log.admit(own, own=True)
+        shipped = own.handoff()
+        acked = {"dc0": 4}
+        assert log.adopt(own.dot, acked) is own
+        assert own.commit.entries == {"dc0": 4}
+        assert shipped.commit.is_symbolic and not log.unacked
+        assert acked == {"dc0": 4}
+
+    def test_a_decoded_stream_entry_builds_its_own_stamp(self):
+        txn = make_txn(entries={"dc0": 5, "dc1": 2})
+        base = VectorClock()
+        entry = encode_stream_entry(txn, "dc0", 5, base)
+        first = decode_stream_entry(entry, "dc0", 5, base)
+        second = decode_stream_entry(entry, "dc0", 5, base)
+        first.commit = first.commit.with_entry("dc2", 9)
+        assert second.commit.entries == {"dc0": 5, "dc1": 2}
+        assert txn.commit.entries == {"dc0": 5, "dc1": 2}
+        assert entry.cx == {"dc1": 2}
