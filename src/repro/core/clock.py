@@ -26,12 +26,14 @@ class VectorClock(Mapping[Any, int]):
 
     __slots__ = ("_entries",)
 
-    def __init__(self, entries: Optional[Mapping[Any, int]] = None):
-        if entries:
-            self._entries: Dict[Any, int] = {
-                k: int(v) for k, v in entries.items() if v}
-        else:
-            self._entries = {}
+    _entries: Dict[Any, int]
+
+    def __new__(cls, entries: Optional[Mapping[Any, int]] = None) \
+            -> "VectorClock":
+        """A clock of ``entries``; every empty one is :meth:`zero`."""
+        if not entries:
+            return _ZERO
+        return cls._wrap({k: int(v) for k, v in entries.items() if v})
 
     @classmethod
     def _wrap(cls, entries: Dict[Any, int]) -> "VectorClock":
@@ -40,9 +42,16 @@ class VectorClock(Mapping[Any, int]):
         Callers must guarantee the invariant the public constructor
         enforces: int values, no zero entries, ownership of the dict.
         """
-        clock = cls.__new__(cls)
+        if not entries:
+            return _ZERO
+        clock = object.__new__(cls)
         clock._entries = entries
         return clock
+
+    def __reduce__(self) -> Any:
+        # Copies and pickles go through the constructor: the default
+        # protocol would fill in the shared empty clock.
+        return (VectorClock, (self._entries,))
 
     # -- Mapping interface ---------------------------------------------------
     def __getitem__(self, key: Any) -> int:
@@ -62,12 +71,21 @@ class VectorClock(Mapping[Any, int]):
 
     # -- lattice operations ----------------------------------------------------
     def merge(self, other: "VectorClock") -> "VectorClock":
-        """Least upper bound: component-wise maximum (paper section 3.4)."""
-        merged = dict(self._entries)
+        """Least upper bound: component-wise maximum (paper section 3.4).
+
+        Returns ``self`` when ``other`` adds nothing, and ``other`` when
+        this clock is empty: clocks are immutable, so sharing is safe.
+        """
+        mine = self._entries
+        if not mine:
+            return other
+        merged: Optional[Dict[Any, int]] = None
         for key, val in other._entries.items():
-            if val > merged.get(key, 0):
+            if val > mine.get(key, 0):
+                if merged is None:
+                    merged = dict(mine)
                 merged[key] = val
-        return VectorClock._wrap(merged)
+        return self if merged is None else VectorClock._wrap(merged)
 
     def meet(self, other: "VectorClock") -> "VectorClock":
         """Greatest lower bound: component-wise minimum."""
@@ -173,7 +191,8 @@ class VectorClock(Mapping[Any, int]):
 
     @classmethod
     def zero(cls) -> "VectorClock":
-        return cls()
+        """The empty clock: one shared value, since a clock is immutable."""
+        return _ZERO
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorClock):
@@ -187,6 +206,10 @@ class VectorClock(Mapping[Any, int]):
         inner = ", ".join(f"{k}:{v}" for k, v in sorted(
             self._entries.items(), key=lambda kv: repr(kv[0])))
         return f"VC[{inner}]"
+
+
+_ZERO = object.__new__(VectorClock)
+_ZERO._entries = {}
 
 
 def lub(clocks: Iterable[VectorClock]) -> VectorClock:

@@ -16,7 +16,15 @@ out-of-order deliveries injected by tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Dict, Iterable, Set, Tuple
+
+#: The shared value of a map that is made on its first write, until
+#: then: read-only, so a write that forgets to make the map fails.
+#: What most sessions of a large world never fill starts as this one
+#: value (DESIGN §17).  ``Any``, so that a map annotated as what it is
+#: written as may start as it.
+EMPTY_MAP: Any = MappingProxyType({})
 
 
 @dataclass(frozen=True, order=True)
@@ -45,12 +53,16 @@ class DotTracker:
 
     Compact in the common case (contiguous per-origin watermark) while
     remaining correct for gaps: dots above the watermark are kept in an
-    explicit set until the gap below them closes.
+    explicit set until the gap below them closes.  Both maps start as one
+    shared empty value and are made on their first write: most edge
+    sessions of a large world never see a gap, many never see a dot.
     """
 
+    __slots__ = ("_watermark", "_pending")
+
     def __init__(self) -> None:
-        self._watermark: Dict[str, int] = {}
-        self._pending: Dict[str, Set[int]] = {}
+        self._watermark: Dict[str, int] = EMPTY_MAP
+        self._pending: Dict[str, Set[int]] = EMPTY_MAP
 
     def seen(self, dot: Dot) -> bool:
         """Has this dot already been delivered?"""
@@ -62,17 +74,26 @@ class DotTracker:
         """Record a delivery.  Returns False if it was a duplicate."""
         if self.seen(dot):
             return False
-        pending = self._pending.setdefault(dot.origin, set())
-        pending.add(dot.counter)
-        # Close contiguous gaps above the watermark.
-        mark = self._watermark.get(dot.origin, 0)
-        while mark + 1 in pending:
-            mark += 1
-            pending.remove(mark)
-        if mark != self._watermark.get(dot.origin, 0):
-            self._watermark[dot.origin] = mark
-        if not pending:
-            self._pending.pop(dot.origin, None)
+        origin = dot.origin
+        mark = self._watermark.get(origin, 0)
+        if dot.counter != mark + 1:
+            # A gap below: held until the watermark reaches it.
+            if self._pending is EMPTY_MAP:
+                self._pending = {}
+            self._pending.setdefault(origin, set()).add(dot.counter)
+            return True
+        # Contiguous: advance, closing the gaps this dot fills.
+        mark += 1
+        pending = self._pending.get(origin)
+        if pending:
+            while mark + 1 in pending:
+                mark += 1
+                pending.remove(mark)
+            if not pending:
+                del self._pending[origin]
+        if self._watermark is EMPTY_MAP:
+            self._watermark = {}
+        self._watermark[origin] = mark
         return True
 
     def watermark(self, origin: str) -> int:

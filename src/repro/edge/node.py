@@ -16,7 +16,7 @@ from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Mapping,
                     Optional, Set, Tuple, Union)
 
 from ..core.clock import VectorClock
-from ..core.dot import Dot
+from ..core.dot import EMPTY_MAP, Dot, DotTracker
 from ..core.journal import ObjectState
 from ..core.txn import CommitStamp, ObjectKey, Snapshot, Transaction
 from ..crdt.base import OpBasedCRDT, new_crdt
@@ -97,7 +97,18 @@ class _RunningTxn:
 
 
 class EdgeNode(Actor):
-    """A far-edge device (or border node) running the Colony client."""
+    """A far-edge device (or border node) running the Colony client.
+
+    Slotted, and what an idle session never fills — the security state
+    without security, fetches, subscriptions, migrated transactions, the
+    session trace — is made when first needed (DESIGN §17)."""
+
+    __slots__ = ("connected_dc", "user", "writeback_ms", "log", "frontier",
+                 "cache", "_interest_types", "_session_interest",
+                 "session_open", "offline", "security_enabled", "enforcer",
+                 "_pending_fetches", "_compact_tick", "_subscriptions",
+                 "txn_stats", "session_log", "_own_commit_log",
+                 "_next_remote_request", "_remote_pending")
 
     RETRY_INTERVAL_MS = 500.0
 
@@ -120,8 +131,6 @@ class EdgeNode(Actor):
         #: What the replica holds and what it shows (sans-io values).
         self.log = EdgeLog(node_id)
         self.frontier = EdgeFrontier(self.log)
-        # The log's own tracker and queue, readable here (never rebound).
-        self.dots, self.unacked = self.log.dots, self.log.unacked
         self.cache = InterestCache(cache_capacity,
                                    on_evict=self._on_evict)
         self._interest_types: Dict[ObjectKey, str] = {}
@@ -135,21 +144,22 @@ class EdgeNode(Actor):
         self.session_open = False
         self.offline = False
         self.security_enabled = security_enabled
-        self.enforcer = SecurityEnforcer()
-        self._pending_fetches: Dict[ObjectKey, List[_RunningTxn]] = {}
+        self.enforcer: Optional[SecurityEnforcer] = \
+            SecurityEnforcer() if security_enabled else None
+        # Transactions suspended on a fetch, by the key they wait for.
+        self._pending_fetches: Dict[ObjectKey, List[_RunningTxn]] = EMPTY_MAP
         self._compact_tick = 0
         self._subscriptions: Dict[ObjectKey,
-                                  List[Callable[[ObjectKey], None]]] = {}
+                                  List[Callable[[ObjectKey], None]]] = \
+            EMPTY_MAP
         self.txn_stats: List[TxnStats] = []
-        # Invariant-checker instrumentation (see repro.chaos): when
-        # enabled, every finished transaction logs its read frontier and
-        # every local commit logs its dot with a timestamp.
-        self.trace_sessions = False
-        self.session_log: List[SessionRead] = []
-        self._own_commit_log: List[Tuple[Dot, float]] = []
+        # Invariant-checker instrumentation (``trace_sessions``): the
+        # logs exist only while it is on.
+        self.session_log: Optional[List[SessionRead]] = None
+        self._own_commit_log: Optional[List[Tuple[Dot, float]]] = None
         # Migrated (in-DC) transactions awaiting their reply (section 3.9).
         self._next_remote_request = 0
-        self._remote_pending: Dict[int, Tuple] = {}
+        self._remote_pending: Dict[int, Tuple] = EMPTY_MAP
         if security_enabled:
             for key in (ACL_OBJECT, RI_OBJECTS, RI_USERS):
                 self._declare_interest_local(
@@ -160,6 +170,28 @@ class EdgeNode(Actor):
     @property
     def vector(self) -> VectorClock:
         return self.frontier.vector
+
+    @property
+    def dots(self) -> DotTracker:
+        return self.log.dots
+
+    @property
+    def unacked(self) -> Mapping[Dot, Transaction]:
+        return self.log.unacked
+
+    @property
+    def trace_sessions(self) -> bool:
+        """Invariant-checker instrumentation (see repro.chaos): while on,
+        every finished transaction logs its read frontier in
+        ``session_log`` and every local commit its dot with a timestamp
+        in ``_own_commit_log``."""
+        return self.session_log is not None
+
+    @trace_sessions.setter
+    def trace_sessions(self, on: bool) -> None:
+        if on != self.trace_sessions:
+            self.session_log, self._own_commit_log = \
+                ([], []) if on else (None, None)
 
     # ------------------------------------------------------------------
     # connectivity
@@ -233,6 +265,8 @@ class EdgeNode(Actor):
     def subscribe(self, key: ObjectKey,
                   callback: Callable[[ObjectKey], None]) -> None:
         """Reactive programming: run ``callback`` on visible updates."""
+        if self._subscriptions is EMPTY_MAP:
+            self._subscriptions = {}
         self._subscriptions.setdefault(key, []).append(callback)
 
     # ------------------------------------------------------------------
@@ -499,7 +533,7 @@ class EdgeNode(Actor):
         until the next read of ``key`` (see :mod:`repro.store.matcache`);
         the transaction buffer never mutates it.
         """
-        masked = self.enforcer.masked_dots if self.security_enabled \
+        masked = self.enforcer.masked_dots if self.enforcer is not None \
             else frozenset()
         vector = self.frontier.read_vector(snapshot.vector, key)
         return self.cache.read(
@@ -606,6 +640,8 @@ class EdgeNode(Actor):
                     ctx.snapshot = Snapshot(vector, snapshot.local_deps)
                 return True
         # Cache miss (or declared-but-never-seeded): fetch, then resume.
+        if self._pending_fetches is EMPTY_MAP:
+            self._pending_fetches = {}
         self._pending_fetches.setdefault(key, []).append(running)
         self.fetch_object(key, type_name, ctx)
         return False
@@ -637,7 +673,9 @@ class EdgeNode(Actor):
         self._resume_fetches(msg.object_state.key)
 
     def _resume_fetches(self, key: ObjectKey) -> None:
-        waiting = self._pending_fetches.pop(key, [])
+        if key not in self._pending_fetches:
+            return
+        waiting = self._pending_fetches.pop(key)
         for running in waiting:
             # Restart with a fresh snapshot that covers the fetched state:
             # every read of the retried body sees one consistent cut.
@@ -734,7 +772,8 @@ class EdgeNode(Actor):
     # security & subscriptions
     # ------------------------------------------------------------------
     def _refresh_security(self) -> None:
-        if not self.security_enabled:
+        enforcer = self.enforcer
+        if enforcer is None:
             return
         snapshot = self.frontier.current_snapshot()
         raw = EdgeFrontier.filter(snapshot.vector, snapshot.local_deps)
@@ -749,9 +788,8 @@ class EdgeNode(Actor):
         acl_set = read(ACL_OBJECT, "orset").value()
         obj_ri = {k: v for k, v in read(RI_OBJECTS, "gmap").value().items()}
         user_ri = {k: v for k, v in read(RI_USERS, "gmap").value().items()}
-        self.enforcer.load_from_values(
-            acl_set, obj_ri, user_ri)
-        self.enforcer.recompute(self.log.txns.values())
+        enforcer.load_from_values(acl_set, obj_ri, user_ri)
+        enforcer.recompute(self.log.txns.values())
 
     def _notify_subscribers(self, keys: Iterable[ObjectKey]) -> None:
         """Run the callbacks subscribed to those of ``keys`` we hold."""
@@ -787,6 +825,8 @@ class EdgeNode(Actor):
             updates=tuple((k, t, m, tuple(a)) for k, t, m, a in updates),
             snapshot=self.vector.to_dict(),
             local_deps=tuple(self.frontier.uncovered), issuer=self.user)
+        if self._remote_pending is EMPTY_MAP:
+            self._remote_pending = {}
         self._remote_pending[request_id] = (self.now, request, on_done,
                                             on_fail, 0)
         self._send_remote(request_id)

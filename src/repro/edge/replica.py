@@ -16,22 +16,27 @@ the sends, the timers, the store, the sessions and the fetches.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping,
-                    Optional, Set, Tuple)
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, List,
+                    Mapping, Optional, Set, Tuple)
 
 from ..core.clock import LamportClock, VectorClock
-from ..core.dot import Dot, DotTracker
+from ..core.dot import EMPTY_MAP, Dot, DotTracker
 from ..core.journal import ObjectJournal, Visibility
 from ..core.txn import ObjectKey, Snapshot, Transaction
 
 _ZERO = VectorClock.zero()
 _NO_DOTS: FrozenSet[Dot] = frozenset()
+#: ``resync_expect`` until a resync sets it (read-only, shared).
+_NO_KEYS: Any = frozenset()
 
 
 class EdgeLog:
     """What an edge replica holds: every journalled transaction by dot,
     the own commits no DC has stamped yet, and the Lamport clock its
-    dots come from."""
+    dots come from.  ``txns`` and ``unacked`` are made on their first
+    write."""
+
+    __slots__ = ("node_id", "lamport", "dots", "txns", "unacked")
 
     def __init__(self, node_id: str):
         self.node_id = node_id
@@ -39,9 +44,9 @@ class EdgeLog:
         # so own dots order after everything the replica has seen.
         self.lamport = LamportClock()
         self.dots = DotTracker()
-        self.txns: Dict[Dot, Transaction] = {}
+        self.txns: Dict[Dot, Transaction] = EMPTY_MAP
         #: Own commits awaiting their stamp, in commit order.
-        self.unacked: "OrderedDict[Dot, Transaction]" = OrderedDict()
+        self.unacked: "OrderedDict[Dot, Transaction]" = EMPTY_MAP
 
     def admit(self, txn: Transaction, own: bool = False) -> bool:
         """Hold ``txn``: own commits, DC pushes, group relays and pulled
@@ -53,12 +58,19 @@ class EdgeLog:
         self.lamport.observe(dot.counter)
         if not self.dots.observe(dot):
             if own and dot in self.txns and self.txns[dot].commit.is_symbolic:
-                self.unacked[dot] = self.txns[dot]
+                self._await_stamp(self.txns[dot])
             return False
+        if self.txns is EMPTY_MAP:
+            self.txns = {}
         self.txns[dot] = txn
         if own:
-            self.unacked[dot] = txn
+            self._await_stamp(txn)
         return True
+
+    def _await_stamp(self, txn: Transaction) -> None:
+        if self.unacked is EMPTY_MAP:
+            self.unacked = OrderedDict()
+        self.unacked[txn.dot] = txn
 
     def fold(self, dots: Iterable[Dot]) -> None:
         """Hold the dots a seed folded into a journal's base: a child
@@ -80,8 +92,8 @@ class EdgeLog:
         for dc, ts in entries.items():
             if dc not in txn.commit.entries:
                 txn.commit = txn.commit.with_entry(dc, ts)
-        if not txn.commit.is_symbolic:
-            self.unacked.pop(dot, None)
+        if not txn.commit.is_symbolic and dot in self.unacked:
+            del self.unacked[dot]
         return txn
 
 
@@ -94,7 +106,11 @@ class EdgeFrontier:
     Only the push chain and a seed of the *whole* warm set keep that
     promise, so a push advances it only if it starts inside it, and a
     seed's cut is bounded by what every warm key is complete up to.
+    ``uncovered`` and ``resync_expect`` are made on their first write.
     """
+
+    __slots__ = ("log", "vector", "key_cut", "uncovered", "resync_expect",
+                 "resync_started", "_pending_vector")
 
     def __init__(self, log: EdgeLog):
         self.log = log
@@ -108,11 +124,11 @@ class EdgeFrontier:
         #: Held transactions the vector does not cover — own commits
         #: awaiting their stamp, a peer's ahead of the push chain —
         #: visible by dot (read-my-writes, the group's SI zone).
-        self.uncovered: "OrderedDict[Dot, Transaction]" = OrderedDict()
+        self.uncovered: "OrderedDict[Dot, Transaction]" = EMPTY_MAP
         #: A group member's warm-set resync: the keys whose replies are
         #: still due, when it started, and the cut the replies so far
         #: were taken at (see :meth:`fetch_reply`).
-        self.resync_expect: Set[ObjectKey] = set()
+        self.resync_expect: Set[ObjectKey] = _NO_KEYS
         self.resync_started = -1e9
         self._pending_vector = _ZERO
 
@@ -121,13 +137,16 @@ class EdgeFrontier:
         """A newly held ``txn`` stays visible by dot until the vector
         covers it; a ``pushed`` one is covered by its push."""
         if not pushed and not txn.commit.included_in(self.vector):
+            if self.uncovered is EMPTY_MAP:
+                self.uncovered = OrderedDict()
             self.uncovered[txn.dot] = txn
 
     def settle(self, txn: Transaction) -> None:
         """``txn``'s stamp grew: the covering push may have come first,
         and no later advance is owed to us."""
-        if txn.commit.included_in(self.vector):
-            self.uncovered.pop(txn.dot, None)
+        if txn.dot in self.uncovered \
+                and txn.commit.included_in(self.vector):
+            del self.uncovered[txn.dot]
 
     def follows(self, prev: Mapping[str, int]) -> bool:
         """Does a push cut from ``prev`` extend what we hold?  If our

@@ -20,9 +20,10 @@ Safety rests on two rules enforced here:
 * a member never releases below ``_released_max``: once something was
   released at deadline *d*, any proposal at or below *d* is nacked, so
   a commit certificate (majority of acks) pins the transaction's slot;
-* every deadline seen is merged into the HLC, so deadlines extend
-  happened-before: a transaction that read another's writes always
-  carries a higher deadline.
+* every deadline seen is merged into the HLC, and a new deadline is
+  the later of a lead past the physical clock and a fresh HLC reading,
+  so deadlines extend happened-before: a transaction that read
+  another's writes always carries a higher deadline.
 
 Liveness is by fallback, not retry: a coordinator that cannot reach a
 majority (skewed clocks, loss, partition) withdraws the round and
@@ -163,8 +164,12 @@ class TigaSequencer:
         """Stamp an own transaction and start its fast-path round."""
         dot = dict(txn["dot"])
         key = _key(dot)
-        ts = self.hlc.now()
-        deadline = (ts[0] + self.lead_ms, ts[1], ts[2])
+        # A lead past the physical clock, and above every deadline seen
+        # (the HLC has merged them all).  Not a lead past the HLC: that
+        # holds the last deadline seen, so each deadline would be a
+        # whole lead above the one before, one release per lead.
+        deadline = max((self.clock.now() + self.lead_ms, 0, self.node_id),
+                       self.hlc.now())
         self.hlc.observe(deadline)
         round_ = _Round(dot, txn, deadline, self.now_fn())
         self._rounds[key] = round_

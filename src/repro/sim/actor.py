@@ -35,7 +35,15 @@ class Actor:
     ``self.loop`` and ``self.network`` are always bound to the
     transport's timer and network facets, so subclass code is oblivious
     to which backend it runs on.
+
+    Slotted: a world holds one actor per edge session, so the base and
+    :class:`~repro.edge.node.EdgeNode` carry no instance ``__dict__``.
+    A subclass without ``__slots__`` gets one back, which the few
+    actors of a world per kind (DCs, shards, members) may keep.
     """
+
+    __slots__ = ("transport", "loop", "network", "node_id", "rng",
+                 "crashed", "_timer_epoch", "_periodic")
 
     def __init__(self, node_id: str, loop: Any,
                  network: Optional[Network] = None,
@@ -107,14 +115,8 @@ class Actor:
         # Rescheduled via the allocation-free path: periodic protocol
         # timers dominate the event population at scale (crash/epoch is
         # checked in the tick).
-        epoch = self._timer_epoch
-        def tick() -> None:
-            if self.crashed or self._timer_epoch != epoch:
-                return
-            callback()
-            delay = period + (self.rng.uniform(0, jitter) if jitter else 0.0)
-            self.loop.schedule_fast(delay, tick)
-        self.loop.schedule_fast(period, tick)
+        self.loop.schedule_fast(period, _Tick(self, period, callback,
+                                              jitter))
 
     # -- failure ----------------------------------------------------------------
     def crash(self) -> None:
@@ -159,6 +161,33 @@ class Actor:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "crashed" if self.crashed else "up"
         return f"{type(self).__name__}({self.node_id}, {state})"
+
+
+class _Tick:
+    """One chain of a periodic timer (:meth:`Actor.every`): runs the
+    callback and re-arms itself while the actor is up in the epoch it
+    was armed in.  A slotted object rather than a closure: every edge
+    session holds one."""
+
+    __slots__ = ("actor", "epoch", "period", "callback", "jitter")
+
+    def __init__(self, actor: Actor, period: float,
+                 callback: Callable[[], None], jitter: float):
+        self.actor = actor
+        self.epoch = actor._timer_epoch
+        self.period = period
+        self.callback = callback
+        self.jitter = jitter
+
+    def __call__(self) -> None:
+        actor = self.actor
+        if actor.crashed or actor._timer_epoch != self.epoch:
+            return
+        self.callback()
+        jitter = self.jitter
+        delay = self.period + (actor.rng.uniform(0, jitter) if jitter
+                               else 0.0)
+        actor.loop.schedule_fast(delay, self)
 
 
 # Re-exported for subclass modules that type-hint against the simulator

@@ -68,7 +68,7 @@ from operator import attrgetter
 from typing import (AbstractSet, Dict, Hashable, List, Optional, Set,
                     Tuple)
 
-from ..core.dot import Dot
+from ..core.dot import EMPTY_MAP, Dot
 from ..core.journal import (EntryFilter, JournalEntry, ObjectJournal,
                             Visibility)
 from ..crdt.base import OpBasedCRDT
@@ -132,11 +132,15 @@ class MaterialisedCache:
     matches the monotonic frontiers every node exposes).  ``stats`` is a
     :class:`~repro.store.cache.CacheStats`; the cache bumps its
     ``mat_hits`` (hits, and deltas or scans that found nothing new) /
-    ``mat_incremental`` / ``mat_misses`` (rebuilds) counters.
+    ``mat_incremental`` / ``mat_misses`` (rebuilds) counters.  The map
+    of versions is made on the first rebuild: a cache that never reads
+    (an idle edge session's) holds none.
     """
 
+    __slots__ = ("_versions", "stats")
+
     def __init__(self, stats: Optional[CacheStats] = None):
-        self._versions: Dict[Hashable, _CachedVersion] = {}
+        self._versions: Dict[Hashable, _CachedVersion] = EMPTY_MAP
         self.stats = stats if stats is not None else CacheStats()
 
     def __len__(self) -> int:
@@ -299,6 +303,8 @@ class MaterialisedCache:
                  view: Optional[Visibility]) \
             -> Tuple[OpBasedCRDT, AbstractSet[Dot]]:
         state, dots, hidden = journal.replay(visible)
+        if self._versions is EMPTY_MAP:
+            self._versions = {}
         cached = self._versions[cache_key] = _CachedVersion(
             journal.uid, journal.version, journal.base_version, token,
             dots, state)
@@ -309,7 +315,8 @@ class MaterialisedCache:
     # -- invalidation ------------------------------------------------------
     def invalidate(self, key: Hashable) -> None:
         """Drop the cached version for one exact cache key."""
-        self._versions.pop(key, None)
+        if key in self._versions:
+            del self._versions[key]
 
     def invalidate_object(self, key: Hashable) -> None:
         """Drop every cached version derived from object ``key``.
@@ -324,4 +331,4 @@ class MaterialisedCache:
             del self._versions[k]
 
     def clear(self) -> None:
-        self._versions.clear()
+        self._versions = EMPTY_MAP

@@ -12,7 +12,7 @@ from repro.core import ObjectKey
 from repro.groups import GroupMember, form_group
 from repro.sim import LAN, LatencyModel, Simulation
 
-from ..conftest import build_cluster, run_update
+from ..conftest import build_cluster, build_edge, run_update
 
 KEY = ObjectKey("b", "x")
 
@@ -149,3 +149,48 @@ class TestMembership:
         sim.run_for(3000)
         assert all(m.read_value(KEY, "counter") == 3 for m in members)
         assert all(m.pipeline_idle for m in members)
+
+
+class TestSustainedRate:
+    """A tiga group keeps up with a steady write rate.
+
+    Each deadline used to be taken a whole lead above the HLC, which
+    every member had merged the previous deadline into, so a group
+    released at most one write per lead (25 ms: 40 writes/s) and at
+    50 writes/s its backlog, and commit→visible with it, grew linearly
+    through the run."""
+
+    RATE_PER_S = 50
+    RUN_MS = 4000.0
+
+    def test_commit_to_visible_stays_flat_at_fifty_writes_per_second(self):
+        sim, members = tiga_world(n_members=5)
+        observer = build_edge(sim, "observer",
+                              interest=[(KEY, "counter")])
+        sim.run_for(300)
+        gap_ms = 1000.0 / self.RATE_PER_S
+        n_writes = int(self.RUN_MS / gap_ms)
+        start = sim.now
+        submitted = [start + i * gap_ms for i in range(n_writes)]
+        for i, at in enumerate(submitted):
+            sim.loop.schedule_at(
+                at, lambda m=members[i % len(members)]:
+                run_update(m, KEY, "counter", "increment", 1))
+        # The observer sees the k-th write once its counter reaches k.
+        shown = []
+
+        def on_update(key):
+            value = observer.read_value(KEY, "counter")
+            while len(shown) < value:
+                shown.append(sim.now)
+
+        observer.subscribe(KEY, on_update)
+        sim.run_for(self.RUN_MS + 3000.0)
+        assert len(shown) == n_writes
+        latency = [seen - at for seen, at in zip(shown, submitted)]
+        quarter = n_writes // 4
+        first = sorted(latency[:quarter])[quarter // 2]
+        last = sorted(latency[-quarter:])[quarter // 2]
+        # Flat: the last quarter's median within 50 ms of the first's,
+        # where a backlog growing by 10 writes/s adds about 0.7 s.
+        assert last <= first + 50.0, (first, last)

@@ -97,6 +97,28 @@ class TestCoordinator:
         h.seq.maintenance()               # no acks ever arrived
         assert h.fallbacks == [(1, "a")]
 
+    def test_back_to_back_deadlines_are_one_lead_past_the_clock(self):
+        # Each deadline is above every deadline seen, and in an idle
+        # group only just: not a whole lead above the previous one,
+        # which would cap the group at one release per lead.
+        h = Harness()
+        lead = h.seq.lead_ms
+        seen = []
+        for i in range(1, 6):
+            h.run_until(float(i))
+            deadline = h.seq.propose(_txn(i, "a"))
+            assert deadline[0] == h.clock.now() + lead
+            assert all(deadline > earlier for earlier in seen)
+            seen.append(deadline)
+        # A peer's deadline further out is observed: the next one is
+        # above it, by the logical counter alone.
+        theirs = (h.clock.now() + 3 * lead, 0, "b")
+        h.seq.handle(TigaPropose({"counter": 1, "origin": "b"}, theirs,
+                                 _txn(1, "b")), "b")
+        deadline = h.seq.propose(_txn(6, "a"))
+        assert deadline > theirs and deadline[0] == theirs[0]
+        assert all(deadline > earlier for earlier in seen)
+
     def test_status_answered_with_round_outcome(self):
         h = Harness()
         deadline = h.seq.propose(_txn(1, "a"))
