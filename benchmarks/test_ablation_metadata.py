@@ -7,11 +7,14 @@ the encoded metadata bytes of transactions flowing through a simulated
 deployment.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.bench import ablation_metadata
 from repro.bench.harness import build_chat_world
 from repro.bench.scenarios import _small_trace
+from repro.dc.commitlog import CommitLog
 from repro.transport.codec import value_size
 from repro.workload.driver import ClosedLoopDriver
 
@@ -44,22 +47,29 @@ def test_measured_transaction_metadata(benchmark):
     """Average measured txn metadata stays small and DC-bounded."""
 
     def run():
-        trace = _small_trace(12, seed=7)
-        world = build_chat_world("swiftcloud", 3, trace, 12, seed=7)
-        world.warm_up(1500.0)
-        driver = ClosedLoopDriver(world.sim, trace, world.users(),
-                                  think_time_ms=10.0)
-        driver.start()
-        world.sim.run_for(2000.0)
         # A transaction's metadata as the codec writes it inside the
         # transaction record: the snapshot's vector and local deps and
         # the commit stamp (a record in a value carries 2 more bytes,
-        # its tag and class id).
+        # its tag and class id).  Measured as each transaction enters a
+        # DC's log, since a DC retires what no peer can still ask for.
         sizes = []
-        for dc in world.dcs:
-            for txn in dc.log.txns.values():
+        admit = CommitLog.admit
+
+        def measured(log, origin, ts, txn, advance=True):
+            entered = admit(log, origin, ts, txn, advance)
+            if entered:
                 sizes.append(value_size(txn.snapshot) - 2
                              + value_size(txn.commit) - 2)
+            return entered
+
+        trace = _small_trace(12, seed=7)
+        with mock.patch.object(CommitLog, "admit", measured):
+            world = build_chat_world("swiftcloud", 3, trace, 12, seed=7)
+            world.warm_up(1500.0)
+            driver = ClosedLoopDriver(world.sim, trace, world.users(),
+                                      think_time_ms=10.0)
+            driver.start()
+            world.sim.run_for(2000.0)
         return sizes
 
     sizes = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set
 
 from ..core.clock import VectorClock
 from ..core.dot import Dot
+from ..obs.trace import K_STABLE, NULL_RECORDER, REPLICATION
 
 
 class InvariantViolation(Exception):
@@ -59,7 +60,17 @@ class InvariantChecker:
     ``checkpoint()`` runs the safety invariants (valid at any instant,
     faults active or not); ``check_convergence()`` adds the liveness /
     strong-convergence check that only holds at quiescence.
+
+    A DC retires a transaction from its log once no peer can ask for it
+    (DESIGN §11), so the checker keeps each DC's released transactions
+    itself.  Watching the world's trace (:meth:`watch`), it takes each
+    one off the ``K_STABLE`` span of its release — or, for one stored
+    already inside the cut, off the span of its apply — and every
+    checkpoint adds those released and still held.  Together these are
+    every transaction a DC has held inside its cut.
     """
+
+    enabled = True
 
     def __init__(self, dcs: Sequence[Any], replicas: Sequence[Any],
                  k_target: int):
@@ -71,8 +82,33 @@ class InvariantChecker:
         self._last_vectors: Dict[str, VectorClock] = {}
         # Per-replica cursor into its session_log (incremental replay).
         self._session_cursor: Dict[str, int] = {}
+        # The recorder every span is passed on to.
+        self._trace: Any = NULL_RECORDER
+        self._dc_by_id = {dc.node_id: dc for dc in self.dcs}
+        # Per DC, every transaction it held inside its stable cut.
+        self._released: Dict[str, Dict[Dot, Any]] = {
+            dc.node_id: {} for dc in self.dcs}
         for replica in self.replicas:
             replica.trace_sessions = True
+
+    def watch(self, network: Any) -> None:
+        """Read the trace of ``network``'s actors, ahead of the recorder
+        already attached to it."""
+        self._trace, network.obs = network.obs, self
+
+    def record(self, kind: str, dot: Any, node: str, t: float,
+               **attrs: Any) -> None:
+        """A trace span: keep a transaction a DC just released, or just
+        stored inside its cut."""
+        if self._trace.enabled:
+            self._trace.record(kind, dot, node, t, **attrs)
+        if kind == K_STABLE or (kind == REPLICATION
+                                and attrs.get("phase") == "apply"):
+            dc = self._dc_by_id.get(node)
+            if dc is not None and dc.stability.released(dot):
+                txn = dc.transaction(dot)
+                if txn is not None:
+                    self._released[node].setdefault(dot, txn)
 
     # ------------------------------------------------------------------
     # oracles
@@ -166,8 +202,13 @@ class InvariantChecker:
         """No vector covers a stable txn its warm journal lacks."""
         stable = {}
         for dc in self.dcs:
-            for txn in dc.stable_transactions():
-                stable.setdefault(txn.dot, txn)
+            released = self._released[dc.node_id]
+            held = dc.stability.released
+            for dot, txn in dc.log.txns.items():
+                if held(dot):
+                    released.setdefault(dot, txn)
+            for dot, txn in released.items():
+                stable.setdefault(dot, txn)
         violations = []
         ordered = sorted(stable)
         for replica in self.replicas:

@@ -369,10 +369,11 @@ def run_scenario(config: ScenarioConfig,
     """Run one seeded scenario; deterministic for (config, schedule).
 
     ``recorder`` optionally attaches a lifecycle trace recorder
-    (``repro.obs.TraceRecorder``) to the world's network.  The recorder
-    is a pure observer — it never touches RNG or scheduling — so the
-    result (and every digest derived from it) is byte-identical with
-    tracing on or off; the trace itself is a separate artifact.
+    (``repro.obs.TraceRecorder``) to the world's network; the checker
+    watches the trace in front of it.  A recorder is a pure observer —
+    it never touches RNG or scheduling — so the result (and every digest
+    derived from it) is byte-identical with tracing on or off; the trace
+    itself is a separate artifact.
     """
     world = build_world(config.topology, config.seed, edge_cls=edge_cls,
                         commit_variant=config.commit_variant,
@@ -381,6 +382,8 @@ def run_scenario(config: ScenarioConfig,
     sim = world.sim
     if recorder is not None:
         sim.network.obs = recorder
+    checker = InvariantChecker(world.dcs, world.replicas, world.k_target)
+    checker.watch(sim.network)
     start = sim.now
     if schedule is None:
         schedule = generate_schedule(config.seed, world.spec,
@@ -389,7 +392,6 @@ def run_scenario(config: ScenarioConfig,
                                      max_faults=config.max_faults)
     schedule = list(schedule)
     result = ScenarioResult(config, schedule)
-    checker = InvariantChecker(world.dcs, world.replicas, world.k_target)
     injector = FaultInjector(sim, world.actors, world.peer_dcs)
     injector.install(schedule)
     workload = _Workload(world, config.seed, start, config.window_ms,

@@ -12,9 +12,10 @@ StabilityFrontier` reads all of them.
 It owns the own-stream counter, the state vector ("every position up to
 here is *resolved*": applied or deliberately pruned), the dot tracker,
 the Lamport clock that server-assigned dots come from, ``dot ->
-Transaction``, ``origin -> ts -> dot`` and the ledger of applied skip
-runs.  There is one way in per kind of entry, and each keeps the
-invariants the rest of the DC relies on:
+Transaction`` for what a peer or a stream head can still ask for,
+``origin -> ts -> dot`` and the ledger of applied skip runs.  There is
+one way in per kind of entry, and each keeps the invariants the rest of
+the DC relies on:
 
 * **own-stream positions are assigned here and nowhere else, one per
   dot** (:meth:`sequence` stamps the commit entry with the position it
@@ -23,13 +24,16 @@ invariants the rest of the DC relies on:
 * **streams are applied contiguously** (:meth:`admit` with ``advance``
   and :meth:`skip` only ever extend a frontier by the next position);
 * **a stream position names the transaction whose commit entry says
-  so** (:meth:`admit` refuses a stamp that contradicts its position).
+  so** (:meth:`admit` refuses a stamp that contradicts its position);
+* **only a released transaction that no peer can still ask for leaves
+  ``txns``** (:meth:`retire`); its dot stays seen and its coordinates
+  stay in ``streams``, which is where :meth:`entries` finds them.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.clock import LamportClock, VectorClock
 from ..core.dot import Dot, DotTracker
@@ -57,17 +61,24 @@ class CommitLog:
         # frontier covers them without a stored entry).
         self._skip_runs: Dict[str, List[SkipRun]] = {}
         self._skip_starts: Dict[str, List[int]] = {}
+        # Per stream, the last position :meth:`retire` has passed, and
+        # positions stored off-stream at or below it since its last call.
+        self._retired: Dict[str, int] = {}
+        self._late: List[Tuple[str, int]] = []
+        #: ``(ts, snapshot vector)`` of the newest own position retired:
+        #: the one retired position a replication chain can still start
+        #: from (``ReplSender._chain_base``).
+        self.retired_base: Tuple[int, VectorClock] = (0, VectorClock.zero())
 
     # -- the ways in -----------------------------------------------------------
-    def sequence(self, txn: Transaction) -> Transaction:
+    def sequence(self, txn: Transaction) -> Optional[Transaction]:
         """Commit ``txn`` at the next position of our own stream and
         stamp it with that position.  Returns the transaction the log
-        holds under its dot: ``txn`` — or, for a dot the log already
-        holds, the known transaction, and nothing is sequenced (a dot
-        takes a position of our stream at most once)."""
-        known = self.txns.get(txn.dot)
-        if known is not None:
-            return known
+        holds under its dot: ``txn`` — or, for a dot the log has seen,
+        the known transaction (``None`` once retired), and nothing is
+        sequenced (a dot takes a position of our stream at most once)."""
+        if self.dots.seen(txn.dot):
+            return self.txns.get(txn.dot)
         ts = self.sequencer = self.sequencer + 1
         txn.commit = txn.commit.with_entry(self.node_id, ts)
         self.admit(self.node_id, ts, txn)
@@ -108,12 +119,15 @@ class CommitLog:
             return False
         self.lamport.observe(dot.counter)
         self.txns[dot] = txn
+        if not advance and ts <= self._retired.get(origin, 0):
+            self._late.append((origin, ts))
         return True
 
     def adopt(self, txn: Transaction) -> Optional[int]:
         """Graft the equivalent commit entries of a duplicate copy onto
-        the transaction we hold.  Returns our own stream position of it
-        when the stamp grew (its shipped form changed), else ``None``."""
+        the transaction we hold (nothing, once it is retired).  Returns
+        our own stream position of it when the stamp grew (its shipped
+        form changed), else ``None``."""
         known = self.txns.get(txn.dot)
         if known is None:
             return None
@@ -149,7 +163,68 @@ class CommitLog:
         starts.insert(index, start)
         return recorded
 
+    def retire(self, stable: VectorClock, shipped: int,
+               askable: Callable[[int], bool]) \
+            -> List[Tuple[Dot, Optional[int]]]:
+        """Drop from ``txns`` what no peer can still ask for.
+
+        A transaction leaves once it is inside the ``stable`` cut and
+        every own-stream position it holds is at or below ``shipped``,
+        the position each peer has applied our stream up to — unless
+        ``askable(ts)``: a peer may still ask for that own position in
+        a backfill.  A transaction held at an own position is decided
+        on our stream, any other on the stream it was stored at.  Each
+        stream is walked once, up to the cut; a position filled
+        off-stream below that since the last call is decided now.
+        Returns ``(dot, own position or None)`` of each dropped one.
+        """
+        node = self.node_id
+        txns = self.txns
+        streams = self.streams
+        cursors = self._retired
+        ranges = [(origin, ts - 1, ts) for origin, ts in self._late]
+        self._late = []
+        for origin in streams:
+            lo = cursors.get(origin, 0)
+            hi = stable[origin]
+            if origin == node and shipped < hi:
+                hi = shipped
+            if hi > lo:
+                cursors[origin] = hi
+                ranges.append((origin, lo, hi))
+        dropped: List[Tuple[Dot, Optional[int]]] = []
+        for origin, lo, hi in ranges:
+            stream = streams[origin]
+            ours = origin == node
+            for ts in range(lo + 1, hi + 1):
+                # Nothing at a skip-covered position; nothing held for a
+                # dot dropped through another stream.
+                txn = txns.get(stream.get(ts))
+                if txn is None:
+                    continue
+                own = txn.commit.entries.get(node)
+                if ours:
+                    if askable(ts):
+                        continue
+                    self.retired_base = (ts, txn.snapshot.vector)
+                elif own is not None:
+                    continue        # our own stream decides
+                del txns[txn.dot]
+                dropped.append((txn.dot, own))
+        return dropped
+
     # -- the read side -----------------------------------------------------------
+    def entries(self, dot: Dot) -> Dict[str, int]:
+        """The commit entries of a dot the log has seen: its stamp's
+        while it is held; once retired, its coordinates in ``streams``
+        (a walk of every stream, which only a late duplicate asks for).
+        """
+        txn = self.txns.get(dot)
+        if txn is not None:
+            return dict(txn.commit.entries)
+        return {origin: ts for origin, stream in self.streams.items()
+                for ts, held in stream.items() if held == dot}
+
     def covered(self, origin: str, ts: int) -> Optional[SkipRun]:
         """The applied skip run covering ``(origin, ts)``, if any."""
         starts = self._skip_starts.get(origin)

@@ -38,7 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from ..core.clock import VectorClock
 from ..core.dot import Dot
 from ..core.journal import ObjectState
-from ..core.txn import ObjectKey, Transaction
+from ..core.txn import ObjectKey, Snapshot, Transaction
 from ..obs.trace import DC_COMMIT, K_STABLE, REPLICATION
 from ..security.enforcement import SecurityEnforcer
 from ..sim.actor import Actor
@@ -71,9 +71,9 @@ class DataCenter(Actor):
     #: edge commit, object fetch).  Requests queue behind one another, so
     #: the DC saturates under load like the paper's real servers do.
     SERVICE_TIME_MS = 0.25
-    #: How often shard base versions are folded forward, and how far the
-    #: fold frontier lags the stable vector (in-flight reads at older
-    #: snapshots must still materialise).
+    #: How often shard journals are folded up to the stable cut (when it
+    #: moved since the last fold).  No read or apply is overtaken by the
+    #: fold: DESIGN §11.
     COMPACT_PERIOD_MS = 500.0
     #: Period of the heartbeat push: the only message a session outside
     #: every audience gets, and the gap detector after a lost push.
@@ -104,7 +104,8 @@ class DataCenter(Actor):
                                 if service_time_ms is None
                                 else service_time_ms)
         self._busy_until = 0.0
-        self._compact_frontier = VectorClock.zero()
+        #: The cut of the last fold sent to the shards.
+        self.folded = VectorClock.zero()
         self.every(self.COMPACT_PERIOD_MS, self._compact_shards,
                    jitter=25.0)
         self.every(self.KEEPALIVE_MS, self._keepalive, jitter=50.0)
@@ -175,13 +176,18 @@ class DataCenter(Actor):
         self._dispatch(message, sender)
 
     def _compact_shards(self) -> None:
-        """Tell shards to fold bases up to a lagged stable frontier."""
-        frontier = self._compact_frontier
-        if len(frontier):
-            message = ShardCompactMsg(frontier.to_dict())
-            for shard in self.shard_ids:
-                self.send(shard, message)
-        self._compact_frontier = self.stable_vector
+        """Tell the shards to fold their journals up to the stable cut,
+        if it moved since the last fold.  Every apply the cut covers is
+        sent first, and every read in flight was sent at or above an
+        older cut: the DC->shard link is FIFO (DESIGN §11)."""
+        stable = self.stable_vector
+        if stable == self.folded:
+            return
+        self._flush_shard_applies()
+        message = ShardCompactMsg(stable.to_dict())
+        for shard in self.shard_ids:
+            self.send(shard, message)
+        self.folded = stable
 
     def _dispatch(self, message: Any, sender: str) -> None:
         if isinstance(message, SessionOpen):
@@ -323,11 +329,9 @@ class DataCenter(Actor):
         self.stats["edge_commits"] += 1
         if log.dots.seen(txn.dot):
             # Duplicate (e.g. resent after migration, section 3.8): reply
-            # with the already assigned equivalent commit stamp.
-            known = log.txns.get(txn.dot)
-            if known is not None:
-                self.send(sender, CommitAck(txn.dot,
-                                            dict(known.commit.entries)))
+            # with the already assigned equivalent commit entries, held
+            # or retired (DESIGN §9).
+            self.send(sender, CommitAck(txn.dot, log.entries(txn.dot)))
             return
         if not txn.snapshot.satisfied_by(log.state_vector, log.dots):
             # The edge depends on transactions we have not yet received
@@ -386,8 +390,13 @@ class DataCenter(Actor):
             self._carry_txn(None, self.remote.execute(pending, states))
 
         def fire() -> None:
-            self._gather_reads(pending.keys, pending.snapshot.vector,
-                               msg.local_deps, done)
+            # Deferred on a backfill, the reads go out under a later
+            # cut, which the shards may have folded: read no lower.
+            snapshot = pending.snapshot
+            vector = snapshot.vector.merge(self.stable_vector)
+            if vector is not snapshot.vector:
+                pending.snapshot = Snapshot(vector, snapshot.local_deps)
+            self._gather_reads(pending.keys, vector, msg.local_deps, done)
 
         self._carry_out(self.interest.subscribe(
             (k for k, _t in pending.keys), fire))
@@ -552,15 +561,21 @@ class DataCenter(Actor):
 
     def _release_stable(self) -> None:
         """Sweep the stable frontier (section 3.8) and carry out what
-        it released: lifecycle spans, then the push round."""
+        it released: lifecycle spans, then the push round; then drop
+        from the log what no peer can still ask for (DESIGN §11)."""
         run = self.stability.advance()
-        if run is None:
-            return
-        if self.obs.enabled:
-            for origin_dc, ts, dot in run:
-                self.obs.record(K_STABLE, dot, self.node_id, self.now,
-                                origin=origin_dc, ts=ts)
-        self._push_updates(run)
+        if run is not None:
+            if self.obs.enabled:
+                for origin_dc, ts, dot in run:
+                    self.obs.record(K_STABLE, dot, self.node_id, self.now,
+                                    origin=origin_dc, ts=ts)
+            self._push_updates(run)
+        retired = self.log.retire(self.stable_vector,
+                                  self.stability.shipped(),
+                                  self.interest.askable)
+        if self.interest.prunes:
+            for dot, own_ts in retired:
+                self.interest.forget(dot, own_ts)
 
     # ------------------------------------------------------------------
     # pushing K-stable updates to edge sessions (sections 3.8, 4.2)
@@ -574,8 +589,10 @@ class DataCenter(Actor):
         """
         if not self.sessions:
             return  # nobody to push to
-        txns = self.log.txns
-        unique = [txns[dot] for dot in delivery_order(run)]
+        # A duplicate released again on a second stream may be retired:
+        # it was pushed at its first release.
+        unique = [txn for txn in map(self.log.txns.get, delivery_order(run))
+                  if txn is not None]
         stable = self.stable_vector.to_dict()
         # Each session gets its own copy (``handoff()``), so no receiver
         # sees a stamp grow at us or at another session.
@@ -611,12 +628,6 @@ class DataCenter(Actor):
     def holds(self, dot: Dot) -> bool:
         """Has this DC received (applied) the transaction?"""
         return self.log.dots.seen(dot)
-
-    def stable_transactions(self) -> List[Transaction]:
-        """Every transaction inside this DC's stable cut."""
-        released = self.stability.released
-        return [txn for dot, txn in self.log.txns.items()
-                if released(dot)]
 
     def stream_gaps(self) -> Dict[str, List[int]]:
         """Missing stream positions below each applied frontier (see

@@ -177,6 +177,11 @@ class InterestGraph:
         # non-zero mask, and the mask of each own-stream position.
         self._entries: Dict[Dot, Tuple[int, str]] = {}
         self._stream_masks: Dict[int, int] = {}
+        # Shards every peer serves (the masks peers start with): no peer
+        # ever asks us to backfill one.
+        self._served_everywhere = self.shard_space
+        for mask in self._peer_mask.values():
+            self._served_everywhere &= mask
 
     # -- entries -------------------------------------------------------------
     def note_entry(self, dot: Dot, origin: str,
@@ -191,6 +196,21 @@ class InterestGraph:
             self._entries[dot] = (mask, origin)
             if own_ts is not None:
                 self._stream_masks[own_ts] = mask
+
+    def forget(self, dot: Dot, own_ts: Optional[int]) -> None:
+        """The log retired ``dot`` (at own position ``own_ts``, if any):
+        its records leave with it."""
+        self._entries.pop(dot, None)
+        if own_ts is not None:
+            self._stream_masks.pop(own_ts, None)
+
+    def askable(self, ts: int) -> bool:
+        """Might a peer still ask for own-stream position ``ts`` in a
+        backfill?  Only where its mask names a shard some peer does not
+        serve: a peer asks for the shards it subscribes to or missed in
+        a skip run, never one it serves."""
+        return bool(self._stream_masks.get(ts, 0)
+                    & ~self._served_everywhere)
 
     def stream_mask(self, ts: int) -> int:
         """Shard mask of own-stream position ``ts``."""

@@ -308,11 +308,25 @@ class ReplSender:
 
     def _chain_base(self, prev_ts: int) -> VectorClock:
         """Snapshot vector of own stream entry ``prev_ts`` — what the
-        entry shipped after it is encoded against (zero before 1)."""
+        entry shipped after it is encoded against (zero before 1).
+
+        A chain starts at the last full entry a link shipped.  Every
+        position after it is held: the link shipped it pruned (a peer
+        may still ask for it) or not at all (not applied there).  So a
+        retired anchor is the newest retired position, whose vector the
+        log keeps."""
         if prev_ts <= 0:
             return VectorClock.zero()
         log = self.log
-        return log.txns[log.streams[self.node_id][prev_ts]].snapshot.vector
+        txn = log.txns.get(log.streams[self.node_id][prev_ts])
+        if txn is not None:
+            return txn.snapshot.vector
+        retired_ts, vector = log.retired_base
+        if retired_ts != prev_ts:
+            raise ValueError(
+                f"own position {prev_ts} is retired, and the chain can"
+                f" start only at the newest retired one, {retired_ts}")
+        return vector
 
     def _encode(self, prev_ts: int, ts: int) -> StreamEntry:
         """Chain-encode own stream entry ``ts`` against ``prev_ts``,

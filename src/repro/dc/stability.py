@@ -11,7 +11,10 @@ records no span: :meth:`advance` returns the run it released, which is
 also what the DC has to push.
 
 What is released is read off the stamp (:func:`passed`), so the only
-per-dot state kept here is the holder set, and it ends at release.
+per-dot state kept here is the holder set, and it ends at release.  A
+dot the log has seen but no longer holds was retired
+(:meth:`~repro.dc.commitlog.CommitLog.retire`), which only a released
+transaction is: it counts as released.
 """
 
 from __future__ import annotations
@@ -65,14 +68,18 @@ class StabilityFrontier:
         self._holders: Dict[Dot, Set[str]] = {}
         self._streams = log.streams     # origin -> ts -> dot
         self._txns = log.txns
+        self._seen = log.dots.seen
         self._skip_covered = log.covered
         self._peer_applied: Dict[str, VectorClock] = {}
         self.stable_vector = _ZERO
 
     def released(self, dot: Dot) -> bool:
-        """Is ``dot`` held here and inside the stable cut?"""
+        """Is ``dot`` inside the stable cut here: held and passed, or
+        retired?"""
         txn = self._txns.get(dot)
-        return txn is not None and passed(txn, self.stable_vector.get)
+        if txn is None:
+            return self._seen(dot)
+        return passed(txn, self.stable_vector.get)
 
     def holders(self, dot: Dot) -> Set[str]:
         """The DCs known to hold ``dot``; none once it is released."""
@@ -109,6 +116,15 @@ class StabilityFrontier:
             return False
         self.record(dot, {peer})
         return True
+
+    def shipped(self) -> int:
+        """The position of our own stream every peer has applied (by
+        the vectors heard from them) up to."""
+        node = self.node_id
+        applied = self._peer_applied
+        return min((applied.get(peer, _ZERO)[node]
+                    for peer in self.interest.peers),
+                   default=self.stable_vector[node])
 
     def note_peer_applied(self, peer: str, vector: VectorClock,
                           applied: VectorClock) -> bool:
@@ -153,10 +169,10 @@ class StabilityFrontier:
         nothing to wait for.  A skip-covered position holds nothing and
         is hopped, and so is a dot already inside the cut (a migration
         duplicate released on another stream: it is in the run again,
-        as at every position it holds).  Streams unblock one another, so
-        the sweep repeats until nothing moves.  A released dot's holder
-        set is dropped.  Returns the run in release order, ``None`` when
-        the cut did not move.
+        as at every position it holds, even once retired).  Streams
+        unblock one another, so the sweep repeats until nothing moves.
+        A released dot's holder set is dropped.  Returns the run in
+        release order, ``None`` when the cut did not move.
         """
         # A plain dict: a long run would otherwise rebuild an immutable
         # clock per released transaction.
@@ -183,9 +199,8 @@ class StabilityFrontier:
                         frontier = stable[origin] = ts
                         continue
                     txn = txns.get(dot)
-                    if txn is None:  # pragma: no cover - defensive
-                        break
-                    if not passed(txn, in_cut):
+                    # Not held: retired, so released on another stream.
+                    if txn is not None and not passed(txn, in_cut):
                         held = len(holders.get(dot, ()))
                         if held < k_target and (
                                 required_k is None
@@ -206,7 +221,8 @@ class StabilityFrontier:
     def _ready(self, txn: Transaction,
                in_cut: Callable[[str, int], int]) -> bool:
         """Is everything ``txn`` depends on inside the cut?  Its snapshot
-        vector, and each local dependency held here."""
+        vector, and each local dependency held here (a retired one is
+        released)."""
         snapshot = txn.snapshot
         vector = snapshot.vector
         for dc in vector:

@@ -189,11 +189,11 @@ class RemoteTxns:
     def _committed_reply(self, pending: PendingRemoteTxn,
                          values: Tuple[Any, ...],
                          dot: Dot) -> Tuple[str, RemoteTxnReply]:
-        """The reply for a request whose transaction the log holds."""
-        known = self.log.txns.get(dot)
-        entries = dict(known.commit.entries) if known else {}
+        """The reply for a request whose transaction the log has seen,
+        held or retired: its commit entries either way."""
         return pending.client, RemoteTxnReply(
-            pending.request.request_id, values, True, entries)
+            pending.request.request_id, values, True,
+            self.log.entries(dot))
 
     def on_vote(self, msg: ShardVote, shard: str) \
             -> Tuple[Optional[Transaction], Sends]:
@@ -214,15 +214,14 @@ class RemoteTxns:
             return None, []
         del self._prepared[msg.txid]
         txn = pending.txn
-        held = self.log.sequence(txn)
-        committed = held is txn
+        committed = self.log.sequence(txn) is txn
         # Refused: a duplicate request raced this copy's prepare round
         # and committed first.  Release the prepared copy and answer
-        # with the stamp the transaction already has.
+        # with the entries the transaction already has.
         decision = ShardCommit(msg.txid, txn.handoff()) if committed \
             else ShardAbort(msg.txid)
         sends: Sends = [(shard_id, decision) for shard_id in pending.shards]
         sends.append((pending.client, RemoteTxnReply(
             pending.request_id, pending.values, True,
-            dict(held.commit.entries))))
+            self.log.entries(txn.dot))))
         return (txn if committed else None), sends

@@ -23,17 +23,25 @@ with the run.
 A three-DC mesh (``k_target=2``) with a writer at each DC guards what a
 DC keeps per transaction once its stable cut has passed it: after N and
 then 2N writes, at every checkpoint, the K-stability holder map holds
-only unreleased dots and the replication encode memo no position that
-every link has shipped; after the drain the map is empty, every logged
-transaction is inside the stable cut, and a forced rewind and re-ship
-leaves the memo as drained as before.  Both used to keep an entry for
-every dot the DC ever saw.
+only unreleased dots, the replication encode memo no position that
+every link has shipped, and the commit log only transactions that are
+unreleased or at an own position some peer has not applied — at most
+as many at 2N as at N.  Two DCs are cut apart for the last writes, so a
+healed link rewinds and re-ships what the log kept back.  After the
+drain the map, the memo and the log are empty, the last fold went out
+at the stable cut and no shard journal holds an entry inside it.  The
+map and the memo used to keep an entry for every dot the DC ever saw,
+the log every transaction.  Under a pruning shard map (rf=1) the
+origin keeps the positions a peer may still subscribe to: a DC that
+subscribes after 2N writes backfills a journal equal to the origin's.
 """
 
 from unittest import mock
 
 from repro.core import ObjectKey
 from repro.crdt import ORSet
+from repro.dc import DataCenter
+from repro.dc.interest import ShardMap
 from repro.epaxos import Commit, EPaxosReplica, PreAccept
 from repro.epaxos.messages import PreAcceptReply
 from repro.groups import GroupMember, GroupMsg, form_group
@@ -46,6 +54,7 @@ from ..conftest import build_cluster, build_edge, run_update
 
 N_MEMBERS = 5
 WRITE_GAP_MS = 20.0
+N_SHARDS = 6
 
 
 def counting(cls, name, calls):
@@ -157,25 +166,50 @@ def test_consensus_messages_do_not_grow_with_history():
     assert visits_2n <= visits_n * 1.1
 
 
-def released(dc, dot):
-    """Is ``dot`` inside ``dc``'s stable cut?  Iff one of its commit
+def released(dc, txn):
+    """Is ``txn`` inside ``dc``'s stable cut?  Iff one of its commit
     entries is."""
     stable = dc.stable_vector
-    return any(ts <= stable[origin] for origin, ts
-               in dc.log.txns[dot].commit.entries.items())
+    return any(ts <= stable[origin]
+               for origin, ts in txn.commit.entries.items())
 
 
 def check_retention(dc):
     """What ``dc`` keeps per dot: holder sets for unreleased dots only,
-    no encoding of a position every link shipped."""
-    assert not [dot for dot in dc.stability._holders if released(dc, dot)]
+    no encoding of a position every link shipped, and in the log only
+    transactions unreleased or at an own position some peer has not
+    applied."""
+    # A dot the log no longer holds was retired, so released.
+    assert not [dot for dot in dc.stability._holders
+                if dot not in dc.log.txns
+                or released(dc, dc.log.txns[dot])]
     floor = min(dc.sender.link(peer).sent_ts for peer in dc.peer_dcs)
     assert not [ts for ts in dc.sender._encoded if ts <= floor]
+    shipped = dc.stability.shipped()
+    assert not [dot for dot, txn in dc.log.txns.items()
+                if released(dc, txn)
+                and txn.commit.entries.get(dc.node_id, 0) <= shipped]
+
+
+def check_folded(dc):
+    """The last fold went out at the stable cut, and no shard journal
+    holds an entry inside it."""
+    assert dc.folded == dc.stable_vector
+    for shard in dc.shards.values():
+        for key in shard.store.keys():
+            inside = [entry.dot
+                      for entry in shard.store.journal(key).entries()
+                      if any(ts <= dc.folded[origin] for origin, ts
+                             in entry.txn.commit.entries.items())]
+            assert not inside, (shard.node_id, key, inside)
 
 
 def run_mesh(n_writes):
     """Per DC, after ``n_writes`` writes and the drain: (holder sets,
-    memo entries, logged transactions outside the stable cut)."""
+    memo entries, logged transactions); and the most transactions a
+    DC's log held at a checkpoint.  ``dc0`` and ``dc1`` are cut apart
+    for the last 20 writes, so ``dc0`` keeps its own positions until the
+    healed link has rewound and re-shipped them."""
     sim = Simulation(seed=3, default_latency=LatencyModel(5.0))
     dcs = build_cluster(sim, n_dcs=3, k_target=2)
     keys = [ObjectKey("b", f"k{i}") for i in range(8)]
@@ -183,7 +217,10 @@ def run_mesh(n_writes):
                           interest=[(key, "counter") for key in keys])
                for i, dc in enumerate(dcs)]
     sim.run_for(300)
+    most = 0
     for index in range(n_writes):
+        if index == n_writes - 20:
+            sim.network.partition("dc0", "dc1")
         writer = writers[index % len(writers)]
         run_update(writer, keys[index % len(keys)], "counter",
                    "increment", 1)
@@ -191,30 +228,80 @@ def run_mesh(n_writes):
         if index % 10 == 9:
             for dc in dcs:
                 check_retention(dc)
+                most = max(most, len(dc.log.txns))
+    sim.network.heal("dc0", "dc1")
     sim.run_for(3000)
     assert all(dc.committed_count for dc in dcs)
-    # A link that lost frames: rewound to an older advert, seen twice,
-    # and the suffix re-shipped.
-    origin = dcs[0]
-    link = origin.sender.link("dc1")
-    stalled = link.sent_ts - 5
-    origin.sender.heard("dc1", stalled)
-    origin.sender.heard("dc1", stalled)
-    assert link.sent_ts == stalled
-    origin._ship(link, limit=2)
-    check_retention(origin)
-    sim.run_for(3000)
+    # The cut link lost frames: rewound to dc1's advert and re-shipped.
+    assert dcs[0].sender.link("dc1").rewinds
     out = []
     for dc in dcs:
+        assert sum(dc.state_vector.to_dict().values()) == n_writes
         check_retention(dc)
-        assert len(dc.log.txns) == n_writes
+        check_folded(dc)
         out.append((len(dc.stability._holders), len(dc.sender._encoded),
-                    sum(not released(dc, dot) for dot in dc.log.txns)))
-    return out
+                    len(dc.log.txns)))
+    for writer in writers:
+        assert sum(writer.read_value(key, "counter")
+                   for key in keys) == n_writes
+    return out, most
 
 
 def test_a_dc_forgets_what_its_stable_cut_passed():
-    for n_writes in (60, 120):
-        # Nothing per dot is left once the cut passed every dot, however
-        # long the run.
-        assert run_mesh(n_writes) == [(0, 0, 0)] * 3
+    settled, most = zip(*(run_mesh(n_writes) for n_writes in (60, 120)))
+    # Nothing per dot is left once every peer applied every dot and the
+    # cut passed it, however long the run ...
+    assert settled == ([(0, 0, 0)] * 3,) * 2
+    # ... and on the way the log held what the cut link kept back, not
+    # what the run wrote.
+    assert 0 < most[1] <= most[0] + 2
+
+
+def test_a_subscriber_backfills_what_the_origin_kept():
+    # rf=1: each shard homed on one DC, whose own positions of it every
+    # other DC may still subscribe to, so they stay in its log.
+    n_writes = 120
+    sim = Simulation(seed=5, default_latency=LatencyModel(5.0))
+    dc_ids = ["dc0", "dc1", "dc2"]
+    shard_map = ShardMap(N_SHARDS, dc_ids, replica_factor=1)
+    dcs = [sim.spawn(DataCenter, dc_id,
+                     peer_dcs=[d for d in dc_ids if d != dc_id],
+                     n_shards=2, k_target=2, shard_map=shard_map)
+           for dc_id in dc_ids]
+    for a in dc_ids:
+        for b in dc_ids:
+            if a < b:
+                sim.network.set_link(a, b, LatencyModel(5.0))
+    homed = [[key for key in (ObjectKey("b", f"k{i}") for i in range(64))
+              if shard_map.homes(shard_map.shard_of(key))[0] == dc_id][:2]
+             for dc_id in dc_ids]
+    writers = [build_edge(sim, f"w{i}", dc_id=dc_id,
+                          interest=[(key, "counter") for key in homed[i]])
+               for i, dc_id in enumerate(dc_ids)]
+    sim.run_for(300)
+    for index in range(n_writes):
+        i = index % len(writers)
+        run_update(writers[i], homed[i][index // len(writers) % 2],
+                   "counter", "increment", 1)
+        sim.run_for(WRITE_GAP_MS / 4)
+    sim.run_for(3000)
+    origin, subscriber = dcs[1], dcs[0]
+    key = homed[1][0]
+    # The origin kept every own position of the shard; the rest of the
+    # mesh pruned them.
+    assert len(origin.log.txns) == n_writes // len(writers)
+    assert not subscriber.holds(next(iter(origin.log.txns)))
+    reader = build_edge(sim, "late", dc_id="dc0",
+                        interest=[(key, "counter")])
+    sim.run_for(3000)
+    assert subscriber.stats["repl_backfills_in"]
+    assert subscriber.shard_stream_gaps() == {}
+
+    def journal(dc):
+        return dc.shards[dc.ring.lookup(key)].store.journal(key)
+
+    theirs, ours = journal(origin), journal(subscriber)
+    assert sorted(ours.applied_dots()) == sorted(theirs.applied_dots())
+    assert ours.materialise(None).value() \
+        == theirs.materialise(None).value() \
+        == reader.read_value(key, "counter") == n_writes // 6

@@ -66,11 +66,43 @@ class TestNodeMigration:
         edge.migrate_to("dc1")
         sim.run_for(4000)
         # Both DCs may have accepted the txn: stamps merge as equivalent
-        # entries of one commit (section 3.8).
-        txn0 = dcs[0].transaction(dot)
-        assert txn0 is not None
-        assert "dc0" in txn0.commit.entries
-        assert len(txn0.commit.entries) >= 1
+        # entries of one commit (section 3.8).  Retired by now, its
+        # entries are its positions in the DC's streams.
+        assert dcs[0].holds(dot)
+        entries0 = dcs[0].log.entries(dot)
+        assert "dc0" in entries0
+        assert len(entries0) >= 1
+
+    def test_a_late_duplicate_is_acked_after_every_dc_retired_it(self):
+        # The edge never hears its CommitAck, and moves on only once
+        # every DC applied the write and retired it from its log.  The
+        # new DC and, once the link is back, the old one each answer
+        # the resend with the original commit entries; silence would
+        # leave the edge retrying for ever (DESIGN §9).
+        sim, dcs = world()
+        edge = build_edge(sim, "e", dc_id="dc0", interest=INTEREST)
+        stays = build_edge(sim, "s", dc_id="dc0", interest=INTEREST)
+        sim.run_for(200)
+        for node in (edge, stays):
+            sim.network.set_loss_rate("dc0", node.node_id, 1.0,
+                                      symmetric=False)
+            run_update(node, KEY, "counter", "increment", 1)
+        dots = [next(iter(node.unacked)) for node in (edge, stays)]
+        sim.run_for(300)
+        for dc in dcs:
+            assert all(dc.holds(dot) and dot not in dc.log.txns
+                       for dot in dots)
+        entries = dcs[0].log.entries(dots[0])
+        assert list(entries) == ["dc0"]
+        edge.migrate_to("dc1")
+        sim.network.set_loss_rate("dc0", "s", 0.0, symmetric=False)
+        sim.run_for(1500)
+        assert not edge.unacked and not stays.unacked
+        assert edge.own_transaction(dots[0]).commit.entries == entries
+        assert stays.own_transaction(dots[1]).commit.entries \
+            == dcs[0].log.entries(dots[1])
+        assert dcs[0].state_vector["dc0"] == 2      # sequenced once each
+        assert edge.read_value(KEY, "counter") == 2
 
     def test_incompatible_migration_rejected_then_retries(self):
         sim, dcs = world(k=1)

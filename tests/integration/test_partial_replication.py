@@ -7,10 +7,13 @@ all-interested configuration as an exact equivalence baseline, and
 catch-up backfill for a subscriber arriving after the history shipped.
 """
 
-from repro.core import ObjectKey
+from unittest import mock
+
+from repro.core import ObjectKey, VectorClock
 from repro.dc import DataCenter
 from repro.dc.interest import ShardMap, shard_of
-from repro.sim import LatencyModel, Simulation
+from repro.dc.messages import RemoteTxnRequest, ShardRead
+from repro.sim import Actor, LatencyModel, Simulation
 from tests.conftest import build_edge, run_update
 
 N_SHARDS = 8
@@ -132,3 +135,53 @@ def test_late_subscriber_catches_up_via_backfill():
     assert dcs[2].state_digest().get(key) == 7
     assert observer.read_value(key, "counter") == 7
     assert dcs[2].stats["repl_backfills_in"] == after
+
+
+class _Client(Actor):
+    """A cache-less client: sends remote transactions, keeps replies."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.replies = []
+
+    def on_message(self, message, sender):
+        self.replies.append(message)
+
+
+def test_a_read_deferred_on_a_backfill_goes_out_at_the_cut_it_fires_under():
+    # A DC folds its shard journals at its stable cut, so every read it
+    # sends must be at or above that cut.  A remote transaction on a
+    # shard the DC does not serve waits for the backfill; the stable cut
+    # moves on (and a fold goes out) meanwhile, and the read it then
+    # sends is raised to the cut.
+    served, foreign = _key_on_home(0), _key_on_home(1)
+    sim, dcs = build_partial_cluster(replica_factor=1, k_target=1)
+    dc0 = dcs[0]
+    writer = build_edge(sim, "writer", dc_id="dc0",
+                        interest=((served, "counter"),))
+    client = sim.spawn(_Client, "client")
+    sim.run_for(200)
+    reads = []
+    send = DataCenter.send
+
+    def spy(dc, dst, message, *args, **kwargs):
+        if type(message) is ShardRead and dc is dc0:
+            reads.append((VectorClock(message.visible_vector),
+                          dc.stable_vector))
+        return send(dc, dst, message, *args, **kwargs)
+
+    with mock.patch.object(DataCenter, "send", spy):
+        # dc1's answers are lost for a while: the backfill is late.
+        sim.network.set_loss_rate("dc1", "dc0", 1.0, symmetric=False)
+        client.send("dc0", RemoteTxnRequest(
+            "client", 1, reads=((foreign, "counter"),),
+            updates=((foreign, "counter", "increment", (1,)),)))
+        for _ in range(6):
+            run_update(writer, served, "counter", "increment", 1)
+            sim.run_for(200)
+        opened = dc0.stable_vector
+        sim.network.set_loss_rate("dc1", "dc0", 0.0, symmetric=False)
+        sim.run_for(2000)
+    assert [reply.committed for reply in client.replies] == [True]
+    assert dc0.folded["dc0"] >= 6 and opened["dc0"] >= 6
+    assert reads and all(stable.leq(vector) for vector, stable in reads)

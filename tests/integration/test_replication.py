@@ -47,8 +47,10 @@ class TestGeoReplication:
         sim.run_for(100)
         run_update(edge, KEY, "counter", "increment", 1)
         sim.run_for(500)
-        # Force a duplicate commit attempt by re-sending the same txn.
-        txn = dcs[0].transaction(next(iter(dcs[0].log.txns)))
+        # Force a duplicate commit attempt by re-sending the same txn
+        # (both DCs retired it: the writer still holds it).
+        txn = edge.own_transaction(next(iter(dcs[0].log.streams["dc0"]
+                                             .values())))
         entry = encode_stream_entry(txn, "dc0", 1, VectorClock.zero())
         dcs[0].send("dc1", ReplicateBatch("dc0", 1, {}, (entry,),
                                           {"dc0": 1}))

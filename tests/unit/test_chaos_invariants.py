@@ -75,6 +75,8 @@ class TestVectorCoverage:
         reader = sim.spawn(edge_cls, "r", dc_id="dc0")
         reader.declare_interest(self.J, "counter")
         reader.connect()
+        checker = InvariantChecker(dcs, [reader], 1)
+        checker.watch(sim.network)
         sim.run_for(200)
         sim.network.partition("dc0", "r")
         run_update(writer, self.J, "counter", "increment", 1)
@@ -82,7 +84,7 @@ class TestVectorCoverage:
         sim.network.heal("dc0", "r")
         reader.declare_interest(self.K, "counter")
         sim.run_for(100)
-        return InvariantChecker(dcs, [reader], 1)
+        return checker
 
     def test_partial_seed_past_a_lost_push_is_caught(self):
         checker = self.lose_a_push_then_seed_another_key(EagerSeedEdge)

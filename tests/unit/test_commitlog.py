@@ -149,3 +149,87 @@ def test_gaps_and_shard_gaps_with_skip_runs_and_a_late_fill():
     log.state_vector = log.state_vector.advance("dc2", 2)
     log.streams["dc2"] = {2: Dot(9, "x")}
     assert log.gaps() == {"dc2": [1]}
+
+
+def never(_ts):
+    return False
+
+
+def test_retire_drops_released_positions_every_peer_applied():
+    log = CommitLog(NODE)
+    own = [log.sequence(txn(counter)) for counter in (1, 2, 3)]
+    remote = txn(9, origin="f", stamp={"dc1": 1})
+    log.admit("dc1", 1, remote)
+    # Own positions 1-3 are stable, but peers applied only up to 2; the
+    # remote transaction is stable: no peer asks us for it.
+    gone = log.retire(VectorClock({NODE: 3, "dc1": 1}), 2, never)
+    assert gone == [(own[0].dot, 1), (own[1].dot, 2), (remote.dot, None)]
+    assert list(log.txns) == [own[2].dot]
+    assert log.retired_base == (2, own[1].snapshot.vector)
+    # Streams and the dot tracker keep what was retired.
+    assert log.streams[NODE] == {1: own[0].dot, 2: own[1].dot,
+                                 3: own[2].dot}
+    assert all(log.dots.seen(t.dot) for t in own + [remote])
+    assert log.retire(VectorClock({NODE: 3, "dc1": 1}), 2, never) == []
+    assert log.retire(VectorClock({NODE: 3, "dc1": 1}), 3, never) \
+        == [(own[2].dot, 3)]
+    assert not log.txns
+
+
+def test_retire_keeps_what_a_peer_may_still_ask_for():
+    log = CommitLog(NODE)
+    kept, gone = log.sequence(txn(1)), log.sequence(txn(2))
+    assert log.retire(VectorClock({NODE: 2}), 2, lambda ts: ts == 1) \
+        == [(gone.dot, 2)]
+    assert list(log.txns) == [kept.dot]
+    # ... for good: the cursor has passed it.
+    assert log.retire(VectorClock({NODE: 2}), 2, never) == []
+
+
+def test_a_duplicate_held_at_an_own_position_is_decided_on_our_stream():
+    log = CommitLog(NODE)
+    ours = log.sequence(txn(1))
+    # dc1 committed it too (a migration duplicate) and shipped it; the
+    # receiver grafts its entry and records the coordinate.
+    copy = txn(1, stamp={"dc1": 1})
+    log.adopt(copy)
+    log.admit("dc1", 1, copy)
+    assert ours.commit.entries == {NODE: 1, "dc1": 1}
+    stable = VectorClock({NODE: 1, "dc1": 1})
+    assert log.retire(stable, 0, never) == []
+    assert log.retire(stable, 1, never) == [(ours.dot, 1)]
+
+
+def test_a_fill_below_the_retired_cursor_is_retired_next():
+    log = CommitLog(NODE)
+    log.skip("dc1", SkipRun(1, 2, 0b1))
+    assert log.retire(VectorClock({"dc1": 2}), 0, never) == []
+    late = txn(5, origin="f", stamp={"dc1": 2})
+    log.admit("dc1", 2, late, advance=False)
+    assert log.retire(VectorClock({"dc1": 2}), 0, never) \
+        == [(late.dot, None)]
+    assert not log.txns
+
+
+def test_a_retired_dot_is_never_sequenced_again_and_adopts_nothing():
+    log = CommitLog(NODE)
+    first = log.sequence(txn(1))
+    log.retire(VectorClock({NODE: 1}), 1, never)
+    assert log.sequence(txn(1)) is None
+    assert log.sequencer == 1
+    grown = txn(1, stamp={"dc9": 4})
+    assert log.adopt(grown) is None
+    assert log.entries(first.dot) == {NODE: 1}
+
+
+def test_entries_read_the_stamp_while_held_and_the_streams_after():
+    log = CommitLog(NODE)
+    both = txn(1, stamp={"dc1": 3})
+    log.admit("dc1", 1, txn(2, stamp={"dc1": 1}))
+    log.admit("dc1", 2, txn(3, stamp={"dc1": 2}))
+    log.admit("dc1", 3, both)
+    held = log.entries(both.dot)
+    assert held == {"dc1": 3} and held is not both.commit.entries
+    log.retire(VectorClock({"dc1": 3}), 0, never)
+    assert not log.txns
+    assert log.entries(both.dot) == {"dc1": 3}

@@ -133,7 +133,12 @@ class TestStabilityBookkeeping:
         dot = next(iter(edge.unacked))
         sim.run_for(200)
         assert dcs[0].stability.released(dot)
-        assert dcs[0].transaction(dot) in dcs[0].stable_transactions()
+        # Retired at once (no peer can ask for it): its commit entry,
+        # kept in the stream, is inside the stable cut.
+        entries = dcs[0].log.entries(dot)
+        assert entries == {"dc0": 1}
+        assert all(ts <= dcs[0].stable_vector[dc]
+                   for dc, ts in entries.items())
 
     def test_session_cursor_moves_with_its_own_pushes_only(self):
         sim, dcs, probe = world()
@@ -167,8 +172,9 @@ class TestStampSharing:
         # Shards and siblings share the transaction body by reference
         # but each holds its own transaction: growing the DC's — here through
         # CommitLog.adopt, as a migration duplicate would — moves no
-        # other copy.
-        sim, (dc0, dc1), _probe = world(n_dcs=2)
+        # other copy.  A K above the cluster size releases nothing, so
+        # neither DC retires its copy.
+        sim, (dc0, dc1), _probe = world(n_dcs=2, k=3)
         edge = build_edge(sim, "e1", interest=INTEREST)
         sim.run_for(100)
         run_update(edge, KEY, "counter", "increment", 1)
@@ -195,8 +201,10 @@ class TestStampSharing:
         # A push hands every session a copy of its own: an edge growing
         # the stamp of what it was pushed — as ``EdgeLog.adopt`` does
         # when a later ack or relay brings one more entry — moves neither
-        # the DC's copy nor another session's.
-        sim, (dc0,), _probe = world()
+        # the DC's copy nor another session's.  A sibling that never
+        # applies the write keeps the DC from retiring its copy.
+        sim, (dc0, _dc1), _probe = world(n_dcs=2)
+        sim.network.isolate("dc1")
         readers = [build_edge(sim, name, interest=INTEREST)
                    for name in ("r1", "r2")]
         writer = build_edge(sim, "w", interest=INTEREST)
@@ -227,6 +235,6 @@ class TestDictIngress:
                           (WriteOp(KEY, Counter().prepare("increment", 1)),))
         probe.send("dc0", EdgeCommitBatch((txn.to_dict(),)))
         sim.run_for(100)
-        assert dc0.transaction(txn.dot).commit.entries == {"dc0": 1}
+        assert dc0.log.entries(txn.dot) == {"dc0": 1}
         (_at, ack), = probe.replies
         assert ack == CommitAck(txn.dot, {"dc0": 1})

@@ -312,3 +312,26 @@ def test_audit_skip_asks_the_origin_once():
     assert graph.owed("dc1") == (0,)
     assert graph.audit_skip("dc1", 0b0011) == ()        # already asked
     assert graph.audit_skip("dc2", 0b0010) == ()        # not interested
+
+
+def test_only_a_mask_some_peer_does_not_serve_is_askable():
+    # rf=2 over dc0..dc2: dc0 serves {0, 2, 3}, dc1 {0, 1, 3}, dc2
+    # {1, 2} (shard s at the two DCs from s % 3 on): shard 1 is the one
+    # both of dc0's peers serve.
+    shard_map = ShardMap(4, ["dc0", "dc1", "dc2"], replica_factor=2)
+    graph = InterestGraph("dc0", ["dc1", "dc2"], shard_map)
+    shared = next(key for key in (ObjectKey("d", f"k{i}")
+                                  for i in range(99))
+                  if shard_map.shard_of(key) == 1)
+    own = next(key for key in (ObjectKey("d", f"k{i}") for i in range(99))
+               if shard_map.shard_of(key) == 0)
+    graph.note_entry(Dot(1, "e"), "dc0", [shared], own_ts=1)
+    graph.note_entry(Dot(2, "e"), "dc0", [own], own_ts=2)
+    assert not graph.askable(1)       # every peer serves shard 1
+    assert graph.askable(2)           # dc2 may subscribe to shard 0
+    assert not graph.askable(3)       # no mask: nobody backfills it
+    graph.forget(Dot(1, "e"), 1)
+    assert graph.stream_mask(1) == 0
+    assert graph.peer_holds("dc1", Dot(1, "e"))     # no record left
+    # Nothing is askable where nothing is pruned.
+    assert not InterestGraph("dc0", ["dc1"]).askable(1)

@@ -1,13 +1,16 @@
 """ReplSender and ReplReceiver, driven directly: no simulator, no
 DataCenter — two commit logs and the frames one ships to the other."""
 
+import pytest
+
 from repro.core import (CommitStamp, Dot, ObjectKey, Snapshot, Transaction,
                         VectorClock, WriteOp)
 from repro.crdt import Counter
 from repro.dc.commitlog import CommitLog
 from repro.dc.interest import InterestGraph, ShardMap
 from repro.dc.messages import ReplicateBatch, ShardBackfill
-from repro.dc.replog import ReplReceiver, ReplSender, encode_stream_entry
+from repro.dc.replog import (ReplReceiver, ReplSender, SkipRun,
+                             encode_stream_entry)
 from repro.transport.codec import value_size, wire_size
 from repro.dc.stability import StabilityFrontier
 
@@ -200,6 +203,29 @@ def test_the_memo_drains_behind_every_link_and_after_a_rewind():
     assert sorted(origin.sender._encoded) == [4, 5]
     origin.flush("dc1")
     assert origin.sender._encoded == {}
+
+
+def test_a_chain_resumes_from_the_newest_retired_position():
+    origin = Origin()
+    for counter in range(1, 5):
+        origin.commit(counter, vector={ORIGIN: counter - 1})
+    origin.flush("dc1", limit=2)
+    origin.flush("dc2", limit=2)
+    # Both peers applied 1..2 and the cut passed them: retired.
+    origin.log.retire(VectorClock({ORIGIN: 4}), 2, lambda ts: False)
+    assert sorted(origin.log.txns) == [Dot(3, "e"), Dot(4, "e")]
+    # The rest ships against position 2's vector, kept by the log: the
+    # frame decodes to the transactions the origin held.
+    (frame, lo, hi, _p, _b), = origin.flush("dc1")
+    assert (lo, hi, frame.base_vector) == (3, 4, {ORIGIN: 1})
+    site = Site()
+    site.log.skip(ORIGIN, SkipRun(1, 2, 0b1))
+    got = site.receive(frame)
+    assert [txn.snapshot.vector for _o, _ts, txn, _off in got.applied] \
+        == [VectorClock({ORIGIN: 2}), VectorClock({ORIGIN: 3})]
+    # Only the newest retired position can anchor a chain.
+    with pytest.raises(ValueError):
+        origin.sender._chain_base(1)
 
 
 def test_backfill_walks_the_shard_in_stream_order():

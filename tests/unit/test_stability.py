@@ -173,3 +173,32 @@ def test_credit_stops_once_the_dot_is_stable():
     assert not bench.frontier.credit(dot, "dc2")
     # The set ended at release, and the credit brought none back.
     assert dot not in bench.frontier._holders
+
+
+def test_a_retired_dot_is_released_and_a_duplicate_head_of_it_passes():
+    bench = Bench(k_target=1)
+    dot = bench.put("dc1", 1, 1)
+    assert bench.frontier.advance() == [("dc1", 1, dot)]
+    bench.log.retire(bench.frontier.stable_vector, 0, lambda ts: False)
+    assert dot not in bench.log.txns
+    assert bench.frontier.released(dot)
+    assert not bench.frontier.released(Dot(9, "e-dc1"))    # never seen
+    # The same transaction, committed at dc2 too, reaches us on dc2's
+    # stream after we retired it: its head passes, and no holder set
+    # comes back.
+    bench.log.admit("dc2", 1, Transaction(
+        dot, dot.origin, Snapshot(VectorClock()),
+        CommitStamp({"dc1": 1, "dc2": 1})))
+    bench.frontier.record(dot, bench.frontier.known_holders("dc2", 1))
+    assert bench.frontier.holders(dot) == set()
+    assert bench.frontier.advance() == [("dc2", 1, dot)]
+
+
+def test_shipped_is_the_least_own_position_every_peer_applied():
+    bench = Bench(k_target=1)
+    for ts in (1, 2, 3):
+        bench.put(NODE, ts, ts)
+    assert bench.frontier.shipped() == 0         # dc2 never heard from
+    bench.heard("dc1", {NODE: 3})
+    bench.heard("dc2", {NODE: 2})
+    assert bench.frontier.shipped() == 2

@@ -168,3 +168,27 @@ def test_duplicate_request_before_during_and_after_2pc_sequences_once():
     assert coord.log.sequencer == 1
     assert coord.log.streams[NODE] == {1: Dot(1, f"{NODE}/srv")}
     assert len(calls) == 2          # two completions asked, one got in
+
+
+def test_a_retry_after_the_log_retired_the_transaction_reports_its_stamp():
+    # Released and applied at every peer, the transaction left the log;
+    # a retry still gets its commit entries, from the stream, and a
+    # racing prepare round still sequences nothing (DESIGN §9).
+    coord = Coordinator()
+    msg = coord.request(1, updates=[(X, 1)])
+    first, racing = coord.open(msg), coord.open(msg)
+    prepares, duplicate = coord.execute(first), coord.execute(racing)
+    coord.vote_all(prepares)
+    dot = Dot(1, f"{NODE}/srv")
+    assert coord.log.retire(VectorClock({NODE: 1}), 1,
+                            lambda ts: False) == [(dot, 1)]
+    assert not coord.log.txns
+    txn, sends = coord.vote_all(duplicate)
+    assert txn is None
+    assert sends[-1] == (CLIENT, RemoteTxnReply(1, (), True, {NODE: 1}))
+    assert coord.execute(coord.open(msg), value=1) \
+        == [(CLIENT, RemoteTxnReply(1, (), True, {NODE: 1}))]
+    again = coord.request(2, updates=[(X, 1)], dot=dot)
+    assert coord.execute(coord.open(again)) \
+        == [(CLIENT, RemoteTxnReply(2, (), True, {NODE: 1}))]
+    assert coord.log.sequencer == 1
