@@ -10,6 +10,9 @@ report — on two things:
   canonical mode, exported by the CI job) behaviour is a pure function
   of the seed, so a second run of the gated configuration must process
   exactly the same number of logical events;
+* **what the protocol schedules** — that count has no spread to wait
+  for, so it is held under a ceiling: work that returns per idle
+  session (a periodic timer, a round each session pays for) fails it;
 * **the rate a user of the simulator feels** — simulated milliseconds
   per wall-clock second at 10^4 nodes, against an absolute floor.
 
@@ -45,6 +48,11 @@ GATE_MIN_SIM_MS_PER_WALL_S = 250.0
 #: The gated point: 10^4 nodes, the paper-scale "city" population.
 GATED_NODES = 10_000
 
+#: Ceiling on the gated point's logical events: 46 461 when it was set
+#: (under ``PYTHONHASHSEED=0``), about x1.1 below it.  A retry tick every
+#: 500 ms per session made it 86 704.
+GATE_MAX_EVENTS_10K = 51_000
+
 
 def _hash_seed_pinned() -> bool:
     return os.environ.get("PYTHONHASHSEED") == "0"
@@ -65,6 +73,7 @@ def test_scale_sweep_and_gate(paper_scale):
         "sim_ms_per_wall_s_10k": gated["sim_ms_per_wall_s"],
         "gate_min_sim_ms_per_wall_s": GATE_MIN_SIM_MS_PER_WALL_S,
         "events_10k": gated["events"],
+        "gate_max_events_10k": GATE_MAX_EVENTS_10K,
         "replay_events_10k": replay["events"],
         "hash_seed_pinned": _hash_seed_pinned(),
     }
@@ -84,6 +93,10 @@ def test_scale_sweep_and_gate(paper_scale):
             "the gated configuration is not deterministic: two runs"
             f" processed {gated['events']} and {replay['events']}"
             " logical events")
+    assert gated["events"] <= GATE_MAX_EVENTS_10K, (
+        f"the gated configuration processed {gated['events']} logical"
+        f" events, ceiling {GATE_MAX_EVENTS_10K}: something now schedules"
+        " work per idle session")
 
     assert gated["sim_ms_per_wall_s"] >= GATE_MIN_SIM_MS_PER_WALL_S, (
         f"scale throughput regressed: {gated['sim_ms_per_wall_s']:.0f}"

@@ -14,8 +14,9 @@ choices come from seeded RNGs); only the wall-clock measurements differ
 between machines.  The dominant event populations are exactly the ones
 the sim-core fast path targets:
 
-* periodic timers — per-edge retry timers, DC keepalive / anti-entropy /
-  compaction ticks, Nagle replication flushes (the timer-wheel load);
+* timers — DC keepalive / anti-entropy / compaction ticks, Nagle
+  replication flushes, and an edge's retry timer only while it waits
+  for something (the timer-wheel load);
 * message deliveries — session traffic, K-stable update pushes fanned
   out to every session, replication frames (the allocation-free
   delivery load).

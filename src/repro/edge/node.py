@@ -108,7 +108,8 @@ class EdgeNode(Actor):
                  "session_open", "offline", "security_enabled", "enforcer",
                  "_pending_fetches", "_compact_tick", "_subscriptions",
                  "txn_stats", "session_log", "_own_commit_log",
-                 "_next_remote_request", "_remote_pending")
+                 "_next_remote_request", "_remote_pending", "_retry_epoch",
+                 "_retry_mark")
 
     RETRY_INTERVAL_MS = 500.0
 
@@ -160,12 +161,16 @@ class EdgeNode(Actor):
         # Migrated (in-DC) transactions awaiting their reply (section 3.9).
         self._next_remote_request = 0
         self._remote_pending: Dict[int, Tuple] = EMPTY_MAP
+        #: The timer epoch the retry timer is armed in (any other value
+        #: means it is parked: a crash bumps the epoch), and the Lamport
+        #: time it was armed at, which bounds the own commits a fire
+        #: re-sends (DESIGN §9).
+        self._retry_epoch = -1
+        self._retry_mark = 0
         if security_enabled:
             for key in (ACL_OBJECT, RI_OBJECTS, RI_USERS):
                 self._declare_interest_local(
                     key, "orset" if key == ACL_OBJECT else "gmap")
-        self.every(self.RETRY_INTERVAL_MS, self._retry_unacked,
-                   jitter=50.0)
 
     @property
     def vector(self) -> VectorClock:
@@ -210,6 +215,7 @@ class EdgeNode(Actor):
                   SessionOpen(self.node_id,
                               tuple(self._interest_types.items()),
                               self.vector.to_dict(), deps))
+        self._arm_retry()
 
     def go_offline(self) -> None:
         """Lose connectivity; local operation continues (section 7.3.1)."""
@@ -219,6 +225,7 @@ class EdgeNode(Actor):
     def go_online(self) -> None:
         self.offline = False
         self.connect()
+        self._arm_retry()   # what parked while offline, if not connecting
 
     def migrate_to(self, dc_id: str) -> None:
         """Switch the connected DC (tree migration, section 3.8)."""
@@ -313,8 +320,8 @@ class EdgeNode(Actor):
     def _on_session_ack(self, msg: SessionAck, sender: str) -> None:
         if not msg.accepted:
             # Causally incompatible with the DC (section 3.8): stay
-            # effectively disconnected and retry until repaired.
-            self.set_timer(self.RETRY_INTERVAL_MS, self.connect)
+            # effectively disconnected; the retry timer re-opens until
+            # repaired.
             return
         seeded: List[ObjectKey] = []
         seed_vector = VectorClock(msg.stable_vector)
@@ -478,6 +485,40 @@ class EdgeNode(Actor):
             self.frontier.settle(txn)
         return txn
 
+    # ------------------------------------------------------------------
+    # the retry timer (DESIGN §9): armed while something is outstanding
+    # ------------------------------------------------------------------
+    def _awaiting(self) -> bool:
+        """Something only the retry timer re-drives: the session is not
+        open, or a fetch, a remote request or an own commit is
+        outstanding."""
+        return (not self.session_open or bool(self._pending_fetches)
+                or bool(self._remote_pending) or bool(self.log.unacked))
+
+    def _arm_retry(self) -> None:
+        """Arm the retry timer ``RETRY_INTERVAL_MS`` from now, unless it
+        is armed, the node is offline or nothing is outstanding.  Due
+        times follow each session's own requests, so sessions do not
+        retry in phase and no jitter is drawn."""
+        if self._retry_epoch == self._timer_epoch or self.offline \
+                or not self._awaiting():
+            return
+        self._retry_epoch = self._timer_epoch
+        self._retry_mark = self.log.lamport.time
+        self.set_timer(self.RETRY_INTERVAL_MS, self._on_retry_timer)
+
+    def _on_retry_timer(self) -> None:
+        self._retry_epoch = -1
+        self._retry_unacked()
+        self._arm_retry()
+
+    def recover(self) -> None:
+        """Back up: the pre-crash retry timer is dead, so re-arm it if
+        something is still outstanding."""
+        if self.crashed:
+            super().recover()
+            self._arm_retry()
+
     def _retry_unacked(self) -> None:
         if self.offline:
             return
@@ -499,7 +540,11 @@ class EdgeNode(Actor):
         if self.writeback_ms is not None:
             self._flush_writeback()
             return
-        self._resend_pending(self.connected_dc)
+        # Only commits that have waited a whole interval: under a
+        # fixed-period workload a fresh one would fall on every due time.
+        for txn in self.log.unacked.values():
+            if txn.dot.counter <= self._retry_mark:
+                self.send(self.connected_dc, EdgeCommit(txn.handoff()))
 
     def _retry_fetches(self) -> None:
         """Re-drive object fetches whose request or response was lost."""
@@ -644,6 +689,7 @@ class EdgeNode(Actor):
             self._pending_fetches = {}
         self._pending_fetches.setdefault(key, []).append(running)
         self.fetch_object(key, type_name, ctx)
+        self._arm_retry()
         return False
 
     def fetch_object(self, key: ObjectKey, type_name: str,
@@ -736,6 +782,8 @@ class EdgeNode(Actor):
             return False
         self.cache.apply_transaction(txn)
         self.frontier.note(txn, pushed)
+        if own:
+            self._arm_retry()   # unacked until the DC stamps it
         return True
 
     def _record_stats(self, ctx: TransactionContext,
@@ -830,6 +878,7 @@ class EdgeNode(Actor):
         self._remote_pending[request_id] = (self.now, request, on_done,
                                             on_fail, 0)
         self._send_remote(request_id)
+        self._arm_retry()
 
     def _send_remote(self, request_id: int) -> None:
         pending = self._remote_pending.get(request_id)

@@ -31,7 +31,7 @@ interfere, since any other slot may yet commit one that does.
 from __future__ import annotations
 
 from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterable,
-                    List, Optional, Set, Tuple)
+                    List, Optional, Set, Tuple, Union)
 
 from .graph import execution_order
 from .instance import (ACCEPTED, COMMITTED, EXECUTED, PREACCEPTED, Instance,
@@ -226,13 +226,22 @@ class EPaxosReplica:
         self.send(sender, PreAcceptReply(msg.instance, msg.ballot, True,
                                          seq, deps))
 
+    @staticmethod
+    def _outbid(inst: Instance,
+                msg: Union[PreAcceptReply, AcceptReply]) -> bool:
+        """A NACK: adopt the higher ballot it names, so the next
+        ``resend`` takes the instance over (``recover``) rather than
+        re-sending a round no replica accepts any more."""
+        if not msg.ok and msg.ballot > inst.ballot \
+                and not inst.is_committed:
+            inst.ballot = msg.ballot
+        return not msg.ok
+
     def _on_preaccept_reply(self, msg: PreAcceptReply, sender: str) -> None:
         inst = self.instances.get(msg.instance)
-        if inst is None or inst.status != PREACCEPTED \
-                or msg.ballot != inst.ballot:
-            return  # stale reply (already moved on)
-        if not msg.ok:
-            return  # a recovery with a higher ballot is in charge
+        if inst is None or self._outbid(inst, msg) \
+                or inst.status != PREACCEPTED or msg.ballot != inst.ballot:
+            return  # a NACK, or a stale reply (already moved on)
         inst.preaccept_repliers.add(sender)
         if msg.seq != inst.seq or msg.deps != inst.deps:
             inst.preaccept_unanimous = False
@@ -273,10 +282,8 @@ class EPaxosReplica:
 
     def _on_accept_reply(self, msg: AcceptReply, sender: str) -> None:
         inst = self.instances.get(msg.instance)
-        if inst is None or inst.status != ACCEPTED \
-                or msg.ballot != inst.ballot:
-            return
-        if not msg.ok:
+        if inst is None or self._outbid(inst, msg) \
+                or inst.status != ACCEPTED or msg.ballot != inst.ballot:
             return
         inst.accept_repliers.add(sender)
         if len(inst.accept_repliers) >= self.majority - 1:

@@ -144,6 +144,14 @@ class GroupMember(EdgeNode):
         if self.is_parent or not self.in_group:
             super().connect()
 
+    def _awaiting(self) -> bool:
+        # In a group a member's own duties are the parent's session and
+        # fetches; the group ships and re-drives its commits.
+        if not self.in_group:
+            return super()._awaiting()
+        return (self.is_parent and not self.session_open) \
+            or bool(self._pending_fetches)
+
     def _retry_unacked(self) -> None:
         # Shipping (with retries) is the sync point's job, in visibility
         # order; the base per-node retry would break that order.

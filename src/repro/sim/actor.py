@@ -18,7 +18,7 @@ are re-armed fresh.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from .events import EventLoop
 from .network import Network
@@ -39,10 +39,13 @@ class Actor:
     Slotted: a world holds one actor per edge session, so the base and
     :class:`~repro.edge.node.EdgeNode` carry no instance ``__dict__``.
     A subclass without ``__slots__`` gets one back, which the few
-    actors of a world per kind (DCs, shards, members) may keep.
+    actors of a world per kind (DCs, shards, members) may keep.  What
+    most actors never use costs them nothing: :attr:`rng` is built on
+    its first read, and an actor with no periodic timer shares one
+    empty registration tuple.
     """
 
-    __slots__ = ("transport", "loop", "network", "node_id", "rng",
+    __slots__ = ("transport", "loop", "network", "node_id", "_rng",
                  "crashed", "_timer_epoch", "_periodic")
 
     def __init__(self, node_id: str, loop: Any,
@@ -61,19 +64,30 @@ class Actor:
         self.loop = transport.timers
         self.network = transport.net
         self.node_id = node_id
-        # Derive the default RNG from the deployment seed and the node
-        # id (the same scheme as Simulation.spawn), so actors built
-        # without an explicit rng get distinct, reproducible streams
-        # instead of all sharing Random(0).
-        self.rng = rng or random.Random(f"{transport.seed}/{node_id}")
+        self._rng = rng
         self.crashed = False
         # Timers are epoch-guarded: crash() and recover() each bump the
         # epoch, so any callback armed before the transition is dead on
         # arrival even after the actor is back up.
         self._timer_epoch = 0
         #: Periodic timers registered via every(); re-armed on recover().
-        self._periodic: List[Tuple[float, Callable[[], None], float]] = []
+        self._periodic: Tuple[Tuple[float, Callable, float], ...] = ()
         self.network.attach(node_id, self._receive)
+
+    @property
+    def rng(self) -> random.Random:
+        """This actor's random stream, built on first use.
+
+        Derived from the deployment seed and the node id, so every
+        actor gets a distinct, reproducible stream and adding one does
+        not perturb the others'; an actor that never draws never pays
+        for one.
+        """
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(
+                f"{self.transport.seed}/{self.node_id}")
+        return rng
 
     # -- messaging ---------------------------------------------------------
     def send(self, dst: str, message: Any,
@@ -107,7 +121,7 @@ class Actor:
         The periodic registration survives crashes: ``recover()`` re-arms
         it with a fresh epoch (the pre-crash tick chain is dead).
         """
-        self._periodic.append((period, callback, jitter))
+        self._periodic += ((period, callback, jitter),)
         self._arm_periodic(period, callback, jitter)
 
     def _arm_periodic(self, period: float, callback: Callable[[], None],
@@ -166,8 +180,9 @@ class Actor:
 class _Tick:
     """One chain of a periodic timer (:meth:`Actor.every`): runs the
     callback and re-arms itself while the actor is up in the epoch it
-    was armed in.  A slotted object rather than a closure: every edge
-    session holds one."""
+    was armed in.  A slotted object rather than a closure: the DC,
+    group and writeback timers are genuinely periodic, and a world
+    holds one per such timer."""
 
     __slots__ = ("actor", "epoch", "period", "callback", "jitter")
 

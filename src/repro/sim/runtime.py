@@ -39,15 +39,14 @@ class Simulation:
               **kwargs: Any) -> A:
         """Create an actor wired to this simulation.
 
-        Each actor receives its own RNG derived deterministically from the
-        simulation seed and its id, so adding an actor does not perturb the
-        random streams of the others.
+        The actor's RNG (:attr:`Actor.rng`) derives from the simulation
+        seed and its id when first drawn from, so adding an actor does
+        not perturb the random streams of the others, and an actor that
+        never draws builds none.
         """
         if node_id in self.actors:
             raise ValueError(f"duplicate actor id {node_id!r}")
-        actor_rng = random.Random(f"{self.seed}/{node_id}")
-        actor = cls(node_id, self.loop, self.network, *args,
-                    rng=actor_rng, **kwargs)
+        actor = cls(node_id, self.loop, self.network, *args, **kwargs)
         self.actors[node_id] = actor
         return actor
 

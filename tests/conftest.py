@@ -83,3 +83,18 @@ def run_update(node, obj_key, type_name, method, *args):
 
 def read_at(node, obj_key, type_name):
     return node.read_value(obj_key, type_name)
+
+
+def timer_entries(sim, node):
+    """The event-loop entries whose callback belongs to ``node``."""
+    loop = sim.loop
+    entries = list(loop._heap) + list(loop._ready) \
+        + [entry for slot in loop._wheel for entry in slot]
+
+    def owned(callback):
+        if getattr(callback, "__self__", None) is node \
+                or getattr(callback, "actor", None) is node:
+            return True
+        return any(cell.cell_contents is node
+                   for cell in getattr(callback, "__closure__", None) or ())
+    return [entry for entry in entries if owned(entry[2])]

@@ -4,10 +4,11 @@ Count-based, like ``test_growth_guard.py``.  The scale sweep's world
 (``repro.bench.scale``) is built and settled with 500 and then 1 000
 sessions, none of which writes, and the ``gc``-tracked objects the
 second 500 added are counted per session: the node, its log, frontier
-and cache, its periodic timer, its links and the DC's side of its
-session.  Before idle sessions stopped carrying an instance dict,
-security state with security off, containers they never fill and a
-closure per periodic timer, a session added 60 objects.
+and cache, its links and the DC's side of its session.  Before idle
+sessions stopped carrying an instance dict, security state with
+security off, containers they never fill and a closure per periodic
+timer, a session added 60 objects; before the retry timer ran only
+while a request is outstanding and the RNG was built on first use, 40.
 """
 
 import gc
@@ -16,8 +17,10 @@ from repro.bench.scale import ScaleConfig, build_scale_world
 from repro.edge import EdgeNode
 from repro.security.enforcement import SecurityEnforcer
 
-#: Tracked objects one idle session adds (40 when this guard was set).
-MAX_OBJECTS_PER_SESSION = 44
+from ..conftest import timer_entries
+
+#: Tracked objects one idle session adds (34 when this guard was set).
+MAX_OBJECTS_PER_SESSION = 36
 
 
 def settled_world(n_nodes):
@@ -52,3 +55,13 @@ def test_an_idle_session_has_no_instance_dict_and_no_security_state():
     gc.collect()
     assert not any(isinstance(obj, SecurityEnforcer)
                    for obj in gc.get_objects())
+
+
+def test_an_idle_session_holds_no_rng_and_no_timer():
+    sim = settled_world(200)
+    nodes = [actor for actor in sim.actors.values()
+             if type(actor) is EdgeNode]
+    assert len(nodes) == 200
+    assert all(node.session_open for node in nodes)
+    assert all(node._rng is None for node in nodes)
+    assert not any(timer_entries(sim, node) for node in nodes)

@@ -1,6 +1,6 @@
 """Property tests for EPaxos: agreement on execution order."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.epaxos import EPaxosReplica
 from repro.epaxos.replica import NOOP
@@ -401,6 +401,13 @@ step_st = st.tuples(st.sampled_from(["propose", "deliver", "deliver",
 
 @settings(deadline=None)
 @given(steps=st.lists(step_st, min_size=1, max_size=40))
+# c takes b's instance over, its Prepare to b and a's reply are lost, and
+# b's re-sent round draws NACKs naming c's ballot: b must take the
+# instance over in turn rather than re-send a round nobody accepts.
+@example(steps=[("propose", 0, "b", ["x"]), ("drop", 0, "a", ["x"]),
+                ("take_over", 0, "c", ["x"]), ("propose", 0, "a", ["y"]),
+                ("deliver", 0, "a", ["x"]), ("drop", 1024, "a", ["x"]),
+                ("deliver", 3, "a", ["x"]), ("drop", 237, "a", ["x"])])
 def test_bounded_deps_cover_the_full_sets_under_loss_and_recovery(steps):
     """Random schedules with loss, reordering, recovery of blocked
     dependencies and take-overs of any instance: every attribute
