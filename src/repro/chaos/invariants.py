@@ -136,7 +136,7 @@ class InvariantChecker:
         violations = []
         stores = [(dc.node_id, shard.store)
                   for dc in self.dcs for shard in dc.shards.values()]
-        stores += [(r.node_id, r.cache.store) for r in self.replicas]
+        stores += [(r.node_id, r.cache) for r in self.replicas]
         for node_id, store in stores:
             for key in list(store.keys()):
                 journal = store.journal(key)
@@ -212,7 +212,7 @@ class InvariantChecker:
         violations = []
         ordered = sorted(stable)
         for replica in self.replicas:
-            journal = replica.cache.store.journal
+            journal = replica.cache.journal
             for dot in ordered:
                 for key in replica.frontier.covered_but_missing(
                         stable[dot], journal):

@@ -535,7 +535,7 @@ class DotReplayEdge(EdgeNode):
         from bisect import insort
         txn = msg.txns[0]
         for key in txn.keys:
-            journal = self.cache.store.journal(key)
+            journal = self.cache.journal(key)
             if journal is None or not journal.has(txn.dot):
                 continue
             ops = [w.op for w in txn.tagged_writes() if w.key == key]

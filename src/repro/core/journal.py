@@ -15,7 +15,6 @@ order at every replica, giving strong convergence.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -24,7 +23,7 @@ from typing import (AbstractSet, Any, Callable, Dict, FrozenSet, Iterable,
 
 from ..crdt.base import OpBasedCRDT, Operation, new_crdt, state_from_dict
 from .clock import VectorClock
-from .dot import Dot
+from .dot import EMPTY_MAP, Dot
 from .txn import ObjectKey, Transaction
 
 
@@ -95,15 +94,12 @@ class Visibility:
         return not masked or masked == other.masked \
             or (masked - other.masked).isdisjoint(applied)
 
-_JOURNAL_UIDS = itertools.count()
-
-
 class ObjectJournal:
     """Base version + ordered journal for a single object."""
 
     __slots__ = ("key", "type_name", "_base", "_base_dots",
                  "_base_dots_view", "_entries", "version",
-                 "base_version", "uid", "_arrivals", "_trimmed")
+                 "base_version", "views", "_arrivals", "_trimmed")
 
     def __init__(self, key: ObjectKey, type_name: str):
         self.key = key
@@ -116,14 +112,17 @@ class ObjectJournal:
         # Sorted by ``order``: membership is a bisect.
         self._entries: List[JournalEntry] = []
         #: Bumped on every append/compaction; readers use it to cache
-        #: materialised versions.  ``uid`` distinguishes journal
-        #: incarnations after a drop/reinstall.
+        #: materialised versions.
         self.version = 0
         #: Bumped only when the base version advances (compaction or a
         #: snapshot install): a cached materialisation survives appends
         #: but must re-check its applied set against the new base.
         self.base_version = 0
-        self.uid = next(_JOURNAL_UIDS)
+        #: What ``store.matcache.MaterialisedCache`` materialised from
+        #: this journal, one view per scope (``None``, ``"seed"``,
+        #: ``"raw"``): a journal that replaces this one, or none, has
+        #: none of them.
+        self.views: Dict[Optional[str], Any] = EMPTY_MAP
         # The arrival log: entries in the order they were appended, the
         # folded prefix trimmed at compaction (``_trimmed`` of them so
         # far).  Started by the first :meth:`arrival_mark`, so a journal

@@ -12,14 +12,13 @@ import random
 from typing import Any, Dict, Optional, Union
 
 from ..core.clock import VectorClock
-from ..core.journal import ObjectJournal, ObjectState, Visibility
+from ..core.journal import ObjectState, Visibility
 from ..core.txn import Transaction
 from ..sim.actor import Actor
 from ..sim.events import EventLoop
 from ..sim.network import Network
 from ..transport.base import Transport
 from ..store.kv import VersionedStore
-from ..store.matcache import MaterialisedCache
 from .messages import (ShardAbort, ShardApply, ShardApplyBatch,
                        ShardCommit, ShardCompactMsg, ShardPrepare,
                        ShardRead, ShardReadReply, ShardVote)
@@ -32,7 +31,7 @@ class ShardServer(Actor):
                  network: Optional[Network] = None,
                  rng: Optional[random.Random] = None):
         super().__init__(node_id, loop, network, rng)
-        self.store = VersionedStore(mat_cache=MaterialisedCache())
+        self.store = VersionedStore()
         self._prepared: Dict[int, Transaction] = {}
 
     def on_message(self, message: Any, sender: str) -> None:
@@ -85,13 +84,10 @@ class ShardServer(Actor):
         key = msg.key
         visible = Visibility(VectorClock(msg.visible_vector),
                              frozenset(msg.extra_dots))
-        if self.store.has_object(key):
-            # Snapshot reads mostly arrive at the DC's advancing stable
-            # frontier, so the cached state replays only the delta.
-            state, dots = self.store.read_with_dots(
-                key, visible, type_name=msg.type_name)
-        else:
-            state, dots, _ = ObjectJournal(key, msg.type_name).replay(
-                visible)
+        # Snapshot reads mostly arrive at the DC's advancing stable
+        # frontier, so the cached state replays only the delta; a key
+        # the shard never journalled reads as the type's initial state.
+        state, dots = self.store.read_with_dots(key, visible,
+                                                type_name=msg.type_name)
         self.send(sender, ShardReadReply(
             msg.request_id, ObjectState.of(key, msg.type_name, state, dots)))

@@ -27,12 +27,12 @@ from ..dc.messages import (CommitAck, CommitReject, EdgeCommit,
                            RemoteTxnReply, RemoteTxnRequest, SessionAck,
                            SessionOpen, UpdatePush)
 from ..security.enforcement import (ACL_OBJECT, RI_OBJECTS, RI_USERS,
-                                    SecurityEnforcer)
+                                    SECURITY_OBJECTS, SecurityEnforcer)
 from ..sim.actor import Actor
 from ..sim.events import EventLoop
 from ..sim.network import Network
 from ..transport.base import Transport
-from ..store.cache import InterestCache
+from ..store.kv import VersionedStore
 from .replica import EdgeFrontier, EdgeLog
 from .txn_context import (AbortTransaction, ReadIntent, TransactionContext,
                           UpdateIntent)
@@ -86,6 +86,9 @@ class _RunningTxn:
     ctx: TransactionContext
     on_done: Optional[Callable[[Any, TxnStats], None]]
     on_abort: Optional[Callable[[Exception], None]]
+    #: The type of the object a parked fetch asked for: a retry asks
+    #: for it again even after the key was evicted.
+    fetch_type: str = ""
 
     def restart(self, snapshot: Snapshot) -> None:
         served = self.ctx.served_by
@@ -104,7 +107,7 @@ class EdgeNode(Actor):
     session trace — is made when first needed (DESIGN §17)."""
 
     __slots__ = ("connected_dc", "user", "writeback_ms", "log", "frontier",
-                 "cache", "_interest_types", "_session_interest",
+                 "cache", "_session_interest",
                  "session_open", "offline", "security_enabled", "enforcer",
                  "_pending_fetches", "_compact_tick", "_subscriptions",
                  "txn_stats", "session_log", "_own_commit_log",
@@ -132,9 +135,8 @@ class EdgeNode(Actor):
         #: What the replica holds and what it shows (sans-io values).
         self.log = EdgeLog(node_id)
         self.frontier = EdgeFrontier(self.log)
-        self.cache = InterestCache(cache_capacity,
-                                   on_evict=self._on_evict)
-        self._interest_types: Dict[ObjectKey, str] = {}
+        #: What the replica holds: key -> journal, its interest set.
+        self.cache = VersionedStore(cache_capacity)
         # Keys the *current session's* DC has been told about, tracked
         # separately from the local interest cache: a late SessionAck
         # can re-warm a key locally after a retract, and a subsequent
@@ -168,9 +170,8 @@ class EdgeNode(Actor):
         self._retry_epoch = -1
         self._retry_mark = 0
         if security_enabled:
-            for key in (ACL_OBJECT, RI_OBJECTS, RI_USERS):
-                self._declare_interest_local(
-                    key, "orset" if key == ACL_OBJECT else "gmap")
+            for key, type_name in SECURITY_OBJECTS.items():
+                self._declare_interest_local(key, type_name)
 
     @property
     def vector(self) -> VectorClock:
@@ -205,15 +206,14 @@ class EdgeNode(Actor):
         """Open (or re-open) the session with the connected DC."""
         if self.offline:
             return
-        self._session_interest = set(self._interest_types)
+        self._session_interest = self.cache.keys()
         # Declare only dependencies the DC must already have: transactions
         # still carrying symbolic commits will be (re)shipped by us right
         # after the session opens, so they must not block compatibility.
         deps = tuple(d for d, t in self.frontier.uncovered.items()
                      if not t.commit.is_symbolic)
         self.send(self.connected_dc,
-                  SessionOpen(self.node_id,
-                              tuple(self._interest_types.items()),
+                  SessionOpen(self.node_id, self.cache.interest(),
                               self.vector.to_dict(), deps))
         self._arm_retry()
 
@@ -238,11 +238,11 @@ class EdgeNode(Actor):
     # ------------------------------------------------------------------
     def _declare_interest_local(self, key: ObjectKey,
                                 type_name: str) -> None:
-        self._interest_types[key] = type_name
-        self.cache.declare_interest(key, type_name)
+        for victim in self.cache.hold(key, type_name):
+            self._on_evict(victim)
 
     def declare_interest(self, key: ObjectKey, type_name: str) -> None:
-        if key not in self._interest_types:
+        if key not in self.cache:
             self._declare_interest_local(key, type_name)
         # Dedup against what the *session* knows, not the local cache: a
         # stale SessionAck may have re-warmed the key locally after a
@@ -254,14 +254,12 @@ class EdgeNode(Actor):
                 state_vector=self.vector.to_dict()))
 
     def retract_interest(self, key: ObjectKey) -> None:
-        self.cache.retract_interest(key)
+        self.cache.drop(key)
         self._on_evict(key)
 
     def _on_evict(self, key: ObjectKey) -> None:
-        """Forget ``key`` and unsubscribe from it: a retract, or the
-        cache evicting it (section 5.1.2).  The store drop behind either
-        already invalidated every cached materialised view of the key."""
-        self._interest_types.pop(key, None)
+        """Unsubscribe from ``key``, which the store no longer holds: a
+        retract, or the cache evicting it (section 5.1.2)."""
         self.frontier.key_cut.pop(key, None)   # cold again
         self._session_interest.discard(key)
         if self.session_open:
@@ -326,7 +324,7 @@ class EdgeNode(Actor):
         seeded: List[ObjectKey] = []
         seed_vector = VectorClock(msg.stable_vector)
         for state in msg.objects:
-            if state.key not in self._interest_types:
+            if state.key not in self.cache:
                 # The ack answers an interest add we have since
                 # retracted; installing it would re-warm the key and
                 # poison its seed cut without the DC pushing updates.
@@ -338,7 +336,7 @@ class EdgeNode(Actor):
             self.session_open = True
             # Interest declared while the SessionOpen round-trip was in
             # flight missed both the open and the live-session path.
-            missing = tuple((k, t) for k, t in self._interest_types.items()
+            missing = tuple((k, t) for k, t in self.cache.interest()
                             if k not in self._session_interest)
             if missing:
                 self._session_interest.update(k for k, _ in missing)
@@ -374,17 +372,16 @@ class EdgeNode(Actor):
         """
         journal = state.journal()
         key = journal.key
-        if key not in self._interest_types:
+        if key not in self.cache:
             self._declare_interest_local(key, journal.type_name)
-        previous = self.cache.store.journal(key)
+        previous = self.cache.journal(key)
         if previous is not None and not all(
                 journal.has(dot) for dot in previous.base_dots):
             return
         if not self.frontier.take_seed(key, seed_vector):
             return
         self.log.fold(journal.base_dots)
-        self.cache.store.drop(key)
-        self.cache.store._journals[key] = journal  # noqa: SLF001
+        self.cache.install(journal)
         if previous is not None:
             for entry in previous.entries():
                 journal.append(entry.txn)
@@ -403,10 +400,9 @@ class EdgeNode(Actor):
         they use their own cached-view scope: every seed cut at the same
         stable vector reuses one materialisation.
         """
-        type_name = type_name or self._interest_types[key]
-        state, dots = self.cache.store.read_with_dots(
-            key, EdgeFrontier.filter(self.vector), type_name=type_name,
-            cache_key=(key, "seed"))
+        type_name = type_name or self.cache.journal(key).type_name
+        state, dots = self.cache.read_with_dots(
+            key, EdgeFrontier.filter(self.vector), scope="seed")
         return ObjectState.of(key, type_name, state, dots)
 
     def _on_update_push(self, msg: UpdatePush, sender: str) -> None:
@@ -469,7 +465,7 @@ class EdgeNode(Actor):
         if not self.security_enabled and self._compact_tick % 32 == 0:
             stable = EdgeFrontier.filter(self.vector)
             for key in self.frontier.key_cut:
-                journal = self.cache.store.journal(key)
+                journal = self.cache.journal(key)
                 if journal is not None:
                     journal.advance_base(stable)
 
@@ -549,11 +545,9 @@ class EdgeNode(Actor):
     def _retry_fetches(self) -> None:
         """Re-drive object fetches whose request or response was lost."""
         for key, waiting in list(self._pending_fetches.items()):
-            if not waiting:
-                continue
-            type_name = self._interest_types.get(key)
-            if type_name is not None:
-                self.fetch_object(key, type_name, waiting[0].ctx)
+            if waiting:
+                self.fetch_object(key, waiting[0].fetch_type,
+                                  waiting[0].ctx)
 
     def _flush_writeback(self) -> None:
         """Writeback policy: ship the buffered commits as one batch."""
@@ -566,8 +560,8 @@ class EdgeNode(Actor):
     # ------------------------------------------------------------------
     # reading: snapshot materialisation
     # ------------------------------------------------------------------
-    def _read_cached(self, key: ObjectKey, snapshot: Snapshot,
-                     type_name: str) -> Optional[OpBasedCRDT]:
+    def _read_cached(self, key: ObjectKey,
+                     snapshot: Snapshot) -> Optional[OpBasedCRDT]:
         """Materialise through the store's incremental cache.
 
         The view — the read vector, the symbolic local dependencies and
@@ -581,14 +575,12 @@ class EdgeNode(Actor):
         masked = self.enforcer.masked_dots if self.enforcer is not None \
             else frozenset()
         vector = self.frontier.read_vector(snapshot.vector, key)
-        return self.cache.read(
-            key, EdgeFrontier.filter(vector, snapshot.local_deps, masked),
-            type_name)
+        return self.cache.read_held(
+            key, EdgeFrontier.filter(vector, snapshot.local_deps, masked))
 
     def read_value(self, key: ObjectKey, type_name: str) -> Any:
         """Read outside a transaction (current snapshot); cache-only."""
-        state = self._read_cached(key, self.frontier.current_snapshot(),
-                                  type_name)
+        state = self._read_cached(key, self.frontier.current_snapshot())
         if state is None:
             return None
         return state.value()
@@ -599,7 +591,7 @@ class EdgeNode(Actor):
     def state_digest(self) -> Dict[ObjectKey, Any]:
         """Visible value of every warm key, for convergence checks."""
         return {key: self.read_value(key, type_name)
-                for key, type_name in self._interest_types.items()
+                for key, type_name in self.cache.interest()
                 if key in self.frontier.key_cut}
 
     def own_transaction(self, dot: Dot) -> Optional[Transaction]:
@@ -670,10 +662,10 @@ class EdgeNode(Actor):
         ctx = running.ctx
         if key in ctx.states:
             return True
-        if key not in self._interest_types:
+        if key not in self.cache:
             self.declare_interest(key, type_name)
         if key in self.frontier.key_cut:
-            state = self._read_cached(key, ctx.snapshot, type_name)
+            state = self._read_cached(key, ctx.snapshot)
             if state is not None:
                 ctx.states[key] = state
                 # The read may have seen the key's cut ahead of the
@@ -688,6 +680,7 @@ class EdgeNode(Actor):
         if self._pending_fetches is EMPTY_MAP:
             self._pending_fetches = {}
         self._pending_fetches.setdefault(key, []).append(running)
+        running.fetch_type = type_name
         self.fetch_object(key, type_name, ctx)
         self._arm_retry()
         return False
@@ -780,7 +773,7 @@ class EdgeNode(Actor):
         replica (``EdgeLog.admit``); False for a dot already held."""
         if not self.log.admit(txn, own):
             return False
-        self.cache.apply_transaction(txn)
+        self.cache.apply_held(txn)
         self.frontier.note(txn, pushed)
         if own:
             self._arm_retry()   # unacked until the DC stamps it
@@ -827,10 +820,9 @@ class EdgeNode(Actor):
         raw = EdgeFrontier.filter(snapshot.vector, snapshot.local_deps)
 
         def read(key: ObjectKey, type_name: str):
-            # Security metadata is read unmasked; key the cached view
+            # Security metadata is read unmasked; scope the cached view
             # separately so it never thrashes the masked reads.
-            state = self.cache.read(key, raw, type_name,
-                                    cache_key=(key, "raw"))
+            state = self.cache.read_held(key, raw, scope="raw")
             return state if state is not None else new_crdt(type_name)
 
         acl_set = read(ACL_OBJECT, "orset").value()
@@ -841,7 +833,7 @@ class EdgeNode(Actor):
 
     def _notify_subscribers(self, keys: Iterable[ObjectKey]) -> None:
         """Run the callbacks subscribed to those of ``keys`` we hold."""
-        for key in [k for k in keys if k in self._interest_types]:
+        for key in [k for k in keys if k in self.cache]:
             for callback in self._subscriptions.get(key, ()):
                 callback(key)
 

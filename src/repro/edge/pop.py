@@ -24,7 +24,7 @@ from ..core.clock import VectorClock
 from ..core.dot import Dot
 from ..core.journal import ObjectState
 from ..core.txn import ObjectKey
-from ..security.enforcement import ACL_OBJECT, RI_OBJECTS, RI_USERS
+from ..security.enforcement import SECURITY_OBJECTS
 from ..dc.fanout import SessionFanout, session_refusal
 from ..dc.messages import (CommitAck, CommitReject, EdgeCommit,
                            InterestChange, ObjectRequest, ObjectResponse,
@@ -82,7 +82,7 @@ class PoPNode(EdgeNode):
         previous = self._fanout.open(msg.edge_id, interest)
         # Adopt the union interest upstream.
         missing = [(key, t) for key, t in interest.items()
-                   if key not in self._interest_types]
+                   if key not in self.cache]
         for key, type_name in missing:
             self.declare_interest(key, type_name)
         # A reopened session may have shrunk its interest set.
@@ -133,7 +133,7 @@ class PoPNode(EdgeNode):
         """
         if not (self._fanout.has_audience(key) or key in self._child_fetches
                 or key in self._child_unseeded or self.security_enabled
-                and key in (ACL_OBJECT, RI_OBJECTS, RI_USERS)):
+                and key in SECURITY_OBJECTS):
             self.retract_interest(key)
 
     def _child_interest(self, msg: InterestChange, sender: str) -> None:
@@ -144,7 +144,7 @@ class PoPNode(EdgeNode):
                 self._maybe_retract_upstream(key)
         for key, type_name in msg.add:
             self._fanout.add_interest(msg.edge_id, key, type_name)
-            if key not in self._interest_types:
+            if key not in self.cache:
                 self.declare_interest(key, type_name)
         seeded = self._seeds_for(msg.edge_id, (k for k, _t in msg.add))
         if seeded:

@@ -198,8 +198,8 @@ class GroupMember(EdgeNode):
 
     def join_group(self) -> None:
         """Ask the group's parent to admit this node (section 5.1.1)."""
-        self.send(self.parent_id, JoinGroup(
-            self.node_id, tuple(self._interest_types.items())))
+        self.send(self.parent_id, JoinGroup(self.node_id,
+                                            self.cache.interest()))
 
     def leave_group(self) -> None:
         if self.orderer is not None:
@@ -429,7 +429,7 @@ class GroupMember(EdgeNode):
     # collaborative cache (section 5.1.2)
     # ------------------------------------------------------------------
     def declare_interest(self, key: ObjectKey, type_name: str) -> None:
-        already = key in self._interest_types
+        already = key in self.cache
         super().declare_interest(key, type_name)
         if already or not self.in_group or self.is_parent \
                 or self.group_offline:
@@ -524,7 +524,7 @@ class GroupMember(EdgeNode):
         if self.group_offline:
             return
         keys = self.frontier.resync_keys(self._pending_fetches,
-                                         self._interest_types)
+                                         self.cache.keys())
         if keys:
             self._resync(keys)
 
@@ -533,7 +533,11 @@ class GroupMember(EdgeNode):
         reply (see ``EdgeFrontier.fetch_reply``)."""
         self.frontier.start_resync(keys, self.now)
         for key in keys:
-            type_name = self._interest_types.get(key, "counter")
+            # A resync fetches warm keys and those a fetch is parked on,
+            # which an eviction may have dropped.
+            journal = self.cache.journal(key)
+            type_name = journal.type_name if journal is not None \
+                else self._pending_fetches[key][0].fetch_type
             self.send(self.parent_id,
                       GroupFetch(key, type_name, self.node_id))
 
@@ -663,6 +667,5 @@ def form_group(members: List[GroupMember]) -> None:
     if parent is None:
         raise ValueError("the parent must be one of the members")
     for member in members:
-        parent._absorb_interest(member.node_id,
-                                tuple(member._interest_types.items()))
+        parent._absorb_interest(member.node_id, member.cache.interest())
     parent.connect()

@@ -1,10 +1,8 @@
 """Metrics registry: counters, gauges and sim-time histograms.
 
-One registry per simulation (or per benchmark phase) unifies the
-previously ad-hoc stat surfaces — :class:`~repro.store.cache.CacheStats`
-and :class:`~repro.sim.network.NetworkStats` publish into it through
-their ``publish()`` methods — behind a single name-keyed API that the
-exporters and the ``python -m repro.obs`` CLI consume.
+One registry per simulation (or per benchmark phase) holds name-keyed
+metrics: :func:`~repro.obs.export.latency_breakdown` fills its
+``obs.hop.*`` histograms, which the ``python -m repro.obs`` CLI prints.
 
 Histograms use *fixed* bucket boundaries chosen at creation, so two
 registries recording the same events always produce the same buckets

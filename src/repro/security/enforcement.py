@@ -19,7 +19,7 @@ guarantees as data:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Set
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set
 
 from ..core.dot import Dot
 from ..core.txn import ObjectKey, Transaction
@@ -29,6 +29,10 @@ SECURITY_BUCKET = "_security"
 ACL_OBJECT = ObjectKey(SECURITY_BUCKET, "acl")
 RI_OBJECTS = ObjectKey(SECURITY_BUCKET, "ri_objects")
 RI_USERS = ObjectKey(SECURITY_BUCKET, "ri_users")
+#: The security objects and their types: a replica with security on
+#: holds them for its own protocol, whatever its interest.
+SECURITY_OBJECTS: Mapping[ObjectKey, str] = {
+    ACL_OBJECT: "orset", RI_OBJECTS: "gmap", RI_USERS: "gmap"}
 
 
 def encode_acl(obj: str, user: str, permission: str) -> str:

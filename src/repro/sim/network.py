@@ -148,27 +148,6 @@ class NetworkStats:
                     delta.link_traffic[link] = diff
         return delta
 
-    def publish(self, registry: Any, prefix: str = "net") -> None:
-        """Export the current totals into a MetricsRegistry as gauges.
-
-        Gauges (not counters) because these are point-in-time captures
-        of cumulative totals: re-publishing must overwrite, and merging
-        registries from the same stream must not double-count.
-        """
-        registry.gauge(f"{prefix}.messages_sent").set(self.messages_sent)
-        registry.gauge(f"{prefix}.messages_delivered").set(
-            self.messages_delivered)
-        registry.gauge(f"{prefix}.messages_dropped").set(
-            self.messages_dropped)
-        registry.gauge(f"{prefix}.bytes_sent").set(self.bytes_sent)
-        for (src, dst), value in sorted(self.bytes_by_link.items()):
-            registry.gauge(f"{prefix}.link.{src}->{dst}.bytes").set(value)
-        for (src, dst), value in sorted(self.messages_by_link.items()):
-            registry.gauge(
-                f"{prefix}.link.{src}->{dst}.messages").set(value)
-        for (src, dst), value in sorted(self.drops_by_link.items()):
-            registry.gauge(f"{prefix}.link.{src}->{dst}.drops").set(value)
-
     def traffic_record(self, link: Tuple[str, str]) -> list:
         """The mutable ``[messages, bytes]`` record for a link."""
         record = self.link_traffic.get(link)

@@ -1,9 +1,7 @@
-"""Storage substrate: versioned store, consistent-hash ring, edge cache."""
+"""Storage substrate: versioned store, materialisation cache, hash ring."""
 
-from .cache import CacheStats, InterestCache
 from .kv import VersionedStore
-from .matcache import MaterialisedCache
+from .matcache import CacheStats, MaterialisedCache
 from .ring import HashRing
 
-__all__ = ["CacheStats", "InterestCache", "MaterialisedCache",
-           "VersionedStore", "HashRing"]
+__all__ = ["CacheStats", "MaterialisedCache", "VersionedStore", "HashRing"]

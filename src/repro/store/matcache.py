@@ -6,9 +6,10 @@ per-entry visibility callback.  Every read path in the system — edge
 cache hits, DC shard snapshot reads, PoP and peer-group seeds — pays
 that cost, which grows linearly with the journal.
 
-``MaterialisedCache`` memoises, per journal incarnation, the last
-materialised state *plus* the exact dot set it reflects.  A later read
-then falls into one of four paths:
+``MaterialisedCache`` memoises, on the journal itself, the last
+materialised state *plus* the exact dot set it reflects, one view per
+scope (``ObjectJournal.views``).  A later read then falls into one of
+four paths:
 
 * **hit** — the reader presents an equal view (a
   :class:`~repro.core.journal.Visibility` is its own token; an opaque
@@ -31,15 +32,15 @@ then falls into one of four paths:
   new mask) or an opaque callable: one pass over the whole journal
   collects the visible entries not applied, and detects a regression (an
   applied entry now hidden), which rebuilds;
-* **rebuild** — nothing usable is cached, the journal is a different
-  incarnation (``uid`` changed after a drop/re-ensure), compaction
-  folded an entry the cached state had neither applied nor can still
-  find (trimmed from the arrival log before this key read again), or a
-  regression: one pass from the base.
+* **rebuild** — nothing usable is cached (a journal that replaced
+  another starts with no views), compaction folded an entry the cached
+  state had neither applied nor can still find (trimmed from the
+  arrival log before this key read again), or a regression: one pass
+  from the base.
 
 Invalidation rules:
 
-* ``uid`` mismatch (drop + re-``ensure_object``) always rebuilds;
+* a dropped or replaced journal takes its views with it;
 * ``base_version`` mismatch (``advance_base`` ran) re-checks that every
   base dot is inside the cached dot set — after the delta has applied
   its folded candidates, or before a scan;
@@ -48,50 +49,85 @@ Invalidation rules:
 
 Callers that serve several distinct view families for the same object
 (a node's own snapshot reads vs. the pure-vector seeds it cuts for
-children, or ACL-masked vs. raw security reads) should pass a distinct
-``key`` per family so the families do not evict each other.
+children, or ACL-masked vs. raw security reads) pass a distinct
+``scope`` per family so the families do not evict each other.
 
 **Validity contract.**  The returned state and dot set *are* the cached
 ones: callers must not mutate them, and they are valid only until the
-next ``materialise`` under the same cache key, which may advance them
-in place (a rebuild leaves the old objects alone, but do not count on
-it).  A caller that keeps a state across such a call clones it.  Every
-reader in the system uses the result synchronously — it serialises it,
-takes its ``value()`` (a copy), or prepares an update against it — and
-a transaction suspended on a fetch restarts with a fresh buffer, so
-nothing pays for a copy per read of a large object.
+next ``materialise`` of the same journal in the same scope, which may
+advance them in place (a rebuild leaves the old objects alone, but do
+not count on it).  A caller that keeps a state across such a call
+clones it.  Every reader in the system uses the result synchronously —
+it serialises it, takes its ``value()`` (a copy), or prepares an update
+against it — and a transaction suspended on a fetch restarts with a
+fresh buffer, so nothing pays for a copy per read of a large object.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import (AbstractSet, Dict, Hashable, List, Optional, Set,
-                    Tuple)
+from typing import AbstractSet, Hashable, List, Optional, Set, Tuple
 
 from ..core.dot import EMPTY_MAP, Dot
 from ..core.journal import (EntryFilter, JournalEntry, ObjectJournal,
                             Visibility)
 from ..crdt.base import OpBasedCRDT
-from .cache import CacheStats
 
 _ORDER = attrgetter("order")
 
 
+class CacheStats:
+    """Hit/miss counters for the latency benchmarks.
+
+    ``hits``/``misses`` count interest-set membership (was the object
+    cached at all?).  The ``mat_*`` counters break down how hits were
+    *materialised*: served verbatim from the materialisation cache
+    (``mat_hits``), by incremental replay of the delta on top of a
+    cached state (``mat_incremental``), or by a full rebuild from the
+    base version (``mat_misses``).
+    """
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.mat_hits = 0
+        self.mat_incremental = 0
+        self.mat_misses = 0
+
+    @property
+    def hit_ratio(self) -> float:
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    @property
+    def mat_hit_ratio(self) -> float:
+        """Share of materialisations that avoided a full rebuild."""
+        total = self.mat_hits + self.mat_incremental + self.mat_misses
+        return (self.mat_hits + self.mat_incremental) / total \
+            if total else 0.0
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"CacheStats(hits={self.hits}, misses={self.misses},"
+                f" evictions={self.evictions}, mat_hits={self.mat_hits},"
+                f" mat_incremental={self.mat_incremental},"
+                f" mat_misses={self.mat_misses})")
+
+
 class _CachedVersion:
-    """One memoised materialisation of one journal incarnation.
+    """One memoised materialisation of one journal, in one scope.
 
     Built under a :class:`Visibility` (its ``view``), it also keeps what
     a delta read tests: the arrival-log ``mark`` it has seen up to, the
     ``pending`` entries (journalled, not applied) and the ``by_dep``
     entries (applied, shown only through a dep)."""
 
-    __slots__ = ("uid", "version", "base_version", "token", "dots",
-                 "state", "view", "mark", "pending", "by_dep")
+    __slots__ = ("version", "base_version", "token", "dots", "state",
+                 "view", "mark", "pending", "by_dep")
 
-    def __init__(self, uid: int, version: int, base_version: int,
+    def __init__(self, version: int, base_version: int,
                  token: Optional[Hashable], dots: Set[Dot],
                  state: OpBasedCRDT):
-        self.uid = uid
         self.version = version
         self.base_version = base_version
         self.token = token
@@ -128,29 +164,24 @@ def _by_dep(journal: ObjectJournal, view: Visibility) -> List[JournalEntry]:
 class MaterialisedCache:
     """Memoises materialised object versions, replaying only deltas.
 
-    One cached version is kept per ``key`` (latest view wins, which
-    matches the monotonic frontiers every node exposes).  ``stats`` is a
-    :class:`~repro.store.cache.CacheStats`; the cache bumps its
-    ``mat_hits`` (hits, and deltas or scans that found nothing new) /
-    ``mat_incremental`` / ``mat_misses`` (rebuilds) counters.  The map
-    of versions is made on the first rebuild: a cache that never reads
-    (an idle edge session's) holds none.
+    One cached version is kept per journal and ``scope`` (latest view
+    wins, which matches the monotonic frontiers every node exposes), in
+    the journal's ``views``: the cache itself holds only ``stats``, a
+    :class:`CacheStats` whose ``mat_hits`` (hits, and
+    deltas or scans that found nothing new) / ``mat_incremental`` /
+    ``mat_misses`` (rebuilds) counters it bumps.
     """
 
-    __slots__ = ("_versions", "stats")
+    __slots__ = ("stats",)
 
     def __init__(self, stats: Optional[CacheStats] = None):
-        self._versions: Dict[Hashable, _CachedVersion] = EMPTY_MAP
         self.stats = stats if stats is not None else CacheStats()
-
-    def __len__(self) -> int:
-        return len(self._versions)
 
     # -- reads ------------------------------------------------------------
     def materialise(self, journal: ObjectJournal,
                     visible: Optional[EntryFilter] = None,
                     token: Optional[Hashable] = None,
-                    key: Optional[Hashable] = None) \
+                    scope: Optional[str] = None) \
             -> Tuple[OpBasedCRDT, AbstractSet[Dot]]:
         """Materialise ``journal`` under ``visible``; returns (state, dots).
 
@@ -163,13 +194,12 @@ class MaterialisedCache:
         token twice MUST denote an identical visible set.  ``None``
         disables the hit path but still replays incrementally.
         """
-        cache_key = key if key is not None else journal.key
         view = visible if type(visible) is Visibility else None
         if view is not None:
             token = view
-        cached = self._versions.get(cache_key)
-        if cached is None or cached.uid != journal.uid:
-            return self._rebuild(cache_key, journal, visible, token, view)
+        cached = journal.views.get(scope)
+        if cached is None:
+            return self._rebuild(scope, journal, visible, token, view)
         if token is not None and cached.version == journal.version \
                 and cached.token == token:
             self.stats.mat_hits += 1
@@ -178,8 +208,8 @@ class MaterialisedCache:
                 and self._widens(cached.view, cached, view, journal):
             if self._delta(cached, journal, view):
                 return cached.state, cached.dots
-            return self._rebuild(cache_key, journal, visible, token, view)
-        return self._scan(cache_key, cached, journal, visible, token, view)
+            return self._rebuild(scope, journal, visible, token, view)
+        return self._scan(scope, cached, journal, visible, token, view)
 
     @staticmethod
     def _widens(old: Visibility, cached: _CachedVersion, view: Visibility,
@@ -250,14 +280,14 @@ class MaterialisedCache:
             self.stats.mat_hits += 1
         return True
 
-    def _scan(self, cache_key: Hashable, cached: _CachedVersion,
+    def _scan(self, scope: Optional[str], cached: _CachedVersion,
               journal: ObjectJournal, visible: Optional[EntryFilter],
               token: Optional[Hashable], view: Optional[Visibility]) \
             -> Tuple[OpBasedCRDT, AbstractSet[Dot]]:
         """One pass over the whole journal: apply the visible entries
         not applied, or rebuild on a regression."""
         if not self._base_still_covered(cached, journal):
-            return self._rebuild(cache_key, journal, visible, token, view)
+            return self._rebuild(scope, journal, visible, token, view)
         to_apply = []
         hidden = []
         applied = cached.dots
@@ -266,8 +296,7 @@ class MaterialisedCache:
                 if entry.dot not in applied:
                     to_apply.append(entry)
             elif entry.dot in applied:
-                return self._rebuild(cache_key, journal, visible, token,
-                                     view)
+                return self._rebuild(scope, journal, visible, token, view)
             else:
                 hidden.append(entry)
         state = cached.state
@@ -297,38 +326,16 @@ class MaterialisedCache:
             return True
         return False
 
-    def _rebuild(self, cache_key: Hashable, journal: ObjectJournal,
+    def _rebuild(self, scope: Optional[str], journal: ObjectJournal,
                  visible: Optional[EntryFilter],
                  token: Optional[Hashable],
                  view: Optional[Visibility]) \
             -> Tuple[OpBasedCRDT, AbstractSet[Dot]]:
         state, dots, hidden = journal.replay(visible)
-        if self._versions is EMPTY_MAP:
-            self._versions = {}
-        cached = self._versions[cache_key] = _CachedVersion(
-            journal.uid, journal.version, journal.base_version, token,
-            dots, state)
+        if journal.views is EMPTY_MAP:
+            journal.views = {}
+        cached = journal.views[scope] = _CachedVersion(
+            journal.version, journal.base_version, token, dots, state)
         cached.track(journal, view, hidden)
         self.stats.mat_misses += 1
         return state, dots
-
-    # -- invalidation ------------------------------------------------------
-    def invalidate(self, key: Hashable) -> None:
-        """Drop the cached version for one exact cache key."""
-        if key in self._versions:
-            del self._versions[key]
-
-    def invalidate_object(self, key: Hashable) -> None:
-        """Drop every cached version derived from object ``key``.
-
-        Covers both the plain entry and scoped entries keyed as
-        ``(key, scope)`` tuples (seed views, security views).
-        """
-        stale = [k for k in self._versions
-                 if k == key or (isinstance(k, tuple) and k
-                                 and k[0] == key)]
-        for k in stale:
-            del self._versions[k]
-
-    def clear(self) -> None:
-        self._versions = EMPTY_MAP

@@ -35,7 +35,7 @@ def test_partial_interest_scenario_passes(topology):
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_partial_interest_world_has_narrow_sessions(topology):
     world = build_world(topology, 0, partial_interest=True)
-    held = {r.node_id: set(r._interest_types) for r in world.replicas}
+    held = {r.node_id: r.cache.keys() for r in world.replicas}
     everything = {key for key, _type in KEYS}
     narrow = "e1" if topology == "pop" else "m2"
     assert set(world.narrow) == {"by", narrow}

@@ -1,6 +1,7 @@
 """Edge <-> DC protocol integration tests (paper sections 3.6-3.7, 4.2)."""
 
 from repro.core import ObjectKey
+from repro.dc.messages import SessionOpen
 from repro.sim import LatencyModel, Simulation
 
 from ..conftest import build_cluster, build_edge, run_update
@@ -30,6 +31,30 @@ class TestSession:
         edge.declare_interest(KEY, "counter")
         sim.run_for(100)
         assert edge.read_value(KEY, "counter") == 0
+
+    def test_the_interest_list_keeps_declaration_order(self):
+        """A seed replaces a key's journal in place and a read does not
+        move it: a re-opened session lists the keys as declared."""
+        sim, _ = world()
+        declared = ((ObjectKey("b", "z"), "counter"), (KEY, "orset"),
+                    (ObjectKey("b", "a"), "counter"))
+        edge = build_edge(sim, "e1", interest=declared[:2])
+        sim.run_for(100)
+        edge.declare_interest(*declared[2])
+        sim.run_for(100)
+        assert edge.read_value(ObjectKey("b", "z"), "counter") == 0
+        opens = []
+        send = sim.network.send
+
+        def tapped(src, dst, message, size_bytes=None):
+            if type(message) is SessionOpen:
+                opens.append(message.interest)
+            return send(src, dst, message, size_bytes)
+
+        sim.network.send = tapped
+        edge.migrate_to("dc0")
+        assert opens == [declared]
+        assert edge.cache.interest() == declared
 
 
 class TestLocalFirstCommit:
@@ -125,7 +150,7 @@ class TestPropagation:
         run_update(e1, other, "counter", "increment", 1)
         sim.run_for(2000)
         # e2 never declared interest in `other`: not journalled there.
-        assert not e2.cache.store.has_object(other)
+        assert other not in e2.cache
 
 
 class TestCacheMiss:

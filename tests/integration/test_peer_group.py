@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ObjectKey
 from repro.groups import GroupMember, form_group
+from repro.groups.messages import GroupFetch
 from repro.sim import LAN, LatencyModel, Simulation
 
 from ..conftest import build_cluster, run_update
@@ -125,7 +126,38 @@ class TestCollaborativeCache:
         sim, members = group_world()
         members[2].declare_interest(new_key, "counter")
         sim.run_for(200)
-        assert new_key in members[0]._interest_types
+        assert new_key in members[0].cache
+
+    def test_a_resync_asks_for_a_parked_fetch_by_its_type(self):
+        """A fetch parked on a key the cache then evicted is resynced
+        as the type it asked for."""
+        doc = ObjectKey("b", "doc")
+        sim, members = group_world()
+        member = members[1]
+        member.cache.capacity = 1
+        fetches = []
+        send = sim.network.send
+
+        def tapped(src, dst, message, size_bytes=None):
+            if src == member.node_id and type(message) is GroupFetch:
+                fetches.append((message.key, message.type_name))
+                if len(fetches) == 1:
+                    return False
+            return send(src, dst, message, size_bytes)
+
+        sim.network.send = tapped
+        done = []
+
+        def body(tx):
+            return (yield tx.read(doc, "orset"))
+
+        member.run_transaction(body, on_done=lambda r, s: done.append(r))
+        member.declare_interest(ObjectKey("b", "z"), "counter")
+        assert doc not in member.cache
+        member._resync({doc})
+        sim.run_for(100)
+        assert fetches == [(doc, "orset"), (doc, "orset")]
+        assert done == [set()]
 
 
 class TestCommitVariants:

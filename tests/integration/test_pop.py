@@ -41,7 +41,7 @@ class TestPoPSessions:
         other = ObjectKey("b", "other")
         edges[1].declare_interest(other, "counter")
         sim.run_for(300)
-        assert other in pop._interest_types
+        assert other in pop.cache
 
     def test_pop_retracts_upstream_when_last_child_retracts(self):
         sim, dcs, pop, edges = pop_world()
@@ -49,21 +49,21 @@ class TestPoPSessions:
         for edge in edges:
             edge.declare_interest(other, "counter")
         sim.run_for(300)
-        assert other in pop._interest_types
+        assert other in pop.cache
         assert other in dcs[0].sessions["pop0"].interest
         # One child letting go is not enough: the union still holds it.
         edges[0].retract_interest(other)
         sim.run_for(300)
-        assert other in pop._interest_types
+        assert other in pop.cache
         # The last child's retract propagates all the way upstream.
         edges[1].retract_interest(other)
         sim.run_for(300)
-        assert other not in pop._interest_types
+        assert other not in pop.cache
         assert other not in dcs[0].sessions["pop0"].interest
         # A fresh declare resubscribes end to end.
         edges[0].declare_interest(other, "counter")
         sim.run_for(300)
-        assert other in pop._interest_types
+        assert other in pop.cache
         assert other in dcs[0].sessions["pop0"].interest
 
 

@@ -127,6 +127,23 @@ class TestRetriedOneIntervalAfterTheRequest:
         assert done == [(0,)]
         assert timer_entries(sim, node) == []
 
+    def test_a_lost_fetch_of_a_key_evicted_meanwhile(self):
+        """The parked fetch keeps the type it asked for: the retry asks
+        again although the cache no longer holds the key."""
+        sim, node, wire = world()
+        node.cache.capacity = 1
+        wire.lose.update((InterestChange, ObjectRequest))
+        start = sim.now
+        values = []
+        node.run_transaction(read_body(OTHER),
+                             on_done=lambda value, stats: values.append(value))
+        node.declare_interest(ObjectKey("b", "z"), "counter")
+        assert OTHER not in node.cache
+        sim.run_for(3 * RETRY)
+        assert wire.times(ObjectRequest) == [start, start + RETRY]
+        assert values == [0]
+        assert timer_entries(sim, node) == []
+
 
 class TestParkedWhenNothingIsOutstanding:
     def test_a_settled_idle_session_has_no_timer_entry(self):

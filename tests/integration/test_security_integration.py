@@ -116,3 +116,24 @@ class TestAclFlow:
         grant(alice, "docs/book", "bob")     # bob becomes legitimate
         sim.run_for(2000)
         assert alice.read_value(BOOK, "orset") == {"draft"}
+
+
+class TestUnderACapacity:
+    def test_the_security_objects_are_never_evicted(self):
+        """A capacity bounds the application's objects: the ones held
+        for the security protocol stay, and keep taking the policy."""
+        sim = world()
+        alice = secure_edge(sim, "alice-dev", "alice")
+        bob = sim.spawn(EdgeNode, "bob-dev", dc_id="dc0", user="bob",
+                        security_enabled=True, cache_capacity=3)
+        pages = [ObjectKey("docs", f"page{i}") for i in range(4)]
+        for page in pages:
+            bob.declare_interest(page, "orset")
+        bob.connect()
+        sim.run_for(300)
+        grant(alice, "docs/book", "alice")
+        sim.run_for(2000)
+        assert bob.enforcer.acl.check("docs/book", "alice", UPDATE)
+        assert ACL_OBJECT in bob.cache
+        assert pages[0] not in bob.cache
+        assert bob.cache.stats.evictions == 1

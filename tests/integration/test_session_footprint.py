@@ -8,7 +8,9 @@ and cache, its links and the DC's side of its session.  Before idle
 sessions stopped carrying an instance dict, security state with
 security off, containers they never fill and a closure per periodic
 timer, a session added 60 objects; before the retry timer ran only
-while a request is outstanding and the RNG was built on first use, 40.
+while a request is outstanding and the RNG was built on first use, 40;
+before the store's one map of journals was its interest set (no
+``InterestCache``, type map or LRU ``OrderedDict`` beside it), 34.
 """
 
 import gc
@@ -19,8 +21,8 @@ from repro.security.enforcement import SecurityEnforcer
 
 from ..conftest import timer_entries
 
-#: Tracked objects one idle session adds (34 when this guard was set).
-MAX_OBJECTS_PER_SESSION = 36
+#: Tracked objects one idle session adds (30 when this guard was set).
+MAX_OBJECTS_PER_SESSION = 32
 
 
 def settled_world(n_nodes):

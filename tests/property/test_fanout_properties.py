@@ -124,7 +124,7 @@ def _step(up, edges, op):
                          for s in sessions], op[1])
     elif kind == "open":    # also a re-open, wanted by the edge or not
         edge = edges[op[1]]
-        interest = list(edge._interest_types)
+        interest = [key for key, _t in edge.cache.interest()]
         up.fanout.open(edge.node_id, {k: "counter" for k in interest})
         cut = up.stable.merge(edge.vector)
         up.fanout.restart(edge.node_id, cut.to_dict())
@@ -151,7 +151,7 @@ def _step(up, edges, op):
     elif kind == "fetch":
         edge, key = edges[op[1]], op[2]
         session = up.fanout.sessions.get(edge.node_id)
-        if edge.session_open and key in edge._interest_types \
+        if edge.session_open and key in edge.cache \
                 and key in session.interest and not op[3]:
             cut = up.stable.merge(edge.vector)
             edge.on_message(ObjectResponse(up.seed(key, cut),
@@ -162,7 +162,7 @@ def _check_safety(up, edges, trail):
     for edge in edges:
         for key, cut in edge.frontier.key_cut.items():
             frontier = edge.vector.merge(cut)
-            journal = edge.cache.store.journal(key)
+            journal = edge.cache.journal(key)
             missing = [t.dot for t in up.on(key, frontier)
                        if not journal.has(t.dot)]
             assert not missing, (

@@ -2,9 +2,10 @@
 
 Random interleavings of journal writes (in order and out of order, a
 symbolic stamp that gains its entry after the append, compaction,
-drop + re-``ensure``) and reader moves (admit a dot, advance the vector,
-retire a dep once covered or while still uncovered, read at an older
-vector, mask and unmask a dot, read a second cache-key family) must
+drop + re-``hold``, a seed replacing the journal) and reader moves
+(admit a dot, advance the vector, retire a dep once covered or while
+still uncovered, read at an older vector, mask and unmask a dot, read a
+second scope) must
 never make the materialisation cache diverge from a from-scratch
 ``ObjectJournal.materialise`` — same CRDT value, same internal state
 and same visible dots — no matter which path (hit, delta, scan,
@@ -21,13 +22,12 @@ from hypothesis import given, settings, strategies as st
 from repro.core import (CommitStamp, Dot, ObjectJournal, ObjectKey,
                         Snapshot, Transaction, VectorClock, Visibility,
                         WriteOp)
+from repro.core.journal import ObjectState
 from repro.crdt import Counter, ORSet
 from repro.store import MaterialisedCache, VersionedStore
 
 
 KEY = ObjectKey("b", "x")
-SEED = (KEY, "seed")
-OPAQUE = (KEY, "opaque")
 ORIGINS = ["a", "b", "c"]
 N_TXNS = 12
 
@@ -93,6 +93,10 @@ command_st = st.one_of(
     # An append folded before any read sees it.
     st.tuples(st.just("unseen"), txn_index),
     st.tuples(st.just("drop"), st.just(0)),
+    # A seed cut up to ``arg`` ahead of the reader replaces the journal,
+    # which takes the previous one's entries on top (as an edge's
+    # ``_install_seed`` does).
+    st.tuples(st.just("replace"), st.integers(0, N_TXNS)),
 )
 
 
@@ -123,15 +127,15 @@ class _Run:
     def __init__(self, txns, type_name):
         self.txns = txns
         self.type_name = type_name
-        self.cache = MaterialisedCache()
-        self.store = VersionedStore(mat_cache=self.cache)
-        self.store.ensure_object(KEY, type_name)
+        self.store = VersionedStore()
+        self.store.hold(KEY, type_name)
         # The reader's frontier, as an edge keeps it: a vector, the dots
         # admitted by id, and a security mask.
         self.vector = VectorClock.zero()
         self.admitted = frozenset()
         self.masked = frozenset()
         self.reads = 0
+        self.seeds = 0
         self.previous = {}
 
     def view(self):
@@ -182,9 +186,9 @@ class _Run:
             self.masked -= {_pick(self.masked, arg)}
         elif command == "family":
             if arg == 0:
-                self.read(Visibility(self.vector), key=SEED)
+                self.read(Visibility(self.vector), scope="seed")
             else:
-                self.read(_opaque_filter(self.vector), key=OPAQUE,
+                self.read(_opaque_filter(self.vector), scope="opaque",
                           token=("opaque", self.vector))
         elif command == "compact":
             self.compact(arg)
@@ -193,20 +197,33 @@ class _Run:
             self.compact(arg + 1)
         elif command == "drop":
             self.store.drop(KEY)
-            self.store.ensure_object(KEY, self.type_name)
+            self.store.hold(KEY, self.type_name)
+        elif command == "replace":
+            self.replace(arg)
         self.read(read_view or self.view())
+
+    def replace(self, ahead):
+        previous = self.store.journal(KEY)
+        cut = Visibility(self.vector.merge(VectorClock({"dc0": ahead})))
+        seed = ObjectState.of(KEY, self.type_name,
+                              previous.materialise(cut),
+                              previous.visible_dots(cut)).journal()
+        self.store.install(seed)
+        for entry in previous.entries():
+            seed.append(entry.txn)
+        self.seeds += 1
 
     def compact(self, ahead):
         vector = self.vector.merge(VectorClock({"dc0": ahead}))
         self.store.journal(KEY).advance_base(
             Visibility(vector, self.admitted))
 
-    def read(self, visible, key=KEY, token=None):
-        stats = self.cache.stats
+    def read(self, visible, scope=None, token=None):
+        stats = self.store.stats
         advanced_before = stats.mat_incremental
         cached, dots = self.store.read_with_dots(
             KEY, visible, type_name=self.type_name, token=token,
-            cache_key=key)
+            scope=scope)
         journal = self.store.journal(KEY)
         fresh = journal.materialise(visible)
         assert cached.value() == fresh.value()
@@ -214,8 +231,8 @@ class _Run:
         assert dots == journal.visible_dots(visible)
         if stats.mat_incremental > advanced_before:
             # Advanced in place, not copied.
-            assert cached is self.previous.get(key)
-        self.previous[key] = cached
+            assert cached is self.previous.get(scope)
+        self.previous[scope] = cached
         self.reads += 1
 
 
@@ -250,14 +267,16 @@ class TestCachedReadsMatchFreshMaterialisation:
         with mock.patch.object(ORSet, "clone", counting):
             run = _run_interleaving(commands, _orset_txns(), "orset")
         # A materialisation clones the base once: one per cache rebuild
-        # plus the property's own fresh read per cached read.
-        assert len(calls) == run.cache.stats.mat_misses + run.reads
+        # plus the property's own fresh read per cached read and per
+        # seed it cuts.
+        assert len(calls) == \
+            run.store.stats.mat_misses + run.reads + run.seeds
 
     @settings(deadline=None)
     @given(commands=st.lists(command_st, min_size=5, max_size=40))
     def test_stats_account_every_read(self, commands):
         run = _run_interleaving(commands, _counter_txns(), "counter")
-        stats = run.cache.stats
+        stats = run.store.stats
         total = stats.mat_hits + stats.mat_incremental + stats.mat_misses
         assert total == run.reads
 

@@ -48,7 +48,7 @@ class TestWarmth:
         other = ObjectKey("b", "other")
         node.declare_interest(other, "counter")  # evicts KEY (LRU)
         assert KEY not in node.frontier.key_cut
-        assert KEY not in node._interest_types
+        assert KEY not in node.cache
 
     def test_a_seed_warms_its_key_at_its_cut(self):
         r = Replica()
@@ -79,7 +79,7 @@ class TestWarmth:
         node._install_seed(ObjectState(KEY, "counter", Counter().to_dict(),
                                        (Dot(1, "w"),)),
                            VectorClock({"dc0": 9, "dc1": 1}))
-        assert node.cache.store.journal(KEY).has(folded)
+        assert node.cache.journal(KEY).has(folded)
         assert node.frontier.key_cut[KEY] == VectorClock({"dc0": 9})
 
     def test_a_one_key_seed_does_not_move_the_vector_past_the_others(self):
@@ -288,7 +288,7 @@ class TestSnapshotAndCuts:
         sim.run_for(3000)
         for _ in range(40):
             node._after_advance()
-        journal = node.cache.store.journal(KEY)
+        journal = node.cache.journal(KEY)
         assert journal.journal_length == 0   # all folded into the base
         assert node.read_value(KEY, "counter") == 5
 

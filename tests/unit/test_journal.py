@@ -198,8 +198,3 @@ class TestSnapshotState:
                                   j.base_dots).journal()
         assert restored.materialise().value() == 3
         assert restored.base_dots == {Dot(1, "e")}
-
-    def test_journal_uids_distinct(self):
-        a = ObjectJournal(KEY, "counter")
-        b = ObjectJournal(KEY, "counter")
-        assert a.uid != b.uid

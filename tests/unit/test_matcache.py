@@ -111,9 +111,9 @@ class TestBasics:
         j.append(counter_txn(2, amount=3, entries={"dc0": 2}))
         vec2 = VectorClock({"dc0": 2})
         other, _ = cache.materialise(j, vector_filter(vec2),
-                                     token=("t", vec2), key=(KEY, "seed"))
+                                     token=("t", vec2), scope="seed")
         assert other.value() == 5
-        assert old.value() == 2  # a different cache key: untouched
+        assert old.value() == 2  # a different scope: untouched
         new, new_dots = cache.materialise(j, vector_filter(vec2),
                                           token=("t", vec2))
         assert new is old and new_dots is old_dots  # advanced in place
@@ -143,13 +143,13 @@ class TestBasics:
         vec = VectorClock({"dc0": 1})
         zero = VectorClock()
         cache.materialise(j, vector_filter(vec), token=("a", vec),
-                          key=(KEY, "a"))
+                          scope="a")
         cache.materialise(j, vector_filter(zero), token=("b", zero),
-                          key=(KEY, "b"))
+                          scope="b")
         cache.materialise(j, vector_filter(vec), token=("a", vec),
-                          key=(KEY, "a"))
+                          scope="a")
         cache.materialise(j, vector_filter(zero), token=("b", zero),
-                          key=(KEY, "b"))
+                          scope="b")
         assert cache.stats.mat_misses == 2
         assert cache.stats.mat_hits == 2
 
@@ -185,26 +185,34 @@ class TestInvalidation:
         assert dots == {Dot(1, "e"), Dot(2, "e")}
         assert cache.stats.mat_misses == 2
 
-    def test_uid_change_invalidates(self):
-        cache = MaterialisedCache()
-        store = VersionedStore(mat_cache=cache)
-        store.ensure_object(KEY, "counter")
-        store.apply_transaction(counter_txn(1, amount=7,
-                                            entries={"dc0": 1}))
+    def test_a_replaced_journal_starts_with_no_views(self):
+        store = VersionedStore()
+        store.hold(KEY, "counter")
+        store.apply_held(counter_txn(1, amount=7, entries={"dc0": 1}))
         assert store.read(KEY).value() == 7
-        store.drop(KEY)
-        store.ensure_object(KEY, "counter")
+        assert store.read(KEY, scope="seed").value() == 7
+        store.install(ObjectJournal(KEY, "counter"))
+        assert store.journal(KEY).views == {}
         assert store.read(KEY).value() == 0
-        assert cache.stats.mat_misses == 2
+        assert store.stats.mat_misses == 3
+        store.drop(KEY)
+        store.hold(KEY, "counter")
+        assert store.journal(KEY).views == {}
+        assert store.read(KEY).value() == 0
+        assert store.stats.mat_misses == 4
 
     def test_drop_invalidates_scoped_views_too(self):
-        cache = MaterialisedCache()
-        store = VersionedStore(mat_cache=cache)
-        store.ensure_object(KEY, "counter")
-        store.read(KEY, cache_key=(KEY, "seed"))
-        assert len(cache) == 1
+        store = VersionedStore()
+        store.hold(KEY, "counter")
+        store.read(KEY)
+        store.read(KEY, scope="seed")
+        dropped = store.journal(KEY)
+        assert set(dropped.views) == {None, "seed"}
         store.drop(KEY)
-        assert len(cache) == 0
+        store.hold(KEY, "counter")
+        store.read(KEY, scope="seed")
+        assert set(store.journal(KEY).views) == {"seed"}
+        assert store.stats.mat_misses == 3
 
     def test_stats_can_be_shared(self):
         stats = CacheStats()

@@ -1,11 +1,14 @@
-"""Storage substrate tests: versioned store, hash ring, interest cache."""
+"""Storage substrate tests: versioned store, hash ring, and the store
+as an edge replica's interest cache."""
 
 import pytest
 
 from repro.core import (CommitStamp, Dot, ObjectKey, Snapshot, Transaction,
                         VectorClock, WriteOp)
+from repro.core.journal import ObjectState
 from repro.crdt import Counter
-from repro.store import HashRing, InterestCache, VersionedStore
+from repro.security.enforcement import SECURITY_OBJECTS
+from repro.store import HashRing, VersionedStore
 
 
 def txn(counter, key=ObjectKey("b", "x"), origin="e", entries=None):
@@ -49,12 +52,6 @@ class TestVersionedStore:
         assert store.read(ObjectKey("b", "x")).value() == 1
         assert store.read(ObjectKey("b", "y")).value() == 2
 
-    def test_transactions_for(self):
-        store = VersionedStore()
-        t = txn(1)
-        store.apply_transaction(t)
-        assert store.transactions_for(ObjectKey("b", "x")) == [t]
-
     def test_compact(self):
         store = VersionedStore()
         store.apply_transaction(txn(1, entries={"dc0": 1}))
@@ -62,13 +59,13 @@ class TestVersionedStore:
         vec = VectorClock({"dc0": 1})
         folded = store.compact(lambda e: e.txn.commit.included_in(vec))
         assert folded == 1
-        assert store.journal_lengths()[ObjectKey("b", "x")] == 1
+        assert store.journal(ObjectKey("b", "x")).journal_length == 1
 
     def test_drop(self):
         store = VersionedStore()
         store.apply_transaction(txn(1))
         store.drop(ObjectKey("b", "x"))
-        assert not store.has_object(ObjectKey("b", "x"))
+        assert ObjectKey("b", "x") not in store
 
 
 class TestHashRing:
@@ -172,90 +169,116 @@ class TestHashRing:
 
 
 class TestInterestCache:
+    """The store as an edge replica's interest cache: ``hold``,
+    ``apply_held``, ``read_held``, ``drop``."""
+
     def test_declare_and_read(self):
-        cache = InterestCache()
+        cache = VersionedStore()
         key = ObjectKey("b", "x")
-        cache.declare_interest(key, "counter")
-        cache.apply_transaction(txn(1))
-        assert cache.read(key, None, "counter").value() == 1
+        cache.hold(key, "counter")
+        cache.apply_held(txn(1))
+        assert cache.read_held(key, None).value() == 1
         assert cache.stats.hits == 1
+        assert cache.interest() == ((key, "counter"),)
 
     def test_uninterested_txn_not_journalled(self):
-        cache = InterestCache()
-        assert not cache.apply_transaction(txn(1))
+        cache = VersionedStore()
+        assert not cache.apply_held(txn(1))
+        assert len(cache) == 0
 
     def test_miss_counted(self):
-        cache = InterestCache()
-        assert cache.read(ObjectKey("b", "x"), None, "counter") is None
+        cache = VersionedStore()
+        assert cache.read_held(ObjectKey("b", "x"), None) is None
         assert cache.stats.misses == 1
 
     def test_lru_eviction(self):
-        evicted = []
-        cache = InterestCache(capacity=2, on_evict=evicted.append)
+        cache = VersionedStore(capacity=2)
         keys = [ObjectKey("b", f"k{i}") for i in range(3)]
-        for key in keys:
-            cache.declare_interest(key, "counter")
-        assert evicted == [keys[0]]
-        assert cache.interest_set == {keys[1], keys[2]}
+        evicted = [cache.hold(key, "counter") for key in keys]
+        assert evicted == [[], [], [keys[0]]]
+        assert cache.keys() == {keys[1], keys[2]}
         assert cache.stats.evictions == 1
 
     def test_read_refreshes_lru(self):
-        cache = InterestCache(capacity=2)
+        cache = VersionedStore(capacity=2)
         k0, k1, k2 = (ObjectKey("b", f"k{i}") for i in range(3))
-        cache.declare_interest(k0, "counter")
-        cache.declare_interest(k1, "counter")
-        cache.read(k0, None, "counter")      # k0 becomes most recent
-        cache.declare_interest(k2, "counter")
-        assert k0 in cache.interest_set
-        assert k1 not in cache.interest_set
+        cache.hold(k0, "counter")
+        cache.hold(k1, "counter")
+        cache.read_held(k0, None)      # k0 becomes most recent
+        assert cache.hold(k2, "counter") == [k1]
+        assert k0 in cache
+        assert k1 not in cache
+
+    def test_without_a_capacity_reads_keep_the_declaration_order(self):
+        cache = VersionedStore()
+        k0, k1 = (ObjectKey("b", f"k{i}") for i in range(2))
+        cache.hold(k0, "counter")
+        cache.hold(k1, "orset")
+        cache.read_held(k0, None)
+        assert cache.interest() == ((k0, "counter"), (k1, "orset"))
+
+    def test_the_security_objects_are_neither_counted_nor_evicted(self):
+        cache = VersionedStore(capacity=1)
+        for key, type_name in SECURITY_OBJECTS.items():
+            assert cache.hold(key, type_name) == []
+        k0, k1 = (ObjectKey("b", f"k{i}") for i in range(2))
+        assert cache.hold(k0, "counter") == []
+        assert cache.hold(k1, "counter") == [k0]
+        assert cache.keys() == set(SECURITY_OBJECTS) | {k1}
 
     def test_retract_interest_drops_object(self):
-        cache = InterestCache()
+        cache = VersionedStore()
         key = ObjectKey("b", "x")
-        cache.declare_interest(key, "counter")
-        cache.retract_interest(key)
-        assert not cache.interested_in(key)
-        assert cache.read(key, None, "counter") is None
+        cache.hold(key, "counter")
+        cache.drop(key)
+        assert key not in cache
+        assert cache.read_held(key, None) is None
 
     def test_hit_ratio(self):
-        cache = InterestCache()
+        cache = VersionedStore()
         key = ObjectKey("b", "x")
-        cache.declare_interest(key, "counter")
-        cache.read(key, None, "counter")
-        cache.read(ObjectKey("b", "miss"), None, "counter")
+        cache.hold(key, "counter")
+        cache.read_held(key, None)
+        cache.read_held(ObjectKey("b", "miss"), None)
         assert cache.stats.hit_ratio == 0.5
 
-    def test_interest_set_is_frozen_view(self):
-        cache = InterestCache()
-        key = ObjectKey("b", "x")
-        cache.declare_interest(key, "counter")
-        view = cache.interest_set
-        assert isinstance(view, frozenset)
-        cache.retract_interest(key)
-        assert cache.interest_set == frozenset()
+    def test_install_replaces_the_journal_in_place(self):
+        cache = VersionedStore()
+        k0, k1 = (ObjectKey("b", f"k{i}") for i in range(2))
+        cache.hold(k0, "counter")
+        cache.hold(k1, "counter")
+        cache.apply_held(txn(1, key=k0))
+        assert cache.read_held(k0, None).value() == 1
+        seed = ObjectState.of(k0, "counter", Counter(), ()).journal()
+        cache.install(seed)
+        assert cache.journal(k0) is seed
+        assert seed.views == {}
+        assert [k for k, _t in cache.interest()] == [k0, k1]
+        assert cache.read_held(k0, None).value() == 0
 
     def test_materialisation_counters(self):
-        cache = InterestCache()
+        cache = VersionedStore()
         key = ObjectKey("b", "x")
-        cache.declare_interest(key, "counter")
-        cache.apply_transaction(txn(1))
+        cache.hold(key, "counter")
+        cache.apply_held(txn(1))
         token = ("t", 1)
-        cache.read(key, None, "counter", token=token)
-        cache.read(key, None, "counter", token=token)
+        cache.read(key, None, token=token)
+        cache.read(key, None, token=token)
         assert cache.stats.mat_misses == 1
         assert cache.stats.mat_hits == 1
-        cache.apply_transaction(txn(2))
-        cache.read(key, None, "counter", token=token)
+        cache.apply_held(txn(2))
+        cache.read(key, None, token=token)
         assert cache.stats.mat_incremental == 1
         assert cache.stats.mat_hit_ratio == 2 / 3
 
     def test_read_with_dots(self):
-        cache = InterestCache()
+        cache = VersionedStore()
         key = ObjectKey("b", "x")
-        cache.declare_interest(key, "counter")
-        cache.apply_transaction(txn(1))
-        state, dots = cache.read_with_dots(key, None, "counter")
+        cache.hold(key, "counter")
+        cache.apply_held(txn(1))
+        state, dots = cache.read_with_dots(key, None)
         assert state.value() == 1
         assert dots == {Dot(1, "e")}
-        assert cache.read_with_dots(ObjectKey("b", "nope"), None,
-                                    "counter") is None
+        state, dots = cache.read_with_dots(ObjectKey("b", "nope"), None,
+                                           "counter")
+        assert (state.value(), dots) == (0, frozenset())

@@ -207,7 +207,7 @@ class TestTheNodeWiring:
         t = txn(1, entries={"dc0": 1})
         assert node._admit(t)
         assert not node._admit(t)
-        assert len(node.cache.store.journal(KEY).entries()) == 1
+        assert len(node.cache.journal(KEY).entries()) == 1
 
 
 def member(commit_variant="async"):
