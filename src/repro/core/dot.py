@@ -51,9 +51,15 @@ class Dot:
 class DotTracker:
     """Tracks delivered dots to filter duplicates.
 
-    Compact in the common case (contiguous per-origin watermark) while
-    remaining correct for gaps: dots above the watermark are kept in an
-    explicit set until the gap below them closes.  Both maps start as one
+    A per-origin watermark covers the contiguous run of counters from 1;
+    a dot above it is kept in an explicit set until the gap below it
+    closes.  Dots are Lamport-based (:mod:`repro.core.clock`), so an
+    origin's counters skip every value its clock jumped past on seeing
+    a higher one, and such a gap never closes: from an origin's first
+    jump on, every one of its dots stays in ``_pending``.  The tracker
+    is compact only for origins whose clocks never jump — a session
+    that writes alone; a group member, whose clock follows its peers',
+    costs a set entry per dot (ROADMAP item 4).  Both maps start as one
     shared empty value and are made on their first write: most edge
     sessions of a large world never see a gap, many never see a dot.
     """

@@ -97,18 +97,16 @@ class Visibility:
 class ObjectJournal:
     """Base version + ordered journal for a single object."""
 
-    __slots__ = ("key", "type_name", "_base", "_base_dots",
-                 "_base_dots_view", "_entries", "version",
-                 "base_version", "views", "_arrivals", "_trimmed")
+    __slots__ = ("key", "type_name", "_base", "_base_dots", "_entries",
+                 "version", "base_version", "views", "_arrivals",
+                 "_trimmed")
 
     def __init__(self, key: ObjectKey, type_name: str):
         self.key = key
         self.type_name = type_name
         self._base: OpBasedCRDT = new_crdt(type_name)
-        # Until the first fold every journal shares one empty set (and
-        # ``frozenset()`` of it is itself: the view).
+        # Until the first fold every journal shares one empty set.
         self._base_dots: AbstractSet[Dot] = _NO_DOTS
-        self._base_dots_view: Optional[FrozenSet[Dot]] = None
         # Sorted by ``order``: membership is a bisect.
         self._entries: List[JournalEntry] = []
         #: Bumped on every append/compaction; readers use it to cache
@@ -268,7 +266,6 @@ class ObjectJournal:
                 cut += 1
             del arrivals[:cut]
             self._trimmed += cut
-        self._base_dots_view = None
         self.version += 1
         self.base_version += 1
         return folded
@@ -290,11 +287,15 @@ class ObjectJournal:
         return len(self._entries)
 
     @property
+    def folded(self) -> AbstractSet[Dot]:
+        """The dots folded into the base version: the journal's own set,
+        for membership and subset tests.  Callers must not mutate it."""
+        return self._base_dots
+
+    @property
     def base_dots(self) -> FrozenSet[Dot]:
-        """Dots already folded into the base version (read-only view)."""
-        if self._base_dots_view is None:
-            self._base_dots_view = frozenset(self._base_dots)
-        return self._base_dots_view
+        """A frozen copy of :attr:`folded`."""
+        return frozenset(self._base_dots)
 
     def entries(self) -> List[JournalEntry]:
         return list(self._entries)

@@ -208,7 +208,7 @@ class Transaction:
     _body_bytes: Optional[int] = field(default=None, init=False,
                                        repr=False, compare=False)
     # ``key_set``, once computed (a slotted class has no ``__dict__``
-    # for ``cached_property``).
+    # for ``cached_property``); ``handoff()`` carries it too.
     _key_set: Optional[FrozenSet[ObjectKey]] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -225,6 +225,7 @@ class Transaction:
         copy = Transaction(self.dot, self.origin, self.snapshot,
                            self.commit, self.writes, self.issuer)
         copy._body_bytes = self._body_bytes
+        copy._key_set = self._key_set
         return copy
 
     def tag_for(self, index: int) -> Tuple[int, str, int]:

@@ -376,11 +376,11 @@ class EdgeNode(Actor):
             self._declare_interest_local(key, journal.type_name)
         previous = self.cache.journal(key)
         if previous is not None and not all(
-                journal.has(dot) for dot in previous.base_dots):
+                journal.has(dot) for dot in previous.folded):
             return
         if not self.frontier.take_seed(key, seed_vector):
             return
-        self.log.fold(journal.base_dots)
+        self.log.fold(journal.folded)
         self.cache.install(journal)
         if previous is not None:
             for entry in previous.entries():

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, FrozenSet, Hashable, Optional, Set
 
 from .messages import Ballot, InstanceId
@@ -21,9 +21,15 @@ def status_at_least(status: str, floor: str) -> bool:
     return _ORDER[status] >= _ORDER[floor]
 
 
-@dataclass
+@dataclass(slots=True)
 class Instance:
-    """Everything a replica knows about one consensus instance."""
+    """Everything a replica knows about one consensus instance.
+
+    Every replica keeps one per instance for the group's lifetime, so
+    it is slotted, and the round state — the repliers, the merged
+    attributes, ``prepare_replies`` — exists only at the replica that
+    leads or recovers the current round, until the instance commits.
+    """
 
     instance_id: InstanceId
     ballot: Ballot
@@ -36,12 +42,12 @@ class Instance:
     #: The conflict keys of ``command`` (none for a no-op).
     keys: FrozenSet[Hashable] = frozenset()
 
-    # Leader-side bookkeeping for the ongoing round.  Replies count once
-    # per replier: a re-sent round's replies and the first round's late
-    # ones come from the same replicas.
-    preaccept_repliers: Set[str] = field(default_factory=set)
+    # Round state.  Replies count once per replier: a re-sent round's
+    # replies and the first round's late ones come from the same
+    # replicas.  ``None`` where this replica runs no such round.
+    preaccept_repliers: Optional[Set[str]] = None
     preaccept_unanimous: bool = True
-    accept_repliers: Set[str] = field(default_factory=set)
+    accept_repliers: Optional[Set[str]] = None
     merged_seq: int = 0
     merged_deps: FrozenSet[InstanceId] = frozenset()
     prepare_replies: Optional[list] = None
@@ -51,6 +57,12 @@ class Instance:
         self.preaccept_repliers = set()
         self.preaccept_unanimous = True
         self.merged_seq, self.merged_deps = self.seq, self.deps
+
+    def end_round(self) -> None:
+        """Drop the round state: the instance is decided."""
+        self.preaccept_repliers = self.accept_repliers = None
+        self.prepare_replies = None
+        self.merged_seq, self.merged_deps = 0, frozenset()
 
     def promote(self, status: str) -> None:
         if _ORDER[status] < _ORDER[self.status]:

@@ -134,6 +134,7 @@ class EPaxosReplica:
         inst.command, inst.seq, inst.deps = command, seq, deps
         inst.accepted_ballot = inst.ballot
         if inst.is_committed:
+            inst.end_round()
             inst.keys = self._keys(command)
             replica, slot = inst.instance_id
             for key in inst.keys:
@@ -240,8 +241,9 @@ class EPaxosReplica:
     def _on_preaccept_reply(self, msg: PreAcceptReply, sender: str) -> None:
         inst = self.instances.get(msg.instance)
         if inst is None or self._outbid(inst, msg) \
-                or inst.status != PREACCEPTED or msg.ballot != inst.ballot:
-            return  # a NACK, or a stale reply (already moved on)
+                or inst.status != PREACCEPTED or msg.ballot != inst.ballot \
+                or inst.preaccept_repliers is None:
+            return  # a NACK, a stale reply (already moved on), not ours
         inst.preaccept_repliers.add(sender)
         if msg.seq != inst.seq or msg.deps != inst.deps:
             inst.preaccept_unanimous = False
@@ -283,7 +285,8 @@ class EPaxosReplica:
     def _on_accept_reply(self, msg: AcceptReply, sender: str) -> None:
         inst = self.instances.get(msg.instance)
         if inst is None or self._outbid(inst, msg) \
-                or inst.status != ACCEPTED or msg.ballot != inst.ballot:
+                or inst.status != ACCEPTED or msg.ballot != inst.ballot \
+                or inst.accept_repliers is None:
             return
         inst.accept_repliers.add(sender)
         if len(inst.accept_repliers) >= self.majority - 1:

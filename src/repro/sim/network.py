@@ -59,6 +59,33 @@ ETHERNET = LatencyModel(ETHERNET_LATENCY_MS, 2.0)
 CELLULAR = LatencyModel(CELLULAR_LATENCY_MS, 10.0)
 
 
+class Link:
+    """One directed link: its latency model, the messages and bytes sent
+    on it, and its delivery state — ``last``, the latest scheduled
+    delivery time (the FIFO clamp), and ``tail``, the batch due then
+    while it has not fired (a send landing on the same instant appends
+    to it instead of scheduling another event).  ``send`` resolves
+    everything link-scoped with this one record."""
+
+    __slots__ = ("src", "dst", "model", "messages", "bytes", "last",
+                 "tail")
+
+    def __init__(self, src: str, dst: str, model: LatencyModel):
+        self.src = src
+        self.dst = dst
+        self.model = model
+        self.messages = 0
+        self.bytes = 0
+        self.last = -1.0
+        self.tail: Optional[list] = None
+
+    def counted(self, messages: int, nbytes: int) -> "Link":
+        """A record of this link holding only the given counts."""
+        copy = Link(self.src, self.dst, self.model)
+        copy.messages, copy.bytes = messages, nbytes
+        return copy
+
+
 class NetworkStats:
     """Aggregate counters for benchmark reporting.
 
@@ -86,20 +113,19 @@ class NetworkStats:
         self.delivery_events = 0
         self.bytes_sent = 0
         self.drops_by_link: Dict[Tuple[str, str], int] = {}
-        #: ``link -> [messages, bytes]`` — one mutable record per
-        #: directed link, shared with the network's per-link send state
-        #: so the hot path updates it without re-hashing the link key.
-        self.link_traffic: Dict[Tuple[str, str], list] = {}
+        #: ``(src, dst) -> Link``: the simulated network's one map of
+        #: its directed links, whose records hold the per-link counts.
+        self.links: Dict[Tuple[str, str], Link] = {}
 
     @property
     def bytes_by_link(self) -> Dict[Tuple[str, str], int]:
-        """Per-link byte totals (derived view; see ``link_traffic``)."""
-        return {k: v[1] for k, v in self.link_traffic.items() if v[1]}
+        """Per-link byte totals (derived view of ``links``)."""
+        return {k: v.bytes for k, v in self.links.items() if v.bytes}
 
     @property
     def messages_by_link(self) -> Dict[Tuple[str, str], int]:
-        """Per-link message totals (derived view of ``link_traffic``)."""
-        return {k: v[0] for k, v in self.link_traffic.items() if v[0]}
+        """Per-link message totals (derived view of ``links``)."""
+        return {k: v.messages for k, v in self.links.items() if v.messages}
 
     def snapshot(self) -> "NetworkStats":
         """Frozen copy of every counter, for phase accounting."""
@@ -110,7 +136,8 @@ class NetworkStats:
         copy.delivery_events = self.delivery_events
         copy.bytes_sent = self.bytes_sent
         copy.drops_by_link = dict(self.drops_by_link)
-        copy.link_traffic = {k: v[:] for k, v in self.link_traffic.items()}
+        copy.links = {k: v.counted(v.messages, v.bytes)
+                      for k, v in self.links.items()}
         return copy
 
     def since(self, baseline: "NetworkStats") -> "NetworkStats":
@@ -137,23 +164,15 @@ class NetworkStats:
             diff = value - baseline.drops_by_link.get(link, 0)
             if diff:
                 delta.drops_by_link[link] = diff
-        for link, record in self.link_traffic.items():
-            base = baseline.link_traffic.get(link)
-            if base is None:
-                if record[0] or record[1]:
-                    delta.link_traffic[link] = record[:]
-            else:
-                diff = [record[0] - base[0], record[1] - base[1]]
-                if diff[0] or diff[1]:
-                    delta.link_traffic[link] = diff
+        for key, record in self.links.items():
+            base = baseline.links.get(key)
+            messages, nbytes = record.messages, record.bytes
+            if base is not None:
+                messages -= base.messages
+                nbytes -= base.bytes
+            if messages or nbytes:
+                delta.links[key] = record.counted(messages, nbytes)
         return delta
-
-    def traffic_record(self, link: Tuple[str, str]) -> list:
-        """The mutable ``[messages, bytes]`` record for a link."""
-        record = self.link_traffic.get(link)
-        if record is None:
-            record = self.link_traffic[link] = [0, 0]
-        return record
 
     def record_drop(self, src: str, dst: str) -> None:
         self.messages_dropped += 1
@@ -162,13 +181,13 @@ class NetworkStats:
 
     def bytes_on(self, src: str, dst: str) -> int:
         """Bytes queued on the directed link ``src -> dst``."""
-        record = self.link_traffic.get((src, dst))
-        return record[1] if record else 0
+        record = self.links.get((src, dst))
+        return record.bytes if record else 0
 
     def messages_on(self, src: str, dst: str) -> int:
         """Messages queued on the directed link ``src -> dst``."""
-        record = self.link_traffic.get((src, dst))
-        return record[0] if record else 0
+        record = self.links.get((src, dst))
+        return record.messages if record else 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"NetworkStats(sent={self.messages_sent},"
@@ -190,22 +209,13 @@ class Network:
         self.seed = seed
         self._transport_view: Any = None
         self._default = default_latency or LatencyModel(1.0)
-        self._links: Dict[Tuple[str, str], LatencyModel] = {}
         self._handlers: Dict[str, Callable[[Any, str], None]] = {}
         self._cut: Set[frozenset] = set()
         self._down: Set[str] = set()
         self._loss_rate: Dict[Tuple[str, str], float] = {}
-        #: One mutable record per directed link, so ``send`` resolves
-        #: everything link-scoped with a single dict lookup:
-        #: ``[model, traffic, last_delivery, tail_time, tail_batch]``
-        #: where ``traffic`` is the ``[messages, bytes]`` list shared
-        #: with ``stats.link_traffic``, ``last_delivery`` is the latest
-        #: scheduled delivery time (FIFO clamp), and the tail fields
-        #: describe the link's newest not-yet-fired delivery batch (a
-        #: send landing on the same instant appends instead of
-        #: scheduling another event).
-        self._link_state: Dict[Tuple[str, str], list] = {}
         self.stats = NetworkStats()
+        # One record per directed link, kept in the stats it counts for.
+        self._links = self.stats.links
         # Lifecycle trace recorder; actors reach it via ``Actor.obs``.
         # The null default keeps tracing a pure observer: assigning a
         # repro.obs.TraceRecorder here must not change behaviour.
@@ -239,17 +249,19 @@ class Network:
     def detach(self, node_id: str) -> None:
         self._handlers.pop(node_id, None)
 
+    def _link(self, src: str, dst: str) -> Link:
+        """The record of the directed link ``src -> dst``, made on
+        first use with the default latency."""
+        record = self._links.get((src, dst))
+        if record is None:
+            record = self._links[(src, dst)] = Link(src, dst, self._default)
+        return record
+
     def set_link(self, a: str, b: str, model: LatencyModel,
                  symmetric: bool = True) -> None:
-        self._links[(a, b)] = model
-        state = self._link_state.get((a, b))
-        if state is not None:
-            state[0] = model
+        self._link(a, b).model = model
         if symmetric:
-            self._links[(b, a)] = model
-            state = self._link_state.get((b, a))
-            if state is not None:
-                state[0] = model
+            self._link(b, a).model = model
 
     def set_loss_rate(self, a: str, b: str, rate: float,
                       symmetric: bool = True) -> None:
@@ -294,23 +306,18 @@ class Network:
         """
         if size_bytes is None:
             size_bytes = wire_size(message)
-        link = (src, dst)
-        state = self._link_state.get(link)
-        if state is None:
-            state = self._link_state[link] = [
-                self._links.get(link, self._default),
-                self.stats.traffic_record(link), None, -1.0, None]
+        key = (src, dst)
+        link = self._links.get(key) or self._link(src, dst)
         stats = self.stats
         stats.messages_sent += 1
         stats.bytes_sent += size_bytes
-        traffic = state[1]
-        traffic[0] += 1
-        traffic[1] += size_bytes
+        link.messages += 1
+        link.bytes += size_bytes
         if (self._down or self._cut) and not self.is_reachable(src, dst):
             stats.record_drop(src, dst)
             return False
         rng = self._rng
-        rate = self._loss_rate.get(link) if self._loss_rate else None
+        rate = self._loss_rate.get(key) if self._loss_rate else None
         if rate and rng.random() < rate:
             stats.record_drop(src, dst)
             return False
@@ -320,30 +327,32 @@ class Network:
         # ``base + rng.uniform(0.0, jitter)`` (uniform(0, j) computes
         # ``0.0 + (j - 0.0) * random()``), with the same draw-only-if-
         # jittered rule, minus two call frames per message.
-        model = state[0]
+        model = link.model
         jitter = model.jitter_ms
         latency = model.base_ms + jitter * rng.random() if jitter \
             else model.base_ms
         deliver_at = now + latency
-        last = state[2]
-        if last is not None and deliver_at < last:
+        last = link.last
+        if deliver_at < last:
             deliver_at = last       # FIFO clamp; seq breaks the tie
-        if state[3] == deliver_at and deliver_at > now:
-            # The link's next delivery event fires at exactly this time
-            # and has not run yet (strictly in the future): coalesce.
-            state[4].append(message)
+        if deliver_at == last and deliver_at > now:
+            # The link's tail batch fires at exactly this time and has
+            # not run yet (strictly in the future): coalesce.
+            link.tail.append(message)   # type: ignore[union-attr]
         else:
             batch = [message]
-            state[3] = deliver_at
-            state[4] = batch
+            link.last = deliver_at
+            link.tail = batch
             loop.schedule_fast_at(deliver_at, self._deliver_batch,
-                                  (src, dst, batch))
-        state[2] = deliver_at
+                                  (link, batch))
         return True
 
-    def _deliver_batch(self, src: str, dst: str, batch: list) -> None:
+    def _deliver_batch(self, link: Link, batch: list) -> None:
         # Check reachability again at delivery time: a partition that
         # appeared while the batch was in flight kills it (TCP reset).
+        src, dst = link.src, link.dst
+        if link.tail is batch:
+            link.tail = None    # keep no delivered message alive
         stats = self.stats
         stats.delivery_events += 1
         handlers = self._handlers
@@ -360,6 +369,3 @@ class Network:
             delivered += 1
             handler(message, src)
         stats.messages_delivered += delivered
-        # The link's record still names the batch as its tail until the
-        # next send: it must keep no delivered message alive.
-        batch.clear()

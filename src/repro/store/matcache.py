@@ -269,7 +269,7 @@ class MaterialisedCache:
                         and not entry.txn.commit.included_in(vector):
                     by_dep.append(entry)
         if cached.base_version != journal.base_version:
-            if not journal.base_dots <= cached.dots:
+            if not journal.folded <= cached.dots:
                 return False
             cached.base_version = journal.base_version
         cached.version = journal.version
@@ -321,7 +321,7 @@ class MaterialisedCache:
         """After compaction, is every folded entry already applied?"""
         if cached.base_version == journal.base_version:
             return True
-        if journal.base_dots <= cached.dots:
+        if journal.folded <= cached.dots:
             cached.base_version = journal.base_version
             return True
         return False

@@ -140,3 +140,125 @@ def test_counter_value_is_sum(amounts):
         op = counter.prepare("increment", amount)
         counter.apply(op.with_tag((index + 1, "a", 0)))
     assert counter.value() == sum(amounts)
+
+
+# -- the set CRDTs against a set-based oracle ------------------------------
+#
+# Two replicas of an ``ORSet`` or ``RWSet`` prepare operations locally and
+# exchange them when told to, so a remove may miss a concurrent add.  The
+# oracle keeps each element's live tags as a ``set`` and applies the same
+# operations; after every step the CRDT's tags must equal the oracle's and
+# be one sorted tuple per element.  A ``clone`` step carries on with the
+# copy, and the original must never change again: a clone shares the
+# tag tuples, so an effect may only replace one.
+
+ELEMENTS = st.integers(0, 4)
+ORSET_STEPS = st.one_of(
+    st.tuples(st.just("add"), ELEMENTS),
+    st.tuples(st.just("add_all"), st.lists(ELEMENTS, max_size=3)),
+    st.tuples(st.just("remove"), ELEMENTS),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("clone")),
+    st.tuples(st.just("deliver")))
+RWSET_STEPS = st.one_of(
+    st.tuples(st.just("add"), ELEMENTS),
+    st.tuples(st.just("remove"), ELEMENTS),
+    st.tuples(st.just("clone")),
+    st.tuples(st.just("deliver")))
+
+
+def _tag_maps(crdt):
+    """The CRDT's element -> tags maps, by name."""
+    if crdt.TYPE_NAME == "orset":
+        return {"instances": crdt._instances}
+    return {"adds": crdt._adds, "removes": crdt._removes}
+
+
+def _as_sets(crdt):
+    return {name: {v: set(tags) for v, tags in live.items()}
+            for name, live in _tag_maps(crdt).items()}
+
+
+def _discard(live, value, raw_tags):
+    tags = live.get(value)
+    if tags is not None:
+        tags.difference_update(tuple(raw) for raw in raw_tags)
+        if not tags:
+            del live[value]
+
+
+def _oracle_apply(oracle, op):
+    payload, tag = op.payload, op.tag
+    if op.type_name == "orset":
+        live = oracle["instances"]
+        if op.method == "add":
+            live.setdefault(payload["value"], set()).add(tag)
+        elif op.method == "add_all":
+            for index, value in enumerate(payload["values"]):
+                live.setdefault(value, set()).add(tag + (index,))
+        elif op.method == "remove":
+            _discard(live, payload["value"], payload["observed"])
+        else:
+            for value, raw_tags in payload["observed"]:
+                _discard(live, value, raw_tags)
+    elif op.method == "add":
+        _discard(oracle["removes"], payload["value"],
+                 payload["observed_removes"])
+        oracle["adds"].setdefault(payload["value"], set()).add(tag)
+    else:
+        _discard(oracle["adds"], payload["value"], payload["observed_adds"])
+        oracle["removes"].setdefault(payload["value"], set()).add(tag)
+
+
+def _oracle_value(oracle):
+    if "instances" in oracle:
+        return set(oracle["instances"])
+    return set(oracle["adds"]) - set(oracle["removes"])
+
+
+def check_against_oracle(type_name, steps):
+    replicas = [new_crdt(type_name), new_crdt(type_name)]
+    oracles = [_as_sets(r) for r in replicas]
+    inboxes = [[], []]
+    cloned = []             # (original, its tags when it was cloned)
+    for counter, (at, (action, *args)) in enumerate(steps, start=1):
+        if action == "clone":
+            cloned.append((replicas[at], _as_sets(replicas[at])))
+            replicas[at] = replicas[at].clone()
+        elif action == "deliver":
+            for op in inboxes[at]:
+                replicas[at].apply(op)
+                _oracle_apply(oracles[at], op)
+            inboxes[at].clear()
+        else:
+            op = replicas[at].prepare(action, *args).with_tag(
+                (counter, "ab"[at], 0))
+            replicas[at].apply(op)
+            _oracle_apply(oracles[at], op)
+            inboxes[1 - at].append(op)
+        for crdt, oracle in zip(replicas, oracles):
+            assert _as_sets(crdt) == oracle
+            assert crdt.value() == _oracle_value(oracle)
+            assert all(type(tags) is tuple and list(tags) == sorted(oracle[
+                name][value]) for name, live in _tag_maps(crdt).items()
+                for value, tags in live.items())
+    for original, tags in cloned:
+        assert _as_sets(original) == tags
+    for crdt in replicas:
+        restored = type(crdt).from_dict(crdt.to_dict())
+        assert _as_sets(restored) == _as_sets(crdt)
+        assert restored.to_dict() == crdt.to_dict()
+
+
+@settings(deadline=None)
+@given(steps=st.lists(st.tuples(st.sampled_from((0, 1)), ORSET_STEPS),
+                      max_size=30))
+def test_orset_matches_a_set_based_oracle(steps):
+    check_against_oracle("orset", steps)
+
+
+@settings(deadline=None)
+@given(steps=st.lists(st.tuples(st.sampled_from((0, 1)), RWSET_STEPS),
+                      max_size=30))
+def test_rwset_matches_a_set_based_oracle(steps):
+    check_against_oracle("rwset", steps)

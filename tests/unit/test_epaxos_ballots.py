@@ -1,5 +1,7 @@
 """EPaxos ballot/staleness edge cases (safety of the recovery path)."""
 
+from dataclasses import fields
+
 from repro.epaxos import (Accept, AcceptReply, Commit, EPaxosReplica,
                           PreAccept, PreAcceptReply, Prepare, PrepareReply)
 from repro.epaxos.instance import ACCEPTED, COMMITTED, NONE, PREACCEPTED
@@ -85,10 +87,12 @@ class TestStaleReplies:
         iid = replica.propose(cmd(1))
         # Deliver one reply, then a commit arrives via another path.
         replica.handle(Commit(iid, cmd(1), 1, frozenset()), "b")
-        before = dict(replica.instances[iid].__dict__)
+        inst = replica.instances[iid]
+        before = {f.name: getattr(inst, f.name) for f in fields(inst)}
         replica.handle(PreAcceptReply(iid, (0, "a"), True, 1, frozenset()),
                        "c")
-        assert replica.instances[iid].status == before["status"]
+        assert {f.name: getattr(inst, f.name)
+                for f in fields(inst)} == before
 
     def test_mismatched_ballot_reply_ignored(self):
         replica = make_replica()
